@@ -8,8 +8,9 @@ labels, evaluation metrics, and stable stream serialization.
 """
 
 from .density import (DensityMap, OccupancyMap, PriorMap, ScoreMap,
-                      SigmoidParams, accumulate_density, gaussian_prior,
-                      minmax_normalize, poisson_occupancy, score_map, sigmoid)
+                      SigmoidParams, SparseScores, accumulate_density,
+                      gaussian_prior, minmax_normalize, occupancy_values,
+                      poisson_occupancy, score_map, sigmoid, sparse_scores)
 from .events import (Event, EventLabel, EventStream, Polarity, SensorGeometry,
                      ValidationReport, Violation, stream_duration,
                      validate_stream)

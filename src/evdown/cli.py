@@ -17,7 +17,7 @@ import statistics
 import sys
 
 from .density import SigmoidParams
-from .evio import (EventFileError, read_events, read_prior, stats_doc,
+from .evio import (EventFileError, _selectivity_doc, read_events, read_prior,
                    write_events, write_json_doc, write_log, write_stats)
 from .events import SensorGeometry
 from .metrics import retention_ratio, selectivity
@@ -206,17 +206,7 @@ def cmd_metrics(args) -> int:
         "ms_per_kev_eval": None,
     }
     if sel is not None:
-        doc["selectivity"] = {
-            "edge_total": sel.edge_total,
-            "noise_total": sel.noise_total,
-            "edge_retained": sel.edge_retained,
-            "noise_retained": sel.noise_retained,
-            "edge_fraction": sel.edge_fraction,
-            "noise_fraction": sel.noise_fraction,
-            "ratio": sel.ratio,
-            "overall": sel.overall,
-            "alpha": sel.alpha,
-        }
+        doc["selectivity"] = _selectivity_doc(sel)
     write_json_doc(doc, sys.stdout if args.out == "-" else args.out)
     return 0
 

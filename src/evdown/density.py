@@ -7,6 +7,12 @@ at least once is ``f = 1 - exp(-lam)``, a bounded occupancy measure in
 normalized, recentered so its mean sits at the target sampling rate, and
 pushed through a sigmoid to yield per-pixel acceptance probabilities that
 are strictly inside (0, 1).
+
+The chain is computed sparsely by :func:`sparse_scores`: only the pixels
+active in the window (nonzero occupancy) get their own score, and every
+inactive pixel, whose occupancy is 0 with or without a prior, shares one
+score.  Its cost follows the active pixels, not the sensor size.  The dense
+:func:`score_map` fills a full map from the same core.
 """
 
 from __future__ import annotations
@@ -68,6 +74,7 @@ class PriorMap:
 
     geometry: SensorGeometry
     weights: np.ndarray
+    peak: float = field(init=False, repr=False)
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=np.float64)
@@ -81,6 +88,7 @@ class PriorMap:
             raise ValueError("prior weights must not be all zero")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "peak", w.max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -97,6 +105,40 @@ class ScoreMap:
                 f"pixel ({x}, {y}) outside "
                 f"{self.geometry.width}x{self.geometry.height} score map")
         return float(self.probabilities[y, x])
+
+
+@dataclass(frozen=True, eq=False)
+class SparseScores:
+    """Acceptance probabilities of one window, stored by active pixel.
+
+    ``active`` holds the sorted flat indices ``y * width + x`` of the pixels
+    with nonzero occupancy and ``probabilities`` their scores; every other
+    pixel scores ``rest``.
+    """
+
+    geometry: SensorGeometry
+    active: np.ndarray
+    probabilities: np.ndarray
+    rest: float
+    window_id: int = 0
+
+    def lookup(self, flat: np.ndarray) -> np.ndarray:
+        """Scores of the pixels with the given flat indices."""
+        out = np.full(flat.shape, self.rest)
+        if self.active.size:
+            pos = np.searchsorted(self.active, flat)
+            np.minimum(pos, self.active.size - 1, out=pos)
+            hit = self.active[pos] == flat
+            out[hit] = self.probabilities[pos[hit]]
+        return out
+
+    def to_map(self) -> ScoreMap:
+        """The full (height, width) score map."""
+        geo = self.geometry
+        flat = np.full(geo.n_pixels, self.rest)
+        flat[self.active] = self.probabilities
+        return ScoreMap(geo, flat.reshape(geo.height, geo.width),
+                        self.window_id)
 
 
 def accumulate_density(events: EventStream, window_id: int = 0) -> DensityMap:
@@ -124,13 +166,18 @@ def poisson_occupancy(density: DensityMap) -> OccupancyMap:
     to exactly 0; occupancy is strictly below 1 for finite counts (values
     saturate at one ulp below 1 once lam exceeds about 37).
     """
-    counts = np.asarray(density.counts, dtype=np.float64)
+    return OccupancyMap(density.geometry, occupancy_values(density.counts),
+                        density.window_id)
+
+
+def occupancy_values(counts) -> np.ndarray:
+    """Occupancy 1 - exp(-lam) of counts of any shape (see poisson_occupancy)."""
+    counts = np.asarray(counts, dtype=np.float64)
     if np.any(counts < 0) or not np.all(np.isfinite(counts)):
         raise ValueError("density counts must be finite and nonnegative")
     # exp(-lam) underflows past lam ~ 37 and the result would round to
     # exactly 1.0; clamp to keep the stated half-open range.
-    values = np.minimum(-np.expm1(-counts), _P_HI)
-    return OccupancyMap(density.geometry, values, density.window_id)
+    return np.minimum(-np.expm1(-counts), _P_HI)
 
 
 def minmax_normalize(values: np.ndarray) -> np.ndarray:
@@ -155,6 +202,50 @@ def sigmoid(v, params: SigmoidParams = SigmoidParams()):
     return np.clip(p, _P_LO, _P_HI)
 
 
+def sparse_scores(geometry: SensorGeometry,
+                  active: np.ndarray,
+                  occupancy: np.ndarray,
+                  alpha: float,
+                  params: SigmoidParams = SigmoidParams(),
+                  prior: PriorMap | None = None,
+                  window_id: int = 0) -> SparseScores:
+    """Score a window from the occupancy of its active pixels.
+
+    ``active`` lists the sorted, distinct flat indices ``y * width + x`` of
+    the pixels with nonzero occupancy and ``occupancy`` their values; every
+    other pixel has occupancy 0.  The chain is that of :func:`score_map`.
+    An inactive pixel stays 0 under a prior, so it normalizes to
+    ``(0 - lo) / (hi - lo)`` where ``lo`` and ``hi`` range over the active
+    values and, when some pixel is inactive, 0.  The mean over all pixels
+    is the sum over the active ones, in flat-pixel order, plus the inactive
+    pixels' share, divided by the pixel count.
+    """
+    if not (0.0 < alpha <= 1.0):
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    base = np.asarray(occupancy, dtype=np.float64)
+    if prior is not None:
+        if prior.geometry != geometry:
+            raise ValueError("prior geometry does not match occupancy geometry")
+        # Dividing by the peak weight first makes scoring invariant to a
+        # common scale factor on the prior whenever the scaling is exact in
+        # float64 (the per-pixel ratios are then bit-identical).
+        base = base * (prior.weights.ravel()[active] / prior.peak)
+    if not np.all(np.isfinite(base)):
+        raise ValueError("values must be finite")
+    n_rest = geometry.n_pixels - base.size
+    lo = base.min(initial=0.0) if n_rest else base.min()
+    hi = base.max(initial=0.0) if n_rest else base.max()
+    # The last entry stands for every inactive pixel.
+    if hi == lo:
+        g = np.zeros(base.size + 1)
+    else:
+        g = (np.append(base, 0.0) - lo) / (hi - lo)
+    mean = (g[:-1].sum() + n_rest * g[-1]) / geometry.n_pixels
+    probs = sigmoid(g + (alpha - mean), params)
+    return SparseScores(geometry, active, probs[:-1], float(probs[-1]),
+                        window_id)
+
+
 def score_map(occupancy: OccupancyMap,
               alpha: float,
               params: SigmoidParams = SigmoidParams(),
@@ -165,7 +256,9 @@ def score_map(occupancy: OccupancyMap,
     The chain is: multiply occupancy by the prior (normalized to peak 1) if
     one is given, min-max normalize, shift so the mean over all pixels
     (active or not) equals ``alpha``, then apply the sigmoid.  Outputs are
-    clamped strictly inside (0, 1).
+    clamped strictly inside (0, 1).  The map is filled from
+    :func:`sparse_scores` over the pixels with nonzero occupancy, so it is
+    bit-identical to the scores the pipeline looks up.
 
     Parameters
     ----------
@@ -180,21 +273,14 @@ def score_map(occupancy: OccupancyMap,
     window_id : int, optional
         Window tag for the result; defaults to the occupancy's tag.
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    base = np.asarray(occupancy.values, dtype=np.float64)
-    if prior is not None:
-        if prior.geometry != occupancy.geometry:
-            raise ValueError("prior geometry does not match occupancy geometry")
-        # Dividing by the peak weight first makes scoring invariant to a
-        # common scale factor on the prior whenever the scaling is exact in
-        # float64 (the per-pixel ratios are then bit-identical).
-        base = base * (prior.weights / prior.weights.max())
-    g = minmax_normalize(base)
-    shifted = g + (alpha - g.mean())
-    probs = sigmoid(shifted, params)
+    geo = occupancy.geometry
+    flat = np.asarray(occupancy.values, dtype=np.float64).ravel()
+    if flat.size != geo.n_pixels:
+        raise ValueError("occupancy shape must be (height, width)")
+    active = np.flatnonzero(flat)
     wid = occupancy.window_id if window_id is None else window_id
-    return ScoreMap(occupancy.geometry, probs, wid)
+    return sparse_scores(geo, active, flat[active], alpha, params, prior,
+                         wid).to_map()
 
 
 def gaussian_prior(geometry: SensorGeometry,

@@ -13,6 +13,8 @@ from enum import IntEnum
 
 import numpy as np
 
+_MAX_PIXELS = int(np.iinfo(np.int64).max)
+
 
 class Polarity(IntEnum):
     """Sign of the brightness change. OFF = 0, ON = 1."""
@@ -23,7 +25,11 @@ class Polarity(IntEnum):
 
 @dataclass(frozen=True)
 class SensorGeometry:
-    """Pixel dimensions of the sensor array."""
+    """Pixel dimensions of the sensor array.
+
+    The pixel count must fit in int64, so that the flat pixel index
+    ``y * width + x`` never wraps.
+    """
 
     width: int
     height: int
@@ -33,6 +39,10 @@ class SensorGeometry:
             raise ValueError(
                 f"sensor dimensions must be >= 1, got {self.width}x{self.height}"
             )
+        if int(self.width) * int(self.height) > _MAX_PIXELS:
+            raise ValueError(
+                f"sensor {self.width}x{self.height} has more pixels than the "
+                f"signed 64-bit range holds")
 
     @property
     def n_pixels(self) -> int:

@@ -32,6 +32,7 @@ VERSION = 1
 _HEADER = struct.Struct("<4sBHHQ")
 REC_DTYPE = np.dtype([("t", "<u8"), ("x", "<u2"), ("y", "<u2"), ("p", "u1")])
 assert REC_DTYPE.itemsize == 13
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 _CSV_HEADER = "t,x,y,p"
 _CSV_HEADER_LABELED = "t,x,y,p,label"
@@ -99,8 +100,11 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None) -> EventStream:
                 f"{path}: events out of order at index {i} "
                 f"(t={int(t[i])} after t={int(t[i - 1])})")
     if geometry is None:
-        geometry = SensorGeometry(int(x.max()) + 1 if x.size else 1,
-                                  int(y.max()) + 1 if y.size else 1)
+        try:
+            geometry = SensorGeometry(int(x.max()) + 1 if x.size else 1,
+                                      int(y.max()) + 1 if y.size else 1)
+        except ValueError as exc:
+            raise EventFileError(f"{path}: inferred {exc}") from None
     else:
         oob = np.nonzero((x >= geometry.width) | (y >= geometry.height))[0]
         if oob.size:
@@ -152,6 +156,15 @@ def _read_csv(path, geometry) -> EventStream:
             x.append(xi)
             y.append(yi)
             p.append(pi)
+    try:
+        t, x, y = (np.asarray(col, dtype=np.int64) for col in (t, x, y))
+    except OverflowError:
+        # Values are parsed as Python ints; find the line only once one has
+        # proved too large, so the loop above stays as cheap as it is.
+        big = next(i for i, vals in enumerate(zip(t, x, y))
+                   if max(vals) > _INT64_MAX)
+        raise EventFileError(f"{path}:{big + 2}: value exceeds the signed "
+                             f"64-bit range") from None
     return _finish_stream(path, geometry, t, x, y,
                           np.asarray(p, dtype=np.uint8), labels=labels)
 
@@ -194,7 +207,7 @@ def _read_binary(path, geometry) -> EventStream:
             f"requested {geometry.width}x{geometry.height}")
     recs = np.frombuffer(blob, dtype=REC_DTYPE, count=count,
                          offset=_HEADER.size)
-    if count and int(recs["t"].max()) > np.iinfo(np.int64).max:
+    if count and int(recs["t"].max()) > _INT64_MAX:
         raise EventFileError(f"{path}: timestamp exceeds the signed 64-bit range")
     bad = np.nonzero(recs["p"] > 1)[0]
     if bad.size:

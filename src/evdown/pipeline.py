@@ -10,6 +10,11 @@ sampling at alpha.  A window that closes empty yields the degenerate
 constant map (all pixels score sigmoid(alpha)); a stale map is never
 carried across a gap.
 
+Scoring is sparse: each frozen map is built from the pixels active in the
+previous window only, and every inactive pixel shares one score, so its
+cost follows the active pixels, not the sensor size.  No per-pixel array
+of the whole sensor is allocated.
+
 The budget cap runs across windows: an event is dropped before evaluation
 when the stream-wide kept/processed ratio already exceeds alpha, and such
 drops consume no randomness.  With alpha = 1 every method passes all events
@@ -28,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .density import DensityMap, ScoreMap, poisson_occupancy, score_map
+from .density import (DensityMap, ScoreMap, occupancy_values,
+                      poisson_occupancy, score_map, sparse_scores)
 from .events import EventStream, SensorGeometry
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
@@ -291,13 +297,11 @@ def run(stream: EventStream, method: str,
         rng = config.rng()
         draws = rng.random(n).tolist()
         di = 0
-        xs, ys = stream.x, stream.y
-        flat_idx = ys * geo.width + xs
+        flat_idx = stream.y * geo.width + stream.x
         uniq, starts = np.unique(windows, return_index=True)
         ends = np.append(starts[1:], n)
         prev_wid = 0
-        prev_slice = None
-        degenerate_flat = None
+        prev_slice = slice(0, 0)
         for wid, i0, i1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
             if alpha == 1.0:
                 pv = np.ones(i1 - i0)
@@ -305,27 +309,15 @@ def run(stream: EventStream, method: str,
                 pv = np.full(i1 - i0, alpha)
             else:
                 tp0 = time.perf_counter()
-                if prev_wid == wid - 1:
-                    counts = np.bincount(flat_idx[prev_slice],
-                                         minlength=geo.n_pixels)
-                    density = DensityMap(geo, counts.reshape(
-                        geo.height, geo.width).astype(np.float64), prev_wid)
-                    frozen = score_map(poisson_occupancy(density), alpha,
-                                       config.theta, config.prior,
-                                       window_id=prev_wid)
-                    flat_scores = frozen.probabilities.ravel()
-                else:
-                    # The window before this one was empty; its frozen map is
-                    # the same degenerate constant regardless of which window
-                    # it is, so build it once.
-                    if degenerate_flat is None:
-                        density = DensityMap(geo, np.zeros((geo.height,
-                                                            geo.width)))
-                        frozen = score_map(poisson_occupancy(density), alpha,
-                                           config.theta, config.prior)
-                        degenerate_flat = frozen.probabilities.ravel()
-                    flat_scores = degenerate_flat
-                pv = flat_scores[flat_idx[i0:i1]]
+                # After an empty window no pixel is active and every pixel
+                # shares one score; a stale map is never carried over.
+                closed = slice(0, 0) if prev_wid < wid - 1 else prev_slice
+                active, counts = np.unique(flat_idx[closed],
+                                           return_counts=True)
+                frozen = sparse_scores(geo, active, occupancy_values(counts),
+                                       alpha, config.theta, config.prior,
+                                       window_id=wid - 1)
+                pv = frozen.lookup(flat_idx[i0:i1])
                 pdf_s += time.perf_counter() - tp0
             probs[i0:i1] = pv
             te0 = time.perf_counter()

@@ -132,6 +132,19 @@ class TestDownsample:
         args = self.base_args(bad, tmp_path / "o.csv")
         assert main(args) == 3
 
+    @pytest.mark.parametrize("row", ["99999999999999999999,2,3,1",
+                                     f"1,{2**62},3,1"])
+    def test_int64_overflow_exit_3(self, tmp_path, capsys, row):
+        """A value beyond int64, or a geometry inferred past int64 pixels,
+        is a malformed file: exit 3 and no traceback."""
+        bad = tmp_path / "big.csv"
+        bad.write_text(f"t,x,y,p\n{row}\n")
+        args = self.base_args(bad, tmp_path / "o.csv")
+        args[args.index("uniform")] = "poisson"
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "64-bit" in err and "Traceback" not in err
+
     def test_unknown_flag_exit_2(self, scene_csv, tmp_path):
         args = self.base_args(scene_csv, tmp_path / "o.csv", "--turbo")
         with pytest.raises(SystemExit) as err:

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from evdown import (DensityMap, OccupancyMap, PriorMap, SensorGeometry,
                     SigmoidParams, accumulate_density, gaussian_prior,
-                    minmax_normalize, poisson_occupancy, score_map, sigmoid)
+                    minmax_normalize, occupancy_values, poisson_occupancy,
+                    score_map, sigmoid, sparse_scores)
 
 from conftest import chain_oracle, make_stream
 
@@ -183,6 +184,119 @@ class TestScoreMap:
         occ = OccupancyMap(GEO4, np.zeros((4, 4)), window_id=9)
         assert score_map(occ, 0.5).window_id == 9
         assert score_map(occ, 0.5, window_id=3).window_id == 3
+
+
+def sparse_of(counts, alpha, params=SigmoidParams(), prior=None):
+    """The sparse core fed the way the pipeline feeds it: active pixels and
+    their counts only."""
+    counts = np.asarray(counts, dtype=np.float64)
+    geometry = SensorGeometry(counts.shape[1], counts.shape[0])
+    active = np.flatnonzero(counts)
+    return sparse_scores(geometry, active,
+                         occupancy_values(counts.ravel()[active]),
+                         alpha, params, prior)
+
+
+@st.composite
+def scoring_cases(draw):
+    """Small count maps with the chain's edge cases: no active pixel, every
+    pixel active, a prior that is zero at some active pixels, alpha = 1."""
+    width = draw(st.integers(1, 6))
+    height = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["mixed", "none", "all", "zero_prior"]))
+    lo = 1 if kind == "all" else 0
+    hi = 0 if kind == "none" else 6
+    counts = np.array(draw(st.lists(st.integers(lo, hi),
+                                    min_size=width * height,
+                                    max_size=width * height)),
+                      dtype=np.float64).reshape(height, width)
+    prior = None
+    if kind == "zero_prior" or draw(st.booleans()):
+        weights = np.array(draw(st.lists(
+            st.floats(0.0, 4.0), min_size=width * height,
+            max_size=width * height))).reshape(height, width)
+        if kind == "zero_prior":
+            weights[counts > 0] *= np.arange(np.count_nonzero(counts)) % 2
+        if not (weights > 0).any():
+            weights.flat[-1] = 1.0
+        prior = PriorMap(SensorGeometry(width, height), weights)
+    alpha = draw(st.one_of(st.just(1.0), st.floats(0.01, 1.0)))
+    params = SigmoidParams(draw(st.floats(0.5, 10.0)),
+                           draw(st.floats(0.05, 0.95)))
+    return counts, alpha, params, prior
+
+
+class TestSparseScores:
+    @settings(max_examples=300, deadline=None)
+    @given(scoring_cases())
+    def test_dense_view_oracle_and_lookup_agree(self, case):
+        counts, alpha, params, prior = case
+        height, width = counts.shape
+        sparse = sparse_of(counts, alpha, params, prior)
+        scattered = np.full(width * height, sparse.rest)
+        scattered[sparse.active] = sparse.probabilities
+        dense = score_map(occupancy_of(counts), alpha, params, prior)
+        np.testing.assert_array_equal(dense.probabilities.ravel(), scattered)
+        expected = chain_oracle(
+            counts.tolist(), alpha, slope=params.slope,
+            midpoint=params.midpoint,
+            prior=None if prior is None else prior.weights.tolist())
+        np.testing.assert_allclose(dense.probabilities, expected,
+                                   rtol=0, atol=1e-12)
+        looked_up = sparse.lookup(np.arange(width * height)[::-1])
+        np.testing.assert_array_equal(looked_up, scattered[::-1])
+
+    def test_no_active_pixel_scores_sigmoid_alpha(self):
+        sparse = sparse_of(np.zeros((3, 4)), 0.1)
+        assert sparse.active.size == 0 and sparse.probabilities.size == 0
+        assert sparse.rest == float(sigmoid(np.float64(0.1)))
+        assert (sparse.lookup(np.array([0, 5, 11])) == sparse.rest).all()
+
+    def test_every_pixel_active_normalizes_from_its_minimum(self):
+        # lo is the smallest occupancy, not 0: that pixel maps to g = 0
+        counts = np.array([[1.0, 2.0], [3.0, 1.0]])
+        sparse = sparse_of(counts, 0.3)
+        expected = chain_oracle(counts.tolist(), 0.3)
+        np.testing.assert_allclose(sparse.probabilities,
+                                   np.ravel(expected), rtol=0, atol=1e-12)
+        assert sparse.probabilities[0] == sparse.probabilities[3]
+        assert sparse.probabilities[0] < sparse.probabilities[1]
+
+    def test_prior_zero_at_active_pixel_scores_like_inactive(self):
+        counts = np.array([[4.0, 0.0, 2.0]])
+        weights = np.array([[0.0, 1.0, 2.0]])
+        prior = PriorMap(SensorGeometry(3, 1), weights)
+        sparse = sparse_of(counts, 0.2, prior=prior)
+        assert sparse.active.tolist() == [0, 2]
+        assert sparse.probabilities[0] == sparse.rest
+        assert sparse.probabilities[1] > sparse.rest
+
+    def test_lookup_between_and_beyond_active_pixels(self):
+        counts = np.zeros((1, 10))
+        counts[0, [2, 5]] = [1.0, 3.0]
+        sparse = sparse_of(counts, 0.2)
+        flat = np.array([0, 2, 3, 5, 9])
+        rest = sparse.rest
+        p2, p5 = sparse.probabilities
+        assert sparse.lookup(flat).tolist() == [rest, p2, rest, p5, rest]
+
+    def test_dense_view_keeps_negative_occupancy_semantics(self):
+        """Values below 0 lie outside the documented range, but score_map
+        still scores them as the dense chain does: zero pixels then
+        normalize above 0 and count toward the mean."""
+        counts = np.array([[0.0, -0.5, 2.0], [0.0, 0.0, 1.0]])
+        occ = OccupancyMap(SensorGeometry(3, 2), -np.expm1(-counts))
+        sm = score_map(occ, 0.3)
+        np.testing.assert_allclose(sm.probabilities,
+                                   chain_oracle(counts.tolist(), 0.3),
+                                   rtol=0, atol=1e-12)
+
+    def test_alpha_domain_and_prior_geometry_checked(self):
+        with pytest.raises(ValueError, match="alpha"):
+            sparse_of(np.ones((2, 2)), 0.0)
+        with pytest.raises(ValueError, match="geometry"):
+            sparse_of(np.ones((2, 2)), 0.5,
+                      prior=gaussian_prior(SensorGeometry(3, 3)))
 
 
 class TestPriorMap:

@@ -28,6 +28,16 @@ class TestSensorGeometry:
         with pytest.raises(ValueError):
             SensorGeometry(w, h)
 
+    @pytest.mark.parametrize("w,h", [(2**63 - 1, 1), (2**31, 2**32 - 1)])
+    def test_pixel_count_up_to_int64_accepted(self, w, h):
+        assert SensorGeometry(w, h).n_pixels <= 2**63 - 1
+
+    @pytest.mark.parametrize("w,h", [(2**63, 1), (2**32, 2**31), (3, 2**62)])
+    def test_pixel_count_beyond_int64_rejected(self, w, h):
+        """y * width + x must not wrap in int64."""
+        with pytest.raises(ValueError, match="64-bit"):
+            SensorGeometry(w, h)
+
     def test_contains(self):
         assert bool(GEO.contains(7, 5))
         assert not bool(GEO.contains(8, 0))

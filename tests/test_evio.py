@@ -65,6 +65,18 @@ class TestCsv:
         back = read_events(path)
         assert back.geometry == SensorGeometry(11, 4)
 
+    def test_value_beyond_int64_names_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("t,x,y,p\n1,2,3,1\n99999999999999999999,2,3,1\n")
+        with pytest.raises(EventFileError, match=r":3: .*64-bit"):
+            read_events(path)
+
+    def test_inferred_geometry_beyond_int64_rejected(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text(f"t,x,y,p\n1,{2**62},3,1\n")
+        with pytest.raises(EventFileError, match="64-bit"):
+            read_events(path)
+
     def test_bad_header(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_text("time,x,y,p\n")

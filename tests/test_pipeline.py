@@ -1,12 +1,16 @@
 """Streaming pipeline: windowing, causality, cap, batch/per-event parity."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from evdown import (DecisionCode, SamplerConfig, SensorGeometry, WindowState,
-                    gaussian_prior, rollover, run, timing_probe)
+from evdown import (DecisionCode, EventStream, PriorMap, SamplerConfig,
+                    SensorGeometry, WindowState, gaussian_prior, rollover, run,
+                    timing_probe)
 from evdown.density import sigmoid
 
 from conftest import make_stream, random_stream, reference_run
@@ -244,6 +248,63 @@ class TestBatchMatchesPerEvent:
         assert log.window.tolist() == windows
         np.testing.assert_array_equal(log.probability, np.asarray(probs))
         assert budget.retained == stats.retained
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1),
+           st.sampled_from([0.05, 0.3, 1.0]), st.booleans(), st.booleans())
+    def test_sparse_scoring_parity_small_sensors(self, width, height, seed,
+                                                 alpha, cap, with_prior):
+        """Tiny sensors make every-pixel-active windows common; bursts
+        with long gaps give windows with no active pixel."""
+        rng = np.random.default_rng(seed)
+        geo = SensorGeometry(width, height)
+        bursts = [np.sort(rng.integers(0, 3000, int(rng.integers(0, 40))))
+                  + k * int(rng.integers(2000, 9000)) for k in range(8)]
+        t = np.sort(np.concatenate(bursts))
+        s = EventStream(geo, t, rng.integers(0, width, t.size),
+                        rng.integers(0, height, t.size),
+                        rng.integers(0, 2, t.size))
+        prior = None
+        if with_prior:
+            weights = rng.uniform(0.0, 2.0, (height, width))
+            weights[rng.random((height, width)) < 0.3] = 0.0
+            weights.flat[0] = 1.0
+            prior = PriorMap(geo, weights)
+        config = SamplerConfig(alpha=alpha, t_us=2000, seed=seed,
+                               cap_enabled=cap, prior=prior)
+        out, stats, log = run(s, "poisson", config)
+        codes, probs, windows, budget = reference_run(s, "poisson", config)
+        assert log.code.tolist() == codes
+        assert log.window.tolist() == windows
+        np.testing.assert_array_equal(log.probability, np.asarray(probs))
+        assert stats.retained == budget.retained
+
+
+class TestHugeGeometry:
+    def test_poisson_memory_follows_events_not_sensor(self):
+        """A dense map of this sensor (2**55 pixels) could never be
+        allocated; a regression to dense scoring fails with MemoryError."""
+        geo = SensorGeometry(2**31, 2**24)
+        rng = np.random.default_rng(12)
+        n = 400
+        hot = rng.integers(0, 2**31, 20), rng.integers(0, 2**24, 20)
+        pick = rng.integers(0, 20, n)
+        s = EventStream(geo, np.sort(rng.integers(0, 30_000, n)),
+                        hot[0][pick], hot[1][pick], rng.integers(0, 2, n))
+        config = SamplerConfig(alpha=0.2, seed=4, prior=None)
+        tracemalloc.start()
+        try:
+            _, stats, log = run(s, "poisson", config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.processed == n
+        assert peak < 4 * 2**20
+        # pixels hot in the previous window outscore the untouched sensor
+        later = log.probability[log.window >= 2]
+        rest = later.min()
+        assert later.max() > rest
+        assert np.count_nonzero(later == rest) < later.size
 
 
 class TestBudgetSafety:
