@@ -17,7 +17,7 @@ import statistics
 import sys
 
 from .density import SigmoidParams
-from .evio import (EventFileError, _selectivity_doc, read_events, read_prior,
+from .evio import (EventFileError, read_events, read_prior, report_doc,
                    write_events, write_json_doc, write_log, write_stats)
 from .events import SensorGeometry
 from .metrics import retention_ratio, selectivity
@@ -192,21 +192,9 @@ def cmd_metrics(args) -> int:
         # The downsampled file not being a subset of the original is an
         # input-contract failure, not a usage error.
         raise EventFileError(str(exc)) from None
-    doc = {
-        "alpha": args.alpha,
-        "method": None,
-        "seed": None,
-        "processed": len(original),
-        "retained": len(downsampled),
-        "capped": None,
-        "ratio": retention.overall,
-        "per_window_ratios": retention.per_window_ratios,
-        "ms_per_kev_total": None,
-        "ms_per_kev_pdf": None,
-        "ms_per_kev_eval": None,
-    }
-    if sel is not None:
-        doc["selectivity"] = _selectivity_doc(sel)
+    doc = report_doc(sel, alpha=args.alpha, processed=len(original),
+                     retained=len(downsampled), ratio=retention.overall,
+                     per_window_ratios=retention.per_window_ratios)
     write_json_doc(doc, sys.stdout if args.out == "-" else args.out)
     return 0
 

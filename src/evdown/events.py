@@ -228,6 +228,24 @@ def validate_stream(stream: EventStream, max_violations: int = 10) -> Validation
     return ValidationReport(ok=not found, violations=tuple(found))
 
 
+def first_violations(t, x, y, geometry: SensorGeometry | None = None):
+    """Return (ordering, bounds): the index of the first event whose
+    timestamp is smaller than its predecessor's, and of the first event
+    outside ``geometry``.  Either is None when no event offends; bounds is
+    always None without a geometry."""
+    def first(mask):
+        i = int(np.argmax(mask)) if mask.size else 0
+        return i if mask.size and mask[i] else None
+
+    ordering = first(np.diff(t) < 0)
+    if ordering is not None:
+        ordering += 1
+    bounds = None
+    if geometry is not None:
+        bounds = first((x >= geometry.width) | (y >= geometry.height))
+    return ordering, bounds
+
+
 def stream_duration(stream: EventStream) -> int:
     """Span in microseconds from first to last event; 0 for empty streams."""
     if len(stream) == 0:

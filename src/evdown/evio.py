@@ -16,6 +16,7 @@ canonical encoding, so re-serializing a stream is byte-stable.
 
 from __future__ import annotations
 
+import io
 import json
 import struct
 from pathlib import Path
@@ -23,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .density import PriorMap
-from .events import EventLabel, EventStream, SensorGeometry
+from .events import (EventLabel, EventStream, SensorGeometry,
+                     first_violations)
 from .pipeline import DecisionLog, RunStats
 from .metrics import SelectivityReport
 
@@ -39,6 +41,12 @@ _CSV_HEADER_LABELED = "t,x,y,p,label"
 _LABEL_CHAR = {int(EventLabel.EDGE): "E", int(EventLabel.NOISE): "N"}
 _CHAR_LABEL = {"E": int(EventLabel.EDGE), "N": int(EventLabel.NOISE)}
 _CODE_CHAR = {0: "A", 1: "S", 2: "C"}
+# Headers the vectorized CSV reader takes; any other goes to the line loop.
+_CSV_FAST_HEADERS = {b"t,x,y,p\n": False, b"t,x,y,p\r\n": False,
+                     b"t,x,y,p,label\n": True, b"t,x,y,p,label\r\n": True}
+_CSV_ROW = np.dtype([("t", "<i8"), ("x", "<i8"), ("y", "<i8"), ("p", "u1")])
+# S2, not S1: loadtxt truncates a field to the width, and "EE" must fail.
+_CSV_ROW_LABELED = np.dtype(_CSV_ROW.descr + [("label", "S2")])
 _CHAR_CODE = {v: k for k, v in _CODE_CHAR.items()}
 
 
@@ -92,32 +100,95 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None) -> EventStream:
     t = np.asarray(t, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    if t.size > 1:
-        bad = np.nonzero(np.diff(t) < 0)[0]
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise EventFileError(
-                f"{path}: events out of order at index {i} "
-                f"(t={int(t[i])} after t={int(t[i - 1])})")
+    i, j = first_violations(t, x, y, geometry)
+    if i is not None:
+        raise EventFileError(
+            f"{path}: events out of order at index {i} "
+            f"(t={int(t[i])} after t={int(t[i - 1])})")
     if geometry is None:
         try:
             geometry = SensorGeometry(int(x.max()) + 1 if x.size else 1,
                                       int(y.max()) + 1 if y.size else 1)
         except ValueError as exc:
             raise EventFileError(f"{path}: inferred {exc}") from None
-    else:
-        oob = np.nonzero((x >= geometry.width) | (y >= geometry.height))[0]
-        if oob.size:
-            i = int(oob[0])
-            raise EventFileError(
-                f"{path}: event {i} at ({int(x[i])}, {int(y[i])}) outside "
-                f"{geometry.width}x{geometry.height} sensor")
+    elif j is not None:
+        raise EventFileError(
+            f"{path}: event {j} at ({int(x[j])}, {int(y[j])}) outside "
+            f"{geometry.width}x{geometry.height} sensor")
     return EventStream(geometry, t, x, y, p, labels=labels)
 
 
+def _ascii_lines(path, lines):
+    """Pass text lines through, raising EventFileError naming the first line
+    that holds a non-ASCII byte (read with errors="surrogateescape")."""
+    for lineno, line in enumerate(lines, start=1):
+        if not line.isascii():
+            byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
+            raise EventFileError(f"{path}:{lineno}: non-ASCII byte "
+                                 f"0x{byte:02x}")
+        yield line
+
+
 def _read_csv(path, geometry) -> EventStream:
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
+    columns = _parse_csv_fast(path)
+    if columns is None:
+        columns = _parse_csv_lines(path)
+    return _finish_stream(path, geometry, *columns)
+
+
+def _parse_csv_fast(path):
+    """Parse an event CSV in one vectorized pass, or return None.
+
+    Only files that _parse_csv_lines accepts are parsed here, into the same
+    columns; for anything else this returns None and the line loop parses
+    the file and reports what is wrong with it.  The byte checks come first
+    because np.loadtxt alone accepts more than the loop: it skips blank
+    lines, reads other bytes as latin-1 (so "\\xa0" is a space) and drops a
+    trailing NUL from a label.
+    """
+    with open(path, "rb") as fh:
+        labeled = _CSV_FAST_HEADERS.get(fh.readline())
+        if labeled is None:
+            return None
+        body = fh.read()
+    if b"\r" in body:
+        body = body.replace(b"\r\n", b"\n")  # a lone CR fails the next check
+    # Past the digits, commas and newlines only label letters may be left.
+    letters = body.translate(None, b"0123456789,\n")
+    if letters.translate(None, b"EN" if labeled else b""):
+        return None
+    if body.startswith(b"\n") or b"\n\n" in body:  # an empty line
+        return None
+    dtype = _CSV_ROW_LABELED if labeled else _CSV_ROW
+    if not body:
+        rows = np.empty(0, dtype)
+    else:
+        try:
+            rows = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",",
+                              comments=None, ndmin=1)
+        except (ValueError, OverflowError):
+            return None  # a short or long row, an empty field, > int64
+    if rows.size and rows["p"].max() > 1:
+        return None
+    labels = None
+    if labeled:
+        edge = rows["label"] == b"E"
+        # As many letters as rows, each row's label one of them: no number
+        # holds a letter (an older numpy may parse "1E5" as an integer).
+        if (len(letters) != rows.size
+                or not np.all(edge | (rows["label"] == b"N"))):
+            return None
+        labels = np.where(edge, _CHAR_LABEL["E"], _CHAR_LABEL["N"])
+    return rows["t"], rows["x"], rows["y"], rows["p"], labels
+
+
+def _parse_csv_lines(path):
+    """Parse an event CSV line by line; every malformed-file message that
+    names a line comes from here."""
+    with open(path, "r", encoding="ascii", errors="surrogateescape",
+              newline="") as fh:
+        lines = _ascii_lines(path, fh)
+        header = next(lines, "").rstrip("\r\n")
         if header == _CSV_HEADER:
             labeled = False
         elif header == _CSV_HEADER_LABELED:
@@ -129,7 +200,7 @@ def _read_csv(path, geometry) -> EventStream:
         ncols = 5 if labeled else 4
         t, x, y, p = [], [], [], []
         labels = [] if labeled else None
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             fields = line.rstrip("\r\n").split(",")
             if len(fields) != ncols:
                 raise EventFileError(
@@ -165,23 +236,87 @@ def _read_csv(path, geometry) -> EventStream:
                    if max(vals) > _INT64_MAX)
         raise EventFileError(f"{path}:{big + 2}: value exceeds the signed "
                              f"64-bit range") from None
-    return _finish_stream(path, geometry, t, x, y,
-                          np.asarray(p, dtype=np.uint8), labels=labels)
+    return t, x, y, np.asarray(p, dtype=np.uint8), labels
 
 
 def _write_csv(stream: EventStream, path) -> None:
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        if stream.is_labeled:
-            fh.write(_CSV_HEADER_LABELED + "\n")
-            rows = zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(),
-                       stream.p.tolist(), stream.labels.tolist())
-            fh.writelines(f"{t},{x},{y},{p},{_LABEL_CHAR[l]}\n"
-                          for t, x, y, p, l in rows)
-        else:
-            fh.write(_CSV_HEADER + "\n")
-            rows = zip(stream.t.tolist(), stream.x.tolist(), stream.y.tolist(),
-                       stream.p.tolist())
-            fh.writelines(f"{t},{x},{y},{p}\n" for t, x, y, p in rows)
+    columns = [stream.t, stream.x, stream.y, stream.p]
+    header = _CSV_HEADER
+    if stream.is_labeled:
+        columns.append(_symbols(_LABEL_CHAR, stream.labels, "label"))
+        header = _CSV_HEADER_LABELED
+    with open(path, "wb") as fh:
+        fh.write(header.encode("ascii") + b"\n")
+        _write_rows(fh, len(stream), columns)
+
+
+_CHUNK_ROWS = 1 << 16   # rows per formatted block; bounds a writer's memory
+
+
+def _decimal(values) -> np.ndarray:
+    """Decimal ASCII of integers as the rows of a uint8 matrix, aligned
+    right and NUL-padded on the left ("-" precedes a negative value)."""
+    values = np.asarray(values, dtype=np.int64)
+    neg = values < 0
+    sign = int(neg.any())
+    mag = values.astype(np.uint64)
+    if sign:
+        mag[neg] = -mag[neg]  # modulo 2**64, so exact for the int64 minimum
+    top = int(mag.max())
+    if top <= 0xFFFFFFFF:
+        mag = mag.astype(np.uint32)  # 32-bit division is the faster one
+    out = np.empty((values.size, sign + len(str(top))), np.uint8)
+    q = mag // 10
+    out[:, -1] = mag - q * 10 + 48
+    for col in range(out.shape[1] - 2, sign - 1, -1):
+        mag = q
+        q = mag // 10
+        out[:, col] = (mag - q * 10 + 48) * (mag != 0)  # NUL, not a leading 0
+    if sign:
+        out[:, 0] = neg * ord("-")
+    return out
+
+
+def _strings(texts) -> np.ndarray:
+    """ASCII strings as the rows of a uint8 matrix, NUL-padded on the right."""
+    table = np.array([text.encode("ascii") for text in texts])
+    return table.view(np.uint8).reshape(len(texts), table.itemsize)
+
+
+def _symbols(mapping: dict, values, what: str):
+    """A (table, index) column writing each value as its letter in mapping;
+    a value mapping lacks raises ValueError."""
+    values = np.asarray(values)
+    unknown = ~np.isin(values, list(mapping))
+    if unknown.any():
+        raise ValueError(f"{what} {values[unknown][0]} has no letter")
+    table = _strings([mapping.get(k, "") for k in range(max(mapping) + 1)])
+    return table, values
+
+
+def _write_rows(fh, n: int, columns) -> None:
+    """Write n rows of columns to the binary file fh as comma-separated
+    text, one row per line, _CHUNK_ROWS rows at a time.
+
+    A column is an integer array, written in decimal, or a pair (table,
+    index) writing row i as table[index[i]] (see _strings).  Each block is
+    laid out as a fixed-width byte matrix whose NUL padding is dropped on
+    the way out, so no Python object is made per row.
+    """
+    for lo in range(0, n, _CHUNK_ROWS):
+        hi = min(lo + _CHUNK_ROWS, n)
+        fields = [col[0][col[1][lo:hi]] if isinstance(col, tuple)
+                  else _decimal(col[lo:hi]) for col in columns]
+        block = np.empty((hi - lo, sum(f.shape[1] + 1 for f in fields)),
+                         np.uint8)
+        end = 0
+        for f in fields:
+            start, end = end, end + f.shape[1]
+            block[:, start:end] = f
+            block[:, end] = ord(",")
+            end += 1
+        block[:, -1] = ord("\n")
+        fh.write(block.tobytes().translate(None, b"\0"))
 
 
 def _read_binary(path, geometry) -> EventStream:
@@ -243,7 +378,8 @@ def read_prior(path, geometry: SensorGeometry) -> PriorMap:
     """Load a prior: first line "width height", then height rows of width
     decimal weights.  Dimensions must match the given geometry; weight
     values are taken verbatim (no normalization on load)."""
-    lines = Path(path).read_text(encoding="ascii").splitlines()
+    text = Path(path).read_text(encoding="ascii", errors="surrogateescape")
+    lines = list(_ascii_lines(path, text.splitlines()))
     if not lines:
         raise EventFileError(f"{path}: empty prior file")
     head = lines[0].split()
@@ -302,25 +438,28 @@ def _selectivity_doc(report: SelectivityReport) -> dict:
     }
 
 
-def stats_doc(stats: RunStats,
-              selectivity: SelectivityReport | None = None) -> dict:
-    """Build the stats document for a run as a plain dict."""
-    doc = {
-        "alpha": stats.alpha,
-        "method": stats.method,
-        "seed": stats.seed,
-        "processed": stats.processed,
-        "retained": stats.retained,
-        "capped": stats.capped,
-        "ratio": stats.ratio,
-        "per_window_ratios": stats.per_window_ratios,
-        "ms_per_kev_total": stats.ms_per_kev_total,
-        "ms_per_kev_pdf": stats.ms_per_kev_pdf,
-        "ms_per_kev_eval": stats.ms_per_kev_eval,
-    }
+STATS_KEYS = ("alpha", "method", "seed", "processed", "retained", "capped",
+              "ratio", "per_window_ratios", "ms_per_kev_total",
+              "ms_per_kev_pdf", "ms_per_kev_eval")
+
+
+def report_doc(selectivity: SelectivityReport | None = None,
+               **fields) -> dict:
+    """Build a stats document from its fields: every key of STATS_KEYS, in
+    that order (None where a field is not given), then the selectivity
+    block when there is one."""
+    doc = dict.fromkeys(STATS_KEYS)
+    doc.update(fields)
     if selectivity is not None:
         doc["selectivity"] = _selectivity_doc(selectivity)
     return doc
+
+
+def stats_doc(stats: RunStats,
+              selectivity: SelectivityReport | None = None) -> dict:
+    """Build the stats document for a run as a plain dict."""
+    return report_doc(selectivity,
+                      **{key: getattr(stats, key) for key in STATS_KEYS})
 
 
 def write_json_doc(doc: dict, path_or_stream) -> None:
@@ -344,22 +483,29 @@ def write_log(log: DecisionLog, path) -> None:
     Codes are A (accept), S (sampler reject), C (cap reject); p uses repr
     so probabilities round-trip exactly (nan for deterministic decisions).
     """
-    with open(path, "w", encoding="ascii", newline="") as fh:
-        fh.write("index,t,window,code,p\n")
-        rows = zip(log.t.tolist(), log.window.tolist(), log.code.tolist(),
-                   log.probability.tolist())
-        fh.writelines(f"{i},{t},{w},{_CODE_CHAR[c]},{repr(p)}\n"
-                      for i, (t, w, c, p) in enumerate(rows))
+    n = len(log)
+    codes = _symbols(_CODE_CHAR, log.code, "decision code")
+    # repr once per distinct bit pattern, so -0.0 and 0.0 stay apart.
+    prob = np.ascontiguousarray(log.probability, dtype=np.float64)
+    bits, which = np.unique(prob.view(np.uint64), return_inverse=True)
+    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
+    with open(path, "wb") as fh:
+        fh.write(b"index,t,window,code,p\n")
+        if n:
+            _write_rows(fh, n, [np.arange(n), log.t, log.window, codes,
+                                (_strings(reprs), which)])
 
 
 def read_log(path) -> DecisionLog:
     """Read a decision log written by write_log."""
-    with open(path, "r", encoding="ascii", newline="") as fh:
-        header = fh.readline().rstrip("\r\n")
+    with open(path, "r", encoding="ascii", errors="surrogateescape",
+              newline="") as fh:
+        lines = _ascii_lines(path, fh)
+        header = next(lines, "").rstrip("\r\n")
         if header != "index,t,window,code,p":
             raise EventFileError(f"{path}:1: bad log header {header!r}")
         t, window, code, prob = [], [], [], []
-        for lineno, line in enumerate(fh, start=2):
+        for lineno, line in enumerate(lines, start=2):
             fields = line.rstrip("\r\n").split(",")
             if len(fields) != 5:
                 raise EventFileError(

@@ -35,7 +35,7 @@ import numpy as np
 
 from .density import (DensityMap, ScoreMap, occupancy_values,
                       poisson_occupancy, score_map, sparse_scores)
-from .events import EventStream, SensorGeometry
+from .events import EventStream, SensorGeometry, first_violations
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
@@ -172,18 +172,13 @@ def timing_probe(stats: RunStats) -> dict[str, float]:
 
 
 def _require_valid(stream: EventStream) -> None:
-    t, x, y = stream.t, stream.x, stream.y
-    if len(stream) > 1:
-        bad = np.nonzero(np.diff(t) < 0)[0]
-        if bad.size:
-            i = int(bad[0]) + 1
-            raise ValueError(f"events out of order at index {i}: "
-                             f"t={int(t[i])} after t={int(t[i - 1])}")
-    geo = stream.geometry
-    oob = np.nonzero((x >= geo.width) | (y >= geo.height))[0]
-    if oob.size:
-        i = int(oob[0])
-        raise ValueError(f"event {i} at ({int(x[i])}, {int(y[i])}) outside "
+    t, x, y, geo = stream.t, stream.x, stream.y, stream.geometry
+    i, j = first_violations(t, x, y, geo)
+    if i is not None:
+        raise ValueError(f"events out of order at index {i}: "
+                         f"t={int(t[i])} after t={int(t[i - 1])}")
+    if j is not None:
+        raise ValueError(f"event {j} at ({int(x[j])}, {int(y[j])}) outside "
                          f"{geo.width}x{geo.height} sensor")
 
 

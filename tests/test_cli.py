@@ -10,6 +10,7 @@ import pytest
 from evdown import SensorGeometry, gaussian_prior, read_events, write_events, \
     write_prior
 from evdown.cli import main
+from evdown.evio import STATS_KEYS
 
 from conftest import make_stream
 
@@ -132,6 +133,24 @@ class TestDownsample:
         args = self.base_args(bad, tmp_path / "o.csv")
         assert main(args) == 3
 
+    def test_non_ascii_input_exit_3(self, tmp_path, capsys):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,x,y,p\n1,2,3,\xff\n")
+        assert main(self.base_args(bad, tmp_path / "o.csv")) == 3
+        err = capsys.readouterr().err
+        assert "bad.csv:2: non-ASCII byte 0xff" in err
+        assert "Traceback" not in err
+
+    def test_non_ascii_prior_exit_3(self, scene_csv, tmp_path, capsys):
+        prior_path = tmp_path / "prior.txt"
+        write_prior(gaussian_prior(SensorGeometry(32, 24)), prior_path)
+        prior_path.write_bytes(prior_path.read_bytes().replace(b"\n", b"\xe9\n", 2))
+        args = ["downsample", "--input", str(scene_csv), "--output",
+                str(tmp_path / "d.csv"), "--method", "poisson", "--alpha",
+                "0.1", "--prior", str(prior_path)]
+        assert main(args) == 3
+        assert "prior.txt:1: non-ASCII byte 0xe9" in capsys.readouterr().err
+
     @pytest.mark.parametrize("row", ["99999999999999999999,2,3,1",
                                      f"1,{2**62},3,1"])
     def test_int64_overflow_exit_3(self, tmp_path, capsys, row):
@@ -215,6 +234,24 @@ class TestMetrics:
         assert doc["method"] is None
         assert 0.15 <= doc["ratio"] <= 0.2
         assert 0.9 <= doc["selectivity"]["ratio"] <= 1.1
+
+    def test_keys_in_stats_order(self, scene_csv, tmp_path, capsys):
+        assert main(["metrics", "--original", str(scene_csv),
+                     "--downsampled", str(scene_csv), "--out", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert list(doc) == list(STATS_KEYS) + ["selectivity"]
+        for key in ("alpha", "method", "seed", "capped", "ms_per_kev_total",
+                    "ms_per_kev_pdf", "ms_per_kev_eval"):
+            assert doc[key] is None
+        assert doc["processed"] == doc["retained"] > 0
+        assert doc["ratio"] == 1.0
+
+    def test_non_ascii_downsampled_exit_3(self, scene_csv, tmp_path, capsys):
+        bad = tmp_path / "down.csv"
+        bad.write_bytes(b"t,x,y,p,label\n1,2,3,1,\xc9\n")
+        assert main(["metrics", "--original", str(scene_csv),
+                     "--downsampled", str(bad), "--out", "-"]) == 3
+        assert "down.csv:2: non-ASCII byte 0xc9" in capsys.readouterr().err
 
     def test_non_subset_exit_3(self, scene_csv, tmp_path):
         stranger = tmp_path / "other.csv"

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from evdown import (Event, EventStream, Polarity, SensorGeometry,
                     stream_duration, validate_stream)
+from evdown.events import first_violations
 
 from conftest import make_stream
 
@@ -142,6 +143,40 @@ class TestValidateStream:
         report = validate_stream(s)
         assert [v.index for v in report.violations] == [1, 2]
         assert [v.kind for v in report.violations] == ["ordering", "bounds"]
+
+
+class TestFirstViolations:
+    def arrays(self, records):
+        return [np.array(col, dtype=np.int64) for col in zip(*records)]
+
+    def test_valid(self):
+        t, x, y = self.arrays([(1, 0, 0), (1, 7, 5), (4, 3, 3)])
+        assert first_violations(t, x, y, GEO) == (None, None)
+
+    def test_first_of_each_kind(self):
+        t, x, y = self.arrays([(5, 0, 0), (6, 8, 0), (2, 0, 0), (1, 0, 6)])
+        assert first_violations(t, x, y, GEO) == (2, 1)
+
+    def test_no_geometry_no_bounds(self):
+        t, x, y = self.arrays([(5, 99, 99), (4, 0, 0)])
+        assert first_violations(t, x, y) == (1, None)
+
+    @pytest.mark.parametrize("records", [[], [(3, 0, 0)]])
+    def test_short_streams(self, records):
+        t, x, y = (self.arrays(records) if records
+                   else [np.empty(0, np.int64)] * 3)
+        assert first_violations(t, x, y, GEO) == (None, None)
+
+    def test_agrees_with_validate_stream(self):
+        rng = np.random.default_rng(0)
+        t = rng.integers(0, 50, 200)
+        x, y = rng.integers(0, 10, 200), rng.integers(0, 8, 200)
+        s = EventStream(GEO, t, x, y, np.zeros(200))
+        kinds = {}
+        for v in validate_stream(s, max_violations=400).violations:
+            kinds.setdefault(v.kind, v.index)
+        assert first_violations(t, x, y, GEO) == (kinds.get("ordering"),
+                                                   kinds.get("bounds"))
 
 
 class TestStreamDuration:
