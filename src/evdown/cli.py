@@ -2,7 +2,8 @@
 
 Subcommands: downsample (run a sampler over a stream file), synth (generate
 a labeled scene), metrics (compare a downsampled stream against its
-original), bench (time the pipeline phases).
+original), bench (time the pipeline phases and name the cap walk that ran,
+"compiled" or "python").
 
 Exit codes: 0 success, 2 bad arguments, 3 malformed input file, 4 I/O
 failure.  Stochastic seeds come from --seed, falling back to the
@@ -16,6 +17,7 @@ import os
 import statistics
 import sys
 
+from . import capwalk
 from .density import SigmoidParams
 from .evio import (EventFileError, read_events, read_prior, report_doc,
                    write_events, write_json_doc, write_log, write_stats)
@@ -223,6 +225,7 @@ def cmd_bench(args) -> int:
         "ms_per_kev_total": statistics.median(totals),
         "ms_per_kev_pdf": statistics.median(pdfs),
         "ms_per_kev_eval": statistics.median(evals),
+        "cap_walk": capwalk.implementation(),
     }
     write_json_doc(doc, sys.stdout)
     return 0

@@ -20,8 +20,9 @@ when the stream-wide kept/processed ratio already exceeds alpha, and such
 drops consume no randomness.  With alpha = 1 every method passes all events
 through (stochastic methods then use acceptance probability 1).
 
-Decisions are evaluated window-by-window in vectorized batches.  The batch
-path consumes the random stream exactly as the per-event kernels in
+Every event's acceptance probability is computed first; one walk of
+:func:`evdown.capwalk.cap_walk` then applies the cap and the draws.  It
+consumes the random stream exactly as the per-event kernels in
 :mod:`evdown.samplers` would: the k-th stochastically evaluated event sees
 the k-th variate of the generator.
 """
@@ -33,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .capwalk import cap_walk
 from .density import (DensityMap, ScoreMap, occupancy_values,
                       poisson_occupancy, score_map, sparse_scores)
 from .events import EventStream, SensorGeometry, first_violations
@@ -182,42 +184,37 @@ def _require_valid(stream: EventStream) -> None:
                          f"{geo.width}x{geo.height} sensor")
 
 
-def _capped_stochastic(pv, draws, di, retained, processed, alpha):
-    """Sequential cap + draw evaluation for one batch of probabilities.
-
-    pv and draws are plain Python lists; di is the index of the next unused
-    draw.  Returns (codes, di, retained, processed).
-    """
-    codes = []
-    append = codes.append
-    for p in pv:
-        if processed and retained > alpha * processed:
-            append(2)
+def _scored_probabilities(stream: EventStream, windows: np.ndarray,
+                          config: SamplerConfig) -> tuple[np.ndarray, float]:
+    """Each event's density-adaptive probability, and the seconds spent
+    scoring: alpha in window 1, else the sparse map frozen from the
+    previous window."""
+    geo = stream.geometry
+    n = len(stream)
+    p = np.empty(n)
+    pdf_s = 0.0
+    flat_idx = stream.y * geo.width + stream.x
+    uniq, starts = np.unique(windows, return_index=True)
+    ends = np.append(starts[1:], n)
+    prev_wid = 0
+    prev_slice = slice(0, 0)
+    for wid, i0, i1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
+        if wid == 1:
+            p[i0:i1] = config.alpha
         else:
-            u = draws[di]
-            di += 1
-            if u < p:
-                append(0)
-                retained += 1
-            else:
-                append(1)
-        processed += 1
-    return codes, di, retained, processed
-
-
-def _capped_deterministic(ok, retained, processed, alpha):
-    codes = []
-    append = codes.append
-    for a in ok:
-        if processed and retained > alpha * processed:
-            append(2)
-        elif a:
-            append(0)
-            retained += 1
-        else:
-            append(1)
-        processed += 1
-    return codes, retained, processed
+            tp0 = time.perf_counter()
+            # After an empty window no pixel is active and every pixel
+            # shares one score; a stale map is never carried over.
+            closed = slice(0, 0) if prev_wid < wid - 1 else prev_slice
+            active, counts = np.unique(flat_idx[closed], return_counts=True)
+            frozen = sparse_scores(geo, active, occupancy_values(counts),
+                                   config.alpha, config.theta, config.prior,
+                                   window_id=wid - 1)
+            p[i0:i1] = frozen.lookup(flat_idx[i0:i1])
+            pdf_s += time.perf_counter() - tp0
+        prev_wid = wid
+        prev_slice = slice(i0, i1)
+    return p, pdf_s
 
 
 def run(stream: EventStream, method: str,
@@ -242,7 +239,6 @@ def run(stream: EventStream, method: str,
     _require_valid(stream)
 
     n = len(stream)
-    geo = stream.geometry
     alpha = config.alpha
     if n == 0:
         stats = RunStats(method, alpha, config.seed)
@@ -253,81 +249,31 @@ def run(stream: EventStream, method: str,
     t = stream.t
     t0 = int(t[0])
     windows = (t - t0) // config.t_us + 1
-    codes = np.empty(n, dtype=np.uint8)
-    probs = np.full(n, np.nan)
-    retained = 0
-    processed = 0
+    # Scoring never depends on decisions (a frozen map counts every event
+    # of its window, accepted or not), so every event's probability is
+    # known before the cap walk starts.
     pdf_s = 0.0
-    eval_s = 0.0
-    cap = config.cap_enabled
-
+    draws = None
     if method == "deterministic":
         ta = acceptance_window_us(alpha, config.tw_us)
-        ok = ((t - t0) % config.tw_us) < ta
-        te0 = time.perf_counter()
-        if cap:
-            chunk, retained, processed = _capped_deterministic(
-                ok.tolist(), retained, processed, alpha)
-            codes[:] = chunk
-        else:
-            codes[:] = np.where(ok, _ACCEPT, _REJ_SAMPLER)
-            processed = n
-            retained = int(np.count_nonzero(ok))
-        eval_s += time.perf_counter() - te0
-    elif method == "uniform":
-        probs.fill(alpha)
-        rng = config.rng()
-        te0 = time.perf_counter()
-        if cap:
-            draws = rng.random(n).tolist()
-            chunk, _, retained, processed = _capped_stochastic(
-                probs.tolist(), draws, 0, retained, processed, alpha)
-            codes[:] = chunk
-        else:
-            codes[:] = np.where(rng.random(n) < alpha, _ACCEPT, _REJ_SAMPLER)
-            processed = n
-            retained = int(np.count_nonzero(codes == _ACCEPT))
-        eval_s += time.perf_counter() - te0
+        p = (((t - t0) % config.tw_us) < ta).astype(np.float64)
+        probs = np.full(n, np.nan)
     else:
-        rng = config.rng()
-        draws = rng.random(n).tolist()
-        di = 0
-        flat_idx = stream.y * geo.width + stream.x
-        uniq, starts = np.unique(windows, return_index=True)
-        ends = np.append(starts[1:], n)
-        prev_wid = 0
-        prev_slice = slice(0, 0)
-        for wid, i0, i1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-            if alpha == 1.0:
-                pv = np.ones(i1 - i0)
-            elif wid == 1:
-                pv = np.full(i1 - i0, alpha)
-            else:
-                tp0 = time.perf_counter()
-                # After an empty window no pixel is active and every pixel
-                # shares one score; a stale map is never carried over.
-                closed = slice(0, 0) if prev_wid < wid - 1 else prev_slice
-                active, counts = np.unique(flat_idx[closed],
-                                           return_counts=True)
-                frozen = sparse_scores(geo, active, occupancy_values(counts),
-                                       alpha, config.theta, config.prior,
-                                       window_id=wid - 1)
-                pv = frozen.lookup(flat_idx[i0:i1])
-                pdf_s += time.perf_counter() - tp0
-            probs[i0:i1] = pv
-            te0 = time.perf_counter()
-            if cap:
-                chunk, di, retained, processed = _capped_stochastic(
-                    pv.tolist(), draws, di, retained, processed, alpha)
-                codes[i0:i1] = chunk
-            else:
-                u = np.asarray(draws[i0:i1])
-                codes[i0:i1] = np.where(u < pv, _ACCEPT, _REJ_SAMPLER)
-                processed = i1
-                retained += int(np.count_nonzero(codes[i0:i1] == _ACCEPT))
-            eval_s += time.perf_counter() - te0
-            prev_wid = wid
-            prev_slice = slice(i0, i1)
+        draws = config.rng().random(n)
+        if method == "uniform" or alpha == 1.0:
+            p = np.full(n, alpha)
+        else:
+            p, pdf_s = _scored_probabilities(stream, windows, config)
+        probs = p
+
+    te0 = time.perf_counter()
+    codes = np.empty(n, dtype=np.uint8)
+    if config.cap_enabled:
+        cap_walk(p, draws, alpha, codes)
+    else:
+        codes[:] = np.where(p > 0.0 if draws is None else draws < p,
+                            _ACCEPT, _REJ_SAMPLER)
+    eval_s = time.perf_counter() - te0
 
     accepted_idx = np.nonzero(codes == _ACCEPT)[0]
     capped_n = int(np.count_nonzero(codes == _REJ_CAP))
@@ -342,8 +288,8 @@ def run(stream: EventStream, method: str,
     log = DecisionLog(t.copy(), windows, codes, probs)
     stats = RunStats(
         method=method, alpha=alpha, seed=config.seed,
-        processed=processed, retained=retained, capped=capped_n,
-        sampler_rejected=processed - retained - capped_n,
+        processed=n, retained=accepted_idx.size, capped=capped_n,
+        sampler_rejected=n - accepted_idx.size - capped_n,
         per_window=per_window,
         total_s=time.perf_counter() - t_run0, pdf_s=pdf_s, eval_s=eval_s)
     return out, stats, log

@@ -3,16 +3,19 @@
 chain_oracle is an independent pure-Python reimplementation of the scoring
 chain (no numpy/scipy) used to cross-check the library's vectorized math.
 reference_run drives the per-event kernels and window rollover one event at
-a time; the batch pipeline must reproduce it exactly.
+a time; the batch pipeline must reproduce it exactly.  The cap_walk fixture
+runs a test on each implementation of the cap walk.
 """
 
 import math
 
 import numpy as np
+import pytest
 
 from evdown import (BudgetState, Decision, EventStream, SamplerConfig,
-                    SensorGeometry, WindowState, capped, deterministic_accept,
-                    rollover, scored_accept, uniform_accept)
+                    SensorGeometry, WindowState, capped, capwalk,
+                    deterministic_accept, rollover, scored_accept,
+                    uniform_accept)
 from evdown.events import Event
 
 _P_LO = math.ulp(0.0)
@@ -123,3 +126,20 @@ def reference_run(stream: EventStream, method: str, config: SamplerConfig):
         probs.append(prob)
         wstate.add(x, y)
     return codes, probs, windows, budget
+
+
+def force_python_walk(monkeypatch) -> None:
+    """Make evdown.capwalk run its Python loop, as on a machine where the
+    compiled kernel cannot be built or loaded."""
+    monkeypatch.setattr(capwalk, "_kernel", lambda: None)
+
+
+@pytest.fixture(params=["compiled", "python"])
+def cap_walk(request, monkeypatch):
+    """The name of the cap walk the test runs on; the compiled one is
+    skipped where it cannot be built."""
+    if request.param == "python":
+        force_python_walk(monkeypatch)
+    elif capwalk.implementation() != "compiled":
+        pytest.skip("the compiled cap walk cannot be built here")
+    return request.param

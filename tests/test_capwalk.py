@@ -1,0 +1,305 @@
+"""The cap walk: compiled kernel vs Python loop vs the per-event cap, and
+the loader's fallbacks."""
+
+import hashlib
+import json
+import math
+import shutil
+import stat
+import subprocess
+import time
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from evdown import (BudgetState, Decision, DecisionCode, SamplerConfig,
+                    capped, capwalk, read_log, write_events)
+from evdown.cli import main
+
+from conftest import random_stream, reference_run
+
+ALPHAS = [1.0, 0.1, 0.3, 1 / 3, 0.7, math.nextafter(1.0, 0.0)]
+HAS_CC = shutil.which("cc") is not None
+
+
+def per_event_walk(p, draws, alpha):
+    """The cap walk written with samplers.capped, one event at a time."""
+    state = BudgetState()
+    it = None if draws is None else iter(draws.tolist())
+    codes = []
+    for pk in p.tolist():
+        if it is None:
+            decide = lambda: Decision(DecisionCode.ACCEPT if pk > 0
+                                      else DecisionCode.REJECT_SAMPLER)
+        else:
+            decide = lambda: Decision(DecisionCode.ACCEPT if next(it) < pk
+                                      else DecisionCode.REJECT_SAMPLER, pk)
+        codes.append(int(capped(decide, state, alpha).code))
+    return codes, state.retained
+
+
+def python_walk(p, draws, alpha):
+    codes = np.empty(p.shape[0], np.uint8)
+    retained = capwalk._walk_python(p, draws, alpha, codes)
+    return codes.tolist(), retained
+
+
+def walk(p, draws, alpha):
+    codes = np.empty(p.shape[0], np.uint8)
+    retained = capwalk.cap_walk(p, draws, alpha, codes)
+    return codes.tolist(), retained
+
+
+def assert_walks_agree(p, draws, alpha):
+    """Per-event cap, Python loop and (where it builds) compiled kernel."""
+    expected = per_event_walk(p, None if draws is None else draws[:p.size],
+                              alpha)
+    assert python_walk(p, draws, alpha) == expected
+    if capwalk._kernel() is not None:
+        assert walk(p, draws, alpha) == expected
+
+
+probabilities = st.one_of(st.sampled_from([0.0, 1.0, 0.1, 0.5]),
+                          st.floats(0.0, 1.0))
+unit_draws = st.floats(0.0, 1.0, exclude_max=True)
+
+
+P = np.random.default_rng(8).random(5000) * 0.4
+DRAWS = np.random.default_rng(9).random(5000)
+EXPECTED = per_event_walk(P, DRAWS, 0.1)
+
+
+class TestWalksAgree:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @settings(max_examples=150, deadline=None)
+    @given(p=st.lists(probabilities, max_size=200),
+           draw_seed=st.integers(0, 2**32 - 1),
+           stochastic=st.booleans())
+    @example(p=[], draw_seed=0, stochastic=True)
+    @example(p=[], draw_seed=0, stochastic=False)
+    @example(p=[1.0], draw_seed=0, stochastic=True)
+    @example(p=[0.0], draw_seed=0, stochastic=False)
+    @example(p=[1.0] * 40, draw_seed=0, stochastic=True)
+    @example(p=[1.0] * 40, draw_seed=0, stochastic=False)
+    def test_compiled_python_and_per_event(self, alpha, p, draw_seed,
+                                           stochastic):
+        """Runs of p = 1 put retained on the cap's edge at every k, where
+        ``alpha * k`` rounds."""
+        p = np.asarray(p, dtype=np.float64)
+        draws = None
+        if stochastic:
+            draws = np.random.default_rng(draw_seed).random(p.size)
+        else:
+            p = (p > 0.5).astype(np.float64)
+        assert_walks_agree(p, draws, alpha)
+
+    @given(p=st.lists(probabilities, min_size=1, max_size=60),
+           u=st.lists(unit_draws, min_size=60, max_size=60),
+           alpha=st.sampled_from(ALPHAS))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_draws(self, p, u, alpha):
+        assert_walks_agree(np.asarray(p, dtype=np.float64),
+                           np.asarray(u, dtype=np.float64), alpha)
+
+    @pytest.mark.parametrize("stochastic", [True, False])
+    def test_python_walk_across_blocks(self, monkeypatch, stochastic):
+        """Blocks of 7 events: the draw index carries across blocks."""
+        monkeypatch.setattr(capwalk, "_BLOCK", 7)
+        p = P if stochastic else (P > 0.2).astype(np.float64)
+        draws = DRAWS if stochastic else None
+        assert python_walk(p, draws, 0.1) == per_event_walk(p, draws, 0.1)
+
+    def test_nonzero_p_accepted_without_draws(self, cap_walk):
+        p = np.array([1.0, 0.0, 1.0, 1.0, 0.0, 1.0])
+        assert walk(p, None, 1.0) == ([0, 1, 0, 0, 1, 0], 4)
+        assert walk(p, None, 0.5) == ([0, 2, 0, 2, 1, 0], 3)
+
+    def test_rejects_mismatched_arrays(self):
+        p = np.full(4, 0.5)
+        with pytest.raises(ValueError, match="draws"):
+            capwalk.cap_walk(p, np.zeros(3), 0.5, np.empty(4, np.uint8))
+        with pytest.raises(ValueError, match="codes"):
+            capwalk.cap_walk(p, None, 0.5, np.empty(4, np.int64))
+        with pytest.raises(ValueError, match="codes"):
+            capwalk.cap_walk(p, None, 0.5, np.empty(5, np.uint8))
+        with pytest.raises(ValueError, match="one-dimensional"):
+            capwalk.cap_walk(np.full((2, 2), 0.5), None, 0.5,
+                             np.empty(2, np.uint8))
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_compiled_walk_active_when_compiler_present():
+    """A silent fallback to the Python loop passes every other test."""
+    assert capwalk.implementation() == "compiled"
+
+
+# --- the loader ------------------------------------------------------------
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A fresh, empty kernel cache; the process-wide kernel is looked up
+    again before and after the test."""
+    path = tmp_path / "cache"
+    monkeypatch.setattr(capwalk, "_CACHE_DIR", path)
+    capwalk._kernel.cache_clear()
+    yield path
+    capwalk._kernel.cache_clear()
+
+
+def fake_compiler(bin_dir, script):
+    bin_dir.mkdir()
+    cc = bin_dir / "cc"
+    cc.write_text("#!/bin/sh\n" + script)
+    cc.chmod(cc.stat().st_mode | stat.S_IXUSR)
+    return bin_dir
+
+
+def kernel_files(cache_dir):
+    return sorted(cache_dir.glob("capwalk-*.so"))
+
+
+def damage(path, data):
+    """Replace the file with a new one: truncating a loaded shared object
+    in place would crash this process."""
+    path.unlink()
+    path.write_bytes(data)
+
+
+def trailer_ok(path):
+    data = path.read_bytes()
+    return hashlib.sha256(data[:-32]).digest() == data[-32:]
+
+
+class TestLoaderFallback:
+    def test_no_compiler_on_path(self, cache_dir, tmp_path, monkeypatch):
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        assert capwalk.implementation() == "python"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    def test_unwritable_cache_directory(self, cache_dir, tmp_path,
+                                        monkeypatch):
+        # A path below a regular file cannot be created, even by root.
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(capwalk, "_CACHE_DIR", tmp_path / "file" / "c")
+        assert capwalk.implementation() == "python"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+    def test_compile_error(self, cache_dir, monkeypatch):
+        monkeypatch.setattr(capwalk, "_SOURCE", "this is not C\n")
+        assert capwalk.implementation() == "python"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+        assert list(cache_dir.iterdir()) == []
+
+    def test_compiler_timeout(self, cache_dir, tmp_path, monkeypatch):
+        bin_dir = fake_compiler(tmp_path / "bin",
+                                f"exec {shutil.which('sleep')} 30\n")
+        monkeypatch.setenv("PATH", str(bin_dir))
+        monkeypatch.setattr(capwalk, "_COMPILE_TIMEOUT_S", 0.5)
+        t0 = time.monotonic()
+        assert capwalk.implementation() == "python"
+        assert time.monotonic() - t0 < 10
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+        assert list(cache_dir.iterdir()) == []
+
+    def test_compiler_output_that_does_not_load(self, cache_dir, tmp_path,
+                                                monkeypatch):
+        """``ctypes.CDLL`` raises OSError on it, which the CLI would report
+        as an I/O failure."""
+        script = ('while [ "$1" != -o ]; do shift; done\n'
+                  'echo "not a shared object" > "$2"\n')
+        monkeypatch.setenv("PATH", str(fake_compiler(tmp_path / "bin",
+                                                     script)))
+        assert capwalk.implementation() == "python"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+class TestLoaderCache:
+    def test_builds_once_then_hits_without_compiler(self, cache_dir,
+                                                    monkeypatch):
+        assert capwalk.implementation() == "compiled"
+        [path] = kernel_files(cache_dir)
+        assert trailer_ok(path)
+        assert [p.name for p in cache_dir.iterdir()] == [path.name]
+        capwalk._kernel.cache_clear()
+
+        def no_compiler(*args, **kwargs):
+            raise AssertionError("the compiler ran on a cache hit")
+        monkeypatch.setattr(capwalk, "_build", no_compiler)
+        monkeypatch.setattr(subprocess, "run", no_compiler)
+        assert capwalk.implementation() == "compiled"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty",
+                                        "no trailer", "flipped byte"])
+    def test_damaged_cache_file_is_rebuilt(self, cache_dir, tmp_path,
+                                           monkeypatch, damage):
+        """The damaged file goes to a path never loaded in this process, so
+        the loader sees it; mapping a truncated shared object can kill the
+        process with SIGBUS."""
+        assert capwalk.implementation() == "compiled"
+        [built] = kernel_files(cache_dir)
+        good = built.read_bytes()
+        bad = {"truncated": good[:len(good) // 2],
+               "garbage": b"\x7fELF" + bytes(range(256)) * 8,
+               "empty": b"",
+               "no trailer": good[:-32],
+               "flipped byte": good[:2000] + bytes([good[2000] ^ 0xFF])
+               + good[2001:]}[damage]
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / built.name).write_bytes(bad)
+        monkeypatch.setattr(capwalk, "_CACHE_DIR", other)
+        capwalk._kernel.cache_clear()
+        assert capwalk.implementation() == "compiled"
+        assert trailer_ok(other / built.name)
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    def test_damaged_cache_file_without_compiler(self, cache_dir, tmp_path,
+                                                 monkeypatch):
+        assert capwalk.implementation() == "compiled"
+        [built] = kernel_files(cache_dir)
+        damage(built, built.read_bytes()[:3000])
+        (tmp_path / "empty").mkdir()
+        monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        capwalk._kernel.cache_clear()
+        assert capwalk.implementation() == "python"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    @pytest.mark.parametrize("compiler", [True, False])
+    def test_downsample_exits_0_with_damaged_cache(self, cache_dir, tmp_path,
+                                                   monkeypatch, compiler):
+        rng = np.random.default_rng(2)
+        stream = random_stream(rng, n=3000)
+        src = tmp_path / "in.evb"
+        write_events(stream, str(src), fmt="binary")
+        assert capwalk.implementation() == "compiled"
+        [built] = kernel_files(cache_dir)
+        damage(built, built.read_bytes()[:3000])
+        capwalk._kernel.cache_clear()
+        if not compiler:
+            (tmp_path / "empty").mkdir()
+            monkeypatch.setenv("PATH", str(tmp_path / "empty"))
+        out = tmp_path / "out.evb"
+        log = tmp_path / "log.csv"
+        assert main(["downsample", "-i", str(src), "-o", str(out), "-m",
+                     "uniform", "-a", "0.1", "--seed", "4",
+                     "--log", str(log)]) == 0
+        assert capwalk.implementation() == ("compiled" if compiler
+                                            else "python")
+        codes, _, _, _ = reference_run(stream, "uniform",
+                                       SamplerConfig(alpha=0.1, seed=4))
+        assert read_log(str(log)).code.tolist() == codes
+
+
+def test_bench_reports_cap_walk(cap_walk, tmp_path, capsys):
+    src = tmp_path / "in.evb"
+    write_events(random_stream(np.random.default_rng(1), n=500), str(src),
+                 fmt="binary")
+    assert main(["bench", "-i", str(src), "-m", "uniform", "-a", "0.1",
+                 "--repeat", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["cap_walk"] == cap_walk

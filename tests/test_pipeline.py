@@ -13,7 +13,8 @@ from evdown import (DecisionCode, EventStream, PriorMap, SamplerConfig,
                     timing_probe)
 from evdown.density import sigmoid
 
-from conftest import make_stream, random_stream, reference_run
+from conftest import (force_python_walk, make_stream, random_stream,
+                      reference_run)
 
 GEO = SensorGeometry(16, 12)
 
@@ -208,6 +209,13 @@ class TestDeterminism:
         assert not np.array_equal(out1.source_index, out2.source_index)
 
 
+# width, height, seed, alpha, cap, with_prior
+SMALL_SENSOR_CASES = (st.integers(1, 5), st.integers(1, 4),
+                      st.integers(0, 2**32 - 1),
+                      st.sampled_from([0.05, 0.3, 1.0]), st.booleans(),
+                      st.booleans())
+
+
 class TestBatchMatchesPerEvent:
     """The vectorized pipeline must reproduce the per-event kernels exactly:
     same codes, same probabilities, same RNG consumption."""
@@ -250,8 +258,7 @@ class TestBatchMatchesPerEvent:
         assert budget.retained == stats.retained
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(1, 5), st.integers(1, 4), st.integers(0, 2**32 - 1),
-           st.sampled_from([0.05, 0.3, 1.0]), st.booleans(), st.booleans())
+    @given(*SMALL_SENSOR_CASES)
     def test_sparse_scoring_parity_small_sensors(self, width, height, seed,
                                                  alpha, cap, with_prior):
         """Tiny sensors make every-pixel-active windows common; bursts
@@ -280,6 +287,25 @@ class TestBatchMatchesPerEvent:
         assert stats.retained == budget.retained
 
 
+class TestBatchMatchesPerEventPythonWalk(TestBatchMatchesPerEvent):
+    """The same parity tests with the compiled cap walk unavailable."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def _python_walk(self):
+        with pytest.MonkeyPatch.context() as mp:
+            force_python_walk(mp)
+            yield
+
+    # Hypothesis needs its own test function for each class that runs it.
+    @settings(max_examples=40, deadline=None)
+    @given(*SMALL_SENSOR_CASES)
+    def test_sparse_scoring_parity_small_sensors(self, width, height, seed,
+                                                 alpha, cap, with_prior):
+        base = TestBatchMatchesPerEvent
+        base.test_sparse_scoring_parity_small_sensors.hypothesis.inner_test(
+            self, width, height, seed, alpha, cap, with_prior)
+
+
 class TestHugeGeometry:
     def test_poisson_memory_follows_events_not_sensor(self):
         """A dense map of this sensor (2**55 pixels) could never be
@@ -305,6 +331,26 @@ class TestHugeGeometry:
         rest = later.min()
         assert later.max() > rest
         assert np.count_nonzero(later == rest) < later.size
+
+
+class TestCapWalkMemory:
+    def test_uniform_capped_run_allocates_no_per_event_objects(self,
+                                                                cap_walk):
+        """One Python float per event (32 bytes with its list slot) would
+        break the bound; the run's own arrays take about 37 bytes/event."""
+        n = 200_000
+        s = random_stream(np.random.default_rng(13), SensorGeometry(64, 48),
+                          n=n, span_us=400_000)
+        config = SamplerConfig(alpha=0.1, seed=3)
+        run(s, "uniform", config)
+        tracemalloc.start()
+        try:
+            _, stats, _ = run(s, "uniform", config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert stats.capped > 0
+        assert peak / n < 56
 
 
 class TestBudgetSafety:
