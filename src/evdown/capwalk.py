@@ -1,16 +1,22 @@
-"""The budget-cap walk shared by every method.
+"""The compiled kernels: the budget-cap walk and the score sigmoid.
 
 The cap is a sequential state machine.  Event ``k`` (0-based, stream-wide)
 is dropped before evaluation when ``k > 0`` and ``retained > alpha * k``,
 and a dropped event consumes no draw, so which draw an event sees depends
 on every earlier decision.  Such a walk cannot be vectorized exactly in
-numpy, so it has two implementations with bit-identical results:
+numpy.  The sigmoid ``1 / (1 + exp(-x))`` could be, but numpy's vector
+``exp`` does not round as libm's scalar ``exp`` does on every input, so
+scores would depend on the CPU numpy runs on.
 
-* a C loop, compiled on first use with the system C compiler (``cc``) into
-  this package's ``__pycache__`` and loaded with :mod:`ctypes`; no build
-  step is needed, and later processes load the cached file;
-* a Python loop, which runs whenever the C loop cannot be built or loaded
-  (no compiler, an unwritable cache, a failed compile or load).
+Both kernels have two implementations with bit-identical results:
+
+* C loops, compiled together on first use with the system C compiler
+  (``cc``) into this package's ``__pycache__`` and loaded with
+  :mod:`ctypes`; no build step is needed, and later processes load the
+  cached file;
+* Python loops (``math.exp`` is libm's ``exp``), which run whenever the C
+  loops cannot be built or loaded (no compiler, an unwritable cache, a
+  failed compile or load, a library lacking a kernel).
 
 The cache file is the shared object followed by the SHA-256 of its bytes.
 A file whose trailer does not match is rebuilt, never loaded: mapping a
@@ -22,6 +28,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import math
 import os
 import platform
 import sys
@@ -29,10 +36,12 @@ from pathlib import Path
 
 import numpy as np
 
-# No -ffast-math and no -march=native: ``alpha * k`` must round exactly as
-# Python's float multiply does.  -std=c99 makes the compiler round the
-# product to double even on targets with excess precision (x87).
+# No -ffast-math, -Ofast, -fopenmp-simd or -march=native: ``alpha * k``
+# must round exactly as Python's float multiply does, and ``exp`` must stay
+# libm's scalar one rather than a vector variant.  -std=c99 makes the
+# compiler round to double even on targets with excess precision (x87).
 _SOURCE = r"""
+#include <math.h>
 #include <stdint.h>
 
 int64_t cap_walk(const double *p, const double *u, int64_t n, double alpha,
@@ -51,13 +60,20 @@ int64_t cap_walk(const double *p, const double *u, int64_t n, double alpha,
     }
     return retained;
 }
+
+void expit(const double *x, double *out, int64_t n)
+{
+    for (int64_t i = 0; i < n; i++)
+        out[i] = 1.0 / (1.0 + exp(-x[i]));
+}
 """
-_COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC", "-x", "c", "-")
+_COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC", "-x", "c", "-",
+            "-lm")
 _COMPILE_TIMEOUT_S = 60
 _CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
 _DIGEST_BYTES = 32
-# The Python walk converts this many events at a time to Python floats,
-# so its memory does not grow with the stream.
+# The Python loops convert this many values at a time to Python floats,
+# so their memory does not grow with the input.
 _BLOCK = 1 << 14
 
 
@@ -90,13 +106,32 @@ def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
     kernel = _kernel()
     if kernel is None:
         return _walk_python(p, draws, alpha, codes)
-    return kernel(p.ctypes.data, None if draws is None else draws.ctypes.data,
-                  n, alpha, codes.ctypes.data)
+    return kernel.cap_walk(p.ctypes.data,
+                           None if draws is None else draws.ctypes.data,
+                           n, alpha, codes.ctypes.data)
+
+
+def expit(x):
+    """The logistic sigmoid ``1 / (1 + exp(-x))`` of float64 values.
+
+    Rounds as libm's ``exp`` does, on every CPU: it equals
+    ``scipy.special.expit`` bit for bit.  Returns an array of the input's
+    shape, or an ``np.float64`` for a 0-d input.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    flat = np.ravel(x)  # contiguous, copied only when x is not
+    out = np.empty_like(flat)
+    kernel = _kernel()
+    if kernel is None:
+        _expit_python(flat, out)
+    else:
+        kernel.expit(flat.ctypes.data, out.ctypes.data, flat.shape[0])
+    return out.reshape(x.shape)[()]
 
 
 def implementation() -> str:
-    """Which walk :func:`cap_walk` runs in this process: "compiled" or
-    "python"."""
+    """Which kernels :func:`cap_walk` and :func:`expit` run in this
+    process: "compiled" or "python"."""
     return "python" if _kernel() is None else "compiled"
 
 
@@ -129,9 +164,22 @@ def _walk_python(p, draws, alpha, codes) -> int:
     return retained
 
 
+def _expit_python(x, out) -> None:
+    exp = math.exp
+    for i0 in range(0, x.shape[0], _BLOCK):
+        block = []
+        append = block.append
+        for v in x[i0:i0 + _BLOCK].tolist():
+            try:
+                append(1.0 / (1.0 + exp(-v)))
+            except OverflowError:  # exp(-v) is inf in C, so 1/(1+inf)
+                append(0.0)
+        out[i0:i0 + len(block)] = block
+
+
 @functools.cache
 def _kernel():
-    """The compiled walk, or None when it cannot be built or loaded.
+    """The compiled library, or None when it cannot be built or loaded.
 
     Loaded once per process; a cached file that is missing, damaged or
     unloadable is rebuilt once.
@@ -140,14 +188,18 @@ def _kernel():
         (_SOURCE, *_COMPILE, sys.implementation.cache_tag or "",
          platform.machine())).encode()).hexdigest()[:20]
     path = _CACHE_DIR / f"capwalk-{key}.so"
-    fn = _load(path)
-    if fn is None and _build(path):
-        fn = _load(path)
-    if fn is not None:
-        fn.argtypes = (ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64,
-                       ctypes.c_double, ctypes.c_void_p)
-        fn.restype = ctypes.c_int64
-    return fn
+    lib = _load(path)
+    if lib is None and _build(path):
+        lib = _load(path)
+    if lib is not None:
+        lib.cap_walk.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
+                                 ctypes.c_int64, ctypes.c_double,
+                                 ctypes.c_void_p)
+        lib.cap_walk.restype = ctypes.c_int64
+        lib.expit.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
+                              ctypes.c_int64)
+        lib.expit.restype = None
+    return lib
 
 
 def _load(path: Path):
@@ -159,7 +211,9 @@ def _load(path: Path):
     if not body or hashlib.sha256(body).digest() != digest:
         return None
     try:
-        return ctypes.CDLL(str(path)).cap_walk
+        lib = ctypes.CDLL(str(path))
+        lib.cap_walk, lib.expit  # AttributeError when a kernel is missing
+        return lib
     except (OSError, AttributeError):
         return None
 

@@ -13,6 +13,10 @@ active in the window (nonzero occupancy) get their own score, and every
 inactive pixel, whose occupancy is 0 with or without a prior, shares one
 score.  Its cost follows the active pixels, not the sensor size.  The dense
 :func:`score_map` fills a full map from the same core.
+
+The sigmoid is :func:`evdown.capwalk.expit`, which rounds as libm's scalar
+``exp`` does (numpy's vector ``exp`` does not on every CPU), so scores are
+the same bits on every host and on either of its paths, compiled or Python.
 """
 
 from __future__ import annotations
@@ -20,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit
 
+from .capwalk import expit
 from .events import EventStream, SensorGeometry
 
 # Open-interval clamp bounds for acceptance probabilities.  The sigmoid

@@ -283,14 +283,27 @@ def _strings(texts) -> np.ndarray:
     return table.view(np.uint8).reshape(len(texts), table.itemsize)
 
 
+def _reprs(values) -> np.ndarray:
+    """repr of floats as the rows of a uint8 matrix, NUL-padded on the
+    right; repr runs once per distinct bit pattern, so -0.0 and 0.0 stay
+    apart."""
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    bits, which = np.unique(values.view(np.uint64), return_inverse=True)
+    return _strings([repr(v) for v in bits.view(np.float64).tolist()])[which]
+
+
 def _symbols(mapping: dict, values, what: str):
     """A (table, index) column writing each value as its letter in mapping;
     a value mapping lacks raises ValueError."""
     values = np.asarray(values)
-    unknown = ~np.isin(values, list(mapping))
-    if unknown.any():
+    top = max(mapping)
+    known = np.array([k in mapping for k in range(top + 1)])
+    # min and max first: known[values] must not wrap a negative index.
+    if values.size and not (values.min() >= 0 and values.max() <= top
+                            and known[values].all()):
+        unknown = ~np.isin(values, list(mapping))
         raise ValueError(f"{what} {values[unknown][0]} has no letter")
-    table = _strings([mapping.get(k, "") for k in range(max(mapping) + 1)])
+    table = _strings([mapping.get(k, "") for k in range(top + 1)])
     return table, values
 
 
@@ -298,15 +311,24 @@ def _write_rows(fh, n: int, columns) -> None:
     """Write n rows of columns to the binary file fh as comma-separated
     text, one row per line, _CHUNK_ROWS rows at a time.
 
-    A column is an integer array, written in decimal, or a pair (table,
-    index) writing row i as table[index[i]] (see _strings).  Each block is
-    laid out as a fixed-width byte matrix whose NUL padding is dropped on
-    the way out, so no Python object is made per row.
+    A column is an integer array or range, written in decimal, a float
+    array, written with repr, or a pair (table, index) writing row i as
+    table[index[i]] (see _strings).  Each block is laid out as a
+    fixed-width byte matrix whose NUL padding is dropped on the way out, so
+    no Python object is made per row and no temporary spans more than one
+    block.
     """
+    def field(col, lo, hi):
+        if isinstance(col, tuple):
+            return col[0][col[1][lo:hi]]
+        part = col[lo:hi]
+        if isinstance(part, range):
+            part = np.arange(part.start, part.stop, part.step)
+        return _reprs(part) if part.dtype.kind == "f" else _decimal(part)
+
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
-        fields = [col[0][col[1][lo:hi]] if isinstance(col, tuple)
-                  else _decimal(col[lo:hi]) for col in columns]
+        fields = [field(col, lo, hi) for col in columns]
         block = np.empty((hi - lo, sum(f.shape[1] + 1 for f in fields)),
                          np.uint8)
         end = 0
@@ -485,15 +507,12 @@ def write_log(log: DecisionLog, path) -> None:
     """
     n = len(log)
     codes = _symbols(_CODE_CHAR, log.code, "decision code")
-    # repr once per distinct bit pattern, so -0.0 and 0.0 stay apart.
-    prob = np.ascontiguousarray(log.probability, dtype=np.float64)
-    bits, which = np.unique(prob.view(np.uint64), return_inverse=True)
-    reprs = [repr(p) for p in bits.view(np.float64).tolist()]
     with open(path, "wb") as fh:
         fh.write(b"index,t,window,code,p\n")
         if n:
-            _write_rows(fh, n, [np.arange(n), log.t, log.window, codes,
-                                (_strings(reprs), which)])
+            _write_rows(fh, n, [range(n), np.asarray(log.t, np.int64),
+                                np.asarray(log.window, np.int64), codes,
+                                np.asarray(log.probability, np.float64)])
 
 
 def read_log(path) -> DecisionLog:

@@ -4,19 +4,28 @@ chain_oracle is an independent pure-Python reimplementation of the scoring
 chain (no numpy/scipy) used to cross-check the library's vectorized math.
 reference_run drives the per-event kernels and window rollover one event at
 a time; the batch pipeline must reproduce it exactly.  The cap_walk fixture
-runs a test on each implementation of the cap walk.
+runs a test on each implementation of the compiled kernels (the cap walk and
+the score sigmoid).
 """
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import evdown
 from evdown import (BudgetState, Decision, EventStream, SamplerConfig,
                     SensorGeometry, WindowState, capped, capwalk,
                     deterministic_accept, rollover, scored_accept,
                     uniform_accept)
 from evdown.events import Event
+
+# The environment of a fresh interpreter that imports this evdown.
+SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    [str(Path(evdown.__file__).resolve().parents[1]),
+     os.environ.get("PYTHONPATH", "")]))
 
 _P_LO = math.ulp(0.0)
 _P_HI = math.nextafter(1.0, 0.0)
@@ -129,15 +138,16 @@ def reference_run(stream: EventStream, method: str, config: SamplerConfig):
 
 
 def force_python_walk(monkeypatch) -> None:
-    """Make evdown.capwalk run its Python loop, as on a machine where the
-    compiled kernel cannot be built or loaded."""
+    """Make evdown.capwalk run its Python loops, the cap walk and the
+    sigmoid, as on a machine where the compiled kernels cannot be built or
+    loaded."""
     monkeypatch.setattr(capwalk, "_kernel", lambda: None)
 
 
 @pytest.fixture(params=["compiled", "python"])
 def cap_walk(request, monkeypatch):
-    """The name of the cap walk the test runs on; the compiled one is
-    skipped where it cannot be built."""
+    """The name of the kernels (cap walk and sigmoid) the test runs on;
+    the compiled ones are skipped where they cannot be built."""
     if request.param == "python":
         force_python_walk(monkeypatch)
     elif capwalk.implementation() != "compiled":

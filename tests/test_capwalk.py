@@ -7,6 +7,7 @@ import math
 import shutil
 import stat
 import subprocess
+import sys
 import time
 
 import numpy as np
@@ -18,7 +19,7 @@ from evdown import (BudgetState, Decision, DecisionCode, SamplerConfig,
                     capped, capwalk, read_log, write_events)
 from evdown.cli import main
 
-from conftest import random_stream, reference_run
+from conftest import SRC_ENV, random_stream, reference_run
 
 ALPHAS = [1.0, 0.1, 0.3, 1 / 3, 0.7, math.nextafter(1.0, 0.0)]
 HAS_CC = shutil.which("cc") is not None
@@ -258,6 +259,42 @@ class TestLoaderCache:
         assert capwalk.implementation() == "compiled"
         assert trailer_ok(other / built.name)
         assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    def test_cached_library_without_expit(self, cache_dir, tmp_path,
+                                          monkeypatch):
+        """A sound cached file built from a source without the sigmoid
+        (as before the sigmoid joined the kernels) is replaced by a full
+        build, which the next process loads.  This process may already
+        hold the old file mapped under that name, so it may run the Python
+        loops."""
+        x = np.linspace(-800.0, 800.0, 4001)
+        assert capwalk.implementation() == "compiled"
+        expected = capwalk.expit(x)
+        [built] = kernel_files(cache_dir)
+        old = tmp_path / "old.so"
+        subprocess.run([*capwalk._COMPILE, "-o", str(old)],
+                       input=capwalk._SOURCE.split("void expit")[0],
+                       text=True, capture_output=True, check=True)
+        planted = old.read_bytes()
+        planted += hashlib.sha256(planted).digest()
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / built.name).write_bytes(planted)
+        monkeypatch.setattr(capwalk, "_CACHE_DIR", other)
+        capwalk._kernel.cache_clear()
+        assert capwalk.implementation() in ("compiled", "python")
+        assert np.array_equal(capwalk.expit(x).view(np.uint64),
+                              expected.view(np.uint64))
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+        rebuilt = (other / built.name).read_bytes()
+        assert rebuilt != planted and trailer_ok(other / built.name)
+        probe = ("import sys; from pathlib import Path; from evdown import "
+                 "capwalk; capwalk._CACHE_DIR = Path(sys.argv[1]); "
+                 "capwalk._build = None; print(capwalk.implementation())")
+        proc = subprocess.run([sys.executable, "-c", probe, str(other)],
+                              capture_output=True, text=True, env=SRC_ENV,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "compiled\n")
 
     def test_damaged_cache_file_without_compiler(self, cache_dir, tmp_path,
                                                  monkeypatch):

@@ -12,7 +12,7 @@ from evdown import SensorGeometry, gaussian_prior, read_events, write_events, \
 from evdown.cli import main
 from evdown.evio import STATS_KEYS
 
-from conftest import make_stream
+from conftest import SRC_ENV, make_stream
 
 
 def synth_args(out, extra=()):
@@ -289,3 +289,45 @@ class TestEntryPoint:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestWithoutScipy:
+    """evdown needs numpy only; scipy is a test dependency.  Each test
+    starts a fresh interpreter, where nothing else has imported scipy."""
+
+    # Runs the CLI with every scipy import refused.
+    NO_SCIPY_MAIN = """
+import sys
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            raise ModuleNotFoundError(f"no module named {name!r}")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from evdown.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+    def python(self, *args):
+        return subprocess.run([sys.executable, *args], capture_output=True,
+                              text=True, env=SRC_ENV, timeout=120)
+
+    def test_import_loads_no_scipy(self):
+        proc = self.python("-c", "import sys, evdown, evdown.cli; print("
+                           "[m for m in sys.modules if m.startswith('scipy')])")
+        assert (proc.returncode, proc.stdout) == (0, "[]\n")
+
+    def test_downsample_poisson_with_scipy_refused(self, scene_csv, tmp_path):
+        def args(tag):
+            return ["downsample", "-i", str(scene_csv),
+                    "-o", str(tmp_path / f"{tag}.csv"), "-m", "poisson",
+                    "-a", "0.3", "--seed", "4",
+                    "--log", str(tmp_path / f"{tag}-log.csv")]
+        assert main(args("normal")) == 0
+        proc = self.python("-c", self.NO_SCIPY_MAIN, *args("refused"))
+        assert proc.returncode == 0, proc.stderr
+        for name in ("{}.csv", "{}-log.csv"):
+            assert ((tmp_path / name.format("refused")).read_bytes()
+                    == (tmp_path / name.format("normal")).read_bytes())

@@ -4,6 +4,7 @@ to, and the chunked writers against f-string oracles."""
 import contextlib
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -351,3 +352,32 @@ class TestWriterBytes:
         s = make_stream(SensorGeometry(3, 3), [(1, 0, 0, 1)], labels=[2])
         with pytest.raises(ValueError, match="label 2"):
             write_events(s, tmp_path / "s.csv")
+
+    @pytest.mark.parametrize("code", [-1, -3, 255, 2**40])
+    def test_code_outside_table_rejected(self, tmp_path, code):
+        """A negative code must not wrap around to the table's end."""
+        log = DecisionLog(np.array([1, 2]), np.array([1, 1]),
+                          np.array([0, code]), np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match=f"decision code {code} "):
+            write_log(log, tmp_path / "log.csv")
+
+
+class TestLogWriterMemory:
+    def test_uniform_log_memory_per_row(self, tmp_path, monkeypatch):
+        """With blocks of 4096 rows their own cost is small at this size,
+        so a step over the whole column breaks the bound: sorting the
+        probabilities with an inverse index takes about 40 bytes/row."""
+        monkeypatch.setattr(evio, "_CHUNK_ROWS", 1 << 12)
+        n = 200_000
+        s = random_stream(np.random.default_rng(13), SensorGeometry(64, 48),
+                          n=n, span_us=400_000)
+        _, _, log = run(s, "uniform", SamplerConfig(alpha=0.1, seed=3))
+        path = tmp_path / "log.csv"
+        write_log(log, path)
+        tracemalloc.start()
+        try:
+            write_log(log, path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 8
