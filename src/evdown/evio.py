@@ -12,17 +12,24 @@ Two stream formats are supported:
 
 Both formats round-trip every event field bit-exactly.  Writers emit a
 canonical encoding, so re-serializing a stream is byte-stable.
+
+Event CSVs and decision logs are read by the compiled parsers of
+:mod:`evdown.capwalk`, which take exactly the rows the writers here emit.
+A file they reject, or any file when the compiled kernels are not
+available, is read by a line loop instead: the loops accept the same
+files into the same columns, and every message about a malformed file
+comes from them.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from . import capwalk
 from .density import PriorMap
 from .events import (EventLabel, EventStream, SensorGeometry,
                      first_violations)
@@ -41,12 +48,11 @@ _CSV_HEADER_LABELED = "t,x,y,p,label"
 _LABEL_CHAR = {int(EventLabel.EDGE): "E", int(EventLabel.NOISE): "N"}
 _CHAR_LABEL = {"E": int(EventLabel.EDGE), "N": int(EventLabel.NOISE)}
 _CODE_CHAR = {0: "A", 1: "S", 2: "C"}
-# Headers the vectorized CSV reader takes; any other goes to the line loop.
+# Headers the compiled parsers take; any other goes to the line loops.
 _CSV_FAST_HEADERS = {b"t,x,y,p\n": False, b"t,x,y,p\r\n": False,
                      b"t,x,y,p,label\n": True, b"t,x,y,p,label\r\n": True}
-_CSV_ROW = np.dtype([("t", "<i8"), ("x", "<i8"), ("y", "<i8"), ("p", "u1")])
-# S2, not S1: loadtxt truncates a field to the width, and "EE" must fail.
-_CSV_ROW_LABELED = np.dtype(_CSV_ROW.descr + [("label", "S2")])
+_LOG_HEADER = "index,t,window,code,p"
+_LOG_FAST_HEADERS = (b"index,t,window,code,p\n", b"index,t,window,code,p\r\n")
 _CHAR_CODE = {v: k for k, v in _CODE_CHAR.items()}
 
 
@@ -130,56 +136,28 @@ def _ascii_lines(path, lines):
 
 
 def _read_csv(path, geometry) -> EventStream:
-    columns = _parse_csv_fast(path)
+    columns = _parse_csv_compiled(path)
     if columns is None:
         columns = _parse_csv_lines(path)
     return _finish_stream(path, geometry, *columns)
 
 
-def _parse_csv_fast(path):
-    """Parse an event CSV in one vectorized pass, or return None.
+def _parse_csv_compiled(path):
+    """Parse an event CSV with the compiled parser, or return None.
 
-    Only files that _parse_csv_lines accepts are parsed here, into the same
-    columns; for anything else this returns None and the line loop parses
-    the file and reports what is wrong with it.  The byte checks come first
-    because np.loadtxt alone accepts more than the loop: it skips blank
-    lines, reads other bytes as latin-1 (so "\\xa0" is a space) and drops a
-    trailing NUL from a label.
+    The parser takes only rows as _write_csv writes them (digits, commas,
+    the label letter, LF or CRLF), which _parse_csv_lines reads into the
+    same columns; for any other file, or without the compiled kernels, this
+    returns None and the line loop parses the file and reports what is
+    wrong with it.  The file's bytes are dropped on return, before the
+    caller builds the stream.
     """
-    with open(path, "rb") as fh:
-        labeled = _CSV_FAST_HEADERS.get(fh.readline())
-        if labeled is None:
-            return None
-        body = fh.read()
-    if b"\r" in body:
-        body = body.replace(b"\r\n", b"\n")  # a lone CR fails the next check
-    # Past the digits, commas and newlines only label letters may be left.
-    letters = body.translate(None, b"0123456789,\n")
-    if letters.translate(None, b"EN" if labeled else b""):
+    data = Path(path).read_bytes()
+    header = data[:data.find(b"\n") + 1]
+    labeled = _CSV_FAST_HEADERS.get(header)
+    if labeled is None:
         return None
-    if body.startswith(b"\n") or b"\n\n" in body:  # an empty line
-        return None
-    dtype = _CSV_ROW_LABELED if labeled else _CSV_ROW
-    if not body:
-        rows = np.empty(0, dtype)
-    else:
-        try:
-            rows = np.loadtxt(io.BytesIO(body), dtype=dtype, delimiter=",",
-                              comments=None, ndmin=1)
-        except (ValueError, OverflowError):
-            return None  # a short or long row, an empty field, > int64
-    if rows.size and rows["p"].max() > 1:
-        return None
-    labels = None
-    if labeled:
-        edge = rows["label"] == b"E"
-        # As many letters as rows, each row's label one of them: no number
-        # holds a letter (an older numpy may parse "1E5" as an integer).
-        if (len(letters) != rows.size
-                or not np.all(edge | (rows["label"] == b"N"))):
-            return None
-        labels = np.where(edge, _CHAR_LABEL["E"], _CHAR_LABEL["N"])
-    return rows["t"], rows["x"], rows["y"], rows["p"], labels
+    return capwalk.parse_events(data, len(header), labeled)
 
 
 def _parse_csv_lines(path):
@@ -357,7 +335,10 @@ def _read_binary(path, geometry) -> EventStream:
         raise EventFileError(
             f"{path}: size mismatch for {count} records: expected "
             f"{expected} bytes, got {len(blob)} (truncated at record {whole})")
-    header_geo = SensorGeometry(width, height)
+    try:
+        header_geo = SensorGeometry(width, height)
+    except ValueError as exc:
+        raise EventFileError(f"{path}: bad header geometry: {exc}") from None
     if geometry is not None and geometry != header_geo:
         raise EventFileError(
             f"{path}: header geometry {width}x{height} does not match "
@@ -508,7 +489,7 @@ def write_log(log: DecisionLog, path) -> None:
     n = len(log)
     codes = _symbols(_CODE_CHAR, log.code, "decision code")
     with open(path, "wb") as fh:
-        fh.write(b"index,t,window,code,p\n")
+        fh.write(_LOG_HEADER.encode("ascii") + b"\n")
         if n:
             _write_rows(fh, n, [range(n), np.asarray(log.t, np.int64),
                                 np.asarray(log.window, np.int64), codes,
@@ -516,12 +497,29 @@ def write_log(log: DecisionLog, path) -> None:
 
 
 def read_log(path) -> DecisionLog:
-    """Read a decision log written by write_log."""
+    """Read a decision log written by write_log.
+
+    The compiled parser reads a log as write_log writes it; any other file,
+    or every file without the compiled kernels, goes to the line loop,
+    which also names the line of any error.
+    """
+    data = Path(path).read_bytes()
+    header = data[:data.find(b"\n") + 1]
+    columns = None
+    if header in _LOG_FAST_HEADERS:
+        columns = capwalk.parse_log(data, len(header))
+    del data
+    if columns is None:
+        columns = _parse_log_lines(path)
+    return DecisionLog(*columns)
+
+
+def _parse_log_lines(path):
     with open(path, "r", encoding="ascii", errors="surrogateescape",
               newline="") as fh:
         lines = _ascii_lines(path, fh)
         header = next(lines, "").rstrip("\r\n")
-        if header != "index,t,window,code,p":
+        if header != _LOG_HEADER:
             raise EventFileError(f"{path}:1: bad log header {header!r}")
         t, window, code, prob = [], [], [], []
         for lineno, line in enumerate(lines, start=2):
@@ -540,7 +538,12 @@ def read_log(path) -> DecisionLog:
             if idx != len(t) - 1:
                 raise EventFileError(
                     f"{path}:{lineno}: index {idx} out of sequence")
-    return DecisionLog(np.asarray(t, dtype=np.int64),
-                       np.asarray(window, dtype=np.int64),
-                       np.asarray(code, dtype=np.uint8),
-                       np.asarray(prob, dtype=np.float64))
+    try:
+        t, window = (np.asarray(col, dtype=np.int64) for col in (t, window))
+    except OverflowError:
+        big = next(i for i, vals in enumerate(zip(t, window))
+                   if min(vals) < -_INT64_MAX - 1 or max(vals) > _INT64_MAX)
+        raise EventFileError(f"{path}:{big + 2}: value exceeds the signed "
+                             f"64-bit range") from None
+    return (t, window, np.asarray(code, dtype=np.uint8),
+            np.asarray(prob, dtype=np.float64))

@@ -277,12 +277,14 @@ def run(stream: EventStream, method: str,
 
     accepted_idx = np.nonzero(codes == _ACCEPT)[0]
     capped_n = int(np.count_nonzero(codes == _REJ_CAP))
-    wmax = int(windows[-1])
-    win_processed = np.bincount(windows, minlength=wmax + 1)
-    win_retained = np.bincount(windows[accepted_idx], minlength=wmax + 1)
-    per_window = tuple(
-        (int(w), int(win_processed[w]), int(win_retained[w]))
-        for w in range(1, wmax + 1) if win_processed[w] > 0)
+    # Counted between the windows' first events (windows is sorted), so
+    # the cost follows the events, not the time they span: a stream can
+    # span 2**63 us, nearly all of it empty windows.
+    first = np.append(0, np.flatnonzero(windows[1:] != windows[:-1]) + 1)
+    bounds = np.append(first, n)
+    per_window = tuple(zip(
+        windows[first].tolist(), np.diff(bounds).tolist(),
+        np.diff(np.searchsorted(accepted_idx, bounds)).tolist()))
 
     out = stream.subset(accepted_idx)
     log = DecisionLog(t.copy(), windows, codes, probs)

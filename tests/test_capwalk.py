@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evdown import (BudgetState, Decision, DecisionCode, SamplerConfig,
-                    capped, capwalk, read_log, write_events)
+                    capped, capwalk, read_events, read_log, run,
+                    write_events, write_log)
 from evdown.cli import main
 
 from conftest import SRC_ENV, random_stream, reference_run
@@ -295,6 +296,53 @@ class TestLoaderCache:
                               capture_output=True, text=True, env=SRC_ENV,
                               timeout=120)
         assert (proc.returncode, proc.stdout) == (0, "compiled\n")
+
+    def test_cached_library_without_parsers(self, cache_dir, tmp_path,
+                                            monkeypatch):
+        """A sound cached file built from a source without the text parsers
+        (as before they joined the kernels) is replaced by a full build,
+        which the next process loads and parses with.  In this process the
+        readers may fall back to the line loops; the results are the same."""
+        stream = random_stream(np.random.default_rng(6), n=2000)
+        src = tmp_path / "in.csv"
+        write_events(stream, src)
+        _, _, log = run(stream, "poisson", SamplerConfig(alpha=0.3, seed=1))
+        log_path = tmp_path / "log.csv"
+        write_log(log, log_path)
+        assert capwalk.implementation() == "compiled"
+        [built] = kernel_files(cache_dir)
+        old = tmp_path / "old.so"
+        subprocess.run([*capwalk._COMPILE, "-o", str(old)],
+                       input=capwalk._SOURCE.split("/* The text parsers")[0],
+                       text=True, capture_output=True, check=True)
+        planted = old.read_bytes()
+        planted += hashlib.sha256(planted).digest()
+        other = tmp_path / "other"
+        other.mkdir()
+        (other / built.name).write_bytes(planted)
+        monkeypatch.setattr(capwalk, "_CACHE_DIR", other)
+        capwalk._kernel.cache_clear()
+        assert capwalk.implementation() in ("compiled", "python")
+        assert read_events(src) == stream
+        back = read_log(log_path)
+        for got, want in zip((back.t, back.window, back.code,
+                              back.probability),
+                             (log.t, log.window, log.code, log.probability)):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        rebuilt = (other / built.name).read_bytes()
+        assert rebuilt != planted and trailer_ok(other / built.name)
+        probe = ("import sys; from pathlib import Path; from evdown import "
+                 "capwalk, evio; capwalk._CACHE_DIR = Path(sys.argv[1]); "
+                 "capwalk._build = None; "
+                 "log = Path(sys.argv[3]).read_bytes(); "
+                 "print(evio._parse_csv_compiled(sys.argv[2]) is not None, "
+                 "capwalk.parse_log(log, log.index(b'\\n') + 1) "
+                 "is not None)")
+        proc = subprocess.run([sys.executable, "-c", probe, str(other),
+                               str(src), str(log_path)],
+                              capture_output=True, text=True, env=SRC_ENV,
+                              timeout=120)
+        assert (proc.returncode, proc.stdout) == (0, "True True\n")
 
     def test_damaged_cache_file_without_compiler(self, cache_dir, tmp_path,
                                                  monkeypatch):

@@ -211,6 +211,16 @@ class TestBinary:
         with pytest.raises(EventFileError, match="64-bit"):
             read_events(path)
 
+    @pytest.mark.parametrize("width,height", [(0, 5), (5, 0), (0, 0)])
+    def test_zero_header_geometry_rejected(self, tmp_path, width, height):
+        """A malformed file, not a bad argument: the CLI exits 3."""
+        path = tmp_path / "a.bin"
+        path.write_bytes(b"EVDN" + struct.pack("<BHHQ", 1, width, height, 0))
+        with pytest.raises(EventFileError,
+                           match=rf"a\.bin: bad header geometry: .*"
+                                 rf"{width}x{height}"):
+            read_events(path)
+
     def test_ordering_violation(self, tmp_path):
         path = tmp_path / "a.bin"
         path.write_bytes(b"EVDN" + struct.pack("<BHHQ", 1, 4, 4, 2)
@@ -345,3 +355,23 @@ class TestDecisionLog:
         path.write_text("a,b,c\n")
         with pytest.raises(EventFileError):
             read_log(path)
+
+    @pytest.mark.parametrize("row", [
+        "0,99999999999999999999,1,A,0.1",
+        "0,1,9223372036854775808,A,0.1",
+        "0,-9223372036854775809,1,A,0.1",
+    ])
+    def test_value_beyond_int64_names_line(self, tmp_path, row):
+        path = tmp_path / "log.csv"
+        path.write_text(f"index,t,window,code,p\n0,1,1,A,0.1\n"
+                        f"1{row[1:]}\n")
+        with pytest.raises(EventFileError, match=r"log\.csv:3: .*64-bit"):
+            read_log(path)
+
+    def test_int64_extremes_read_back(self, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("index,t,window,code,p\n"
+                        "0,-9223372036854775808,9223372036854775807,C,1.0\n")
+        back = read_log(path)
+        assert back.t.tolist() == [-2**63]
+        assert back.window.tolist() == [2**63 - 1]

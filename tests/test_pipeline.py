@@ -333,6 +333,31 @@ class TestHugeGeometry:
         assert np.count_nonzero(later == rest) < later.size
 
 
+class TestHugeSpan:
+    @pytest.mark.parametrize("method", ["deterministic", "uniform", "poisson"])
+    def test_window_counts_follow_events_not_span(self, method):
+        """Timestamps 0 and 2**63 - 1 span about 1.5e15 windows, all but two
+        empty; a count per window in the span fails with MemoryError."""
+        t = [0, 1, 2**62, 2**63 - 1]
+        s = make_stream(GEO, [(v, i, i, 1) for i, v in enumerate(t)])
+        config = SamplerConfig(alpha=0.5, seed=1, t_us=6000)
+        tracemalloc.start()
+        try:
+            _, stats, log = run(s, method, config)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        wids = [1, 2**62 // 6000 + 1, (2**63 - 1) // 6000 + 1]
+        assert log.window.tolist() == [1, 1, wids[1], wids[2]]
+        assert [w[:2] for w in stats.per_window] == [(1, 2), (wids[1], 1),
+                                                     (wids[2], 1)]
+        retained = [int(np.count_nonzero(log.code[log.window == w] == 0))
+                    for w in wids]
+        assert [w[2] for w in stats.per_window] == retained
+        assert sum(retained) == stats.retained
+
+
 class TestCapWalkMemory:
     def test_uniform_capped_run_allocates_no_per_event_objects(self,
                                                                 cap_walk):

@@ -1,9 +1,12 @@
-"""Text I/O: the vectorized CSV reader against the line loop it falls back
-to, and the chunked writers against f-string oracles."""
+"""Text I/O: the compiled CSV and decision-log parsers against the line
+loops they fall back to, hostile input files, and the chunked writers
+against f-string oracles."""
 
 import contextlib
+import ctypes
 import io
 import math
+import struct
 import tracemalloc
 
 import numpy as np
@@ -13,10 +16,10 @@ from hypothesis import strategies as st
 
 from evdown import (DecisionLog, EventFileError, SamplerConfig, SensorGeometry,
                     read_events, read_log, run, write_events, write_log)
-from evdown import evio
+from evdown import capwalk, evio
 from evdown.cli import main
 
-from conftest import make_stream, random_stream
+from conftest import force_python_walk, make_stream, random_stream
 
 # ---------------------------------------------------------------- reading
 
@@ -49,6 +52,18 @@ def assert_same(got, want):
     assert got.is_labeled == want.is_labeled
     if want.is_labeled:
         assert np.array_equal(got.labels, want.labels)
+
+
+def needs_compiled():
+    if capwalk.implementation() != "compiled":
+        pytest.skip("the compiled parser cannot be built here")
+
+
+def compiled_columns(path):
+    """What the compiled parser makes of an event CSV (None: the line loop
+    reads it); skips the test where the compiled kernels cannot be built."""
+    needs_compiled()
+    return evio._parse_csv_compiled(path)
 
 
 def valid_csv(rows, labeled):
@@ -107,7 +122,7 @@ class TestCsvFastPath:
                             labels=np.arange(3000) % 2)
         path = tmp_path / "a.csv"
         write_events(s, path)
-        fast = evio._parse_csv_fast(path)
+        fast = compiled_columns(path)
         assert fast is not None
         for got, want in zip(fast, evio._parse_csv_lines(path)):
             if want is None:
@@ -121,14 +136,14 @@ class TestCsvFastPath:
         data = valid_csv([[1, 2, 3, 1, "E"], [4, 5, 6, 0, "N"]], True)
         lf.write_bytes(data)
         crlf.write_bytes(data.replace(b"\n", b"\r\n"))
-        assert evio._parse_csv_fast(crlf) is not None
+        assert compiled_columns(crlf) is not None
         assert_same(read_result(crlf), read_result(lf))
         assert_same(read_result(crlf), loop_result(crlf))
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "a.csv"
         path.write_bytes(b"t,x,y,p,label\n")
-        assert evio._parse_csv_fast(path) is not None
+        assert compiled_columns(path) is not None
         back = read_events(path)
         assert len(back) == 0 and back.is_labeled
 
@@ -207,6 +222,90 @@ class TestCsvFastPath:
         assert "Traceback" not in err.getvalue()
 
 
+def loop_columns(path):
+    """The line loop's columns of an event CSV, or its message."""
+    try:
+        return evio._parse_csv_lines(path)
+    except EventFileError as exc:
+        return str(exc)
+
+
+def assert_columns_equal(got, want):
+    """Columns equal bit for bit, in the dtypes the stream keeps (the line
+    loop gives labels as a list)."""
+    assert len(got) == len(want)
+    for g, w, dtype in zip(got, want, [np.int64] * 3 + [np.uint8] * 2):
+        if w is None:
+            assert g is None
+            continue
+        assert g.dtype == dtype
+        assert np.array_equal(g, np.asarray(w, dtype=dtype))
+
+
+class TestCompiledCsvParser:
+    @settings(max_examples=400, deadline=None)
+    @given(csv_bytes())
+    @example(b"t,x,y,p,label\n9223372036854775807,0,0,1,N\n")
+    @example(b"t,x,y,p\n0001,2,3,01\r\n4,5,6,0")
+    def test_columns_match_loop_on_both_paths(self, scratch, data):
+        """Where the compiled parser takes a file, its columns are the line
+        loop's; read_events gives the loop's stream or exact message with
+        the compiled kernels and without them."""
+        path = scratch / "fuzz.csv"
+        path.write_bytes(data)
+        want = loop_result(path)
+        got = evio._parse_csv_compiled(path)
+        if got is not None:
+            assert_columns_equal(got, loop_columns(path))
+        assert_same(read_result(path), want)
+        with pytest.MonkeyPatch.context() as mp:
+            force_python_walk(mp)
+            assert evio._parse_csv_compiled(path) is None
+            assert_same(read_result(path), want)
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    def test_resumes_at_every_line_boundary(self, labeled):
+        """One row per call, each call starting where the last one ended,
+        gives the columns of one call over the whole body."""
+        needs_compiled()
+        rows = [b"3,1,2,1,E\r\n", b"3,0,0,0,N\n", b"9223372036854775807,7,9,1,N"]
+        if not labeled:
+            rows = [r.replace(b",E", b"").replace(b",N", b"") for r in rows]
+        data = valid_csv([], labeled) + b"".join(rows)
+        start = data.index(b"\n") + 1
+        whole = capwalk.parse_events(data, start, labeled)
+        address, size, n = capwalk._text(data, start)
+        assert n == 3
+        cols = [np.zeros(3, np.int64) for _ in range(3)]
+        cols += [np.zeros(3, np.uint8), np.zeros(3, np.uint8)]
+        used = ctypes.c_int64()
+        pos = 0
+        for i in range(3):
+            got = capwalk._kernel().parse_events(
+                address + pos, size - pos, labeled, 1,
+                *[c[i:].ctypes.data for c in cols], ctypes.byref(used))
+            assert got == 1
+            pos += used.value
+        assert pos == size
+        assert_columns_equal(whole, cols if labeled else cols[:4] + [None])
+
+    @pytest.mark.parametrize("body,row", [
+        (b"1,2,3,1\n4,5,6,2\n", 1),
+        (b"1,2,3,1\r4,5,6,0\n", 0),
+        (b"1,2,3,1\n9223372036854775808,5,6,0\n", 1),
+        (b"1,2,3,1\n\n", 1),
+        (b"1,2,3,1\n4,5,6,0\r", 1),
+    ])
+    def test_reports_first_rejected_row(self, body, row):
+        needs_compiled()
+        address, size, n = capwalk._text(body, 0)
+        cols = [np.zeros(n, np.int64) for _ in range(3)] + [np.zeros(n, np.uint8)]
+        got = capwalk._kernel().parse_events(
+            address, size, False, n, *[c.ctypes.data for c in cols], None,
+            ctypes.byref(ctypes.c_int64()))
+        assert got == -1 - row
+
+
 class TestNonAscii:
     def test_csv_names_file_and_line(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -234,6 +333,123 @@ class TestNonAscii:
         with pytest.raises(EventFileError,
                            match=r"p\.txt:2: non-ASCII byte 0x80"):
             evio.read_prior(path, SensorGeometry(2, 1))
+
+
+# ---------------------------------------------------------- hostile files
+
+def downsample_exit(args):
+    """downsample's exit code; a traceback fails the test."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = main(["downsample", *args])
+    assert "Traceback" not in err.getvalue()
+    return rc
+
+
+def file_error(read, *args):
+    """None when read(*args) succeeds, else its EventFileError message;
+    any other exception fails the test."""
+    try:
+        read(*args)
+    except EventFileError as exc:
+        return str(exc)
+    return None
+
+
+@st.composite
+def binary_bytes(draw):
+    """A valid binary stream file, then hostile edits: bad magic, version,
+    count or geometry, polarity above 1, t beyond int64, bytes appended,
+    truncation."""
+    n = draw(st.integers(0, 4))
+    head = bytearray(b"EVDN" + struct.pack("<BHHQ", 1, 6, 5, n))
+    recs = [bytearray(struct.pack("<QHHB", 10 * i, i % 6, i % 5, i % 2))
+            for i in range(n)]
+    tail = b""
+    for _ in range(draw(st.integers(1, 2))):
+        op = draw(st.sampled_from(["magic", "version", "count", "geometry",
+                                   "polarity", "t", "append"]))
+        rec = draw(st.sampled_from(recs)) if recs else bytearray(13)
+        if op == "magic":
+            head[:4] = draw(st.sampled_from([b"EVDM", b"evdn", b"\0" * 4]))
+        elif op == "version":
+            head[4] = draw(st.sampled_from([0, 2, 255]))
+        elif op == "count":
+            head[9:17] = struct.pack("<Q", draw(st.sampled_from(
+                [0, n + 1, max(n - 1, 0), 2**63, 2**64 - 1])))
+        elif op == "geometry":
+            head[5:9] = struct.pack("<HH", *draw(st.tuples(
+                st.sampled_from([0, 1, 65535]),
+                st.sampled_from([0, 1, 65535]))))
+        elif op == "polarity":
+            rec[12] = draw(st.integers(2, 255))
+        elif op == "t":
+            rec[:8] = struct.pack("<Q", draw(st.sampled_from(
+                [2**63, 2**64 - 1, 2**63 - 1])))
+        else:
+            tail += draw(st.binary(min_size=1, max_size=14))
+    data = bytes(head) + b"".join(recs) + tail
+    if draw(st.booleans()):
+        data = data[:draw(st.integers(0, len(data)))]
+    return data
+
+
+_PRIOR_TOKENS = ["1", "0", "-1", "0.5", "nan", "inf", "1e999", "1e-400",
+                 "99999999999999999999", "x", "", " ", "\n", "\xff", "3 2"]
+
+
+@st.composite
+def prior_text(draw):
+    """A 3x2 prior file, then up to four tokens put in or swapped in."""
+    lines = ["3 2", "1 0.5 0.25", "0 2 1"]
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, len(lines) - 1))
+        fields = lines[i].split(" ")
+        j = draw(st.integers(0, len(fields)))
+        token = draw(st.sampled_from(_PRIOR_TOKENS))
+        if draw(st.booleans()):
+            fields.insert(j, token)
+        else:
+            fields[min(j, len(fields) - 1)] = token
+        lines[i] = " ".join(fields)
+    if draw(st.booleans()):
+        del lines[draw(st.integers(0, len(lines) - 1))]
+    return "\n".join(lines).encode("utf-8", "surrogateescape")
+
+
+class TestHostileFiles:
+    """downsample exits 0 on a sound file and 3 on a malformed one, and
+    never shows a traceback; readers raise only EventFileError."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(binary_bytes())
+    @example(b"EVDN" + struct.pack("<BHHQ", 1, 0, 5, 0))
+    @example(b"EVDN" + struct.pack("<BHHQ", 1, 6, 5, 2)
+             + struct.pack("<QHHB", 0, 1, 1, 1)
+             + struct.pack("<QHHB", 2**63 - 1, 1, 1, 1))
+    def test_binary_stream(self, scratch, data):
+        path = scratch / "in.evb"
+        path.write_bytes(data)
+        error = file_error(read_events, path)
+        assert downsample_exit(["-i", str(path), "-o", str(scratch / "o.evb"),
+                                "-m", "uniform", "-a", "0.5"]) == (
+            3 if error else 0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(prior_text())
+    @example(b"3 0\n")
+    @example(b"99999999999999999999 2\n1 1 1\n1 1 1")
+    def test_prior(self, scratch, data):
+        stream = scratch / "prior_in.evb"
+        write_events(random_stream(np.random.default_rng(3),
+                                   SensorGeometry(3, 2), n=60), stream)
+        path = scratch / "prior.txt"
+        path.write_bytes(data)
+        error = file_error(evio.read_prior, path, SensorGeometry(3, 2))
+        assert downsample_exit(["-i", str(stream), "-o", str(scratch / "o.evb"),
+                                "-m", "poisson", "-a", "0.5", "--window-us",
+                                "500", "--prior", str(path)]) == (
+            3 if error else 0)
 
 
 # ---------------------------------------------------------------- writing
@@ -381,3 +597,181 @@ class TestLogWriterMemory:
         finally:
             tracemalloc.stop()
         assert peak / n < 8
+
+
+# ---------------------------------------------------------- decision logs
+
+def loop_log(path):
+    """What the line loop alone makes of a decision log: its columns or
+    its message."""
+    try:
+        return evio._parse_log_lines(path)
+    except EventFileError as exc:
+        return str(exc)
+
+
+def read_log_result(path):
+    try:
+        log = read_log(path)
+    except EventFileError as exc:
+        return str(exc)
+    return log.t, log.window, log.code, log.probability
+
+
+def assert_logs_equal(got, want):
+    """Columns, dtypes and probability bits equal, or the same message."""
+    if isinstance(want, str):
+        assert got == want
+        return
+    assert not isinstance(got, str), got
+    for g, w, dtype in zip(got, want,
+                           [np.int64, np.int64, np.uint8, np.float64]):
+        assert g.dtype == w.dtype == dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def log_columns(log):
+    return log.t, log.window, log.code, log.probability
+
+
+_LOG_TOKENS = ["-", "+", "_", " ", "0x1p-3", "inf", "-inf", "NaN", "nan",
+               "-nan", "1e5", "1E5", "1e+05", ".5", "5.", "1e", "e+5", "0.1",
+               "\r", "\r\n", "\n", ",", "A", "S", "C", "X", "0", "9",
+               "9223372036854775808", "-9223372036854775809",
+               "00000000000000000000000000001", "1.0000000000000000000000001",
+               "\xff", "\x00"]
+EDGE_PROBS = [-0.0, 0.0, math.ulp(0.0), 1e-310, 2.2250738585072014e-308,
+              math.nextafter(2.2250738585072014e-308, 0.0),
+              math.nextafter(1.0, 0.0), 1.0, math.nan, math.inf, -math.inf,
+              0.1, 1e16, 1e-5, 1 / 3, -2.5e-300, 1.7976931348623157e308]
+
+
+@st.composite
+def mutated_logs(draw):
+    """A decision log as write_log writes it, then up to five edits: tokens
+    put in or swapped in, bytes dropped, two rows swapped (an index out of
+    sequence), CRLF line ends or no final newline."""
+    n = draw(st.integers(0, 6))
+    ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-20, 20))
+    log = DecisionLog(
+        np.array(draw(st.lists(ints, min_size=n, max_size=n)), np.int64),
+        np.array(draw(st.lists(ints, min_size=n, max_size=n)), np.int64),
+        np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                 np.uint8),
+        np.array(draw(st.lists(st.one_of(st.sampled_from(EDGE_PROBS),
+                                         st.floats()),
+                               min_size=n, max_size=n)), np.float64))
+    data = bytearray(oracle_log(log))
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from(["insert", "replace", "delete", "swap",
+                                   "crlf", "chop"]))
+        at = draw(st.integers(0, len(data)))
+        token = draw(st.sampled_from(_LOG_TOKENS)).encode("latin-1")
+        if op == "insert":
+            data[at:at] = token
+        elif op == "replace":
+            data[at:at + len(token)] = token
+        elif op == "delete":
+            del data[at:at + draw(st.integers(1, 3))]
+        elif op == "swap":
+            lines = data.split(b"\n")
+            i = draw(st.integers(1, len(lines) - 1)) if len(lines) > 1 else 0
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+            data = bytearray(b"\n".join(lines))
+        elif op == "crlf":
+            data = bytearray(data.replace(b"\n", b"\r\n"))
+        else:
+            data = data.rstrip(b"\n")
+    return bytes(data)
+
+
+def assert_compiled_takes(path, cap_walk):
+    """On the compiled path, the compiled parser reads what write_log
+    wrote, rather than leaving it to the line loop."""
+    if cap_walk == "compiled":
+        data = path.read_bytes()
+        assert capwalk.parse_log(data, data.index(b"\n") + 1) is not None
+
+
+class TestLogParser:
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_logs())
+    @example(b"index,t,window,code,p\r\n0,-0,+1,A,1e5\r\n1,2,3,S,0x1p-3")
+    @example(b"index,t,window,code,p\n0,1,1,A,NaN\n1,1,1,C,-nan\n2,1,1,S,5.")
+    @example(b"index,t,window,code,p\n0,1,1,A,0.1\n2,1,1,A,0.1\n")
+    @example(b"index,t,window,code,p\n0,99999999999999999999,1,A,0.1\n")
+    def test_matches_loop_on_both_paths(self, scratch, data):
+        """read_log gives the line loop's columns bit for bit, or its exact
+        message, with the compiled kernels and without them; where the
+        compiled parser takes a file, it gives the loop's columns too."""
+        path = scratch / "log.csv"
+        path.write_bytes(data)
+        want = loop_log(path)
+        header = data[:data.find(b"\n") + 1]
+        if header in evio._LOG_FAST_HEADERS:
+            got = capwalk.parse_log(data, len(header))
+            if got is not None:
+                assert_logs_equal(got, want)
+        assert_logs_equal(read_log_result(path), want)
+        with pytest.MonkeyPatch.context() as mp:
+            force_python_walk(mp)
+            assert capwalk.parse_log(data, len(header)) is None
+            assert_logs_equal(read_log_result(path), want)
+
+    @pytest.mark.parametrize("method", ["deterministic", "uniform", "poisson"])
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_round_trip_of_each_method(self, tmp_path, cap_walk, method, cap):
+        s = random_stream(np.random.default_rng(5), n=700)
+        _, _, log = run(s, method,
+                        SamplerConfig(alpha=0.2, seed=3, cap_enabled=cap))
+        path = tmp_path / "log.csv"
+        write_log(log, path)
+        assert_compiled_takes(path, cap_walk)
+        assert_logs_equal(read_log_result(path), log_columns(log))
+
+    @pytest.mark.parametrize("block", [1, 7, 1 << 14])
+    def test_round_trip_of_edge_values(self, tmp_path, cap_walk, monkeypatch,
+                                       block):
+        """Blocks of 1 and 7 rows resume the compiled parser at a line
+        boundary and convert each block's texts apart."""
+        monkeypatch.setattr(capwalk, "_BLOCK", block)
+        n = 3 * len(EDGE_PROBS)
+        log = DecisionLog(
+            np.array([-2**63, 2**63 - 1, -1, 0] * n, np.int64)[:n],
+            np.arange(n, dtype=np.int64) - 5, np.arange(n, dtype=np.uint8) % 3,
+            np.array(EDGE_PROBS * 3))
+        path = tmp_path / "log.csv"
+        write_log(log, path)
+        assert_compiled_takes(path, cap_walk)
+        assert_logs_equal(read_log_result(path), log_columns(log))
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")[:-2])
+        assert_compiled_takes(path, cap_walk)
+        assert_logs_equal(read_log_result(path), log_columns(log))
+
+    @pytest.mark.parametrize("text,taken", [
+        ("0.1", True), ("-0.0", True), ("5e-324", True), ("1e+16", True),
+        ("1e-05", True), ("nan", True), ("inf", True), ("-inf", True),
+        ("1.7976931348623157e+308", True), ("-2.2250738585072014e-308", True),
+        ("1e5", False), ("1E+05", False), ("NaN", False), ("Inf", False),
+        ("infinity", False), ("0x1p-3", False), ("1_0.5", False),
+        (" 0.1", False), ("0.1 ", False), ("+0.1", False), (".5", False),
+        ("5.", False), ("1e", False), ("-", False), ("", False),
+        ("0.10000000000000000000000", False),   # 25 bytes
+    ])
+    def test_probability_grammar(self, text, taken):
+        """The compiled parser takes p only as repr writes it; the line loop
+        reads every other text, or names its line."""
+        needs_compiled()
+        head = b"index,t,window,code,p\n"
+        got = capwalk.parse_log(head + f"0,1,1,A,{text}\n".encode(), len(head))
+        assert (got is not None) == taken
+        if taken:
+            assert got[3].tobytes() == np.array([float(text)]).tobytes()
+
+    def test_empty(self, tmp_path, cap_walk):
+        log = DecisionLog(np.empty(0, np.int64), np.empty(0, np.int64),
+                          np.empty(0, np.uint8), np.empty(0))
+        path = tmp_path / "log.csv"
+        write_log(log, path)
+        assert_logs_equal(read_log_result(path), log_columns(log))
