@@ -21,6 +21,7 @@ the same bits on every host and on either of its paths, compiled or Python.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +34,12 @@ from .events import EventStream, SensorGeometry
 # would break strict-bound guarantees downstream.
 _P_LO = np.nextafter(0.0, 1.0)
 _P_HI = np.nextafter(1.0, 0.0)
+
+# Occupancy of the integer counts 0..37, from libm's scalar expm1 (numpy's
+# vector expm1 does not round alike on every CPU).  -expm1(-37) is already
+# one ulp below 1 and every larger count clamps to that value, so
+# min(count, 37) indexes the table for every count.
+_OCCUPANCY = np.array([min(-math.expm1(-float(k)), _P_HI) for k in range(38)])
 
 
 @dataclass(frozen=True)
@@ -168,17 +175,28 @@ def poisson_occupancy(density: DensityMap) -> OccupancyMap:
 
     Computed as -expm1(-lam) for accuracy at small counts.  Zero counts map
     to exactly 0; occupancy is strictly below 1 for finite counts (values
-    saturate at one ulp below 1 once lam exceeds about 37).
+    saturate at one ulp below 1 from lam = 37 on).  Integer counts are the
+    same bits on every host (see occupancy_values).
     """
     return OccupancyMap(density.geometry, occupancy_values(density.counts),
                         density.window_id)
 
 
 def occupancy_values(counts) -> np.ndarray:
-    """Occupancy 1 - exp(-lam) of counts of any shape (see poisson_occupancy)."""
-    counts = np.asarray(counts, dtype=np.float64)
+    """Occupancy 1 - exp(-lam) of counts of any shape (see poisson_occupancy).
+
+    When every count is a whole number, of an integer or a float dtype, the
+    values come from a 38-entry table built with libm's ``expm1``, so they
+    are the same bits on every host.  Other counts take numpy's ``expm1``.
+    """
+    counts = np.asarray(counts)
+    if counts.dtype.kind not in "iu":
+        counts = counts.astype(np.float64)
     if np.any(counts < 0) or not np.all(np.isfinite(counts)):
         raise ValueError("density counts must be finite and nonnegative")
+    k = np.minimum(counts, _OCCUPANCY.size - 1)
+    if k.dtype.kind in "iu" or np.array_equal(k, np.trunc(k)):
+        return _OCCUPANCY[k.astype(np.intp)]
     # exp(-lam) underflows past lam ~ 37 and the result would round to
     # exactly 1.0; clamp to keep the stated half-open range.
     return np.minimum(-np.expm1(-counts), _P_HI)

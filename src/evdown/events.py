@@ -246,6 +246,18 @@ def first_violations(t, x, y, geometry: SensorGeometry | None = None):
     return ordering, bounds
 
 
+def window_spans(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nonempty windows of a sorted, nonempty array of window ids.
+
+    Returns ``(ids, bounds)``: window ``ids[k]`` holds the events
+    ``bounds[k]:bounds[k + 1]``.  Found between the windows' first events,
+    so the cost follows the events, not the time they span: a stream can
+    span 2**63 us, nearly all of it empty windows.
+    """
+    first = np.append(0, np.flatnonzero(windows[1:] != windows[:-1]) + 1)
+    return windows[first], np.append(first, windows.size)
+
+
 def stream_duration(stream: EventStream) -> int:
     """Span in microseconds from first to last event; 0 for empty streams."""
     if len(stream) == 0:

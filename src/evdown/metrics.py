@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMap
-from .events import EventLabel, EventStream
+from .events import EventLabel, EventStream, window_spans
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,13 @@ def retention_ratio(original: EventStream, downsampled: EventStream,
     t0 = int(original.t[0])
     w_orig = (original.t - t0) // window_us + 1
     w_down = (downsampled.t - t0) // window_us + 1
-    wmax = int(w_orig[-1])
-    n_orig = np.bincount(w_orig, minlength=wmax + 1)
-    n_down = np.bincount(w_down, minlength=wmax + 1)
+    ids, bounds = window_spans(w_orig)
+    w_down = np.sort(w_down)
+    n_down = (np.searchsorted(w_down, ids, side="right")
+              - np.searchsorted(w_down, ids, side="left"))
     per_window = tuple(
-        WindowRetention(int(w), int(n_orig[w]), int(n_down[w]))
-        for w in range(1, wmax + 1) if n_orig[w] > 0)
+        WindowRetention(w, n, k) for w, n, k in zip(
+            ids.tolist(), np.diff(bounds).tolist(), n_down.tolist()))
     return RetentionReport(overall=len(downsampled) / len(original),
                            per_window=per_window)
 

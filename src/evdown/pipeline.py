@@ -37,7 +37,8 @@ import numpy as np
 from .capwalk import cap_walk
 from .density import (DensityMap, ScoreMap, occupancy_values,
                       poisson_occupancy, score_map, sparse_scores)
-from .events import EventStream, SensorGeometry, first_violations
+from .events import (EventStream, SensorGeometry, first_violations,
+                     window_spans)
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
@@ -105,7 +106,8 @@ class DecisionLog:
 
     code is a DecisionCode value.  probability is the acceptance probability
     the sampler used (or would have used, for cap rejections); NaN for the
-    deterministic method, which draws nothing.
+    deterministic method, which draws nothing.  ``t`` may share the input
+    stream's read-only timestamp buffer.
     """
 
     t: np.ndarray
@@ -184,37 +186,39 @@ def _require_valid(stream: EventStream) -> None:
                          f"{geo.width}x{geo.height} sensor")
 
 
-def _scored_probabilities(stream: EventStream, windows: np.ndarray,
+def _scored_probabilities(stream: EventStream, ids: np.ndarray,
+                          bounds: np.ndarray,
                           config: SamplerConfig) -> tuple[np.ndarray, float]:
     """Each event's density-adaptive probability, and the seconds spent
     scoring: alpha in window 1, else the sparse map frozen from the
-    previous window."""
+    previous window.
+
+    Each window's events are sorted once: the distinct pixels and their
+    counts freeze the next window's map, and the inverse spreads this
+    window's lookup, done over its distinct pixels only, to its events.
+    """
+    tp0 = time.perf_counter()
     geo = stream.geometry
-    n = len(stream)
-    p = np.empty(n)
-    pdf_s = 0.0
-    flat_idx = stream.y * geo.width + stream.x
-    uniq, starts = np.unique(windows, return_index=True)
-    ends = np.append(starts[1:], n)
-    prev_wid = 0
-    prev_slice = slice(0, 0)
-    for wid, i0, i1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
+    p = np.empty(len(stream))
+    flat = stream.y * geo.width + stream.x
+    # After an empty window no pixel is active and every pixel shares one
+    # score; a stale map is never carried over.
+    idle = (np.empty(0, np.int64), np.empty(0, np.int64))
+    closed, prev_wid = idle, 0
+    for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
+                           bounds[1:].tolist()):
+        pixels, inverse, counts = np.unique(
+            flat[i0:i1], return_inverse=True, return_counts=True)
         if wid == 1:
             p[i0:i1] = config.alpha
         else:
-            tp0 = time.perf_counter()
-            # After an empty window no pixel is active and every pixel
-            # shares one score; a stale map is never carried over.
-            closed = slice(0, 0) if prev_wid < wid - 1 else prev_slice
-            active, counts = np.unique(flat_idx[closed], return_counts=True)
-            frozen = sparse_scores(geo, active, occupancy_values(counts),
+            active, active_counts = closed if prev_wid == wid - 1 else idle
+            frozen = sparse_scores(geo, active, occupancy_values(active_counts),
                                    config.alpha, config.theta, config.prior,
                                    window_id=wid - 1)
-            p[i0:i1] = frozen.lookup(flat_idx[i0:i1])
-            pdf_s += time.perf_counter() - tp0
-        prev_wid = wid
-        prev_slice = slice(i0, i1)
-    return p, pdf_s
+            p[i0:i1] = frozen.lookup(pixels)[inverse]
+        closed, prev_wid = (pixels, counts), wid
+    return p, time.perf_counter() - tp0
 
 
 def run(stream: EventStream, method: str,
@@ -249,6 +253,7 @@ def run(stream: EventStream, method: str,
     t = stream.t
     t0 = int(t[0])
     windows = (t - t0) // config.t_us + 1
+    ids, bounds = window_spans(windows)
     # Scoring never depends on decisions (a frozen map counts every event
     # of its window, accepted or not), so every event's probability is
     # known before the cap walk starts.
@@ -263,7 +268,7 @@ def run(stream: EventStream, method: str,
         if method == "uniform" or alpha == 1.0:
             p = np.full(n, alpha)
         else:
-            p, pdf_s = _scored_probabilities(stream, windows, config)
+            p, pdf_s = _scored_probabilities(stream, ids, bounds, config)
         probs = p
 
     te0 = time.perf_counter()
@@ -277,17 +282,12 @@ def run(stream: EventStream, method: str,
 
     accepted_idx = np.nonzero(codes == _ACCEPT)[0]
     capped_n = int(np.count_nonzero(codes == _REJ_CAP))
-    # Counted between the windows' first events (windows is sorted), so
-    # the cost follows the events, not the time they span: a stream can
-    # span 2**63 us, nearly all of it empty windows.
-    first = np.append(0, np.flatnonzero(windows[1:] != windows[:-1]) + 1)
-    bounds = np.append(first, n)
     per_window = tuple(zip(
-        windows[first].tolist(), np.diff(bounds).tolist(),
+        ids.tolist(), np.diff(bounds).tolist(),
         np.diff(np.searchsorted(accepted_idx, bounds)).tolist()))
 
     out = stream.subset(accepted_idx)
-    log = DecisionLog(t.copy(), windows, codes, probs)
+    log = DecisionLog(t, windows, codes, probs)
     stats = RunStats(
         method=method, alpha=alpha, seed=config.seed,
         processed=n, retained=accepted_idx.size, capped=capped_n,

@@ -261,6 +261,17 @@ class TestMetrics:
                      "--downsampled", str(stranger), "--out", "-"]) == 3
 
 
+    def test_span_of_2_63_us_exit_0(self, tmp_path, capsys):
+        """Timestamps 0 and 2**63 - 1: two windows, not one per 6 ms."""
+        wide = tmp_path / "wide.csv"
+        write_events(make_stream(SensorGeometry(2, 2),
+                                 [(0, 0, 0, 1), (2**63 - 1, 1, 1, 0)]), wide)
+        assert main(["metrics", "--original", str(wide),
+                     "--downsampled", str(wide), "--out", "-"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["per_window_ratios"] == [1.0, 1.0]
+
+
 class TestBench:
     def test_report(self, scene_csv, capsys):
         assert main(["bench", "--input", str(scene_csv), "--method",

@@ -78,6 +78,53 @@ class TestPoissonOccupancy:
             poisson_occupancy(DensityMap(GEO4, np.full((4, 4), np.nan)))
 
 
+def bits(values):
+    return np.asarray(values, np.float64).view(np.int64).tolist()
+
+
+OCCUPANCY_TABLE = [min(-math.expm1(-float(k)), math.nextafter(1.0, 0.0))
+                   for k in range(38)]
+
+
+class TestOccupancyTable:
+    """Whole-number counts read a table built with libm's expm1, so their
+    occupancy is the same bits on every host."""
+
+    def test_table_is_libm_expm1(self):
+        from evdown.density import _OCCUPANCY
+        assert bits(_OCCUPANCY) == bits(OCCUPANCY_TABLE)
+        assert _OCCUPANCY[36] < _OCCUPANCY[37] == math.nextafter(1.0, 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.uint32, np.float64])
+    def test_integer_counts_read_the_table(self, dtype):
+        k = np.arange(100_001)
+        want = np.array(OCCUPANCY_TABLE)[np.minimum(k, 37)]
+        assert bits(occupancy_values(k.astype(dtype))) == bits(want)
+
+    def test_counts_past_int64_saturate(self):
+        counts = np.array([2**64 - 1, 38, 0], np.uint64)
+        assert bits(occupancy_values(counts)) == bits(
+            [OCCUPANCY_TABLE[37], OCCUPANCY_TABLE[37], 0.0])
+        assert bits(occupancy_values([1e300])) == bits([OCCUPANCY_TABLE[37]])
+
+    @pytest.mark.parametrize("counts", [[0.5], [2.25], [36.5, 0.0],
+                                        [1.0, 2.0, 0.5], [5e-324, 3.0]])
+    def test_fractional_counts_keep_numpy_expm1(self, counts):
+        counts = np.array(counts)
+        want = np.minimum(-np.expm1(-counts), np.nextafter(1.0, 0.0))
+        assert bits(occupancy_values(counts)) == bits(want)
+
+    def test_shape_kept(self):
+        counts = np.arange(12).reshape(3, 4)
+        assert occupancy_values(counts).shape == (3, 4)
+        assert occupancy_values(np.int64(2)) == OCCUPANCY_TABLE[2]
+        assert occupancy_values(np.empty(0, np.int64)).shape == (0,)
+
+    def test_negative_integer_counts_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            occupancy_values(np.array([3, -1]))
+
+
 class TestMinmaxNormalize:
     def test_known_values(self):
         """{0, 2, 8} -> {0, 0.25, 1}."""

@@ -48,6 +48,33 @@ class TestRetentionRatio:
         assert report.per_window_ratios == [0.4, 0.2]
         assert report.overall == pytest.approx(5 / 15)
 
+    def test_window_counts_follow_events_not_span(self):
+        """Timestamps 0 and 2**63 - 1 span about 1.5e15 windows; a count
+        per window in the span fails with MemoryError."""
+        s = make_stream(GEO, [(0, 0, 0, 1), (2**63 - 1, 1, 1, 0)])
+        report = retention_ratio(s, s.subset([1]))
+        assert [(w.window_id, w.originals, w.retained)
+                for w in report.per_window] == [
+                    (1, 1, 0), ((2**63 - 1) // 6000 + 1, 1, 1)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_count_over_every_window(self, seed):
+        """Against a count over every window id of the span."""
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 300))
+        t = np.sort(rng.integers(0, 40_000, n)) + int(rng.integers(0, 10**6))
+        s = make_stream(GEO, [(int(v), 0, 0, 1) for v in t])
+        keep = np.flatnonzero(rng.random(n) < rng.random())
+        window_us = int(rng.choice([1, 7, 1000, 6000]))
+        report = retention_ratio(s, s.subset(keep), window_us=window_us)
+        w = (t - t[0]) // window_us + 1
+        n_orig = np.bincount(w)
+        n_down = np.bincount(w[keep], minlength=n_orig.size)
+        assert [(r.window_id, r.originals, r.retained)
+                for r in report.per_window] == [
+                    (k, int(n_orig[k]), int(n_down[k]))
+                    for k in range(1, n_orig.size) if n_orig[k]]
+
 
 class TestMatchEvents:
     def test_stable_matching_with_duplicate_timestamps(self):

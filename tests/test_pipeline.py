@@ -358,6 +358,19 @@ class TestHugeSpan:
         assert sum(retained) == stats.retained
 
 
+class TestDecisionLogTimestamps:
+    @pytest.mark.parametrize("method", ["deterministic", "uniform", "poisson"])
+    def test_log_t_is_the_streams_read_only_buffer(self, method):
+        """The log shares the stream's timestamps instead of copying them."""
+        s = random_stream(np.random.default_rng(3), n=300)
+        _, _, log = run(s, method, SamplerConfig(alpha=0.3, seed=2))
+        assert not log.t.flags.writeable
+        assert np.shares_memory(log.t, s.t)
+        assert np.array_equal(log.t, s.t)
+        with pytest.raises(ValueError):
+            log.t[0] = 1
+
+
 class TestCapWalkMemory:
     def test_uniform_capped_run_allocates_no_per_event_objects(self,
                                                                 cap_walk):
