@@ -19,8 +19,8 @@ from .evio import (EventFileError, detect_format, read_events, read_log,
                    write_stats)
 from .metrics import (RetentionReport, SelectivityReport, density_divergence,
                       match_events, retention_ratio, selectivity)
-from .pipeline import (METHODS, DecisionLog, RunStats, WindowState, rollover,
-                       run, timing_probe)
+from .pipeline import (METHODS, DecisionLog, Downsampler, RunStats,
+                       WindowState, rollover, run, timing_probe)
 from .samplers import (BudgetState, Decision, DecisionCode, SamplerConfig,
                        acceptance_window_us, cap_check, capped,
                        deterministic_accept, scored_accept, uniform_accept)

@@ -52,20 +52,24 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
+/* Events k0 .. k0 + n - 1 of a walk that has retained so far; *used
+   receives the draws taken from u. */
 int64_t cap_walk(const double *p, const double *u, int64_t n, double alpha,
-                 uint8_t *codes)
+                 int64_t k0, int64_t retained, uint8_t *codes, int64_t *used)
 {
-    int64_t retained = 0, di = 0;
-    for (int64_t k = 0; k < n; k++) {
+    int64_t di = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t k = k0 + i;
         double budget = alpha * (double)k;
         if (k && (double)retained > budget)
-            codes[k] = 2;
-        else if ((u ? u[di++] : 0.0) < p[k]) {
-            codes[k] = 0;
+            codes[i] = 2;
+        else if ((u ? u[di++] : 0.0) < p[i]) {
+            codes[i] = 0;
             retained++;
         } else
-            codes[k] = 1;
+            codes[i] = 1;
     }
+    *used = di;
     return retained;
 }
 
@@ -243,8 +247,10 @@ _REPR_WIDTH = 24  # REPR_WIDTH in the C source
 
 
 def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
-             codes: np.ndarray) -> int:
-    """Run the capped decision walk over a whole stream; return retained.
+             codes: np.ndarray, k0: int = 0,
+             retained0: int = 0) -> tuple[int, int]:
+    """Run the capped decision walk over events ``k0 .. k0 + len(p) - 1``
+    of a stream; return ``(retained, draws_used)``.
 
     ``p`` holds each event's acceptance probability.  With ``draws`` the
     walk is stochastic: each event the cap lets through takes the next
@@ -254,7 +260,13 @@ def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
     ``codes`` (uint8, one per event) receives the DecisionCode values:
     0 accept, 1 sampler reject, 2 cap.
 
-    Raises ValueError when the arrays do not fit each other.
+    The walk resumes one that has passed ``k0`` events and kept
+    ``retained0`` of them; ``retained`` counts from there.  Two walks, the
+    second given the first's ``retained``, its ``k0 + len(p)`` and the
+    draws it left unused, decide exactly as one walk over both parts.
+
+    Raises ValueError when the arrays do not fit each other or the resume
+    point is impossible.
     """
     p = np.ascontiguousarray(p, dtype=np.float64)
     if p.ndim != 1:
@@ -268,12 +280,19 @@ def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
             or not codes.flags.c_contiguous or not codes.flags.writeable):
         raise ValueError(f"codes must be a writable contiguous uint8 array "
                          f"of length {n}")
+    k0, retained0 = int(k0), int(retained0)
+    if not 0 <= retained0 <= k0:
+        raise ValueError(f"cannot resume after {k0} events with {retained0} "
+                         f"retained")
     kernel = _kernel()
     if kernel is None:
-        return _walk_python(p, draws, alpha, codes)
-    return kernel.cap_walk(p.ctypes.data,
-                           None if draws is None else draws.ctypes.data,
-                           n, alpha, codes.ctypes.data)
+        return _walk_python(p, draws, alpha, codes, k0, retained0)
+    used = ctypes.c_int64()
+    retained = kernel.cap_walk(p.ctypes.data,
+                               None if draws is None else draws.ctypes.data,
+                               n, alpha, k0, retained0, codes.ctypes.data,
+                               ctypes.byref(used))
+    return retained, used.value
 
 
 def expit(x):
@@ -357,8 +376,8 @@ def implementation() -> str:
     return "python" if _kernel() is None else "compiled"
 
 
-def _walk_python(p, draws, alpha, codes) -> int:
-    retained = 0
+def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
+    retained = retained0
     di = 0
     for i0 in range(0, p.shape[0], _BLOCK):
         pv = p[i0:i0 + _BLOCK].tolist()
@@ -366,7 +385,7 @@ def _walk_python(p, draws, alpha, codes) -> int:
         uv = ([0.0] * len(pv) if draws is None
               else draws[di:di + len(pv)].tolist())
         j = 0
-        k = i0
+        k = k0 + i0
         block = []
         append = block.append
         for pk in pv:
@@ -383,7 +402,7 @@ def _walk_python(p, draws, alpha, codes) -> int:
             k += 1
         codes[i0:i0 + len(pv)] = block
         di += j
-    return retained
+    return retained, 0 if draws is None else di
 
 
 def _text(data: bytes, start: int) -> tuple[int, int, int]:
@@ -428,7 +447,8 @@ def _kernel():
     if lib is not None:
         lib.cap_walk.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
                                  ctypes.c_int64, ctypes.c_double,
-                                 ctypes.c_void_p)
+                                 ctypes.c_int64, ctypes.c_int64,
+                                 ctypes.c_void_p, ctypes.c_void_p)
         lib.cap_walk.restype = ctypes.c_int64
         lib.expit.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
                               ctypes.c_int64)

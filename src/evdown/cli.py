@@ -8,22 +8,32 @@ original), bench (time the pipeline phases and name the cap walk that ran,
 Exit codes: 0 success, 2 bad arguments, 3 malformed input file, 4 I/O
 failure.  Stochastic seeds come from --seed, falling back to the
 EVDOWN_SEED environment variable, then 0.
+
+downsample streams: it reads a binary input _CHUNK_EVENTS records at a
+time (a CSV input is read whole, then sliced alike), decides each chunk
+and appends its kept events and log rows to files that replace the
+output paths only once the whole input has been read and checked.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import statistics
 import sys
 
 from . import capwalk
 from .density import SigmoidParams
-from .evio import (EventFileError, read_events, read_prior, report_doc,
-                   write_events, write_json_doc, write_log, write_stats)
+# write_log is not called here; it stays importable from this module for
+# tools that wrap the evio calls the CLI names.
+from .evio import (BinaryEvents, EventFileError, EventWriter, LogWriter,
+                   detect_format, output_format, read_events, read_prior,
+                   replacing, report_doc, write_events, write_json_doc,
+                   write_log, write_stats)
 from .events import SensorGeometry
 from .metrics import retention_ratio, selectivity
-from .pipeline import METHODS, run
+from .pipeline import METHODS, Downsampler, run
 from .samplers import SamplerConfig
 from .synth import EdgeSpec, SceneSpec, generate
 
@@ -129,6 +139,22 @@ def _check_window(value: int, flag: str) -> int:
     return value
 
 
+_CHUNK_EVENTS = 1 << 16   # events per chunk; bounds downsample's memory
+
+
+def _chunks(path, fmt: str):
+    """The input's geometry, whether it is labeled, and its events as
+    checked streams of up to _CHUNK_EVENTS events."""
+    if (detect_format(path) if fmt == "auto" else fmt) == "binary":
+        source = BinaryEvents(path)
+        return source.geometry, False, source.blocks(_CHUNK_EVENTS)
+    # CSV carries no geometry: it is inferred from the whole file.
+    stream = read_events(path, fmt="csv")
+    return stream.geometry, stream.is_labeled, (
+        stream[i:i + _CHUNK_EVENTS]
+        for i in range(0, len(stream), _CHUNK_EVENTS))
+
+
 def cmd_downsample(args) -> int:
     config_kwargs = dict(
         alpha=_check_alpha(args.alpha),
@@ -138,15 +164,24 @@ def cmd_downsample(args) -> int:
         seed=_resolve_seed(args.seed),
         cap_enabled=not args.no_cap,
     )
-    stream = read_events(args.input, fmt=args.format)
+    geometry, labeled, chunks = _chunks(args.input, args.format)
     if args.prior:
-        config_kwargs["prior"] = read_prior(args.prior, stream.geometry)
-    out, stats, log = run(stream, args.method, SamplerConfig(**config_kwargs))
-    write_events(out, args.output)
+        config_kwargs["prior"] = read_prior(args.prior, geometry)
+    sampler = Downsampler(geometry, args.method, SamplerConfig(**config_kwargs))
+    with contextlib.ExitStack() as files:
+        kept = EventWriter(files.enter_context(replacing(args.output)),
+                           output_format(args.output), geometry, labeled)
+        log = (LogWriter(files.enter_context(replacing(args.log)))
+               if args.log else None)
+        for chunk in chunks:
+            out, log_part = sampler.push(chunk)
+            kept.write(out)
+            if log is not None:
+                log.write(log_part)
+        kept.finish()
+    stats = sampler.close()
     if args.stats:
         write_stats(stats, sys.stdout if args.stats == "-" else args.stats)
-    if args.log:
-        write_log(log, args.log)
     print(f"downsample: kept {stats.retained}/{stats.processed} events "
           f"(ratio {stats.ratio:.4f}, {stats.capped} capped)", file=sys.stderr)
     return 0

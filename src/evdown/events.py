@@ -13,7 +13,7 @@ from enum import IntEnum
 
 import numpy as np
 
-_MAX_PIXELS = int(np.iinfo(np.int64).max)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class Polarity(IntEnum):
@@ -39,7 +39,7 @@ class SensorGeometry:
             raise ValueError(
                 f"sensor dimensions must be >= 1, got {self.width}x{self.height}"
             )
-        if int(self.width) * int(self.height) > _MAX_PIXELS:
+        if int(self.width) * int(self.height) > _INT64_MAX:
             raise ValueError(
                 f"sensor {self.width}x{self.height} has more pixels than the "
                 f"signed 64-bit range holds")
@@ -133,7 +133,20 @@ class EventStream:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def __getitem__(self, i: int) -> Event:
+    def __getitem__(self, i):
+        """The event at index ``i``, or for a slice the events in it as a
+        stream, every column (labels, edge ids, source_index) carried.
+
+        A slice shares this stream's read-only columns instead of copying
+        them, and needs no checks: every slice of a valid stream is one.
+        """
+        if isinstance(i, slice):
+            piece = object.__new__(EventStream)
+            piece.geometry = self.geometry
+            for name in self.__slots__[1:]:
+                col = getattr(self, name)
+                setattr(piece, name, None if col is None else col[i])
+            return piece
         return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]),
                      Polarity(int(self.p[i])))
 
@@ -160,14 +173,19 @@ class EventStream:
                    [e.y for e in events],
                    [int(e.p) for e in events])
 
-    def subset(self, indices) -> "EventStream":
+    def subset(self, indices, offset: int = 0) -> "EventStream":
         """Select events by index, recording the indices as source_index.
 
         Labels and edge ids are carried along when present.  If this stream
-        is itself a subset, source_index composes through to the original.
+        is itself a subset, source_index composes through to the original;
+        otherwise it records ``offset + indices``, the indices in a longer
+        stream of which this one is a piece starting at ``offset``.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        src = indices if self.source_index is None else self.source_index[indices]
+        if self.source_index is not None:
+            src = self.source_index[indices]
+        else:
+            src = indices + offset if offset else indices
         return EventStream(
             self.geometry,
             self.t[indices], self.x[indices], self.y[indices], self.p[indices],
@@ -228,11 +246,14 @@ def validate_stream(stream: EventStream, max_violations: int = 10) -> Validation
     return ValidationReport(ok=not found, violations=tuple(found))
 
 
-def first_violations(t, x, y, geometry: SensorGeometry | None = None):
+def first_violations(t, x, y, geometry: SensorGeometry | None = None,
+                     before: int | None = None):
     """Return (ordering, bounds): the index of the first event whose
     timestamp is smaller than its predecessor's, and of the first event
     outside ``geometry``.  Either is None when no event offends; bounds is
-    always None without a geometry."""
+    always None without a geometry.  For a piece of a longer stream,
+    ``before`` is the timestamp of the event ahead of it, and ordering is
+    0 when the piece's first event is earlier."""
     def first(mask):
         i = int(np.argmax(mask)) if mask.size else 0
         return i if mask.size and mask[i] else None
@@ -240,6 +261,8 @@ def first_violations(t, x, y, geometry: SensorGeometry | None = None):
     ordering = first(np.diff(t) < 0)
     if ordering is not None:
         ordering += 1
+    if before is not None and len(t) and t[0] < before:
+        ordering = 0
     bounds = None
     if geometry is not None:
         bounds = first((x >= geometry.width) | (y >= geometry.height))
@@ -256,6 +279,25 @@ def window_spans(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     first = np.append(0, np.flatnonzero(windows[1:] != windows[:-1]) + 1)
     return windows[first], np.append(first, windows.size)
+
+
+def window_ids(t: np.ndarray, t0: int, t_us: int,
+               top: int | None = None) -> np.ndarray:
+    """The tumbling window ``(t - t0) // t_us + 1`` of each timestamp, for
+    windows of ``t_us`` microseconds anchored at ``t0`` (window 1).
+    ``top`` is the largest timestamp, when the caller knows it.
+
+    Raises ValueError naming the limit when an id would pass 2**63 - 1,
+    the largest int64, which only a 1 us window over a span of 2**63 - 1
+    us reaches.
+    """
+    if t.size:
+        top = int(t.max()) if top is None else top
+        if (top - t0) // t_us >= _INT64_MAX:
+            raise ValueError(
+                f"window of t={top} would pass the window id limit 2**63 - 1 "
+                f"(windows of {t_us} us from t={t0})")
+    return (t - t0) // t_us + 1
 
 
 def stream_duration(stream: EventStream) -> int:

@@ -11,7 +11,11 @@ Two stream formats are supported:
   t u64, x u16, y u16, p u8.  Labels are not stored.
 
 Both formats round-trip every event field bit-exactly.  Writers emit a
-canonical encoding, so re-serializing a stream is byte-stable.
+canonical encoding, so re-serializing a stream is byte-stable.  A binary
+file can also be read block by block (:class:`BinaryEvents`), and a
+stream or decision log written piece by piece (:class:`EventWriter`,
+:class:`LogWriter`); every writer writes into a file made by
+:func:`replacing`, so a failed write leaves its path as it was.
 
 Event CSVs and decision logs are read by the compiled parsers of
 :mod:`evdown.capwalk`, which take exactly the rows the writers here emit.
@@ -23,8 +27,15 @@ comes from them.
 
 from __future__ import annotations
 
+import contextlib
+import errno
+import functools
 import json
+import os
+import shutil
+import stat
 import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -91,26 +102,86 @@ def write_events(stream: EventStream, path, fmt: str = "auto") -> None:
     CSV output includes the label column iff the stream is labeled.  Binary
     output drops labels (the format has no field for them).
     """
+    with replacing(path) as fh:
+        writer = EventWriter(fh, output_format(path, fmt), stream.geometry,
+                             stream.is_labeled)
+        writer.write(stream)
+        writer.finish()
+
+
+def output_format(path, fmt: str = "auto") -> str:
+    """The format write_events uses for path: fmt, or for "auto" CSV when
+    path ends in .csv and binary otherwise."""
     if fmt == "auto":
-        fmt = "csv" if str(path).endswith(".csv") else "binary"
-    if fmt == "csv":
-        _write_csv(stream, path)
-    elif fmt == "binary":
-        _write_binary(stream, path)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+        return "csv" if str(path).endswith(".csv") else "binary"
+    return fmt
 
 
-def _finish_stream(path, geometry, t, x, y, p, labels=None) -> EventStream:
-    """Shared ordering/bounds checks and geometry resolution for readers."""
+@functools.cache
+def _umask() -> int:
+    mask = os.umask(0o022)
+    os.umask(mask)
+    return mask
+
+
+@contextlib.contextmanager
+def replacing(path):
+    """A new binary file to write path's content into.  When the block
+    ends it takes path's place; when the block raises it is dropped and
+    path is left as it was.
+
+    The file is made beside path (beside its target, for a symbolic link)
+    and moved over it with os.replace, taking path's permission bits, or
+    those a newly created file would get; an existing path this process
+    may not write raises PermissionError, as opening it would.  A path
+    that exists but is no regular file (a device, a pipe) is written only
+    once the block ends, from a copy spooled to a temporary file.
+    """
+    dest = os.path.realpath(path)
+    try:
+        mode = os.stat(dest).st_mode
+    except FileNotFoundError:
+        mode = None
+    if mode is not None and not os.access(dest, os.W_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                              str(path))
+    if mode is not None and not stat.S_ISREG(mode):
+        with tempfile.TemporaryFile() as spool:
+            yield spool
+            spool.seek(0)
+            with open(dest, "wb") as fh:
+                shutil.copyfileobj(spool, fh)
+        return
+    head, tail = os.path.split(dest)
+    fd, tmp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            yield fh
+        os.chmod(tmp, 0o666 & ~_umask() if mode is None
+                 else stat.S_IMODE(mode))
+        os.replace(tmp, dest)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
+
+
+def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
+                   before=None) -> EventStream:
+    """Shared ordering/bounds checks and geometry resolution for readers.
+
+    For a block of a longer stream, ``start`` is the index of its first
+    event, which messages count from, and ``before`` the timestamp of the
+    event ahead of it.
+    """
     t = np.asarray(t, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    i, j = first_violations(t, x, y, geometry)
+    i, j = first_violations(t, x, y, geometry, before)
     if i is not None:
         raise EventFileError(
-            f"{path}: events out of order at index {i} "
-            f"(t={int(t[i])} after t={int(t[i - 1])})")
+            f"{path}: events out of order at index {start + i} "
+            f"(t={int(t[i])} after t={before if i == 0 else int(t[i - 1])})")
     if geometry is None:
         try:
             geometry = SensorGeometry(int(x.max()) + 1 if x.size else 1,
@@ -119,8 +190,8 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None) -> EventStream:
             raise EventFileError(f"{path}: inferred {exc}") from None
     elif j is not None:
         raise EventFileError(
-            f"{path}: event {j} at ({int(x[j])}, {int(y[j])}) outside "
-            f"{geometry.width}x{geometry.height} sensor")
+            f"{path}: event {start + j} at ({int(x[j])}, {int(y[j])}) "
+            f"outside {geometry.width}x{geometry.height} sensor")
     return EventStream(geometry, t, x, y, p, labels=labels)
 
 
@@ -145,7 +216,7 @@ def _read_csv(path, geometry) -> EventStream:
 def _parse_csv_compiled(path):
     """Parse an event CSV with the compiled parser, or return None.
 
-    The parser takes only rows as _write_csv writes them (digits, commas,
+    The parser takes only rows as EventWriter writes them (digits, commas,
     the label letter, LF or CRLF), which _parse_csv_lines reads into the
     same columns; for any other file, or without the compiled kernels, this
     returns None and the line loop parses the file and reports what is
@@ -215,17 +286,6 @@ def _parse_csv_lines(path):
         raise EventFileError(f"{path}:{big + 2}: value exceeds the signed "
                              f"64-bit range") from None
     return t, x, y, np.asarray(p, dtype=np.uint8), labels
-
-
-def _write_csv(stream: EventStream, path) -> None:
-    columns = [stream.t, stream.x, stream.y, stream.p]
-    header = _CSV_HEADER
-    if stream.is_labeled:
-        columns.append(_symbols(_LABEL_CHAR, stream.labels, "label"))
-        header = _CSV_HEADER_LABELED
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii") + b"\n")
-        _write_rows(fh, len(stream), columns)
 
 
 _CHUNK_ROWS = 1 << 16   # rows per formatted block; bounds a writer's memory
@@ -320,61 +380,147 @@ def _write_rows(fh, n: int, columns) -> None:
 
 
 def _read_binary(path, geometry) -> EventStream:
-    blob = Path(path).read_bytes()
-    if len(blob) < _HEADER.size:
-        raise EventFileError(f"{path}: truncated header "
-                             f"({len(blob)} bytes, need {_HEADER.size})")
-    magic, version, width, height, count = _HEADER.unpack_from(blob)
-    if magic != MAGIC:
-        raise EventFileError(f"{path}: bad magic {magic!r}")
-    if version != VERSION:
-        raise EventFileError(f"{path}: unsupported version {version}")
-    expected = _HEADER.size + REC_DTYPE.itemsize * count
-    if len(blob) != expected:
-        whole = (len(blob) - _HEADER.size) // REC_DTYPE.itemsize
-        raise EventFileError(
-            f"{path}: size mismatch for {count} records: expected "
-            f"{expected} bytes, got {len(blob)} (truncated at record {whole})")
-    try:
-        header_geo = SensorGeometry(width, height)
-    except ValueError as exc:
-        raise EventFileError(f"{path}: bad header geometry: {exc}") from None
-    if geometry is not None and geometry != header_geo:
-        raise EventFileError(
-            f"{path}: header geometry {width}x{height} does not match "
-            f"requested {geometry.width}x{geometry.height}")
-    recs = np.frombuffer(blob, dtype=REC_DTYPE, count=count,
-                         offset=_HEADER.size)
-    if count and int(recs["t"].max()) > _INT64_MAX:
-        raise EventFileError(f"{path}: timestamp exceeds the signed 64-bit range")
-    bad = np.nonzero(recs["p"] > 1)[0]
-    if bad.size:
-        i = int(bad[0])
-        raise EventFileError(
-            f"{path}: record {i}: polarity must be 0 or 1, "
-            f"got {int(recs['p'][i])}")
-    return _finish_stream(path, header_geo,
-                          recs["t"].astype(np.int64),
-                          recs["x"].astype(np.int64),
-                          recs["y"].astype(np.int64),
-                          recs["p"].copy())
+    source = BinaryEvents(path, geometry)
+    return source.read(0, source.count)
 
 
-def _write_binary(stream: EventStream, path) -> None:
-    geo = stream.geometry
-    if geo.width > 0xFFFF or geo.height > 0xFFFF:
-        raise ValueError("binary format limits geometry to 65535x65535")
-    oob = (stream.x >= geo.width) | (stream.y >= geo.height)
-    if np.any(oob):
-        i = int(np.nonzero(oob)[0][0])
-        raise ValueError(f"event {i} outside stream geometry, refusing to write")
-    recs = np.empty(len(stream), dtype=REC_DTYPE)
-    recs["t"] = stream.t
-    recs["x"] = stream.x
-    recs["y"] = stream.y
-    recs["p"] = stream.p
-    header = _HEADER.pack(MAGIC, VERSION, geo.width, geo.height, len(stream))
-    Path(path).write_bytes(header + recs.tobytes())
+class BinaryEvents:
+    """A binary event file whose header and size have been checked; its
+    records are read, and checked, a block at a time.
+
+    Raises EventFileError for a header or size that is wrong, and OSError
+    when the file cannot be read.
+    """
+
+    def __init__(self, path, geometry: SensorGeometry | None = None):
+        with open(path, "rb") as fh:
+            head = fh.read(_HEADER.size)
+            size = os.fstat(fh.fileno()).st_size
+        if len(head) < _HEADER.size:
+            raise EventFileError(f"{path}: truncated header "
+                                 f"({len(head)} bytes, need {_HEADER.size})")
+        magic, version, width, height, count = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise EventFileError(f"{path}: bad magic {magic!r}")
+        if version != VERSION:
+            raise EventFileError(f"{path}: unsupported version {version}")
+        expected = _HEADER.size + REC_DTYPE.itemsize * count
+        if size != expected:
+            whole = (size - _HEADER.size) // REC_DTYPE.itemsize
+            raise EventFileError(
+                f"{path}: size mismatch for {count} records: expected "
+                f"{expected} bytes, got {size} (truncated at record {whole})")
+        try:
+            header_geo = SensorGeometry(width, height)
+        except ValueError as exc:
+            raise EventFileError(f"{path}: bad header geometry: {exc}") from None
+        if geometry is not None and geometry != header_geo:
+            raise EventFileError(
+                f"{path}: header geometry {width}x{height} does not match "
+                f"requested {geometry.width}x{geometry.height}")
+        self.path = path
+        self.geometry = header_geo
+        self.count = count
+
+    def read(self, start: int, stop: int, before: int | None = None
+             ) -> EventStream:
+        """Records start .. stop - 1 as a stream, checked as read_events
+        checks a whole file; messages give each record's index in the
+        file, and ``before`` is the timestamp of record ``start - 1``."""
+        recs = np.fromfile(self.path, REC_DTYPE, count=stop - start,
+                           offset=_HEADER.size + start * REC_DTYPE.itemsize)
+        if recs.size != stop - start:
+            raise EventFileError(f"{self.path}: truncated at record "
+                                 f"{start + recs.size}")
+        if recs.size and int(recs["t"].max()) > _INT64_MAX:
+            raise EventFileError(
+                f"{self.path}: timestamp exceeds the signed 64-bit range")
+        bad = np.flatnonzero(recs["p"] > 1)
+        if bad.size:
+            i = int(bad[0])
+            raise EventFileError(
+                f"{self.path}: record {start + i}: polarity must be 0 or 1, "
+                f"got {int(recs['p'][i])}")
+        return _finish_stream(self.path, self.geometry,
+                              recs["t"].astype(np.int64),
+                              recs["x"].astype(np.int64),
+                              recs["y"].astype(np.int64),
+                              recs["p"].copy(), start=start, before=before)
+
+    def blocks(self, size: int):
+        """The records in order, as checked streams of up to size events."""
+        before = None
+        for start in range(0, self.count, size):
+            block = self.read(start, min(start + size, self.count), before)
+            before = int(block.t[-1])
+            yield block
+
+
+class EventWriter:
+    """Writes a stream to a binary file object piece by piece.
+
+    The header goes out first and each piece as it is written;
+    :meth:`finish` then sets the event count of a binary header.  CSV rows
+    carry the label column iff ``labeled``; binary records drop labels.
+
+    Raises ValueError for an unknown format or a geometry past the binary
+    format's 65535x65535.
+    """
+
+    def __init__(self, fh, fmt: str, geometry: SensorGeometry,
+                 labeled: bool = False):
+        if fmt == "csv":
+            header = (_CSV_HEADER_LABELED if labeled else _CSV_HEADER) + "\n"
+            fh.write(header.encode("ascii"))
+        elif fmt == "binary":
+            if geometry.width > 0xFFFF or geometry.height > 0xFFFF:
+                raise ValueError("binary format limits geometry to 65535x65535")
+            fh.write(self._header(geometry, 0))
+        else:
+            raise ValueError(f"unknown format {fmt!r}")
+        self._fh = fh
+        self._fmt = fmt
+        self._geometry = geometry
+        self._labeled = labeled
+        self.count = 0
+
+    @staticmethod
+    def _header(geo: SensorGeometry, count: int) -> bytes:
+        return _HEADER.pack(MAGIC, VERSION, geo.width, geo.height, count)
+
+    def write(self, stream: EventStream) -> None:
+        """Append a stream's events.  Raises ValueError for a label without
+        a letter, a missing label column, or an event outside a binary
+        file's geometry."""
+        n = len(stream)
+        if self._fmt == "csv":
+            columns = [stream.t, stream.x, stream.y, stream.p]
+            if self._labeled:
+                if not stream.is_labeled:
+                    raise ValueError("an unlabeled stream for a labeled file")
+                columns.append(_symbols(_LABEL_CHAR, stream.labels, "label"))
+            _write_rows(self._fh, n, columns)
+        else:
+            geo = self._geometry
+            oob = (stream.x >= geo.width) | (stream.y >= geo.height)
+            if np.any(oob):
+                i = self.count + int(np.flatnonzero(oob)[0])
+                raise ValueError(
+                    f"event {i} outside stream geometry, refusing to write")
+            recs = np.empty(n, dtype=REC_DTYPE)
+            recs["t"] = stream.t
+            recs["x"] = stream.x
+            recs["y"] = stream.y
+            recs["p"] = stream.p
+            self._fh.write(recs.tobytes())
+        self.count += n
+
+    def finish(self) -> None:
+        """Complete the file: a binary header gets the event count."""
+        if self._fmt == "binary" and self.count:
+            self._fh.seek(0)
+            self._fh.write(self._header(self._geometry, self.count))
+            self._fh.seek(0, os.SEEK_END)
 
 
 def read_prior(path, geometry: SensorGeometry) -> PriorMap:
@@ -486,14 +632,31 @@ def write_log(log: DecisionLog, path) -> None:
     Codes are A (accept), S (sampler reject), C (cap reject); p uses repr
     so probabilities round-trip exactly (nan for deterministic decisions).
     """
-    n = len(log)
-    codes = _symbols(_CODE_CHAR, log.code, "decision code")
-    with open(path, "wb") as fh:
+    with replacing(path) as fh:
+        LogWriter(fh).write(log)
+
+
+class LogWriter:
+    """Writes a decision log to a binary file object piece by piece, as
+    write_log writes it whole: the header first, then each piece's rows,
+    indexed on from the last piece's."""
+
+    def __init__(self, fh):
         fh.write(_LOG_HEADER.encode("ascii") + b"\n")
+        self._fh = fh
+        self.count = 0
+
+    def write(self, log: DecisionLog) -> None:
+        """Append a piece's rows.  Raises ValueError for a code without a
+        letter, before any row of the piece is written."""
+        n = len(log)
+        codes = _symbols(_CODE_CHAR, log.code, "decision code")
         if n:
-            _write_rows(fh, n, [range(n), np.asarray(log.t, np.int64),
-                                np.asarray(log.window, np.int64), codes,
-                                np.asarray(log.probability, np.float64)])
+            _write_rows(self._fh, n, [
+                range(self.count, self.count + n),
+                np.asarray(log.t, np.int64), np.asarray(log.window, np.int64),
+                codes, np.asarray(log.probability, np.float64)])
+        self.count += n
 
 
 def read_log(path) -> DecisionLog:

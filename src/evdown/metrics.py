@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import DensityMap
-from .events import EventLabel, EventStream, window_spans
+from .events import EventLabel, EventStream, window_ids, window_spans
 
 
 @dataclass(frozen=True)
@@ -77,15 +77,17 @@ def retention_ratio(original: EventStream, downsampled: EventStream,
 
     Windows are anchored at the original stream's first timestamp; only
     windows containing at least one original event appear in the report.
-    The downsampled stream must be a subset of the original.
+    The downsampled stream must be a subset of the original.  Raises
+    ValueError when a window id would pass 2**63 - 1 (see
+    :func:`evdown.events.window_ids`).
     """
     if len(original) == 0:
         raise ValueError("original stream is empty")
     if window_us < 1:
         raise ValueError("window_us must be >= 1")
     t0 = int(original.t[0])
-    w_orig = (original.t - t0) // window_us + 1
-    w_down = (downsampled.t - t0) // window_us + 1
+    w_orig = window_ids(original.t, t0, window_us)
+    w_down = window_ids(downsampled.t, t0, window_us)
     ids, bounds = window_spans(w_orig)
     w_down = np.sort(w_down)
     n_down = (np.searchsorted(w_down, ids, side="right")

@@ -1,5 +1,9 @@
 """Single-pass streaming downsampler.
 
+:class:`Downsampler` takes a stream in pieces, in timestamp order, and
+decides each piece as it comes; :func:`run` pushes a whole stream as one
+piece.  Where the stream is cut never changes a decision.
+
 Events are consumed in timestamp order.  The stream is segmented into
 tumbling analysis windows of ``t_us`` microseconds anchored at the first
 event; window ``n`` spans [anchor + (n-1)*t_us, anchor + n*t_us).  For the
@@ -20,11 +24,13 @@ when the stream-wide kept/processed ratio already exceeds alpha, and such
 drops consume no randomness.  With alpha = 1 every method passes all events
 through (stochastic methods then use acceptance probability 1).
 
-Every event's acceptance probability is computed first; one walk of
-:func:`evdown.capwalk.cap_walk` then applies the cap and the draws.  It
-consumes the random stream exactly as the per-event kernels in
-:mod:`evdown.samplers` would: the k-th stochastically evaluated event sees
-the k-th variate of the generator.
+Every event's acceptance probability in a piece is computed first; one
+walk of :func:`evdown.capwalk.cap_walk`, resumed where the last piece's
+stopped, then applies the cap and the draws.  It consumes the random
+stream exactly as the per-event kernels in :mod:`evdown.samplers` would:
+the k-th stochastically evaluated event sees the k-th variate of the
+generator.  A piece draws only the variates the last one left unused do
+not cover, and PCG64 block draws concatenate exactly.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .capwalk import cap_walk
 from .density import (DensityMap, ScoreMap, occupancy_values,
                       poisson_occupancy, score_map, sparse_scores)
 from .events import (EventStream, SensorGeometry, first_violations,
-                     window_spans)
+                     window_ids, window_spans)
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
@@ -46,6 +52,8 @@ METHODS = ("deterministic", "uniform", "poisson")
 _ACCEPT = int(DecisionCode.ACCEPT)
 _REJ_SAMPLER = int(DecisionCode.REJECT_SAMPLER)
 _REJ_CAP = int(DecisionCode.REJECT_CAP)
+# The distinct pixels and counts of a window without events.
+_IDLE = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 @dataclass
@@ -175,123 +183,246 @@ def timing_probe(stats: RunStats) -> dict[str, float]:
     }
 
 
-def _require_valid(stream: EventStream) -> None:
-    t, x, y, geo = stream.t, stream.x, stream.y, stream.geometry
-    i, j = first_violations(t, x, y, geo)
-    if i is not None:
-        raise ValueError(f"events out of order at index {i}: "
-                         f"t={int(t[i])} after t={int(t[i - 1])}")
-    if j is not None:
-        raise ValueError(f"event {j} at ({int(x[j])}, {int(y[j])}) outside "
-                         f"{geo.width}x{geo.height} sensor")
+class _WindowScorer:
+    """Density-adaptive probabilities of a stream scored piece by piece:
+    alpha in window 1, else the sparse map frozen from the previous window.
 
-
-def _scored_probabilities(stream: EventStream, ids: np.ndarray,
-                          bounds: np.ndarray,
-                          config: SamplerConfig) -> tuple[np.ndarray, float]:
-    """Each event's density-adaptive probability, and the seconds spent
-    scoring: alpha in window 1, else the sparse map frozen from the
-    previous window.
-
-    Each window's events are sorted once: the distinct pixels and their
-    counts freeze the next window's map, and the inverse spreads this
-    window's lookup, done over its distinct pixels only, to its events.
+    Each window's events in a piece are sorted once: their distinct pixels
+    and counts add up to the window's, which freeze the next window's map
+    when it opens, and the inverse spreads this piece's lookup, done over
+    its distinct pixels only, to its events.  Between pieces it holds the
+    open window's id, its frozen map and its distinct pixels and counts so
+    far; ``seconds`` is the time spent scoring.
     """
-    tp0 = time.perf_counter()
-    geo = stream.geometry
-    p = np.empty(len(stream))
-    flat = stream.y * geo.width + stream.x
-    # After an empty window no pixel is active and every pixel shares one
-    # score; a stale map is never carried over.
-    idle = (np.empty(0, np.int64), np.empty(0, np.int64))
-    closed, prev_wid = idle, 0
-    for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
-                           bounds[1:].tolist()):
-        pixels, inverse, counts = np.unique(
-            flat[i0:i1], return_inverse=True, return_counts=True)
-        if wid == 1:
-            p[i0:i1] = config.alpha
+
+    def __init__(self, geometry: SensorGeometry, config: SamplerConfig):
+        self.geometry = geometry
+        self.config = config
+        self.window = 0
+        self.frozen = None
+        self.pixels, self.counts = _IDLE
+        self.seconds = 0.0
+
+    def score(self, flat: np.ndarray, ids: np.ndarray,
+              bounds: np.ndarray) -> np.ndarray:
+        """The probability of each event of a piece, given its flat pixel
+        indices and window spans (:func:`evdown.events.window_spans`)."""
+        tp0 = time.perf_counter()
+        cfg = self.config
+        p = np.empty(flat.size)
+        for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
+                               bounds[1:].tolist()):
+            pixels, inverse, counts = np.unique(
+                flat[i0:i1], return_inverse=True, return_counts=True)
+            if wid == self.window:
+                self.pixels, self.counts = _add_counts(
+                    self.pixels, self.counts, pixels, counts)
+            else:
+                # After an empty window no pixel is active and every pixel
+                # shares one score; a stale map is never carried over.
+                active, active_counts = (
+                    (self.pixels, self.counts) if self.window == wid - 1
+                    else _IDLE)
+                self.frozen = None if wid == 1 else sparse_scores(
+                    self.geometry, active, occupancy_values(active_counts),
+                    cfg.alpha, cfg.theta, cfg.prior, window_id=wid - 1)
+                self.window, self.pixels, self.counts = wid, pixels, counts
+            p[i0:i1] = (cfg.alpha if self.frozen is None
+                        else self.frozen.lookup(pixels)[inverse])
+        self.seconds += time.perf_counter() - tp0
+        return p
+
+
+def _add_counts(pixels_a, counts_a, pixels_b, counts_b):
+    """The distinct pixels of two (pixels, counts) tallies, and their
+    summed counts."""
+    pixels, inverse = np.unique(np.concatenate((pixels_a, pixels_b)),
+                                return_inverse=True)
+    counts = np.zeros(pixels.size, np.int64)
+    np.add.at(counts, inverse, np.concatenate((counts_a, counts_b)))
+    return pixels, counts
+
+
+class Downsampler:
+    """Downsample a stream pushed in pieces, in one causal pass.
+
+    :meth:`push` takes the next piece, an EventStream of ``geometry``
+    whose events follow every event pushed before, and returns the events
+    it keeps and its decision log; :meth:`close` returns the statistics of
+    the whole run.  Decisions do not depend on where the stream is cut:
+    the kept events, logs and counters of any pieces, put together, equal
+    those of :func:`run` on the whole stream.
+
+    Between pushes it holds the anchor and last timestamps, the counts of
+    events seen, kept and capped, the variates drawn but not yet used, the
+    open window's scoring state (see :class:`_WindowScorer`) and one
+    ``(window_id, processed, retained)`` row per window so far.
+
+    Raises ValueError for an unknown method or a prior that does not match
+    the method or geometry.
+    """
+
+    def __init__(self, geometry: SensorGeometry, method: str,
+                 config: SamplerConfig):
+        t_start = time.perf_counter()
+        if method not in METHODS:
+            raise ValueError(
+                f"unknown method {method!r}, expected one of {METHODS}")
+        if config.prior is not None:
+            if method != "poisson":
+                raise ValueError("a spatial prior requires the poisson method")
+            if config.prior.geometry != geometry:
+                raise ValueError("prior geometry does not match stream geometry")
+        self.geometry = geometry
+        self.method = method
+        self.config = config
+        self._t0 = None
+        self._last_t = None
+        self._seen = self._retained = self._capped = 0
+        self._rng = None if method == "deterministic" else config.rng()
+        self._tail = np.empty(0)
+        self._scorer = (_WindowScorer(geometry, config)
+                        if method == "poisson" and config.alpha != 1.0
+                        else None)
+        self._per_window = []
+        self._eval_s = 0.0
+        self._stats = None
+        self._busy_s = time.perf_counter() - t_start
+
+    def push(self, chunk: EventStream) -> tuple[EventStream, DecisionLog]:
+        """Decide the events of the next piece of the stream.
+
+        Returns the kept events, whose ``source_index`` counts from the
+        first event pushed (or, when the piece carries a source_index of
+        its own, composes through it as :meth:`EventStream.subset` does),
+        and the piece's decision log.
+
+        Raises ValueError, before any state changes, for a piece of another
+        geometry, an event out of order (with the previous piece too) or
+        outside the sensor, reporting its index in the whole stream, or a
+        window id past 2**63 - 1; and after :meth:`close`.
+        """
+        t_start = time.perf_counter()
+        if self._stats is not None:
+            raise ValueError("push after close")
+        if chunk.geometry != self.geometry:
+            raise ValueError(
+                f"a {chunk.geometry.width}x{chunk.geometry.height} piece "
+                f"pushed to a {self.geometry.width}x{self.geometry.height} "
+                f"stream")
+        self._require_valid(chunk)
+        m = len(chunk)
+        t = chunk.t
+        if m == 0:
+            log = DecisionLog(t, np.empty(0, np.int64), np.empty(0, np.uint8),
+                              np.empty(0, np.float64))
+            return chunk.subset(np.empty(0, np.int64)), log
+        cfg = self.config
+        alpha = cfg.alpha
+        t0 = int(t[0]) if self._t0 is None else self._t0
+        windows = window_ids(t, t0, cfg.t_us, top=int(t[-1]))
+        ids, bounds = window_spans(windows)
+        # Scoring never depends on decisions (a frozen map counts every event
+        # of its window, accepted or not), so every event's probability is
+        # known before the cap walk starts.
+        draws = None
+        if self.method == "deterministic":
+            ta = acceptance_window_us(alpha, cfg.tw_us)
+            p = (((t - t0) % cfg.tw_us) < ta).astype(np.float64)
+            probs = np.full(m, np.nan)
         else:
-            active, active_counts = closed if prev_wid == wid - 1 else idle
-            frozen = sparse_scores(geo, active, occupancy_values(active_counts),
-                                   config.alpha, config.theta, config.prior,
-                                   window_id=wid - 1)
-            p[i0:i1] = frozen.lookup(pixels)[inverse]
-        closed, prev_wid = (pixels, counts), wid
-    return p, time.perf_counter() - tp0
+            draws = self._draws(m)
+            if self._scorer is None:
+                p = np.full(m, alpha)
+            else:
+                p = self._scorer.score(chunk.y * self.geometry.width + chunk.x,
+                                       ids, bounds)
+            probs = p
+
+        te0 = time.perf_counter()
+        codes = np.empty(m, dtype=np.uint8)
+        if cfg.cap_enabled:
+            self._retained, used = cap_walk(p, draws, alpha, codes,
+                                            self._seen, self._retained)
+        else:
+            codes[:] = np.where(p > 0.0 if draws is None else draws[:m] < p,
+                                _ACCEPT, _REJ_SAMPLER)
+            used = m
+        if draws is not None:
+            self._tail = draws[used:]
+        self._eval_s += time.perf_counter() - te0
+
+        accepted = np.flatnonzero(codes == _ACCEPT)
+        if not cfg.cap_enabled:
+            self._retained += accepted.size
+        self._capped += int(np.count_nonzero(codes == _REJ_CAP))
+        self._count_windows(ids, bounds, accepted)
+        kept = chunk.subset(accepted, offset=self._seen)
+        self._t0, self._last_t = t0, int(t[-1])
+        self._seen += m
+        self._busy_s += time.perf_counter() - t_start
+        return kept, DecisionLog(t, windows, codes, probs)
+
+    def close(self) -> RunStats:
+        """The statistics of every event pushed; later pushes raise."""
+        if self._stats is None:
+            t_start = time.perf_counter()
+            cfg = self.config
+            self._stats = RunStats(
+                method=self.method, alpha=cfg.alpha, seed=cfg.seed,
+                processed=self._seen, retained=self._retained,
+                capped=self._capped,
+                sampler_rejected=self._seen - self._retained - self._capped,
+                per_window=tuple(self._per_window),
+                total_s=self._busy_s + time.perf_counter() - t_start,
+                pdf_s=0.0 if self._scorer is None else self._scorer.seconds,
+                eval_s=self._eval_s)
+            self._tail = self._scorer = self._per_window = None
+        return self._stats
+
+    def _require_valid(self, chunk: EventStream) -> None:
+        t, x, y, geo = chunk.t, chunk.x, chunk.y, self.geometry
+        i, j = first_violations(t, x, y, geo, self._last_t)
+        if i is not None:
+            before = self._last_t if i == 0 else int(t[i - 1])
+            raise ValueError(f"events out of order at index {self._seen + i}: "
+                             f"t={int(t[i])} after t={before}")
+        if j is not None:
+            raise ValueError(f"event {self._seen + j} at ({int(x[j])}, "
+                             f"{int(y[j])}) outside {geo.width}x{geo.height} "
+                             f"sensor")
+
+    def _draws(self, m: int) -> np.ndarray:
+        """At least m variates: those the last push left unused, then as
+        many fresh ones as they lack."""
+        need = m - self._tail.size
+        if need <= 0:
+            return self._tail
+        fresh = self._rng.random(need)
+        return np.concatenate((self._tail, fresh)) if self._tail.size else fresh
+
+    def _count_windows(self, ids, bounds, accepted) -> None:
+        rows = list(zip(ids.tolist(), np.diff(bounds).tolist(),
+                        np.diff(np.searchsorted(accepted, bounds)).tolist()))
+        if self._per_window and self._per_window[-1][0] == rows[0][0]:
+            # The open window goes on from the last piece.
+            wid, n, r = self._per_window.pop()
+            rows[0] = (wid, n + rows[0][1], r + rows[0][2])
+        self._per_window += rows
 
 
 def run(stream: EventStream, method: str,
         config: SamplerConfig) -> tuple[EventStream, RunStats, DecisionLog]:
-    """Downsample a stream in one causal pass.
+    """Downsample a stream in one causal pass: one :meth:`Downsampler.push`
+    of the whole stream, then :meth:`Downsampler.close`.
 
     Returns the accepted sub-stream (with source_index pointing back into
     the input), run statistics, and the full per-event decision log.
 
     Raises ValueError for an unknown method, an out-of-order or out-of-bounds
-    stream (reporting the first offending index), or a prior that does not
-    match the method or geometry.
+    stream (reporting the first offending index), a prior that does not
+    match the method or geometry, or a window id past 2**63 - 1.
     """
-    t_run0 = time.perf_counter()
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")
-    if config.prior is not None:
-        if method != "poisson":
-            raise ValueError("a spatial prior requires the poisson method")
-        if config.prior.geometry != stream.geometry:
-            raise ValueError("prior geometry does not match stream geometry")
-    _require_valid(stream)
-
-    n = len(stream)
-    alpha = config.alpha
-    if n == 0:
-        stats = RunStats(method, alpha, config.seed)
-        log = DecisionLog(np.empty(0, np.int64), np.empty(0, np.int64),
-                          np.empty(0, np.uint8), np.empty(0, np.float64))
-        return stream.subset(np.empty(0, np.int64)), stats, log
-
-    t = stream.t
-    t0 = int(t[0])
-    windows = (t - t0) // config.t_us + 1
-    ids, bounds = window_spans(windows)
-    # Scoring never depends on decisions (a frozen map counts every event
-    # of its window, accepted or not), so every event's probability is
-    # known before the cap walk starts.
-    pdf_s = 0.0
-    draws = None
-    if method == "deterministic":
-        ta = acceptance_window_us(alpha, config.tw_us)
-        p = (((t - t0) % config.tw_us) < ta).astype(np.float64)
-        probs = np.full(n, np.nan)
-    else:
-        draws = config.rng().random(n)
-        if method == "uniform" or alpha == 1.0:
-            p = np.full(n, alpha)
-        else:
-            p, pdf_s = _scored_probabilities(stream, ids, bounds, config)
-        probs = p
-
-    te0 = time.perf_counter()
-    codes = np.empty(n, dtype=np.uint8)
-    if config.cap_enabled:
-        cap_walk(p, draws, alpha, codes)
-    else:
-        codes[:] = np.where(p > 0.0 if draws is None else draws < p,
-                            _ACCEPT, _REJ_SAMPLER)
-    eval_s = time.perf_counter() - te0
-
-    accepted_idx = np.nonzero(codes == _ACCEPT)[0]
-    capped_n = int(np.count_nonzero(codes == _REJ_CAP))
-    per_window = tuple(zip(
-        ids.tolist(), np.diff(bounds).tolist(),
-        np.diff(np.searchsorted(accepted_idx, bounds)).tolist()))
-
-    out = stream.subset(accepted_idx)
-    log = DecisionLog(t, windows, codes, probs)
-    stats = RunStats(
-        method=method, alpha=alpha, seed=config.seed,
-        processed=n, retained=accepted_idx.size, capped=capped_n,
-        sampler_rejected=n - accepted_idx.size - capped_n,
-        per_window=per_window,
-        total_s=time.perf_counter() - t_run0, pdf_s=pdf_s, eval_s=eval_s)
-    return out, stats, log
+    sampler = Downsampler(stream.geometry, method, config)
+    out, log = sampler.push(stream)
+    return out, sampler.close(), log

@@ -12,7 +12,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evdown import (BudgetState, Decision, DecisionCode, SamplerConfig,
@@ -44,13 +44,13 @@ def per_event_walk(p, draws, alpha):
 
 def python_walk(p, draws, alpha):
     codes = np.empty(p.shape[0], np.uint8)
-    retained = capwalk._walk_python(p, draws, alpha, codes)
+    retained, _ = capwalk._walk_python(p, draws, alpha, codes)
     return codes.tolist(), retained
 
 
 def walk(p, draws, alpha):
     codes = np.empty(p.shape[0], np.uint8)
-    retained = capwalk.cap_walk(p, draws, alpha, codes)
+    retained, _ = capwalk.cap_walk(p, draws, alpha, codes)
     return codes.tolist(), retained
 
 
@@ -129,6 +129,49 @@ class TestWalksAgree:
         with pytest.raises(ValueError, match="one-dimensional"):
             capwalk.cap_walk(np.full((2, 2), 0.5), None, 0.5,
                              np.empty(2, np.uint8))
+
+
+class TestResume:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(p=st.lists(probabilities, max_size=120),
+           draw_seed=st.integers(0, 2**32 - 1),
+           stochastic=st.booleans(),
+           split=st.integers(0, 120),
+           spare=st.integers(0, 5),
+           alpha=st.sampled_from(ALPHAS))
+    @example(p=[1.0] * 40, draw_seed=0, stochastic=True, split=17, spare=0,
+             alpha=0.3)
+    def test_two_resumed_walks_equal_one(self, cap_walk, p, draw_seed,
+                                         stochastic, split, spare, alpha):
+        """The second walk gets the first's retained, its k and the draws
+        it left unused, topped up with the ones that follow."""
+        p = np.asarray(p, dtype=np.float64)
+        split = min(split, p.size)
+        draws = None
+        if stochastic:
+            draws = np.random.default_rng(draw_seed).random(p.size + spare)
+        else:
+            p = (p > 0.5).astype(np.float64)
+        codes = np.empty(p.size, np.uint8)
+        retained, used = capwalk.cap_walk(p, draws, alpha, codes)
+        assert used == (0 if draws is None
+                        else int(np.count_nonzero(codes != 2)))
+
+        first, second = (np.empty(split, np.uint8),
+                         np.empty(p.size - split, np.uint8))
+        head = None if draws is None else draws[:split + spare]
+        r1, u1 = capwalk.cap_walk(p[:split], head, alpha, first)
+        rest = None if draws is None else draws[u1:]
+        r2, u2 = capwalk.cap_walk(p[split:], rest, alpha, second, split, r1)
+        assert np.concatenate([first, second]).tolist() == codes.tolist()
+        assert (r2, u1 + u2) == (retained, used)
+
+    def test_bad_resume_point(self):
+        p = np.full(3, 0.5)
+        for k0, r0 in ((-1, 0), (2, 3), (0, -1)):
+            with pytest.raises(ValueError, match="resume"):
+                capwalk.cap_walk(p, None, 0.5, np.empty(3, np.uint8), k0, r0)
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")

@@ -2,8 +2,8 @@
 
 ``per_event_scores`` freezes each window's map from ``np.unique`` of the
 previous window's events and then looks up every event of the window on
-its own.  ``pipeline._scored_probabilities`` sorts each window once and
-looks up its distinct pixels only; the two must agree bit for bit.
+its own.  ``pipeline._WindowScorer`` sorts each window once and looks up
+its distinct pixels only; the two must agree bit for bit.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from evdown import (EventStream, PriorMap, SamplerConfig, SensorGeometry,
                     occupancy_values, run, sparse_scores)
 from evdown.events import window_spans
-from evdown.pipeline import _scored_probabilities
+from evdown.pipeline import _WindowScorer
 
 from conftest import make_stream
 
@@ -46,8 +46,10 @@ def per_event_scores(stream: EventStream, config: SamplerConfig) -> np.ndarray:
 
 def scored(stream: EventStream, config: SamplerConfig) -> np.ndarray:
     windows = (stream.t - int(stream.t[0])) // config.t_us + 1
-    p, pdf_s = _scored_probabilities(stream, *window_spans(windows), config)
-    assert pdf_s > 0
+    scorer = _WindowScorer(stream.geometry, config)
+    p = scorer.score(stream.y * stream.geometry.width + stream.x,
+                     *window_spans(windows))
+    assert scorer.seconds > 0
     return p
 
 
