@@ -234,13 +234,20 @@ class _WindowScorer:
 
 
 def _add_counts(pixels_a, counts_a, pixels_b, counts_b):
-    """The distinct pixels of two (pixels, counts) tallies, and their
-    summed counts."""
-    pixels, inverse = np.unique(np.concatenate((pixels_a, pixels_b)),
-                                return_inverse=True)
-    counts = np.zeros(pixels.size, np.int64)
-    np.add.at(counts, inverse, np.concatenate((counts_a, counts_b)))
-    return pixels, counts
+    """The union of two tallies, each of sorted distinct pixels and their
+    counts, with the counts of shared pixels summed.
+
+    Merged by position rather than re-sorted, so a window that spans
+    many pieces costs a copy of its tally per piece, not a sort.
+    """
+    pos = np.searchsorted(pixels_a, pixels_b)
+    shared = pos < pixels_a.size
+    shared[shared] = pixels_a[pos[shared]] == pixels_b[shared]
+    counts = counts_a.copy()
+    counts[pos[shared]] += counts_b[shared]
+    new = ~shared
+    return (np.insert(pixels_a, pos[new], pixels_b[new]),
+            np.insert(counts, pos[new], counts_b[new]))
 
 
 class Downsampler:

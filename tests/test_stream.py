@@ -93,14 +93,13 @@ class TestSplitInvariance:
     def test_pieces_equal_one_run(self, cap_walk, case):
         assert_split_invariant(*case)
 
-    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("method,prior_on", [
+        ("deterministic", False), ("uniform", False), ("poisson", False),
+        ("poisson", True)])
     @pytest.mark.parametrize("cap", [True, False])
-    @pytest.mark.parametrize("prior_on", [False, True])
     def test_every_event_its_own_push(self, cap_walk, method, cap, prior_on):
         """One event per push cuts inside every window, at every duplicate
         timestamp and on both sides of every gap."""
-        if prior_on and method != "poisson":
-            pytest.skip("a prior needs the poisson method")
         times = [0, 0, 0, 10, 999, 999, 1000, 1000, 1500, 1999, 5000, 5000,
                  5001, 6000, 9999, 10_000, 10_000, 40_000, 40_999]
         rng = np.random.default_rng(5)
