@@ -19,11 +19,9 @@ from .evio import (EventFileError, detect_format, read_events, read_log,
                    write_stats)
 from .metrics import (RetentionReport, SelectivityReport, density_divergence,
                       match_events, retention_ratio, selectivity)
-from .pipeline import (METHODS, DecisionLog, Downsampler, RunStats,
-                       WindowState, rollover, run, timing_probe)
-from .samplers import (BudgetState, Decision, DecisionCode, SamplerConfig,
-                       acceptance_window_us, cap_check, capped,
-                       deterministic_accept, scored_accept, uniform_accept)
+from .pipeline import (METHODS, DecisionLog, Downsampler, RunStats, run,
+                       timing_probe)
+from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 from .synth import (EdgeSpec, LabeledEvent, SceneSpec, density_snapshot,
                     edge_shift, generate, labeled_event, rasterize_segment,
                     reference_scene)

@@ -218,17 +218,18 @@ def cmd_synth(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    window_us = _check_window(args.window_us, "--window-us")
     original = read_events(args.original)
     downsampled = read_events(args.downsampled)
+    # An empty original or a non-subset downsampled file is bad input (exit 3).
+    if len(original) == 0:
+        raise EventFileError("original stream is empty")
     try:
-        retention = retention_ratio(original, downsampled,
-                                    window_us=args.window_us)
         sel = (selectivity(original, downsampled, alpha=args.alpha)
                if original.is_labeled else None)
     except ValueError as exc:
-        # The downsampled file not being a subset of the original is an
-        # input-contract failure, not a usage error.
         raise EventFileError(str(exc)) from None
+    retention = retention_ratio(original, downsampled, window_us=window_us)
     doc = report_doc(sel, alpha=args.alpha, processed=len(original),
                      retained=len(downsampled), ratio=retention.overall,
                      per_window_ratios=retention.per_window_ratios)

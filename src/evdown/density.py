@@ -110,13 +110,6 @@ class ScoreMap:
     probabilities: np.ndarray
     window_id: int = 0
 
-    def probability_at(self, x: int, y: int) -> float:
-        if not (0 <= x < self.geometry.width and 0 <= y < self.geometry.height):
-            raise ValueError(
-                f"pixel ({x}, {y}) outside "
-                f"{self.geometry.width}x{self.geometry.height} score map")
-        return float(self.probabilities[y, x])
-
 
 @dataclass(frozen=True, eq=False)
 class SparseScores:
@@ -159,7 +152,7 @@ def accumulate_density(events: EventStream, window_id: int = 0) -> DensityMap:
     it.  Raises ValueError if an event lies outside the stream geometry.
     """
     geo = events.geometry
-    oob = np.nonzero((events.x >= geo.width) | (events.y >= geo.height))[0]
+    oob = np.nonzero(~geo.contains(events.x, events.y))[0]
     if oob.size:
         i = int(oob[0])
         raise ValueError(

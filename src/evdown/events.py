@@ -49,7 +49,7 @@ class SensorGeometry:
         return self.width * self.height
 
     def contains(self, x, y):
-        """Vectorized bounds test for pixel coordinates."""
+        """Vectorized bounds test for nonnegative pixel coordinates."""
         return (np.asarray(x) < self.width) & (np.asarray(y) < self.height)
 
 
@@ -235,7 +235,7 @@ def validate_stream(stream: EventStream, max_violations: int = 10) -> Validation
             i = int(i) + 1
             found.append(Violation(i, "ordering",
                                    f"t={t[i]} precedes t={t[i - 1]} at index {i - 1}"))
-    oob = np.nonzero((x >= geo.width) | (y >= geo.height))[0][:max_violations]
+    oob = np.nonzero(~geo.contains(x, y))[0][:max_violations]
     for i in oob:
         i = int(i)
         found.append(Violation(
@@ -265,7 +265,7 @@ def first_violations(t, x, y, geometry: SensorGeometry | None = None,
         ordering = 0
     bounds = None
     if geometry is not None:
-        bounds = first((x >= geometry.width) | (y >= geometry.height))
+        bounds = first(~geometry.contains(x, y))
     return ordering, bounds
 
 

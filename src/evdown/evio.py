@@ -501,8 +501,7 @@ class EventWriter:
                 columns.append(_symbols(_LABEL_CHAR, stream.labels, "label"))
             _write_rows(self._fh, n, columns)
         else:
-            geo = self._geometry
-            oob = (stream.x >= geo.width) | (stream.y >= geo.height)
+            oob = ~self._geometry.contains(stream.x, stream.y)
             if np.any(oob):
                 i = self.count + int(np.flatnonzero(oob)[0])
                 raise ValueError(

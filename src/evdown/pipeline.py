@@ -19,30 +19,33 @@ previous window only, and every inactive pixel shares one score, so its
 cost follows the active pixels, not the sensor size.  No per-pixel array
 of the whole sensor is allocated.
 
-The budget cap runs across windows: an event is dropped before evaluation
-when the stream-wide kept/processed ratio already exceeds alpha, and such
-drops consume no randomness.  With alpha = 1 every method passes all events
-through (stochastic methods then use acceptance probability 1).
+Per event: the window id is ``(t - anchor) // t_us + 1``; the acceptance
+probability is the duty-cycle indicator (deterministic), alpha (uniform,
+and poisson in window 1) or the pixel's value in the map frozen from
+window ``id - 1`` (poisson).  The budget cap of :mod:`evdown.samplers`
+runs across windows on the counts of the events before: a capped event is
+dropped unevaluated and takes no variate, any other takes the next one.
+With alpha = 1 every method keeps every event (stochastic methods then
+use acceptance probability 1).
 
 Every event's acceptance probability in a piece is computed first; one
 walk of :func:`evdown.capwalk.cap_walk`, resumed where the last piece's
-stopped, then applies the cap and the draws.  It consumes the random
-stream exactly as the per-event kernels in :mod:`evdown.samplers` would:
-the k-th stochastically evaluated event sees the k-th variate of the
-generator.  A piece draws only the variates the last one left unused do
-not cover, and PCG64 block draws concatenate exactly.
+stopped, then applies the cap and the draws.  A piece draws only the
+variates the last one left unused do not cover, and PCG64 block draws
+concatenate exactly.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .capwalk import cap_walk
-from .density import (DensityMap, ScoreMap, occupancy_values,
-                      poisson_occupancy, score_map, sparse_scores)
+# Uncalled here: perfbench's tracer wraps poisson_occupancy and score_map.
+from .density import (occupancy_values, poisson_occupancy, score_map,
+                      sparse_scores)
 from .events import (EventStream, SensorGeometry, first_violations,
                      window_ids, window_spans)
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
@@ -54,58 +57,6 @@ _REJ_SAMPLER = int(DecisionCode.REJECT_SAMPLER)
 _REJ_CAP = int(DecisionCode.REJECT_CAP)
 # The distinct pixels and counts of a window without events.
 _IDLE = (np.empty(0, np.int64), np.empty(0, np.int64))
-
-
-@dataclass
-class WindowState:
-    """Mutable state of the currently open analysis window.
-
-    ``scores`` is the frozen map used to score events of this window (None
-    only for window 1, which falls back to uniform sampling).  ``counts``
-    accumulates the density of this window for the next freeze.
-    """
-
-    geometry: SensorGeometry
-    t_anchor: int
-    t_us: int
-    index: int = 1
-    scores: ScoreMap | None = None
-    counts: np.ndarray = None
-
-    def __post_init__(self):
-        if self.counts is None:
-            self.counts = np.zeros((self.geometry.height, self.geometry.width))
-
-    @property
-    def left_edge(self) -> int:
-        return self.t_anchor + (self.index - 1) * self.t_us
-
-    @property
-    def right_edge(self) -> int:
-        return self.t_anchor + self.index * self.t_us
-
-    def contains(self, t_us: int) -> bool:
-        return self.left_edge <= t_us < self.right_edge
-
-    def add(self, x: int, y: int) -> None:
-        """Count one event into this window's density (accepted or not)."""
-        self.counts[y, x] += 1.0
-
-
-def rollover(state: WindowState, config: SamplerConfig) -> WindowState:
-    """Close the current window and open the next one.
-
-    The closing window's density is frozen into the score map that governs
-    the new window.  Advances exactly one window; when an incoming timestamp
-    skips several windows, call repeatedly.  An empty closing window
-    produces the degenerate constant map, so gaps never leave a stale map
-    active.
-    """
-    density = DensityMap(state.geometry, state.counts, state.index)
-    frozen = score_map(poisson_occupancy(density), config.alpha, config.theta,
-                       config.prior, window_id=state.index)
-    return WindowState(state.geometry, state.t_anchor, state.t_us,
-                       index=state.index + 1, scores=frozen)
 
 
 @dataclass

@@ -1,18 +1,20 @@
-"""Per-event acceptance kernels and the shared budget cap.
+"""The decision rules, their shared configuration and the decision codes.
 
 Three policies decide whether to keep an event:
 
-* deterministic: accept events whose timestamp falls in the leading slice of
-  a short repeating duty-cycle window,
+* deterministic: accept when the phase ``(t - anchor) mod tw_us``, the
+  anchor being the stream's first timestamp, falls in the accepting slice
+  ``[0, round(alpha * tw_us))``; nothing is drawn,
 * uniform: accept with fixed probability alpha,
-* density-adaptive: accept with a per-pixel probability looked up in a
-  frozen score map (see :mod:`evdown.density`).
+* density-adaptive: accept with the probability at the event's pixel of
+  the score map frozen from the previous window (see :mod:`evdown.density`).
 
-A hard budget cap can wrap any policy: before each event is evaluated, if
-the running kept/processed ratio already exceeds alpha the event is dropped
-outright and, crucially, no random draw is consumed for it.  Stochastic
-decisions draw exactly one uniform variate from the supplied generator and
-accept when the draw is strictly below the acceptance probability.
+A stochastic decision takes the next variate of the PCG64 generator and
+accepts when it is strictly below the acceptance probability.  A hard
+budget cap can wrap any policy: an event is dropped outright, taking no
+variate, when the events before it have retained > alpha * processed; so
+the first event always reaches its policy, and at alpha = 1 the cap never
+trips.  :func:`evdown.capwalk.cap_walk` applies these rules to a batch.
 """
 
 from __future__ import annotations
@@ -23,45 +25,13 @@ from enum import IntEnum
 
 import numpy as np
 
-from .density import PriorMap, ScoreMap, SigmoidParams
-from .events import Event
+from .density import PriorMap, SigmoidParams
 
 
 class DecisionCode(IntEnum):
     ACCEPT = 0
     REJECT_SAMPLER = 1
     REJECT_CAP = 2
-
-
-@dataclass(frozen=True)
-class Decision:
-    """Outcome for one event.
-
-    ``probability`` is the acceptance probability the sampler used, or None
-    when no probability applied (deterministic decisions, cap rejections).
-    """
-
-    code: DecisionCode
-    probability: float | None = None
-
-    @property
-    def accepted(self) -> bool:
-        return self.code == DecisionCode.ACCEPT
-
-
-@dataclass
-class BudgetState:
-    """Running totals for the budget cap; counts cover the whole stream.
-
-    Both counters are monotone non-decreasing and ``retained <= processed``.
-    """
-
-    processed: int = 0
-    retained: int = 0
-
-    @property
-    def ratio(self) -> float:
-        return self.retained / self.processed if self.processed else 0.0
 
 
 @dataclass(frozen=True)
@@ -105,65 +75,3 @@ def acceptance_window_us(alpha: float, tw_us: int) -> int:
     alpha given in hundredths.
     """
     return int(math.floor(alpha * tw_us + 0.5))
-
-
-def cap_check(state: BudgetState, alpha: float) -> bool:
-    """True when the budget is exhausted for the upcoming event.
-
-    Uses counts from before the event: the cap trips only if at least one
-    event has been processed and retained/processed strictly exceeds alpha.
-    """
-    return state.processed > 0 and state.retained > alpha * state.processed
-
-
-def deterministic_accept(t_us: int, t_anchor: int, alpha: float,
-                         tw_us: int = 100) -> Decision:
-    """Duty-cycle rule: accept iff (t - t_anchor) mod tw_us < round(alpha * tw_us).
-
-    The accepting slice is closed on the left and open on the right.  Raises
-    ValueError for timestamps before the anchor.
-    """
-    if t_us < t_anchor:
-        raise ValueError(f"timestamp {t_us} precedes anchor {t_anchor}")
-    phase = (t_us - t_anchor) % tw_us
-    if phase < acceptance_window_us(alpha, tw_us):
-        return Decision(DecisionCode.ACCEPT)
-    return Decision(DecisionCode.REJECT_SAMPLER)
-
-
-def uniform_accept(rng: np.random.Generator, alpha: float) -> Decision:
-    """Accept with probability alpha, consuming exactly one draw."""
-    u = rng.random()
-    code = DecisionCode.ACCEPT if u < alpha else DecisionCode.REJECT_SAMPLER
-    return Decision(code, probability=alpha)
-
-
-def scored_accept(event: Event, scores: ScoreMap,
-                  rng: np.random.Generator) -> Decision:
-    """Accept with the probability stored at the event's pixel.
-
-    Consumes exactly one draw.  Raises ValueError when the event lies
-    outside the score-map geometry (before any draw is taken).
-    """
-    p = scores.probability_at(event.x, event.y)
-    u = rng.random()
-    code = DecisionCode.ACCEPT if u < p else DecisionCode.REJECT_SAMPLER
-    return Decision(code, probability=p)
-
-
-def capped(decide, state: BudgetState, alpha: float,
-           enabled: bool = True) -> Decision:
-    """Apply the budget cap around a deferred decision and update counters.
-
-    ``decide`` is a zero-argument callable returning a Decision; it is only
-    invoked (and hence only consumes randomness) when the cap does not trip.
-    A tripped cap yields REJECT_CAP with no probability attached.
-    """
-    if enabled and cap_check(state, alpha):
-        state.processed += 1
-        return Decision(DecisionCode.REJECT_CAP)
-    decision = decide()
-    state.processed += 1
-    if decision.accepted:
-        state.retained += 1
-    return decision

@@ -2,10 +2,11 @@
 
 chain_oracle is an independent pure-Python reimplementation of the scoring
 chain (no numpy/scipy) used to cross-check the library's vectorized math.
-reference_run drives the per-event kernels and window rollover one event at
-a time; the batch pipeline must reproduce it exactly.  The cap_walk fixture
-runs a test on each implementation of the compiled kernels (the cap walk and
-the score sigmoid).
+reference_run is the per-event reference of the pipeline: window ids, each
+event's probability (per_event_scores for the density-adaptive method) and
+the cap rule walked one event at a time (per_event_walk); the pipeline must
+reproduce it exactly.  The cap_walk fixture runs a test on each
+implementation of the compiled kernels (the cap walk and the score sigmoid).
 """
 
 import math
@@ -16,16 +17,17 @@ import numpy as np
 import pytest
 
 import evdown
-from evdown import (BudgetState, Decision, EventStream, SamplerConfig,
-                    SensorGeometry, WindowState, capped, capwalk,
-                    deterministic_accept, rollover, scored_accept,
-                    uniform_accept)
-from evdown.events import Event
+from evdown import (DecisionCode, EventStream, SamplerConfig, SensorGeometry,
+                    acceptance_window_us, capwalk, occupancy_values,
+                    sparse_scores)
 
 # The environment of a fresh interpreter that imports this evdown.
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(Path(evdown.__file__).resolve().parents[1]),
      os.environ.get("PYTHONPATH", "")]))
+
+# A sensor of 2**55 pixels: no per-pixel array of it can be allocated.
+HUGE = SensorGeometry(2**31, 2**24)
 
 _P_LO = math.ulp(0.0)
 _P_HI = math.nextafter(1.0, 0.0)
@@ -86,55 +88,85 @@ def random_stream(rng, geometry=None, n=2000, span_us=50_000) -> EventStream:
         rng.integers(0, 2, size=n))
 
 
+def per_event_scores(stream: EventStream, config: SamplerConfig) -> np.ndarray:
+    """Density-adaptive probabilities: alpha in window 1, else each event
+    looked up on its own in the map frozen from the previous window's
+    distinct pixels and counts (no pixel active after an empty window)."""
+    geo = stream.geometry
+    n = len(stream)
+    windows = (stream.t - int(stream.t[0])) // config.t_us + 1
+    flat = stream.y * geo.width + stream.x
+    p = np.empty(n)
+    uniq, starts = np.unique(windows, return_index=True)
+    ends = np.append(starts[1:], n)
+    prev_wid, prev = 0, slice(0, 0)
+    for wid, i0, i1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
+        if wid == 1:
+            p[i0:i1] = config.alpha
+        else:
+            closed = prev if prev_wid == wid - 1 else slice(0, 0)
+            active, counts = np.unique(flat[closed], return_counts=True)
+            frozen = sparse_scores(geo, active, occupancy_values(counts),
+                                   config.alpha, config.theta, config.prior,
+                                   window_id=wid - 1)
+            p[i0:i1] = frozen.lookup(flat[i0:i1])
+        prev_wid, prev = wid, slice(i0, i1)
+    return p
+
+
+def per_event_walk(p, draws, alpha, cap=True):
+    """The cap rule, one event at a time: before each event the budget is
+    checked against the counts so far and trips only when retained >
+    alpha * processed; a capped event takes no draw.  ``draws`` is an
+    iterable of variates, or None for the deterministic mode, which accepts
+    when p > 0.  Returns the decision codes and the number retained."""
+    it = None if draws is None else iter(draws)
+    codes, retained = [], 0
+    for processed, pk in enumerate(p):
+        if cap and retained > alpha * processed:
+            code = DecisionCode.REJECT_CAP
+        elif (pk > 0.0) if it is None else (next(it) < pk):
+            code = DecisionCode.ACCEPT
+            retained += 1
+        else:
+            code = DecisionCode.REJECT_SAMPLER
+        codes.append(int(code))
+    return codes, retained
+
+
 def reference_run(stream: EventStream, method: str, config: SamplerConfig):
     """Per-event reference semantics for the pipeline.
 
-    Returns (codes, probs, windows, budget) where codes/probs/windows are
-    per-event lists and budget is the final BudgetState.  Probabilities
-    follow the decision-log convention: the acceptance probability that
-    applied (alpha for uniform and for the first-window fallback, the
-    frozen map value otherwise, 1.0 at alpha=1, NaN for deterministic),
-    recorded for capped events as well.
+    Returns (codes, probs, windows, retained): per-event lists and the
+    number of events kept.  Probabilities follow the decision-log
+    convention: the acceptance probability that applied (alpha for uniform
+    and for the first-window fallback, the frozen map value otherwise, 1.0
+    at alpha=1, NaN for deterministic), recorded for capped events as well.
+    Stochastic methods take their variates from the seeded generator one
+    at a time.
     """
     n = len(stream)
-    rng = config.rng()
-    budget = BudgetState()
-    codes, probs, windows = [], [], []
     if n == 0:
-        return codes, probs, windows, budget
-    t0 = int(stream.t[0])
-    wstate = WindowState(stream.geometry, t0, config.t_us)
-    for i in range(n):
-        t = int(stream.t[i])
-        x = int(stream.x[i])
-        y = int(stream.y[i])
-        while t >= wstate.right_edge:
-            wstate = rollover(wstate, config)
-        windows.append(wstate.index)
-        if method == "deterministic":
-            prob = float("nan")
-            decide = lambda: deterministic_accept(t, t0, config.alpha,
-                                                  config.tw_us)
-        elif method == "uniform":
-            prob = config.alpha
-            decide = lambda: uniform_accept(rng, config.alpha)
-        elif config.alpha == 1.0:
-            prob = 1.0
-            decide = lambda: uniform_accept(rng, 1.0)
-        elif wstate.scores is None:
-            prob = config.alpha
-            decide = lambda: uniform_accept(rng, config.alpha)
+        return [], [], [], 0
+    alpha = config.alpha
+    t = stream.t - int(stream.t[0])
+    windows = t // config.t_us + 1
+    draws = None
+    if method == "deterministic":
+        ta = acceptance_window_us(alpha, config.tw_us)
+        p = (t % config.tw_us < ta).astype(np.float64)
+        probs = np.full(n, np.nan)
+    else:
+        rng = config.rng()
+        draws = iter(rng.random, None)
+        if method == "poisson" and alpha != 1.0:
+            p = per_event_scores(stream, config)
         else:
-            prob = wstate.scores.probability_at(x, y)
-            event = Event(t, x, y, int(stream.p[i]))
-            scores = wstate.scores
-            decide = lambda: scored_accept(event, scores, rng)
-        decision = capped(decide, budget, config.alpha,
-                          enabled=config.cap_enabled)
-        codes.append(int(decision.code))
-        probs.append(prob)
-        wstate.add(x, y)
-    return codes, probs, windows, budget
+            p = np.full(n, alpha)
+        probs = p
+    codes, retained = per_event_walk(p.tolist(), draws, alpha,
+                                     config.cap_enabled)
+    return codes, probs.tolist(), windows.tolist(), retained
 
 
 def force_python_walk(monkeypatch) -> None:

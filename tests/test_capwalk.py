@@ -1,5 +1,5 @@
-"""The cap walk: compiled kernel vs Python loop vs the per-event cap, and
-the loader's fallbacks."""
+"""The cap walk: compiled kernel vs Python loop vs the per-event cap rule
+(``conftest.per_event_walk``), and the loader's fallbacks."""
 
 import hashlib
 import json
@@ -15,31 +15,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (BudgetState, Decision, DecisionCode, SamplerConfig,
-                    capped, capwalk, read_events, read_log, run,
+from evdown import (SamplerConfig, capwalk, read_events, read_log, run,
                     write_events, write_log)
 from evdown.cli import main
 
-from conftest import SRC_ENV, random_stream, reference_run
+from conftest import SRC_ENV, per_event_walk, random_stream, reference_run
 
 ALPHAS = [1.0, 0.1, 0.3, 1 / 3, 0.7, math.nextafter(1.0, 0.0)]
 HAS_CC = shutil.which("cc") is not None
-
-
-def per_event_walk(p, draws, alpha):
-    """The cap walk written with samplers.capped, one event at a time."""
-    state = BudgetState()
-    it = None if draws is None else iter(draws.tolist())
-    codes = []
-    for pk in p.tolist():
-        if it is None:
-            decide = lambda: Decision(DecisionCode.ACCEPT if pk > 0
-                                      else DecisionCode.REJECT_SAMPLER)
-        else:
-            decide = lambda: Decision(DecisionCode.ACCEPT if next(it) < pk
-                                      else DecisionCode.REJECT_SAMPLER, pk)
-        codes.append(int(capped(decide, state, alpha).code))
-    return codes, state.retained
 
 
 def python_walk(p, draws, alpha):
@@ -155,6 +138,7 @@ class TestResume:
             p = (p > 0.5).astype(np.float64)
         codes = np.empty(p.size, np.uint8)
         retained, used = capwalk.cap_walk(p, draws, alpha, codes)
+        assert (codes.tolist(), retained) == per_event_walk(p, draws, alpha)
         assert used == (0 if draws is None
                         else int(np.count_nonzero(codes != 2)))
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -309,6 +310,7 @@ class TestWithoutScipy:
     # Runs the CLI with every scipy import refused.
     NO_SCIPY_MAIN = """
 import sys
+from pathlib import Path
 
 class RefuseScipy:
     def find_spec(self, name, path=None, target=None):
@@ -342,3 +344,15 @@ sys.exit(main(sys.argv[1:]))
         for name in ("{}.csv", "{}-log.csv"):
             assert ((tmp_path / name.format("refused")).read_bytes()
                     == (tmp_path / name.format("normal")).read_bytes())
+
+
+def test_benchmark_tracer_installs():
+    """perfbench's tracer patches names in evdown.cli and evdown.pipeline;
+    dropping one of them fails here, not only in a traced benchmark run."""
+    perfbench = Path(__file__).resolve().parents[1] / "perfbench"
+    probe = ("import sys; sys.path.insert(0, sys.argv[1]); import worker; "
+             "worker.Tracer(0).install(worker.load_evdown())")
+    proc = subprocess.run([sys.executable, "-c", probe, str(perfbench)],
+                          capture_output=True, text=True, env=SRC_ENV,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr

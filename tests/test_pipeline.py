@@ -1,19 +1,19 @@
-"""Streaming pipeline: windowing, causality, cap, batch/per-event parity."""
+"""Streaming pipeline: windowing, causality, cap, parity with the per-event
+reference."""
 
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evdown import (DecisionCode, EventStream, PriorMap, SamplerConfig,
-                    SensorGeometry, WindowState, gaussian_prior, rollover, run,
-                    timing_probe)
+                    SensorGeometry, gaussian_prior, run, timing_probe)
 from evdown.density import sigmoid
 
-from conftest import (force_python_walk, make_stream, random_stream,
+from conftest import (HUGE, force_python_walk, make_stream, random_stream,
                       reference_run)
 
 GEO = SensorGeometry(16, 12)
@@ -107,39 +107,29 @@ class TestWindowing:
         assert log.probability[-1] == expected
 
     def test_gap_rollover_steps_one_window_at_a_time(self):
-        config = SamplerConfig(alpha=0.1, t_us=6000)
-        state = WindowState(GEO, t_anchor=0, t_us=6000)
-        state.add(3, 3)
-        t_next = 21000  # 3.5 windows after the anchor
-        steps = 0
-        while t_next >= state.right_edge:
-            state = rollover(state, config)
-            steps += 1
-        assert steps == 3
-        assert state.index == 4
-        # two empty closes in between wiped the window-1 signal
+        """A gap of two empty windows wipes the window-1 signal from every
+        pixel: each event of window 4 scores the constant sigmoid(alpha)."""
+        records = ([(0, 3, 3, 1)]
+                   + [(21000, x, y, 1) for x, y in ((3, 3), (0, 0), (15, 11))])
+        _, _, log = run(make_stream(GEO, records), "poisson",
+                        SamplerConfig(alpha=0.1, t_us=6000, cap_enabled=False))
+        assert log.window.tolist() == [1, 4, 4, 4]
         expected = float(sigmoid(np.float64(0.1)))
-        assert (state.scores.probabilities == expected).all()
+        assert (log.probability[1:] == expected).all()
 
     def test_rollover_freezes_closing_density(self):
-        config = SamplerConfig(alpha=0.2, t_us=1000)
-        state = WindowState(GEO, t_anchor=0, t_us=1000)
-        for _ in range(50):
-            state.add(5, 5)
-        state.add(10, 2)
-        nxt = rollover(state, config)
-        assert nxt.index == 2
-        assert nxt.scores.window_id == 1
-        assert not nxt.counts.any()
-        probs = nxt.scores.probabilities
-        assert probs[5, 5] > probs[2, 10] > probs[0, 0]
-
-    def test_window_state_edges(self):
-        state = WindowState(GEO, t_anchor=1000, t_us=500, index=3)
-        assert state.left_edge == 2000
-        assert state.right_edge == 2500
-        assert state.contains(2000)
-        assert not state.contains(2500)
+        """Window 1's counts, and no later event, score window 2; window 3
+        is scored from window 2 alone."""
+        config = SamplerConfig(alpha=0.2, t_us=1000, cap_enabled=False)
+        records = ([(0, 5, 5, 1)] * 50 + [(1, 10, 2, 1)]
+                   + [(1000, 5, 5, 1), (1000, 10, 2, 1)]
+                   + [(1001, 0, 0, 1)] * 3
+                   + [(2000, 5, 5, 1), (2000, 0, 0, 1)])
+        _, _, log = run(make_stream(GEO, records), "poisson", config)
+        assert log.window.tolist() == [1] * 51 + [2] * 5 + [3] * 2
+        p5, p10, p0 = log.probability[51:54]
+        assert p5 > p10 > p0
+        assert log.probability[-1] > log.probability[-2]
 
 
 class TestStatsInvariants:
@@ -209,16 +199,18 @@ class TestDeterminism:
         assert not np.array_equal(out1.source_index, out2.source_index)
 
 
-# width, height, seed, alpha, cap, with_prior
-SMALL_SENSOR_CASES = (st.integers(1, 5), st.integers(1, 4),
+# geometry, seed, alpha, cap, with_prior; no prior fits the huge sensor
+SMALL_SENSOR_CASES = (st.builds(SensorGeometry, st.integers(1, 5),
+                                st.integers(1, 4)) | st.just(HUGE),
                       st.integers(0, 2**32 - 1),
                       st.sampled_from([0.05, 0.3, 1.0]), st.booleans(),
                       st.booleans())
 
 
 class TestBatchMatchesPerEvent:
-    """The vectorized pipeline must reproduce the per-event kernels exactly:
-    same codes, same probabilities, same RNG consumption."""
+    """The vectorized pipeline must reproduce the per-event reference
+    (conftest.reference_run) exactly: same codes, same probabilities, same
+    RNG consumption."""
 
     @pytest.mark.parametrize("method", ["deterministic", "uniform", "poisson"])
     @pytest.mark.parametrize("cap", [True, False])
@@ -228,12 +220,12 @@ class TestBatchMatchesPerEvent:
                           n=1500, span_us=40_000)
         config = SamplerConfig(alpha=alpha, seed=21, cap_enabled=cap)
         out, stats, log = run(s, method, config)
-        codes, probs, windows, budget = reference_run(s, method, config)
+        codes, probs, windows, retained = reference_run(s, method, config)
         assert log.code.tolist() == codes
         assert log.window.tolist() == windows
         np.testing.assert_array_equal(log.probability, np.asarray(probs))
-        assert stats.processed == budget.processed
-        assert stats.retained == budget.retained
+        assert stats.processed == len(codes)
+        assert stats.retained == retained
 
     def test_parity_with_prior_and_gaps(self):
         rng = np.random.default_rng(77)
@@ -251,20 +243,22 @@ class TestBatchMatchesPerEvent:
                         rng.integers(0, 2, t.size))
         config = SamplerConfig(alpha=0.3, seed=5, prior=gaussian_prior(GEO))
         out, stats, log = run(s, "poisson", config)
-        codes, probs, windows, budget = reference_run(s, "poisson", config)
+        codes, probs, windows, retained = reference_run(s, "poisson", config)
         assert log.code.tolist() == codes
         assert log.window.tolist() == windows
         np.testing.assert_array_equal(log.probability, np.asarray(probs))
-        assert budget.retained == stats.retained
+        assert retained == stats.retained
 
     @settings(max_examples=40, deadline=None)
     @given(*SMALL_SENSOR_CASES)
-    def test_sparse_scoring_parity_small_sensors(self, width, height, seed,
-                                                 alpha, cap, with_prior):
+    @example(HUGE, 0, 0.3, True, False)
+    def test_sparse_scoring_parity_small_sensors(self, geo, seed, alpha, cap,
+                                                 with_prior):
         """Tiny sensors make every-pixel-active windows common; bursts
-        with long gaps give windows with no active pixel."""
+        with long gaps give windows with no active pixel.  On the huge
+        sensor nearly every pixel stays inactive."""
         rng = np.random.default_rng(seed)
-        geo = SensorGeometry(width, height)
+        width, height = geo.width, geo.height
         bursts = [np.sort(rng.integers(0, 3000, int(rng.integers(0, 40))))
                   + k * int(rng.integers(2000, 9000)) for k in range(8)]
         t = np.sort(np.concatenate(bursts))
@@ -272,7 +266,7 @@ class TestBatchMatchesPerEvent:
                         rng.integers(0, height, t.size),
                         rng.integers(0, 2, t.size))
         prior = None
-        if with_prior:
+        if with_prior and geo != HUGE:
             weights = rng.uniform(0.0, 2.0, (height, width))
             weights[rng.random((height, width)) < 0.3] = 0.0
             weights.flat[0] = 1.0
@@ -280,11 +274,11 @@ class TestBatchMatchesPerEvent:
         config = SamplerConfig(alpha=alpha, t_us=2000, seed=seed,
                                cap_enabled=cap, prior=prior)
         out, stats, log = run(s, "poisson", config)
-        codes, probs, windows, budget = reference_run(s, "poisson", config)
+        codes, probs, windows, retained = reference_run(s, "poisson", config)
         assert log.code.tolist() == codes
         assert log.window.tolist() == windows
         np.testing.assert_array_equal(log.probability, np.asarray(probs))
-        assert stats.retained == budget.retained
+        assert stats.retained == retained
 
 
 class TestBatchMatchesPerEventPythonWalk(TestBatchMatchesPerEvent):
@@ -299,18 +293,19 @@ class TestBatchMatchesPerEventPythonWalk(TestBatchMatchesPerEvent):
     # Hypothesis needs its own test function for each class that runs it.
     @settings(max_examples=40, deadline=None)
     @given(*SMALL_SENSOR_CASES)
-    def test_sparse_scoring_parity_small_sensors(self, width, height, seed,
-                                                 alpha, cap, with_prior):
+    @example(HUGE, 0, 0.3, True, False)
+    def test_sparse_scoring_parity_small_sensors(self, geo, seed, alpha, cap,
+                                                 with_prior):
         base = TestBatchMatchesPerEvent
         base.test_sparse_scoring_parity_small_sensors.hypothesis.inner_test(
-            self, width, height, seed, alpha, cap, with_prior)
+            self, geo, seed, alpha, cap, with_prior)
 
 
 class TestHugeGeometry:
     def test_poisson_memory_follows_events_not_sensor(self):
         """A dense map of this sensor (2**55 pixels) could never be
         allocated; a regression to dense scoring fails with MemoryError."""
-        geo = SensorGeometry(2**31, 2**24)
+        geo = HUGE
         rng = np.random.default_rng(12)
         n = 400
         hot = rng.integers(0, 2**31, 20), rng.integers(0, 2**24, 20)

@@ -1,9 +1,9 @@
 """The pipeline's scorer against the per-event formulation.
 
-``per_event_scores`` freezes each window's map from ``np.unique`` of the
-previous window's events and then looks up every event of the window on
-its own.  ``pipeline._WindowScorer`` sorts each window once and looks up
-its distinct pixels only; the two must agree bit for bit.
+``conftest.per_event_scores`` freezes each window's map from ``np.unique``
+of the previous window's events and then looks up every event of the
+window on its own.  ``pipeline._WindowScorer`` sorts each window once and
+looks up its distinct pixels only; the two must agree bit for bit.
 """
 
 import numpy as np
@@ -11,37 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdown import (EventStream, PriorMap, SamplerConfig, SensorGeometry,
-                    occupancy_values, run, sparse_scores)
+from evdown import EventStream, PriorMap, SamplerConfig, SensorGeometry, run
 from evdown.events import window_spans
 from evdown.pipeline import _WindowScorer
 
-from conftest import make_stream
-
-HUGE = SensorGeometry(2**31, 2**24)
-
-
-def per_event_scores(stream: EventStream, config: SamplerConfig) -> np.ndarray:
-    geo = stream.geometry
-    n = len(stream)
-    windows = (stream.t - int(stream.t[0])) // config.t_us + 1
-    flat = stream.y * geo.width + stream.x
-    p = np.empty(n)
-    uniq, starts = np.unique(windows, return_index=True)
-    ends = np.append(starts[1:], n)
-    prev_wid, prev = 0, slice(0, 0)
-    for wid, i0, i1 in zip(uniq.tolist(), starts.tolist(), ends.tolist()):
-        if wid == 1:
-            p[i0:i1] = config.alpha
-        else:
-            closed = prev if prev_wid == wid - 1 else slice(0, 0)
-            active, counts = np.unique(flat[closed], return_counts=True)
-            frozen = sparse_scores(geo, active, occupancy_values(counts),
-                                   config.alpha, config.theta, config.prior,
-                                   window_id=wid - 1)
-            p[i0:i1] = frozen.lookup(flat[i0:i1])
-        prev_wid, prev = wid, slice(i0, i1)
-    return p
+from conftest import HUGE, make_stream, per_event_scores
 
 
 def scored(stream: EventStream, config: SamplerConfig) -> np.ndarray:

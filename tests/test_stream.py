@@ -226,6 +226,21 @@ class TestWindowIdLimit:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["out.evb",
                                                               "wide.evb"]
 
+    @pytest.mark.parametrize("window_us, message", [
+        ("1", "2**63 - 1"), ("0", "--window-us must be >= 1, got 0")],
+        ids=["id-limit", "zero"])
+    def test_metrics_exits_2(self, tmp_path, capsys, window_us, message):
+        """A window length the stream cannot use is a usage error, as in
+        downsample, not a malformed file."""
+        src = tmp_path / "wide.csv"
+        write_events(make_stream(GEO, SPAN_2_63), src)
+        assert cli.main(["metrics", "--original", str(src), "--downsampled",
+                         str(src), "--out", "-",
+                         "--window-us", window_us]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err and "Traceback" not in captured.err
+        assert captured.out == ""
+
 
 # --- downsample in chunks ----------------------------------------------------
 
