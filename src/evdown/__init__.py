@@ -12,8 +12,7 @@ from .density import (DensityMap, OccupancyMap, PriorMap, ScoreMap,
                       gaussian_prior, minmax_normalize, occupancy_values,
                       poisson_occupancy, score_map, sigmoid, sparse_scores)
 from .events import (Event, EventLabel, EventStream, Polarity, SensorGeometry,
-                     ValidationReport, Violation, stream_duration,
-                     validate_stream)
+                     stream_duration)
 from .evio import (EventFileError, detect_format, read_events, read_log,
                    read_prior, write_events, write_log, write_prior,
                    write_stats)

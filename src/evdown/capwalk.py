@@ -258,7 +258,10 @@ def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
     ``draws=None`` (the deterministic method, where ``p`` is 0 or 1) an
     event is accepted iff its ``p`` is above 0, and nothing is drawn.
     ``codes`` (uint8, one per event) receives the DecisionCode values:
-    0 accept, 1 sampler reject, 2 cap.
+    0 accept, 1 sampler reject, 2 cap.  With ``alpha=math.inf`` the cap
+    never trips (the budget ``alpha * k`` is infinite for every ``k > 0``,
+    and event 0 is never capped), so the walk is the sampler alone: the
+    budget cap turned off.
 
     The walk resumes one that has passed ``k0`` events and kept
     ``retained0`` of them; ``retained`` counts from there.  Two walks, the

@@ -32,7 +32,7 @@ from .evio import (BinaryEvents, EventFileError, EventWriter, LogWriter,
                    replacing, report_doc, write_events, write_json_doc,
                    write_log, write_stats)
 from .events import SensorGeometry
-from .metrics import retention_ratio, selectivity
+from .metrics import match_events, retention_ratio, selectivity
 from .pipeline import METHODS, Downsampler, run
 from .samplers import SamplerConfig
 from .synth import EdgeSpec, SceneSpec, generate
@@ -225,8 +225,11 @@ def cmd_metrics(args) -> int:
     if len(original) == 0:
         raise EventFileError("original stream is empty")
     try:
-        sel = (selectivity(original, downsampled, alpha=args.alpha)
-               if original.is_labeled else None)
+        if original.is_labeled:
+            sel = selectivity(original, downsampled, alpha=args.alpha)
+        else:
+            sel = None
+            match_events(original, downsampled)
     except ValueError as exc:
         raise EventFileError(str(exc)) from None
     retention = retention_ratio(original, downsampled, window_us=window_us)

@@ -76,7 +76,7 @@ class EventStream:
     Parameters
     ----------
     geometry : SensorGeometry
-        Sensor dimensions the coordinates are expected to fit.
+        Sensor dimensions every pixel lies on.
     t, x, y, p : array-like of int
         Parallel columns. ``p`` holds 0 (OFF) or 1 (ON).
     labels : array-like of int, optional
@@ -87,19 +87,23 @@ class EventStream:
         For a downsampled stream, the index of each event in the stream it
         was sampled from.
 
-    The constructor enforces structural sanity (equal lengths, nonnegative
-    values, polarity in {0, 1}).  Ordering and geometry bounds are checked by
-    :func:`validate_stream`, which reports violations instead of raising.
+    A stream is valid by construction.  The constructor raises ValueError
+    for columns of unequal length, negative values or a polarity outside
+    {0, 1}, and then, naming the first offending index (ordering before
+    bounds, as :func:`first_violations` finds them), for a timestamp below
+    its predecessor's or a pixel outside ``geometry``.  Slices and subsets
+    of a valid stream are valid, so they are not checked again; a slice
+    with a negative step, or a subset whose indices go backwards, would
+    reverse the order and raises ValueError instead.
     """
 
     __slots__ = ("geometry", "t", "x", "y", "p", "labels", "edge_ids", "source_index")
 
     def __init__(self, geometry, t, x, y, p, labels=None, edge_ids=None,
                  source_index=None):
-        # Private copies so freezing them below cannot lock a caller's buffer.
-        t = np.array(t, dtype=np.int64)
-        x = np.array(x, dtype=np.int64)
-        y = np.array(y, dtype=np.int64)
+        t = np.asarray(t, dtype=np.int64)
+        x = np.asarray(x, dtype=np.int64)
+        y = np.asarray(y, dtype=np.int64)
         p = np.array(p, dtype=np.uint8)
         n = t.shape[0]
         if not (x.shape == y.shape == p.shape == (n,)):
@@ -108,18 +112,39 @@ class EventStream:
             raise ValueError("timestamps and coordinates must be nonnegative")
         if n and p.max() > 1:
             raise ValueError("polarity values must be 0 or 1")
+        # Checked before the copies below, so the check's temporaries and
+        # the copies are never held at once.
+        i, j = first_violations(t, x, y, geometry)
+        if i is not None:
+            raise ValueError(f"events out of order at index {i}: "
+                             f"t={int(t[i])} after t={int(t[i - 1])}")
+        if j is not None:
+            raise ValueError(f"event {j} at ({int(x[j])}, {int(y[j])}) "
+                             f"outside {geometry.width}x{geometry.height} "
+                             f"sensor")
+        # Private copies so freezing them cannot lock a caller's buffer.
+        self._fill(geometry, np.array(t), np.array(x), np.array(y), p,
+                   self._optional(labels, np.uint8, n, "labels"),
+                   self._optional(edge_ids, np.int32, n, "edge_ids"),
+                   self._optional(source_index, np.int64, n, "source_index"))
+
+    def _fill(self, geometry, *columns) -> "EventStream":
+        """Set the geometry and the columns, in slot order, read-only."""
         self.geometry = geometry
-        self.t = t
-        self.x = x
-        self.y = y
-        self.p = p
-        self.labels = self._optional(labels, np.uint8, n, "labels")
-        self.edge_ids = self._optional(edge_ids, np.int32, n, "edge_ids")
-        self.source_index = self._optional(source_index, np.int64, n, "source_index")
-        for arr in (self.t, self.x, self.y, self.p, self.labels, self.edge_ids,
-                    self.source_index):
-            if arr is not None:
-                arr.flags.writeable = False
+        for name, col in zip(self.__slots__[1:], columns):
+            if col is not None:
+                col.flags.writeable = False
+            setattr(self, name, col)
+        return self
+
+    def _derive(self, pick, source_index) -> "EventStream":
+        """A stream of the same geometry whose columns are ``pick`` of this
+        one's, unchecked: the caller keeps the events in stream order."""
+        columns = [None if col is None else pick(col)
+                   for col in (self.t, self.x, self.y, self.p, self.labels,
+                               self.edge_ids)]
+        return object.__new__(EventStream)._fill(self.geometry, *columns,
+                                                 source_index)
 
     @staticmethod
     def _optional(values, dtype, n, name):
@@ -138,15 +163,15 @@ class EventStream:
         stream, every column (labels, edge ids, source_index) carried.
 
         A slice shares this stream's read-only columns instead of copying
-        them, and needs no checks: every slice of a valid stream is one.
+        them.  Raises ValueError for a negative step, which would reverse
+        the stream.
         """
         if isinstance(i, slice):
-            piece = object.__new__(EventStream)
-            piece.geometry = self.geometry
-            for name in self.__slots__[1:]:
-                col = getattr(self, name)
-                setattr(piece, name, None if col is None else col[i])
-            return piece
+            if i.step is not None and i.step < 0:
+                raise ValueError(
+                    f"a slice with step {i.step} would reverse the stream")
+            return self._derive(lambda col: col[i], None if self.source_index
+                                is None else self.source_index[i])
         return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]),
                      Polarity(int(self.p[i])))
 
@@ -180,89 +205,31 @@ class EventStream:
         is itself a subset, source_index composes through to the original;
         otherwise it records ``offset + indices``, the indices in a longer
         stream of which this one is a piece starting at ``offset``.
+
+        Raises ValueError when an index is below the one before it: the
+        events must stay in stream order.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        if self.source_index is not None:
-            src = self.source_index[indices]
-        else:
-            src = indices + offset if offset else indices
-        return EventStream(
-            self.geometry,
-            self.t[indices], self.x[indices], self.y[indices], self.p[indices],
-            labels=None if self.labels is None else self.labels[indices],
-            edge_ids=None if self.edge_ids is None else self.edge_ids[indices],
-            source_index=src,
-        )
+        if indices.size > 1 and np.any(indices[1:] < indices[:-1]):
+            raise ValueError("subset indices must not decrease")
+        src = (indices + offset if self.source_index is None
+               else self.source_index[indices])
+        return self._derive(lambda col: col[indices], src)
 
 
-@dataclass(frozen=True)
-class Violation:
-    """One validation finding: event index, kind ('ordering' or 'bounds'),
-    and a human-readable message."""
-
-    index: int
-    kind: str
-    message: str
-
-
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple
-
-    def __str__(self) -> str:
-        if self.ok:
-            return "stream valid"
-        lines = [f"[{v.index}] {v.kind}: {v.message}" for v in self.violations]
-        return "\n".join(lines)
-
-
-def validate_stream(stream: EventStream, max_violations: int = 10) -> ValidationReport:
-    """Check timestamp ordering and geometry bounds without raising.
-
-    Returns a report listing the first ``max_violations`` offending events in
-    index order.  Ordering flags any event whose timestamp is smaller than
-    its predecessor's; bounds flags any event whose coordinates fall outside
-    the stream geometry.
-    """
-    found = []
-    t, x, y = stream.t, stream.x, stream.y
-    geo = stream.geometry
-    if len(stream) > 1:
-        # Each kind is truncated before message formatting so a fully broken
-        # stream does not cost a pass over every event.
-        for i in np.nonzero(np.diff(t) < 0)[0][:max_violations]:
-            i = int(i) + 1
-            found.append(Violation(i, "ordering",
-                                   f"t={t[i]} precedes t={t[i - 1]} at index {i - 1}"))
-    oob = np.nonzero(~geo.contains(x, y))[0][:max_violations]
-    for i in oob:
-        i = int(i)
-        found.append(Violation(
-            i, "bounds",
-            f"pixel ({x[i]}, {y[i]}) outside {geo.width}x{geo.height} sensor"))
-    found.sort(key=lambda v: v.index)
-    found = found[:max_violations]
-    return ValidationReport(ok=not found, violations=tuple(found))
-
-
-def first_violations(t, x, y, geometry: SensorGeometry | None = None,
-                     before: int | None = None):
+def first_violations(t, x, y, geometry: SensorGeometry | None = None):
     """Return (ordering, bounds): the index of the first event whose
     timestamp is smaller than its predecessor's, and of the first event
     outside ``geometry``.  Either is None when no event offends; bounds is
-    always None without a geometry.  For a piece of a longer stream,
-    ``before`` is the timestamp of the event ahead of it, and ordering is
-    0 when the piece's first event is earlier."""
+    always None without a geometry.  Its temporaries take one byte per
+    event."""
     def first(mask):
         i = int(np.argmax(mask)) if mask.size else 0
         return i if mask.size and mask[i] else None
 
-    ordering = first(np.diff(t) < 0)
+    ordering = first(t[1:] < t[:-1])
     if ordering is not None:
         ordering += 1
-    if before is not None and len(t) and t[0] < before:
-        ordering = 0
     bounds = None
     if geometry is not None:
         bounds = first(~geometry.contains(x, y))

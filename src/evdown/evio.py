@@ -168,31 +168,40 @@ def replacing(path):
 
 def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
                    before=None) -> EventStream:
-    """Shared ordering/bounds checks and geometry resolution for readers.
+    """The stream a reader's columns make, in the given geometry or, without
+    one, the smallest sensor that holds every event.
 
     For a block of a longer stream, ``start`` is the index of its first
     event, which messages count from, and ``before`` the timestamp of the
-    event ahead of it.
+    event ahead of it.  A stream that cannot be built raises
+    EventFileError, naming its first event out of order, else its first
+    event outside the given geometry, else the inferred geometry's fault.
     """
     t = np.asarray(t, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    i, j = first_violations(t, x, y, geometry, before)
+    behind = before is not None and t.size > 0 and t[0] < before
+    if not behind:
+        try:
+            sensor = geometry if geometry is not None else SensorGeometry(
+                int(x.max()) + 1 if x.size else 1,
+                int(y.max()) + 1 if y.size else 1)
+            return EventStream(sensor, t, x, y, p, labels=labels)
+        except ValueError as exc:
+            refusal = exc
+    # The stream was refused: find its offence again, in the file's terms.
+    i, j = (0, None) if behind else first_violations(t, x, y, geometry)
     if i is not None:
         raise EventFileError(
             f"{path}: events out of order at index {start + i} "
             f"(t={int(t[i])} after t={before if i == 0 else int(t[i - 1])})")
-    if geometry is None:
-        try:
-            geometry = SensorGeometry(int(x.max()) + 1 if x.size else 1,
-                                      int(y.max()) + 1 if y.size else 1)
-        except ValueError as exc:
-            raise EventFileError(f"{path}: inferred {exc}") from None
-    elif j is not None:
+    if j is not None:
         raise EventFileError(
             f"{path}: event {start + j} at ({int(x[j])}, {int(y[j])}) "
             f"outside {geometry.width}x{geometry.height} sensor")
-    return EventStream(geometry, t, x, y, p, labels=labels)
+    # The columns pass every other check of the stream's, so what is left
+    # is the geometry inferred from them.
+    raise EventFileError(f"{path}: inferred {refusal}")
 
 
 def _ascii_lines(path, lines):
@@ -490,8 +499,8 @@ class EventWriter:
 
     def write(self, stream: EventStream) -> None:
         """Append a stream's events.  Raises ValueError for a label without
-        a letter, a missing label column, or an event outside a binary
-        file's geometry."""
+        a letter, a missing label column, or, in a binary file, a stream
+        whose geometry does not fit the file's."""
         n = len(stream)
         if self._fmt == "csv":
             columns = [stream.t, stream.x, stream.y, stream.p]
@@ -501,11 +510,13 @@ class EventWriter:
                 columns.append(_symbols(_LABEL_CHAR, stream.labels, "label"))
             _write_rows(self._fh, n, columns)
         else:
-            oob = ~self._geometry.contains(stream.x, stream.y)
-            if np.any(oob):
-                i = self.count + int(np.flatnonzero(oob)[0])
+            # Every event lies on the stream's geometry, so a geometry that
+            # fits the file's is enough.
+            geo, fit = stream.geometry, self._geometry
+            if geo.width > fit.width or geo.height > fit.height:
                 raise ValueError(
-                    f"event {i} outside stream geometry, refusing to write")
+                    f"a {geo.width}x{geo.height} stream does not fit a "
+                    f"{fit.width}x{fit.height} file, refusing to write")
             recs = np.empty(n, dtype=REC_DTYPE)
             recs["t"] = stream.t
             recs["x"] = stream.x

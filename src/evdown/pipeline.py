@@ -37,6 +37,7 @@ concatenate exactly.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -46,14 +47,12 @@ from .capwalk import cap_walk
 # Uncalled here: perfbench's tracer wraps poisson_occupancy and score_map.
 from .density import (occupancy_values, poisson_occupancy, score_map,
                       sparse_scores)
-from .events import (EventStream, SensorGeometry, first_violations,
-                     window_ids, window_spans)
+from .events import EventStream, SensorGeometry, window_ids, window_spans
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
 
 _ACCEPT = int(DecisionCode.ACCEPT)
-_REJ_SAMPLER = int(DecisionCode.REJECT_SAMPLER)
 _REJ_CAP = int(DecisionCode.REJECT_CAP)
 # The distinct pixels and counts of a window without events.
 _IDLE = (np.empty(0, np.int64), np.empty(0, np.int64))
@@ -255,10 +254,12 @@ class Downsampler:
         its own, composes through it as :meth:`EventStream.subset` does),
         and the piece's decision log.
 
+        The piece is an EventStream, so its own events are in order and
+        on its sensor; only how it joins the pieces before is checked here.
         Raises ValueError, before any state changes, for a piece of another
-        geometry, an event out of order (with the previous piece too) or
-        outside the sensor, reporting its index in the whole stream, or a
-        window id past 2**63 - 1; and after :meth:`close`.
+        geometry, a piece whose first event precedes the last one pushed
+        (reporting its index in the whole stream) or a window id past
+        2**63 - 1; and after :meth:`close`.
         """
         t_start = time.perf_counter()
         if self._stats is not None:
@@ -268,9 +269,11 @@ class Downsampler:
                 f"a {chunk.geometry.width}x{chunk.geometry.height} piece "
                 f"pushed to a {self.geometry.width}x{self.geometry.height} "
                 f"stream")
-        self._require_valid(chunk)
         m = len(chunk)
         t = chunk.t
+        if m and self._last_t is not None and t[0] < self._last_t:
+            raise ValueError(f"events out of order at index {self._seen}: "
+                             f"t={int(t[0])} after t={self._last_t}")
         if m == 0:
             log = DecisionLog(t, np.empty(0, np.int64), np.empty(0, np.uint8),
                               np.empty(0, np.float64))
@@ -299,20 +302,14 @@ class Downsampler:
 
         te0 = time.perf_counter()
         codes = np.empty(m, dtype=np.uint8)
-        if cfg.cap_enabled:
-            self._retained, used = cap_walk(p, draws, alpha, codes,
-                                            self._seen, self._retained)
-        else:
-            codes[:] = np.where(p > 0.0 if draws is None else draws[:m] < p,
-                                _ACCEPT, _REJ_SAMPLER)
-            used = m
+        self._retained, used = cap_walk(
+            p, draws, alpha if cfg.cap_enabled else math.inf, codes,
+            self._seen, self._retained)
         if draws is not None:
             self._tail = draws[used:]
         self._eval_s += time.perf_counter() - te0
 
         accepted = np.flatnonzero(codes == _ACCEPT)
-        if not cfg.cap_enabled:
-            self._retained += accepted.size
         self._capped += int(np.count_nonzero(codes == _REJ_CAP))
         self._count_windows(ids, bounds, accepted)
         kept = chunk.subset(accepted, offset=self._seen)
@@ -337,18 +334,6 @@ class Downsampler:
                 eval_s=self._eval_s)
             self._tail = self._scorer = self._per_window = None
         return self._stats
-
-    def _require_valid(self, chunk: EventStream) -> None:
-        t, x, y, geo = chunk.t, chunk.x, chunk.y, self.geometry
-        i, j = first_violations(t, x, y, geo, self._last_t)
-        if i is not None:
-            before = self._last_t if i == 0 else int(t[i - 1])
-            raise ValueError(f"events out of order at index {self._seen + i}: "
-                             f"t={int(t[i])} after t={before}")
-        if j is not None:
-            raise ValueError(f"event {self._seen + j} at ({int(x[j])}, "
-                             f"{int(y[j])}) outside {geo.width}x{geo.height} "
-                             f"sensor")
 
     def _draws(self, m: int) -> np.ndarray:
         """At least m variates: those the last push left unused, then as
@@ -377,9 +362,8 @@ def run(stream: EventStream, method: str,
     Returns the accepted sub-stream (with source_index pointing back into
     the input), run statistics, and the full per-event decision log.
 
-    Raises ValueError for an unknown method, an out-of-order or out-of-bounds
-    stream (reporting the first offending index), a prior that does not
-    match the method or geometry, or a window id past 2**63 - 1.
+    Raises ValueError for an unknown method, a prior that does not match the
+    method or geometry, or a window id past 2**63 - 1.
     """
     sampler = Downsampler(stream.geometry, method, config)
     out, log = sampler.push(stream)

@@ -261,6 +261,22 @@ class TestMetrics:
         assert main(["metrics", "--original", str(scene_csv),
                      "--downsampled", str(stranger), "--out", "-"]) == 3
 
+    def test_unlabeled_non_subset_exit_3(self, tmp_path, capsys):
+        """Membership is checked without labels too: 2 original events
+        against 3 unrelated ones is no ratio of 1.5."""
+        original, down = tmp_path / "orig.csv", tmp_path / "down.csv"
+        write_events(make_stream(SensorGeometry(4, 4),
+                                 [(1, 0, 0, 1), (2, 1, 1, 0)]), original)
+        write_events(make_stream(SensorGeometry(4, 4),
+                                 [(5, 3, 3, 1), (6, 2, 2, 0), (7, 1, 0, 1)]),
+                     down)
+        assert main(["metrics", "--original", str(original),
+                     "--downsampled", str(down), "--out", "-"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "evdown: downsampled event 0 (t=5, x=3, y=3, p=1) is not a "
+            "member of the original stream\n")
 
     def test_span_of_2_63_us_exit_0(self, tmp_path, capsys):
         """Timestamps 0 and 2**63 - 1: two windows, not one per 6 ms."""

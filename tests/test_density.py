@@ -44,11 +44,11 @@ class TestAccumulateDensity:
         assert not d.counts.any()
 
     def test_out_of_bounds_rejected(self):
-        # constructor does not bound-check against geometry; accumulation does
+        # The stream refuses the event, so accumulation never sees it.
         from evdown import EventStream
-        s = EventStream(GEO4, [1], [4], [0], [1])
-        with pytest.raises(ValueError, match="outside"):
-            accumulate_density(s)
+        with pytest.raises(ValueError,
+                           match=r"^event 0 at \(4, 0\) outside 4x4 sensor$"):
+            EventStream(GEO4, [1], [4], [0], [1])
 
 
 class TestPoissonOccupancy:

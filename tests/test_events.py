@@ -1,13 +1,17 @@
 """Event model: containers, validation, duration."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdown import (Event, EventStream, Polarity, SensorGeometry,
-                    stream_duration, validate_stream)
+                    stream_duration, write_events)
 from evdown.events import first_violations
+from evdown.evio import BinaryEvents
 
 from conftest import make_stream
 
@@ -109,40 +113,106 @@ class TestEventStream:
             make_stream(GEO, [(1, 0, 0, 1)], labels=[1, 0])
 
 
+def refusal(t, x, y, geometry=GEO):
+    """The message the constructor raises for these columns, or None."""
+    t, x, y = (np.asarray(col, dtype=np.int64) for col in (t, x, y))
+    i, j = first_violations(t, x, y, geometry)
+    if i is not None:
+        return f"events out of order at index {i}: t={t[i]} after t={t[i - 1]}"
+    if j is not None:
+        return (f"event {j} at ({x[j]}, {y[j]}) outside "
+                f"{geometry.width}x{geometry.height} sensor")
+    return None
+
+
 class TestValidateStream:
+    """The constructor checks order and bounds, and names the first
+    offending index."""
+
     def test_valid_stream(self):
-        report = validate_stream(make_stream(GEO, [(1, 0, 0, 1), (1, 7, 5, 0)]))
-        assert report.ok
-        assert report.violations == ()
-        assert str(report) == "stream valid"
+        s = make_stream(GEO, [(1, 0, 0, 1), (1, 7, 5, 0)])
+        assert len(s) == 2
+        assert first_violations(s.t, s.x, s.y, GEO) == (None, None)
 
     def test_ordering_violation_indexed(self):
-        s = make_stream(GEO, [(10, 0, 0, 1), (5, 0, 0, 1), (7, 0, 0, 1)])
-        report = validate_stream(s)
-        assert not report.ok
-        assert report.violations[0].kind == "ordering"
-        assert report.violations[0].index == 1
+        with pytest.raises(ValueError, match=(
+                r"^events out of order at index 1: t=5 after t=10$")):
+            make_stream(GEO, [(10, 0, 0, 1), (5, 0, 0, 1), (7, 0, 0, 1)])
 
     def test_bounds_violation_at_width(self):
         # x equal to the width is the first out-of-bounds column
-        s = EventStream(SensorGeometry(8, 6), [1], [8], [0], [1])
-        report = validate_stream(s)
-        assert not report.ok
-        assert report.violations[0].kind == "bounds"
-        assert "(8, 0)" in report.violations[0].message
+        with pytest.raises(ValueError,
+                           match=r"^event 0 at \(8, 0\) outside 8x6 sensor$"):
+            EventStream(SensorGeometry(8, 6), [1], [8], [0], [1])
 
     def test_reports_capped_at_limit(self):
-        s = EventStream(GEO, list(range(30)), [20] * 30, [0] * 30, [1] * 30)
-        report = validate_stream(s)
-        assert len(report.violations) == 10
-        report = validate_stream(s, max_violations=3)
-        assert len(report.violations) == 3
+        """Of many offences, only the first is named."""
+        with pytest.raises(ValueError,
+                           match=r"^event 0 at \(20, 0\) outside 8x6 sensor$"):
+            EventStream(GEO, list(range(30)), [20] * 30, [0] * 30, [1] * 30)
 
     def test_mixed_kinds_sorted_by_index(self):
-        s = EventStream(GEO, [5, 1, 2], [0, 0, 9], [0, 0, 0], [1, 1, 1])
-        report = validate_stream(s)
-        assert [v.index for v in report.violations] == [1, 2]
-        assert [v.kind for v in report.violations] == ["ordering", "bounds"]
+        with pytest.raises(ValueError, match=(
+                r"^events out of order at index 1: t=1 after t=5$")):
+            EventStream(GEO, [5, 1, 2], [0, 0, 9], [0, 0, 0], [1, 1, 1])
+        # Ordering is named before bounds, as the readers name them.
+        with pytest.raises(ValueError, match=(
+                r"^events out of order at index 2: t=2 after t=5$")):
+            EventStream(GEO, [1, 5, 2], [9, 0, 0], [0, 0, 0], [1, 1, 1])
+
+    def test_negative_step_slice_refused(self):
+        s = make_stream(GEO, [(i, 0, 0, 1) for i in range(6)])
+        for bad in (slice(None, None, -1), slice(4, 1, -2)):
+            with pytest.raises(ValueError, match="would reverse the stream"):
+                s[bad]
+        assert np.array_equal(s[::2].t, [0, 2, 4])
+
+    def test_subset_indices_must_not_decrease(self):
+        s = make_stream(GEO, [(i, 0, 0, 1) for i in range(6)])
+        with pytest.raises(ValueError, match="must not decrease"):
+            s.subset([3, 1])
+        assert np.array_equal(s.subset([1, 1, 4]).t, [1, 1, 4])
+
+
+class TestValidByConstruction:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 9),
+                              st.integers(0, 7)), max_size=12))
+    def test_raises_iff_first_violations(self, records):
+        t, x, y = (list(col) for col in zip(*records)) if records else ([],) * 3
+        want = refusal(t, x, y)
+        if want is None:
+            s = EventStream(GEO, t, x, y, [1] * len(t))
+            assert s.t.tolist() == t
+        else:
+            with pytest.raises(ValueError) as exc:
+                EventStream(GEO, t, x, y, [1] * len(t))
+            assert str(exc.value) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 40), max_size=30), st.data())
+    def test_slices_subsets_and_blocks_never_raise(self, ts, data):
+        ts.sort()
+        n = len(ts)
+        rng = np.random.default_rng(n)
+        s = EventStream(GEO, ts, rng.integers(0, 8, n), rng.integers(0, 6, n),
+                        rng.integers(0, 2, n))
+        start, stop = (data.draw(st.integers(-n - 2, n + 2)) for _ in "ab")
+        step = data.draw(st.one_of(st.none(), st.integers(1, 4)))
+        piece = s[start:stop:step]
+        assert refusal(piece.t, piece.x, piece.y) is None
+        assert np.array_equal(piece.t, s.t[start:stop:step])
+        picks = sorted(data.draw(st.lists(st.integers(0, max(n - 1, 0)),
+                                          max_size=n)))
+        sub = s.subset(picks)
+        assert refusal(sub.t, sub.x, sub.y) is None
+        size = data.draw(st.integers(1, 8))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.evb"
+            write_events(s, path, fmt="binary")
+            blocks = list(BinaryEvents(path).blocks(size))
+        assert [b.t.tolist() for b in blocks] == [
+            ts[i:i + size] for i in range(0, n, size)]
 
 
 class TestFirstViolations:
@@ -167,16 +237,17 @@ class TestFirstViolations:
                    else [np.empty(0, np.int64)] * 3)
         assert first_violations(t, x, y, GEO) == (None, None)
 
-    def test_agrees_with_validate_stream(self):
+    def test_agrees_with_constructor(self):
         rng = np.random.default_rng(0)
         t = rng.integers(0, 50, 200)
         x, y = rng.integers(0, 10, 200), rng.integers(0, 8, 200)
-        s = EventStream(GEO, t, x, y, np.zeros(200))
-        kinds = {}
-        for v in validate_stream(s, max_violations=400).violations:
-            kinds.setdefault(v.kind, v.index)
-        assert first_violations(t, x, y, GEO) == (kinds.get("ordering"),
-                                                   kinds.get("bounds"))
+        i, j = first_violations(t, x, y, GEO)
+        with pytest.raises(ValueError,
+                           match=f"^events out of order at index {i}: "):
+            EventStream(GEO, t, x, y, np.zeros(200))
+        t.sort()  # bounds are named once the order is repaired
+        with pytest.raises(ValueError, match=f"^event {j} at "):
+            EventStream(GEO, t, x, y, np.zeros(200))
 
 
 class TestStreamDuration:
@@ -197,4 +268,4 @@ class TestStreamDuration:
         ts.sort()
         s = make_stream(GEO, [(t, 0, 0, 1) for t in ts])
         assert stream_duration(s) == max(ts) - min(ts)
-        assert validate_stream(s).ok
+        assert first_violations(s.t, s.x, s.y, GEO) == (None, None)

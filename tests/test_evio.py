@@ -10,7 +10,7 @@ from evdown import (EventFileError, PriorMap, SamplerConfig, SensorGeometry,
                     detect_format, gaussian_prior, read_events, read_log,
                     read_prior, run, write_events, write_log, write_prior,
                     write_stats)
-from evdown.evio import stats_doc
+from evdown.evio import EventWriter, stats_doc
 
 from conftest import make_stream, random_stream
 
@@ -228,6 +228,22 @@ class TestBinary:
                          + struct.pack("<QHHB", 3, 0, 0, 1))
         with pytest.raises(EventFileError, match="order"):
             read_events(path)
+
+    def test_writer_takes_streams_that_fit_its_geometry(self, tmp_path):
+        """The stream's geometry, not each event, is checked against the
+        file's: every event of a stream lies on its geometry."""
+        small = make_stream(SensorGeometry(4, 4), [(1, 3, 3, 1)])
+        with open(tmp_path / "a.bin", "wb") as fh:
+            writer = EventWriter(fh, "binary", GEO)
+            writer.write(small)
+            for wide in (SensorGeometry(9, 6), SensorGeometry(8, 7)):
+                with pytest.raises(ValueError, match=(
+                        rf"^a {wide.width}x{wide.height} stream does not fit "
+                        rf"a 8x6 file, refusing to write$")):
+                    writer.write(make_stream(wide, [(2, 0, 0, 1)]))
+            writer.finish()
+        assert read_events(tmp_path / "a.bin") == make_stream(
+            GEO, [(1, 3, 3, 1)])
 
 
 class TestDetectFormat:

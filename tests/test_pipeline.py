@@ -26,15 +26,15 @@ class TestRunValidation:
             run(s, "fancy", SamplerConfig(alpha=0.5))
 
     def test_out_of_order_reports_index(self):
-        s = make_stream(GEO, [(10, 0, 0, 1), (20, 0, 0, 1), (15, 0, 0, 1)])
-        with pytest.raises(ValueError, match="index 2"):
-            run(s, "uniform", SamplerConfig(alpha=0.5))
+        """No out-of-order stream reaches run: the stream refuses it."""
+        with pytest.raises(ValueError, match=(
+                r"^events out of order at index 2: t=15 after t=20$")):
+            make_stream(GEO, [(10, 0, 0, 1), (20, 0, 0, 1), (15, 0, 0, 1)])
 
     def test_out_of_bounds_event_rejected(self):
-        from evdown import EventStream
-        s = EventStream(GEO, [1], [16], [0], [1])
-        with pytest.raises(ValueError, match="outside"):
-            run(s, "uniform", SamplerConfig(alpha=0.5))
+        with pytest.raises(ValueError,
+                           match=r"^event 0 at \(16, 0\) outside 16x12 sensor$"):
+            EventStream(GEO, [1], [16], [0], [1])
 
     def test_prior_requires_poisson(self):
         s = random_stream(np.random.default_rng(0), n=10)

@@ -5,7 +5,8 @@ import pytest
 
 from evdown import (EdgeSpec, EventLabel, SceneSpec, SensorGeometry,
                     density_snapshot, edge_shift, generate, labeled_event,
-                    rasterize_segment, reference_scene, validate_stream)
+                    rasterize_segment, reference_scene)
+from evdown.events import first_violations
 
 GEO = SensorGeometry(32, 24)
 
@@ -84,7 +85,7 @@ class TestGenerate:
 
     def test_stream_is_valid_and_sorted(self):
         s = generate(noise_scene(seed=1))
-        assert validate_stream(s).ok
+        assert first_violations(s.t, s.x, s.y, s.geometry) == (None, None)
         assert (np.diff(s.t) >= 0).all()
         assert s.t.min() >= 0 and s.t.max() < 100_000
 
@@ -194,7 +195,7 @@ class TestReferenceScene:
         spec = reference_scene(seed=42)
         s = generate(spec)
         edge = s.labels == int(EventLabel.EDGE)
-        assert validate_stream(s).ok
+        assert first_violations(s.t, s.x, s.y, s.geometry) == (None, None)
         # motion covers a wide swath but never clips the border
         assert s.x[edge].min() >= 12
         assert s.x[edge].max() <= 42
