@@ -9,8 +9,8 @@ labels, evaluation metrics, and stable stream serialization.
 
 from .density import (DensityMap, OccupancyMap, PriorMap, ScoreMap,
                       SigmoidParams, SparseScores, accumulate_density,
-                      gaussian_prior, minmax_normalize, occupancy_values,
-                      poisson_occupancy, score_map, sigmoid, sparse_scores)
+                      gaussian_prior, occupancy_values, poisson_occupancy,
+                      score_map, sigmoid, sparse_scores)
 from .events import (Event, EventLabel, EventStream, Polarity, SensorGeometry,
                      stream_duration)
 from .evio import (EventFileError, detect_format, read_events, read_log,
@@ -18,11 +18,9 @@ from .evio import (EventFileError, detect_format, read_events, read_log,
                    write_stats)
 from .metrics import (RetentionReport, SelectivityReport, density_divergence,
                       match_events, retention_ratio, selectivity)
-from .pipeline import (METHODS, DecisionLog, Downsampler, RunStats, run,
-                       timing_probe)
+from .pipeline import METHODS, DecisionLog, Downsampler, RunStats, run
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
-from .synth import (EdgeSpec, LabeledEvent, SceneSpec, density_snapshot,
-                    edge_shift, generate, labeled_event, rasterize_segment,
-                    reference_scene)
+from .synth import (EdgeSpec, LabeledEvent, SceneSpec, edge_shift, generate,
+                    labeled_event, rasterize_segment, reference_scene)
 
 __version__ = "0.1.0"

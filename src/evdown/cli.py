@@ -2,8 +2,7 @@
 
 Subcommands: downsample (run a sampler over a stream file), synth (generate
 a labeled scene), metrics (compare a downsampled stream against its
-original), bench (time the pipeline phases and name the cap walk that ran,
-"compiled" or "python").
+original).
 
 Exit codes: 0 success, 2 bad arguments, 3 malformed input file, 4 I/O
 failure.  Stochastic seeds come from --seed, falling back to the
@@ -20,13 +19,11 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
-import statistics
 import sys
 
-from . import capwalk
 from .density import SigmoidParams
-# write_log is not called here; it stays importable from this module for
-# tools that wrap the evio calls the CLI names.
+# write_log and run are not called here; they stay importable from this
+# module for tools that wrap the calls the CLI names.
 from .evio import (BinaryEvents, EventFileError, EventWriter, LogWriter,
                    detect_format, output_format, read_events, read_prior,
                    replacing, report_doc, write_events, write_json_doc,
@@ -113,17 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="target rate to record in the report")
     p.set_defaults(func=cmd_metrics)
 
-    p = sub.add_parser("bench", help="time the pipeline on a stream file")
-    p.add_argument("--input", "-i", required=True)
-    p.add_argument("--method", "-m", required=True, choices=METHODS)
-    p.add_argument("--alpha", "-a", required=True, type=float)
-    p.add_argument("--repeat", type=int, default=3,
-                   help="runs to take the median over")
-    p.add_argument("--window-us", type=int, default=6000)
-    p.add_argument("--tw-us", type=int, default=100)
-    _add_seed(p)
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
@@ -136,6 +122,8 @@ def _check_alpha(alpha: float) -> float:
 def _check_window(value: int, flag: str) -> int:
     if value < 1:
         raise ValueError(f"{flag} must be >= 1, got {value}")
+    if value > 2**63 - 1:
+        raise ValueError(f"{flag} must be at most 2**63 - 1, got {value}")
     return value
 
 
@@ -219,6 +207,8 @@ def cmd_synth(args) -> int:
 
 def cmd_metrics(args) -> int:
     window_us = _check_window(args.window_us, "--window-us")
+    if args.alpha is not None:
+        _check_alpha(args.alpha)
     original = read_events(args.original)
     downsampled = read_events(args.downsampled)
     # An empty original or a non-subset downsampled file is bad input (exit 3).
@@ -237,36 +227,6 @@ def cmd_metrics(args) -> int:
                      retained=len(downsampled), ratio=retention.overall,
                      per_window_ratios=retention.per_window_ratios)
     write_json_doc(doc, sys.stdout if args.out == "-" else args.out)
-    return 0
-
-
-def cmd_bench(args) -> int:
-    if args.repeat < 1:
-        raise ValueError(f"--repeat must be >= 1, got {args.repeat}")
-    config = SamplerConfig(
-        alpha=_check_alpha(args.alpha),
-        tw_us=_check_window(args.tw_us, "--tw-us"),
-        t_us=_check_window(args.window_us, "--window-us"),
-        seed=_resolve_seed(args.seed),
-    )
-    stream = read_events(args.input)
-    totals, pdfs, evals = [], [], []
-    for _ in range(args.repeat):
-        _, stats, _ = run(stream, args.method, config)
-        totals.append(stats.ms_per_kev_total)
-        pdfs.append(stats.ms_per_kev_pdf)
-        evals.append(stats.ms_per_kev_eval)
-    doc = {
-        "method": args.method,
-        "alpha": args.alpha,
-        "events": len(stream),
-        "repeat": args.repeat,
-        "ms_per_kev_total": statistics.median(totals),
-        "ms_per_kev_pdf": statistics.median(pdfs),
-        "ms_per_kev_eval": statistics.median(evals),
-        "cap_walk": capwalk.implementation(),
-    }
-    write_json_doc(doc, sys.stdout)
     return 0
 
 

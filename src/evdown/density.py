@@ -12,7 +12,8 @@ The chain is computed sparsely by :func:`sparse_scores`: only the pixels
 active in the window (nonzero occupancy) get their own score, and every
 inactive pixel, whose occupancy is 0 with or without a prior, shares one
 score.  Its cost follows the active pixels, not the sensor size.  The dense
-:func:`score_map` fills a full map from the same core.
+view (:func:`accumulate_density`, :func:`poisson_occupancy`,
+:func:`score_map`) fills full maps; its scores come from the same core.
 
 The sigmoid is :func:`evdown.capwalk.expit`, which rounds as libm's scalar
 ``exp`` does (numpy's vector ``exp`` does not on every CPU), so scores are
@@ -136,14 +137,6 @@ class SparseScores:
             out[hit] = self.probabilities[pos[hit]]
         return out
 
-    def to_map(self) -> ScoreMap:
-        """The full (height, width) score map."""
-        geo = self.geometry
-        flat = np.full(geo.n_pixels, self.rest)
-        flat[self.active] = self.probabilities
-        return ScoreMap(geo, flat.reshape(geo.height, geo.width),
-                        self.window_id)
-
 
 def accumulate_density(events: EventStream, window_id: int = 0) -> DensityMap:
     """Count events per pixel over the whole given stream slice.
@@ -190,22 +183,6 @@ def occupancy_values(counts) -> np.ndarray:
     return np.minimum(-np.expm1(-counts), _P_HI)
 
 
-def minmax_normalize(values: np.ndarray) -> np.ndarray:
-    """Rescale to [0, 1] as (v - min) / (max - min).
-
-    A constant input has no spread to normalize and maps to all zeros, which
-    lets the downstream score collapse to a single uniform probability.
-    """
-    values = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise ValueError("values must be finite")
-    lo = values.min()
-    hi = values.max()
-    if hi == lo:
-        return np.zeros_like(values)
-    return (values - lo) / (hi - lo)
-
-
 def sigmoid(v, params: SigmoidParams = SigmoidParams()):
     """Score sigmoid with the output clamped to the open interval (0, 1)."""
     p = expit(params.slope * (np.asarray(v, dtype=np.float64) - params.midpoint))
@@ -223,12 +200,17 @@ def sparse_scores(geometry: SensorGeometry,
 
     ``active`` lists the sorted, distinct flat indices ``y * width + x`` of
     the pixels with nonzero occupancy and ``occupancy`` their values; every
-    other pixel has occupancy 0.  The chain is that of :func:`score_map`.
+    other pixel has occupancy 0.  The chain: multiply occupancy by the
+    prior (normalized to peak 1) if one is given, min-max normalize to
+    [0, 1], shift so the mean over all pixels (active or not) equals
+    ``alpha``, then apply the sigmoid, clamped strictly inside (0, 1).
+    Equal values normalize to 0, so every pixel scores ``sigmoid(alpha)``.
     An inactive pixel stays 0 under a prior, so it normalizes to
     ``(0 - lo) / (hi - lo)`` where ``lo`` and ``hi`` range over the active
     values and, when some pixel is inactive, 0.  The mean over all pixels
     is the sum over the active ones, in flat-pixel order, plus the inactive
-    pixels' share, divided by the pixel count.
+    pixels' share, divided by the pixel count.  Raises ValueError for an
+    alpha outside (0, 1] and for values that are not finite.
     """
     if not (0.0 < alpha <= 1.0):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -263,12 +245,9 @@ def score_map(occupancy: OccupancyMap,
               window_id: int | None = None) -> ScoreMap:
     """Turn an occupancy map into per-pixel acceptance probabilities.
 
-    The chain is: multiply occupancy by the prior (normalized to peak 1) if
-    one is given, min-max normalize, shift so the mean over all pixels
-    (active or not) equals ``alpha``, then apply the sigmoid.  Outputs are
-    clamped strictly inside (0, 1).  The map is filled from
-    :func:`sparse_scores` over the pixels with nonzero occupancy, so it is
-    bit-identical to the scores the pipeline looks up.
+    The map is filled from :func:`sparse_scores` over the pixels with
+    nonzero occupancy (see there for the chain), so it is bit-identical to
+    the scores the pipeline looks up.
 
     Parameters
     ----------
@@ -289,8 +268,11 @@ def score_map(occupancy: OccupancyMap,
         raise ValueError("occupancy shape must be (height, width)")
     active = np.flatnonzero(flat)
     wid = occupancy.window_id if window_id is None else window_id
-    return sparse_scores(geo, active, flat[active], alpha, params, prior,
-                         wid).to_map()
+    scores = sparse_scores(geo, active, flat[active], alpha, params, prior,
+                           wid)
+    probs = np.full(geo.n_pixels, scores.rest)
+    probs[active] = scores.probabilities
+    return ScoreMap(geo, probs.reshape(geo.height, geo.width), wid)
 
 
 def gaussian_prior(geometry: SensorGeometry,

@@ -580,7 +580,8 @@ def write_prior(prior: PriorMap, path) -> None:
     lines = [f"{geo.width} {geo.height}"]
     for row in prior.weights:
         lines.append(" ".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    with replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("ascii"))
 
 
 def _selectivity_doc(report: SelectivityReport) -> dict:
@@ -622,12 +623,14 @@ def stats_doc(stats: RunStats,
 
 
 def write_json_doc(doc: dict, path_or_stream) -> None:
-    """Serialize a document as stable, indented JSON (key order preserved)."""
-    text = json.dumps(doc, indent=2) + "\n"
+    """Serialize a document as stable, indented JSON (key order preserved).
+    A NaN or infinite value, which JSON cannot hold, raises ValueError."""
+    text = json.dumps(doc, indent=2, allow_nan=False) + "\n"
     if hasattr(path_or_stream, "write"):
         path_or_stream.write(text)
     else:
-        Path(path_or_stream).write_text(text, encoding="ascii")
+        with replacing(path_or_stream) as fh:
+            fh.write(text.encode("ascii"))
 
 
 def write_stats(stats: RunStats, path_or_stream,

@@ -78,13 +78,14 @@ def retention_ratio(original: EventStream, downsampled: EventStream,
     Windows are anchored at the original stream's first timestamp; only
     windows containing at least one original event appear in the report.
     The downsampled stream must be a subset of the original.  Raises
-    ValueError when a window id would pass 2**63 - 1 (see
-    :func:`evdown.events.window_ids`).
+    ValueError for a window_us outside [1, 2**63 - 1] and when a window id
+    would pass 2**63 - 1 (see :func:`evdown.events.window_ids`).
     """
     if len(original) == 0:
         raise ValueError("original stream is empty")
-    if window_us < 1:
-        raise ValueError("window_us must be >= 1")
+    if not 1 <= window_us <= 2**63 - 1:
+        raise ValueError(
+            f"window_us must be in [1, 2**63 - 1], got {window_us}")
     t0 = int(original.t[0])
     w_orig = window_ids(original.t, t0, window_us)
     w_down = window_ids(downsampled.t, t0, window_us)

@@ -124,15 +124,6 @@ class RunStats:
         return self._per_kev(self.eval_s)
 
 
-def timing_probe(stats: RunStats) -> dict[str, float]:
-    """Per-phase cost of a finished run in milliseconds per thousand events."""
-    return {
-        "total_ms_per_kev": stats.ms_per_kev_total,
-        "pdf_ms_per_kev": stats.ms_per_kev_pdf,
-        "eval_ms_per_kev": stats.ms_per_kev_eval,
-    }
-
-
 class _WindowScorer:
     """Density-adaptive probabilities of a stream scored piece by piece:
     alpha in window 1, else the sparse map frozen from the previous window.

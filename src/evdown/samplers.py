@@ -42,6 +42,7 @@ class SamplerConfig:
         that keeps every event.
     tw_us : duty-cycle window length for the deterministic policy, microseconds.
     t_us : analysis window length for the density-adaptive policy, microseconds.
+        Both window lengths lie in [1, 2**63 - 1], as timestamps do.
     theta : sigmoid slope and midpoint for scoring.
     seed : seed for the numpy PCG64 generator behind stochastic decisions.
     prior : optional spatial prior for the density-adaptive policy.
@@ -59,10 +60,11 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
-        if self.tw_us < 1:
-            raise ValueError("tw_us must be >= 1")
-        if self.t_us < 1:
-            raise ValueError("t_us must be >= 1")
+        for name in ("tw_us", "t_us"):
+            value = getattr(self, name)
+            if not 1 <= value <= 2**63 - 1:
+                raise ValueError(
+                    f"{name} must be in [1, 2**63 - 1], got {value}")
 
     def rng(self) -> np.random.Generator:
         return np.random.default_rng(self.seed)

@@ -11,15 +11,19 @@ signal-versus-noise bookkeeping downstream exact rather than heuristic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .density import DensityMap
 from .events import EventLabel, EventStream, SensorGeometry
 
 # Refuse scenes whose expected event count would exhaust memory.
 _MAX_EXPECTED_EVENTS = 5e7
+# Refuse edges longer than the binary format's widest side, in pixels,
+# before rasterizing them, and endpoints this far from the origin, so that
+# every edge pixel and its shifts fit in int64.
+_MAX_EDGE_PX = 1 << 16
+_MAX_COORD = 2**31
 
 
 @dataclass(frozen=True)
@@ -31,6 +35,9 @@ class EdgeSpec:
     velocity_px_s : signed speed along the segment's right-hand normal
         (dy, -dx) / length, in pixels per second.
     rate_per_px_s : expected events per rasterized edge pixel per second.
+
+    Every field must be finite, and every endpoint coordinate within 2**31
+    of 0.
     """
 
     x0: float
@@ -41,6 +48,13 @@ class EdgeSpec:
     rate_per_px_s: float
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not -math.inf < value < math.inf:
+                raise ValueError(f"edge {f.name} must be finite, got {value}")
+            if f.name in ("x0", "y0", "x1", "y1") and abs(value) > _MAX_COORD:
+                raise ValueError(
+                    f"edge {f.name} must lie within 2**31 of 0, got {value}")
         if self.rate_per_px_s < 0:
             raise ValueError("edge rate must be nonnegative")
         if self.x0 == self.x1 and self.y0 == self.y1:
@@ -59,7 +73,8 @@ class SceneSpec:
     """Full description of a synthetic scene.
 
     polarity is either "alternating" (each source emits ON, OFF, ON, ... in
-    time order) or "random" (fair coin per event).
+    time order) or "random" (fair coin per event).  duration_us lies in
+    [1, 2**63 - 1], as timestamps do.
     """
 
     geometry: SensorGeometry
@@ -70,10 +85,12 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.duration_us < 1:
-            raise ValueError("duration_us must be >= 1")
-        if self.noise_rate_px_s < 0:
-            raise ValueError("noise rate must be nonnegative")
+        if not 1 <= self.duration_us <= 2**63 - 1:
+            raise ValueError(
+                f"duration_us must be in [1, 2**63 - 1], got {self.duration_us}")
+        if not 0 <= self.noise_rate_px_s < math.inf:
+            raise ValueError("noise rate must be finite and nonnegative, "
+                             f"got {self.noise_rate_px_s}")
         if self.polarity not in ("alternating", "random"):
             raise ValueError(f"unknown polarity mode {self.polarity!r}")
         object.__setattr__(self, "edges", tuple(self.edges))
@@ -161,17 +178,23 @@ def generate(spec: SceneSpec) -> EventStream:
     order: each edge's times, pixel choices, then polarities; noise last).
     Edge events are placed uniformly over the rasterized segment pixels,
     shifted per :func:`edge_shift`; events pushed outside the sensor by the
-    motion are discarded.  Raises ValueError when the expected event count
-    is large enough to exhaust memory.
+    motion are discarded.  Raises ValueError, before drawing anything, for
+    an edge whose rasterization would pass 65,536 pixels (the binary
+    format's widest side) and when the expected event count is large
+    enough to exhaust memory.
     """
     geo = spec.geometry
     rng = np.random.default_rng(spec.seed)
 
     expected = spec.noise_rate_px_s * geo.n_pixels * spec.duration_us / 1e6
     base_pixels = []
-    for edge in spec.edges:
-        base = rasterize_segment(round(edge.x0), round(edge.y0),
-                                 round(edge.x1), round(edge.y1))
+    for eid, edge in enumerate(spec.edges):
+        ends = [round(v) for v in (edge.x0, edge.y0, edge.x1, edge.y1)]
+        span = max(abs(ends[2] - ends[0]), abs(ends[3] - ends[1])) + 1
+        if span > _MAX_EDGE_PX:
+            raise ValueError(f"edge {eid} spans more than the "
+                             f"{_MAX_EDGE_PX} px limit")
+        base = rasterize_segment(*ends)
         base_pixels.append(base)
         expected += edge.rate_per_px_s * base.shape[0] * spec.duration_us / 1e6
     if expected > _MAX_EXPECTED_EVENTS:
@@ -220,18 +243,6 @@ def generate(spec: SceneSpec) -> EventStream:
         labels=np.concatenate([p[4] for p in parts])[order],
         edge_ids=np.concatenate([p[5] for p in parts])[order],
     )
-
-
-def density_snapshot(stream: EventStream, t0_us: int, t1_us: int) -> DensityMap:
-    """Per-pixel count of events with timestamps in [t0_us, t1_us)."""
-    if t1_us <= t0_us:
-        raise ValueError("snapshot interval must satisfy t1 > t0")
-    lo = np.searchsorted(stream.t, t0_us, side="left")
-    hi = np.searchsorted(stream.t, t1_us, side="left")
-    geo = stream.geometry
-    flat = np.bincount(stream.y[lo:hi] * geo.width + stream.x[lo:hi],
-                       minlength=geo.n_pixels)
-    return DensityMap(geo, flat.reshape(geo.height, geo.width).astype(np.float64))
 
 
 def reference_scene(seed: int = 42) -> SceneSpec:

@@ -2,7 +2,6 @@
 (``conftest.per_event_walk``), and the loader's fallbacks."""
 
 import hashlib
-import json
 import math
 import shutil
 import stat
@@ -407,11 +406,3 @@ class TestLoaderCache:
                                        SamplerConfig(alpha=0.1, seed=4))
         assert read_log(str(log)).code.tolist() == codes
 
-
-def test_bench_reports_cap_walk(cap_walk, tmp_path, capsys):
-    src = tmp_path / "in.evb"
-    write_events(random_stream(np.random.default_rng(1), n=500), str(src),
-                 fmt="binary")
-    assert main(["bench", "-i", str(src), "-m", "uniform", "-a", "0.1",
-                 "--repeat", "1"]) == 0
-    assert json.loads(capsys.readouterr().out)["cap_walk"] == cap_walk

@@ -47,6 +47,33 @@ class TestSynth:
         args = synth_args(tmp_path / "s.csv", extra=["--edge", "1,2,3"])
         assert main(args) == 2
 
+    @pytest.mark.parametrize("edge, message", [
+        ("3,1,3,10,nan,2000", "edge velocity_px_s must be finite"),
+        ("3,1,3,10,inf,2000", "edge velocity_px_s must be finite"),
+        ("3,1,3,10,50,nan", "edge rate_per_px_s must be finite"),
+        ("inf,1,3,10,50,100", "edge x0 must be finite"),
+        ("3,1,3,nan,50,100", "edge y1 must be finite"),
+        ("1e300,1,3,10,50,100", "edge x0 must lie within 2**31"),
+        ("0,1,1e9,1,50,100", "edge 1 spans more than the 65536 px limit")])
+    def test_unusable_edge_exit_2(self, tmp_path, edge, message):
+        """Each is refused with one line before any pixel walk.  A 1e300 or
+        1e9 px edge once walked without bound, so the command runs under a
+        10 s timeout in a 1 GiB address space."""
+        import resource
+
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        out = tmp_path / "s.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "evdown.cli",
+             *synth_args(out, extra=["--edge", edge])],
+            capture_output=True, text=True, env=SRC_ENV, timeout=10,
+            preexec_fn=cap_memory)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"evdown: {message}")
+        assert proc.stderr.count("\n") == 1 and not out.exists()
+
 
 class TestDownsample:
     def base_args(self, scene, out, *extra):
@@ -217,7 +244,37 @@ class TestDownsample:
         assert doc["capped"] == 0
 
 
+@pytest.mark.parametrize("argv", [
+    [*args, flag, "99999999999999999999"]
+    for args, flag in (
+        *((["downsample", "-m", method, "-a", "0.5"], "--window-us")
+          for method in ("deterministic", "uniform", "poisson")),
+        *((["downsample", "-m", method, "-a", "0.5"], "--tw-us")
+          for method in ("deterministic", "uniform", "poisson")),
+        (["metrics", "--out", "-"], "--window-us"))])
+def test_window_past_int64_exit_2(scene_csv, tmp_path, capsys, argv):
+    """A window length past 2**63 - 1 is a usage error naming its flag."""
+    files = (["--input", str(scene_csv), "--output", str(tmp_path / "d.csv")]
+             if argv[0] == "downsample"
+             else ["--original", str(scene_csv), "--downsampled",
+                   str(scene_csv)])
+    assert main([argv[0], *files, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (f"evdown: {argv[-2]} must be at most 2**63 - 1, "
+                            f"got {argv[-1]}\n")
+    assert captured.out == "" and not (tmp_path / "d.csv").exists()
+
+
 class TestMetrics:
+    @pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "5", "-1", "0"])
+    def test_bad_alpha_exit_2(self, scene_csv, capsys, alpha):
+        assert main(["metrics", "--original", str(scene_csv),
+                     "--downsampled", str(scene_csv), "--out", "-",
+                     f"--alpha={alpha}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("evdown: --alpha must be in (0, 1]")
+        assert captured.out == ""
+
     def test_report(self, scene_csv, tmp_path, capsys):
         down = tmp_path / "down.csv"
         assert main(["downsample", "--input", str(scene_csv), "--output",
@@ -287,23 +344,6 @@ class TestMetrics:
                      "--downsampled", str(wide), "--out", "-"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["per_window_ratios"] == [1.0, 1.0]
-
-
-class TestBench:
-    def test_report(self, scene_csv, capsys):
-        assert main(["bench", "--input", str(scene_csv), "--method",
-                     "poisson", "--alpha", "0.1", "--repeat", "2",
-                     "--seed", "0"]) == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert doc["method"] == "poisson"
-        assert doc["repeat"] == 2
-        assert doc["events"] > 0
-        assert doc["ms_per_kev_total"] > 0
-        assert doc["ms_per_kev_pdf"] >= 0
-
-    def test_bad_repeat_exit_2(self, scene_csv):
-        assert main(["bench", "--input", str(scene_csv), "--method",
-                     "uniform", "--alpha", "0.1", "--repeat", "0"]) == 2
 
 
 class TestEntryPoint:

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from evdown import (DensityMap, OccupancyMap, PriorMap, SensorGeometry,
                     SigmoidParams, accumulate_density, gaussian_prior,
-                    minmax_normalize, occupancy_values, poisson_occupancy,
-                    score_map, sigmoid, sparse_scores)
+                    occupancy_values, poisson_occupancy, score_map, sigmoid,
+                    sparse_scores)
 
 from conftest import chain_oracle, make_stream
 
@@ -125,29 +125,51 @@ class TestOccupancyTable:
             occupancy_values(np.array([3, -1]))
 
 
+def all_active_scores(values, alpha=0.3):
+    """sparse_scores of a 1-row sensor whose every pixel is active with
+    the given values."""
+    values = np.asarray(values, dtype=np.float64)
+    return sparse_scores(SensorGeometry(values.size, 1),
+                         np.arange(values.size), values, alpha)
+
+
+def shifted_values(p, params=SigmoidParams()):
+    """The normalized, mean-shifted values v that scored p = sigmoid(v)."""
+    return params.midpoint + np.log(p / (1.0 - p)) / params.slope
+
+
 class TestMinmaxNormalize:
+    """The min-max normalization inside sparse_scores."""
+
     def test_known_values(self):
-        """{0, 2, 8} -> {0, 0.25, 1}."""
-        out = minmax_normalize(np.array([0.0, 2.0, 8.0]))
-        np.testing.assert_array_equal(out, [0.0, 0.25, 1.0])
+        """{0, 2, 8} normalize to {0, 0.25, 1}, then shift to mean alpha."""
+        scores = all_active_scores([0.0, 2.0, 8.0], alpha=0.3)
+        want = sigmoid(np.array([0.0, 0.25, 1.0]) + (0.3 - 1.25 / 3))
+        np.testing.assert_array_equal(scores.probabilities, want)
 
     def test_constant_maps_to_zeros(self):
-        out = minmax_normalize(np.full((3, 3), 7.5))
-        assert (out == 0.0).all()
+        """Equal values normalize to 0, so every pixel scores sigmoid(alpha)."""
+        scores = all_active_scores(np.full(9, 7.5), alpha=0.2)
+        assert (scores.probabilities == sigmoid(0.2)).all()
 
     def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            minmax_normalize(np.array([0.0, np.inf]))
+        with pytest.raises(ValueError, match="values must be finite"):
+            all_active_scores([0.0, np.inf])
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.floats(min_value=-1e12, max_value=1e12,
                               allow_nan=False), min_size=2, max_size=40))
     def test_range_and_extremes(self, values):
-        out = minmax_normalize(np.array(values))
-        assert (out >= 0.0).all() and (out <= 1.0).all()
+        """The shifted values span exactly 1 when the input has spread, and
+        0 when it has none; the extremes score lowest and highest."""
+        p = all_active_scores(values).probabilities
+        v = shifted_values(p)
         if max(values) > min(values):
-            assert out.min() == 0.0
-            assert out.max() == 1.0
+            assert abs(v.max() - v.min() - 1.0) <= 1e-12
+            assert p[np.argmin(values)] == p.min()
+            assert p[np.argmax(values)] == p.max()
+        else:
+            assert (p == p[0]).all()
 
 
 class TestSigmoidParams:
@@ -198,14 +220,17 @@ class TestScoreMap:
                                    0.11920292202211755, rtol=0, atol=1e-12)
 
     def test_mean_shift_centers_on_alpha(self):
+        """The values sparse_scores puts through the sigmoid average alpha
+        over every pixel, active or not."""
         rng = np.random.default_rng(11)
-        counts = rng.integers(0, 20, size=(6, 9)).astype(float)
-        occ = occupancy_of(counts)
+        counts = rng.integers(0, 20, size=6 * 9)
+        active = np.flatnonzero(counts)
+        assert 0 < active.size < counts.size
         for alpha in (0.05, 0.3, 0.9):
-            base = minmax_normalize(occ.values)
-            shifted = base + (alpha - base.mean())
-            np.testing.assert_allclose(shifted.mean(), alpha,
-                                       rtol=0, atol=1e-12)
+            scores = sparse_scores(SensorGeometry(9, 6), active,
+                                   occupancy_values(counts[active]), alpha)
+            v = shifted_values(scores.lookup(np.arange(counts.size)))
+            assert abs(v.mean() - alpha) <= 1e-12
 
     def test_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(7)

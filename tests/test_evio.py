@@ -10,7 +10,7 @@ from evdown import (EventFileError, PriorMap, SamplerConfig, SensorGeometry,
                     detect_format, gaussian_prior, read_events, read_log,
                     read_prior, run, write_events, write_log, write_prior,
                     write_stats)
-from evdown.evio import EventWriter, stats_doc
+from evdown.evio import EventWriter, stats_doc, write_json_doc
 
 from conftest import make_stream, random_stream
 
@@ -334,6 +334,17 @@ class TestStats:
         doc = json.loads(path.read_text())
         assert list(doc) == STATS_KEYS + ["selectivity"]
         assert doc["selectivity"]["ratio"] == pytest.approx(2.5)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_nonfinite_refused(self, tmp_path, value):
+        """JSON holds no NaN or Infinity: such a document is refused and
+        the old file is left as it was."""
+        path = tmp_path / "stats.json"
+        path.write_text("old")
+        with pytest.raises(ValueError, match="JSON"):
+            write_json_doc({"alpha": value}, path)
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["stats.json"]
 
     def test_write_to_stream(self):
         import io

@@ -36,6 +36,14 @@ class TestRetentionRatio:
         with pytest.raises(ValueError):
             retention_ratio(empty, empty)
 
+    def test_window_past_int64(self):
+        s = make_stream(GEO, [(0, 0, 0, 1), (2**63 - 1, 0, 0, 1)])
+        report = retention_ratio(s, s, window_us=2**63 - 1)
+        assert [w.window_id for w in report.per_window] == [1, 2]
+        with pytest.raises(ValueError, match=r"window_us must be in "
+                                             r"\[1, 2\*\*63 - 1\]"):
+            retention_ratio(s, s, window_us=2**63)
+
     def test_per_window_series(self):
         # 10 events in window 1, 5 in window 3; keep 4 and 1
         records = ([(i * 10, 0, 0, 1) for i in range(10)]

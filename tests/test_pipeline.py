@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evdown import (DecisionCode, EventStream, PriorMap, SamplerConfig,
-                    SensorGeometry, gaussian_prior, run, timing_probe)
+                    SensorGeometry, gaussian_prior, run)
 from evdown.density import sigmoid
 
 from conftest import (HUGE, force_python_walk, make_stream, random_stream,
@@ -164,11 +164,12 @@ class TestStatsInvariants:
         assert stats.total_s > 0
         assert stats.pdf_s >= 0 and stats.eval_s >= 0
         assert stats.total_s >= stats.pdf_s + stats.eval_s - 1e-9
-        probe = timing_probe(stats)
-        assert set(probe) == {"total_ms_per_kev", "pdf_ms_per_kev",
-                              "eval_ms_per_kev"}
-        assert probe["total_ms_per_kev"] == pytest.approx(
+        assert stats.ms_per_kev_total == pytest.approx(
             stats.total_s * 1e6 / len(s))
+        assert stats.ms_per_kev_pdf == pytest.approx(
+            stats.pdf_s * 1e6 / len(s))
+        assert stats.ms_per_kev_eval == pytest.approx(
+            stats.eval_s * 1e6 / len(s))
 
     def test_source_index_points_into_input(self):
         s = random_stream(np.random.default_rng(8), n=2000)

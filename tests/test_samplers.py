@@ -79,6 +79,17 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(alpha=0.5, t_us=0)
 
+    @pytest.mark.parametrize("field", ["tw_us", "t_us"])
+    def test_window_past_int64(self, field):
+        """Window lengths are int64, as timestamps are; a longer one is a
+        ValueError here, not an OverflowError later."""
+        assert getattr(SamplerConfig(alpha=0.5, **{field: 2**63 - 1}),
+                       field) == 2**63 - 1
+        for value in (2**63, 10**20):
+            with pytest.raises(ValueError, match=rf"{field} must be in "
+                                                 r"\[1, 2\*\*63 - 1\]"):
+                SamplerConfig(alpha=0.5, **{field: value})
+
     def test_rng_reproducible(self):
         config = SamplerConfig(alpha=0.5, seed=99)
         assert config.rng().random() == config.rng().random()

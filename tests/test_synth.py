@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from evdown import (EdgeSpec, EventLabel, SceneSpec, SensorGeometry,
-                    density_snapshot, edge_shift, generate, labeled_event,
-                    rasterize_segment, reference_scene)
+                    edge_shift, generate, labeled_event, rasterize_segment,
+                    reference_scene)
 from evdown.events import first_violations
 
 GEO = SensorGeometry(32, 24)
@@ -47,6 +47,43 @@ class TestSpecValidation:
                          duration_us=10**9, noise_rate_px_s=10**6)
         with pytest.raises(ValueError, match="guard"):
             generate(spec)
+
+    @pytest.mark.parametrize("field", ["x0", "y0", "x1", "y1",
+                                       "velocity_px_s", "rate_per_px_s"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_edge_field_named(self, field, value):
+        fields = dict(x0=3.0, y0=1.0, x1=3.0, y1=10.0, velocity_px_s=10.0,
+                      rate_per_px_s=2000.0)
+        fields[field] = value
+        with pytest.raises(ValueError, match=f"edge {field} must be finite"):
+            EdgeSpec(**fields)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_nonfinite_noise_rate_rejected(self, value):
+        with pytest.raises(ValueError, match="noise rate must be finite"):
+            SceneSpec(geometry=GEO, duration_us=10, noise_rate_px_s=value)
+
+    def test_duration_past_int64_rejected(self):
+        SceneSpec(geometry=GEO, duration_us=2**63 - 1)
+        with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
+            SceneSpec(geometry=GEO, duration_us=2**63)
+
+    def test_far_endpoint_rejected(self):
+        EdgeSpec(2.0**31, 0, 2.0**31, 5, velocity_px_s=0.0, rate_per_px_s=1.0)
+        with pytest.raises(ValueError, match="edge x0 must lie within 2"):
+            EdgeSpec(1e300, 1, 1e300, 10, velocity_px_s=50.0,
+                     rate_per_px_s=100.0)
+
+    def test_edge_length_limit(self):
+        """An edge of 65,536 px generates; one pixel more is refused before
+        it is rasterized."""
+        def scene(x1):
+            return SceneSpec(geometry=GEO, duration_us=10, edges=(
+                EdgeSpec(0, 1, x1, 1, velocity_px_s=0.0, rate_per_px_s=0.0),))
+        assert len(generate(scene(65_535))) == 0
+        with pytest.raises(ValueError, match="edge 0 spans more than the "
+                                             "65536 px limit"):
+            generate(scene(65_536))
 
 
 class TestRasterize:
@@ -162,25 +199,6 @@ class TestGenerate:
         per_pixel = np.bincount(s.y, minlength=24)[4:20]
         expected = 2000.0 * 0.2  # 400 per pixel
         assert abs(per_pixel.mean() - expected) < 5 * np.sqrt(expected / 16)
-
-
-class TestDensitySnapshot:
-    def test_counts_in_interval(self):
-        s = generate(noise_scene(rate=100.0, seed=3))
-        snap = density_snapshot(s, 20_000, 60_000)
-        in_win = (s.t >= 20_000) & (s.t < 60_000)
-        assert snap.counts.sum() == int(in_win.sum())
-        ys, xs = np.nonzero(snap.counts)
-        # spot-check one pixel against a direct count
-        if xs.size:
-            x, y = int(xs[0]), int(ys[0])
-            direct = int(((s.x == x) & (s.y == y) & in_win).sum())
-            assert snap.counts[y, x] == direct
-
-    def test_bad_interval(self):
-        s = generate(noise_scene(seed=4))
-        with pytest.raises(ValueError):
-            density_snapshot(s, 5000, 5000)
 
 
 class TestReferenceScene:
