@@ -21,9 +21,11 @@ Both kernels have two implementations with bit-identical results:
 
 The same library holds two byte-level parsers, :func:`parse_events` and
 :func:`parse_log`, for exactly the rows that ``evio`` writes to event CSVs
-and decision logs.  They have no Python twin here: when they reject a row,
-or the library is not available, they return None and ``evio``'s line
-loops, the only source of its error messages, read the file instead.
+and decision logs, and :func:`scan_events`, which checks event rows as
+:func:`parse_events` does but stores none of them.  They have no Python
+twin here: when they reject a row, or the library is not available, they
+return None and ``evio``'s line loops, the only source of its error
+messages, read the file instead.
 
 The cache file is the shared object followed by the SHA-256 of its bytes.
 A file whose trailer does not match is rebuilt, never loaded: mapping a
@@ -184,8 +186,20 @@ static const char *real(const char *s, const char *end, char *slot)
     return s;
 }
 
-/* Event rows t,x,y,p[,label]: t, x and y at most INT64_MAX, p 0 or 1, the
-   label N or E (written as 0 or 1, the EventLabel values). */
+/* An event row t,x,y,p[,label]: t, x and y at most INT64_MAX, p 0 or 1,
+   the label N or E (written as 0 or 1, the EventLabel values). */
+static const char *event_row(const char *s, const char *end, int labeled,
+                             uint64_t *v, uint8_t *label)
+{
+    s = digits(s, end, INT64_MAX, &v[0]);
+    s = digits(comma(s, end), end, INT64_MAX, &v[1]);
+    s = digits(comma(s, end), end, INT64_MAX, &v[2]);
+    s = digits(comma(s, end), end, 1, &v[3]);
+    if (labeled)
+        s = letter(comma(s, end), end, "NE", label);
+    return eol(s, end);
+}
+
 int64_t parse_events(const char *buf, int64_t len, int labeled, int64_t cap,
                      int64_t *t, int64_t *x, int64_t *y, uint8_t *p,
                      uint8_t *label, int64_t *used)
@@ -194,21 +208,42 @@ int64_t parse_events(const char *buf, int64_t len, int labeled, int64_t cap,
     int64_t i;
     for (i = 0; i < cap && s < end; i++) {
         uint64_t v[4];
-        s = digits(s, end, INT64_MAX, &v[0]);
-        s = digits(comma(s, end), end, INT64_MAX, &v[1]);
-        s = digits(comma(s, end), end, INT64_MAX, &v[2]);
-        s = digits(comma(s, end), end, 1, &v[3]);
-        if (labeled)
-            s = letter(comma(s, end), end, "NE", &label[i]);
-        s = eol(s, end);
+        uint8_t mark;
+        s = event_row(s, end, labeled, v, &mark);
         if (!s)
             return -1 - i;
+        if (labeled)
+            label[i] = mark;
         t[i] = (int64_t)v[0];
         x[i] = (int64_t)v[1];
         y[i] = (int64_t)v[2];
         p[i] = (uint8_t)v[3];
     }
     *used = s - buf;
+    return i;
+}
+
+/* The event rows of buf[0:len], checked as parse_events checks them and
+   for timestamp order, but not stored.  top holds the largest x and y so
+   far and the last timestamp, and is updated here, so a later call goes
+   on with the rows that follow.  Returns the number of rows, or -1 - i
+   for the first row i that is rejected or precedes the row before it. */
+int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
+{
+    const char *s = buf, *end = buf + len;
+    int64_t i;
+    for (i = 0; s < end; i++) {
+        uint64_t v[4];
+        uint8_t mark;
+        s = event_row(s, end, labeled, v, &mark);
+        if (!s || v[0] < top[2])
+            return -1 - i;
+        if (v[1] > top[0])
+            top[0] = v[1];
+        if (v[2] > top[1])
+            top[1] = v[2];
+        top[2] = v[0];
+    }
     return i;
 }
 
@@ -316,18 +351,21 @@ def expit(x):
     return out.reshape(x.shape)[()]
 
 
-def parse_events(data: bytes, start: int, labeled: bool):
+def parse_events(data: bytes, start: int, labeled: bool,
+                 rows: int | None = None):
     """The columns ``(t, x, y, p, labels)`` of the event rows in
     ``data[start:]``, or None.
 
     ``t``, ``x`` and ``y`` are int64, ``p`` and ``labels`` uint8 (``labels``
-    is None unless ``labeled``).  Returns None when the compiled parser is
-    not available or rejects a row: then the file needs the line loop.
+    is None unless ``labeled``).  ``rows`` is the number of rows, when the
+    caller knows it; otherwise the lines are counted.  Returns None when
+    the compiled parser is not available, rejects a row, or finds another
+    number of rows: then the file needs the line loop.
     """
     kernel = _kernel()
     if kernel is None:
         return None
-    address, size, n = _text(data, start)
+    address, size, n = _text(data, start, rows)
     t, x, y = (np.empty(n, np.int64) for _ in range(3))
     p = np.empty(n, np.uint8)
     labels = np.empty(n, np.uint8) if labeled else None
@@ -336,9 +374,33 @@ def parse_events(data: bytes, start: int, labeled: bool):
         address, size, labeled, n,
         t.ctypes.data, x.ctypes.data, y.ctypes.data, p.ctypes.data,
         None if labels is None else labels.ctypes.data, ctypes.byref(used))
-    if got != n:
+    if got != n or used.value != size:
         return None
     return t, x, y, p, labels
+
+
+def scan_events(data: bytes, stop: int, labeled: bool,
+                top: np.ndarray) -> int | None:
+    """The number of event rows in ``data[:stop]``, which starts at a line
+    start, checked as :func:`parse_events` checks them, or None.
+
+    Nothing is stored: ``top`` (uint64, three values) holds the largest x,
+    the largest y and the last timestamp of the rows scanned before, and
+    receives those of these rows too, so a scan of a file's blocks in
+    order sees its maxima.  Returns None when the compiled parser is not
+    available, rejects a row, or finds a timestamp below the one before it.
+    """
+    kernel = _kernel()
+    if kernel is None:
+        return None
+    if (not isinstance(data, bytes) or not 0 <= stop <= len(data)
+            or top.dtype != np.uint64 or top.shape != (3,)
+            or not top.flags.c_contiguous or not top.flags.writeable):
+        raise ValueError("need bytes, a stop within them and a writable "
+                         "uint64 array of three values")
+    address = ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
+    got = kernel.scan_events(address, stop, labeled, top.ctypes.data)
+    return None if got < 0 else got
 
 
 def parse_log(data: bytes, start: int):
@@ -408,15 +470,18 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
     return retained, 0 if draws is None else di
 
 
-def _text(data: bytes, start: int) -> tuple[int, int, int]:
+def _text(data: bytes, start: int,
+          lines: int | None = None) -> tuple[int, int, int]:
     """The address and size of data[start:], valid while data lives, and
-    its lines (the last may lack its newline).  A parser that reads that
-    many rows has read every byte: each row takes one whole line."""
+    its lines (the last may lack its newline), counted unless given.  A
+    parser that reads that many rows has read every byte: each row takes
+    one whole line."""
     if not isinstance(data, bytes) or not 0 <= start <= len(data):
         raise ValueError("need bytes and a start within them")
     address = ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
-    lines = (data.count(b"\n", start)
-             + (len(data) > start and not data.endswith(b"\n")))
+    if lines is None:
+        lines = (data.count(b"\n", start)
+                 + (len(data) > start and not data.endswith(b"\n")))
     return address + start, len(data) - start, lines
 
 
@@ -460,6 +525,9 @@ def _kernel():
                                      ctypes.c_int, ctypes.c_int64,
                                      *[ctypes.c_void_p] * 6)
         lib.parse_events.restype = ctypes.c_int64
+        lib.scan_events.argtypes = (ctypes.c_void_p, ctypes.c_int64,
+                                    ctypes.c_int, ctypes.c_void_p)
+        lib.scan_events.restype = ctypes.c_int64
         lib.parse_log.argtypes = (ctypes.c_void_p, ctypes.c_int64,
                                   ctypes.c_int64, ctypes.c_int64,
                                   *[ctypes.c_void_p] * 5)
@@ -478,7 +546,8 @@ def _load(path: Path):
     try:
         lib = ctypes.CDLL(str(path))
         # AttributeError when a kernel is missing
-        lib.cap_walk, lib.expit, lib.parse_events, lib.parse_log
+        (lib.cap_walk, lib.expit, lib.parse_events, lib.scan_events,
+         lib.parse_log)
         return lib
     except (OSError, AttributeError):
         return None

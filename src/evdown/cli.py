@@ -8,10 +8,15 @@ Exit codes: 0 success, 2 bad arguments, 3 malformed input file, 4 I/O
 failure.  Stochastic seeds come from --seed, falling back to the
 EVDOWN_SEED environment variable, then 0.
 
-downsample streams: it reads a binary input _CHUNK_EVENTS records at a
-time (a CSV input is read whole, then sliced alike), decides each chunk
-and appends its kept events and log rows to files that replace the
-output paths only once the whole input has been read and checked.
+downsample streams: it reads its input _CHUNK_EVENTS events at a time,
+decides each chunk and appends its kept events and log rows to files
+that replace the output paths only once the whole input has been read
+and checked.  A binary input is read record block by record block
+(evio.BinaryEvents).  A CSV input is read twice, a block of bytes at a
+time (evio.CsvEvents): once to check its rows and infer its geometry,
+keeping no column, then again to decide it.  A CSV the compiled parser
+refuses, or any CSV without the compiled kernels, is read whole, then
+sliced alike.
 """
 
 from __future__ import annotations
@@ -24,10 +29,10 @@ import sys
 from .density import SigmoidParams
 # write_log and run are not called here; they stay importable from this
 # module for tools that wrap the calls the CLI names.
-from .evio import (BinaryEvents, EventFileError, EventWriter, LogWriter,
-                   detect_format, output_format, read_events, read_prior,
-                   replacing, report_doc, write_events, write_json_doc,
-                   write_log, write_stats)
+from .evio import (BinaryEvents, CsvEvents, EventFileError, EventWriter,
+                   LogWriter, detect_format, output_format, read_events,
+                   read_prior, replacing, report_doc, write_events,
+                   write_json_doc, write_log, write_stats)
 from .events import SensorGeometry
 from .metrics import match_events, retention_ratio, selectivity
 from .pipeline import METHODS, Downsampler, run
@@ -36,15 +41,23 @@ from .synth import EdgeSpec, SceneSpec, generate
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("EVDOWN_SEED")
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError:
-        raise ValueError(f"EVDOWN_SEED must be an integer, got {env!r}") from None
+    """--seed's value, else EVDOWN_SEED's, else 0.  Raises ValueError,
+    naming where the seed came from, for one that is not a nonnegative
+    integer."""
+    source = "--seed"
+    if value is None:
+        env = os.environ.get("EVDOWN_SEED")
+        if env is None:
+            return 0
+        source = "EVDOWN_SEED"
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(
+                f"EVDOWN_SEED must be an integer, got {env!r}") from None
+    if value < 0:
+        raise ValueError(f"{source} must be >= 0, got {value}")
+    return value
 
 
 def _add_seed(parser: argparse.ArgumentParser) -> None:
@@ -133,14 +146,9 @@ _CHUNK_EVENTS = 1 << 16   # events per chunk; bounds downsample's memory
 def _chunks(path, fmt: str):
     """The input's geometry, whether it is labeled, and its events as
     checked streams of up to _CHUNK_EVENTS events."""
-    if (detect_format(path) if fmt == "auto" else fmt) == "binary":
-        source = BinaryEvents(path)
-        return source.geometry, False, source.blocks(_CHUNK_EVENTS)
-    # CSV carries no geometry: it is inferred from the whole file.
-    stream = read_events(path, fmt="csv")
-    return stream.geometry, stream.is_labeled, (
-        stream[i:i + _CHUNK_EVENTS]
-        for i in range(0, len(stream), _CHUNK_EVENTS))
+    binary = (detect_format(path) if fmt == "auto" else fmt) == "binary"
+    source = BinaryEvents(path) if binary else CsvEvents(path)
+    return source.geometry, source.labeled, source.blocks(_CHUNK_EVENTS)
 
 
 def cmd_downsample(args) -> int:

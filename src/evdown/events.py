@@ -101,10 +101,27 @@ class EventStream:
 
     def __init__(self, geometry, t, x, y, p, labels=None, edge_ids=None,
                  source_index=None):
+        self._build(np.array, geometry, t, x, y, p, labels, edge_ids,
+                    source_index)
+
+    @classmethod
+    def _adopt(cls, geometry, t, x, y, p, labels=None) -> "EventStream":
+        """The stream of the given columns, checked as the constructor
+        checks them, that takes columns already of its dtypes as its own
+        instead of copying them: for readers whose columns are fresh and
+        held nowhere else."""
+        stream = object.__new__(cls)
+        stream._build(np.asarray, geometry, t, x, y, p, labels, None, None)
+        return stream
+
+    def _build(self, own, geometry, t, x, y, p, labels, edge_ids,
+               source_index) -> None:
+        """Check the columns and set them, each made the stream's by
+        ``own`` (np.array copies, np.asarray adopts)."""
         t = np.asarray(t, dtype=np.int64)
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
-        p = np.array(p, dtype=np.uint8)
+        p = own(p, dtype=np.uint8)
         n = t.shape[0]
         if not (x.shape == y.shape == p.shape == (n,)):
             raise ValueError("event columns must be 1-d arrays of equal length")
@@ -122,11 +139,13 @@ class EventStream:
             raise ValueError(f"event {j} at ({int(x[j])}, {int(y[j])}) "
                              f"outside {geometry.width}x{geometry.height} "
                              f"sensor")
-        # Private copies so freezing them cannot lock a caller's buffer.
-        self._fill(geometry, np.array(t), np.array(x), np.array(y), p,
-                   self._optional(labels, np.uint8, n, "labels"),
-                   self._optional(edge_ids, np.int32, n, "edge_ids"),
-                   self._optional(source_index, np.int64, n, "source_index"))
+        # Private copies, unless adopted, so freezing them cannot lock a
+        # caller's buffer.
+        self._fill(geometry, own(t), own(x), own(y), p,
+                   self._optional(own, labels, np.uint8, n, "labels"),
+                   self._optional(own, edge_ids, np.int32, n, "edge_ids"),
+                   self._optional(own, source_index, np.int64, n,
+                                  "source_index"))
 
     def _fill(self, geometry, *columns) -> "EventStream":
         """Set the geometry and the columns, in slot order, read-only."""
@@ -147,10 +166,10 @@ class EventStream:
                                                  source_index)
 
     @staticmethod
-    def _optional(values, dtype, n, name):
+    def _optional(own, values, dtype, n, name):
         if values is None:
             return None
-        arr = np.array(values, dtype=dtype)
+        arr = own(values, dtype=dtype)
         if arr.shape != (n,):
             raise ValueError(f"{name} must match the event count")
         return arr

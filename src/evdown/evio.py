@@ -11,11 +11,12 @@ Two stream formats are supported:
   t u64, x u16, y u16, p u8.  Labels are not stored.
 
 Both formats round-trip every event field bit-exactly.  Writers emit a
-canonical encoding, so re-serializing a stream is byte-stable.  A binary
-file can also be read block by block (:class:`BinaryEvents`), and a
-stream or decision log written piece by piece (:class:`EventWriter`,
-:class:`LogWriter`); every writer writes into a file made by
-:func:`replacing`, so a failed write leaves its path as it was.
+canonical encoding, so re-serializing a stream is byte-stable.  Either
+format can also be read block by block (:class:`BinaryEvents`,
+:class:`CsvEvents`), and a stream or decision log written piece by piece
+(:class:`EventWriter`, :class:`LogWriter`); every writer writes into a
+file made by :func:`replacing`, so a failed write leaves its path as it
+was.  A reader's columns become its stream's without a copy.
 
 Event CSVs and decision logs are read by the compiled parsers of
 :mod:`evdown.capwalk`, which take exactly the rows the writers here emit.
@@ -173,9 +174,10 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
 
     For a block of a longer stream, ``start`` is the index of its first
     event, which messages count from, and ``before`` the timestamp of the
-    event ahead of it.  A stream that cannot be built raises
-    EventFileError, naming its first event out of order, else its first
-    event outside the given geometry, else the inferred geometry's fault.
+    event ahead of it.  The columns must be fresh: the stream takes them
+    as its own.  A stream that cannot be built raises EventFileError,
+    naming its first event out of order, else its first event outside the
+    given geometry, else the inferred geometry's fault.
     """
     t = np.asarray(t, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
@@ -186,7 +188,7 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
             sensor = geometry if geometry is not None else SensorGeometry(
                 int(x.max()) + 1 if x.size else 1,
                 int(y.max()) + 1 if y.size else 1)
-            return EventStream(sensor, t, x, y, p, labels=labels)
+            return EventStream._adopt(sensor, t, x, y, p, labels=labels)
         except ValueError as exc:
             refusal = exc
     # The stream was refused: find its offence again, in the file's terms.
@@ -222,6 +224,14 @@ def _read_csv(path, geometry) -> EventStream:
     return _finish_stream(path, geometry, *columns)
 
 
+def _fast_header(data: bytes):
+    """(length, labeled) of the header data starts with, when the compiled
+    parser takes it, else None."""
+    header = data[:data.find(b"\n") + 1]
+    labeled = _CSV_FAST_HEADERS.get(header)
+    return None if labeled is None else (len(header), labeled)
+
+
 def _parse_csv_compiled(path):
     """Parse an event CSV with the compiled parser, or return None.
 
@@ -233,11 +243,10 @@ def _parse_csv_compiled(path):
     caller builds the stream.
     """
     data = Path(path).read_bytes()
-    header = data[:data.find(b"\n") + 1]
-    labeled = _CSV_FAST_HEADERS.get(header)
-    if labeled is None:
+    header = _fast_header(data)
+    if header is None:
         return None
-    return capwalk.parse_events(data, len(header), labeled)
+    return capwalk.parse_events(data, *header)
 
 
 def _parse_csv_lines(path):
@@ -429,6 +438,7 @@ class BinaryEvents:
                 f"requested {geometry.width}x{geometry.height}")
         self.path = path
         self.geometry = header_geo
+        self.labeled = False  # the format has no field for labels
         self.count = count
 
     def read(self, start: int, stop: int, before: int | None = None
@@ -463,6 +473,102 @@ class BinaryEvents:
             block = self.read(start, min(start + size, self.count), before)
             before = int(block.t[-1])
             yield block
+
+
+# Bytes per block of a CSV that CsvEvents reads; a block is cut at its
+# last newline, so it holds whole rows.
+_CSV_BLOCK_BYTES = 1 << 20
+
+
+class CsvEvents:
+    """An event CSV whose rows have been checked and whose geometry has
+    been inferred; its events are read, and checked, a block at a time.
+
+    The constructor reads the file in blocks of _CSV_BLOCK_BYTES, each cut
+    at its last newline, and runs the compiled scan over each: it checks
+    every row and the timestamps' order, and records the block's byte span
+    and row count and the largest x and y, but keeps no column.  The
+    geometry is the smallest sensor that holds every event, as read_events
+    infers it.  :meth:`blocks` then parses the spans again, one at a time.
+
+    A file the scan refuses, a header the compiled parser does not take,
+    an inferred geometry that SensorGeometry refuses, a path that is no
+    regular file (a pipe cannot be read twice), and any file when the
+    compiled kernels are not available are read whole by read_events
+    instead, which raises the EventFileError of a malformed file; the
+    stream it reads is then handed out in slices.  Raises OSError when the
+    file cannot be read.
+    """
+
+    def __init__(self, path):
+        self.path = path
+        self._whole = None
+        scan = self._scan()
+        if scan is None:
+            self._whole = read_events(path, fmt="csv")
+            scan = self._whole.geometry, self._whole.is_labeled, ()
+        self.geometry, self.labeled, self._spans = scan
+
+    def _scan(self):
+        """(geometry, labeled, spans) of a file the compiled scan takes,
+        each span an (offset, size, rows) block of whole rows, else None."""
+        if capwalk.implementation() != "compiled":
+            return None
+        top = np.zeros(3, np.uint64)
+        spans = []
+        with open(self.path, "rb") as fh:
+            # A pipe or device cannot be read twice; read_events reads it.
+            if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                return None
+            header = _fast_header(fh.read(max(map(len, _CSV_FAST_HEADERS))))
+            if header is None:
+                return None
+            offset, labeled = header
+            size = _CSV_BLOCK_BYTES
+            while True:
+                fh.seek(offset)
+                data = fh.read(size)
+                if not data:
+                    break
+                cut = len(data) if len(data) < size else data.rfind(b"\n") + 1
+                if not cut:  # a line longer than the block
+                    size *= 2
+                    continue
+                rows = capwalk.scan_events(data, cut, labeled, top)
+                if rows is None:
+                    return None
+                spans.append((offset, cut, rows))
+                offset += cut
+                size = _CSV_BLOCK_BYTES
+        try:
+            geometry = SensorGeometry(int(top[0]) + 1, int(top[1]) + 1)
+        except ValueError:
+            return None
+        return geometry, labeled, spans
+
+    def blocks(self, size: int):
+        """The events in order, as checked streams of up to size events.
+        Raises EventFileError when a block no longer holds what the scan
+        found, because the file changed in between."""
+        if self._whole is not None:
+            for start in range(0, len(self._whole), size):
+                yield self._whole[start:start + size]
+            return
+        start, before = 0, None
+        for offset, nbytes, rows in self._spans:
+            with open(self.path, "rb") as fh:
+                fh.seek(offset)
+                columns = capwalk.parse_events(fh.read(nbytes), 0,
+                                               self.labeled, rows)
+            if columns is None:
+                raise EventFileError(f"{self.path}: changed while it was "
+                                     f"read")
+            block = _finish_stream(self.path, self.geometry, *columns,
+                                   start=start, before=before)
+            for i in range(0, rows, size):
+                yield block[i:i + size]
+            start += rows
+            before = int(block.t[-1])
 
 
 class EventWriter:

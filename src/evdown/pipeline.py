@@ -132,8 +132,11 @@ class _WindowScorer:
     and counts add up to the window's, which freeze the next window's map
     when it opens, and the inverse spreads this piece's lookup, done over
     its distinct pixels only, to its events.  Between pieces it holds the
-    open window's id, its frozen map and its distinct pixels and counts so
-    far; ``seconds`` is the time spent scoring.
+    open window's id, its frozen map, its tally of distinct pixels and
+    counts, and the tallies of its later pieces, pending; ``seconds`` is
+    the time spent scoring.  The pending tallies are merged into the
+    window's once they are as long as it, and when the window closes, so
+    a piece costs in proportion to its own tally, not to its window's.
     """
 
     def __init__(self, geometry: SensorGeometry, config: SamplerConfig):
@@ -141,7 +144,8 @@ class _WindowScorer:
         self.config = config
         self.window = 0
         self.frozen = None
-        self.pixels, self.counts = _IDLE
+        self.tally = [_IDLE]
+        self.pending = 0  # pixels in the tallies after the first
         self.seconds = 0.0
 
     def score(self, flat: np.ndarray, ids: np.ndarray,
@@ -156,39 +160,38 @@ class _WindowScorer:
             pixels, inverse, counts = np.unique(
                 flat[i0:i1], return_inverse=True, return_counts=True)
             if wid == self.window:
-                self.pixels, self.counts = _add_counts(
-                    self.pixels, self.counts, pixels, counts)
+                self.tally.append((pixels, counts))
+                self.pending += pixels.size
+                if self.pending >= self.tally[0][0].size:
+                    self.tally, self.pending = [_merge(self.tally)], 0
             else:
                 # After an empty window no pixel is active and every pixel
                 # shares one score; a stale map is never carried over.
                 active, active_counts = (
-                    (self.pixels, self.counts) if self.window == wid - 1
-                    else _IDLE)
+                    _merge(self.tally) if self.window == wid - 1 else _IDLE)
                 self.frozen = None if wid == 1 else sparse_scores(
                     self.geometry, active, occupancy_values(active_counts),
                     cfg.alpha, cfg.theta, cfg.prior, window_id=wid - 1)
-                self.window, self.pixels, self.counts = wid, pixels, counts
+                self.window = wid
+                self.tally, self.pending = [(pixels, counts)], 0
             p[i0:i1] = (cfg.alpha if self.frozen is None
                         else self.frozen.lookup(pixels)[inverse])
         self.seconds += time.perf_counter() - tp0
         return p
 
 
-def _add_counts(pixels_a, counts_a, pixels_b, counts_b):
-    """The union of two tallies, each of sorted distinct pixels and their
-    counts, with the counts of shared pixels summed.
-
-    Merged by position rather than re-sorted, so a window that spans
-    many pieces costs a copy of its tally per piece, not a sort.
-    """
-    pos = np.searchsorted(pixels_a, pixels_b)
-    shared = pos < pixels_a.size
-    shared[shared] = pixels_a[pos[shared]] == pixels_b[shared]
-    counts = counts_a.copy()
-    counts[pos[shared]] += counts_b[shared]
-    new = ~shared
-    return (np.insert(pixels_a, pos[new], pixels_b[new]),
-            np.insert(counts, pos[new], counts_b[new]))
+def _merge(tallies):
+    """One tally from several, each of sorted distinct pixels and their
+    counts: the union of their pixels, sorted, with the counts of shared
+    pixels summed."""
+    if len(tallies) == 1:
+        return tallies[0]
+    pixels = np.concatenate([pix for pix, _ in tallies])
+    order = np.argsort(pixels, kind="stable")  # merges the sorted runs
+    pixels = pixels[order]
+    first = np.flatnonzero(np.r_[True, pixels[1:] != pixels[:-1]])
+    counts = np.concatenate([cnt for _, cnt in tallies])[order]
+    return pixels[first], np.add.reduceat(counts, first)
 
 
 class Downsampler:

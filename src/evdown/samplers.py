@@ -44,7 +44,8 @@ class SamplerConfig:
     t_us : analysis window length for the density-adaptive policy, microseconds.
         Both window lengths lie in [1, 2**63 - 1], as timestamps do.
     theta : sigmoid slope and midpoint for scoring.
-    seed : seed for the numpy PCG64 generator behind stochastic decisions.
+    seed : seed for the numpy PCG64 generator behind stochastic decisions,
+        a nonnegative integer.
     prior : optional spatial prior for the density-adaptive policy.
     cap_enabled : whether the hard budget cap is active.
     """
@@ -60,6 +61,8 @@ class SamplerConfig:
     def __post_init__(self):
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         for name in ("tw_us", "t_us"):
             value = getattr(self, name)
             if not 1 <= value <= 2**63 - 1:

@@ -24,6 +24,9 @@ _MAX_EXPECTED_EVENTS = 5e7
 # every edge pixel and its shifts fit in int64.
 _MAX_EDGE_PX = 1 << 16
 _MAX_COORD = 2**31
+# Edge displacements are clipped to this many pixels, so shifted pixels
+# (within 2**31 + 2**62 of 0) fit in int64.
+_MAX_SHIFT = 2.0**62
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class SceneSpec:
 
     polarity is either "alternating" (each source emits ON, OFF, ON, ... in
     time order) or "random" (fair coin per event).  duration_us lies in
-    [1, 2**63 - 1], as timestamps do.
+    [1, 2**63 - 1], as timestamps do; seed is a nonnegative integer.
     """
 
     geometry: SensorGeometry
@@ -93,6 +96,8 @@ class SceneSpec:
                              f"got {self.noise_rate_px_s}")
         if self.polarity not in ("alternating", "random"):
             raise ValueError(f"unknown polarity mode {self.polarity!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
@@ -146,10 +151,14 @@ def edge_shift(edge: EdgeSpec, t_us) -> tuple[np.ndarray, np.ndarray]:
 
     The continuous displacement velocity * t along the edge normal is
     rounded per component, so the edge moves in integer steps and its pixel
-    footprint is always an exact translate of the base rasterization.
+    footprint is always an exact translate of the base rasterization.  The
+    displacement is clipped to 2**62 px either way, far past any sensor,
+    so every shift fits in int64.
     """
     nx, ny = edge.normal
-    d = edge.velocity_px_s * np.asarray(t_us, dtype=np.float64) / 1e6
+    with np.errstate(over="ignore"):  # an infinite product is clipped too
+        d = edge.velocity_px_s * np.asarray(t_us, dtype=np.float64) / 1e6
+    d = np.clip(d, -_MAX_SHIFT, _MAX_SHIFT)
     return (np.rint(nx * d).astype(np.int64),
             np.rint(ny * d).astype(np.int64))
 

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,50 @@ class TestSynth:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"evdown: {message}")
         assert proc.stderr.count("\n") == 1 and not out.exists()
+
+
+    def test_huge_edge_velocity_without_warning(self, tmp_path):
+        """A displacement past int64 is clipped before its cast: no
+        RuntimeWarning, and the scene of any velocity that shifts the edge
+        off the sensor after its first microsecond."""
+        def scene(velocity):
+            out = tmp_path / f"v{velocity}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert main(["synth", "-o", str(out), "--width", "10",
+                             "--height", "10", "--duration-us", "100000",
+                             "--noise-rate", "5",
+                             "--edge", f"3,1,3,10,{velocity},100"]) == 0
+            return out.read_bytes()
+
+        want = scene("1e9")
+        assert want.count(b"\n") == 40
+        for velocity in ("1e20", "-1e20", "1e300", "1.7e308"):
+            assert scene(velocity) == want, velocity
+
+
+@pytest.mark.parametrize("command, env, message", [
+    ("synth", None, "--seed must be >= 0, got -1"),
+    ("downsample", None, "--seed must be >= 0, got -1"),
+    ("synth", "-1", "EVDOWN_SEED must be >= 0, got -1"),
+    ("downsample", "-7", "EVDOWN_SEED must be >= 0, got -7")])
+def test_negative_seed_exit_2(scene_csv, tmp_path, monkeypatch, capsys,
+                              command, env, message):
+    """A negative seed is a usage error naming where it came from, before
+    any file is read or written."""
+    out = tmp_path / "out.csv"
+    args = (synth_args(out)[:-2] if command == "synth"
+            else ["downsample", "-i", str(scene_csv), "-o", str(out), "-m",
+                  "uniform", "-a", "0.1"])
+    if env is None:
+        args += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("EVDOWN_SEED", env)
+    capsys.readouterr()
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"evdown: {message}\n"
+    assert captured.out == "" and not out.exists()
 
 
 class TestDownsample:

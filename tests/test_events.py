@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from evdown import (Event, EventStream, Polarity, SensorGeometry,
                     stream_duration, write_events)
 from evdown.events import first_violations
+from evdown import evio
 from evdown.evio import BinaryEvents
 
 from conftest import make_stream
@@ -179,15 +180,37 @@ class TestValidByConstruction:
     @given(st.lists(st.tuples(st.integers(0, 20), st.integers(0, 9),
                               st.integers(0, 7)), max_size=12))
     def test_raises_iff_first_violations(self, records):
+        """The constructor and the readers' adopting path alike."""
         t, x, y = (list(col) for col in zip(*records)) if records else ([],) * 3
         want = refusal(t, x, y)
-        if want is None:
-            s = EventStream(GEO, t, x, y, [1] * len(t))
-            assert s.t.tolist() == t
-        else:
-            with pytest.raises(ValueError) as exc:
-                EventStream(GEO, t, x, y, [1] * len(t))
-            assert str(exc.value) == want
+        for build in (EventStream, EventStream._adopt):
+            if want is None:
+                s = build(GEO, t, x, y, [1] * len(t))
+                assert s.t.tolist() == t
+            else:
+                with pytest.raises(ValueError) as exc:
+                    build(GEO, t, x, y, [1] * len(t))
+                assert str(exc.value) == want
+
+    def test_readers_adopt_columns_constructor_copies(self):
+        """A reader's fresh columns become its stream's, read-only; the
+        constructor copies a caller's columns and leaves them writable."""
+        def columns():
+            return (np.array([1, 2]), np.array([0, 7]), np.array([5, 0]),
+                    np.array([0, 1], np.uint8), np.array([1, 0], np.uint8))
+
+        given_cols = columns()
+        copied = EventStream(GEO, *given_cols[:4], labels=given_cols[4])
+        assert all(col.flags.writeable for col in given_cols)
+        assert not any(np.shares_memory(getattr(copied, name), col)
+                       for name, col in zip(("t", "x", "y", "p", "labels"),
+                                            given_cols))
+        fresh = columns()
+        adopted = evio._finish_stream("a.csv", None, *fresh)
+        assert adopted == copied and adopted.geometry == SensorGeometry(8, 6)
+        for name, col in zip(("t", "x", "y", "p", "labels"), fresh):
+            assert getattr(adopted, name) is col
+            assert not col.flags.writeable
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(0, 40), max_size=30), st.data())

@@ -90,6 +90,11 @@ class TestSamplerConfig:
                                                  r"\[1, 2\*\*63 - 1\]"):
                 SamplerConfig(alpha=0.5, **{field: value})
 
+    def test_negative_seed_rejected(self):
+        assert SamplerConfig(alpha=0.5, seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SamplerConfig(alpha=0.5, seed=-1)
+
     def test_rng_reproducible(self):
         config = SamplerConfig(alpha=0.5, seed=99)
         assert config.rng().random() == config.rng().random()

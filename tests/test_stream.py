@@ -2,10 +2,15 @@
 window-id limit, and ``downsample`` reading, checking and writing in
 chunks."""
 
+import contextlib
+import io
 import json
 import os
+import re
 import stat
 import struct
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -15,12 +20,14 @@ from hypothesis import strategies as st
 
 from evdown import (Downsampler, EventFileError, EventStream, SamplerConfig,
                     SensorGeometry, gaussian_prior, read_events,
-                    retention_ratio, run, write_events, write_log)
-from evdown import cli
-from evdown.evio import REC_DTYPE, stats_doc
+                    retention_ratio, run, write_events, write_log,
+                    write_prior)
+from evdown import capwalk, cli, evio
+from evdown.evio import REC_DTYPE, CsvEvents, stats_doc
 from evdown.pipeline import METHODS
 
-from conftest import make_stream, random_stream
+from conftest import SRC_ENV, make_stream, random_stream
+from test_textio import csv_bytes
 
 GEO = SensorGeometry(8, 6)
 
@@ -112,6 +119,29 @@ class TestSplitInvariance:
                                else None)
         assert_split_invariant(stream, method, config,
                                list(range(1, len(stream))))
+
+    @pytest.mark.parametrize("prior_on", [False, True])
+    def test_window_spanning_many_pieces(self, cap_walk, prior_on):
+        """Windows of about 1000 events cut into pieces of 40: each piece
+        holds pixels new to its window and pixels seen before, and the
+        window's tally, merged from its pieces as they pile up and when it
+        closes, freezes the map that one run freezes."""
+        geo = SensorGeometry(40, 30)
+        rng = np.random.default_rng(9)
+        n = 3000
+        stream = EventStream(geo, np.sort(rng.integers(0, 3000, n)),
+                             rng.integers(0, 40, n), rng.integers(0, 30, n),
+                             np.ones(n, np.uint8))
+        cuts = list(range(40, n, 40))
+        window = stream.t // 1000 + 1
+        for wid in (1, 2):
+            pieces = np.unique(np.searchsorted(cuts, np.flatnonzero(
+                window == wid), side="right"))
+            assert pieces.size >= 20
+        config = SamplerConfig(alpha=0.2, t_us=1000, seed=2,
+                               prior=gaussian_prior(geo) if prior_on
+                               else None)
+        assert_split_invariant(stream, "poisson", config, cuts)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_larger_stream_in_uneven_pieces(self, cap_walk, method):
@@ -272,6 +302,29 @@ def scene(labeled: bool) -> EventStream:
     return EventStream(GEO, t, s.x, s.y, s.p, labels=labels)
 
 
+def assert_same_bytes_as_one_run(tmp_path, src, method, cap=True):
+    """downsample writes the outputs, log and counters of one run over the
+    stream read_events reads from src."""
+    config = SamplerConfig(alpha=0.2, t_us=1000, seed=6, cap_enabled=cap)
+    want_out, want_stats, want_log = run(read_events(src), method, config)
+    extra = () if cap else ("--no-cap",)
+    for out_suffix in (".csv", ".evb"):
+        out, log, stats = (tmp_path / f"out{out_suffix}",
+                           tmp_path / "log.csv", tmp_path / "stats.json")
+        assert downsample(src, out, method, *extra, log=log,
+                          stats=stats) == 0
+        want_path = tmp_path / f"want{out_suffix}"
+        write_events(want_out, want_path)
+        assert out.read_bytes() == want_path.read_bytes()
+        write_log(want_log, tmp_path / "want-log.csv")
+        assert log.read_bytes() == (tmp_path / "want-log.csv").read_bytes()
+        got = json.loads(stats.read_text())
+        want = stats_doc(want_stats)
+        for key in ("processed", "retained", "capped", "ratio",
+                    "per_window_ratios"):
+            assert got[key] == want[key], key
+
+
 class TestChunkedDownsample:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("fmt,suffix", [("binary", ".evb"),
@@ -282,24 +335,7 @@ class TestChunkedDownsample:
         stream = scene(labeled=fmt == "csv")
         src = tmp_path / f"in{suffix}"
         write_events(stream, src, fmt=fmt)
-        config = SamplerConfig(alpha=0.2, t_us=1000, seed=6, cap_enabled=cap)
-        want_out, want_stats, want_log = run(read_events(src), method, config)
-        extra = () if cap else ("--no-cap",)
-        for out_suffix in (".csv", ".evb"):
-            out, log, stats = (tmp_path / f"out{out_suffix}",
-                               tmp_path / "log.csv", tmp_path / "stats.json")
-            assert downsample(src, out, method, *extra, log=log,
-                              stats=stats) == 0
-            want_path = tmp_path / f"want{out_suffix}"
-            write_events(want_out, want_path)
-            assert out.read_bytes() == want_path.read_bytes()
-            write_log(want_log, tmp_path / "want-log.csv")
-            assert log.read_bytes() == (tmp_path / "want-log.csv").read_bytes()
-            got = json.loads(stats.read_text())
-            want = stats_doc(want_stats)
-            for key in ("processed", "retained", "capped", "ratio",
-                        "per_window_ratios"):
-                assert got[key] == want[key], key
+        assert_same_bytes_as_one_run(tmp_path, src, method, cap)
 
     def test_empty_binary_input(self, small_chunks, tmp_path):
         src = tmp_path / "empty.evb"
@@ -308,6 +344,153 @@ class TestChunkedDownsample:
         assert downsample(src, out, "poisson", log=log) == 0
         assert out.read_bytes() == src.read_bytes()
         assert log.read_text() == "index,t,window,code,p\n"
+
+
+# --- CSV input read in two passes -------------------------------------------
+
+BLOCK = 64  # bytes: a block holds a few rows of scene()
+
+
+@pytest.fixture
+def small_blocks(small_chunks, monkeypatch):
+    monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", BLOCK)
+
+
+def streamed(src) -> CsvEvents:
+    """The reader of src, which must take the streamed path."""
+    if capwalk.implementation() != "compiled":
+        pytest.skip("the compiled parser cannot be built here")
+    source = CsvEvents(src)
+    assert source._whole is None
+    return source
+
+
+def scene_csv(tmp_path, labeled=True, edit=lambda data: data):
+    src = tmp_path / "in.csv"
+    write_events(scene(labeled), src)
+    src.write_bytes(edit(src.read_bytes()))
+    return src
+
+
+class TestStreamedCsv:
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("labeled", [True, False])
+    def test_blocks_cut_inside_rows(self, small_blocks, tmp_path, method,
+                                    labeled):
+        """A block of BLOCK bytes that ends inside a row is cut at its last
+        line end, and the row goes to the next block."""
+        src = scene_csv(tmp_path, labeled)
+        spans = streamed(src)._spans
+        assert len(spans) > 40 and sum(rows for *_, rows in spans) == 300
+        assert any(size < BLOCK for _, size, _ in spans[:-1])
+        data = src.read_bytes()
+        assert all(data[offset + size - 1] == ord("\n")
+                   for offset, size, _ in spans)
+        assert_same_bytes_as_one_run(tmp_path, src, method)
+
+    @pytest.mark.parametrize("edit", [
+        lambda data: data.replace(b"\n", b"\r\n"),
+        lambda data: data.rstrip(b"\n"),
+        lambda data: data.replace(b"\n", b"\r\n").rstrip(b"\r\n"),
+        # a row longer than a block: leading zeros are digits the parser
+        # takes, so the block grows to hold the row
+        lambda data: data.replace(b"\n", b"\n" + b"0" * 3 * BLOCK, 1)],
+        ids=["crlf", "no-final-newline", "crlf-no-final-newline",
+             "row-past-a-block"])
+    def test_line_ends(self, small_blocks, tmp_path, edit):
+        src = scene_csv(tmp_path, edit=edit)
+        streamed(src)
+        assert_same_bytes_as_one_run(tmp_path, src, "poisson")
+
+    @pytest.mark.parametrize("header", [b"t,x,y,p\n", b"t,x,y,p,label\r\n"])
+    def test_header_only(self, small_blocks, tmp_path, header):
+        src = tmp_path / "in.csv"
+        src.write_bytes(header)
+        source = streamed(src)
+        assert source._spans == [] and source.geometry == SensorGeometry(1, 1)
+        assert_same_bytes_as_one_run(tmp_path, src, "poisson")
+        assert (tmp_path / "out.csv").read_bytes() == header.replace(b"\r",
+                                                                     b"")
+
+    @pytest.mark.parametrize("at", [3 * CHUNK, 3 * CHUNK + 4])
+    def test_order_violation_exit_3(self, small_blocks, tmp_path, capsys, at):
+        """At a chunk's first row and inside a chunk: the message is
+        read_events's, and no output is touched."""
+        if capwalk.implementation() != "compiled":
+            pytest.skip("the compiled parser cannot be built here")
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y,p\n" + "".join(
+            f"{t},{x},{y},{p}\n" for t, x, y, p in with_defect("order", at)))
+        out, log = tmp_path / "out.csv", tmp_path / "log.csv"
+        out.write_bytes(b"old output")
+        assert downsample(src, out, "poisson", log=log) == 3
+        message = single_defect_message("order", src, at)
+        assert capsys.readouterr().err == f"evdown: {message}\n"
+        with pytest.raises(EventFileError, match=re.escape(message)):
+            read_events(src)
+        assert out.read_bytes() == b"old output"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["in.csv",
+                                                              "out.csv"]
+
+    def test_order_violation_before_prior(self, small_blocks, tmp_path,
+                                          capsys):
+        """The first pass checks the order too, so a file out of order is
+        refused before the prior is read, as when it was read whole."""
+        src = tmp_path / "in.csv"
+        src.write_text("t,x,y,p\n" + "".join(
+            f"{t},{x},{y},{p}\n" for t, x, y, p in with_defect("order", 30)))
+        prior = tmp_path / "prior.txt"
+        write_prior(gaussian_prior(SensorGeometry(2, 2)), prior)
+        assert downsample(src, tmp_path / "out.csv", "poisson", "--prior",
+                          str(prior)) == 3
+        message = single_defect_message("order", src, 30)
+        assert capsys.readouterr().err == f"evdown: {message}\n"
+
+    def test_pipe_read_once(self, tmp_path):
+        """A pipe cannot be read twice, so it is read whole, as before."""
+        src = scene_csv(tmp_path)
+        out, want = tmp_path / "out.csv", tmp_path / "want.csv"
+        args = ["downsample", "-m", "poisson", "-a", "0.2", "--format", "csv"]
+        assert cli.main([*args, "-i", str(src), "-o", str(want)]) == 0
+        proc = subprocess.run(
+            [sys.executable, "-m", "evdown.cli", *args, "-i", "/dev/stdin",
+             "-o", str(out)], input=src.read_bytes(), capture_output=True,
+            env=SRC_ENV, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.read_bytes() == want.read_bytes()
+
+    def test_file_changed_between_passes_exit_3(self, small_blocks, tmp_path,
+                                                capsys):
+        src = scene_csv(tmp_path)
+        source = streamed(src)
+        blocks = source.blocks(CHUNK)
+        next(blocks)
+        src.write_bytes(src.read_bytes()[:200])
+        with pytest.raises(EventFileError, match="changed while it was read"):
+            list(blocks)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(csv_bytes())
+    def test_rejects_with_read_events_message(self, small_blocks, cap_walk,
+                                              tmp_path, data):
+        """downsample refuses exactly the files read_events refuses, with
+        its message, on both kernel paths."""
+        src = tmp_path / "fuzz.csv"
+        src.write_bytes(data)
+        try:
+            read_events(src, fmt="csv")
+            want = None
+        except EventFileError as exc:
+            want = f"evdown: {exc}\n"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = downsample(src, tmp_path / "out.csv", "poisson",
+                            log=tmp_path / "log.csv")
+        if want is None:
+            assert rc == 0, err.getvalue()
+        else:
+            assert (rc, err.getvalue()) == (3, want)
 
 
 class TestOutputsReplaced:
@@ -454,8 +637,14 @@ class TestChunkedMemory:
                          + recs.tobytes())
         return path
 
-    def peak(self, tmp_path, n):
-        src = self.binary_input(tmp_path / f"in{n}.evb", n)
+    def csv_input(self, path, n):
+        write_events(read_events(self.binary_input(path.with_suffix(".evb"),
+                                                   n)), path)
+        return path
+
+    def peak(self, tmp_path, n, suffix=".evb"):
+        make = self.binary_input if suffix == ".evb" else self.csv_input
+        src = make(tmp_path / f"in{n}{suffix}", n)
         args = ["downsample", "-i", str(src), "-o", str(tmp_path / "o.evb"),
                 "-m", "poisson", "-a", "0.1", "--log",
                 str(tmp_path / "log.csv"), "--stats", str(tmp_path / "s")]
@@ -473,4 +662,16 @@ class TestChunkedMemory:
         n = 100_000
         self.peak(tmp_path, 1000)  # compile and import before measuring
         small, large = self.peak(tmp_path, n), self.peak(tmp_path, 8 * n)
+        assert abs(large - small) < 2 * 2**20, (small, large)
+
+    def test_csv_peak_flat_in_stream_length(self, tmp_path):
+        """CSV input read in two passes of fixed-size blocks: its geometry
+        is known before its first event is decided, and no column is held
+        for more than a block."""
+        if capwalk.implementation() != "compiled":
+            pytest.skip("the compiled parser cannot be built here")
+        n = 100_000
+        self.peak(tmp_path, 1000, ".csv")
+        small = self.peak(tmp_path, n, ".csv")
+        large = self.peak(tmp_path, 8 * n, ".csv")
         assert abs(large - small) < 2 * 2**20, (small, large)

@@ -1,5 +1,7 @@
 """Synthetic scene generator: rates, motion, labels, determinism."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,22 @@ class TestSpecValidation:
         SceneSpec(geometry=GEO, duration_us=2**63 - 1)
         with pytest.raises(ValueError, match=r"2\*\*63 - 1"):
             SceneSpec(geometry=GEO, duration_us=2**63)
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            SceneSpec(geometry=GEO, duration_us=10, seed=-1)
+
+    def test_shift_past_int64_clipped(self):
+        """A displacement past any sensor is clipped to 2**62 px, so it
+        casts to int64 without a warning, even where velocity * t is
+        infinite."""
+        edge = EdgeSpec(3, 1, 3, 10, velocity_px_s=1.7e308,
+                        rate_per_px_s=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sx, sy = edge_shift(edge, np.array([0, 1, 10**6, 2**62]))
+        assert sx.tolist() == [0, 2**62, 2**62, 2**62]
+        assert sy.tolist() == [0] * 4
 
     def test_far_endpoint_rejected(self):
         EdgeSpec(2.0**31, 0, 2.0**31, 5, velocity_px_s=0.0, rate_per_px_s=1.0)
