@@ -7,10 +7,8 @@ background noise.  Includes a synthetic-scene generator with ground-truth
 labels, evaluation metrics, and stable stream serialization.
 """
 
-from .density import (DensityMap, OccupancyMap, PriorMap, ScoreMap,
-                      SigmoidParams, SparseScores, accumulate_density,
-                      gaussian_prior, occupancy_values, poisson_occupancy,
-                      score_map, sigmoid, sparse_scores)
+from .density import (PriorMap, SigmoidParams, SparseScores, gaussian_prior,
+                      occupancy_values, sigmoid, sparse_scores)
 from .events import (Event, EventLabel, EventStream, Polarity, SensorGeometry,
                      stream_duration)
 from .evio import (EventFileError, detect_format, read_events, read_log,

@@ -151,7 +151,22 @@ def _chunks(path, fmt: str):
     return source.geometry, source.labeled, source.blocks(_CHUNK_EVENTS)
 
 
+def _check_outputs(args) -> None:
+    """Refuse two of --output, --log and --stats (other than '-') that
+    resolve to one regular file, where the one written last would replace
+    the other; a device or pipe takes each in turn."""
+    flags = {}
+    for flag, path in (("--output", args.output), ("--log", args.log),
+                       ("--stats", None if args.stats == "-" else args.stats)):
+        real = os.path.realpath(path) if path else None
+        if real and (os.path.isfile(real) or not os.path.exists(real)):
+            first = flags.setdefault(real, flag)
+            if first != flag:
+                raise ValueError(f"{first} and {flag} name one file: {path}")
+
+
 def cmd_downsample(args) -> int:
+    _check_outputs(args)
     config_kwargs = dict(
         alpha=_check_alpha(args.alpha),
         tw_us=_check_window(args.tw_us, "--tw-us"),

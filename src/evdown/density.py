@@ -11,9 +11,8 @@ are strictly inside (0, 1).
 The chain is computed sparsely by :func:`sparse_scores`: only the pixels
 active in the window (nonzero occupancy) get their own score, and every
 inactive pixel, whose occupancy is 0 with or without a prior, shares one
-score.  Its cost follows the active pixels, not the sensor size.  The dense
-view (:func:`accumulate_density`, :func:`poisson_occupancy`,
-:func:`score_map`) fills full maps; its scores come from the same core.
+score.  Its cost follows the active pixels, not the sensor size, and no
+map of the whole sensor is ever filled.
 
 The sigmoid is :func:`evdown.capwalk.expit`, which rounds as libm's scalar
 ``exp`` does (numpy's vector ``exp`` does not on every CPU), so scores are
@@ -28,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .capwalk import expit
-from .events import EventStream, SensorGeometry
+from .events import SensorGeometry
 
 # Open-interval clamp bounds for acceptance probabilities.  The sigmoid
 # saturates to exactly 0.0 or 1.0 in float64 for extreme arguments, which
@@ -55,24 +54,6 @@ class SigmoidParams:
             raise ValueError(f"sigmoid slope must be finite and > 0, got {self.slope}")
         if not np.isfinite(self.midpoint):
             raise ValueError("sigmoid midpoint must be finite")
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMap:
-    """Per-pixel event counts for one window, shape (height, width)."""
-
-    geometry: SensorGeometry
-    counts: np.ndarray
-    window_id: int = 0
-
-
-@dataclass(frozen=True, eq=False)
-class OccupancyMap:
-    """Per-pixel occupancy values in [0, 1), shape (height, width)."""
-
-    geometry: SensorGeometry
-    values: np.ndarray
-    window_id: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,15 +85,6 @@ class PriorMap:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreMap:
-    """Per-pixel acceptance probabilities, strictly inside (0, 1)."""
-
-    geometry: SensorGeometry
-    probabilities: np.ndarray
-    window_id: int = 0
-
-
-@dataclass(frozen=True, eq=False)
 class SparseScores:
     """Acceptance probabilities of one window, stored by active pixel.
 
@@ -125,7 +97,6 @@ class SparseScores:
     active: np.ndarray
     probabilities: np.ndarray
     rest: float
-    window_id: int = 0
 
     def lookup(self, flat: np.ndarray) -> np.ndarray:
         """Scores of the pixels with the given flat indices."""
@@ -138,33 +109,9 @@ class SparseScores:
         return out
 
 
-def accumulate_density(events: EventStream, window_id: int = 0) -> DensityMap:
-    """Count events per pixel over the whole given stream slice.
-
-    Every event contributes regardless of any sampling decision made about
-    it.  Every event lies on the stream's geometry, as the stream checked
-    when it was built.
-    """
-    geo = events.geometry
-    flat = np.bincount(events.y * geo.width + events.x, minlength=geo.n_pixels)
-    counts = flat.reshape(geo.height, geo.width).astype(np.float64)
-    return DensityMap(geo, counts, window_id)
-
-
-def poisson_occupancy(density: DensityMap) -> OccupancyMap:
-    """Map counts lam to occupancy f = 1 - exp(-lam).
-
-    Computed as -expm1(-lam) for accuracy at small counts.  Zero counts map
-    to exactly 0; occupancy is strictly below 1 for finite counts (values
-    saturate at one ulp below 1 from lam = 37 on).  Integer counts are the
-    same bits on every host (see occupancy_values).
-    """
-    return OccupancyMap(density.geometry, occupancy_values(density.counts),
-                        density.window_id)
-
-
 def occupancy_values(counts) -> np.ndarray:
-    """Occupancy 1 - exp(-lam) of counts of any shape (see poisson_occupancy).
+    """Occupancy 1 - exp(-lam) of counts of any shape: exactly 0 for a
+    zero count, and one ulp below 1 from lam = 37 on.
 
     When every count is a whole number, of an integer or a float dtype, the
     values come from a 38-entry table built with libm's ``expm1``, so they
@@ -194,8 +141,7 @@ def sparse_scores(geometry: SensorGeometry,
                   occupancy: np.ndarray,
                   alpha: float,
                   params: SigmoidParams = SigmoidParams(),
-                  prior: PriorMap | None = None,
-                  window_id: int = 0) -> SparseScores:
+                  prior: PriorMap | None = None) -> SparseScores:
     """Score a window from the occupancy of its active pixels.
 
     ``active`` lists the sorted, distinct flat indices ``y * width + x`` of
@@ -234,45 +180,7 @@ def sparse_scores(geometry: SensorGeometry,
         g = (np.append(base, 0.0) - lo) / (hi - lo)
     mean = (g[:-1].sum() + n_rest * g[-1]) / geometry.n_pixels
     probs = sigmoid(g + (alpha - mean), params)
-    return SparseScores(geometry, active, probs[:-1], float(probs[-1]),
-                        window_id)
-
-
-def score_map(occupancy: OccupancyMap,
-              alpha: float,
-              params: SigmoidParams = SigmoidParams(),
-              prior: PriorMap | None = None,
-              window_id: int | None = None) -> ScoreMap:
-    """Turn an occupancy map into per-pixel acceptance probabilities.
-
-    The map is filled from :func:`sparse_scores` over the pixels with
-    nonzero occupancy (see there for the chain), so it is bit-identical to
-    the scores the pipeline looks up.
-
-    Parameters
-    ----------
-    occupancy : OccupancyMap
-        Per-pixel occupancy from the previous window.
-    alpha : float
-        Target sampling rate in (0, 1].
-    params : SigmoidParams
-        Slope and midpoint of the score sigmoid.
-    prior : PriorMap, optional
-        Spatial importance weights; must share the occupancy geometry.
-    window_id : int, optional
-        Window tag for the result; defaults to the occupancy's tag.
-    """
-    geo = occupancy.geometry
-    flat = np.asarray(occupancy.values, dtype=np.float64).ravel()
-    if flat.size != geo.n_pixels:
-        raise ValueError("occupancy shape must be (height, width)")
-    active = np.flatnonzero(flat)
-    wid = occupancy.window_id if window_id is None else window_id
-    scores = sparse_scores(geo, active, flat[active], alpha, params, prior,
-                           wid)
-    probs = np.full(geo.n_pixels, scores.rest)
-    probs[active] = scores.probabilities
-    return ScoreMap(geo, probs.reshape(geo.height, geo.width), wid)
+    return SparseScores(geometry, active, probs[:-1], float(probs[-1]))
 
 
 def gaussian_prior(geometry: SensorGeometry,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import functools
+import io
 import json
 import os
 import shutil
@@ -73,8 +74,11 @@ class EventFileError(ValueError):
 
 
 def detect_format(path) -> str:
-    """Return "binary" when the file starts with the magic bytes, else "csv"."""
+    """Return "binary" when the file starts with the magic bytes, else "csv";
+    a pipe is "csv" unsniffed, as sniffing would take bytes from it."""
     with open(path, "rb") as fh:
+        if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+            return "csv"
         return "binary" if fh.read(4) == MAGIC else "csv"
 
 
@@ -218,9 +222,15 @@ def _ascii_lines(path, lines):
 
 
 def _read_csv(path, geometry) -> EventStream:
-    columns = _parse_csv_compiled(path)
+    with open(path, "rb") as fh:
+        # A pipe can be read once: both parsers take its bytes.  Each reads
+        # a regular file itself, so the line loop does not hold them too.
+        data = (None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
+                else fh.read())
+    columns = _parse_csv_compiled(path, data)
     if columns is None:
-        columns = _parse_csv_lines(path)
+        columns = _parse_csv_lines(path, data)
+    del data
     return _finish_stream(path, geometry, *columns)
 
 
@@ -232,28 +242,31 @@ def _fast_header(data: bytes):
     return None if labeled is None else (len(header), labeled)
 
 
-def _parse_csv_compiled(path):
-    """Parse an event CSV with the compiled parser, or return None.
+def _parse_csv_compiled(path, data: bytes | None = None):
+    """Parse an event CSV (or its ``data``, read already) with the compiled
+    parser, or return None.
 
     The parser takes only rows as EventWriter writes them (digits, commas,
     the label letter, LF or CRLF), which _parse_csv_lines reads into the
     same columns; for any other file, or without the compiled kernels, this
     returns None and the line loop parses the file and reports what is
-    wrong with it.  The file's bytes are dropped on return, before the
+    wrong with it.  Bytes it reads itself are dropped on return, before the
     caller builds the stream.
     """
-    data = Path(path).read_bytes()
+    if data is None:
+        data = Path(path).read_bytes()
     header = _fast_header(data)
     if header is None:
         return None
     return capwalk.parse_events(data, *header)
 
 
-def _parse_csv_lines(path):
-    """Parse an event CSV line by line; every malformed-file message that
-    names a line comes from here."""
-    with open(path, "r", encoding="ascii", errors="surrogateescape",
-              newline="") as fh:
+def _parse_csv_lines(path, data: bytes | None = None):
+    """Parse an event CSV (or its ``data``, read already) line by line;
+    every malformed-file message that names a line comes from here."""
+    raw = open(path, "rb") if data is None else io.BytesIO(data)
+    with io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape",
+                          newline="") as fh:
         lines = _ascii_lines(path, fh)
         header = next(lines, "").rstrip("\r\n")
         if header == _CSV_HEADER:
@@ -406,14 +419,18 @@ class BinaryEvents:
     """A binary event file whose header and size have been checked; its
     records are read, and checked, a block at a time.
 
-    Raises EventFileError for a header or size that is wrong, and OSError
-    when the file cannot be read.
+    Raises EventFileError for a header or size that is wrong or a path that
+    is no regular file, and OSError when the file cannot be read.
     """
 
     def __init__(self, path, geometry: SensorGeometry | None = None):
         with open(path, "rb") as fh:
+            info = os.fstat(fh.fileno())
+            if not stat.S_ISREG(info.st_mode):
+                raise EventFileError(f"{path}: binary input must be a regular "
+                                     f"file (its records are read by offset)")
             head = fh.read(_HEADER.size)
-            size = os.fstat(fh.fileno()).st_size
+            size = info.st_size
         if len(head) < _HEADER.size:
             raise EventFileError(f"{path}: truncated header "
                                  f"({len(head)} bytes, need {_HEADER.size})")

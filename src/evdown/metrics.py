@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import DensityMap
 from .events import EventLabel, EventStream, window_ids, window_spans
 
 
@@ -165,20 +164,20 @@ def selectivity(original: EventStream, downsampled: EventStream,
     )
 
 
-def density_divergence(a: DensityMap, b: DensityMap,
-                       epsilon: float = 1e-9) -> float:
-    """Symmetrized KL divergence between two density maps.
+def density_divergence(a, b, epsilon: float = 1e-9) -> float:
+    """Symmetrized KL divergence between two arrays of per-pixel counts.
 
     Counts are normalized to distributions, smoothed additively by epsilon
     and renormalized, then scored as 0.5 * (KL(P||Q) + KL(Q||P)).  Raises
-    ValueError on mismatched geometry or an all-zero map.
+    ValueError for arrays of different shapes or an all-zero array.
     """
-    if a.geometry != b.geometry:
-        raise ValueError("density maps have different geometries")
-    pa = np.asarray(a.counts, dtype=np.float64).ravel()
-    pb = np.asarray(b.counts, dtype=np.float64).ravel()
+    pa = np.asarray(a, dtype=np.float64)
+    pb = np.asarray(b, dtype=np.float64)
+    if pa.shape != pb.shape:
+        raise ValueError(f"count arrays have different shapes: {pa.shape} "
+                         f"and {pb.shape}")
     if pa.sum() <= 0 or pb.sum() <= 0:
-        raise ValueError("density maps must contain at least one event")
+        raise ValueError("count arrays must contain at least one event")
     n = pa.size
     p = (pa / pa.sum() + epsilon) / (1.0 + n * epsilon)
     q = (pb / pb.sum() + epsilon) / (1.0 + n * epsilon)

@@ -22,7 +22,7 @@ of the whole sensor is allocated.
 Per event: the window id is ``(t - anchor) // t_us + 1``; the acceptance
 probability is the duty-cycle indicator (deterministic), alpha (uniform,
 and poisson in window 1) or the pixel's value in the map frozen from
-window ``id - 1`` (poisson).  The budget cap of :mod:`evdown.samplers`
+window ``id - 1`` (poisson).  The budget cap of :mod:`evdown.capwalk`
 runs across windows on the counts of the events before: a capped event is
 dropped unevaluated and takes no variate, any other takes the next one.
 With alpha = 1 every method keeps every event (stochastic methods then
@@ -44,13 +44,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .capwalk import cap_walk
-# Uncalled here: perfbench's tracer wraps poisson_occupancy and score_map.
-from .density import (occupancy_values, poisson_occupancy, score_map,
-                      sparse_scores)
+from .density import occupancy_values, sparse_scores
 from .events import EventStream, SensorGeometry, window_ids, window_spans
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
+
+# Placeholders: perfbench's tracer patches these two names, and nothing
+# calls them.  ROADMAP item 1 retargets the tracer and removes them.
+score_map = poisson_occupancy = None
 
 _ACCEPT = int(DecisionCode.ACCEPT)
 _REJ_CAP = int(DecisionCode.REJECT_CAP)
@@ -171,7 +173,7 @@ class _WindowScorer:
                     _merge(self.tally) if self.window == wid - 1 else _IDLE)
                 self.frozen = None if wid == 1 else sparse_scores(
                     self.geometry, active, occupancy_values(active_counts),
-                    cfg.alpha, cfg.theta, cfg.prior, window_id=wid - 1)
+                    cfg.alpha, cfg.theta, cfg.prior)
                 self.window = wid
                 self.tally, self.pending = [(pixels, counts)], 0
             p[i0:i1] = (cfg.alpha if self.frozen is None

@@ -1,7 +1,9 @@
 """Shared test helpers.
 
 chain_oracle is an independent pure-Python reimplementation of the scoring
-chain (no numpy/scipy) used to cross-check the library's vectorized math.
+chain (no numpy/scipy) used to cross-check the library's vectorized math;
+dense_scores spreads the library's sparse scores over a full map to compare
+with it.
 reference_run is the per-event reference of the pipeline: window ids, each
 event's probability (per_event_scores for the density-adaptive method) and
 the cap rule walked one event at a time (per_event_walk); the pipeline must
@@ -18,8 +20,8 @@ import pytest
 
 import evdown
 from evdown import (DecisionCode, EventStream, SamplerConfig, SensorGeometry,
-                    acceptance_window_us, capwalk, occupancy_values,
-                    sparse_scores)
+                    SigmoidParams, acceptance_window_us, capwalk,
+                    occupancy_values, sparse_scores)
 
 # The environment of a fresh interpreter that imports this evdown.
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -67,6 +69,20 @@ def chain_oracle(counts, alpha, slope=5.0, midpoint=0.5, prior=None):
              for c in range(width)] for r in range(height)]
 
 
+def dense_scores(geometry, counts, alpha, params=SigmoidParams(),
+                 prior=None) -> np.ndarray:
+    """The (height, width) map of every pixel's score, given the window's
+    per-pixel counts in flat-pixel order: one sparse_scores call over the
+    pixels with a nonzero count, spread over the sensor."""
+    counts = np.asarray(counts).ravel()
+    active = np.flatnonzero(counts)
+    scores = sparse_scores(geometry, active, occupancy_values(counts[active]),
+                           alpha, params, prior)
+    probs = np.full(geometry.n_pixels, scores.rest)
+    probs[active] = scores.probabilities
+    return probs.reshape(geometry.height, geometry.width)
+
+
 def make_stream(geometry, records, **kwargs) -> EventStream:
     """Build a stream from (t, x, y, p) tuples."""
     if not records:
@@ -107,8 +123,7 @@ def per_event_scores(stream: EventStream, config: SamplerConfig) -> np.ndarray:
             closed = prev if prev_wid == wid - 1 else slice(0, 0)
             active, counts = np.unique(flat[closed], return_counts=True)
             frozen = sparse_scores(geo, active, occupancy_values(counts),
-                                   config.alpha, config.theta, config.prior,
-                                   window_id=wid - 1)
+                                   config.alpha, config.theta, config.prior)
             p[i0:i1] = frozen.lookup(flat[i0:i1])
         prev_wid, prev = wid, slice(i0, i1)
     return p

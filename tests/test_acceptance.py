@@ -14,12 +14,11 @@ import time
 
 import numpy as np
 
-from conftest import chain_oracle
+from conftest import chain_oracle, dense_scores
 
-from evdown import (DecisionCode, DensityMap, EdgeSpec, EventStream, PriorMap,
+from evdown import (DecisionCode, EdgeSpec, EventStream, PriorMap,
                     SamplerConfig, SceneSpec, SensorGeometry, SigmoidParams,
-                    accumulate_density, generate, poisson_occupancy,
-                    read_events, reference_scene, run, score_map, selectivity,
+                    generate, read_events, reference_scene, run, selectivity,
                     write_events)
 
 # Selectivity of the density-guided sampler on reference_scene(seed=42),
@@ -156,15 +155,16 @@ class TestAcceptance:
                 params = SigmoidParams(slope=float(rng.uniform(0.5, 10.0)),
                                        midpoint=float(rng.uniform(0.05,
                                                                   0.95)))
-            scores = score_map(poisson_occupancy(accumulate_density(stream)),
-                               alpha, params)
+            scores = dense_scores(
+                geometry, np.bincount(stream.y * 8 + stream.x, minlength=64),
+                alpha, params)
             counts = [[0] * 8 for _ in range(8)]
             for xi, yi in zip(x.tolist(), y.tolist()):
                 counts[yi][xi] += 1
             expected = np.array(chain_oracle(counts, alpha,
                                              slope=params.slope,
                                              midpoint=params.midpoint))
-            diff = float(np.abs(scores.probabilities - expected).max())
+            diff = float(np.abs(scores - expected).max())
             worst = max(worst, diff)
             assert diff <= 1e-12
         print(f"\nPASS criterion 3: scoring chain within 1e-12 of oracle "
@@ -182,29 +182,24 @@ class TestAcceptance:
             params = SigmoidParams(slope=slope,
                                    midpoint=float(rng.uniform(0.05, 0.95)))
             alpha = float(rng.uniform(0.01, 1.0))
-            scores = score_map(poisson_occupancy(DensityMap(geometry,
-                                                            counts)),
-                               alpha, params)
-            assert (scores.probabilities > 0.0).all()
-            assert (scores.probabilities < 1.0).all()
+            scores = dense_scores(geometry, counts, alpha, params)
+            assert (scores > 0.0).all()
+            assert (scores < 1.0).all()
 
         # 16 of 64 pixels share one positive count, so the normalized map is
         # an indicator with mean 0.25; at alpha 0.75 the zero pixels shift
         # to exactly the default midpoint 0.5.
         counts = np.zeros((8, 8))
         counts[:2, :] = 3.0
-        scores = score_map(poisson_occupancy(DensityMap(geometry, counts)),
-                           0.75, SigmoidParams())
-        at_midpoint = scores.probabilities[2:, :]
+        scores = dense_scores(geometry, counts, 0.75, SigmoidParams())
+        at_midpoint = scores[2:, :]
         assert np.abs(at_midpoint - 0.5).max() <= 1e-12
         assert (at_midpoint == 0.5).all()
 
         # An empty window degenerates to a constant map: at alpha 0.5 the
         # shift alone lands on the midpoint, so every pixel scores 0.5.
-        flat = score_map(poisson_occupancy(DensityMap(geometry,
-                                                      np.zeros((8, 8)))),
-                         0.5, SigmoidParams())
-        assert (flat.probabilities == 0.5).all()
+        flat = dense_scores(geometry, np.zeros((8, 8)), 0.5, SigmoidParams())
+        assert (flat == 0.5).all()
         print("\nPASS criterion 4: scores strictly inside (0,1); midpoint "
               "arguments scored exactly 0.5")
 
@@ -215,17 +210,15 @@ class TestAcceptance:
         rng = np.random.default_rng(5)
         for _ in range(200):
             counts = rng.integers(0, 60, size=(12, 16)).astype(np.float64)
-            occupancy = poisson_occupancy(DensityMap(geometry, counts))
             base = 125.0 * rng.integers(1, 8000, size=(12, 16))
             alpha = float(rng.uniform(0.01, 1.0))
             params = SigmoidParams()
-            reference = score_map(occupancy, alpha, params,
-                                  prior=PriorMap(geometry, base))
+            reference = dense_scores(geometry, counts, alpha, params,
+                                     prior=PriorMap(geometry, base))
             for c in (1e-3, 1.0, 1e3):
-                scaled = score_map(occupancy, alpha, params,
-                                   prior=PriorMap(geometry, c * base))
-                assert np.array_equal(reference.probabilities,
-                                      scaled.probabilities)
+                scaled = dense_scores(geometry, counts, alpha, params,
+                                      prior=PriorMap(geometry, c * base))
+                assert np.array_equal(reference, scaled)
         print("\nPASS criterion 5: prior scalings 1e-3/1/1e3 reproduced "
               "score maps bit-for-bit over 200 trials")
 
@@ -333,6 +326,7 @@ class TestAcceptance:
             _, _, log = run(stream, "poisson", config)
             windows = (stream.t - int(stream.t[0])) // t_us + 1
             assert np.array_equal(log.window, windows)
+            flat = stream.y * geometry.width + stream.x
             expected = np.empty(n)
             for window in np.unique(windows):
                 mask = windows == window
@@ -341,12 +335,9 @@ class TestAcceptance:
                     continue
                 prev = np.flatnonzero(windows == window - 1)
                 saw_gap = saw_gap or len(prev) == 0
-                scores = score_map(
-                    poisson_occupancy(
-                        accumulate_density(stream.subset(prev))),
-                    alpha, params)
-                expected[mask] = scores.probabilities[stream.y[mask],
-                                                      stream.x[mask]]
+                counts = np.bincount(flat[prev], minlength=geometry.n_pixels)
+                scores = dense_scores(geometry, counts, alpha, params)
+                expected[mask] = scores[stream.y[mask], stream.x[mask]]
             assert np.array_equal(log.probability, expected)
             saw_cap = saw_cap or bool(
                 (log.code == DecisionCode.REJECT_CAP).any())

@@ -288,6 +288,109 @@ class TestDownsample:
         doc = json.loads(capsys.readouterr().out)
         assert doc["capped"] == 0
 
+    @pytest.mark.parametrize("first, second", [
+        ("--output", "--log"), ("--output", "--stats"), ("--log", "--stats")])
+    def test_outputs_on_one_file_exit_2(self, tmp_path, capsys, first,
+                                        second):
+        """Two outputs that resolve to one file, here through a symbolic
+        link, would leave only the one written last: refused before the
+        input (missing here) is read, and nothing is written."""
+        (tmp_path / "alias").symlink_to(tmp_path)
+        paths = {"--output": tmp_path / "out.csv",
+                 "--log": tmp_path / "log.csv",
+                 "--stats": tmp_path / "stats.json"}
+        paths[second] = tmp_path / "alias" / paths[first].name
+        args = ["downsample", "-i", str(tmp_path / "missing.csv"),
+                "-m", "uniform", "-a", "0.5"]
+        for flag, path in paths.items():
+            args += [flag, str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err == (
+            f"evdown: {first} and {second} name one file: {paths[second]}\n")
+        assert not any(path.exists() for path in paths.values())
+
+    def test_input_replaced_in_place(self, scene_csv, tmp_path):
+        want = tmp_path / "want.csv"
+        assert main(self.base_args(scene_csv, want)) == 0
+        assert main(self.base_args(scene_csv, scene_csv)) == 0
+        assert scene_csv.read_bytes() == want.read_bytes()
+
+
+def _edit_row(data: bytes, edit) -> bytes:
+    """The CSV data with its second event row (line 3) edited."""
+    lines = data.split(b"\n")
+    lines[2] = edit(lines[2])
+    return b"\n".join(lines)
+
+
+_ROW_EDITS = {
+    "valid": lambda row: row,
+    # The line loop refuses it with a message naming line 3.
+    "bad-polarity": lambda row: b",".join(
+        [*row.split(b",")[:3], b"7", *row.split(b",")[4:]]),
+    # The compiled parser refuses it; the line loop reads it.
+    "leading-plus": lambda row: b"+" + row}
+
+
+class TestPipedInput:
+    """A pipe is read once, as CSV: a command given /dev/stdin gets from
+    piped bytes what it gets from a regular file holding them."""
+
+    @staticmethod
+    def evdown(*args, data=b""):
+        return subprocess.run([sys.executable, "-m", "evdown.cli", *args],
+                              input=data, capture_output=True, env=SRC_ENV,
+                              timeout=120)
+
+    @pytest.mark.parametrize("fmt, case", [
+        ("auto", "valid"), ("auto", "bad-polarity"), ("csv", "bad-polarity"),
+        ("auto", "leading-plus"), ("csv", "leading-plus")])
+    def test_downsample(self, scene_csv, tmp_path, fmt, case):
+        data = _edit_row(scene_csv.read_bytes(), _ROW_EDITS[case])
+        src = tmp_path / "in.csv"
+        src.write_bytes(data)
+        args = ["downsample", "-m", "poisson", "-a", "0.2", "--format", fmt,
+                "--log"]
+        want = self.evdown(*args, str(tmp_path / "want-log.csv"), "-i",
+                           str(src), "-o", str(tmp_path / "want.csv"))
+        got = self.evdown(*args, str(tmp_path / "got-log.csv"), "-i",
+                          "/dev/stdin", "-o", str(tmp_path / "got.csv"),
+                          data=data)
+        assert want.returncode == (3 if case == "bad-polarity" else 0)
+        assert got.returncode == want.returncode
+        assert got.stderr == want.stderr.replace(bytes(src), b"/dev/stdin")
+        for name in ("{}.csv", "{}-log.csv"):
+            want_file = tmp_path / name.format("want")
+            got_file = tmp_path / name.format("got")
+            if want.returncode:
+                assert not got_file.exists()
+            else:
+                assert got_file.read_bytes() == want_file.read_bytes()
+
+    def test_metrics_original(self, scene_csv, tmp_path):
+        down = tmp_path / "down.csv"
+        assert main(["downsample", "-i", str(scene_csv), "-o", str(down),
+                     "-m", "uniform", "-a", "0.3"]) == 0
+        args = ["metrics", "--downsampled", str(down), "--out", "-",
+                "--original"]
+        want = self.evdown(*args, str(scene_csv))
+        got = self.evdown(*args, "/dev/stdin", data=scene_csv.read_bytes())
+        assert want.returncode == got.returncode == 0, got.stderr
+        assert got.stdout == want.stdout
+
+    def test_binary_refused_exit_3(self, scene_csv, tmp_path):
+        """A binary file is read by offset, which a pipe cannot be."""
+        src, out = tmp_path / "in.bin", tmp_path / "out.csv"
+        write_events(read_events(scene_csv), src)
+        proc = self.evdown("downsample", "-m", "uniform", "-a", "0.5",
+                           "--format", "binary", "-i", "/dev/stdin",
+                           "-o", str(out), data=src.read_bytes())
+        assert proc.returncode == 3
+        assert proc.stderr == (b"evdown: /dev/stdin: binary input must be a "
+                               b"regular file (its records are read by "
+                               b"offset)\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize("argv", [
     [*args, flag, "99999999999999999999"]
@@ -457,3 +560,19 @@ def test_benchmark_tracer_installs():
                           capture_output=True, text=True, env=SRC_ENV,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("trace", ["0", "1"])
+def test_benchmark_smoke(trace):
+    """The benchmark's smoke mode, traced and not, runs every workload and
+    check on tiny scenes against this checkout, so a public name it calls
+    (or a name its tracer patches) cannot go missing unseen."""
+    pytest.importorskip("scipy")  # its machine header imports scipy
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--smoke",
+         "--seconds", "1", "--trace", trace],
+        cwd=Path(__file__).resolve().parents[1], capture_output=True,
+        text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] and result["failed"] == 0

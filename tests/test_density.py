@@ -1,4 +1,4 @@
-"""Density accumulation and the acceptance-probability chain."""
+"""Occupancy and the acceptance-probability chain."""
 
 import math
 
@@ -7,44 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdown import (DensityMap, OccupancyMap, PriorMap, SensorGeometry,
-                    SigmoidParams, accumulate_density, gaussian_prior,
-                    occupancy_values, poisson_occupancy, score_map, sigmoid,
-                    sparse_scores)
+from evdown import (PriorMap, SensorGeometry, SigmoidParams, gaussian_prior,
+                    occupancy_values, sigmoid, sparse_scores)
 
-from conftest import chain_oracle, make_stream
+from conftest import chain_oracle, dense_scores
 
 GEO4 = SensorGeometry(4, 4)
 
 
-def occupancy_of(counts, geometry=None):
-    counts = np.asarray(counts, dtype=np.float64)
-    if geometry is None:
-        geometry = SensorGeometry(counts.shape[1], counts.shape[0])
-    return poisson_occupancy(DensityMap(geometry, counts))
+def scores_of(counts, alpha, params=SigmoidParams(), prior=None):
+    """dense_scores of a (height, width) array of counts."""
+    counts = np.asarray(counts)
+    return dense_scores(SensorGeometry(counts.shape[1], counts.shape[0]),
+                        counts, alpha, params, prior)
 
 
 class TestAccumulateDensity:
-    def test_counts_per_pixel(self):
-        """Three events at pixel (1, 2) put a count of 3 at row 2, col 1."""
-        s = make_stream(GEO4, [(1, 1, 2, 1), (2, 1, 2, 0), (3, 1, 2, 1),
-                               (4, 3, 0, 1)])
-        d = accumulate_density(s)
-        assert d.counts[2, 1] == 3.0
-        assert d.counts[0, 3] == 1.0
-        assert d.counts.sum() == 4.0
-
-    def test_counts_all_events_not_just_accepted(self):
-        s = make_stream(GEO4, [(i, 0, 0, 1) for i in range(7)])
-        assert accumulate_density(s).counts[0, 0] == 7.0
-
-    def test_empty_stream_all_zero(self):
-        d = accumulate_density(make_stream(GEO4, []))
-        assert d.counts.shape == (4, 4)
-        assert not d.counts.any()
-
     def test_out_of_bounds_rejected(self):
-        # The stream refuses the event, so accumulation never sees it.
+        # The stream refuses the event, so no window ever counts it.
         from evdown import EventStream
         with pytest.raises(ValueError,
                            match=r"^event 0 at \(4, 0\) outside 4x4 sensor$"):
@@ -54,28 +34,27 @@ class TestAccumulateDensity:
 class TestPoissonOccupancy:
     def test_formula_matches_oracle(self):
         counts = np.array([[0.0, 1.0, 2.0], [5.0, 0.5, 10.0]])
-        occ = occupancy_of(counts)
+        occ = occupancy_values(counts)
         expected = [[1.0 - math.exp(-c) for c in row] for row in counts]
-        np.testing.assert_allclose(occ.values, expected, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(occ, expected, rtol=0, atol=1e-12)
 
     def test_zero_count_is_exactly_zero(self):
-        occ = occupancy_of(np.zeros((3, 3)))
-        assert (occ.values == 0.0).all()
+        occ = occupancy_values(np.zeros((3, 3)))
+        assert (occ == 0.0).all()
 
     def test_strictly_below_one(self):
-        occ = occupancy_of(np.full((2, 2), 800.0))
-        assert (occ.values < 1.0).all()
+        occ = occupancy_values(np.full((2, 2), 800.0))
+        assert (occ < 1.0).all()
 
     def test_monotone_in_counts(self):
-        occ = occupancy_of(np.arange(16.0).reshape(4, 4))
-        flat = occ.values.ravel()
-        assert (np.diff(flat) > 0).all()
+        occ = occupancy_values(np.arange(16.0).reshape(4, 4))
+        assert (np.diff(occ.ravel()) > 0).all()
 
     def test_rejects_negative_or_nonfinite(self):
         with pytest.raises(ValueError):
-            poisson_occupancy(DensityMap(GEO4, np.full((4, 4), -1.0)))
+            occupancy_values(np.full((4, 4), -1.0))
         with pytest.raises(ValueError):
-            poisson_occupancy(DensityMap(GEO4, np.full((4, 4), np.nan)))
+            occupancy_values(np.full((4, 4), np.nan))
 
 
 def bits(values):
@@ -206,17 +185,16 @@ class TestSigmoid:
 class TestScoreMap:
     def test_chain_matches_oracle_4x4(self):
         counts = [[0, 1, 2, 0], [3, 0, 0, 1], [0, 8, 0, 0], [1, 1, 4, 0]]
-        sm = score_map(occupancy_of(counts), alpha=0.2)
+        sm = scores_of(counts, alpha=0.2)
         expected = chain_oracle(counts, 0.2)
-        np.testing.assert_allclose(sm.probabilities, expected,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sm, expected, rtol=0, atol=1e-12)
 
     def test_degenerate_constant_collapses_to_sigmoid_alpha(self):
-        sm = score_map(occupancy_of(np.zeros((5, 5))), alpha=0.1)
+        sm = scores_of(np.zeros((5, 5)), alpha=0.1)
         # all-equal occupancy normalizes to zeros, so every pixel scores
         # sigmoid(alpha); for the default params that is expit(-2)
-        assert (sm.probabilities == sm.probabilities[0, 0]).all()
-        np.testing.assert_allclose(sm.probabilities[0, 0],
+        assert (sm == sm[0, 0]).all()
+        np.testing.assert_allclose(sm[0, 0],
                                    0.11920292202211755, rtol=0, atol=1e-12)
 
     def test_mean_shift_centers_on_alpha(self):
@@ -235,27 +213,19 @@ class TestScoreMap:
     def test_strictly_inside_unit_interval(self):
         rng = np.random.default_rng(7)
         counts = rng.integers(0, 50, size=(8, 8)).astype(float)
-        sm = score_map(occupancy_of(counts), alpha=0.01,
-                       params=SigmoidParams(slope=900.0))
-        assert (sm.probabilities > 0.0).all()
-        assert (sm.probabilities < 1.0).all()
+        sm = scores_of(counts, alpha=0.01, params=SigmoidParams(slope=900.0))
+        assert (sm > 0.0).all()
+        assert (sm < 1.0).all()
 
     def test_monotone_in_counts(self):
         counts = np.array([[0.0, 1.0], [5.0, 50.0]])
-        sm = score_map(occupancy_of(counts), alpha=0.1)
-        flat = sm.probabilities.ravel()
-        assert (np.diff(flat) > 0).all()
+        sm = scores_of(counts, alpha=0.1)
+        assert (np.diff(sm.ravel()) > 0).all()
 
     def test_alpha_domain(self):
-        occ = occupancy_of(np.zeros((2, 2)))
         for alpha in (0.0, -0.5, 1.5):
             with pytest.raises(ValueError):
-                score_map(occ, alpha)
-
-    def test_window_id_defaults_to_occupancy(self):
-        occ = OccupancyMap(GEO4, np.zeros((4, 4)), window_id=9)
-        assert score_map(occ, 0.5).window_id == 9
-        assert score_map(occ, 0.5, window_id=3).window_id == 3
+                scores_of(np.zeros((2, 2)), alpha)
 
 
 def sparse_of(counts, alpha, params=SigmoidParams(), prior=None):
@@ -307,14 +277,13 @@ class TestSparseScores:
         sparse = sparse_of(counts, alpha, params, prior)
         scattered = np.full(width * height, sparse.rest)
         scattered[sparse.active] = sparse.probabilities
-        dense = score_map(occupancy_of(counts), alpha, params, prior)
-        np.testing.assert_array_equal(dense.probabilities.ravel(), scattered)
+        dense = scores_of(counts, alpha, params, prior)
+        np.testing.assert_array_equal(dense.ravel(), scattered)
         expected = chain_oracle(
             counts.tolist(), alpha, slope=params.slope,
             midpoint=params.midpoint,
             prior=None if prior is None else prior.weights.tolist())
-        np.testing.assert_allclose(dense.probabilities, expected,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense, expected, rtol=0, atol=1e-12)
         looked_up = sparse.lookup(np.arange(width * height)[::-1])
         np.testing.assert_array_equal(looked_up, scattered[::-1])
 
@@ -353,13 +322,14 @@ class TestSparseScores:
         assert sparse.lookup(flat).tolist() == [rest, p2, rest, p5, rest]
 
     def test_dense_view_keeps_negative_occupancy_semantics(self):
-        """Values below 0 lie outside the documented range, but score_map
-        still scores them as the dense chain does: zero pixels then
-        normalize above 0 and count toward the mean."""
+        """Values below 0 lie outside the documented range, but
+        sparse_scores still scores them as the dense chain does: inactive
+        pixels then normalize above 0 and count toward the mean."""
         counts = np.array([[0.0, -0.5, 2.0], [0.0, 0.0, 1.0]])
-        occ = OccupancyMap(SensorGeometry(3, 2), -np.expm1(-counts))
-        sm = score_map(occ, 0.3)
-        np.testing.assert_allclose(sm.probabilities,
+        occ = -np.expm1(-counts.ravel())
+        active = np.flatnonzero(occ)
+        scores = sparse_scores(SensorGeometry(3, 2), active, occ[active], 0.3)
+        np.testing.assert_allclose(scores.lookup(np.arange(6)).reshape(2, 3),
                                    chain_oracle(counts.tolist(), 0.3),
                                    rtol=0, atol=1e-12)
 
@@ -387,32 +357,28 @@ class TestPriorMap:
     def test_constant_prior_equals_no_prior_bitwise(self):
         rng = np.random.default_rng(5)
         counts = rng.integers(0, 30, size=(6, 6)).astype(float)
-        occ = occupancy_of(counts)
-        flat_prior = PriorMap(occ.geometry, np.full((6, 6), 3.7))
-        plain = score_map(occ, 0.2)
-        with_prior = score_map(occ, 0.2, prior=flat_prior)
-        np.testing.assert_array_equal(plain.probabilities,
-                                      with_prior.probabilities)
+        flat_prior = PriorMap(SensorGeometry(6, 6), np.full((6, 6), 3.7))
+        plain = scores_of(counts, 0.2)
+        with_prior = scores_of(counts, 0.2, prior=flat_prior)
+        np.testing.assert_array_equal(plain, with_prior)
 
     def test_prior_chain_matches_oracle(self):
         rng = np.random.default_rng(13)
         counts = rng.integers(0, 25, size=(5, 7)).astype(float)
         weights = rng.uniform(0.1, 4.0, size=(5, 7))
-        occ = occupancy_of(counts)
-        sm = score_map(occ, 0.15, prior=PriorMap(occ.geometry, weights))
+        sm = scores_of(counts, 0.15,
+                       prior=PriorMap(SensorGeometry(7, 5), weights))
         expected = chain_oracle(counts.tolist(), 0.15,
                                 prior=weights.tolist())
-        np.testing.assert_allclose(sm.probabilities, expected,
-                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(sm, expected, rtol=0, atol=1e-12)
 
     def test_prior_steers_scores(self):
         # equal occupancy everywhere: only the prior differentiates pixels
         counts = np.full((4, 4), 5.0)
-        occ = occupancy_of(counts)
         weights = np.ones((4, 4))
         weights[0, 0] = 10.0
-        sm = score_map(occ, 0.2, prior=PriorMap(occ.geometry, weights))
-        assert sm.probabilities[0, 0] > sm.probabilities[3, 3]
+        sm = scores_of(counts, 0.2, prior=PriorMap(GEO4, weights))
+        assert sm[0, 0] > sm[3, 3]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(min_value=-8, max_value=8), st.integers(0, 2**32))
@@ -420,17 +386,16 @@ class TestPriorMap:
         rng = np.random.default_rng(seed)
         counts = rng.integers(0, 40, size=(4, 5)).astype(float)
         weights = rng.uniform(0.25, 8.0, size=(4, 5))
-        occ = occupancy_of(counts)
-        a = score_map(occ, 0.3, prior=PriorMap(occ.geometry, weights))
+        geometry = SensorGeometry(5, 4)
+        a = scores_of(counts, 0.3, prior=PriorMap(geometry, weights))
         scaled = weights * 2.0 ** exponent
-        b = score_map(occ, 0.3, prior=PriorMap(occ.geometry, scaled))
-        np.testing.assert_array_equal(a.probabilities, b.probabilities)
+        b = scores_of(counts, 0.3, prior=PriorMap(geometry, scaled))
+        np.testing.assert_array_equal(a, b)
 
     def test_geometry_mismatch_rejected(self):
-        occ = occupancy_of(np.zeros((4, 4)))
         prior = gaussian_prior(SensorGeometry(5, 5))
         with pytest.raises(ValueError):
-            score_map(occ, 0.5, prior=prior)
+            scores_of(np.zeros((4, 4)), 0.5, prior=prior)
 
 
 class TestGaussianPrior:
