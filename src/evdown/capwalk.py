@@ -1,5 +1,5 @@
-"""The compiled kernels: the budget-cap walk, the score sigmoid and the text
-parsers.
+"""The compiled kernels: the budget-cap walk, the score sigmoid and the event
+parser and scan.
 
 The cap is a sequential state machine.  Event ``k`` (0-based, stream-wide)
 is dropped before evaluation when ``k > 0`` and ``retained > alpha * k``,
@@ -19,13 +19,14 @@ Both kernels have two implementations with bit-identical results:
   loops cannot be built or loaded (no compiler, an unwritable cache, a
   failed compile or load, a library lacking a kernel).
 
-The same library holds two byte-level parsers, :func:`parse_events` and
-:func:`parse_log`, for exactly the rows that ``evio`` writes to event CSVs
-and decision logs, and :func:`scan_events`, which checks event rows as
-:func:`parse_events` does but stores none of them.  They have no Python
-twin here: when they reject a row, or the library is not available, they
-return None and ``evio``'s line loops, the only source of its error
-messages, read the file instead.
+The same library holds a byte-level parser, :func:`parse_events`, for
+exactly the rows that ``evio`` writes to event CSVs, and
+:func:`scan_events`, which checks those rows as :func:`parse_events` does
+but stores none of them.  They have no Python twin here: when they reject
+a row, or the library is not available, they return None and ``evio``'s
+line loop, the only source of its error messages, reads the file instead.
+Decision logs have no compiled reader: ``evio.read_log`` is a line loop
+on every host.
 
 The cache file is the shared object followed by the SHA-256 of its bytes.
 A file whose trailer does not match is rebuilt, never loaded: mapping a
@@ -81,16 +82,14 @@ void expit(const double *x, double *out, int64_t n)
         out[i] = 1.0 / (1.0 + exp(-x[i]));
 }
 
-/* The text parsers read the rows write_events and write_log emit, and
-   nothing else.  Each reads at most cap rows of buf[0:len], which starts
-   at a line start, into its output columns.  A row ends in LF or CRLF;
-   only the last row of buf may lack one.  It returns the number of rows
+/* The text parsers read the rows write_events emits, and nothing else.
+   parse_events reads at most cap rows of buf[0:len], which starts at a
+   line start, into its output columns.  A row ends in LF or CRLF; only
+   the last row of buf may lack one.  It returns the number of rows
    read and sets *used to the bytes they span, so a later call can resume
    at buf + *used, or returns -1 - i for the first row i it rejects.  The
    field helpers below take and return the position in buf, NULL once a
    field is rejected. */
-
-#define REPR_WIDTH 24  /* the longest repr of a float64 */
 
 /* Decimal digits, at least one, of a value at most max. */
 static const char *digits(const char *s, const char *end, uint64_t max,
@@ -108,21 +107,6 @@ static const char *digits(const char *s, const char *end, uint64_t max,
     }
     *v = r;
     return s > start ? s : NULL;
-}
-
-/* An int64 in decimal, with an optional leading "-". */
-static const char *integer(const char *s, const char *end, int64_t *v)
-{
-    uint64_t m;
-    int neg;
-    if (!s)
-        return NULL;
-    neg = s < end && *s == '-';
-    s = digits(s + neg, end, (uint64_t)INT64_MAX + (uint64_t)neg, &m);
-    /* Negated in two halves: 2**63 has no positive int64. */
-    if (s)
-        *v = neg ? -(int64_t)(m / 2) - (int64_t)(m - m / 2) : (int64_t)m;
-    return s;
 }
 
 static const char *comma(const char *s, const char *end)
@@ -150,40 +134,6 @@ static const char *eol(const char *s, const char *end)
     if (*s == '\r')
         s++;
     return s < end && *s == '\n' ? s + 1 : NULL;
-}
-
-static const char *run(const char *s, const char *end)
-{
-    const char *start = s;
-    while (s < end && *s >= '0' && *s <= '9')
-        s++;
-    return s > start ? s : NULL;
-}
-
-/* A float as repr writes it, -?(nan|inf|D+(.D+)?(e[+-]D+)?), copied into
-   a REPR_WIDTH-byte slot padded with NULs. */
-static const char *real(const char *s, const char *end, char *slot)
-{
-    const char *f = s;
-    if (!s)
-        return NULL;
-    if (s < end && *s == '-')
-        s++;
-    if (end - s >= 3 && (!memcmp(s, "nan", 3) || !memcmp(s, "inf", 3)))
-        s += 3;
-    else {
-        s = run(s, end);
-        if (s && s < end && *s == '.')
-            s = run(s + 1, end);
-        if (s && s < end && *s == 'e')
-            s = s + 1 < end && (s[1] == '+' || s[1] == '-')
-                ? run(s + 2, end) : NULL;
-    }
-    if (!s || s - f > REPR_WIDTH)
-        return NULL;
-    memset(slot, 0, REPR_WIDTH);
-    memcpy(slot, f, (size_t)(s - f));
-    return s;
 }
 
 /* An event row t,x,y,p[,label]: t, x and y at most INT64_MAX, p 0 or 1,
@@ -246,29 +196,6 @@ int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
     }
     return i;
 }
-
-/* Decision-log rows index,t,window,code,p: the index is first + the row's
-   position, the code A, S or C (written as 0, 1 or 2), and p's text goes
-   to the row's slot in prob, for the caller to convert. */
-int64_t parse_log(const char *buf, int64_t len, int64_t first, int64_t cap,
-                  int64_t *t, int64_t *window, uint8_t *code, char *prob,
-                  int64_t *used)
-{
-    const char *s = buf, *end = buf + len;
-    int64_t i;
-    for (i = 0; i < cap && s < end; i++) {
-        uint64_t index = 0;
-        s = digits(s, end, INT64_MAX, &index);
-        s = integer(comma(s, end), end, &t[i]);
-        s = integer(comma(s, end), end, &window[i]);
-        s = letter(comma(s, end), end, "ASC", &code[i]);
-        s = eol(real(comma(s, end), end, prob + i * REPR_WIDTH), end);
-        if (!s || index != (uint64_t)(first + i))
-            return -1 - i;
-    }
-    *used = s - buf;
-    return i;
-}
 """
 _COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC", "-x", "c", "-",
             "-lm")
@@ -278,7 +205,15 @@ _DIGEST_BYTES = 32
 # The Python loops convert this many values at a time to Python floats,
 # so their memory does not grow with the input.
 _BLOCK = 1 << 14
-_REPR_WIDTH = 24  # REPR_WIDTH in the C source
+_P, _I64 = ctypes.c_void_p, ctypes.c_int64
+# The functions _SOURCE exports, with their (argtypes, restype): a library
+# lacking any of them is rebuilt.
+_KERNELS = {
+    "cap_walk": ((_P, _P, _I64, ctypes.c_double, _I64, _I64, _P, _P), _I64),
+    "expit": ((_P, _P, _I64), None),
+    "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
+    "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
+}
 
 
 def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
@@ -403,41 +338,10 @@ def scan_events(data: bytes, stop: int, labeled: bool,
     return None if got < 0 else got
 
 
-def parse_log(data: bytes, start: int):
-    """The columns ``(t, window, code, probability)`` of the decision-log
-    rows in ``data[start:]``, or None, as :func:`parse_events`.
-
-    The C parser only checks that a probability is written as ``repr``
-    writes floats; ``float`` converts it, once per distinct text in a block
-    of rows, as the writer runs ``repr`` once per distinct value.
-    """
-    kernel = _kernel()
-    if kernel is None:
-        return None
-    address, size, n = _text(data, start)
-    t, window = np.empty(n, np.int64), np.empty(n, np.int64)
-    code, prob = np.empty(n, np.uint8), np.empty(n, np.float64)
-    texts = np.empty(min(n, _BLOCK), f"S{_REPR_WIDTH}")
-    used = ctypes.c_int64()
-    pos = 0
-    for row in range(0, n, _BLOCK):
-        k = min(_BLOCK, n - row)
-        got = kernel.parse_log(
-            address + pos, size - pos, row, k,
-            t[row:].ctypes.data, window[row:].ctypes.data,
-            code[row:].ctypes.data, texts.ctypes.data, ctypes.byref(used))
-        if got != k:
-            return None
-        pos += used.value
-        block = texts[:k].tolist()  # bytes, the NUL padding dropped
-        values = {text: float(text) for text in set(block)}
-        prob[row:row + k] = [values[text] for text in block]
-    return t, window, code, prob
-
-
 def implementation() -> str:
     """Which kernels run in this process: "compiled", or "python" (the
-    Python loops, and evio's line loops in place of the parsers)."""
+    Python loops, and evio's line loop in place of the event parser and
+    scan)."""
     return "python" if _kernel() is None else "compiled"
 
 
@@ -512,26 +416,6 @@ def _kernel():
     lib = _load(path)
     if lib is None and _build(path):
         lib = _load(path)
-    if lib is not None:
-        lib.cap_walk.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
-                                 ctypes.c_int64, ctypes.c_double,
-                                 ctypes.c_int64, ctypes.c_int64,
-                                 ctypes.c_void_p, ctypes.c_void_p)
-        lib.cap_walk.restype = ctypes.c_int64
-        lib.expit.argtypes = (ctypes.c_void_p, ctypes.c_void_p,
-                              ctypes.c_int64)
-        lib.expit.restype = None
-        lib.parse_events.argtypes = (ctypes.c_void_p, ctypes.c_int64,
-                                     ctypes.c_int, ctypes.c_int64,
-                                     *[ctypes.c_void_p] * 6)
-        lib.parse_events.restype = ctypes.c_int64
-        lib.scan_events.argtypes = (ctypes.c_void_p, ctypes.c_int64,
-                                    ctypes.c_int, ctypes.c_void_p)
-        lib.scan_events.restype = ctypes.c_int64
-        lib.parse_log.argtypes = (ctypes.c_void_p, ctypes.c_int64,
-                                  ctypes.c_int64, ctypes.c_int64,
-                                  *[ctypes.c_void_p] * 5)
-        lib.parse_log.restype = ctypes.c_int64
     return lib
 
 
@@ -545,9 +429,9 @@ def _load(path: Path):
         return None
     try:
         lib = ctypes.CDLL(str(path))
-        # AttributeError when a kernel is missing
-        (lib.cap_walk, lib.expit, lib.parse_events, lib.scan_events,
-         lib.parse_log)
+        for name, (argtypes, restype) in _KERNELS.items():
+            kernel = getattr(lib, name)  # AttributeError when it is missing
+            kernel.argtypes, kernel.restype = argtypes, restype
         return lib
     except (OSError, AttributeError):
         return None

@@ -18,12 +18,12 @@ format can also be read block by block (:class:`BinaryEvents`,
 file made by :func:`replacing`, so a failed write leaves its path as it
 was.  A reader's columns become its stream's without a copy.
 
-Event CSVs and decision logs are read by the compiled parsers of
-:mod:`evdown.capwalk`, which take exactly the rows the writers here emit.
-A file they reject, or any file when the compiled kernels are not
-available, is read by a line loop instead: the loops accept the same
-files into the same columns, and every message about a malformed file
-comes from them.
+Event CSVs are read by the compiled parser of :mod:`evdown.capwalk`,
+which takes exactly the rows the writers here emit.  A file it rejects,
+or any file when the compiled kernels are not available, is read by a
+line loop instead: the loop accepts the same files into the same columns,
+and every message about a malformed CSV comes from it.  Decision logs are
+read by a line loop alone, on every host.
 """
 
 from __future__ import annotations
@@ -61,11 +61,10 @@ _CSV_HEADER_LABELED = "t,x,y,p,label"
 _LABEL_CHAR = {int(EventLabel.EDGE): "E", int(EventLabel.NOISE): "N"}
 _CHAR_LABEL = {"E": int(EventLabel.EDGE), "N": int(EventLabel.NOISE)}
 _CODE_CHAR = {0: "A", 1: "S", 2: "C"}
-# Headers the compiled parsers take; any other goes to the line loops.
+# Headers the compiled parser takes; any other goes to the line loop.
 _CSV_FAST_HEADERS = {b"t,x,y,p\n": False, b"t,x,y,p\r\n": False,
                      b"t,x,y,p,label\n": True, b"t,x,y,p,label\r\n": True}
 _LOG_HEADER = "index,t,window,code,p"
-_LOG_FAST_HEADERS = (b"index,t,window,code,p\n", b"index,t,window,code,p\r\n")
 _CHAR_CODE = {v: k for k, v in _CODE_CHAR.items()}
 
 
@@ -227,6 +226,9 @@ def _read_csv(path, geometry) -> EventStream:
         # a regular file itself, so the line loop does not hold them too.
         data = (None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
                 else fh.read())
+    if data is not None and data.startswith(MAGIC):
+        # detect_format leaves a pipe unsniffed; its magic shows only here.
+        raise _unseekable(path)
     columns = _parse_csv_compiled(path, data)
     if columns is None:
         columns = _parse_csv_lines(path, data)
@@ -410,6 +412,12 @@ def _write_rows(fh, n: int, columns) -> None:
         fh.write(block.tobytes().translate(None, b"\0"))
 
 
+def _unseekable(path) -> EventFileError:
+    """The error for binary input that is no regular file."""
+    return EventFileError(f"{path}: binary input must be a regular file "
+                          f"(its records are read by offset)")
+
+
 def _read_binary(path, geometry) -> EventStream:
     source = BinaryEvents(path, geometry)
     return source.read(0, source.count)
@@ -427,8 +435,7 @@ class BinaryEvents:
         with open(path, "rb") as fh:
             info = os.fstat(fh.fileno())
             if not stat.S_ISREG(info.st_mode):
-                raise EventFileError(f"{path}: binary input must be a regular "
-                                     f"file (its records are read by offset)")
+                raise _unseekable(path)
             head = fh.read(_HEADER.size)
             size = info.st_size
         if len(head) < _HEADER.size:
@@ -796,24 +803,9 @@ class LogWriter:
 
 
 def read_log(path) -> DecisionLog:
-    """Read a decision log written by write_log.
-
-    The compiled parser reads a log as write_log writes it; any other file,
-    or every file without the compiled kernels, goes to the line loop,
-    which also names the line of any error.
-    """
-    data = Path(path).read_bytes()
-    header = data[:data.find(b"\n") + 1]
-    columns = None
-    if header in _LOG_FAST_HEADERS:
-        columns = capwalk.parse_log(data, len(header))
-    del data
-    if columns is None:
-        columns = _parse_log_lines(path)
-    return DecisionLog(*columns)
-
-
-def _parse_log_lines(path):
+    """Read a decision log written by write_log, line by line (on every
+    host: logs have no compiled parser), naming the line of any error.  A
+    pipe is read once, as a regular file holding its bytes is read."""
     with open(path, "r", encoding="ascii", errors="surrogateescape",
               newline="") as fh:
         lines = _ascii_lines(path, fh)
@@ -844,5 +836,5 @@ def _parse_log_lines(path):
                    if min(vals) < -_INT64_MAX - 1 or max(vals) > _INT64_MAX)
         raise EventFileError(f"{path}:{big + 2}: value exceeds the signed "
                              f"64-bit range") from None
-    return (t, window, np.asarray(code, dtype=np.uint8),
-            np.asarray(prob, dtype=np.float64))
+    return DecisionLog(t, window, np.asarray(code, dtype=np.uint8),
+                       np.asarray(prob, dtype=np.float64))

@@ -89,7 +89,7 @@ def retention_ratio(original: EventStream, downsampled: EventStream,
     w_orig = window_ids(original.t, t0, window_us)
     w_down = window_ids(downsampled.t, t0, window_us)
     ids, bounds = window_spans(w_orig)
-    w_down = np.sort(w_down)
+    # A stream's timestamps are nondecreasing, so w_down is sorted already.
     n_down = (np.searchsorted(w_down, ids, side="right")
               - np.searchsorted(w_down, ids, side="left"))
     per_window = tuple(

@@ -391,6 +391,25 @@ class TestPipedInput:
                                b"offset)\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["downsample", "metrics"])
+    def test_binary_without_format_exit_3(self, scene_csv, tmp_path, command):
+        """Piped binary without --format is refused as --format binary
+        refuses it, not read as a CSV with a non-ASCII byte."""
+        src, out, log = (tmp_path / name for name in ("in.bin", "out", "log"))
+        write_events(read_events(scene_csv), src)
+        data = src.read_bytes()
+        args = ["downsample", "-m", "uniform", "-a", "0.5", "-i", "/dev/stdin",
+                "-o", str(out), "--log", str(log)]
+        want = self.evdown(*args, "--format", "binary", data=data)
+        if command == "metrics":
+            args = ["metrics", "--original", "/dev/stdin", "--downsampled",
+                    str(src), "--out", str(out)]
+        got = self.evdown(*args, data=data)
+        assert want.returncode == got.returncode == 3
+        assert got.stderr == want.stderr
+        assert b"binary input must be a regular file" in got.stderr
+        assert got.stdout == b"" and not out.exists() and not log.exists()
+
 
 @pytest.mark.parametrize("argv", [
     [*args, flag, "99999999999999999999"]

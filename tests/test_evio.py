@@ -2,6 +2,8 @@
 
 import json
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from evdown import (EventFileError, PriorMap, SamplerConfig, SensorGeometry,
                     write_stats)
 from evdown.evio import EventWriter, stats_doc, write_json_doc
 
-from conftest import make_stream, random_stream
+from conftest import SRC_ENV, make_stream, random_stream
 
 GEO = SensorGeometry(8, 6)
 
@@ -394,6 +396,30 @@ class TestDecisionLog:
                         f"1{row[1:]}\n")
         with pytest.raises(EventFileError, match=r"log\.csv:3: .*64-bit"):
             read_log(path)
+
+    @pytest.mark.parametrize("body", ["0,1,1,A,0.1\n1,2,1,C,nan\n",
+                                      "0,1,1,A,0.1\n1,2,1,a,nan\n"])
+    def test_pipe_reads_as_regular_file(self, tmp_path, body):
+        """A piped log is read once: it gives the columns, or the message
+        with the path swapped, that a regular file holding it gives."""
+        path = tmp_path / "log.csv"
+        path.write_text("index,t,window,code,p\n" + body)
+        probe = ("import sys\nfrom evdown import EventFileError, read_log\n"
+                 "try:\n    log = read_log(sys.argv[1])\n"
+                 "except EventFileError as exc:\n    print(exc)\n"
+                 "else:\n    print([c.dtype.str + c.tobytes().hex() for c in "
+                 "(log.t, log.window, log.code, log.probability)])\n")
+
+        def read(source, data=None):
+            return subprocess.run([sys.executable, "-c", probe, source],
+                                  input=data, capture_output=True, text=True,
+                                  env=SRC_ENV, timeout=120)
+
+        want = read(str(path))
+        got = read("/dev/stdin", path.read_text())
+        assert want.returncode == got.returncode == 0, got.stderr
+        assert ("KeyError('a')" in want.stdout) == ("a,nan" in body)
+        assert got.stdout == want.stdout.replace(str(path), "/dev/stdin")
 
     def test_int64_extremes_read_back(self, tmp_path):
         path = tmp_path / "log.csv"

@@ -1,5 +1,5 @@
-"""Text I/O: the compiled CSV and decision-log parsers against the line
-loops they fall back to, hostile input files, and the chunked writers
+"""Text I/O: the compiled CSV parser against the line loop it falls back
+to, the decision-log reader, hostile input files, and the chunked writers
 against f-string oracles."""
 
 import contextlib
@@ -601,15 +601,6 @@ class TestLogWriterMemory:
 
 # ---------------------------------------------------------- decision logs
 
-def loop_log(path):
-    """What the line loop alone makes of a decision log: its columns or
-    its message."""
-    try:
-        return evio._parse_log_lines(path)
-    except EventFileError as exc:
-        return str(exc)
-
-
 def read_log_result(path):
     try:
         log = read_log(path)
@@ -686,14 +677,6 @@ def mutated_logs(draw):
     return bytes(data)
 
 
-def assert_compiled_takes(path, cap_walk):
-    """On the compiled path, the compiled parser reads what write_log
-    wrote, rather than leaving it to the line loop."""
-    if cap_walk == "compiled":
-        data = path.read_bytes()
-        assert capwalk.parse_log(data, data.index(b"\n") + 1) is not None
-
-
 class TestLogParser:
     @settings(max_examples=300, deadline=None)
     @given(mutated_logs())
@@ -702,21 +685,13 @@ class TestLogParser:
     @example(b"index,t,window,code,p\n0,1,1,A,0.1\n2,1,1,A,0.1\n")
     @example(b"index,t,window,code,p\n0,99999999999999999999,1,A,0.1\n")
     def test_matches_loop_on_both_paths(self, scratch, data):
-        """read_log gives the line loop's columns bit for bit, or its exact
-        message, with the compiled kernels and without them; where the
-        compiled parser takes a file, it gives the loop's columns too."""
+        """read_log gives the same columns bit for bit, or the same
+        message, with the compiled kernels and without them."""
         path = scratch / "log.csv"
         path.write_bytes(data)
-        want = loop_log(path)
-        header = data[:data.find(b"\n") + 1]
-        if header in evio._LOG_FAST_HEADERS:
-            got = capwalk.parse_log(data, len(header))
-            if got is not None:
-                assert_logs_equal(got, want)
-        assert_logs_equal(read_log_result(path), want)
+        want = read_log_result(path)
         with pytest.MonkeyPatch.context() as mp:
             force_python_walk(mp)
-            assert capwalk.parse_log(data, len(header)) is None
             assert_logs_equal(read_log_result(path), want)
 
     @pytest.mark.parametrize("method", ["deterministic", "uniform", "poisson"])
@@ -727,15 +702,14 @@ class TestLogParser:
                         SamplerConfig(alpha=0.2, seed=3, cap_enabled=cap))
         path = tmp_path / "log.csv"
         write_log(log, path)
-        assert_compiled_takes(path, cap_walk)
         assert_logs_equal(read_log_result(path), log_columns(log))
 
     @pytest.mark.parametrize("block", [1, 7, 1 << 14])
     def test_round_trip_of_edge_values(self, tmp_path, cap_walk, monkeypatch,
                                        block):
-        """Blocks of 1 and 7 rows resume the compiled parser at a line
-        boundary and convert each block's texts apart."""
-        monkeypatch.setattr(capwalk, "_BLOCK", block)
+        """Blocks of 1 and 7 rows make write_log format each block's
+        values apart, and the rows still read back bit for bit."""
+        monkeypatch.setattr(evio, "_CHUNK_ROWS", block)
         n = 3 * len(EDGE_PROBS)
         log = DecisionLog(
             np.array([-2**63, 2**63 - 1, -1, 0] * n, np.int64)[:n],
@@ -743,10 +717,8 @@ class TestLogParser:
             np.array(EDGE_PROBS * 3))
         path = tmp_path / "log.csv"
         write_log(log, path)
-        assert_compiled_takes(path, cap_walk)
         assert_logs_equal(read_log_result(path), log_columns(log))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")[:-2])
-        assert_compiled_takes(path, cap_walk)
         assert_logs_equal(read_log_result(path), log_columns(log))
 
     @pytest.mark.parametrize("text,taken", [
@@ -759,15 +731,21 @@ class TestLogParser:
         ("5.", False), ("1e", False), ("-", False), ("", False),
         ("0.10000000000000000000000", False),   # 25 bytes
     ])
-    def test_probability_grammar(self, text, taken):
-        """The compiled parser takes p only as repr writes it; the line loop
-        reads every other text, or names its line."""
-        needs_compiled()
-        head = b"index,t,window,code,p\n"
-        got = capwalk.parse_log(head + f"0,1,1,A,{text}\n".encode(), len(head))
-        assert (got is not None) == taken
-        if taken:
-            assert got[3].tobytes() == np.array([float(text)]).tobytes()
+    def test_probability_grammar(self, tmp_path, text, taken):
+        """read_log reads p as float does, or names line 2 when float
+        refuses it; taken marks the texts repr writes, which write_log
+        writes again unchanged."""
+        path = tmp_path / "log.csv"
+        path.write_bytes(f"index,t,window,code,p\n0,1,1,A,{text}\n".encode())
+        try:
+            want = float(text)
+        except ValueError as exc:
+            assert not taken
+            assert read_log_result(path) == f"{path}:2: {exc!r}"
+            return
+        got = read_log(path).probability
+        assert got.tobytes() == np.array([want]).tobytes()
+        assert (repr(want) == text) == taken
 
     def test_empty(self, tmp_path, cap_walk):
         log = DecisionLog(np.empty(0, np.int64), np.empty(0, np.int64),
