@@ -1,5 +1,5 @@
-"""The compiled kernels: the budget-cap walk, the score sigmoid and the event
-parser and scan.
+"""The compiled kernels: the budget-cap walk, the score sigmoid, the event
+parser and scan, and the row formatter.
 
 The cap is a sequential state machine.  Event ``k`` (0-based, stream-wide)
 is dropped before evaluation when ``k > 0`` and ``retained > alpha * k``,
@@ -26,7 +26,9 @@ but stores none of them.  They have no Python twin here: when they reject
 a row, or the library is not available, they return None and ``evio``'s
 line loop, the only source of its error messages, reads the file instead.
 Decision logs have no compiled reader: ``evio.read_log`` is a line loop
-on every host.
+on every host.  :func:`format_rows` writes the comma-separated rows of
+event CSVs and decision logs; without the library it returns None and
+``evio`` lays the same bytes out with numpy.
 
 The cache file is the shared object followed by the SHA-256 of its bytes.
 A file whose trailer does not match is rebuilt, never loaded: mapping a
@@ -196,6 +198,62 @@ int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
     }
     return i;
 }
+
+/* The decimal of v at o ('-' first when negative); returns the end.
+   The digits are counted first, then written from the last, two at a
+   time, which halves the chain of divisions. */
+static char *decimal(char *o, int64_t v)
+{
+    static const char pairs[] =
+        "0001020304050607080910111213141516171819"
+        "2021222324252627282930313233343536373839"
+        "4041424344454647484950515253545556575859"
+        "6061626364656667686970717273747576777879"
+        "8081828384858687888990919293949596979899";
+    uint64_t m = (uint64_t)v, ten = 10;
+    int len = 1;
+    if (v < 0) {
+        *o++ = '-';
+        m = 0 - m;  /* modulo 2**64, so exact for INT64_MIN */
+    }
+    for (; len < 19 && m >= ten; len++)  /* m < 10**19 */
+        ten *= 10;
+    char *s = o + len;
+    for (; m >= 100; m /= 100)
+        memcpy(s -= 2, pairs + 2 * (m % 100), 2);
+    if (m >= 10)
+        memcpy(s - 2, pairs + 2 * m, 2);
+    else
+        s[-1] = (char)('0' + m);
+    return o + len;
+}
+
+/* n rows of ncols comma-separated fields, each row ending in LF, written
+   to out; returns the bytes written.  Field c of row i is row ints[c][i]
+   of the table tables[c], whose rows are width[c] bytes, NUL-padded on the
+   right, when tables[c] is set; else the decimal of ints[c][i] when that
+   is set; else the decimal of start[c] + i.  out must hold every field at
+   its widest plus one separator each. */
+int64_t format_rows(int64_t n, int64_t ncols, const int64_t *const *ints,
+                    const int64_t *start, const char *const *tables,
+                    const int64_t *width, char *out)
+{
+    char *o = out;
+    for (int64_t i = 0; i < n; i++) {
+        for (int64_t c = 0; c < ncols; c++) {
+            if (tables[c]) {
+                const char *r = tables[c] + ints[c][i] * width[c];
+                int64_t k;
+                for (k = 0; k < width[c] && r[k]; k++)
+                    o[k] = r[k];
+                o += k;
+            } else
+                o = decimal(o, ints[c] ? ints[c][i] : start[c] + i);
+            *o++ = c + 1 < ncols ? ',' : '\n';
+        }
+    }
+    return o - out;
+}
 """
 _COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC", "-x", "c", "-",
             "-lm")
@@ -213,6 +271,7 @@ _KERNELS = {
     "expit": ((_P, _P, _I64), None),
     "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
+    "format_rows": ((_I64, _I64, _P, _P, _P, _P, _P), _I64),
 }
 
 
@@ -338,10 +397,68 @@ def scan_events(data: bytes, stop: int, labeled: bool,
     return None if got < 0 else got
 
 
+def format_rows(n: int, columns):
+    """The text of ``n`` rows of ``columns``, comma-separated and each
+    ending in a newline, as a memoryview of ASCII bytes, or None when the
+    compiled kernels are not available.
+
+    A column is an integer array of ``n`` values or a range of ``n``
+    consecutive integers, each written in decimal, or a pair ``(table,
+    index)``: a uint8 matrix whose rows are ASCII text NUL-padded on the
+    right, and ``n`` row numbers, row ``i`` written as ``table[index[i]]``
+    without its padding.  The buffer holds every field at its widest in
+    these rows, so its size follows the values, not their dtype.
+
+    Raises ValueError for a column that does not fit that description.
+    """
+    kernel = _kernel()
+    if kernel is None:
+        return None
+    n = int(n)
+    if n == 0:
+        return memoryview(b"")
+    ncols = len(columns)
+    ints, tables = np.zeros(ncols, np.uintp), np.zeros(ncols, np.uintp)
+    start, width = np.zeros(ncols, np.int64), np.zeros(ncols, np.int64)
+    keep = []  # the arrays whose addresses the kernel reads
+    for c, col in enumerate(columns):
+        if isinstance(col, tuple):
+            table = np.ascontiguousarray(col[0], np.uint8)
+            index = np.ascontiguousarray(col[1], np.int64)
+            if (table.ndim != 2 or index.shape != (n,) or index.min() < 0
+                    or index.max() >= table.shape[0]):
+                raise ValueError(f"need a 2-D table and {n} row numbers "
+                                 f"within it")
+            keep += [table, index]
+            ints[c], tables[c] = index.ctypes.data, table.ctypes.data
+            width[c] = table.shape[1]
+            continue
+        if isinstance(col, range):
+            lo, hi = col.start, col.stop - 1
+            if len(col) != n or col.step != 1 or lo < -2**63 or hi >= 2**63:
+                raise ValueError(f"need a range of {n} consecutive int64 "
+                                 f"values")
+            start[c] = lo
+        else:
+            values = np.asarray(col)
+            if values.dtype.kind not in "iub" or values.shape != (n,):
+                raise ValueError(f"need {n} integers in one dimension")
+            values = np.ascontiguousarray(values, np.int64)
+            keep.append(values)
+            ints[c] = values.ctypes.data
+            lo, hi = int(values.min()), int(values.max())
+        width[c] = max(len(str(lo)), len(str(hi)))  # the sign included
+    out = np.empty(n * int(width.sum() + ncols), np.uint8)
+    used = kernel.format_rows(n, ncols, ints.ctypes.data, start.ctypes.data,
+                              tables.ctypes.data, width.ctypes.data,
+                              out.ctypes.data)
+    return out.data[:used]
+
+
 def implementation() -> str:
     """Which kernels run in this process: "compiled", or "python" (the
-    Python loops, and evio's line loop in place of the event parser and
-    scan)."""
+    Python loops, evio's line loop in place of the event parser and scan,
+    and its numpy row layout in place of the row formatter)."""
     return "python" if _kernel() is None else "compiled"
 
 

@@ -24,6 +24,10 @@ or any file when the compiled kernels are not available, is read by a
 line loop instead: the loop accepts the same files into the same columns,
 and every message about a malformed CSV comes from it.  Decision logs are
 read by a line loop alone, on every host.
+
+The rows of event CSVs and decision logs are written by the compiled row
+formatter of :mod:`evdown.capwalk`, or, where the compiled kernels are not
+available, laid out with numpy as the same bytes.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ import errno
 import functools
 import io
 import json
+import math
 import os
 import shutil
 import stat
@@ -325,8 +330,11 @@ _CHUNK_ROWS = 1 << 16   # rows per formatted block; bounds a writer's memory
 
 
 def _decimal(values) -> np.ndarray:
-    """Decimal ASCII of integers as the rows of a uint8 matrix, aligned
-    right and NUL-padded on the left ("-" precedes a negative value)."""
+    """Decimal ASCII of integers (an array or range) as the rows of a uint8
+    matrix, aligned right and NUL-padded on the left ("-" precedes a
+    negative value)."""
+    if isinstance(values, range):
+        values = np.arange(values.start, values.stop, values.step)
     values = np.asarray(values, dtype=np.int64)
     neg = values < 0
     sign = int(neg.any())
@@ -354,13 +362,19 @@ def _strings(texts) -> np.ndarray:
     return table.view(np.uint8).reshape(len(texts), table.itemsize)
 
 
-def _reprs(values) -> np.ndarray:
-    """repr of floats as the rows of a uint8 matrix, NUL-padded on the
-    right; repr runs once per distinct bit pattern, so -0.0 and 0.0 stay
-    apart."""
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    bits, which = np.unique(values.view(np.uint64), return_inverse=True)
-    return _strings([repr(v) for v in bits.view(np.float64).tolist()])[which]
+def _reprs(values):
+    """A (table, index) column writing each float with repr; repr runs once
+    per distinct bit pattern, so -0.0 and 0.0 stay apart.  A NaN with its
+    sign bit set is written -nan, which float reads back with the sign;
+    other NaN payload bits are not kept."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    if bits.size and bits.min() == bits.max():  # one value: skip the sort
+        bits, which = bits[:1], np.zeros(bits.size, np.intp)
+    else:
+        bits, which = np.unique(bits, return_inverse=True)
+    texts = ["-nan" if v != v and math.copysign(1.0, v) < 0 else repr(v)
+             for v in bits.view(np.float64).tolist()]
+    return _strings(texts), which
 
 
 def _symbols(mapping: dict, values, what: str):
@@ -383,33 +397,43 @@ def _write_rows(fh, n: int, columns) -> None:
     text, one row per line, _CHUNK_ROWS rows at a time.
 
     A column is an integer array or range, written in decimal, a float
-    array, written with repr, or a pair (table, index) writing row i as
-    table[index[i]] (see _strings).  Each block is laid out as a
-    fixed-width byte matrix whose NUL padding is dropped on the way out, so
-    no Python object is made per row and no temporary spans more than one
-    block.
+    array, written with repr (see _reprs), or a pair (table, index) writing
+    row i as table[index[i]] (see _strings).  Each block's columns become
+    integers and (table, index) pairs, which the compiled row formatter
+    (capwalk.format_rows) writes into one buffer; without the compiled
+    kernels, _matrix_rows lays them out.  Either way no Python object is
+    made per row and no temporary spans more than one block.
     """
     def field(col, lo, hi):
         if isinstance(col, tuple):
-            return col[0][col[1][lo:hi]]
+            return col[0], col[1][lo:hi]
         part = col[lo:hi]
-        if isinstance(part, range):
-            part = np.arange(part.start, part.stop, part.step)
-        return _reprs(part) if part.dtype.kind == "f" else _decimal(part)
+        if isinstance(part, np.ndarray) and part.dtype.kind == "f":
+            return _reprs(part)
+        return part
 
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
         fields = [field(col, lo, hi) for col in columns]
-        block = np.empty((hi - lo, sum(f.shape[1] + 1 for f in fields)),
-                         np.uint8)
-        end = 0
-        for f in fields:
-            start, end = end, end + f.shape[1]
-            block[:, start:end] = f
-            block[:, end] = ord(",")
-            end += 1
-        block[:, -1] = ord("\n")
-        fh.write(block.tobytes().translate(None, b"\0"))
+        text = capwalk.format_rows(hi - lo, fields)
+        fh.write(_matrix_rows(hi - lo, fields) if text is None else text)
+
+
+def _matrix_rows(n: int, fields) -> bytes:
+    """n rows of fields, as _write_rows takes them after the float columns
+    became (table, index) pairs, laid out as a fixed-width byte matrix
+    whose NUL padding is dropped on the way out."""
+    fields = [f[0][f[1]] if isinstance(f, tuple) else _decimal(f)
+              for f in fields]
+    block = np.empty((n, sum(f.shape[1] + 1 for f in fields)), np.uint8)
+    end = 0
+    for f in fields:
+        start, end = end, end + f.shape[1]
+        block[:, start:end] = f
+        block[:, end] = ord(",")
+        end += 1
+    block[:, -1] = ord("\n")
+    return block.tobytes().translate(None, b"\0")
 
 
 def _unseekable(path) -> EventFileError:
@@ -773,7 +797,8 @@ def write_log(log: DecisionLog, path) -> None:
     """Write a decision log as CSV: index,t,window,code,p.
 
     Codes are A (accept), S (sampler reject), C (cap reject); p uses repr
-    so probabilities round-trip exactly (nan for deterministic decisions).
+    so probabilities round-trip exactly (nan for deterministic decisions,
+    -nan for a NaN with its sign bit set; other NaN payload bits are lost).
     """
     with replacing(path) as fh:
         LogWriter(fh).write(log)

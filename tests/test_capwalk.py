@@ -170,8 +170,8 @@ def test_kernel_table_names_every_exported_function():
     exported = re.findall(r"^(?!static )\w+[ *]+(\w+)\(", capwalk._SOURCE,
                           re.M)
     assert sorted(exported) == sorted(capwalk._KERNELS)
-    assert sorted(capwalk._KERNELS) == ["cap_walk", "expit", "parse_events",
-                                        "scan_events"]
+    assert sorted(capwalk._KERNELS) == ["cap_walk", "expit", "format_rows",
+                                        "parse_events", "scan_events"]
 
 
 # --- the loader ------------------------------------------------------------

@@ -472,11 +472,17 @@ def oracle_csv(stream) -> bytes:
     return (head + "".join(rows)).encode("ascii")
 
 
+def oracle_repr(p: float) -> str:
+    """repr, but -nan for a NaN with its sign bit set, so it reads back
+    with the sign."""
+    return "-nan" if math.isnan(p) and math.copysign(1.0, p) < 0 else repr(p)
+
+
 def oracle_log(log) -> bytes:
     """The per-row f-string decision-log writer the vectorized one replaced."""
     rows = zip(log.t.tolist(), log.window.tolist(), log.code.tolist(),
                log.probability.tolist())
-    body = "".join(f"{i},{t},{w},{_CODE[c]},{repr(p)}\n"
+    body = "".join(f"{i},{t},{w},{_CODE[c]},{oracle_repr(p)}\n"
                    for i, (t, w, c, p) in enumerate(rows))
     return ("index,t,window,code,p\n" + body).encode("ascii")
 
@@ -578,11 +584,134 @@ class TestWriterBytes:
             write_log(log, tmp_path / "log.csv")
 
 
+class TestWriterBytesWithoutKernels(TestWriterBytes):
+    """The same byte checks on the numpy writer that runs where the
+    compiled kernels cannot be built."""
+
+    @pytest.fixture(autouse=True)
+    def _python(self, monkeypatch):
+        force_python_walk(monkeypatch)
+
+
+def python_rows(n, columns) -> bytes:
+    """What _write_rows writes without the compiled kernels."""
+    with pytest.MonkeyPatch.context() as mp:
+        force_python_walk(mp)
+        fh = io.BytesIO()
+        evio._write_rows(fh, n, columns)
+    return fh.getvalue()
+
+
+def compiled_rows(n, columns) -> bytes:
+    """What _write_rows writes through the compiled row formatter; skips
+    the test where the compiled kernels cannot be built."""
+    needs_compiled()
+    fh = io.BytesIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evio, "_matrix_rows", None)  # no fallback
+        evio._write_rows(fh, n, columns)
+    return fh.getvalue()
+
+
+_SPECIAL_BITS = [0, 1 << 63, 1, (1 << 63) | 1, 0x000FFFFFFFFFFFFF,
+                 0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                 0xFFF8000000000000, 0x7FF0000000000001, 0xFFFFFFFFFFFFFFFF,
+                 0x3FF0000000000000, 0x7FEFFFFFFFFFFFFF]
+
+
+@st.composite
+def row_columns(draw):
+    """n rows of an int64 column over the full range, an index counter, a
+    symbol column and a float column of any bit pattern."""
+    n = draw(st.integers(0, 40))
+    ints = st.one_of(st.integers(-2**63, 2**63 - 1), st.integers(-20, 20),
+                     st.sampled_from([-2**63, 2**63 - 1]))
+    bits = st.one_of(st.integers(0, 2**64 - 1), st.sampled_from(_SPECIAL_BITS))
+    first = draw(st.integers(-2**63, 2**63 - 1 - n))
+    codes = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    return n, [
+        np.array(draw(st.lists(ints, min_size=n, max_size=n)), np.int64),
+        range(first, first + n),
+        evio._symbols(_CODE, np.array(codes, np.uint8), "code"),
+        np.array(draw(st.lists(bits, min_size=n, max_size=n)),
+                 np.uint64).view(np.float64)]
+
+
+class TestRowFormatter:
+    @settings(max_examples=300, deadline=None)
+    @given(row_columns(), st.integers(1, 50))
+    def test_compiled_matches_numpy(self, columns, block):
+        n, columns = columns
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evio, "_CHUNK_ROWS", block)
+            assert compiled_rows(n, columns) == python_rows(n, columns)
+
+    def test_int64_extremes(self):
+        values = np.array([-2**63, 2**63 - 1, -1, 0], np.int64)
+        want = b"-9223372036854775808\n9223372036854775807\n-1\n0\n"
+        assert compiled_rows(4, [values]) == python_rows(4, [values]) == want
+        top = range(2**63 - 2, 2**63)
+        assert bytes(capwalk.format_rows(2, [top])) == (
+            b"9223372036854775806\n9223372036854775807\n")
+
+    def test_table_rows_without_padding(self):
+        """Every table row fills its width, so no NUL ends any of them."""
+        table = evio._strings(["ab", "cd", "ef"])
+        assert table.shape == (3, 2) and table.all()
+        column = (table, np.array([2, 0, 1, 1]))
+        assert (compiled_rows(4, [column, column])
+                == python_rows(4, [column, column])
+                == b"ef,ef\nab,ab\ncd,cd\ncd,cd\n")
+
+    def test_zero_rows(self):
+        needs_compiled()
+        columns = [np.empty(0, np.int64), range(5, 5),
+                   (evio._strings(["A"]), np.empty(0, np.int64))]
+        assert bytes(capwalk.format_rows(0, columns)) == b""
+        assert compiled_rows(0, columns) == python_rows(0, columns) == b""
+
+    @pytest.mark.parametrize("column", [
+        (evio._strings(["A", "B"]), np.array([0, 2])),
+        (evio._strings(["A", "B"]), np.array([-1, 0])),
+        (evio._strings(["A", "B"]), np.array([0])),
+        np.array([1, 2, 3]),
+        np.array([0.5, 1.5]),
+        range(0, 4, 2),
+        range(2**63 - 1, 2**63 + 1),
+    ], ids=["index past table", "negative index", "short index",
+            "long ints", "floats", "step 2", "past int64"])
+    def test_refuses_what_it_cannot_write(self, column):
+        """Columns the kernel cannot write are refused before it runs: an
+        index outside its table would read past it."""
+        needs_compiled()
+        with pytest.raises(ValueError):
+            capwalk.format_rows(2, [column])
+
+    def test_compiled_writers_never_fall_back(self, tmp_path, monkeypatch):
+        """Where the kernels build, the numpy layout is never used: a silent
+        fallback would pass every byte check."""
+        needs_compiled()
+
+        def fallback(values):
+            raise AssertionError("the numpy writer ran")
+
+        monkeypatch.setattr(evio, "_decimal", fallback)
+        s = random_stream(np.random.default_rng(5), n=300)
+        s = make_stream(s.geometry, list(zip(s.t, s.x, s.y, s.p)),
+                        labels=(s.x > 30).astype(np.uint8))
+        _, _, log = run(s, "poisson", SamplerConfig(alpha=0.3, seed=2))
+        write_log(log, tmp_path / "log.csv")
+        write_events(s, tmp_path / "s.csv")
+        assert read_log(tmp_path / "log.csv").probability.tobytes() == (
+            log.probability.tobytes())
+        assert read_events(tmp_path / "s.csv") == s
+
+
 class TestLogWriterMemory:
     def test_uniform_log_memory_per_row(self, tmp_path, monkeypatch):
         """With blocks of 4096 rows their own cost is small at this size,
-        so a step over the whole column breaks the bound: sorting the
-        probabilities with an inverse index takes about 40 bytes/row."""
+        so a step over the whole column breaks the bound: even an index
+        into one probability's text takes 8 bytes/row."""
         monkeypatch.setattr(evio, "_CHUNK_ROWS", 1 << 12)
         n = 200_000
         s = random_stream(np.random.default_rng(13), SensorGeometry(64, 48),
@@ -633,8 +762,9 @@ _LOG_TOKENS = ["-", "+", "_", " ", "0x1p-3", "inf", "-inf", "NaN", "nan",
                "\xff", "\x00"]
 EDGE_PROBS = [-0.0, 0.0, math.ulp(0.0), 1e-310, 2.2250738585072014e-308,
               math.nextafter(2.2250738585072014e-308, 0.0),
-              math.nextafter(1.0, 0.0), 1.0, math.nan, math.inf, -math.inf,
-              0.1, 1e16, 1e-5, 1 / 3, -2.5e-300, 1.7976931348623157e308]
+              math.nextafter(1.0, 0.0), 1.0, math.nan, -math.nan, math.inf,
+              -math.inf, 0.1, 1e16, 1e-5, 1 / 3, -2.5e-300,
+              1.7976931348623157e308]
 
 
 @st.composite
@@ -720,6 +850,17 @@ class TestLogParser:
         assert_logs_equal(read_log_result(path), log_columns(log))
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n")[:-2])
         assert_logs_equal(read_log_result(path), log_columns(log))
+
+    def test_negative_nan_keeps_its_sign(self, tmp_path, cap_walk):
+        log = DecisionLog(np.array([1, 2]), np.array([1, 1]),
+                          np.array([0, 1], np.uint8),
+                          np.array([-math.nan, math.nan]))
+        path = tmp_path / "log.csv"
+        write_log(log, path)
+        assert path.read_bytes().splitlines()[1:] == [b"0,1,1,A,-nan",
+                                                      b"1,2,1,S,nan"]
+        got = read_log(path).probability.view(np.uint64).tolist()
+        assert got == [0xFFF8000000000000, 0x7FF8000000000000]
 
     @pytest.mark.parametrize("text,taken", [
         ("0.1", True), ("-0.0", True), ("5e-324", True), ("1e+16", True),
