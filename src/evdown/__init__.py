@@ -9,8 +9,7 @@ labels, evaluation metrics, and stable stream serialization.
 
 from .density import (PriorMap, SigmoidParams, SparseScores, gaussian_prior,
                       occupancy_values, sigmoid, sparse_scores)
-from .events import (Event, EventLabel, EventStream, Polarity, SensorGeometry,
-                     stream_duration)
+from .events import EventLabel, EventStream, SensorGeometry
 from .evio import (EventFileError, detect_format, read_events, read_log,
                    read_prior, write_events, write_log, write_prior,
                    write_stats)
@@ -18,7 +17,7 @@ from .metrics import (RetentionReport, SelectivityReport, density_divergence,
                       match_events, retention_ratio, selectivity)
 from .pipeline import METHODS, DecisionLog, Downsampler, RunStats, run
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
-from .synth import (EdgeSpec, LabeledEvent, SceneSpec, edge_shift, generate,
-                    labeled_event, rasterize_segment, reference_scene)
+from .synth import (EdgeSpec, SceneSpec, edge_shift, generate,
+                    rasterize_segment, reference_scene)
 
 __version__ = "0.1.0"

@@ -22,9 +22,10 @@ Both kernels have two implementations with bit-identical results:
 The same library holds a byte-level parser, :func:`parse_events`, for
 exactly the rows that ``evio`` writes to event CSVs, and
 :func:`scan_events`, which checks those rows as :func:`parse_events` does
-but stores none of them.  They have no Python twin here: when they reject
-a row, or the library is not available, they return None and ``evio``'s
-line loop, the only source of its error messages, reads the file instead.
+but stores none of them.  Both take one block of whole rows.  They have no
+Python twin here: when they reject a row, or the library is not
+available, they return None and ``evio``'s line loop, the only source of
+its error messages, reads that block instead.
 Decision logs have no compiled reader: ``evio.read_log`` is a line loop
 on every host.  :func:`format_rows` writes the comma-separated rows of
 event CSVs and decision logs; without the library it returns None and
@@ -345,30 +346,28 @@ def expit(x):
     return out.reshape(x.shape)[()]
 
 
-def parse_events(data: bytes, start: int, labeled: bool,
-                 rows: int | None = None):
-    """The columns ``(t, x, y, p, labels)`` of the event rows in
-    ``data[start:]``, or None.
+def parse_events(data: bytes, labeled: bool, rows: int):
+    """The columns ``(t, x, y, p, labels)`` of the ``rows`` event rows that
+    ``data`` holds, or None.
 
     ``t``, ``x`` and ``y`` are int64, ``p`` and ``labels`` uint8 (``labels``
-    is None unless ``labeled``).  ``rows`` is the number of rows, when the
-    caller knows it; otherwise the lines are counted.  Returns None when
-    the compiled parser is not available, rejects a row, or finds another
-    number of rows: then the file needs the line loop.
+    is None unless ``labeled``).  Returns None when the compiled parser is
+    not available, rejects a row, or finds another number of rows: then
+    the rows need the line loop.
     """
     kernel = _kernel()
     if kernel is None:
         return None
-    address, size, n = _text(data, start, rows)
-    t, x, y = (np.empty(n, np.int64) for _ in range(3))
-    p = np.empty(n, np.uint8)
-    labels = np.empty(n, np.uint8) if labeled else None
+    address = _address(data)
+    t, x, y = (np.empty(rows, np.int64) for _ in range(3))
+    p = np.empty(rows, np.uint8)
+    labels = np.empty(rows, np.uint8) if labeled else None
     used = ctypes.c_int64()
     got = kernel.parse_events(
-        address, size, labeled, n,
+        address, len(data), labeled, rows,
         t.ctypes.data, x.ctypes.data, y.ctypes.data, p.ctypes.data,
         None if labels is None else labels.ctypes.data, ctypes.byref(used))
-    if got != n or used.value != size:
+    if got != rows or used.value != len(data):
         return None
     return t, x, y, p, labels
 
@@ -387,13 +386,12 @@ def scan_events(data: bytes, stop: int, labeled: bool,
     kernel = _kernel()
     if kernel is None:
         return None
-    if (not isinstance(data, bytes) or not 0 <= stop <= len(data)
-            or top.dtype != np.uint64 or top.shape != (3,)
-            or not top.flags.c_contiguous or not top.flags.writeable):
-        raise ValueError("need bytes, a stop within them and a writable "
-                         "uint64 array of three values")
-    address = ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
-    got = kernel.scan_events(address, stop, labeled, top.ctypes.data)
+    if (not 0 <= stop <= len(data) or top.dtype != np.uint64
+            or top.shape != (3,) or not top.flags.c_contiguous
+            or not top.flags.writeable):
+        raise ValueError("need a stop within data and a writable uint64 "
+                         "array of three values")
+    got = kernel.scan_events(_address(data), stop, labeled, top.ctypes.data)
     return None if got < 0 else got
 
 
@@ -491,19 +489,11 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
     return retained, 0 if draws is None else di
 
 
-def _text(data: bytes, start: int,
-          lines: int | None = None) -> tuple[int, int, int]:
-    """The address and size of data[start:], valid while data lives, and
-    its lines (the last may lack its newline), counted unless given.  A
-    parser that reads that many rows has read every byte: each row takes
-    one whole line."""
-    if not isinstance(data, bytes) or not 0 <= start <= len(data):
-        raise ValueError("need bytes and a start within them")
-    address = ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
-    if lines is None:
-        lines = (data.count(b"\n", start)
-                 + (len(data) > start and not data.endswith(b"\n")))
-    return address + start, len(data) - start, lines
+def _address(data: bytes) -> int:
+    """The address of data's bytes, valid while data lives."""
+    if not isinstance(data, bytes):
+        raise ValueError("need bytes")
+    return ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
 
 
 def _expit_python(x, out) -> None:

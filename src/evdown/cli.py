@@ -14,9 +14,10 @@ that replace the output paths only once the whole input has been read
 and checked.  A binary input is read record block by record block
 (evio.BinaryEvents).  A CSV input is read twice, a block of bytes at a
 time (evio.CsvEvents): once to check its rows and infer its geometry,
-keeping no column, then again to decide it.  A CSV the compiled parser
-refuses, or any CSV without the compiled kernels, is read whole, then
-sliced alike.
+keeping no column, then again to decide it.  This holds on every host and
+for every input: a block the compiled scan refuses, or any block without
+the compiled kernels, goes through the line loop, and a pipe is first
+copied to a temporary file, which both passes read.
 """
 
 from __future__ import annotations

@@ -1,9 +1,9 @@
 """Core event-stream data model.
 
 An event is a single brightness change reported by an event camera: pixel
-coordinates, a microsecond timestamp, and a polarity bit.  Streams are stored
-as immutable parallel numpy arrays sorted by timestamp (ties keep their
-original order).
+coordinates, a microsecond timestamp, and a polarity bit (0 OFF, 1 ON).
+Streams are stored as immutable parallel numpy arrays sorted by timestamp
+(ties keep their original order); no Python object is made per event.
 """
 
 from __future__ import annotations
@@ -14,13 +14,6 @@ from enum import IntEnum
 import numpy as np
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-class Polarity(IntEnum):
-    """Sign of the brightness change. OFF = 0, ON = 1."""
-
-    OFF = 0
-    ON = 1
 
 
 @dataclass(frozen=True)
@@ -51,16 +44,6 @@ class SensorGeometry:
     def contains(self, x, y):
         """Vectorized bounds test for nonnegative pixel coordinates."""
         return (np.asarray(x) < self.width) & (np.asarray(y) < self.height)
-
-
-@dataclass(frozen=True)
-class Event:
-    """A single event. Coordinates and timestamp are nonnegative integers."""
-
-    t: int
-    x: int
-    y: int
-    p: Polarity
 
 
 class EventLabel(IntEnum):
@@ -177,22 +160,22 @@ class EventStream:
     def __len__(self) -> int:
         return self.t.shape[0]
 
-    def __getitem__(self, i):
-        """The event at index ``i``, or for a slice the events in it as a
-        stream, every column (labels, edge ids, source_index) carried.
+    def __getitem__(self, i: slice) -> "EventStream":
+        """The events of a slice as a stream, every column (labels, edge
+        ids, source_index) carried; read single events from the columns.
 
         A slice shares this stream's read-only columns instead of copying
-        them.  Raises ValueError for a negative step, which would reverse
-        the stream.
+        them.  Raises TypeError for an index that is no slice, and
+        ValueError for a negative step, which would reverse the stream.
         """
-        if isinstance(i, slice):
-            if i.step is not None and i.step < 0:
-                raise ValueError(
-                    f"a slice with step {i.step} would reverse the stream")
-            return self._derive(lambda col: col[i], None if self.source_index
-                                is None else self.source_index[i])
-        return Event(int(self.t[i]), int(self.x[i]), int(self.y[i]),
-                     Polarity(int(self.p[i])))
+        if not isinstance(i, slice):
+            raise TypeError(f"stream indices must be slices, not "
+                            f"{type(i).__name__}")
+        if i.step is not None and i.step < 0:
+            raise ValueError(
+                f"a slice with step {i.step} would reverse the stream")
+        return self._derive(lambda col: col[i], None if self.source_index
+                            is None else self.source_index[i])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
@@ -206,16 +189,6 @@ class EventStream:
     @property
     def is_labeled(self) -> bool:
         return self.labels is not None
-
-    @classmethod
-    def from_events(cls, geometry, events):
-        """Build a stream from an iterable of Event."""
-        events = list(events)
-        return cls(geometry,
-                   [e.t for e in events],
-                   [e.x for e in events],
-                   [e.y for e in events],
-                   [int(e.p) for e in events])
 
     def subset(self, indices, offset: int = 0) -> "EventStream":
         """Select events by index, recording the indices as source_index.
@@ -284,10 +257,3 @@ def window_ids(t: np.ndarray, t0: int, t_us: int,
                 f"window of t={top} would pass the window id limit 2**63 - 1 "
                 f"(windows of {t_us} us from t={t0})")
     return (t - t0) // t_us + 1
-
-
-def stream_duration(stream: EventStream) -> int:
-    """Span in microseconds from first to last event; 0 for empty streams."""
-    if len(stream) == 0:
-        return 0
-    return int(stream.t[-1] - stream.t[0])

@@ -18,12 +18,14 @@ format can also be read block by block (:class:`BinaryEvents`,
 file made by :func:`replacing`, so a failed write leaves its path as it
 was.  A reader's columns become its stream's without a copy.
 
-Event CSVs are read by the compiled parser of :mod:`evdown.capwalk`,
-which takes exactly the rows the writers here emit.  A file it rejects,
-or any file when the compiled kernels are not available, is read by a
-line loop instead: the loop accepts the same files into the same columns,
-and every message about a malformed CSV comes from it.  Decision logs are
-read by a line loop alone, on every host.
+Event CSVs are read by :class:`CsvEvents` alone, in blocks of whole
+lines, twice: a scan that keeps no column, then a parse.  Each block is
+read by the compiled scan and parser of :mod:`evdown.capwalk`, which take
+exactly the rows the writers here emit; a block they reject, or every
+block when the compiled kernels are not available, is read by a line loop
+instead.  The loop accepts the same rows into the same columns, and every
+message about a malformed CSV comes from it.  Decision logs are read by a
+line loop alone, on every host.
 
 The rows of event CSVs and decision logs are written by the compiled row
 formatter of :mod:`evdown.capwalk`, or, where the compiled kernels are not
@@ -32,6 +34,7 @@ available, laid out with numpy as the same bytes.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import errno
 import functools
@@ -66,9 +69,6 @@ _CSV_HEADER_LABELED = "t,x,y,p,label"
 _LABEL_CHAR = {int(EventLabel.EDGE): "E", int(EventLabel.NOISE): "N"}
 _CHAR_LABEL = {"E": int(EventLabel.EDGE), "N": int(EventLabel.NOISE)}
 _CODE_CHAR = {0: "A", 1: "S", 2: "C"}
-# Headers the compiled parser takes; any other goes to the line loop.
-_CSV_FAST_HEADERS = {b"t,x,y,p\n": False, b"t,x,y,p\r\n": False,
-                     b"t,x,y,p,label\n": True, b"t,x,y,p,label\r\n": True}
 _LOG_HEADER = "index,t,window,code,p"
 _CHAR_CODE = {v: k for k, v in _CODE_CHAR.items()}
 
@@ -99,7 +99,7 @@ def read_events(path, fmt: str = "auto",
     if fmt == "auto":
         fmt = detect_format(path)
     if fmt == "csv":
-        return _read_csv(path, geometry)
+        return CsvEvents(path, geometry).read()
     if fmt == "binary":
         return _read_binary(path, geometry)
     raise ValueError(f"unknown format {fmt!r}")
@@ -190,8 +190,7 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
     t = np.asarray(t, dtype=np.int64)
     x = np.asarray(x, dtype=np.int64)
     y = np.asarray(y, dtype=np.int64)
-    behind = before is not None and t.size > 0 and t[0] < before
-    if not behind:
+    if before is None or not t.size or t[0] >= before:
         try:
             sensor = geometry if geometry is not None else SensorGeometry(
                 int(x.max()) + 1 if x.size else 1,
@@ -200,11 +199,10 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
         except ValueError as exc:
             refusal = exc
     # The stream was refused: find its offence again, in the file's terms.
-    i, j = (0, None) if behind else first_violations(t, x, y, geometry)
-    if i is not None:
-        raise EventFileError(
-            f"{path}: events out of order at index {start + i} "
-            f"(t={int(t[i])} after t={before if i == 0 else int(t[i - 1])})")
+    disorder = _out_of_order(path, t, x, y, start, before)
+    if disorder is not None:
+        raise disorder
+    j = first_violations(t, x, y, geometry)[1]
     if j is not None:
         raise EventFileError(
             f"{path}: event {start + j} at ({int(x[j])}, {int(y[j])}) "
@@ -214,10 +212,21 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
     raise EventFileError(f"{path}: inferred {refusal}")
 
 
-def _ascii_lines(path, lines):
-    """Pass text lines through, raising EventFileError naming the first line
-    that holds a non-ASCII byte (read with errors="surrogateescape")."""
-    for lineno, line in enumerate(lines, start=1):
+def _out_of_order(path, t, x, y, start=0, before=None):
+    """The EventFileError naming the first event of the columns (index
+    start in the file) whose timestamp is below the one ahead of it,
+    ``before`` for the first; None when they are in order."""
+    i = (0 if before is not None and t.size and t[0] < before
+         else first_violations(t, x, y)[0])
+    return None if i is None else EventFileError(
+        f"{path}: events out of order at index {start + i} "
+        f"(t={int(t[i])} after t={before if i == 0 else int(t[i - 1])})")
+
+
+def _ascii_lines(path, lines, start: int = 1):
+    """Pass text lines (line start on) through, raising EventFileError
+    naming the first with a non-ASCII byte (read as surrogateescape)."""
+    for lineno, line in enumerate(lines, start=start):
         if not line.isascii():
             byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
             raise EventFileError(f"{path}:{lineno}: non-ASCII byte "
@@ -225,105 +234,74 @@ def _ascii_lines(path, lines):
         yield line
 
 
-def _read_csv(path, geometry) -> EventStream:
-    with open(path, "rb") as fh:
-        # A pipe can be read once: both parsers take its bytes.  Each reads
-        # a regular file itself, so the line loop does not hold them too.
-        data = (None if stat.S_ISREG(os.fstat(fh.fileno()).st_mode)
-                else fh.read())
-    if data is not None and data.startswith(MAGIC):
-        # detect_format leaves a pipe unsniffed; its magic shows only here.
-        raise _unseekable(path)
-    columns = _parse_csv_compiled(path, data)
-    if columns is None:
-        columns = _parse_csv_lines(path, data)
-    del data
-    return _finish_stream(path, geometry, *columns)
+def _text_lines(path, data: bytes, start: int = 1):
+    """The lines of data, the first of them line start of path, as the
+    line loop reads them: split after LF, CRLF or a lone CR, and checked by
+    _ascii_lines unless data is ASCII throughout."""
+    lines = io.TextIOWrapper(io.BytesIO(data), encoding="ascii",
+                             errors="surrogateescape", newline="")
+    return lines if data.isascii() else _ascii_lines(path, lines, start)
 
 
-def _fast_header(data: bytes):
-    """(length, labeled) of the header data starts with, when the compiled
-    parser takes it, else None."""
-    header = data[:data.find(b"\n") + 1]
-    labeled = _CSV_FAST_HEADERS.get(header)
-    return None if labeled is None else (len(header), labeled)
+def _header(path, data: bytes):
+    """(length, labeled) of the event-CSV header line data starts with;
+    raises EventFileError for any other first line."""
+    line = next(_text_lines(path, data), "")
+    header = line.rstrip("\r\n")
+    if header not in (_CSV_HEADER, _CSV_HEADER_LABELED):
+        raise EventFileError(
+            f"{path}:1: bad header {header!r}, expected "
+            f"{_CSV_HEADER!r} or {_CSV_HEADER_LABELED!r}")
+    return len(line), header == _CSV_HEADER_LABELED
 
 
-def _parse_csv_compiled(path, data: bytes | None = None):
-    """Parse an event CSV (or its ``data``, read already) with the compiled
-    parser, or return None.
-
-    The parser takes only rows as EventWriter writes them (digits, commas,
-    the label letter, LF or CRLF), which _parse_csv_lines reads into the
-    same columns; for any other file, or without the compiled kernels, this
-    returns None and the line loop parses the file and reports what is
-    wrong with it.  Bytes it reads itself are dropped on return, before the
-    caller builds the stream.
-    """
-    if data is None:
-        data = Path(path).read_bytes()
-    header = _fast_header(data)
-    if header is None:
-        return None
-    return capwalk.parse_events(data, *header)
-
-
-def _parse_csv_lines(path, data: bytes | None = None):
-    """Parse an event CSV (or its ``data``, read already) line by line;
-    every malformed-file message that names a line comes from here."""
-    raw = open(path, "rb") if data is None else io.BytesIO(data)
-    with io.TextIOWrapper(raw, encoding="ascii", errors="surrogateescape",
-                          newline="") as fh:
-        lines = _ascii_lines(path, fh)
-        header = next(lines, "").rstrip("\r\n")
-        if header == _CSV_HEADER:
-            labeled = False
-        elif header == _CSV_HEADER_LABELED:
-            labeled = True
-        else:
+def _parse_lines(path, data: bytes, labeled: bool, start: int):
+    """The columns (t, x, y, p, labels) of data, whole lines of an event
+    CSV from line start of path on, parsed line by line, and None or the
+    EventFileError naming the first line with a value past the signed
+    64-bit range (read as 0), which a malformed line later in the file
+    outranks.  A malformed line raises EventFileError at once; every
+    malformed-file message that names a line comes from here."""
+    ncols = 5 if labeled else 4
+    t, x, y = array.array("q"), array.array("q"), array.array("q")
+    p, labels = array.array("B"), array.array("B") if labeled else None
+    big = None
+    for lineno, line in enumerate(_text_lines(path, data, start), start):
+        fields = line.rstrip("\r\n").split(",")
+        if len(fields) != ncols:
             raise EventFileError(
-                f"{path}:1: bad header {header!r}, expected "
-                f"{_CSV_HEADER!r} or {_CSV_HEADER_LABELED!r}")
-        ncols = 5 if labeled else 4
-        t, x, y, p = [], [], [], []
-        labels = [] if labeled else None
-        for lineno, line in enumerate(lines, start=2):
-            fields = line.rstrip("\r\n").split(",")
-            if len(fields) != ncols:
+                f"{path}:{lineno}: expected {ncols} fields, got {len(fields)}")
+        try:
+            ti, xi, yi, pi = (int(fields[0]), int(fields[1]),
+                              int(fields[2]), int(fields[3]))
+        except ValueError as exc:
+            raise EventFileError(f"{path}:{lineno}: {exc}") from None
+        every = ti | xi | yi  # negative iff one is, past int64 iff one is
+        if every < 0:
+            raise EventFileError(
+                f"{path}:{lineno}: negative timestamp or coordinate")
+        if pi not in (0, 1):
+            raise EventFileError(
+                f"{path}:{lineno}: polarity must be 0 or 1, got {pi}")
+        if labeled:
+            if fields[4] not in _CHAR_LABEL:
                 raise EventFileError(
-                    f"{path}:{lineno}: expected {ncols} fields, "
-                    f"got {len(fields)}")
-            try:
-                ti, xi, yi, pi = (int(fields[0]), int(fields[1]),
-                                  int(fields[2]), int(fields[3]))
-            except ValueError as exc:
-                raise EventFileError(f"{path}:{lineno}: {exc}") from None
-            if ti < 0 or xi < 0 or yi < 0:
-                raise EventFileError(
-                    f"{path}:{lineno}: negative timestamp or coordinate")
-            if pi not in (0, 1):
-                raise EventFileError(
-                    f"{path}:{lineno}: polarity must be 0 or 1, got {pi}")
-            if labeled:
-                if fields[4] not in _CHAR_LABEL:
-                    raise EventFileError(
-                        f"{path}:{lineno}: label must be E or N, "
-                        f"got {fields[4]!r}")
-                labels.append(_CHAR_LABEL[fields[4]])
-            t.append(ti)
-            x.append(xi)
-            y.append(yi)
-            p.append(pi)
-    try:
-        t, x, y = (np.asarray(col, dtype=np.int64) for col in (t, x, y))
-    except OverflowError:
-        # Values are parsed as Python ints; find the line only once one has
-        # proved too large, so the loop above stays as cheap as it is.
-        big = next(i for i, vals in enumerate(zip(t, x, y))
-                   if max(vals) > _INT64_MAX)
-        raise EventFileError(f"{path}:{big + 2}: value exceeds the signed "
-                             f"64-bit range") from None
-    return t, x, y, np.asarray(p, dtype=np.uint8), labels
+                    f"{path}:{lineno}: label must be E or N, "
+                    f"got {fields[4]!r}")
+            labels.append(_CHAR_LABEL[fields[4]])
+        if every > _INT64_MAX:
+            big = lineno if big is None else big
+            ti = xi = yi = 0
+        t.append(ti)
+        x.append(xi)
+        y.append(yi)
+        p.append(pi)
+    columns = (*(np.frombuffer(col, np.int64) for col in (t, x, y)),
+               np.frombuffer(p, np.uint8),
+               None if labels is None else np.frombuffer(labels, np.uint8))
+    overflow = None if big is None else EventFileError(
+        f"{path}:{big}: value exceeds the signed 64-bit range")
+    return columns, overflow
 
 
 _CHUNK_ROWS = 1 << 16   # rows per formatted block; bounds a writer's memory
@@ -523,100 +501,138 @@ class BinaryEvents:
             yield block
 
 
-# Bytes per block of a CSV that CsvEvents reads; a block is cut at its
-# last newline, so it holds whole rows.
+# Bytes per block of a CSV that CsvEvents reads; a block is cut after its
+# last line end, so it holds whole lines.
 _CSV_BLOCK_BYTES = 1 << 20
 
 
+def _line_blocks(fh, offset: int = 0):
+    """(offset, data, cut) for each block of the seekable fh from offset on:
+    data[:cut] holds its whole lines as the line loop splits them, cut
+    after the last LF, or the last CR followed by a byte that is no LF, of
+    _CSV_BLOCK_BYTES; a longer line grows the block."""
+    size = _CSV_BLOCK_BYTES
+    while True:
+        fh.seek(offset)
+        data = fh.read(size)
+        if not data:
+            return
+        cr = data.rfind(b"\r", 0, len(data) - 1)
+        lone_cr = cr if cr >= 0 and data[cr + 1] != ord("\n") else -1
+        cut = (len(data) if len(data) < size
+               else max(data.rfind(b"\n"), lone_cr) + 1)
+        if cut:
+            yield offset, data, cut
+            offset, size = offset + cut, _CSV_BLOCK_BYTES
+        else:
+            size *= 2
+
+
 class CsvEvents:
-    """An event CSV whose rows have been checked and whose geometry has
-    been inferred; its events are read, and checked, a block at a time.
+    """An event CSV whose rows have been checked and whose geometry is
+    known; :meth:`blocks` and :meth:`read` parse its blocks again.
 
-    The constructor reads the file in blocks of _CSV_BLOCK_BYTES, each cut
-    at its last newline, and runs the compiled scan over each: it checks
-    every row and the timestamps' order, and records the block's byte span
-    and row count and the largest x and y, but keeps no column.  The
-    geometry is the smallest sensor that holds every event, as read_events
-    infers it.  :meth:`blocks` then parses the spans again, one at a time.
-
-    A file the scan refuses, a header the compiled parser does not take,
-    an inferred geometry that SensorGeometry refuses, a path that is no
-    regular file (a pipe cannot be read twice), and any file when the
-    compiled kernels are not available are read whole by read_events
-    instead, which raises the EventFileError of a malformed file; the
-    stream it reads is then handed out in slices.  Raises OSError when the
-    file cannot be read.
+    The constructor reads the file once, in blocks of whole lines, keeping
+    no column: the compiled scan checks each, else the line loop.  A
+    malformed line raises EventFileError at once; after the last block, a
+    value past int64 does, else an event out of order, else the inferred
+    geometry's refusal, as a whole-file read ranks them.  Events outside a
+    given ``geometry`` raise in the second pass.  A pipe is read from a
+    copy in a temporary file (refused when it starts with the binary
+    magic).  Raises OSError when the file cannot be read.
     """
 
-    def __init__(self, path):
+    def __init__(self, path, geometry: SensorGeometry | None = None):
         self.path = path
-        self._whole = None
-        scan = self._scan()
-        if scan is None:
-            self._whole = read_events(path, fmt="csv")
-            scan = self._whole.geometry, self._whole.is_labeled, ()
-        self.geometry, self.labeled, self._spans = scan
-
-    def _scan(self):
-        """(geometry, labeled, spans) of a file the compiled scan takes,
-        each span an (offset, size, rows) block of whole rows, else None."""
-        if capwalk.implementation() != "compiled":
-            return None
-        top = np.zeros(3, np.uint64)
-        spans = []
-        with open(self.path, "rb") as fh:
-            # A pipe or device cannot be read twice; read_events reads it.
+        with open(path, "rb") as fh, contextlib.ExitStack() as undo:
+            self._spool = None
             if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
-                return None
-            header = _fast_header(fh.read(max(map(len, _CSV_FAST_HEADERS))))
-            if header is None:
-                return None
-            offset, labeled = header
-            size = _CSV_BLOCK_BYTES
-            while True:
+                self._spool = undo.enter_context(tempfile.TemporaryFile())
+                shutil.copyfileobj(fh, self._spool)
+            self._scan(self._spool or fh, geometry)
+            undo.pop_all()  # the spool stays open for the second pass
+
+    def _scan(self, fh, geometry) -> None:
+        top = np.zeros(3, np.uint64)  # the largest x and y, the last t
+        spans, rows, overflow, disorder = [], 0, None, None
+        first = next(_line_blocks(fh), (0, b"", 0))[1]
+        if self._spool is not None and first.startswith(MAGIC):
+            raise _unseekable(self.path)  # detect_format sniffs no pipe
+        offset, labeled = _header(self.path, first)
+        del first  # one block at a time
+        for offset, data, cut in _line_blocks(fh, offset):
+            before = int(top[2])
+            n = capwalk.scan_events(data, cut, labeled, top)
+            if n is None:
+                (t, x, y, _, _), big = _parse_lines(self.path, data[:cut],
+                                                    labeled, rows + 2)
+                n, overflow = len(t), overflow or big
+                if big is None:
+                    disorder = disorder or _out_of_order(
+                        self.path, t, x, y, rows, before if rows else None)
+                    top[:] = (max(int(top[0]), int(x.max())),
+                              max(int(top[1]), int(y.max())), int(t[-1]))
+            spans.append((offset, cut, n))
+            rows += n
+        if overflow or disorder:
+            raise overflow or disorder
+        if geometry is None:
+            try:
+                geometry = SensorGeometry(int(top[0]) + 1, int(top[1]) + 1)
+            except ValueError as exc:
+                raise EventFileError(f"{self.path}: inferred {exc}") from None
+        self.geometry, self.labeled, self.count = geometry, labeled, rows
+        self._spans = spans
+
+    def _columns(self):
+        """The columns of each block in turn, parsed again.  Raises
+        EventFileError when a block no longer holds the rows the scan
+        counted, because the file changed in between."""
+        # Unbuffered, so each block is read from the file as it is now.
+        with (open(self.path, "rb", buffering=0) if self._spool is None
+              else self._spool) as fh:
+            start = 0
+            for offset, size, rows in self._spans:
                 fh.seek(offset)
                 data = fh.read(size)
-                if not data:
-                    break
-                cut = len(data) if len(data) < size else data.rfind(b"\n") + 1
-                if not cut:  # a line longer than the block
-                    size *= 2
-                    continue
-                rows = capwalk.scan_events(data, cut, labeled, top)
-                if rows is None:
-                    return None
-                spans.append((offset, cut, rows))
-                offset += cut
-                size = _CSV_BLOCK_BYTES
-        try:
-            geometry = SensorGeometry(int(top[0]) + 1, int(top[1]) + 1)
-        except ValueError:
-            return None
-        return geometry, labeled, spans
+                columns = capwalk.parse_events(data, self.labeled, rows)
+                if columns is None:
+                    with contextlib.suppress(EventFileError):
+                        lines, big = _parse_lines(self.path, data,
+                                                  self.labeled, start + 2)
+                        columns = lines if big is None else None
+                if columns is None or len(columns[0]) != rows:
+                    raise EventFileError(f"{self.path}: changed while it was "
+                                         f"read")
+                del data  # not held while the block is decided
+                yield columns
+                start += rows
 
     def blocks(self, size: int):
-        """The events in order, as checked streams of up to size events.
-        Raises EventFileError when a block no longer holds what the scan
-        found, because the file changed in between."""
-        if self._whole is not None:
-            for start in range(0, len(self._whole), size):
-                yield self._whole[start:start + size]
-            return
+        """The events in order, as checked streams of up to size events."""
         start, before = 0, None
-        for offset, nbytes, rows in self._spans:
-            with open(self.path, "rb") as fh:
-                fh.seek(offset)
-                columns = capwalk.parse_events(fh.read(nbytes), 0,
-                                               self.labeled, rows)
-            if columns is None:
-                raise EventFileError(f"{self.path}: changed while it was "
-                                     f"read")
+        for columns in self._columns():
             block = _finish_stream(self.path, self.geometry, *columns,
                                    start=start, before=before)
-            for i in range(0, rows, size):
+            for i in range(0, len(block), size):
                 yield block[i:i + size]
-            start += rows
+            start += len(block)
             before = int(block.t[-1])
+
+    def read(self) -> EventStream:
+        """Every event, as one checked stream."""
+        n = self.count
+        whole = [np.empty(n, np.int64) for _ in range(3)] + [
+            np.empty(n, np.uint8), np.empty(n, np.uint8) if self.labeled
+            else None]
+        start = 0
+        for columns in self._columns():
+            stop = start + len(columns[0])
+            for into, part in zip(whole, columns):
+                if into is not None:
+                    into[start:stop] = part
+            start = stop
+        return _finish_stream(self.path, self.geometry, *whole)
 
 
 class EventWriter:

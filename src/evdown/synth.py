@@ -101,25 +101,6 @@ class SceneSpec:
         object.__setattr__(self, "edges", tuple(self.edges))
 
 
-@dataclass(frozen=True)
-class LabeledEvent:
-    t: int
-    x: int
-    y: int
-    p: int
-    label: EventLabel
-    edge_id: int
-
-
-def labeled_event(stream: EventStream, i: int) -> LabeledEvent:
-    """View one event of a labeled stream with its ground truth attached."""
-    if not stream.is_labeled:
-        raise ValueError("stream carries no labels")
-    return LabeledEvent(int(stream.t[i]), int(stream.x[i]), int(stream.y[i]),
-                        int(stream.p[i]), EventLabel(int(stream.labels[i])),
-                        int(stream.edge_ids[i]))
-
-
 def rasterize_segment(x0: int, y0: int, x1: int, y1: int) -> np.ndarray:
     """Integer midpoint (Bresenham) walk from (x0, y0) to (x1, y1).
 

@@ -9,6 +9,8 @@ event's probability (per_event_scores for the density-adaptive method) and
 the cap rule walked one event at a time (per_event_walk); the pipeline must
 reproduce it exactly.  The cap_walk fixture runs a test on each
 implementation of the compiled kernels (the cap walk and the score sigmoid).
+csv_oracle is the reference of the event-CSV reader: the line loop over the
+whole file, then its checks in the order the reader must report them.
 """
 
 import math
@@ -19,9 +21,9 @@ import numpy as np
 import pytest
 
 import evdown
-from evdown import (DecisionCode, EventStream, SamplerConfig, SensorGeometry,
-                    SigmoidParams, acceptance_window_us, capwalk,
-                    occupancy_values, sparse_scores)
+from evdown import (DecisionCode, EventFileError, EventStream, SamplerConfig,
+                    SensorGeometry, SigmoidParams, acceptance_window_us,
+                    capwalk, occupancy_values, sparse_scores)
 
 # The environment of a fresh interpreter that imports this evdown.
 SRC_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -182,6 +184,95 @@ def reference_run(stream: EventStream, method: str, config: SamplerConfig):
     codes, retained = per_event_walk(p.tolist(), draws, alpha,
                                      config.cap_enabled)
     return codes, probs.tolist(), windows.tolist(), retained
+
+
+def csv_lines_oracle(path):
+    """The columns (t, x, y, p, labels) of an event CSV, read whole, line by
+    line, as evdown read every CSV before it read them in blocks; raises
+    EventFileError naming the first malformed line, else the first line
+    with a value past the signed 64-bit range."""
+    t, x, y, p = [], [], [], []
+    labels = ncols = None
+    with open(path, "r", encoding="ascii", errors="surrogateescape",
+              newline="") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.isascii():
+                byte = next(ord(c) for c in line if not c.isascii()) - 0xDC00
+                raise EventFileError(f"{path}:{lineno}: non-ASCII byte "
+                                     f"0x{byte:02x}")
+            fields = line.rstrip("\r\n").split(",")
+            if lineno == 1:
+                ncols = check_header(path, line)
+                labels = [] if ncols == 5 else None
+                continue
+            if len(fields) != ncols:
+                raise EventFileError(f"{path}:{lineno}: expected {ncols} "
+                                     f"fields, got {len(fields)}")
+            try:
+                ti, xi, yi, pi = (int(f) for f in fields[:4])
+            except ValueError as exc:
+                raise EventFileError(f"{path}:{lineno}: {exc}") from None
+            if ti < 0 or xi < 0 or yi < 0:
+                raise EventFileError(
+                    f"{path}:{lineno}: negative timestamp or coordinate")
+            if pi not in (0, 1):
+                raise EventFileError(
+                    f"{path}:{lineno}: polarity must be 0 or 1, got {pi}")
+            if labels is not None:
+                if fields[4] not in ("N", "E"):
+                    raise EventFileError(f"{path}:{lineno}: label must be E "
+                                         f"or N, got {fields[4]!r}")
+                labels.append("NE".index(fields[4]))
+            t.append(ti)
+            x.append(xi)
+            y.append(yi)
+            p.append(pi)
+    if ncols is None:
+        check_header(path, "")
+    for i, vals in enumerate(zip(t, x, y)):
+        if max(vals) > 2**63 - 1:
+            raise EventFileError(f"{path}:{i + 2}: value exceeds the signed "
+                                 f"64-bit range")
+    return (np.array(t, np.int64), np.array(x, np.int64),
+            np.array(y, np.int64), np.array(p, np.uint8),
+            None if labels is None else np.array(labels, np.uint8))
+
+
+def check_header(path, line: str) -> int:
+    """The number of fields the event-CSV header line names."""
+    header = line.rstrip("\r\n")
+    if header not in ("t,x,y,p", "t,x,y,p,label"):
+        raise EventFileError(f"{path}:1: bad header {header!r}, expected "
+                             f"'t,x,y,p' or 't,x,y,p,label'")
+    return header.count(",") + 1
+
+
+def csv_oracle(path, geometry=None):
+    """What read_events(path, "csv", geometry) must give: the stream, or
+    the message of its EventFileError.  After csv_lines_oracle's messages
+    come, in this order, the first event out of order, the first event
+    outside the given geometry, and the refusal of the inferred one."""
+    try:
+        t, x, y, p, labels = csv_lines_oracle(path)
+    except EventFileError as exc:
+        return str(exc)
+    back = np.flatnonzero(t[1:] < t[:-1])
+    if back.size:
+        i = int(back[0]) + 1
+        return (f"{path}: events out of order at index {i} "
+                f"(t={t[i]} after t={t[i - 1]})")
+    if geometry is None:
+        try:
+            geometry = SensorGeometry(int(x.max()) + 1 if x.size else 1,
+                                      int(y.max()) + 1 if y.size else 1)
+        except ValueError as exc:
+            return f"{path}: inferred {exc}"
+    out = np.flatnonzero((x >= geometry.width) | (y >= geometry.height))
+    if out.size:
+        j = int(out[0])
+        return (f"{path}: event {j} at ({x[j]}, {y[j]}) outside "
+                f"{geometry.width}x{geometry.height} sensor")
+    return EventStream(geometry, t, x, y, p, labels=labels)
 
 
 def force_python_walk(monkeypatch) -> None:

@@ -370,13 +370,13 @@ class TestLoaderCache:
         assert rebuilt != planted and trailer_ok(other / built.name)
         probe = ("import sys; from pathlib import Path; from evdown import "
                  "capwalk, evio; capwalk._CACHE_DIR = Path(sys.argv[1]); "
-                 "capwalk._build = None; "
-                 "print(evio._parse_csv_compiled(sys.argv[2]) is not None)")
+                 "capwalk._build = None; evio._parse_lines = None; "
+                 "print(len(evio.read_events(sys.argv[2])))")
         proc = subprocess.run([sys.executable, "-c", probe, str(other),
                                str(src)],
                               capture_output=True, text=True, env=SRC_ENV,
                               timeout=120)
-        assert (proc.returncode, proc.stdout) == (0, "True\n")
+        assert (proc.returncode, proc.stdout) == (0, "2000\n"), proc.stderr
 
     def test_damaged_cache_file_without_compiler(self, cache_dir, tmp_path,
                                                  monkeypatch):

@@ -1,4 +1,4 @@
-"""Event model: containers, validation, duration."""
+"""Event model: containers and validation."""
 
 import tempfile
 from pathlib import Path
@@ -8,8 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdown import (Event, EventStream, Polarity, SensorGeometry,
-                    stream_duration, write_events)
+from evdown import EventStream, SensorGeometry, write_events
 from evdown.events import first_violations
 from evdown import evio
 from evdown.evio import BinaryEvents
@@ -21,8 +20,9 @@ GEO = SensorGeometry(8, 6)
 
 class TestPolarity:
     def test_values(self):
-        assert int(Polarity.OFF) == 0
-        assert int(Polarity.ON) == 1
+        """A polarity is 0 (OFF) or 1 (ON), kept as uint8."""
+        s = make_stream(GEO, [(1, 0, 0, 0), (2, 0, 0, 1)])
+        assert s.p.dtype == np.uint8 and s.p.tolist() == [0, 1]
 
 
 class TestSensorGeometry:
@@ -54,9 +54,12 @@ class TestEventStream:
     def test_basic_accessors(self):
         s = make_stream(GEO, [(10, 1, 2, 1), (20, 3, 4, 0)])
         assert len(s) == 2
-        assert s[0] == Event(10, 1, 2, Polarity.ON)
-        assert s[1].p == Polarity.OFF
+        assert (s.t.tolist(), s.x.tolist(), s.y.tolist(), s.p.tolist()) == (
+            [10, 20], [1, 3], [2, 4], [1, 0])
         assert not s.is_labeled
+        with pytest.raises(TypeError, match="slices, not int"):
+            s[0]
+        assert s[1:] == make_stream(GEO, [(20, 3, 4, 0)])
 
     def test_columns_are_immutable(self):
         s = make_stream(GEO, [(10, 1, 2, 1)])
@@ -91,9 +94,12 @@ class TestEventStream:
         assert a != make_stream(SensorGeometry(9, 6), [(1, 2, 3, 0)])
 
     def test_from_events(self):
-        evs = [Event(5, 1, 1, Polarity.ON), Event(9, 2, 3, Polarity.OFF)]
-        s = EventStream.from_events(GEO, evs)
-        assert [s[i] for i in range(2)] == evs
+        """A stream built from column arrays holds their values."""
+        t, x, y, p = [5, 9], [1, 2], [1, 3], [1, 0]
+        s = EventStream(GEO, np.array(t), np.array(x), np.array(y),
+                        np.array(p))
+        assert [s.t.tolist(), s.x.tolist(), s.y.tolist(),
+                s.p.tolist()] == [t, x, y, p]
 
     def test_subset_records_source_index(self):
         s = make_stream(GEO, [(1, 0, 0, 1), (2, 1, 1, 0), (3, 2, 2, 1)],
@@ -273,16 +279,21 @@ class TestFirstViolations:
             EventStream(GEO, t, x, y, np.zeros(200))
 
 
+def duration(stream) -> int:
+    """The span from first to last event, read from the timestamps."""
+    return int(stream.t[-1] - stream.t[0]) if len(stream) else 0
+
+
 class TestStreamDuration:
     def test_empty(self):
-        assert stream_duration(make_stream(GEO, [])) == 0
+        assert duration(make_stream(GEO, [])) == 0
 
     def test_single_event(self):
-        assert stream_duration(make_stream(GEO, [(42, 0, 0, 1)])) == 0
+        assert duration(make_stream(GEO, [(42, 0, 0, 1)])) == 0
 
     def test_span(self):
         s = make_stream(GEO, [(100, 0, 0, 1), (250, 1, 1, 0), (900, 2, 2, 1)])
-        assert stream_duration(s) == 800
+        assert duration(s) == 800
 
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=10**9),
@@ -290,5 +301,5 @@ class TestStreamDuration:
     def test_equals_max_minus_min_for_sorted(self, ts):
         ts.sort()
         s = make_stream(GEO, [(t, 0, 0, 1) for t in ts])
-        assert stream_duration(s) == max(ts) - min(ts)
+        assert duration(s) == max(ts) - min(ts)
         assert first_violations(s.t, s.x, s.y, GEO) == (None, None)

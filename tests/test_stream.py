@@ -7,10 +7,12 @@ import io
 import json
 import os
 import re
+import shutil
 import stat
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -26,8 +28,9 @@ from evdown import capwalk, cli, evio
 from evdown.evio import REC_DTYPE, CsvEvents, stats_doc
 from evdown.pipeline import METHODS
 
-from conftest import SRC_ENV, make_stream, random_stream
-from test_textio import csv_bytes
+from conftest import (SRC_ENV, csv_oracle, force_python_walk, make_stream,
+                      random_stream)
+from test_textio import BLOCK_SIZES, csv_bytes, no_line_loop
 
 GEO = SensorGeometry(8, 6)
 
@@ -357,12 +360,12 @@ def small_blocks(small_chunks, monkeypatch):
 
 
 def streamed(src) -> CsvEvents:
-    """The reader of src, which must take the streamed path."""
+    """The reader of src, whose every block the compiled scan must take."""
     if capwalk.implementation() != "compiled":
         pytest.skip("the compiled parser cannot be built here")
-    source = CsvEvents(src)
-    assert source._whole is None
-    return source
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evio, "_parse_lines", no_line_loop)
+        return CsvEvents(src)
 
 
 def scene_csv(tmp_path, labeled=True, edit=lambda data: data):
@@ -447,7 +450,8 @@ class TestStreamedCsv:
         assert capsys.readouterr().err == f"evdown: {message}\n"
 
     def test_pipe_read_once(self, tmp_path):
-        """A pipe cannot be read twice, so it is read whole, as before."""
+        """A pipe cannot be read twice, so the first pass copies it to a
+        temporary file, which the second pass reads."""
         src = scene_csv(tmp_path)
         out, want = tmp_path / "out.csv", tmp_path / "want.csv"
         args = ["downsample", "-m", "poisson", "-a", "0.2", "--format", "csv"]
@@ -461,36 +465,42 @@ class TestStreamedCsv:
 
     def test_file_changed_between_passes_exit_3(self, small_blocks, tmp_path,
                                                 capsys):
-        src = scene_csv(tmp_path)
-        source = streamed(src)
-        blocks = source.blocks(CHUNK)
-        next(blocks)
-        src.write_bytes(src.read_bytes()[:200])
-        with pytest.raises(EventFileError, match="changed while it was read"):
-            list(blocks)
+        """Cut inside a row, or after one, so that the line loop reads
+        the rows that are left."""
+        for line_end in (False, True):
+            src = scene_csv(tmp_path)
+            source = streamed(src)
+            blocks = source.blocks(CHUNK)
+            next(blocks)
+            data = src.read_bytes()
+            src.write_bytes(data[:data.index(b"\n", 200) + 1 if line_end
+                                 else 200])
+            with pytest.raises(EventFileError,
+                               match="changed while it was read"):
+                list(blocks)
 
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(csv_bytes())
     def test_rejects_with_read_events_message(self, small_blocks, cap_walk,
                                               tmp_path, data):
-        """downsample refuses exactly the files read_events refuses, with
-        its message, on both kernel paths."""
+        """downsample refuses exactly the files the whole-file line loop
+        refuses, with its message, at every block size, on both kernel
+        paths."""
         src = tmp_path / "fuzz.csv"
         src.write_bytes(data)
-        try:
-            read_events(src, fmt="csv")
-            want = None
-        except EventFileError as exc:
-            want = f"evdown: {exc}\n"
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err):
-            rc = downsample(src, tmp_path / "out.csv", "poisson",
-                            log=tmp_path / "log.csv")
-        if want is None:
-            assert rc == 0, err.getvalue()
-        else:
-            assert (rc, err.getvalue()) == (3, want)
+        want = csv_oracle(src)
+        for block in BLOCK_SIZES:
+            err = io.StringIO()
+            with pytest.MonkeyPatch.context() as mp, \
+                    contextlib.redirect_stderr(err):
+                mp.setattr(evio, "_CSV_BLOCK_BYTES", block)
+                rc = downsample(src, tmp_path / "out.csv", "poisson",
+                                log=tmp_path / "log.csv")
+            if isinstance(want, str):
+                assert (rc, err.getvalue()) == (3, f"evdown: {want}\n")
+            else:
+                assert rc == 0, err.getvalue()
 
 
 class TestOutputsReplaced:
@@ -637,23 +647,31 @@ class TestChunkedMemory:
                          + recs.tobytes())
         return path
 
-    def csv_input(self, path, n):
+    def csv_input(self, path, n, bad=False):
         write_events(read_events(self.binary_input(path.with_suffix(".evb"),
                                                    n)), path)
+        if bad:
+            with open(path, "ab") as fh:
+                fh.write(b"1,2,3,7\n")  # a polarity of 7: exit 3
         return path
 
-    def peak(self, tmp_path, n, suffix=".evb"):
-        make = self.binary_input if suffix == ".evb" else self.csv_input
-        src = make(tmp_path / f"in{n}{suffix}", n)
+    def peak(self, tmp_path, n, suffix=".evb", bad=False, pipe=False):
+        src = tmp_path / f"in{n}{suffix}"
+        if suffix == ".evb":
+            self.binary_input(src, n)
+        else:
+            self.csv_input(src, n, bad)
         args = ["downsample", "-i", str(src), "-o", str(tmp_path / "o.evb"),
                 "-m", "poisson", "-a", "0.1", "--log",
                 str(tmp_path / "log.csv"), "--stats", str(tmp_path / "s")]
-        tracemalloc.start()
-        try:
-            assert cli.main(args) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        with piped(src) if pipe else contextlib.nullcontext(src) as path:
+            args[2] = str(path)
+            tracemalloc.start()
+            try:
+                assert cli.main(args) == (3 if bad else 0)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
         return peak
 
     def test_peak_flat_in_stream_length(self, tmp_path):
@@ -664,14 +682,48 @@ class TestChunkedMemory:
         small, large = self.peak(tmp_path, n), self.peak(tmp_path, 8 * n)
         assert abs(large - small) < 2 * 2**20, (small, large)
 
-    def test_csv_peak_flat_in_stream_length(self, tmp_path):
+    def assert_csv_peak_flat(self, tmp_path, monkeypatch):
+        """N and 8N rows of CSV, valid, with a malformed last row (found
+        only at the end) and from a pipe, read in blocks of 64 KiB, so that
+        N rows span several: reading the whole file would hold about 40
+        bytes more per row with the compiled kernels and 90 without."""
+        monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", 1 << 16)
+        # The line loop is slow under tracemalloc.
+        n = 100_000 if capwalk.implementation() == "compiled" else 5_000
+        for case in ("valid", "bad last row", "pipe"):
+            options = dict(bad=case == "bad last row", pipe=case == "pipe")
+            self.peak(tmp_path, 1000, ".csv", **options)
+            small = self.peak(tmp_path, n, ".csv", **options)
+            large = self.peak(tmp_path, 8 * n, ".csv", **options)
+            assert abs(large - small) < 2 * 2**20, (case, small, large)
+
+    def test_csv_peak_flat_in_stream_length(self, tmp_path, monkeypatch):
         """CSV input read in two passes of fixed-size blocks: its geometry
         is known before its first event is decided, and no column is held
         for more than a block."""
-        if capwalk.implementation() != "compiled":
-            pytest.skip("the compiled parser cannot be built here")
-        n = 100_000
-        self.peak(tmp_path, 1000, ".csv")
-        small = self.peak(tmp_path, n, ".csv")
-        large = self.peak(tmp_path, 8 * n, ".csv")
-        assert abs(large - small) < 2 * 2**20, (small, large)
+        self.assert_csv_peak_flat(tmp_path, monkeypatch)
+
+    def test_csv_peak_flat_with_line_loop(self, tmp_path, monkeypatch):
+        """The same without the compiled kernels, where the line loop reads
+        every block in both passes."""
+        force_python_walk(monkeypatch)
+        self.assert_csv_peak_flat(tmp_path, monkeypatch)
+
+
+@contextlib.contextmanager
+def piped(path):
+    """A path that reads path's bytes from a pipe, which a thread fills."""
+    read_end, write_end = os.pipe()
+
+    def fill():
+        with open(path, "rb") as src, open(write_end, "wb") as dst:
+            shutil.copyfileobj(src, dst, 1 << 16)
+
+    filler = threading.Thread(target=fill)
+    filler.start()
+    try:
+        yield f"/dev/fd/{read_end}"
+    finally:
+        os.close(read_end)
+        filler.join(timeout=60)
+        assert not filler.is_alive()

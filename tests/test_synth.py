@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from evdown import (EdgeSpec, EventLabel, SceneSpec, SensorGeometry,
-                    edge_shift, generate, labeled_event, rasterize_segment,
-                    reference_scene)
+                    edge_shift, generate, rasterize_segment, reference_scene)
 from evdown.events import first_violations
 
 GEO = SensorGeometry(32, 24)
@@ -163,14 +162,19 @@ class TestGenerate:
         assert edge.any() and (~edge).any()
         assert (s.edge_ids[edge] == 0).all()
         assert (s.edge_ids[~edge] == -1).all()
-        ev = labeled_event(s, int(np.nonzero(edge)[0][0]))
-        assert ev.label == EventLabel.EDGE and ev.edge_id == 0
+        i = int(np.nonzero(edge)[0][0])
+        assert (s.labels[i], s.edge_ids[i]) == (EventLabel.EDGE, 0)
 
-    def test_noise_only_stream_unlabeled_view_raises(self):
+    def test_noise_only_stream_unlabeled_view_raises(self, tmp_path):
+        """A stream built without labels has no label column, and a labeled
+        file of it is refused."""
         import evdown
         plain = evdown.EventStream(GEO, [1], [0], [0], [1])
-        with pytest.raises(ValueError):
-            labeled_event(plain, 0)
+        assert plain.labels is None and plain.edge_ids is None
+        with pytest.raises(ValueError, match="unlabeled stream"):
+            with open(tmp_path / "s.csv", "wb") as fh:
+                evdown.evio.EventWriter(fh, "csv", GEO, labeled=True).write(
+                    plain)
 
     def test_edge_events_confined_to_moving_segment(self):
         """With zero noise every event sits exactly on the translated

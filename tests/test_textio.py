@@ -1,10 +1,12 @@
-"""Text I/O: the compiled CSV parser against the line loop it falls back
-to, the decision-log reader, hostile input files, and the chunked writers
-against f-string oracles."""
+"""Text I/O: the block-by-block CSV reader, on both kernel paths and at
+several block sizes, against the whole-file line loop (csv_oracle), the
+decision-log reader, hostile input files, and the chunked writers against
+f-string oracles."""
 
 import contextlib
 import ctypes
 import io
+import itertools
 import math
 import struct
 import tracemalloc
@@ -19,7 +21,8 @@ from evdown import (DecisionLog, EventFileError, SamplerConfig, SensorGeometry,
 from evdown import capwalk, evio
 from evdown.cli import main
 
-from conftest import force_python_walk, make_stream, random_stream
+from conftest import (csv_lines_oracle, csv_oracle, force_python_walk,
+                      make_stream, random_stream)
 
 # ---------------------------------------------------------------- reading
 
@@ -29,11 +32,9 @@ _HUGE = ["9223372036854775807", "9223372036854775808",
 
 
 def loop_result(path):
-    """What the line loop alone makes of a file: a stream or the message."""
-    try:
-        return evio._finish_stream(path, None, *evio._parse_csv_lines(path))
-    except EventFileError as exc:
-        return str(exc)
+    """What the whole-file line loop makes of a file: a stream or the
+    message."""
+    return csv_oracle(path)
 
 
 def read_result(path):
@@ -59,11 +60,45 @@ def needs_compiled():
         pytest.skip("the compiled parser cannot be built here")
 
 
+# Block sizes the CSV reader is checked at: about one row, a few rows, and
+# the default.
+BLOCK_SIZES = [8, 64, 1 << 20]
+
+
+def reader_configs():
+    """Set _CSV_BLOCK_BYTES to each of BLOCK_SIZES on each kernel path, the
+    compiled one where it builds, yielding (kernels, block) while set."""
+    paths = (["compiled", "python"] if capwalk.implementation() == "compiled"
+             else ["python"])
+    for kernels in paths:
+        for block in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evio, "_CSV_BLOCK_BYTES", block)
+                if kernels == "python":
+                    force_python_walk(mp)
+                yield kernels, block
+
+
+class LineLoopRan(Exception):
+    pass
+
+
+def no_line_loop(*args):
+    raise LineLoopRan
+
+
 def compiled_columns(path):
-    """What the compiled parser makes of an event CSV (None: the line loop
-    reads it); skips the test where the compiled kernels cannot be built."""
+    """The columns read_events reads from an event CSV through the compiled
+    scan and parser alone, or None when a block needed the line loop or the
+    file was refused; skips the test where the kernels cannot be built."""
     needs_compiled()
-    return evio._parse_csv_compiled(path)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evio, "_parse_lines", no_line_loop)
+        try:
+            s = read_events(path, fmt="csv")
+        except (LineLoopRan, EventFileError):
+            return None
+    return s.t, s.x, s.y, s.p, s.labels
 
 
 def valid_csv(rows, labeled):
@@ -124,11 +159,7 @@ class TestCsvFastPath:
         write_events(s, path)
         fast = compiled_columns(path)
         assert fast is not None
-        for got, want in zip(fast, evio._parse_csv_lines(path)):
-            if want is None:
-                assert got is None
-            else:
-                assert np.array_equal(got, want)
+        assert_columns_equal(fast, loop_columns(path))
         assert_same(read_result(path), loop_result(path))
 
     def test_crlf_takes_fast_path(self, tmp_path):
@@ -202,9 +233,13 @@ class TestCsvFastPath:
     @example(b"t,x,y,p\n1,2,3,1\n\n")
     @example(b"t,x,y,p,label\r\n1,2,3,1,E\r\n5,1,1,0,N")
     def test_differential_against_loop(self, scratch, data):
+        """read_events gives the whole-file loop's stream or exact message
+        at every block size, with the compiled kernels and without them."""
         path = scratch / "fuzz.csv"
         path.write_bytes(data)
-        assert_same(read_result(path), loop_result(path))
+        want = loop_result(path)
+        for _ in reader_configs():
+            assert_same(read_result(path), want)
 
     @settings(max_examples=60, deadline=None)
     @given(csv_bytes())
@@ -223,16 +258,16 @@ class TestCsvFastPath:
 
 
 def loop_columns(path):
-    """The line loop's columns of an event CSV, or its message."""
+    """The whole-file line loop's columns of an event CSV, or its message."""
     try:
-        return evio._parse_csv_lines(path)
+        return csv_lines_oracle(path)
     except EventFileError as exc:
         return str(exc)
 
 
 def assert_columns_equal(got, want):
-    """Columns equal bit for bit, in the dtypes the stream keeps (the line
-    loop gives labels as a list)."""
+    """Columns equal bit for bit, in the dtypes the stream keeps."""
+    assert not isinstance(want, str), want
     assert len(got) == len(want)
     for g, w, dtype in zip(got, want, [np.int64] * 3 + [np.uint8] * 2):
         if w is None:
@@ -248,20 +283,23 @@ class TestCompiledCsvParser:
     @example(b"t,x,y,p,label\n9223372036854775807,0,0,1,N\n")
     @example(b"t,x,y,p\n0001,2,3,01\r\n4,5,6,0")
     def test_columns_match_loop_on_both_paths(self, scratch, data):
-        """Where the compiled parser takes a file, its columns are the line
-        loop's; read_events gives the loop's stream or exact message with
-        the compiled kernels and without them."""
+        """Where the compiled scan and parser take every block of a file,
+        at any block size, its columns are the whole-file loop's; without
+        the compiled kernels they take none."""
         path = scratch / "fuzz.csv"
         path.write_bytes(data)
-        want = loop_result(path)
-        got = evio._parse_csv_compiled(path)
-        if got is not None:
-            assert_columns_equal(got, loop_columns(path))
-        assert_same(read_result(path), want)
+        want = loop_columns(path)
+        for block in BLOCK_SIZES:
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(evio, "_CSV_BLOCK_BYTES", block)
+                got = compiled_columns(path)
+            if got is not None:
+                assert_columns_equal(got, want)
         with pytest.MonkeyPatch.context() as mp:
             force_python_walk(mp)
-            assert evio._parse_csv_compiled(path) is None
-            assert_same(read_result(path), want)
+            assert capwalk.parse_events(data, False, 0) is None
+            assert capwalk.scan_events(data, len(data), False,
+                                       np.zeros(3, np.uint64)) is None
 
     @pytest.mark.parametrize("labeled", [False, True])
     def test_resumes_at_every_line_boundary(self, labeled):
@@ -271,11 +309,9 @@ class TestCompiledCsvParser:
         rows = [b"3,1,2,1,E\r\n", b"3,0,0,0,N\n", b"9223372036854775807,7,9,1,N"]
         if not labeled:
             rows = [r.replace(b",E", b"").replace(b",N", b"") for r in rows]
-        data = valid_csv([], labeled) + b"".join(rows)
-        start = data.index(b"\n") + 1
-        whole = capwalk.parse_events(data, start, labeled)
-        address, size, n = capwalk._text(data, start)
-        assert n == 3
+        data = b"".join(rows)
+        whole = capwalk.parse_events(data, labeled, 3)
+        address, size = capwalk._address(data), len(data)
         cols = [np.zeros(3, np.int64) for _ in range(3)]
         cols += [np.zeros(3, np.uint8), np.zeros(3, np.uint8)]
         used = ctypes.c_int64()
@@ -298,12 +334,93 @@ class TestCompiledCsvParser:
     ])
     def test_reports_first_rejected_row(self, body, row):
         needs_compiled()
-        address, size, n = capwalk._text(body, 0)
+        n = body.count(b"\n") + 1
         cols = [np.zeros(n, np.int64) for _ in range(3)] + [np.zeros(n, np.uint8)]
         got = capwalk._kernel().parse_events(
-            address, size, False, n, *[c.ctypes.data for c in cols], None,
+            capwalk._address(body), len(body), False, n, *[c.ctypes.data for c in cols], None,
             ctypes.byref(ctypes.c_int64()))
         assert got == -1 - row
+
+
+def faulty_csv(faults) -> bytes:
+    """40 rows of an unlabeled CSV, about 500 bytes, with each fault named
+    in faults at its own row: a value past int64 (row 5), a timestamp
+    out of order (row 20) and a field that is no number (row 35)."""
+    rows = [[10 * i, i % 7, i % 5, i % 2] for i in range(40)]
+    if "overflow" in faults:
+        rows[5][1] = 2**63
+    if "order" in faults:
+        rows[20][0] = 5
+    if "field" in faults:
+        rows[35][2] = "x"
+    return valid_csv(rows, False)
+
+
+class TestCsvBlocks:
+    @pytest.mark.parametrize("faults", [
+        faults for k in range(4)
+        for faults in itertools.combinations(["overflow", "order", "field"],
+                                             k)])
+    def test_fault_precedence_across_blocks(self, tmp_path, faults):
+        """Faults in different blocks: a malformed field outranks a value
+        past int64 before it, which outranks an earlier order fault, at
+        every block size, on both kernel paths; the first pass alone finds
+        each (at 8 bytes, every row starts a block)."""
+        path = tmp_path / "a.csv"
+        path.write_bytes(faulty_csv(faults))
+        want = loop_result(path)
+        if "field" in faults:
+            assert want.endswith(":37: invalid literal for int() with base "
+                                 "10: 'x'")
+        elif "overflow" in faults:
+            assert want.endswith(":7: value exceeds the signed 64-bit range")
+        elif "order" in faults:
+            assert "out of order at index 20 " in want
+        else:
+            assert not isinstance(want, str)
+        for _ in reader_configs():
+            assert_same(read_result(path), want)
+            if isinstance(want, str):
+                with pytest.raises(EventFileError) as exc:
+                    evio.CsvEvents(path)
+                assert str(exc.value) == want
+
+    @pytest.mark.parametrize("order", [False, True])
+    def test_outside_geometry_then_order_fault(self, tmp_path, order):
+        """An event outside a given geometry is named only when no event
+        after it is out of order."""
+        rows = [[10 * i, i % 7, i % 5, i % 2] for i in range(40)]
+        rows[5][1] = 50
+        if order:
+            rows[30][0] = 5
+        path = tmp_path / "a.csv"
+        path.write_bytes(valid_csv(rows, False))
+        geometry = SensorGeometry(10, 10)
+        want = csv_oracle(path, geometry)
+        assert (("out of order at index 30 " if order
+                 else "event 5 at (50, 0) outside 10x10") in want)
+        for _ in reader_configs():
+            with pytest.raises(EventFileError) as exc:
+                read_events(path, fmt="csv", geometry=geometry)
+            assert str(exc.value) == want
+
+    def test_lone_cr_rows_read_in_bounded_blocks(self, tmp_path,
+                                                 monkeypatch):
+        """A CR not followed by LF ends a line, so a file of such rows is
+        cut into blocks of at most _CSV_BLOCK_BYTES, as an LF file is; a
+        block never ends between the CR and LF of a CRLF."""
+        monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", 64)
+        rows = [[10 * i, i % 7, i % 5, i % 2, "EN"[i % 2]] for i in range(300)]
+        for end in (b"\r", b"\r\n"):
+            path = tmp_path / "a.csv"
+            path.write_bytes(valid_csv(rows, True).replace(b"\n", end))
+            source = evio.CsvEvents(path)
+            sizes = [size for _, size, _ in source._spans]
+            assert len(sizes) > 40 and max(sizes) <= 64
+            data = path.read_bytes()
+            assert all(data[offset + size - 1:offset + size + 1] != b"\r\n"
+                       for offset, size, _ in source._spans)
+            assert_same(source.read(), loop_result(path))
 
 
 class TestNonAscii:
