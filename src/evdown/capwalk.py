@@ -1,5 +1,5 @@
-"""The compiled kernels: the budget-cap walk, the score sigmoid, the event
-parser and scan, and the row formatter.
+"""The compiled kernels: the budget-cap walk, the score sigmoid, the window
+scorer, the event parser and scan, and the row formatter.
 
 The cap is a sequential state machine.  Event ``k`` (0-based, stream-wide)
 is dropped before evaluation when ``k > 0`` and ``retained > alpha * k``,
@@ -7,25 +7,29 @@ and a dropped event consumes no draw, so which draw an event sees depends
 on every earlier decision.  Such a walk cannot be vectorized exactly in
 numpy.  The sigmoid ``1 / (1 + exp(-x))`` could be, but numpy's vector
 ``exp`` does not round as libm's scalar ``exp`` does on every input, so
-scores would depend on the CPU numpy runs on.
+scores would depend on the CPU numpy runs on.  The window scorer,
+:func:`score_window`, does all the per-event work of scoring one window in
+one call: a radix sort of its pixels, their tally, and a merge walk
+against the frozen map that writes each event's probability.
 
-Both kernels have two implementations with bit-identical results:
+These three kernels have two implementations with bit-identical results:
 
 * C loops, compiled together on first use with the system C compiler
   (``cc``) into this package's ``__pycache__`` and loaded with
   :mod:`ctypes`; no build step is needed, and later processes load the
   cached file;
-* Python loops (``math.exp`` is libm's ``exp``), which run whenever the C
-  loops cannot be built or loaded (no compiler, an unwritable cache, a
-  failed compile or load, a library lacking a kernel).
+* Python twins (``math.exp`` is libm's ``exp``; the window scorer's is
+  ``np.unique`` and :meth:`evdown.density.SparseScores.lookup`), which run
+  whenever the C loops cannot be built or loaded (no compiler, an
+  unwritable cache, a failed compile or load, a library lacking a kernel).
 
-The same library holds a byte-level parser, :func:`parse_events`, for
-exactly the rows that ``evio`` writes to event CSVs, and
-:func:`scan_events`, which checks those rows as :func:`parse_events` does
-but stores none of them.  Both take one block of whole rows.  They have no
-Python twin here: when they reject a row, or the library is not
-available, they return None and ``evio``'s line loop, the only source of
-its error messages, reads that block instead.
+The same library holds the other three: a byte-level parser,
+:func:`parse_events`, for exactly the rows that ``evio`` writes to event
+CSVs, and :func:`scan_events`, which checks those rows as
+:func:`parse_events` does but stores none of them.  Both take one block of
+whole rows.  They have no Python twin here: when they reject a row, or the
+library is not available, they return None and ``evio``'s line loop, the
+only source of its error messages, reads that block instead.
 Decision logs have no compiled reader: ``evio.read_log`` is a line loop
 on every host.  :func:`format_rows` writes the comma-separated rows of
 event CSVs and decision logs; without the library it returns None and
@@ -200,6 +204,76 @@ int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
     return i;
 }
 
+/* The window scorer.  score_window sorts the n flat pixel indices of
+   one window, each below 2**bits (bits <= 63), with their positions: an
+   LSD radix sort in 11-bit digits, one pass per digit that bits needs, but
+   none for a digit every index shares.  It writes the k distinct pixels,
+   ascending, to scratch[0:k] and their counts to scratch[n:n + k], and it
+   merge-walks the pixels against the m sorted pixels of active, writing
+   to p[i] the score of event i: probs[j] where its pixel is active[j],
+   else rest.  scratch holds 4n values.  Returns k, or -1, before writing
+   anything, for an index that is negative or not below 2**bits. */
+#define DIGIT 11
+#define RADIX (1 << DIGIT)
+#define PASSES ((63 + DIGIT - 1) / DIGIT)
+
+int64_t score_window(const int64_t *flat, int64_t n, int64_t bits,
+                     const int64_t *active, const double *probs, int64_t m,
+                     double rest, double *p, int64_t *scratch)
+{
+    int passes = (int)((bits + DIGIT - 1) / DIGIT), out = 0;
+    int64_t hist[PASSES][RADIX];
+    int64_t *keys[2] = {scratch, scratch + n};
+    int64_t *pos[2] = {scratch + 2 * n, scratch + 3 * n};
+    const int64_t *key = flat, *at = NULL;  /* at NULL: positions 0 .. n-1 */
+    uint64_t seen = 0;
+    int64_t k = 0;
+
+    if (n <= 0)
+        return 0;
+    memset(hist, 0, passes * sizeof hist[0]);
+    for (int64_t i = 0; i < n; i++) {
+        uint64_t v = (uint64_t)flat[i];
+        seen |= v;
+        for (int d = 0; d < passes; d++)
+            hist[d][(v >> (DIGIT * d)) & (RADIX - 1)]++;
+    }
+    if (seen >> bits)
+        return -1;
+    for (int d = 0; d < passes; d++) {
+        int shift = DIGIT * d;
+        int64_t *h = hist[d], sum = 0;
+        if (h[((uint64_t)flat[0] >> shift) & (RADIX - 1)] == n)
+            continue;  /* one digit throughout: the order stands */
+        for (int b = 0; b < RADIX; b++) {
+            int64_t c = h[b];
+            h[b] = sum;
+            sum += c;
+        }
+        for (int64_t i = 0; i < n; i++) {
+            int64_t j = h[((uint64_t)key[i] >> shift) & (RADIX - 1)]++;
+            keys[out][j] = key[i];
+            pos[out][j] = at ? at[i] : i;
+        }
+        key = keys[out];
+        at = pos[out];
+        out ^= 1;
+    }
+    /* Pixel k and count k are written once its run of keys has been read,
+       at k no later than the run's start, so writing over key is safe. */
+    for (int64_t i = 0, j = 0; i < n; k++) {
+        int64_t v = key[i], start = i;
+        while (j < m && active[j] < v)
+            j++;
+        double score = j < m && active[j] == v ? probs[j] : rest;
+        for (; i < n && key[i] == v; i++)
+            p[at ? at[i] : i] = score;
+        keys[0][k] = v;
+        keys[1][k] = i - start;
+    }
+    return k;
+}
+
 /* The decimal of v at o ('-' first when negative); returns the end.
    The digits are counted first, then written from the last, two at a
    time, which halves the chain of divisions. */
@@ -265,6 +339,8 @@ _DIGEST_BYTES = 32
 # so their memory does not grow with the input.
 _BLOCK = 1 << 14
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
+# The frozen map of a window without one: no active pixel.
+_NO_PIXELS, _NO_SCORES = np.empty(0, np.int64), np.empty(0, np.float64)
 # The functions _SOURCE exports, with their (argtypes, restype): a library
 # lacking any of them is rebuilt.
 _KERNELS = {
@@ -273,6 +349,8 @@ _KERNELS = {
     "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
     "format_rows": ((_I64, _I64, _P, _P, _P, _P, _P), _I64),
+    "score_window": ((_P, _I64, _I64, _P, _P, _I64, ctypes.c_double, _P, _P),
+                     _I64),
 }
 
 
@@ -344,6 +422,53 @@ def expit(x):
     else:
         kernel.expit(flat.ctypes.data, out.ctypes.data, flat.shape[0])
     return out.reshape(x.shape)[()]
+
+
+def score_window(flat: np.ndarray, bits: int, frozen, alpha: float,
+                 p: np.ndarray, scratch: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Score the events of one window and tally its pixels.
+
+    ``flat`` holds the events' flat pixel indices, each in
+    ``[0, 2**bits)``, and ``frozen`` the map they are scored with, a
+    :class:`evdown.density.SparseScores`, or None to score each of them
+    ``alpha``.  Writes each event's score to ``p`` and returns the
+    window's distinct pixels, ascending, and their counts (int64).
+    ``scratch`` is an int64 array of at least ``4 * len(flat)`` values for
+    the compiled kernel to sort in; the Python twin, ``np.unique`` and
+    :meth:`~evdown.density.SparseScores.lookup`, leaves it alone.
+
+    Raises ValueError when the arrays do not fit each other, and for an
+    index outside ``[0, 2**bits)``.
+    """
+    n = flat.size
+    if (flat.dtype != np.int64 or flat.ndim != 1
+            or not flat.flags.c_contiguous
+            or p.dtype != np.float64 or p.shape != (n,)
+            or not p.flags.c_contiguous or not p.flags.writeable
+            or scratch.dtype != np.int64 or scratch.ndim != 1
+            or scratch.shape[0] < 4 * n or not scratch.flags.c_contiguous
+            or not scratch.flags.writeable or not 0 <= bits <= 63):
+        raise ValueError("need contiguous int64 indices, a writable float64 "
+                         "array of their length, writable int64 scratch of "
+                         "four times it, and 0 <= bits <= 63")
+    kernel = _kernel()
+    if kernel is None:
+        return _score_window_python(flat, bits, frozen, alpha, p)
+    if frozen is None:
+        active, probs, rest = _NO_PIXELS, _NO_SCORES, alpha
+    else:
+        active = np.ascontiguousarray(frozen.active, np.int64)
+        probs = np.ascontiguousarray(frozen.probabilities, np.float64)
+        rest = frozen.rest
+        if active.ndim != 1 or probs.shape != active.shape:
+            raise ValueError("need one score per active pixel")
+    k = kernel.score_window(flat.ctypes.data, n, bits, active.ctypes.data,
+                            probs.ctypes.data, active.shape[0], rest,
+                            p.ctypes.data, scratch.ctypes.data)
+    if k < 0:
+        raise ValueError(f"flat pixel indices must be in [0, 2**{bits})")
+    return scratch[:k].copy(), scratch[n:n + k].copy()
 
 
 def parse_events(data: bytes, labeled: bool, rows: int):
@@ -455,7 +580,7 @@ def format_rows(n: int, columns):
 
 def implementation() -> str:
     """Which kernels run in this process: "compiled", or "python" (the
-    Python loops, evio's line loop in place of the event parser and scan,
+    Python twins, evio's line loop in place of the event parser and scan,
     and its numpy row layout in place of the row formatter)."""
     return "python" if _kernel() is None else "compiled"
 
@@ -487,6 +612,15 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
         codes[i0:i0 + len(pv)] = block
         di += j
     return retained, 0 if draws is None else di
+
+
+def _score_window_python(flat, bits, frozen, alpha, p):
+    if flat.size and (flat.min() < 0 or int(flat.max()) >> bits):
+        raise ValueError(f"flat pixel indices must be in [0, 2**{bits})")
+    pixels, inverse, counts = np.unique(flat, return_inverse=True,
+                                        return_counts=True)
+    p[:] = alpha if frozen is None else frozen.lookup(pixels)[inverse]
+    return pixels, counts
 
 
 def _address(data: bytes) -> int:

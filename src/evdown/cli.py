@@ -144,12 +144,11 @@ def _check_window(value: int, flag: str) -> int:
 _CHUNK_EVENTS = 1 << 16   # events per chunk; bounds downsample's memory
 
 
-def _chunks(path, fmt: str):
-    """The input's geometry, whether it is labeled, and its events as
-    checked streams of up to _CHUNK_EVENTS events."""
+def _source(path, fmt: str):
+    """The input's reader, checked: its geometry, whether it is labeled,
+    and its events in blocks.  Close it when done."""
     binary = (detect_format(path) if fmt == "auto" else fmt) == "binary"
-    source = BinaryEvents(path) if binary else CsvEvents(path)
-    return source.geometry, source.labeled, source.blocks(_CHUNK_EVENTS)
+    return BinaryEvents(path) if binary else CsvEvents(path)
 
 
 def _check_outputs(args) -> None:
@@ -176,16 +175,21 @@ def cmd_downsample(args) -> int:
         seed=_resolve_seed(args.seed),
         cap_enabled=not args.no_cap,
     )
-    geometry, labeled, chunks = _chunks(args.input, args.format)
-    if args.prior:
-        config_kwargs["prior"] = read_prior(args.prior, geometry)
-    sampler = Downsampler(geometry, args.method, SamplerConfig(**config_kwargs))
     with contextlib.ExitStack() as files:
+        # Closed on every exit: a piped CSV's copy is a temporary file.
+        source = files.enter_context(
+            contextlib.closing(_source(args.input, args.format)))
+        geometry = source.geometry
+        if args.prior:
+            config_kwargs["prior"] = read_prior(args.prior, geometry)
+        sampler = Downsampler(geometry, args.method,
+                              SamplerConfig(**config_kwargs))
         kept = EventWriter(files.enter_context(replacing(args.output)),
-                           output_format(args.output), geometry, labeled)
+                           output_format(args.output), geometry,
+                           source.labeled)
         log = (LogWriter(files.enter_context(replacing(args.log)))
                if args.log else None)
-        for chunk in chunks:
+        for chunk in source.blocks(_CHUNK_EVENTS):
             out, log_part = sampler.push(chunk)
             kept.write(out)
             if log is not None:

@@ -467,6 +467,9 @@ class BinaryEvents:
         self.labeled = False  # the format has no field for labels
         self.count = count
 
+    def close(self) -> None:
+        """Nothing to release: each read opens the file anew."""
+
     def read(self, start: int, stop: int, before: int | None = None
              ) -> EventStream:
         """Records start .. stop - 1 as a stream, checked as read_events
@@ -539,7 +542,8 @@ class CsvEvents:
     geometry's refusal, as a whole-file read ranks them.  Events outside a
     given ``geometry`` raise in the second pass.  A pipe is read from a
     copy in a temporary file (refused when it starts with the binary
-    magic).  Raises OSError when the file cannot be read.
+    magic), which the second pass or :meth:`close` closes.  Raises
+    OSError when the file cannot be read.
     """
 
     def __init__(self, path, geometry: SensorGeometry | None = None):
@@ -551,6 +555,11 @@ class CsvEvents:
                 shutil.copyfileobj(fh, self._spool)
             self._scan(self._spool or fh, geometry)
             undo.pop_all()  # the spool stays open for the second pass
+
+    def close(self) -> None:
+        """Close a pipe's copy, if it is still open; a later pass fails."""
+        if self._spool is not None:
+            self._spool.close()
 
     def _scan(self, fh, geometry) -> None:
         top = np.zeros(3, np.uint64)  # the largest x and y, the last t
@@ -734,9 +743,13 @@ def read_prior(path, geometry: SensorGeometry) -> PriorMap:
             raise EventFileError(
                 f"{path}: row {r} has {len(fields)} weights, expected {width}")
         try:
-            weights[r] = [float(v) for v in fields]
-        except ValueError as exc:
-            raise EventFileError(f"{path}: row {r}: {exc}") from None
+            # One conversion per row; it takes and refuses what float() does.
+            weights[r] = np.array(fields, dtype=np.float64)
+        except ValueError:
+            try:  # float() names the first field it refuses
+                weights[r] = [float(v) for v in fields]
+            except ValueError as exc:
+                raise EventFileError(f"{path}: row {r}: {exc}") from None
     try:
         return PriorMap(geometry, weights)
     except ValueError as exc:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capwalk import cap_walk
+from .capwalk import cap_walk, score_window
 from .density import occupancy_values, sparse_scores
 from .events import EventStream, SensorGeometry, window_ids, window_spans
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
@@ -130,20 +130,23 @@ class _WindowScorer:
     """Density-adaptive probabilities of a stream scored piece by piece:
     alpha in window 1, else the sparse map frozen from the previous window.
 
-    Each window's events in a piece are sorted once: their distinct pixels
-    and counts add up to the window's, which freeze the next window's map
-    when it opens, and the inverse spreads this piece's lookup, done over
-    its distinct pixels only, to its events.  Between pieces it holds the
-    open window's id, its frozen map, its tally of distinct pixels and
-    counts, and the tallies of its later pieces, pending; ``seconds`` is
-    the time spent scoring.  The pending tallies are merged into the
-    window's once they are as long as it, and when the window closes, so
-    a piece costs in proportion to its own tally, not to its window's.
+    Each window's events in a piece go through one call of the kernel
+    :func:`evdown.capwalk.score_window`, which sorts their pixels, returns
+    the distinct ones and their counts, and merge-walks them against the
+    frozen map to write every event's probability.  The counts add up to
+    the window's, which freeze the next window's map when it opens.
+    Between pieces it holds the open window's id, its frozen map, its
+    tally of distinct pixels and counts, and the tallies of its later
+    pieces, pending; ``seconds`` is the time spent scoring.  The pending
+    tallies are merged into the window's once they are as long as it, and
+    when the window closes, so a piece costs in proportion to its own
+    tally, not to its window's.
     """
 
     def __init__(self, geometry: SensorGeometry, config: SamplerConfig):
         self.geometry = geometry
         self.config = config
+        self.bits = (geometry.n_pixels - 1).bit_length()
         self.window = 0
         self.frozen = None
         self.tally = [_IDLE]
@@ -157,16 +160,11 @@ class _WindowScorer:
         tp0 = time.perf_counter()
         cfg = self.config
         p = np.empty(flat.size)
+        # The kernel sorts in scratch sized by the piece's longest window.
+        scratch = np.empty(4 * int(np.diff(bounds).max()), np.int64)
         for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
                                bounds[1:].tolist()):
-            pixels, inverse, counts = np.unique(
-                flat[i0:i1], return_inverse=True, return_counts=True)
-            if wid == self.window:
-                self.tally.append((pixels, counts))
-                self.pending += pixels.size
-                if self.pending >= self.tally[0][0].size:
-                    self.tally, self.pending = [_merge(self.tally)], 0
-            else:
+            if wid != self.window:
                 # After an empty window no pixel is active and every pixel
                 # shares one score; a stale map is never carried over.
                 active, active_counts = (
@@ -175,9 +173,14 @@ class _WindowScorer:
                     self.geometry, active, occupancy_values(active_counts),
                     cfg.alpha, cfg.theta, cfg.prior)
                 self.window = wid
-                self.tally, self.pending = [(pixels, counts)], 0
-            p[i0:i1] = (cfg.alpha if self.frozen is None
-                        else self.frozen.lookup(pixels)[inverse])
+                self.tally, self.pending = [], 0
+            self.tally.append(score_window(flat[i0:i1], self.bits,
+                                           self.frozen, cfg.alpha, p[i0:i1],
+                                           scratch))
+            if len(self.tally) > 1:
+                self.pending += self.tally[-1][0].size
+                if self.pending >= self.tally[0][0].size:
+                    self.tally, self.pending = [_merge(self.tally)], 0
         self.seconds += time.perf_counter() - tp0
         return p
 

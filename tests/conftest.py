@@ -8,7 +8,8 @@ reference_run is the per-event reference of the pipeline: window ids, each
 event's probability (per_event_scores for the density-adaptive method) and
 the cap rule walked one event at a time (per_event_walk); the pipeline must
 reproduce it exactly.  The cap_walk fixture runs a test on each
-implementation of the compiled kernels (the cap walk and the score sigmoid).
+implementation of the compiled kernels (the cap walk, the score sigmoid and
+the window scorer).
 csv_oracle is the reference of the event-CSV reader: the line loop over the
 whole file, then its checks in the order the reader must report them.
 """
@@ -276,16 +277,17 @@ def csv_oracle(path, geometry=None):
 
 
 def force_python_walk(monkeypatch) -> None:
-    """Make evdown.capwalk run its Python loops, the cap walk and the
-    sigmoid, as on a machine where the compiled kernels cannot be built or
-    loaded."""
+    """Make evdown.capwalk run its Python twins, the cap walk, the sigmoid
+    and the window scorer, as on a machine where the compiled kernels
+    cannot be built or loaded."""
     monkeypatch.setattr(capwalk, "_kernel", lambda: None)
 
 
 @pytest.fixture(params=["compiled", "python"])
 def cap_walk(request, monkeypatch):
-    """The name of the kernels (cap walk and sigmoid) the test runs on;
-    the compiled ones are skipped where they cannot be built."""
+    """The name of the kernels (cap walk, sigmoid and window scorer) the
+    test runs on; the compiled ones are skipped where they cannot be
+    built."""
     if request.param == "python":
         force_python_walk(monkeypatch)
     elif capwalk.implementation() != "compiled":

@@ -1,5 +1,7 @@
 """The cap walk: compiled kernel vs Python loop vs the per-event cap rule
-(``conftest.per_event_walk``), and the loader's fallbacks."""
+(``conftest.per_event_walk``); the window scorer: compiled kernel vs its
+numpy twin vs ``np.unique`` and one lookup per event; and the loader's
+fallbacks."""
 
 import hashlib
 import math
@@ -15,8 +17,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (SamplerConfig, capwalk, read_events, read_log, run,
-                    write_events, write_log)
+from evdown import (SamplerConfig, SparseScores, capwalk, read_events,
+                    read_log, run, write_events, write_log)
 from evdown.cli import main
 
 from conftest import SRC_ENV, per_event_walk, random_stream, reference_run
@@ -171,7 +173,101 @@ def test_kernel_table_names_every_exported_function():
                           re.M)
     assert sorted(exported) == sorted(capwalk._KERNELS)
     assert sorted(capwalk._KERNELS) == ["cap_walk", "expit", "format_rows",
-                                        "parse_events", "scan_events"]
+                                        "parse_events", "scan_events",
+                                        "score_window"]
+
+
+# --- the window scorer -----------------------------------------------------
+
+def score_window(flat, bits, frozen, alpha=0.25):
+    """(pixels, counts, p) of one window scored by capwalk.score_window."""
+    flat = np.asarray(flat, np.int64)
+    p = np.full(flat.size, -1.0)
+    scratch = np.empty(4 * flat.size, np.int64)
+    pixels, counts = capwalk.score_window(flat, bits, frozen, alpha, p,
+                                          scratch)
+    return pixels, counts, p
+
+
+def expected_window(flat, frozen, alpha=0.25):
+    """The same from np.unique and one lookup per event."""
+    flat = np.asarray(flat, np.int64)
+    pixels, counts = np.unique(flat, return_counts=True)
+    p = (np.full(flat.size, alpha) if frozen is None
+         else np.array([frozen.lookup(np.array([v]))[0] for v in flat]))
+    return pixels, counts, p
+
+
+def frozen_map(active, seed):
+    active = np.unique(np.asarray(active, np.int64))
+    probs = np.random.default_rng(seed).random(active.size + 1)
+    return SparseScores(None, active, probs[:-1], float(probs[-1]))
+
+
+@st.composite
+def windows(draw):
+    """A window's flat indices and the bits that bound them; a few distinct
+    values make repeated pixels likely, and indices near 2**bits - 1 fill
+    every radix digit (6 passes at 63 bits)."""
+    bits = draw(st.sampled_from([0, 1, 11, 12, 20, 22, 33, 55, 62, 63])
+                | st.integers(0, 63))
+    top = 2**bits - 1
+    values = (st.sampled_from([0, top, top // 2, max(0, top - 2047)])
+              | st.integers(max(0, top - 5000), top) | st.integers(0, top))
+    pool = draw(st.lists(values, min_size=1, max_size=6))
+    flat = draw(st.lists(st.sampled_from(pool) | values, min_size=1,
+                         max_size=300))
+    active = draw(st.none() | st.lists(
+        st.sampled_from(pool + flat) | values, max_size=40))
+    return flat, bits, active
+
+
+class TestScoreWindow:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=windows(), seed=st.integers(0, 2**32 - 1))
+    @example(case=([7], 3, None), seed=0)
+    @example(case=([5] * 50, 3, [5]), seed=0)
+    @example(case=([2**63 - 2, 0, 2**63 - 2, 2**62, 1], 63, [0, 2**63 - 2]),
+             seed=1)
+    def test_matches_unique_and_lookup(self, cap_walk, case, seed):
+        flat, bits, active = case
+        frozen = None if active is None else frozen_map(active, seed)
+        got = score_window(flat, bits, frozen)
+        want = expected_window(flat, frozen)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_empty_window(self, cap_walk):
+        pixels, counts, p = score_window([], 20, frozen_map([3], 0))
+        assert pixels.size == counts.size == p.size == 0
+
+    @pytest.mark.parametrize("flat, bits", [([4, -1], 20), ([8, 3], 3),
+                                            ([2**20], 20), ([1], 0),
+                                            ([-(2**63)], 63)])
+    def test_index_out_of_range(self, cap_walk, flat, bits):
+        p = np.full(len(flat), -1.0)
+        with pytest.raises(ValueError, match="flat pixel indices"):
+            capwalk.score_window(np.array(flat, np.int64), bits, None, 0.5,
+                                 p, np.empty(4 * len(flat), np.int64))
+        assert (p == -1.0).all()
+
+    def test_rejects_mismatched_arrays(self):
+        flat = np.arange(4, dtype=np.int64)
+        p, scratch = np.empty(4), np.empty(16, np.int64)
+        for args in ((flat.astype(np.int32), 3, None, 0.5, p, scratch),
+                     (flat, 3, None, 0.5, np.empty(3), scratch),
+                     (flat, 3, None, 0.5, p, np.empty(15, np.int64)),
+                     (flat, 3, None, 0.5, p, scratch.astype(np.float64)),
+                     (flat[::2], 3, None, 0.5, p[:2], scratch),
+                     (flat, 64, None, 0.5, p, scratch),
+                     (flat, -1, None, 0.5, p, scratch)):
+            with pytest.raises(ValueError, match="contiguous"):
+                capwalk.score_window(*args)
+        if capwalk.implementation() == "compiled":
+            short = SparseScores(None, np.arange(3), np.zeros(2), 0.5)
+            with pytest.raises(ValueError, match="one score per active"):
+                capwalk.score_window(flat, 3, short, 0.5, p, scratch)
 
 
 # --- the loader ------------------------------------------------------------

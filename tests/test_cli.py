@@ -367,6 +367,28 @@ class TestPipedInput:
             else:
                 assert got_file.read_bytes() == want_file.read_bytes()
 
+    @pytest.mark.parametrize("case, code", [("valid", 0), ("prior", 3),
+                                            ("output", 4)])
+    def test_copy_closed_on_every_exit(self, scene_csv, tmp_path, case,
+                                       code):
+        """A pipe is read from a temporary copy; an exit that left it open
+        would warn under -X dev, here an error: a prior of the wrong size
+        (exit 3) and an output in a missing directory (exit 4) end the
+        command before the second pass, which closes it."""
+        prior = tmp_path / "prior.txt"
+        write_prior(gaussian_prior(SensorGeometry(4, 4)), prior)
+        out = tmp_path / ("missing/out.csv" if case == "output" else "out.csv")
+        args = ["-i", "/dev/stdin", "-o", str(out), "-m", "poisson", "-a",
+                "0.2", *(["--prior", str(prior)] if case == "prior" else [])]
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error::ResourceWarning",
+             "-m", "evdown.cli", "downsample", *args],
+            input=scene_csv.read_bytes(), capture_output=True, env=SRC_ENV,
+            timeout=120)
+        assert proc.returncode == code, proc.stderr
+        assert b"Warning" not in proc.stderr
+        assert len(proc.stderr.splitlines()) == 1
+
     def test_metrics_original(self, scene_csv, tmp_path):
         down = tmp_path / "down.csv"
         assert main(["downsample", "-i", str(scene_csv), "-o", str(down),

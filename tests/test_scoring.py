@@ -2,27 +2,39 @@
 
 ``conftest.per_event_scores`` freezes each window's map from ``np.unique``
 of the previous window's events and then looks up every event of the
-window on its own.  ``pipeline._WindowScorer`` sorts each window once and
-looks up its distinct pixels only; the two must agree bit for bit.
+window on its own.  ``pipeline._WindowScorer`` sorts each window's events
+in a piece once, with the compiled ``capwalk.score_window`` or its numpy
+twin, and merges the pieces' tallies; every path must agree bit for bit.
 """
+
+import shutil
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evdown import EventStream, PriorMap, SamplerConfig, SensorGeometry, run
+from evdown import (EventStream, PriorMap, SamplerConfig, SensorGeometry,
+                    capwalk, pipeline, run)
 from evdown.events import window_spans
 from evdown.pipeline import _WindowScorer
 
 from conftest import HUGE, make_stream, per_event_scores
 
+# Flat indices up to 2**63 - 2 take all six 11-bit radix passes.
+WIDEST = SensorGeometry(2**63 - 1, 1)
 
-def scored(stream: EventStream, config: SamplerConfig) -> np.ndarray:
+
+def scored(stream: EventStream, config: SamplerConfig,
+           cuts=()) -> np.ndarray:
+    """The scorer's probabilities, the stream pushed in pieces cut before
+    each event index in ``cuts``."""
     windows = (stream.t - int(stream.t[0])) // config.t_us + 1
+    flat = stream.y * stream.geometry.width + stream.x
     scorer = _WindowScorer(stream.geometry, config)
-    p = scorer.score(stream.y * stream.geometry.width + stream.x,
-                     *window_spans(windows))
+    edges = [0, *sorted(cuts), len(stream)]
+    p = np.concatenate([scorer.score(flat[a:b], *window_spans(windows[a:b]))
+                        for a, b in zip(edges, edges[1:]) if b > a])
     assert scorer.seconds > 0
     return p
 
@@ -48,7 +60,7 @@ def random_prior(geometry, seed):
 @st.composite
 def scoring_cases(draw):
     geo = draw(st.sampled_from([SensorGeometry(1, 1), SensorGeometry(3, 2),
-                                SensorGeometry(16, 12), HUGE]))
+                                SensorGeometry(16, 12), HUGE, WIDEST]))
     t_us = draw(st.sampled_from([1, 5, 1000]))
     n = draw(st.integers(1, 120))
     # Steps of 0 give duplicate timestamps; steps past t_us skip one or
@@ -66,7 +78,7 @@ def scoring_cases(draw):
     x = draw(st.lists(xs, min_size=n, max_size=n))
     y = draw(st.lists(ys, min_size=n, max_size=n))
     prior = None
-    if geo is not HUGE and draw(st.booleans()):
+    if geo.n_pixels < 2**10 and draw(st.booleans()):
         prior = random_prior(geo, draw(st.integers(0, 2**32 - 1)))
     alpha = draw(st.sampled_from([0.05, 0.1, 0.5, 1.0])
                  | st.floats(1e-6, 1.0, exclude_min=True))
@@ -79,6 +91,42 @@ class TestScoredProbabilities:
     @given(scoring_cases())
     def test_matches_per_event_formulation(self, case):
         assert_same_bits(*case)
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=scoring_cases(), cuts=st.lists(st.integers(1, 119),
+                                               max_size=5))
+    @example(case=(make_stream(WIDEST, [(0, 2**63 - 2, 0, 1), (1, 0, 0, 1),
+                                        (6, 2**63 - 2, 0, 1),
+                                        (7, 2**62, 0, 1)]),
+                   SamplerConfig(alpha=0.1, t_us=5)), cuts=[3])
+    def test_pieces_on_both_kernels(self, cap_walk, case, cuts):
+        """Cuts inside a window split its sort across pieces; the compiled
+        kernel and its numpy twin must still give per_event_scores'
+        bits."""
+        stream, config = case
+        want = per_event_scores(stream, config)
+        got = scored(stream, config, [c for c in cuts if c < len(stream)])
+        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+    @pytest.mark.skipif(shutil.which("cc") is None,
+                        reason="no C compiler on PATH")
+    def test_compiled_scorer_runs(self, monkeypatch):
+        """Where the kernels build, no window goes through np.unique: a
+        silent fallback to the numpy twin fails here, not only in the
+        benchmark."""
+        stream = make_stream(SensorGeometry(16, 12), [
+            (t, t % 16, t % 12, 1) for t in range(0, 20_000, 7)])
+        config = SamplerConfig(alpha=0.1, t_us=1000)
+        want = per_event_scores(stream, config)
+
+        def no_unique(*args, **kwargs):
+            raise AssertionError("the window scorer ran np.unique")
+        monkeypatch.setattr(pipeline.np, "unique", no_unique)
+        _, _, log = run(stream, "poisson", config)
+        assert capwalk.implementation() == "compiled"
+        assert (log.probability.view(np.int64).tolist()
+                == want.view(np.int64).tolist())
 
     @pytest.mark.parametrize("prior_on", [False, True])
     def test_all_window_one(self, prior_on):
