@@ -206,13 +206,14 @@ int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
 
 /* The window scorer.  score_window sorts the n flat pixel indices of
    one window, each below 2**bits (bits <= 63), with their positions: an
-   LSD radix sort in 11-bit digits, one pass per digit that bits needs, but
-   none for a digit every index shares.  It writes the k distinct pixels,
-   ascending, to scratch[0:k] and their counts to scratch[n:n + k], and it
-   merge-walks the pixels against the m sorted pixels of active, writing
-   to p[i] the score of event i: probs[j] where its pixel is active[j],
-   else rest.  scratch holds 4n values.  Returns k, or -1, before writing
-   anything, for an index that is negative or not below 2**bits. */
+   LSD radix sort in 11-bit digits, one pass per digit that bits needs (at
+   least one).  It writes the k distinct pixels, ascending, to
+   scratch[0:k] and their counts to scratch[n:n + k], and it merge-walks
+   the pixels against the m sorted pixels of active, writing to p[i] the
+   score of event i: probs[j] where its pixel is active[j], else rest.
+   scratch holds 4n + PASSES * RADIX values; the last are the digit
+   histograms.  Returns k, or -1, before writing anything, for an index
+   that is negative or not below 2**bits. */
 #define DIGIT 11
 #define RADIX (1 << DIGIT)
 #define PASSES ((63 + DIGIT - 1) / DIGIT)
@@ -221,11 +222,12 @@ int64_t score_window(const int64_t *flat, int64_t n, int64_t bits,
                      const int64_t *active, const double *probs, int64_t m,
                      double rest, double *p, int64_t *scratch)
 {
-    int passes = (int)((bits + DIGIT - 1) / DIGIT), out = 0;
-    int64_t hist[PASSES][RADIX];
+    int passes = bits > DIGIT ? (int)((bits + DIGIT - 1) / DIGIT) : 1;
+    int out = 0;
+    int64_t (*hist)[RADIX] = (int64_t (*)[RADIX])(scratch + 4 * n);
     int64_t *keys[2] = {scratch, scratch + n};
     int64_t *pos[2] = {scratch + 2 * n, scratch + 3 * n};
-    const int64_t *key = flat, *at = NULL;  /* at NULL: positions 0 .. n-1 */
+    const int64_t *key = flat, *at = NULL;
     uint64_t seen = 0;
     int64_t k = 0;
 
@@ -243,8 +245,6 @@ int64_t score_window(const int64_t *flat, int64_t n, int64_t bits,
     for (int d = 0; d < passes; d++) {
         int shift = DIGIT * d;
         int64_t *h = hist[d], sum = 0;
-        if (h[((uint64_t)flat[0] >> shift) & (RADIX - 1)] == n)
-            continue;  /* one digit throughout: the order stands */
         for (int b = 0; b < RADIX; b++) {
             int64_t c = h[b];
             h[b] = sum;
@@ -253,7 +253,7 @@ int64_t score_window(const int64_t *flat, int64_t n, int64_t bits,
         for (int64_t i = 0; i < n; i++) {
             int64_t j = h[((uint64_t)key[i] >> shift) & (RADIX - 1)]++;
             keys[out][j] = key[i];
-            pos[out][j] = at ? at[i] : i;
+            pos[out][j] = d ? at[i] : i;
         }
         key = keys[out];
         at = pos[out];
@@ -267,7 +267,7 @@ int64_t score_window(const int64_t *flat, int64_t n, int64_t bits,
             j++;
         double score = j < m && active[j] == v ? probs[j] : rest;
         for (; i < n && key[i] == v; i++)
-            p[at ? at[i] : i] = score;
+            p[at[i]] = score;
         keys[0][k] = v;
         keys[1][k] = i - start;
     }
@@ -341,6 +341,8 @@ _BLOCK = 1 << 14
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
 # The frozen map of a window without one: no active pixel.
 _NO_PIXELS, _NO_SCORES = np.empty(0, np.int64), np.empty(0, np.float64)
+# The window scorer's digit histograms: six 11-bit digits cover 63 bits.
+_HISTOGRAMS = 6 << 11
 # The functions _SOURCE exports, with their (argtypes, restype): a library
 # lacking any of them is rebuilt.
 _KERNELS = {
@@ -424,6 +426,12 @@ def expit(x):
     return out.reshape(x.shape)[()]
 
 
+def window_scratch(longest: int) -> np.ndarray:
+    """Scratch for :func:`score_window` on windows of up to ``longest``
+    events: int64, 32 bytes per event and 96 KiB of digit histograms."""
+    return np.empty(4 * longest + _HISTOGRAMS, np.int64)
+
+
 def score_window(flat: np.ndarray, bits: int, frozen, alpha: float,
                  p: np.ndarray, scratch: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
@@ -434,9 +442,10 @@ def score_window(flat: np.ndarray, bits: int, frozen, alpha: float,
     :class:`evdown.density.SparseScores`, or None to score each of them
     ``alpha``.  Writes each event's score to ``p`` and returns the
     window's distinct pixels, ascending, and their counts (int64).
-    ``scratch`` is an int64 array of at least ``4 * len(flat)`` values for
-    the compiled kernel to sort in; the Python twin, ``np.unique`` and
-    :meth:`~evdown.density.SparseScores.lookup`, leaves it alone.
+    ``scratch``, from :func:`window_scratch` for at least ``len(flat)``
+    events, is where the compiled kernel sorts; the Python twin,
+    ``np.unique`` and :meth:`~evdown.density.SparseScores.lookup`, leaves
+    it alone.
 
     Raises ValueError when the arrays do not fit each other, and for an
     index outside ``[0, 2**bits)``.
@@ -447,11 +456,12 @@ def score_window(flat: np.ndarray, bits: int, frozen, alpha: float,
             or p.dtype != np.float64 or p.shape != (n,)
             or not p.flags.c_contiguous or not p.flags.writeable
             or scratch.dtype != np.int64 or scratch.ndim != 1
-            or scratch.shape[0] < 4 * n or not scratch.flags.c_contiguous
+            or scratch.shape[0] < 4 * n + _HISTOGRAMS
+            or not scratch.flags.c_contiguous
             or not scratch.flags.writeable or not 0 <= bits <= 63):
         raise ValueError("need contiguous int64 indices, a writable float64 "
-                         "array of their length, writable int64 scratch of "
-                         "four times it, and 0 <= bits <= 63")
+                         "array of their length, writable int64 scratch "
+                         "for it, and 0 <= bits <= 63")
     kernel = _kernel()
     if kernel is None:
         return _score_window_python(flat, bits, frozen, alpha, p)

@@ -743,13 +743,9 @@ def read_prior(path, geometry: SensorGeometry) -> PriorMap:
             raise EventFileError(
                 f"{path}: row {r} has {len(fields)} weights, expected {width}")
         try:
-            # One conversion per row; it takes and refuses what float() does.
-            weights[r] = np.array(fields, dtype=np.float64)
-        except ValueError:
-            try:  # float() names the first field it refuses
-                weights[r] = [float(v) for v in fields]
-            except ValueError as exc:
-                raise EventFileError(f"{path}: row {r}: {exc}") from None
+            weights[r] = [float(v) for v in fields]
+        except ValueError as exc:
+            raise EventFileError(f"{path}: row {r}: {exc}") from None
     try:
         return PriorMap(geometry, weights)
     except ValueError as exc:

@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capwalk import cap_walk, score_window
+from .capwalk import cap_walk, score_window, window_scratch
 from .density import occupancy_values, sparse_scores
 from .events import EventStream, SensorGeometry, window_ids, window_spans
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
@@ -161,7 +161,7 @@ class _WindowScorer:
         cfg = self.config
         p = np.empty(flat.size)
         # The kernel sorts in scratch sized by the piece's longest window.
-        scratch = np.empty(4 * int(np.diff(bounds).max()), np.int64)
+        scratch = window_scratch(int(np.diff(bounds).max()))
         for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
                                bounds[1:].tolist()):
             if wid != self.window:

@@ -183,7 +183,7 @@ def score_window(flat, bits, frozen, alpha=0.25):
     """(pixels, counts, p) of one window scored by capwalk.score_window."""
     flat = np.asarray(flat, np.int64)
     p = np.full(flat.size, -1.0)
-    scratch = np.empty(4 * flat.size, np.int64)
+    scratch = capwalk.window_scratch(flat.size)
     pixels, counts = capwalk.score_window(flat, bits, frozen, alpha, p,
                                           scratch)
     return pixels, counts, p
@@ -238,6 +238,19 @@ class TestScoreWindow:
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
 
+    @pytest.mark.parametrize("bits", [11, 23, 63])
+    def test_window_longer_than_a_histogram(self, cap_walk, bits):
+        """More events than a digit has values, so the sort buffers reach
+        past where the histograms would start if they shared scratch."""
+        rng = np.random.default_rng(bits)
+        flat = rng.integers(0, 2**bits, 3 * 2048 + 5, dtype=np.int64)
+        flat[::3] = flat[1]  # one pixel repeated a third of the time
+        frozen = frozen_map(flat[::7], bits)
+        got = score_window(flat, bits, frozen)
+        want = expected_window(flat, frozen)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
     def test_empty_window(self, cap_walk):
         pixels, counts, p = score_window([], 20, frozen_map([3], 0))
         assert pixels.size == counts.size == p.size == 0
@@ -249,15 +262,15 @@ class TestScoreWindow:
         p = np.full(len(flat), -1.0)
         with pytest.raises(ValueError, match="flat pixel indices"):
             capwalk.score_window(np.array(flat, np.int64), bits, None, 0.5,
-                                 p, np.empty(4 * len(flat), np.int64))
+                                 p, capwalk.window_scratch(len(flat)))
         assert (p == -1.0).all()
 
     def test_rejects_mismatched_arrays(self):
         flat = np.arange(4, dtype=np.int64)
-        p, scratch = np.empty(4), np.empty(16, np.int64)
+        p, scratch = np.empty(4), capwalk.window_scratch(4)
         for args in ((flat.astype(np.int32), 3, None, 0.5, p, scratch),
                      (flat, 3, None, 0.5, np.empty(3), scratch),
-                     (flat, 3, None, 0.5, p, np.empty(15, np.int64)),
+                     (flat, 3, None, 0.5, p, scratch[:-1]),
                      (flat, 3, None, 0.5, p, scratch.astype(np.float64)),
                      (flat[::2], 3, None, 0.5, p[:2], scratch),
                      (flat, 64, None, 0.5, p, scratch),

@@ -7,8 +7,6 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from evdown import (EventFileError, PriorMap, SamplerConfig, SensorGeometry,
                     detect_format, gaussian_prior, read_events, read_log,
@@ -305,53 +303,6 @@ class TestPrior:
         path.write_text("2 2\n" + body)
         with pytest.raises(EventFileError, match=msg):
             read_prior(path, SensorGeometry(2, 2))
-
-
-# ASCII tokens without whitespace, as split() leaves them, weighted
-# towards the characters of numbers, signs, exponents and special values.
-_FLOAT_CHARS = "0123456789" * 3 + ".eE+-_" * 2 + "xXpPinfatyINFATY,;#"
-float_tokens = st.one_of(
-    st.text(st.sampled_from(_FLOAT_CHARS), min_size=1, max_size=24),
-    st.text(st.characters(min_codepoint=0x21, max_codepoint=0x7E),
-            min_size=1, max_size=8),
-    st.floats().map(repr), st.integers().map(str),
-    st.sampled_from(["1_0", "1__0", "_1", "1_", "infinity", "-Infinity",
-                     "nan", "-nan", "1e-400", "1e400", "0x10", ".", "e5",
-                     "1e", "+.5", "5.", "1e5_0", "0_0.0_1e-0_1"]))
-
-
-def float_bits(convert):
-    """The float64 bits convert() gives, or None when it refuses."""
-    try:
-        return np.asarray(convert(), np.float64).tobytes()
-    except ValueError:
-        return None
-
-
-class TestPriorRowConversion:
-    @settings(max_examples=600, deadline=None)
-    @given(st.lists(float_tokens, min_size=1, max_size=4))
-    def test_numpy_row_matches_float(self, tokens):
-        """read_prior converts a row with one np.array call and falls back
-        to float() only for its error message: both must take and refuse
-        the same tokens, and give the same bits."""
-        for tok in tokens:
-            assert (float_bits(lambda: np.array([tok], np.float64)[0])
-                    == float_bits(lambda: float(tok))), tok
-        row = float_bits(lambda: np.array(tokens, np.float64))
-        each = [float_bits(lambda: float(tok)) for tok in tokens]
-        if None in each:
-            assert row is None
-        else:
-            assert np.frombuffer(row, np.float64).tobytes() == b"".join(each)
-
-    def test_refused_row_names_first_bad_field(self, tmp_path):
-        path = tmp_path / "p.txt"
-        path.write_text("3 1\n1.5 1_0 0x10\n")
-        with pytest.raises(EventFileError) as err:
-            read_prior(path, SensorGeometry(3, 1))
-        assert str(err.value) == (f"{path}: row 0: could not convert "
-                                  f"string to float: '0x10'")
 
 
 class TestStats:
