@@ -8,9 +8,15 @@ on every earlier decision.  Such a walk cannot be vectorized exactly in
 numpy.  The sigmoid ``1 / (1 + exp(-x))`` could be, but numpy's vector
 ``exp`` does not round as libm's scalar ``exp`` does on every input, so
 scores would depend on the CPU numpy runs on.  The window scorer,
-:func:`score_window`, does all the per-event work of scoring one window in
-one call: a radix sort of its pixels, their tally, and a merge walk
-against the frozen map that writes each event's probability.
+:func:`score_piece`, does all the work of scoring one piece of a stream
+in one call: for each window, a radix sort of its pixels, their tally, a
+merge walk against the window's map that writes each event's
+probability, and the freeze of the next window's map from the tally.  The
+freeze runs the chain of :func:`evdown.density.sparse_scores` with the
+same bits: the mean is summed in numpy's pairwise order
+(:func:`pairwise_sum` in the C source, held to ``np.add.reduce`` by a
+test), and without a prior the sigmoid runs once per occupancy class
+``min(count, 37)`` rather than once per pixel.
 
 These three kernels have two implementations with bit-identical results:
 
@@ -19,9 +25,10 @@ These three kernels have two implementations with bit-identical results:
   :mod:`ctypes`; no build step is needed, and later processes load the
   cached file;
 * Python twins (``math.exp`` is libm's ``exp``; the window scorer's is
-  ``np.unique`` and :meth:`evdown.density.SparseScores.lookup`), which run
-  whenever the C loops cannot be built or loaded (no compiler, an
-  unwritable cache, a failed compile or load, a library lacking a kernel).
+  ``np.unique``, ``sparse_scores`` and
+  :meth:`evdown.density.SparseScores.lookup`), which run whenever the C
+  loops cannot be built or loaded (no compiler, an unwritable cache, a
+  failed compile or load, a library lacking a kernel).
 
 The same library holds the other three: a byte-level parser,
 :func:`parse_events`, for exactly the rows that ``evio`` writes to event
@@ -56,7 +63,9 @@ import numpy as np
 # No -ffast-math, -Ofast, -fopenmp-simd or -march=native: ``alpha * k``
 # must round exactly as Python's float multiply does, and ``exp`` must stay
 # libm's scalar one rather than a vector variant.  -std=c99 makes the
-# compiler round to double even on targets with excess precision (x87).
+# compiler round to double even on targets with excess precision (x87), and
+# -ffp-contract=off keeps it from fusing a multiply and an add into one
+# rounding, as numpy never does.
 _SOURCE = r"""
 #include <math.h>
 #include <stdint.h>
@@ -204,74 +213,251 @@ int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
     return i;
 }
 
-/* The window scorer.  score_window sorts the n flat pixel indices of
-   one window, each below 2**bits (bits <= 63), with their positions: an
-   LSD radix sort in 11-bit digits, one pass per digit that bits needs (at
-   least one).  It writes the k distinct pixels, ascending, to
-   scratch[0:k] and their counts to scratch[n:n + k], and it merge-walks
-   the pixels against the m sorted pixels of active, writing to p[i] the
-   score of event i: probs[j] where its pixel is active[j], else rest.
-   scratch holds 4n + PASSES * RADIX values; the last are the digit
-   histograms.  Returns k, or -1, before writing anything, for an index
-   that is negative or not below 2**bits. */
+/* numpy's float64 sum, np.add.reduce of a contiguous array: fewer than 8
+   values in order, up to 128 in eight interleaved partial sums, more
+   split in two at a multiple of 8.  The freeze sums a map in this order,
+   so it gives numpy's bits; a test holds the two to each other. */
+double pairwise_sum(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = 0.0;
+        for (int64_t i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int64_t i;
+        for (int j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (int j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    int64_t half = n / 2;
+    half -= half % 8;
+    return pairwise_sum(a, half) + pairwise_sum(a + half, n - half);
+}
+
+/* The window scorer.  A window's map holds the sorted active pixels
+   act[0:m] and their scores prb[0:m]; prb[m] scores every other pixel.
+   The chain that freezes one, density.sparse_scores, is: base =
+   occupancy (occ[min(count, 37)]) of each active pixel, times its prior
+   weight over the peak weight when there is a prior; g = (base - lo) /
+   (hi - lo), or 0 when hi == lo, where lo and hi range over the bases
+   and, when some pixel is inactive, 0; mean = (the pairwise sum of the
+   active g + the inactive pixels' count * their g) / n_pixels; score =
+   sigmoid(g + (alpha - mean)), clamped inside (0, 1).  Each product
+   is its own statement, so no compiler fuses it into an add. */
 #define DIGIT 11
 #define RADIX (1 << DIGIT)
 #define PASSES ((63 + DIGIT - 1) / DIGIT)
+#define CLASSES 38  /* occupancy classes min(count, 37) */
+#define P_LO 0x1p-1074  /* the clamp bounds: the doubles next to 0 and 1 */
+#define P_HI (1.0 - 0x1p-53)
 
-int64_t score_window(const int64_t *flat, int64_t n, int64_t bits,
-                     const int64_t *active, const double *probs, int64_t m,
-                     double rest, double *p, int64_t *scratch)
+struct chain {
+    int64_t n_pixels;
+    double alpha, slope, midpoint, peak;
+    const double *occ, *weights;  /* weights: NULL without a prior */
+};
+
+static int class_of(int64_t count)
 {
-    int passes = bits > DIGIT ? (int)((bits + DIGIT - 1) / DIGIT) : 1;
-    int out = 0;
-    int64_t (*hist)[RADIX] = (int64_t (*)[RADIX])(scratch + 4 * n);
-    int64_t *keys[2] = {scratch, scratch + n};
-    int64_t *pos[2] = {scratch + 2 * n, scratch + 3 * n};
-    const int64_t *key = flat, *at = NULL;
-    uint64_t seen = 0;
-    int64_t k = 0;
+    return count < CLASSES ? (int)count : CLASSES - 1;
+}
 
-    if (n <= 0)
-        return 0;
-    memset(hist, 0, passes * sizeof hist[0]);
-    for (int64_t i = 0; i < n; i++) {
-        uint64_t v = (uint64_t)flat[i];
-        seen |= v;
-        for (int d = 0; d < passes; d++)
-            hist[d][(v >> (DIGIT * d)) & (RADIX - 1)]++;
-    }
-    if (seen >> bits)
-        return -1;
-    for (int d = 0; d < passes; d++) {
-        int shift = DIGIT * d;
-        int64_t *h = hist[d], sum = 0;
-        for (int b = 0; b < RADIX; b++) {
-            int64_t c = h[b];
-            h[b] = sum;
-            sum += c;
+/* density.sigmoid of g + shift. */
+static double sigmoid(const struct chain *c, double g, double shift)
+{
+    double x = c->slope * ((g + shift) - c->midpoint);
+    double s = 1.0 / (1.0 + exp(-x));
+    return s < P_LO ? P_LO : s > P_HI ? P_HI : s;
+}
+
+/* prb[0:k + 1], the map frozen from the tally pix[0:k], cnt[0:k].
+   Without a prior a pixel's score follows from its class alone, so the
+   sigmoid runs once per class; prb holds each pixel's g first, for the
+   sum. */
+static void freeze(const struct chain *c, const int64_t *pix,
+                   const int64_t *cnt, int64_t k, double *prb)
+{
+    int64_t n_rest = c->n_pixels - k;
+    double lo = n_rest ? 0.0 : INFINITY, hi = n_rest ? 0.0 : -INFINITY;
+    double g[CLASSES], s[CLASSES];
+    for (int64_t i = 0; i < k; i++) {
+        double base = c->occ[class_of(cnt[i])];
+        if (c->weights) {
+            double w = c->weights[pix[i]] / c->peak;
+            base *= w;
+            prb[i] = base;
         }
-        for (int64_t i = 0; i < n; i++) {
-            int64_t j = h[((uint64_t)key[i] >> shift) & (RADIX - 1)]++;
-            keys[out][j] = key[i];
-            pos[out][j] = d ? at[i] : i;
-        }
-        key = keys[out];
-        at = pos[out];
-        out ^= 1;
+        lo = base < lo ? base : lo;
+        hi = base > hi ? base : hi;
     }
-    /* Pixel k and count k are written once its run of keys has been read,
-       at k no later than the run's start, so writing over key is safe. */
-    for (int64_t i = 0, j = 0; i < n; k++) {
-        int64_t v = key[i], start = i;
-        while (j < m && active[j] < v)
-            j++;
-        double score = j < m && active[j] == v ? probs[j] : rest;
-        for (; i < n && key[i] == v; i++)
-            p[at[i]] = score;
-        keys[0][k] = v;
-        keys[1][k] = i - start;
+    double span = hi - lo, g_rest = hi == lo ? 0.0 : (0.0 - lo) / span;
+    if (c->weights)
+        for (int64_t i = 0; i < k; i++)
+            prb[i] = hi == lo ? 0.0 : (prb[i] - lo) / span;
+    else {
+        for (int j = 0; j < CLASSES; j++)
+            g[j] = hi == lo ? 0.0 : (c->occ[j] - lo) / span;
+        for (int64_t i = 0; i < k; i++)
+            prb[i] = g[class_of(cnt[i])];
+    }
+    double share = (double)n_rest * g_rest;
+    double mean = (pairwise_sum(prb, k) + share) / (double)c->n_pixels;
+    double shift = c->alpha - mean;
+    if (c->weights)
+        for (int64_t i = 0; i < k; i++)
+            prb[i] = sigmoid(c, prb[i], shift);
+    else {
+        for (int j = 0; j < CLASSES; j++)
+            s[j] = sigmoid(c, g[j], shift);
+        for (int64_t i = 0; i < k; i++)
+            prb[i] = s[class_of(cnt[i])];
+    }
+    prb[k] = sigmoid(c, g_rest, shift);
+}
+
+/* The union of two tallies of ascending distinct pixels, their counts
+   summed, in pix[0:k] and cnt[0:k]; returns k. */
+static int64_t merge(const int64_t *pa, const int64_t *ca, int64_t ka,
+                     const int64_t *pb, const int64_t *cb, int64_t kb,
+                     int64_t *pix, int64_t *cnt)
+{
+    int64_t i = 0, j = 0, k = 0;
+    while (i < ka || j < kb) {
+        if (j == kb || (i < ka && pa[i] < pb[j])) {
+            pix[k] = pa[i];
+            cnt[k++] = ca[i++];
+        } else if (i == ka || pb[j] < pa[i]) {
+            pix[k] = pb[j];
+            cnt[k++] = cb[j++];
+        } else {
+            pix[k] = pa[i];
+            cnt[k++] = ca[i++] + cb[j++];
+        }
     }
     return k;
+}
+
+/* score_piece scores the events of one piece of a stream: window w has
+   id ids[w] (ascending) and events bounds[w] .. bounds[w + 1] - 1, whose
+   flat pixel indices flat holds, each below n_pixels <= 2**bits.
+
+   The window open before the piece is open: its tally from earlier
+   pieces is pix0[0:k0], cnt0[0:k0] and its map act0[0:m0], prb0[0:m0 + 1].
+   Each window that opens in the piece gets a map: alpha for every pixel
+   in window 1; else the map frozen from the tally of the window before
+   it, the open window's earlier tally included, or from no tally after
+   a gap.  Then its events are sorted with their positions, an LSD radix
+   sort in 11-bit digits, one pass per digit that bits needs (at least
+   one), their distinct pixels and counts tallied, and the pixels merge-
+   walked against the map, writing each event's score to p.
+
+   scratch holds 4 * longest + PASSES * RADIX + 3 * most + 1 values, for
+   the longest window and the largest tally a map is frozen from (at most
+   k0 plus the longest window but the last).  out[0] receives the size k
+   of the last window's tally in this piece, at scratch[0:k] with its
+   counts at scratch[longest:longest + k], and out[1] the size m of the
+   last map frozen, -1 when none was; that map is act = scratch +
+   4 * longest + PASSES * RADIX and prb = (double *)(act + 2 * most).
+   Returns 0, or -1 for an index that is negative or not below n_pixels,
+   before any score of its window is written. */
+int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
+                    const int64_t *bounds, int64_t nw, int64_t open,
+                    const int64_t *pix0, const int64_t *cnt0, int64_t k0,
+                    const int64_t *act0, const double *prb0, int64_t m0,
+                    int64_t n_pixels, const double *consts,
+                    const double *occ, const double *weights, double *p,
+                    int64_t *scratch, int64_t longest, int64_t most,
+                    int64_t *out)
+{
+    struct chain c = {n_pixels, consts[0], consts[1], consts[2], consts[3],
+                      occ, weights};
+    int passes = bits > DIGIT ? (int)((bits + DIGIT - 1) / DIGIT) : 1;
+    int64_t (*hist)[RADIX] = (int64_t (*)[RADIX])(scratch + 4 * longest);
+    int64_t *keys[2] = {scratch, scratch + longest};
+    int64_t *pos[2] = {scratch + 2 * longest, scratch + 3 * longest};
+    int64_t *act = scratch + 4 * longest + PASSES * RADIX, *cnt = act + most;
+    double *prb = (double *)(cnt + most);
+    const int64_t *map_act = act0;
+    const double *map_prb = prb0;
+    int64_t m = m0, id = open, k = 0;
+
+    out[1] = -1;
+    for (int64_t w = 0; w < nw; w++) {
+        const int64_t *f = flat + bounds[w];
+        int64_t n = bounds[w + 1] - bounds[w];
+        const int64_t *key = f, *at = NULL;
+        uint64_t bad = 0;
+        int o = 0;
+
+        if (ids[w] != id) {
+            /* The tally of window id: its earlier pieces' and this one's. */
+            int64_t earlier = id == open ? k0 : 0;
+            if (ids[w] != id + 1)
+                earlier = k = 0;  /* after a gap no pixel is active */
+            if (ids[w] == 1) {
+                m = 0;
+                prb[0] = c.alpha;
+            } else {
+                m = merge(pix0, cnt0, earlier, keys[0], keys[1], k, act, cnt);
+                freeze(&c, act, cnt, m, prb);
+            }
+            map_act = act;
+            map_prb = prb;
+            out[1] = m;
+            id = ids[w];
+        }
+        memset(hist, 0, passes * sizeof hist[0]);
+        for (int64_t i = 0; i < n; i++) {
+            uint64_t v = (uint64_t)f[i];
+            bad |= v >= (uint64_t)n_pixels;
+            for (int d = 0; d < passes; d++)
+                hist[d][(v >> (DIGIT * d)) & (RADIX - 1)]++;
+        }
+        if (bad)
+            return -1;
+        for (int d = 0; d < passes; d++) {
+            int shift = DIGIT * d;
+            int64_t *h = hist[d], sum = 0;
+            for (int b = 0; b < RADIX; b++) {
+                int64_t count = h[b];
+                h[b] = sum;
+                sum += count;
+            }
+            for (int64_t i = 0; i < n; i++) {
+                int64_t j = h[((uint64_t)key[i] >> shift) & (RADIX - 1)]++;
+                keys[o][j] = key[i];
+                pos[o][j] = d ? at[i] : i;
+            }
+            key = keys[o];
+            at = pos[o];
+            o ^= 1;
+        }
+        /* Pixel k and count k are written once its run of keys has been
+           read, at k no later than the run's start, so writing over key
+           is safe. */
+        k = 0;
+        for (int64_t i = 0, j = 0; i < n; k++) {
+            int64_t v = key[i], start = i;
+            while (j < m && map_act[j] < v)
+                j++;
+            double score = j < m && map_act[j] == v ? map_prb[j] : map_prb[m];
+            for (; i < n && key[i] == v; i++)
+                p[bounds[w] + at[i]] = score;
+            keys[0][k] = v;
+            keys[1][k] = i - start;
+        }
+    }
+    out[0] = k;
+    return 0;
 }
 
 /* The decimal of v at o ('-' first when negative); returns the end.
@@ -330,8 +516,8 @@ int64_t format_rows(int64_t n, int64_t ncols, const int64_t *const *ints,
     return o - out;
 }
 """
-_COMPILE = ("cc", "-std=c99", "-O2", "-shared", "-fPIC", "-x", "c", "-",
-            "-lm")
+_COMPILE = ("cc", "-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+            "-x", "c", "-", "-lm")
 _COMPILE_TIMEOUT_S = 60
 _CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
 _DIGEST_BYTES = 32
@@ -339,20 +525,23 @@ _DIGEST_BYTES = 32
 # so their memory does not grow with the input.
 _BLOCK = 1 << 14
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
-# The frozen map of a window without one: no active pixel.
+# A map without active pixels, and the tally of a window without events.
 _NO_PIXELS, _NO_SCORES = np.empty(0, np.int64), np.empty(0, np.float64)
+_IDLE = (_NO_PIXELS, _NO_PIXELS)
 # The window scorer's digit histograms: six 11-bit digits cover 63 bits.
 _HISTOGRAMS = 6 << 11
 # The functions _SOURCE exports, with their (argtypes, restype): a library
-# lacking any of them is rebuilt.
+# lacking any of them is rebuilt.  pairwise_sum is the freeze's sum, exported
+# so that a test can hold it to numpy's.
 _KERNELS = {
     "cap_walk": ((_P, _P, _I64, ctypes.c_double, _I64, _I64, _P, _P), _I64),
     "expit": ((_P, _P, _I64), None),
     "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
     "format_rows": ((_I64, _I64, _P, _P, _P, _P, _P), _I64),
-    "score_window": ((_P, _I64, _I64, _P, _P, _I64, ctypes.c_double, _P, _P),
-                     _I64),
+    "pairwise_sum": ((_P, _I64), ctypes.c_double),
+    "score_piece": ((_P, _I64, _P, _P, _I64, _I64, _P, _P, _I64, _P, _P, _I64,
+                     _I64, _P, _P, _P, _P, _P, _I64, _I64, _P), _I64),
 }
 
 
@@ -426,59 +615,115 @@ def expit(x):
     return out.reshape(x.shape)[()]
 
 
-def window_scratch(longest: int) -> np.ndarray:
-    """Scratch for :func:`score_window` on windows of up to ``longest``
-    events: int64, 32 bytes per event and 96 KiB of digit histograms."""
-    return np.empty(4 * longest + _HISTOGRAMS, np.int64)
+def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
+                window: int, tally, frozen, chain, p: np.ndarray):
+    """Score the events of one piece of a stream, window by window, and
+    freeze the map of each window that opens in it.
 
+    ``flat`` holds the events' flat pixel indices (int64), and ``ids``
+    and ``bounds`` their windows, as :func:`evdown.events.window_spans`
+    gives them.  ``chain`` holds the arguments of
+    :func:`evdown.density.sparse_scores` but the tally: ``(geometry,
+    alpha, params, prior)``.  The window open before the piece is
+    ``window`` (0 before the first piece); ``tally`` holds its distinct
+    pixels, ascending, and their counts (int64) in the pieces before, and
+    ``frozen`` its map, a :class:`evdown.density.SparseScores`, or None
+    to score every event ``alpha``.
 
-def score_window(flat: np.ndarray, bits: int, frozen, alpha: float,
-                 p: np.ndarray, scratch: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score the events of one window and tally its pixels.
+    Window 1 scores every event ``alpha``; every other window that opens
+    is scored with the map ``sparse_scores`` freezes from the tally of
+    the window before it, or from no tally after a gap.  Writes each
+    event's score to ``p`` and returns the last window's tally in this
+    piece and its map (``frozen`` itself when the piece holds only the
+    open window).
 
-    ``flat`` holds the events' flat pixel indices, each in
-    ``[0, 2**bits)``, and ``frozen`` the map they are scored with, a
-    :class:`evdown.density.SparseScores`, or None to score each of them
-    ``alpha``.  Writes each event's score to ``p`` and returns the
-    window's distinct pixels, ascending, and their counts (int64).
-    ``scratch``, from :func:`window_scratch` for at least ``len(flat)``
-    events, is where the compiled kernel sorts; the Python twin,
-    ``np.unique`` and :meth:`~evdown.density.SparseScores.lookup`, leaves
-    it alone.
+    The compiled kernel scores the whole piece in one call; it gives
+    ``sparse_scores``' bits, with one sigmoid per occupancy class when
+    there is no prior.  Its Python twin runs ``np.unique``,
+    ``sparse_scores`` and :meth:`~evdown.density.SparseScores.lookup`
+    window by window.
 
-    Raises ValueError when the arrays do not fit each other, and for an
-    index outside ``[0, 2**bits)``.
+    Raises ValueError when the arrays do not fit each other or the
+    windows, and for an index outside the sensor.
     """
-    n = flat.size
+    geometry, alpha, params, prior = chain
+    n, n_pixels = flat.size, geometry.n_pixels
     if (flat.dtype != np.int64 or flat.ndim != 1
             or not flat.flags.c_contiguous
             or p.dtype != np.float64 or p.shape != (n,)
-            or not p.flags.c_contiguous or not p.flags.writeable
-            or scratch.dtype != np.int64 or scratch.ndim != 1
-            or scratch.shape[0] < 4 * n + _HISTOGRAMS
-            or not scratch.flags.c_contiguous
-            or not scratch.flags.writeable or not 0 <= bits <= 63):
-        raise ValueError("need contiguous int64 indices, a writable float64 "
-                         "array of their length, writable int64 scratch "
-                         "for it, and 0 <= bits <= 63")
+            or not p.flags.c_contiguous or not p.flags.writeable):
+        raise ValueError("need contiguous int64 indices and a writable "
+                         "float64 array of their length")
+    ids = np.ascontiguousarray(ids, np.int64)
+    bounds = np.ascontiguousarray(bounds, np.int64)
+    lengths = np.diff(bounds)
+    if (ids.ndim != 1 or bounds.shape != (ids.size + 1,) or bounds[0] != 0
+            or bounds[-1] != n or (lengths <= 0).any()
+            or (ids.size and ids[0] < max(window, 1))
+            or (np.diff(ids) <= 0).any()):
+        raise ValueError("need nonempty windows that hold the events, with "
+                         "ascending ids from the open window's on")
+    pixels, counts = (np.ascontiguousarray(a, np.int64) for a in tally)
+    if (pixels.ndim != 1 or counts.shape != pixels.shape
+            or (pixels.size and (pixels.min() < 0 or pixels.max() >= n_pixels
+                                 or counts.min() < 1))):
+        raise ValueError("need a tally of pixels on the sensor with "
+                         "positive counts")
+    if prior is not None and prior.geometry != geometry:
+        raise ValueError("prior geometry does not match occupancy geometry")
     kernel = _kernel()
     if kernel is None:
-        return _score_window_python(flat, bits, frozen, alpha, p)
+        return _score_piece_python(flat, ids, bounds, window,
+                                   (pixels, counts), frozen, chain, p)
+    from .density import _OCCUPANCY, SparseScores
     if frozen is None:
-        active, probs, rest = _NO_PIXELS, _NO_SCORES, alpha
+        active, scores = _NO_PIXELS, np.array([alpha], np.float64)
     else:
         active = np.ascontiguousarray(frozen.active, np.int64)
-        probs = np.ascontiguousarray(frozen.probabilities, np.float64)
-        rest = frozen.rest
-        if active.ndim != 1 or probs.shape != active.shape:
+        scores = np.append(np.asarray(frozen.probabilities, np.float64),
+                           frozen.rest)
+        if active.ndim != 1 or scores.shape != (active.size + 1,):
             raise ValueError("need one score per active pixel")
-    k = kernel.score_window(flat.ctypes.data, n, bits, active.ctypes.data,
-                            probs.ctypes.data, active.shape[0], rest,
-                            p.ctypes.data, scratch.ctypes.data)
-    if k < 0:
-        raise ValueError(f"flat pixel indices must be in [0, 2**{bits})")
-    return scratch[:k].copy(), scratch[n:n + k].copy()
+    # Sized as the kernel lays it out: four sort buffers for the longest
+    # window, the digit histograms, and a tally and a map for the largest
+    # tally a map is frozen from.
+    longest = int(lengths.max(initial=0))
+    most = pixels.size + int(lengths[:-1].max(initial=0))
+    scratch = np.empty(4 * longest + _HISTOGRAMS + 3 * most + 1, np.int64)
+    consts = np.array([alpha, params.slope, params.midpoint,
+                       1.0 if prior is None else prior.peak], np.float64)
+    weights = None if prior is None else prior.weights.ctypes.data
+    out = np.empty(2, np.int64)
+    if kernel.score_piece(
+            flat.ctypes.data, (n_pixels - 1).bit_length(), ids.ctypes.data,
+            bounds.ctypes.data, ids.size, int(window), pixels.ctypes.data,
+            counts.ctypes.data, pixels.size, active.ctypes.data,
+            scores.ctypes.data, active.size, n_pixels, consts.ctypes.data,
+            _OCCUPANCY.ctypes.data, weights, p.ctypes.data,
+            scratch.ctypes.data, longest, most, out.ctypes.data) < 0:
+        raise ValueError(f"flat pixel indices must be in [0, {n_pixels})")
+    k, m = out.tolist()
+    if m >= 0:
+        maps = scratch[4 * longest + _HISTOGRAMS:]
+        prb = maps[2 * most:2 * most + m + 1].view(np.float64)
+        frozen = SparseScores(geometry, maps[:m].copy(), prb[:m].copy(),
+                              float(prb[m]))
+    return (scratch[:k].copy(), scratch[longest:longest + k].copy()), frozen
+
+
+def merge_tallies(tallies):
+    """One tally from several, each of ascending distinct pixels and their
+    counts (int64): the union of their pixels, ascending, with the counts
+    of shared pixels summed."""
+    tallies = [t for t in tallies if t[0].size] or [_IDLE]
+    if len(tallies) == 1:
+        return tallies[0]
+    pixels = np.concatenate([pix for pix, _ in tallies])
+    order = np.argsort(pixels, kind="stable")  # merges the sorted runs
+    pixels = pixels[order]
+    first = np.flatnonzero(np.r_[True, pixels[1:] != pixels[:-1]])
+    counts = np.concatenate([cnt for _, cnt in tallies])[order]
+    return pixels[first], np.add.reduceat(counts, first)
 
 
 def parse_events(data: bytes, labeled: bool, rows: int):
@@ -624,13 +869,32 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
     return retained, 0 if draws is None else di
 
 
-def _score_window_python(flat, bits, frozen, alpha, p):
-    if flat.size and (flat.min() < 0 or int(flat.max()) >> bits):
-        raise ValueError(f"flat pixel indices must be in [0, 2**{bits})")
-    pixels, inverse, counts = np.unique(flat, return_inverse=True,
-                                        return_counts=True)
-    p[:] = alpha if frozen is None else frozen.lookup(pixels)[inverse]
-    return pixels, counts
+def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
+    from .density import SparseScores, occupancy_values, sparse_scores
+    geometry, alpha, params, prior = chain
+    if flat.size and (flat.min() < 0 or flat.max() >= geometry.n_pixels):
+        raise ValueError(f"flat pixel indices must be in "
+                         f"[0, {geometry.n_pixels})")
+    part = _IDLE
+    for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
+                           bounds[1:].tolist()):
+        if wid != window:
+            if wid == 1:
+                frozen = SparseScores(geometry, _NO_PIXELS, _NO_SCORES,
+                                      float(alpha))
+            else:
+                # After a gap no pixel is active.
+                pixels, counts = tally if wid == window + 1 else _IDLE
+                frozen = sparse_scores(geometry, pixels,
+                                       occupancy_values(counts), alpha,
+                                       params, prior)
+            window, tally = wid, _IDLE
+        pixels, inverse, counts = np.unique(flat[i0:i1], return_inverse=True,
+                                            return_counts=True)
+        p[i0:i1] = alpha if frozen is None else frozen.lookup(pixels)[inverse]
+        part = pixels, counts
+        tally = merge_tallies([tally, part])
+    return part, frozen
 
 
 def _address(data: bytes) -> int:

@@ -507,13 +507,19 @@ class BinaryEvents:
 # Bytes per block of a CSV that CsvEvents reads; a block is cut after its
 # last line end, so it holds whole lines.
 _CSV_BLOCK_BYTES = 1 << 20
+# The longest line of an event CSV, its line end included: a block grows
+# to hold a line up to this, and a longer line is refused, so no line is
+# read whole however long it is.
+_CSV_LINE_BYTES = 1 << 20
 
 
 def _line_blocks(fh, offset: int = 0):
     """(offset, data, cut) for each block of the seekable fh from offset on:
     data[:cut] holds its whole lines as the line loop splits them, cut
     after the last LF, or the last CR followed by a byte that is no LF, of
-    _CSV_BLOCK_BYTES; a longer line grows the block."""
+    _CSV_BLOCK_BYTES; a longer line grows the block, up to _CSV_LINE_BYTES.
+    A line that does not end within that, and not with the file, ends the
+    blocks with a block of cut 0 that starts with it."""
     size = _CSV_BLOCK_BYTES
     while True:
         fh.seek(offset)
@@ -527,8 +533,16 @@ def _line_blocks(fh, offset: int = 0):
         if cut:
             yield offset, data, cut
             offset, size = offset + cut, _CSV_BLOCK_BYTES
+        elif size < _CSV_LINE_BYTES:
+            size = min(2 * size, _CSV_LINE_BYTES)
         else:
-            size *= 2
+            yield offset, data, 0 if fh.read(1) else len(data)
+            return
+
+
+def _long_line(path, lineno: int) -> EventFileError:
+    return EventFileError(f"{path}:{lineno}: line longer than "
+                          f"{_CSV_LINE_BYTES} bytes")
 
 
 class CsvEvents:
@@ -537,7 +551,8 @@ class CsvEvents:
 
     The constructor reads the file once, in blocks of whole lines, keeping
     no column: the compiled scan checks each, else the line loop.  A
-    malformed line raises EventFileError at once; after the last block, a
+    malformed line, or one longer than _CSV_LINE_BYTES, raises
+    EventFileError at once; after the last block, a
     value past int64 does, else an event out of order, else the inferred
     geometry's refusal, as a whole-file read ranks them.  Events outside a
     given ``geometry`` raise in the second pass.  A pipe is read from a
@@ -564,12 +579,16 @@ class CsvEvents:
     def _scan(self, fh, geometry) -> None:
         top = np.zeros(3, np.uint64)  # the largest x and y, the last t
         spans, rows, overflow, disorder = [], 0, None, None
-        first = next(_line_blocks(fh), (0, b"", 0))[1]
+        _, first, cut = next(_line_blocks(fh), (0, b"", 0))
         if self._spool is not None and first.startswith(MAGIC):
             raise _unseekable(self.path)  # detect_format sniffs no pipe
+        if first and not cut:
+            raise _long_line(self.path, 1)
         offset, labeled = _header(self.path, first)
         del first  # one block at a time
         for offset, data, cut in _line_blocks(fh, offset):
+            if not cut:
+                raise _long_line(self.path, rows + 2)
             before = int(top[2])
             n = capwalk.scan_events(data, cut, labeled, top)
             if n is None:

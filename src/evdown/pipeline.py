@@ -43,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capwalk import cap_walk, score_window, window_scratch
-from .density import occupancy_values, sparse_scores
+from .capwalk import cap_walk, merge_tallies, score_piece
 from .events import EventStream, SensorGeometry, window_ids, window_spans
 from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
 
@@ -56,8 +55,6 @@ score_map = poisson_occupancy = None
 
 _ACCEPT = int(DecisionCode.ACCEPT)
 _REJ_CAP = int(DecisionCode.REJECT_CAP)
-# The distinct pixels and counts of a window without events.
-_IDLE = (np.empty(0, np.int64), np.empty(0, np.int64))
 
 
 @dataclass
@@ -130,26 +127,22 @@ class _WindowScorer:
     """Density-adaptive probabilities of a stream scored piece by piece:
     alpha in window 1, else the sparse map frozen from the previous window.
 
-    Each window's events in a piece go through one call of the kernel
-    :func:`evdown.capwalk.score_window`, which sorts their pixels, returns
-    the distinct ones and their counts, and merge-walks them against the
-    frozen map to write every event's probability.  The counts add up to
-    the window's, which freeze the next window's map when it opens.
-    Between pieces it holds the open window's id, its frozen map, its
-    tally of distinct pixels and counts, and the tallies of its later
-    pieces, pending; ``seconds`` is the time spent scoring.  The pending
-    tallies are merged into the window's once they are as long as it, and
-    when the window closes, so a piece costs in proportion to its own
-    tally, not to its window's.
+    Each piece goes through one call of :func:`evdown.capwalk.score_piece`,
+    which scores its windows in turn and freezes the map of each window
+    that opens in it.  Between pieces it holds only what crosses a piece
+    boundary: the open window's id, its frozen map, and its tallies of
+    distinct pixels and counts from the pieces so far, the first merged
+    and the rest pending; ``seconds`` is the time spent scoring.  The
+    tallies are merged when the window closes, and before that once the
+    pending ones are as long as the first, so a piece costs in proportion
+    to its own tally, not to its window's.
     """
 
     def __init__(self, geometry: SensorGeometry, config: SamplerConfig):
-        self.geometry = geometry
-        self.config = config
-        self.bits = (geometry.n_pixels - 1).bit_length()
+        self.chain = (geometry, config.alpha, config.theta, config.prior)
         self.window = 0
         self.frozen = None
-        self.tally = [_IDLE]
+        self.tally = []
         self.pending = 0  # pixels in the tallies after the first
         self.seconds = 0.0
 
@@ -158,45 +151,22 @@ class _WindowScorer:
         """The probability of each event of a piece, given its flat pixel
         indices and window spans (:func:`evdown.events.window_spans`)."""
         tp0 = time.perf_counter()
-        cfg = self.config
         p = np.empty(flat.size)
-        # The kernel sorts in scratch sized by the piece's longest window.
-        scratch = window_scratch(int(np.diff(bounds).max()))
-        for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
-                               bounds[1:].tolist()):
-            if wid != self.window:
-                # After an empty window no pixel is active and every pixel
-                # shares one score; a stale map is never carried over.
-                active, active_counts = (
-                    _merge(self.tally) if self.window == wid - 1 else _IDLE)
-                self.frozen = None if wid == 1 else sparse_scores(
-                    self.geometry, active, occupancy_values(active_counts),
-                    cfg.alpha, cfg.theta, cfg.prior)
-                self.window = wid
-                self.tally, self.pending = [], 0
-            self.tally.append(score_window(flat[i0:i1], self.bits,
-                                           self.frozen, cfg.alpha, p[i0:i1],
-                                           scratch))
-            if len(self.tally) > 1:
-                self.pending += self.tally[-1][0].size
-                if self.pending >= self.tally[0][0].size:
-                    self.tally, self.pending = [_merge(self.tally)], 0
+        closes = ids.size > 1 or ids[0] != self.window
+        if closes:
+            self.tally = [merge_tallies(self.tally)]
+        tally, self.frozen = score_piece(flat, ids, bounds, self.window,
+                                         self.tally[0], self.frozen,
+                                         self.chain, p)
+        if closes:
+            self.window, self.tally, self.pending = int(ids[-1]), [tally], 0
+        else:
+            self.tally.append(tally)
+            self.pending += tally[0].size
+            if self.pending >= self.tally[0][0].size:
+                self.tally, self.pending = [merge_tallies(self.tally)], 0
         self.seconds += time.perf_counter() - tp0
         return p
-
-
-def _merge(tallies):
-    """One tally from several, each of sorted distinct pixels and their
-    counts: the union of their pixels, sorted, with the counts of shared
-    pixels summed."""
-    if len(tallies) == 1:
-        return tallies[0]
-    pixels = np.concatenate([pix for pix, _ in tallies])
-    order = np.argsort(pixels, kind="stable")  # merges the sorted runs
-    pixels = pixels[order]
-    first = np.flatnonzero(np.r_[True, pixels[1:] != pixels[:-1]])
-    counts = np.concatenate([cnt for _, cnt in tallies])[order]
-    return pixels[first], np.add.reduceat(counts, first)
 
 
 class Downsampler:

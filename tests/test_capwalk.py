@@ -1,6 +1,7 @@
 """The cap walk: compiled kernel vs Python loop vs the per-event cap rule
 (``conftest.per_event_walk``); the window scorer: compiled kernel vs its
-numpy twin vs ``np.unique`` and one lookup per event; and the loader's
+numpy twin vs ``np.unique`` and one lookup per event, and its sum vs
+numpy's; the C source under strict warnings; and the loader's
 fallbacks."""
 
 import hashlib
@@ -17,8 +18,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (SamplerConfig, SparseScores, capwalk, read_events,
-                    read_log, run, write_events, write_log)
+from evdown import (SamplerConfig, SensorGeometry, SigmoidParams,
+                    SparseScores, capwalk, read_events, read_log, run,
+                    write_events, write_log)
 from evdown.cli import main
 
 from conftest import SRC_ENV, per_event_walk, random_stream, reference_run
@@ -173,19 +175,53 @@ def test_kernel_table_names_every_exported_function():
                           re.M)
     assert sorted(exported) == sorted(capwalk._KERNELS)
     assert sorted(capwalk._KERNELS) == ["cap_walk", "expit", "format_rows",
-                                        "parse_events", "scan_events",
-                                        "score_window"]
+                                        "pairwise_sum", "parse_events",
+                                        "scan_events", "score_piece"]
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+def test_source_compiles_without_warnings():
+    """The kernels stay clean under strict C99 warnings."""
+    subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic",
+                    "-Werror", "-fsyntax-only", "-x", "c", "-"],
+                   input=capwalk._SOURCE, text=True, check=True,
+                   capture_output=True, timeout=60)
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("n", [*range(301), 8191, 8192, 8193, 70_001])
+def test_pairwise_sum_is_numpys(n):
+    """The freeze sums a map as np.add.reduce does, so both paths give
+    the same bits; a numpy that sums in another order fails here."""
+    rng = np.random.default_rng(n)
+    for x in (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n),
+              rng.random(n)):
+        got = capwalk._kernel().pairwise_sum(x.ctypes.data, n)
+        assert np.float64(got).tobytes() == np.add.reduce(x).tobytes()
 
 
 # --- the window scorer -----------------------------------------------------
 
+NO_TALLY = (np.empty(0, np.int64), np.empty(0, np.int64))
+
+
+def sensor(bits):
+    """A one-row sensor whose flat indices need ``bits`` bits: 2**bits
+    pixels, or 2**63 - 1 at 63 bits."""
+    return SensorGeometry(min(2**bits, 2**63 - 1), 1)
+
+
 def score_window(flat, bits, frozen, alpha=0.25):
-    """(pixels, counts, p) of one window scored by capwalk.score_window."""
+    """(pixels, counts, p) of one window, the open one, scored by
+    capwalk.score_piece with the map ``frozen``."""
     flat = np.asarray(flat, np.int64)
     p = np.full(flat.size, -1.0)
-    scratch = capwalk.window_scratch(flat.size)
-    pixels, counts = capwalk.score_window(flat, bits, frozen, alpha, p,
-                                          scratch)
+    ids, bounds = np.array([5] if flat.size else []), np.array(
+        [0, flat.size] if flat.size else [0])
+    (pixels, counts), kept = capwalk.score_piece(
+        flat, ids, bounds, 5, NO_TALLY, frozen,
+        (sensor(bits), alpha, SigmoidParams(), None), p)
+    assert kept is frozen
     return pixels, counts, p
 
 
@@ -211,7 +247,7 @@ def windows(draw):
     every radix digit (6 passes at 63 bits)."""
     bits = draw(st.sampled_from([0, 1, 11, 12, 20, 22, 33, 55, 62, 63])
                 | st.integers(0, 63))
-    top = 2**bits - 1
+    top = sensor(bits).n_pixels - 1
     values = (st.sampled_from([0, top, top // 2, max(0, top - 2047)])
               | st.integers(max(0, top - 5000), top) | st.integers(0, top))
     pool = draw(st.lists(values, min_size=1, max_size=6))
@@ -261,26 +297,58 @@ class TestScoreWindow:
     def test_index_out_of_range(self, cap_walk, flat, bits):
         p = np.full(len(flat), -1.0)
         with pytest.raises(ValueError, match="flat pixel indices"):
-            capwalk.score_window(np.array(flat, np.int64), bits, None, 0.5,
-                                 p, capwalk.window_scratch(len(flat)))
+            capwalk.score_piece(np.array(flat, np.int64), [1],
+                                [0, len(flat)], 1, NO_TALLY, None,
+                                (sensor(bits), 0.5, SigmoidParams(), None), p)
+        assert (p == -1.0).all()
+
+    @pytest.mark.parametrize("flat", [[6], [0, 5, 7, 2]])
+    def test_index_past_the_sensor(self, cap_walk, flat):
+        """Indices of 6 pixels take 3 bits, but 6 and 7 are not pixels."""
+        p = np.full(len(flat), -1.0)
+        with pytest.raises(ValueError, match=r"in \[0, 6\)"):
+            capwalk.score_piece(np.array(flat, np.int64), [2],
+                                [0, len(flat)], 2, NO_TALLY, None,
+                                (SensorGeometry(3, 2), 0.5, SigmoidParams(),
+                                 None), p)
         assert (p == -1.0).all()
 
     def test_rejects_mismatched_arrays(self):
         flat = np.arange(4, dtype=np.int64)
-        p, scratch = np.empty(4), capwalk.window_scratch(4)
-        for args in ((flat.astype(np.int32), 3, None, 0.5, p, scratch),
-                     (flat, 3, None, 0.5, np.empty(3), scratch),
-                     (flat, 3, None, 0.5, p, scratch[:-1]),
-                     (flat, 3, None, 0.5, p, scratch.astype(np.float64)),
-                     (flat[::2], 3, None, 0.5, p[:2], scratch),
-                     (flat, 64, None, 0.5, p, scratch),
-                     (flat, -1, None, 0.5, p, scratch)):
-            with pytest.raises(ValueError, match="contiguous"):
-                capwalk.score_window(*args)
+        p, ids, bounds = np.empty(4), np.array([1, 3]), np.array([0, 1, 4])
+        chain = (SensorGeometry(4, 1), 0.5, SigmoidParams(), None)
+        for args, match in (
+                ((flat.astype(np.int32), ids, bounds, 0, NO_TALLY, None,
+                  chain, p), "contiguous"),
+                ((flat, ids, bounds, 0, NO_TALLY, None, chain, np.empty(3)),
+                 "contiguous"),
+                ((flat[::2], ids, [0, 1, 2], 0, NO_TALLY, None, chain,
+                  p[:2]), "contiguous"),
+                ((flat, ids, [0, 1, 3], 0, NO_TALLY, None, chain, p),
+                 "windows"),
+                ((flat, ids, [0, 0, 4], 0, NO_TALLY, None, chain, p),
+                 "windows"),
+                ((flat, [3, 1], bounds, 0, NO_TALLY, None, chain, p),
+                 "windows"),
+                ((flat, ids, bounds, 2, NO_TALLY, None, chain, p),
+                 "windows"),
+                ((flat, [0, 3], bounds, 0, NO_TALLY, None, chain, p),
+                 "windows"),
+                ((flat, ids, bounds[:2], 0, NO_TALLY, None, chain, p),
+                 "windows"),
+                ((flat, ids, bounds, 0, (flat, flat[:3]), None, chain, p),
+                 "tally"),
+                ((flat, ids, bounds, 0, (flat + 1, np.ones(4, np.int64)),
+                  None, chain, p), "tally"),
+                ((flat, ids, bounds, 0, (flat, np.zeros(4, np.int64)), None,
+                  chain, p), "tally")):
+            with pytest.raises(ValueError, match=match):
+                capwalk.score_piece(*args)
         if capwalk.implementation() == "compiled":
             short = SparseScores(None, np.arange(3), np.zeros(2), 0.5)
             with pytest.raises(ValueError, match="one score per active"):
-                capwalk.score_window(flat, 3, short, 0.5, p, scratch)
+                capwalk.score_piece(flat, [1], [0, 4], 1, NO_TALLY, short,
+                                    chain, p)
 
 
 # --- the loader ------------------------------------------------------------

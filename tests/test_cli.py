@@ -316,6 +316,43 @@ class TestDownsample:
         assert scene_csv.read_bytes() == want.read_bytes()
 
 
+# Runs the command line given as arguments, then prints its peak RSS in
+# kB: VmHWM, which starts afresh at exec.
+_PEAK_RSS_CHILD = """
+import sys
+from evdown.cli import main
+rc = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")))
+sys.exit(rc)
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                    reason="needs /proc for the peak RSS")
+def test_long_line_refused_in_bounded_memory(scene_csv, tmp_path):
+    """A row padded with 32 MiB of spaces, which int() takes, is refused
+    as longer than 1 MiB: exit 3 with one line naming it, and the command
+    peaks within 16 MB of a valid run instead of reading the line whole
+    (which took some 100 MB more)."""
+    lines = scene_csv.read_bytes().split(b"\n")
+    lines[5] = b" " * (32 << 20) + lines[5]
+    padded = tmp_path / "padded.csv"
+    padded.write_bytes(b"\n".join(lines))
+    peaks = {}
+    for name, src in (("valid", scene_csv), ("padded", padded)):
+        proc = subprocess.run(
+            [sys.executable, "-c", _PEAK_RSS_CHILD, "downsample", "-i",
+             str(src), "-o", str(tmp_path / f"{name}-out.csv"), "-m",
+             "uniform", "-a", "0.1"],
+            capture_output=True, env=SRC_ENV, timeout=120)
+        assert proc.returncode == (0 if name == "valid" else 3), proc.stderr
+        peaks[name] = int(proc.stdout)
+    assert proc.stderr.decode().splitlines() == [
+        f"evdown: {padded}:6: line longer than 1048576 bytes"]
+    assert peaks["padded"] < peaks["valid"] + 16_000, peaks
+
+
 def _edit_row(data: bytes, edit) -> bytes:
     """The CSV data with its second event row (line 3) edited."""
     lines = data.split(b"\n")

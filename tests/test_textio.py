@@ -423,6 +423,47 @@ class TestCsvBlocks:
             assert_same(source.read(), loop_result(path))
 
 
+def padded(t, width, end=b"\n"):
+    """An event row padded on the left with spaces, which int() takes, to
+    width bytes, its line end included."""
+    return (b"%d,1,2,0" % t).rjust(width - len(end)) + end
+
+
+class TestLineLimit:
+    @pytest.mark.parametrize("block", [8, 24, 64])
+    @pytest.mark.parametrize("end", [b"\n", b"\r\n", b"\r"])
+    def test_longest_line_read_and_a_longer_refused(
+            self, tmp_path, monkeypatch, cap_walk, block, end):
+        """A line as long as _CSV_LINE_BYTES, its line end included, is
+        read, as is a last line that long without one; a line one byte
+        longer is refused, naming it, at every block size up to the limit
+        and on both kernel paths.  A lone CR ends the long line only where
+        the byte after it is read, so a CR line is one byte shorter."""
+        monkeypatch.setattr(evio, "_CSV_LINE_BYTES", 64)
+        monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", block)
+        longest = 64 - (end == b"\r")
+        head = b"t,x,y,p" + end + padded(0, 20, end) + padded(1, 20, end)
+        for name, body, line in (
+                ("fits", padded(2, longest, end) + padded(3, 20, end), None),
+                ("last", padded(2, 20, end) + padded(3, 64, b""), None),
+                ("long", padded(2, longest + 1, end) + padded(3, 20, end), 4),
+                ("long-last", padded(2, 20, end) + padded(3, 65, b""), 5)):
+            path = tmp_path / f"{name}.csv"
+            path.write_bytes(head + body)
+            got = read_result(path)
+            if line is None:
+                assert_same(got, loop_result(path))
+            else:
+                assert got == f"{path}:{line}: line longer than 64 bytes"
+
+    def test_long_header_refused(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(evio, "_CSV_LINE_BYTES", 64)
+        monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", 8)
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"t,x,y,p" + b" " * 60 + b"\n" + padded(0, 20))
+        assert read_result(path) == f"{path}:1: line longer than 64 bytes"
+
+
 class TestNonAscii:
     def test_csv_names_file_and_line(self, tmp_path):
         path = tmp_path / "a.csv"
