@@ -251,8 +251,7 @@ double pairwise_sum(const double *a, int64_t n)
    (hi - lo), or 0 when hi == lo, where lo and hi range over the bases
    and, when some pixel is inactive, 0; mean = (the pairwise sum of the
    active g + the inactive pixels' count * their g) / n_pixels; score =
-   sigmoid(g + (alpha - mean)), clamped inside (0, 1).  Each product
-   is its own statement, so no compiler fuses it into an add. */
+   sigmoid(g + (alpha - mean)), clamped inside (0, 1). */
 #define DIGIT 11
 #define RADIX (1 << DIGIT)
 #define PASSES ((63 + DIGIT - 1) / DIGIT)
@@ -382,10 +381,13 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
                       occ, weights};
     int passes = bits > DIGIT ? (int)((bits + DIGIT - 1) / DIGIT) : 1;
     int64_t (*hist)[RADIX] = (int64_t (*)[RADIX])(scratch + 4 * longest);
-    int64_t *keys[2] = {scratch, scratch + longest};
-    int64_t *pos[2] = {scratch + 2 * longest, scratch + 3 * longest};
-    int64_t *act = scratch + 4 * longest + PASSES * RADIX, *cnt = act + most;
-    double *prb = (double *)(cnt + most);
+    /* The sort moves each event's pixel and position together, so a pass
+       writes one place in memory per event, not two. */
+    int64_t (*rec[2])[2] = {(int64_t (*)[2])scratch,
+                            (int64_t (*)[2])(scratch + 2 * longest)};
+    int64_t *pix = scratch, *cnt = scratch + longest;
+    int64_t *act = scratch + 4 * longest + PASSES * RADIX;
+    double *prb = (double *)(act + 2 * most);
     const int64_t *map_act = act0;
     const double *map_prb = prb0;
     int64_t m = m0, id = open, k = 0;
@@ -393,10 +395,8 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
     out[1] = -1;
     for (int64_t w = 0; w < nw; w++) {
         const int64_t *f = flat + bounds[w];
-        int64_t n = bounds[w + 1] - bounds[w];
-        const int64_t *key = f, *at = NULL;
+        int64_t n = bounds[w + 1] - bounds[w], (*in)[2] = NULL;
         uint64_t bad = 0;
-        int o = 0;
 
         if (ids[w] != id) {
             /* The tally of window id: its earlier pieces' and this one's. */
@@ -407,8 +407,8 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
                 m = 0;
                 prb[0] = c.alpha;
             } else {
-                m = merge(pix0, cnt0, earlier, keys[0], keys[1], k, act, cnt);
-                freeze(&c, act, cnt, m, prb);
+                m = merge(pix0, cnt0, earlier, pix, cnt, k, act, act + most);
+                freeze(&c, act, act + most, m, prb);
             }
             map_act = act;
             map_prb = prb;
@@ -426,34 +426,37 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
             return -1;
         for (int d = 0; d < passes; d++) {
             int shift = DIGIT * d;
-            int64_t *h = hist[d], sum = 0;
+            int64_t *h = hist[d], sum = 0, (*to)[2] = rec[(passes - d) & 1];
             for (int b = 0; b < RADIX; b++) {
                 int64_t count = h[b];
                 h[b] = sum;
                 sum += count;
             }
-            for (int64_t i = 0; i < n; i++) {
-                int64_t j = h[((uint64_t)key[i] >> shift) & (RADIX - 1)]++;
-                keys[o][j] = key[i];
-                pos[o][j] = d ? at[i] : i;
-            }
-            key = keys[o];
-            at = pos[o];
-            o ^= 1;
+            if (d == 0)
+                for (int64_t i = 0; i < n; i++) {
+                    int64_t j = h[(uint64_t)f[i] & (RADIX - 1)]++;
+                    to[j][0] = f[i];
+                    to[j][1] = i;
+                }
+            else
+                for (int64_t i = 0; i < n; i++) {
+                    int64_t j = h[((uint64_t)in[i][0] >> shift) & (RADIX - 1)]++;
+                    to[j][0] = in[i][0];
+                    to[j][1] = in[i][1];
+                }
+            in = to;
         }
-        /* Pixel k and count k are written once its run of keys has been
-           read, at k no later than the run's start, so writing over key
-           is safe. */
+        /* The last pass wrote rec[1], so the tally goes to rec[0]. */
         k = 0;
         for (int64_t i = 0, j = 0; i < n; k++) {
-            int64_t v = key[i], start = i;
+            int64_t v = in[i][0], start = i;
             while (j < m && map_act[j] < v)
                 j++;
             double score = j < m && map_act[j] == v ? map_prb[j] : map_prb[m];
-            for (; i < n && key[i] == v; i++)
-                p[bounds[w] + at[i]] = score;
-            keys[0][k] = v;
-            keys[1][k] = i - start;
+            for (; i < n && in[i][0] == v; i++)
+                p[bounds[w] + in[i][1]] = score;
+            pix[k] = v;
+            cnt[k] = i - start;
         }
     }
     out[0] = k;

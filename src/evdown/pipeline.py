@@ -152,12 +152,11 @@ class _WindowScorer:
         indices and window spans (:func:`evdown.events.window_spans`)."""
         tp0 = time.perf_counter()
         p = np.empty(flat.size)
+        # The open window's tallies are read only when it closes here.
         closes = ids.size > 1 or ids[0] != self.window
-        if closes:
-            self.tally = [merge_tallies(self.tally)]
+        earlier = merge_tallies(self.tally if closes else [])
         tally, self.frozen = score_piece(flat, ids, bounds, self.window,
-                                         self.tally[0], self.frozen,
-                                         self.chain, p)
+                                         earlier, self.frozen, self.chain, p)
         if closes:
             self.window, self.tally, self.pending = int(ids[-1]), [tally], 0
         else:
