@@ -687,9 +687,9 @@ def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
                            frozen.rest)
         if active.ndim != 1 or scores.shape != (active.size + 1,):
             raise ValueError("need one score per active pixel")
-    # Sized as the kernel lays it out: four sort buffers for the longest
-    # window, the digit histograms, and a tally and a map for the largest
-    # tally a map is frozen from.
+    # Sized as the kernel lays it out: two buffers of (pixel, position)
+    # records for the longest window, the digit histograms, and a tally
+    # and a map for the largest tally a map is frozen from.
     longest = int(lengths.max(initial=0))
     most = pixels.size + int(lengths[:-1].max(initial=0))
     scratch = np.empty(4 * longest + _HISTOGRAMS + 3 * most + 1, np.int64)

@@ -279,7 +279,8 @@ class TestScoreWindow:
         """More events than a digit has values, so the sort buffers reach
         past where the histograms would start if they shared scratch."""
         rng = np.random.default_rng(bits)
-        flat = rng.integers(0, 2**bits, 3 * 2048 + 5, dtype=np.int64)
+        flat = rng.integers(0, sensor(bits).n_pixels, 3 * 2048 + 5,
+                            dtype=np.int64)
         flat[::3] = flat[1]  # one pixel repeated a third of the time
         frozen = frozen_map(flat[::7], bits)
         got = score_window(flat, bits, frozen)
