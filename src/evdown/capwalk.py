@@ -1,11 +1,21 @@
-"""The compiled kernels: the budget-cap walk, the score sigmoid, the window
-scorer, the event parser and scan, and the row formatter.
+"""The compiled kernels: the window pass, the budget-cap walk, the score
+sigmoid, the window scorer, the event parser and scan, and the row
+formatter.
 
-The cap is a sequential state machine.  Event ``k`` (0-based, stream-wide)
-is dropped before evaluation when ``k > 0`` and ``retained > alpha * k``,
-and a dropped event consumes no draw, so which draw an event sees depends
-on every earlier decision.  Such a walk cannot be vectorized exactly in
-numpy.  The sigmoid ``1 / (1 + exp(-x))`` could be, but numpy's vector
+A push of :class:`evdown.pipeline.Downsampler` decides a piece of a
+stream in three calls: :func:`window_pass`, the window scorer
+(``poisson`` only) and :func:`walk_piece`.  The window pass writes each
+event's window id and the piece's nonempty windows, dividing once per
+window rather than once per event.  The cap is a sequential state
+machine.  Event ``k`` (0-based, stream-wide) is dropped before evaluation
+when ``k > 0`` and ``retained > alpha * k``, and a dropped event consumes
+no draw, so which draw an event sees depends on every earlier decision.
+Such a walk cannot be vectorized exactly in numpy.  The piece walk
+applies it and, in the same pass, writes the positions of the accepted
+events, the capped count and each window's retained count; it reads the
+draws the last piece left unused and then blocks of fresh ones, drawn
+only once those run out, so no array of draws is joined to another.  The
+sigmoid ``1 / (1 + exp(-x))`` could be vectorized, but numpy's vector
 ``exp`` does not round as libm's scalar ``exp`` does on every input, so
 scores would depend on the CPU numpy runs on.  The window scorer,
 :func:`score_piece`, does all the work of scoring one piece of a stream
@@ -18,14 +28,16 @@ same bits: the mean is summed in numpy's pairwise order
 test), and without a prior the sigmoid runs once per occupancy class
 ``min(count, 37)`` rather than once per pixel.
 
-These three kernels have two implementations with bit-identical results:
+These four kernels have two implementations with bit-identical results:
 
 * C loops, compiled together on first use with the system C compiler
   (``cc``) into this package's ``__pycache__`` and loaded with
   :mod:`ctypes`; no build step is needed, and later processes load the
   cached file;
-* Python twins (``math.exp`` is libm's ``exp``; the window scorer's is
-  ``np.unique``, ``sparse_scores`` and
+* Python twins (the window pass's is :func:`evdown.events.window_ids`
+  and :func:`evdown.events.window_spans`; the walk's is a loop over
+  Python floats, then numpy over the codes; ``math.exp`` is libm's
+  ``exp``; the window scorer's is ``np.unique``, ``sparse_scores`` and
   :meth:`evdown.density.SparseScores.lookup`), which run whenever the C
   loops cannot be built or loaded (no compiler, an unwritable cache, a
   failed compile or load, a library lacking a kernel).
@@ -60,6 +72,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .events import _check_window_limit, window_ids, window_spans
+
 # No -ffast-math, -Ofast, -fopenmp-simd or -march=native: ``alpha * k``
 # must round exactly as Python's float multiply does, and ``exp`` must stay
 # libm's scalar one rather than a vector variant.  -std=c99 makes the
@@ -71,25 +85,80 @@ _SOURCE = r"""
 #include <stdint.h>
 #include <string.h>
 
-/* Events k0 .. k0 + n - 1 of a walk that has retained so far; *used
-   receives the draws taken from u. */
-int64_t cap_walk(const double *p, const double *u, int64_t n, double alpha,
-                 int64_t k0, int64_t retained, uint8_t *codes, int64_t *used)
+/* The windows of the n sorted timestamps t, each at least t0: the window
+   (t[i] - t0) / t_us + 1 of each event to windows, and the nonempty
+   windows, window ids[w] holding events bounds[w] .. bounds[w + 1] - 1.
+   One division per window, not per event: an event stays in the window
+   before it while its offset from that window's start is below t_us, a
+   test in unsigned offsets that cannot wrap.  The caller keeps every id
+   at most INT64_MAX.  Returns the number of windows, or -1 when there
+   would be more than room. */
+int64_t window_pass(const int64_t *t, int64_t n, int64_t t0, int64_t t_us,
+                    int64_t *windows, int64_t *ids, int64_t *bounds,
+                    int64_t room)
 {
-    int64_t di = 0;
+    uint64_t span = (uint64_t)t_us, start = 0;
+    int64_t nw = 0, id = 0;
     for (int64_t i = 0; i < n; i++) {
+        uint64_t d = (uint64_t)t[i] - (uint64_t)t0;
+        if (!nw || d - start >= span) {
+            if (nw == room)
+                return -1;
+            start = d - d % span;
+            id = (int64_t)(d / span) + 1;
+            ids[nw] = id;
+            bounds[nw++] = i;
+        }
+        windows[i] = id;
+    }
+    bounds[nw] = n;
+    return nw;
+}
+
+/* The cap walk over events i .. n - 1 of a piece whose event i is event
+   k0 + i of the stream and whose window w holds events bounds[w] ..
+   bounds[w + 1] - 1.  st holds the walk's state, read and updated: the
+   next event i, its window w, the events retained in the stream, and the
+   events kept and capped in the piece.  Event k is capped (code 2) when
+   k > 0 and retained > alpha * k; any other takes the next draw of
+   u[0:nu], or 0.0 without u, and is accepted (code 0) when the draw is
+   below p[i], else rejected (code 1).  With kept set, an accepted event's
+   position goes there and counts in per_window[w].  The walk stops before
+   an event that needs a draw when u has none left; returns the draws
+   used. */
+int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
+                 const double *u, int64_t nu, double alpha, int64_t k0,
+                 uint8_t *codes, int64_t *kept, int64_t *per_window,
+                 int64_t *st)
+{
+    int64_t i = st[0], w = st[1], retained = st[2], nk = st[3];
+    int64_t capped = st[4], di = 0;
+    for (; i < n; i++) {
         int64_t k = k0 + i;
-        double budget = alpha * (double)k;
-        if (k && (double)retained > budget)
+        if (i == bounds[w + 1])
+            w++;
+        if (k && (double)retained > alpha * (double)k) {
             codes[i] = 2;
+            capped++;
+        } else if (u && di == nu)
+            break;
         else if ((u ? u[di++] : 0.0) < p[i]) {
             codes[i] = 0;
             retained++;
+            if (kept) {
+                kept[nk] = i;
+                per_window[w]++;
+            }
+            nk++;
         } else
             codes[i] = 1;
     }
-    *used = di;
-    return retained;
+    st[0] = i;
+    st[1] = w;
+    st[2] = retained;
+    st[3] = nk;
+    st[4] = capped;
+    return di;
 }
 
 void expit(const double *x, double *out, int64_t n)
@@ -308,8 +377,9 @@ static void freeze(const struct chain *c, const int64_t *pix,
         for (int64_t i = 0; i < k; i++)
             prb[i] = g[class_of(cnt[i])];
     }
-    double share = (double)n_rest * g_rest;
-    double mean = (pairwise_sum(prb, k) + share) / (double)c->n_pixels;
+    /* sparse_scores adds the inactive pixels' share n_rest * g_rest; here
+       it is +0.0, as every base is at least 0, so lo is 0 when any is. */
+    double mean = pairwise_sum(prb, k) / (double)c->n_pixels;
     double shift = c->alpha - mean;
     if (c->weights)
         for (int64_t i = 0; i < k; i++)
@@ -527,6 +597,10 @@ _DIGEST_BYTES = 32
 # The Python loops convert this many values at a time to Python floats,
 # so their memory does not grow with the input.
 _BLOCK = 1 << 14
+# Fresh variates are drawn this many at a time.  A block stays in cache and
+# is reused from the heap; one array of draws for a whole piece of 1M
+# events is fresh memory that the process faults in on every push.
+_DRAW_BLOCK = 1 << 16
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
 # A map without active pixels, and the tally of a window without events.
 _NO_PIXELS, _NO_SCORES = np.empty(0, np.int64), np.empty(0, np.float64)
@@ -537,7 +611,9 @@ _HISTOGRAMS = 6 << 11
 # lacking any of them is rebuilt.  pairwise_sum is the freeze's sum, exported
 # so that a test can hold it to numpy's.
 _KERNELS = {
-    "cap_walk": ((_P, _P, _I64, ctypes.c_double, _I64, _I64, _P, _P), _I64),
+    "window_pass": ((_P, _I64, _I64, _I64, _P, _P, _P, _I64), _I64),
+    "cap_walk": ((_P, _I64, _P, _P, _I64, ctypes.c_double, _I64, _P, _P, _P,
+                  _P), _I64),
     "expit": ((_P, _P, _I64), None),
     "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
@@ -585,19 +661,131 @@ def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
             or not codes.flags.c_contiguous or not codes.flags.writeable):
         raise ValueError(f"codes must be a writable contiguous uint8 array "
                          f"of length {n}")
-    k0, retained0 = int(k0), int(retained0)
-    if not 0 <= retained0 <= k0:
-        raise ValueError(f"cannot resume after {k0} events with {retained0} "
-                         f"retained")
+    k0, retained0 = _resume_point(k0, retained0)
     kernel = _kernel()
     if kernel is None:
-        return _walk_python(p, draws, alpha, codes, k0, retained0)
-    used = ctypes.c_int64()
-    retained = kernel.cap_walk(p.ctypes.data,
-                               None if draws is None else draws.ctypes.data,
-                               n, alpha, k0, retained0, codes.ctypes.data,
-                               ctypes.byref(used))
-    return retained, used.value
+        return _walk_python(p, draws, alpha, codes, k0, retained0)[:2]
+    bounds = np.array([0, n], np.int64)
+    st = np.array([0, 0, retained0, 0, 0], np.int64)
+    used = kernel.cap_walk(p.ctypes.data, n, bounds.ctypes.data,
+                           None if draws is None else draws.ctypes.data,
+                           0 if draws is None else draws.shape[0], alpha, k0,
+                           codes.ctypes.data, None, None, st.ctypes.data)
+    return int(st[2]), used
+
+
+def window_pass(t: np.ndarray, t0: int, t_us: int):
+    """The windows of one piece of a stream: ``(windows, ids, bounds)``,
+    each event's window id as :func:`evdown.events.window_ids` gives it and
+    the piece's nonempty windows as :func:`evdown.events.window_spans` does.
+
+    ``t`` holds the piece's timestamps (int64), sorted and at least the
+    anchor ``t0``.  The compiled pass divides once per window, not once
+    per event, and sizes ``ids`` and ``bounds`` by the windows the piece
+    spans; its Python twin is those two functions.
+
+    Raises ValueError as :func:`~evdown.events.window_ids` does, before
+    anything is computed, and for a first timestamp below ``t0``; the
+    compiled pass also refuses timestamps that decrease, rather than write
+    past its arrays.
+    """
+    t = np.ascontiguousarray(t, np.int64)
+    n, t0, t_us = t.shape[0], int(t0), int(t_us)
+    if t.ndim != 1 or t_us < 1 or (n and int(t[0]) < t0):
+        raise ValueError("need one-dimensional timestamps from t0 on and a "
+                         "positive window length")
+    if n == 0:
+        return t.copy(), _NO_PIXELS.copy(), np.zeros(1, np.int64)
+    top = int(t[-1])
+    _check_window_limit(top, t0, t_us)
+    kernel = _kernel()
+    if kernel is None:
+        windows = window_ids(t, t0, t_us, top)
+        return (windows, *window_spans(windows))
+    room = max(0, min(n, (top - t0) // t_us - (int(t[0]) - t0) // t_us + 1))
+    windows = np.empty(n, np.int64)
+    ids, bounds = np.empty(room, np.int64), np.empty(room + 1, np.int64)
+    nw = kernel.window_pass(t.ctypes.data, n, t0, t_us, windows.ctypes.data,
+                            ids.ctypes.data, bounds.ctypes.data, room)
+    if nw < 0:
+        raise ValueError("timestamps must not decrease")
+    return windows, ids[:nw], bounds[:nw + 1]
+
+
+def walk_piece(p: np.ndarray, bounds: np.ndarray, alpha: float, k0: int,
+               retained0: int, draws: np.ndarray | None = None, more=None):
+    """Decide the events of one piece of a stream: the walk of
+    :func:`cap_walk` over its events ``k0 .. k0 + len(p) - 1``, resumed
+    after ``retained0`` of the events before were kept, with its windows
+    ``bounds`` (as :func:`window_pass` gives them) counted.
+
+    ``draws`` holds the variates the walk before left unused, or is None
+    for the walk without draws, and ``more(n)`` returns ``n`` fresh ones.
+    Fresh ones are drawn only once ``draws`` runs out, in blocks of at
+    most 65,536 and no more than the events left, so no array of draws is
+    ever joined to another, and each evaluated event still takes the next
+    variate of the stream.
+
+    Returns ``(codes, kept, capped, window_kept, retained, left)``: the
+    codes, the positions of the accepted events in the piece, how many
+    events were capped, how many were accepted in each window, how many
+    the stream has retained, and the draws left unused (None without
+    draws).  The compiled walk writes all of them in its pass; its Python
+    twin is :func:`cap_walk`'s loop, then numpy over the codes.
+
+    Raises ValueError when the arrays do not fit each other or the resume
+    point is impossible.
+    """
+    p = np.ascontiguousarray(p, np.float64)
+    bounds = np.ascontiguousarray(bounds, np.int64)
+    n = p.shape[0]
+    if (p.ndim != 1 or bounds.ndim != 1 or bounds.shape[0] < 1
+            or bounds[0] != 0 or bounds[-1] != n
+            or (np.diff(bounds) <= 0).any()):
+        raise ValueError("need one-dimensional probabilities and the bounds "
+                         "of nonempty windows that hold them")
+    if draws is not None:
+        draws = np.ascontiguousarray(draws, np.float64)
+        if draws.ndim != 1 or more is None:
+            raise ValueError("need draws in one dimension and more of them")
+    k0, retained0 = _resume_point(k0, retained0)
+    codes = np.empty(n, np.uint8)
+    kernel = _kernel()
+    if kernel is None:
+        st = [0, retained0]
+
+        def walk(u):
+            st[1], used, st[0] = _walk_python(p, u, alpha, codes, k0, st[1],
+                                              st[0])
+            return used, st[0]
+
+        left = _walk_with_draws(walk, n, draws, more)
+        kept = np.flatnonzero(codes == 0)
+        return (codes, kept, int(np.count_nonzero(codes == 2)),
+                np.diff(np.searchsorted(kept, bounds)), st[1], left)
+    # The prefix cap bound: an event k > 0 is accepted only when retained
+    # <= alpha * k before it, so by the piece's end the stream has kept at
+    # most floor(alpha * (k0 + n - 1)) + 1 events.
+    room = n
+    if 0.0 <= alpha < 1.0:
+        room = max(0, min(n, math.floor(alpha * (k0 + n - 1)) + 1
+                          - retained0))
+    kept = np.empty(room, np.int64)
+    window_kept = np.zeros(bounds.shape[0] - 1, np.int64)
+    st = np.array([0, 0, retained0, 0, 0], np.int64)
+    # Looked up once: a piece of 1M events takes 16 blocks of draws.
+    piece = (p.ctypes.data, n, bounds.ctypes.data)
+    outputs = tuple(a.ctypes.data for a in (codes, kept, window_kept, st))
+
+    def walk(u):
+        used = kernel.cap_walk(*piece, None if u is None else u.ctypes.data,
+                               0 if u is None else u.shape[0], alpha, k0,
+                               *outputs)
+        return used, int(st[0])
+
+    left = _walk_with_draws(walk, n, draws, more)
+    _, _, retained, nk, capped = st.tolist()
+    return codes, kept[:nk], capped, window_kept, retained, left
 
 
 def expit(x):
@@ -624,14 +812,14 @@ def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
     freeze the map of each window that opens in it.
 
     ``flat`` holds the events' flat pixel indices (int64), and ``ids``
-    and ``bounds`` their windows, as :func:`evdown.events.window_spans`
-    gives them.  ``chain`` holds the arguments of
-    :func:`evdown.density.sparse_scores` but the tally: ``(geometry,
-    alpha, params, prior)``.  The window open before the piece is
-    ``window`` (0 before the first piece); ``tally`` holds its distinct
-    pixels, ascending, and their counts (int64) in the pieces before, and
-    ``frozen`` its map, a :class:`evdown.density.SparseScores`, or None
-    to score every event ``alpha``.
+    and ``bounds`` their windows, as :func:`window_pass` gives them.
+    ``chain`` holds the arguments of :func:`evdown.density.sparse_scores`
+    but the tally: ``(geometry, alpha, params, prior)``.  The window open
+    before the piece is ``window`` (0 before the first piece); ``tally``
+    holds its distinct pixels, ascending, and their counts (int64) in the
+    pieces before, and ``frozen`` its map, a
+    :class:`evdown.density.SparseScores`, or None to score every event
+    ``alpha``.
 
     Window 1 scores every event ``alpha``; every other window that opens
     is scored with the map ``sparse_scores`` freezes from the tally of
@@ -843,14 +1031,41 @@ def implementation() -> str:
     return "python" if _kernel() is None else "compiled"
 
 
-def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
+def _resume_point(k0, retained0) -> tuple[int, int]:
+    k0, retained0 = int(k0), int(retained0)
+    if not 0 <= retained0 <= k0:
+        raise ValueError(f"cannot resume after {k0} events with {retained0} "
+                         f"retained")
+    return k0, retained0
+
+
+def _walk_with_draws(walk, n, draws, more):
+    """Run ``walk(u) -> (used, stop)`` over the leftover draws, then, while
+    they run out before event ``n``, over blocks of fresh ones, at most
+    _DRAW_BLOCK and no more than the events left; return the draws left
+    unused."""
+    used, stop = walk(draws) if draws is None or draws.size else (0, 0)
+    while stop < n:
+        block = min(_DRAW_BLOCK, n - stop)
+        draws = np.ascontiguousarray(more(block), np.float64)
+        if draws.shape != (block,):
+            raise ValueError(f"more({block}) must return {block} draws")
+        used, stop = walk(draws)
+    return None if draws is None else draws[used:]
+
+
+def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
+    """The walk over events ``start ..`` of p; returns ``(retained, used,
+    stop)``, stop being the event before which the draws ran out, or the
+    length of p."""
     retained = retained0
     di = 0
-    for i0 in range(0, p.shape[0], _BLOCK):
+    for i0 in range(start, p.shape[0], _BLOCK):
         pv = p[i0:i0 + _BLOCK].tolist()
         # Without draws, a draw of 0.0 accepts exactly the events with p > 0.
         uv = ([0.0] * len(pv) if draws is None
               else draws[di:di + len(pv)].tolist())
+        nu = len(uv)
         j = 0
         k = k0 + i0
         block = []
@@ -858,6 +1073,8 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
         for pk in pv:
             if k and retained > alpha * k:
                 append(2)
+            elif j == nu:
+                break
             else:
                 u = uv[j]
                 j += 1
@@ -867,9 +1084,11 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
                 else:
                     append(1)
             k += 1
-        codes[i0:i0 + len(pv)] = block
+        codes[i0:i0 + len(block)] = block
         di += j
-    return retained, 0 if draws is None else di
+        if len(block) < len(pv):
+            return retained, di, i0 + len(block)
+    return retained, 0 if draws is None else di, p.shape[0]
 
 
 def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):

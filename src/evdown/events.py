@@ -251,9 +251,14 @@ def window_ids(t: np.ndarray, t0: int, t_us: int,
     us reaches.
     """
     if t.size:
-        top = int(t.max()) if top is None else top
-        if (top - t0) // t_us >= _INT64_MAX:
-            raise ValueError(
-                f"window of t={top} would pass the window id limit 2**63 - 1 "
-                f"(windows of {t_us} us from t={t0})")
+        _check_window_limit(int(t.max()) if top is None else top, t0, t_us)
     return (t - t0) // t_us + 1
+
+
+def _check_window_limit(top: int, t0: int, t_us: int) -> None:
+    """Raise window_ids' ValueError when the window of ``top`` would pass
+    2**63 - 1."""
+    if (top - t0) // t_us >= _INT64_MAX:
+        raise ValueError(
+            f"window of t={top} would pass the window id limit 2**63 - 1 "
+            f"(windows of {t_us} us from t={t0})")

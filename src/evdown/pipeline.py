@@ -28,11 +28,16 @@ dropped unevaluated and takes no variate, any other takes the next one.
 With alpha = 1 every method keeps every event (stochastic methods then
 use acceptance probability 1).
 
-Every event's acceptance probability in a piece is computed first; one
-walk of :func:`evdown.capwalk.cap_walk`, resumed where the last piece's
-stopped, then applies the cap and the draws.  A piece draws only the
-variates the last one left unused do not cover, and PCG64 block draws
-concatenate exactly.
+A push decides a piece in three steps.  :func:`evdown.capwalk.window_pass`
+finds each event's window and the piece's nonempty windows; every event's
+acceptance probability is computed next (the window scorer's for
+``poisson``); then one :func:`evdown.capwalk.walk_piece`, resumed where
+the last piece's stopped, applies the cap and the draws and gives the
+kept positions, the capped count and each window's retained count.  The
+walk takes the variates the last piece left unused first and draws fresh
+ones only once those run out, and PCG64 block draws concatenate exactly.
+Where the C kernels cannot be built, their numpy and Python twins give
+the same bits.
 """
 
 from __future__ import annotations
@@ -43,18 +48,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capwalk import cap_walk, merge_tallies, score_piece
-from .events import EventStream, SensorGeometry, window_ids, window_spans
-from .samplers import DecisionCode, SamplerConfig, acceptance_window_us
+from .capwalk import merge_tallies, score_piece, walk_piece, window_pass
+from .events import EventStream, SensorGeometry
+from .samplers import SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
 
 # Placeholders: perfbench's tracer patches these two names, and nothing
 # calls them.  ROADMAP item 1 retargets the tracer and removes them.
 score_map = poisson_occupancy = None
-
-_ACCEPT = int(DecisionCode.ACCEPT)
-_REJ_CAP = int(DecisionCode.REJECT_CAP)
 
 
 @dataclass
@@ -82,7 +84,8 @@ class RunStats:
 
     processed = retained + capped + sampler_rejected always holds.
     per_window lists (window_id, n_processed, n_retained) for every window
-    that contained at least one event.
+    that contained at least one event.  pdf_s is the time spent scoring and
+    eval_s the time of the decision walks, their fresh draws included.
     """
 
     method: str
@@ -205,7 +208,8 @@ class Downsampler:
         self._last_t = None
         self._seen = self._retained = self._capped = 0
         self._rng = None if method == "deterministic" else config.rng()
-        self._tail = np.empty(0)
+        # The draws the last push left unused; None for deterministic.
+        self._tail = None if self._rng is None else np.empty(0)
         self._scorer = (_WindowScorer(geometry, config)
                         if method == "poisson" and config.alpha != 1.0
                         else None)
@@ -249,37 +253,29 @@ class Downsampler:
         cfg = self.config
         alpha = cfg.alpha
         t0 = int(t[0]) if self._t0 is None else self._t0
-        windows = window_ids(t, t0, cfg.t_us, top=int(t[-1]))
-        ids, bounds = window_spans(windows)
+        windows, ids, bounds = window_pass(t, t0, cfg.t_us)
         # Scoring never depends on decisions (a frozen map counts every event
         # of its window, accepted or not), so every event's probability is
         # known before the cap walk starts.
-        draws = None
         if self.method == "deterministic":
             ta = acceptance_window_us(alpha, cfg.tw_us)
             p = (((t - t0) % cfg.tw_us) < ta).astype(np.float64)
             probs = np.full(m, np.nan)
+        elif self._scorer is None:
+            p = probs = np.full(m, alpha)
         else:
-            draws = self._draws(m)
-            if self._scorer is None:
-                p = np.full(m, alpha)
-            else:
-                p = self._scorer.score(chunk.y * self.geometry.width + chunk.x,
-                                       ids, bounds)
-            probs = p
+            p = probs = self._scorer.score(
+                chunk.y * self.geometry.width + chunk.x, ids, bounds)
 
         te0 = time.perf_counter()
-        codes = np.empty(m, dtype=np.uint8)
-        self._retained, used = cap_walk(
-            p, draws, alpha if cfg.cap_enabled else math.inf, codes,
-            self._seen, self._retained)
-        if draws is not None:
-            self._tail = draws[used:]
+        codes, accepted, capped, window_kept, self._retained, self._tail = (
+            walk_piece(p, bounds, alpha if cfg.cap_enabled else math.inf,
+                       self._seen, self._retained, self._tail,
+                       None if self._rng is None else self._rng.random))
+        self._capped += capped
         self._eval_s += time.perf_counter() - te0
 
-        accepted = np.flatnonzero(codes == _ACCEPT)
-        self._capped += int(np.count_nonzero(codes == _REJ_CAP))
-        self._count_windows(ids, bounds, accepted)
+        self._count_windows(ids, bounds, window_kept)
         kept = chunk.subset(accepted, offset=self._seen)
         self._t0, self._last_t = t0, int(t[-1])
         self._seen += m
@@ -303,18 +299,9 @@ class Downsampler:
             self._tail = self._scorer = self._per_window = None
         return self._stats
 
-    def _draws(self, m: int) -> np.ndarray:
-        """At least m variates: those the last push left unused, then as
-        many fresh ones as they lack."""
-        need = m - self._tail.size
-        if need <= 0:
-            return self._tail
-        fresh = self._rng.random(need)
-        return np.concatenate((self._tail, fresh)) if self._tail.size else fresh
-
-    def _count_windows(self, ids, bounds, accepted) -> None:
+    def _count_windows(self, ids, bounds, window_kept) -> None:
         rows = list(zip(ids.tolist(), np.diff(bounds).tolist(),
-                        np.diff(np.searchsorted(accepted, bounds)).tolist()))
+                        window_kept.tolist()))
         if self._per_window and self._per_window[-1][0] == rows[0][0]:
             # The open window goes on from the last piece.
             wid, n, r = self._per_window.pop()

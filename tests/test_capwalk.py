@@ -1,6 +1,7 @@
 """The cap walk: compiled kernel vs Python loop vs the per-event cap rule
-(``conftest.per_event_walk``); the window scorer: compiled kernel vs its
-numpy twin vs ``np.unique`` and one lookup per event, and its sum vs
+(``conftest.per_event_walk``); the window pass and the piece walk against
+Python integers and ``cap_walk``; the window scorer: compiled kernel vs
+its numpy twin vs ``np.unique`` and one lookup per event, and its sum vs
 numpy's; the C source under strict warnings; and the loader's
 fallbacks."""
 
@@ -18,9 +19,9 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (SamplerConfig, SensorGeometry, SigmoidParams,
-                    SparseScores, capwalk, read_events, read_log, run,
-                    write_events, write_log)
+from evdown import (Downsampler, SamplerConfig, SensorGeometry,
+                    SigmoidParams, SparseScores, capwalk, read_events,
+                    read_log, run, write_events, write_log)
 from evdown.cli import main
 
 from conftest import SRC_ENV, per_event_walk, random_stream, reference_run
@@ -31,7 +32,7 @@ HAS_CC = shutil.which("cc") is not None
 
 def python_walk(p, draws, alpha):
     codes = np.empty(p.shape[0], np.uint8)
-    retained, _ = capwalk._walk_python(p, draws, alpha, codes)
+    retained, _, _ = capwalk._walk_python(p, draws, alpha, codes)
     return codes.tolist(), retained
 
 
@@ -162,6 +163,224 @@ class TestResume:
                 capwalk.cap_walk(p, None, 0.5, np.empty(3, np.uint8), k0, r0)
 
 
+# --- the window pass and the piece walk --------------------------------------
+
+def spans_of(t, t0, t_us):
+    """Each event's window and the nonempty windows' ids and bounds, in
+    Python integers."""
+    windows = [(v - t0) // t_us + 1 for v in t]
+    ids = sorted(set(windows))
+    return windows, ids, [windows.index(w) for w in ids] + [len(windows)]
+
+
+def assert_window_pass(t, t0, t_us):
+    got = capwalk.window_pass(np.array(t, np.int64), t0, t_us)
+    assert all(a.dtype == np.int64 for a in got)
+    assert [a.tolist() for a in got] == list(spans_of(t, t0, t_us))
+
+
+class TestWindowPass:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(steps=st.lists(st.integers(0, 40) | st.integers(0, 10**15),
+                          min_size=1, max_size=80),
+           t0=st.integers(0, 10**6), start=st.integers(0, 5000),
+           t_us=st.sampled_from([1, 7, 1000]) | st.integers(1, 2**63 - 1))
+    def test_matches_python_integers(self, cap_walk, steps, t0, start, t_us):
+        """Steps of 0 repeat a timestamp; long steps skip many windows."""
+        t = (t0 + start + np.cumsum(steps)).tolist()
+        assert_window_pass(t, t0, t_us)
+
+    @pytest.mark.parametrize("t0, t_us, t", [
+        (1, 1, [1, 2, 2**62, 2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63 - 1]),
+        (0, 2**62, [0, 2**62 - 1, 2**62, 2**62 + 1, 2**63 - 2, 2**63 - 1]),
+        (1, 2**62, [1, 2**62, 2**62 + 1, 2**63 - 1]),
+        (0, 2**63 - 1, [0, 2**63 - 2, 2**63 - 1, 2**63 - 1])])
+    def test_near_the_largest_timestamp(self, cap_walk, t0, t_us, t):
+        """Window 2 of 2**62 us from 0 ends at 2**63, past int64: the pass
+        must not compute that end, or the test that an event stays in its
+        window wraps."""
+        assert_window_pass(t, t0, t_us)
+
+    def test_refuses_a_wrapping_window_id(self, cap_walk):
+        with pytest.raises(ValueError, match=r"t=9223372036854775807 would "
+                           r"pass the window id limit 2\*\*63 - 1"):
+            capwalk.window_pass(np.array([0, 2**63 - 1], np.int64), 0, 1)
+
+    def test_rejects_bad_arguments(self, cap_walk):
+        t = np.array([5, 6, 7], np.int64)
+        for args in ((t, 6, 1), (t, 0, 0), (t.reshape(1, 3), 0, 1)):
+            with pytest.raises(ValueError, match="timestamps"):
+                capwalk.window_pass(*args)
+        if cap_walk == "compiled":
+            with pytest.raises(ValueError, match="must not decrease"):
+                capwalk.window_pass(np.array([9, 3, 5, 1], np.int64), 0, 1)
+
+    def test_empty_piece(self, cap_walk):
+        windows, ids, bounds = capwalk.window_pass(np.empty(0, np.int64), 3,
+                                                   10)
+        assert (windows.size, ids.size, bounds.tolist()) == (0, 0, [0])
+
+
+class TestWalkPiece:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(p=st.lists(probabilities, min_size=1, max_size=120),
+           cuts=st.lists(st.integers(1, 119), max_size=6),
+           spare=st.integers(0, 130), k0=st.integers(0, 60),
+           share=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1),
+           alpha=st.sampled_from([*ALPHAS, math.inf]),
+           stochastic=st.booleans())
+    @example(p=[1.0] * 40, cuts=[1, 17], spare=0, k0=0, share=0.0, seed=0,
+             alpha=0.3, stochastic=True)
+    @example(p=[1.0] * 40, cuts=[39], spare=3, k0=9, share=0.4, seed=0,
+             alpha=1 / 3, stochastic=False)
+    def test_matches_cap_walk(self, cap_walk, p, cuts, spare, k0, share,
+                              seed, alpha, stochastic):
+        """The piece walk decides as cap_walk does over the leftover draws
+        followed by fresh ones, and its kept positions, capped count and
+        per-window counts are those of the codes.  It draws fresh variates
+        only once the leftover runs out; what it leaves is the next part of
+        the same sequence."""
+        p = np.asarray(p, dtype=np.float64)
+        n = p.size
+        bounds = np.array([0, *sorted({c for c in cuts if c < n}), n])
+        retained0 = int(share * k0)
+        left = draws = more = None
+        if stochastic:
+            left = np.random.default_rng(seed).random(spare)
+            more = np.random.default_rng([seed, 1]).random
+            draws = np.concatenate(
+                [left, np.random.default_rng([seed, 1]).random(n)])
+        else:
+            p = (p > 0.5).astype(np.float64)
+        codes = np.empty(n, np.uint8)
+        retained, used = capwalk.cap_walk(p, draws, alpha, codes, k0,
+                                          retained0)
+        got, kept, capped, window_kept, got_retained, rest = (
+            capwalk.walk_piece(p, bounds, alpha, k0, retained0, left, more))
+        assert got.tolist() == codes.tolist()
+        assert got_retained == retained
+        assert kept.tolist() == np.flatnonzero(codes == 0).tolist()
+        assert capped == int(np.count_nonzero(codes == 2))
+        assert window_kept.tolist() == [
+            int(np.count_nonzero(codes[a:b] == 0))
+            for a, b in zip(bounds[:-1], bounds[1:])]
+        if stochastic:
+            assert rest.tolist() == draws[used:used + rest.size].tolist()
+            if used < spare:
+                assert rest.size == spare - used
+        else:
+            assert rest is None
+        if alpha < 1.0:
+            # The bound the compiled walk sizes its kept positions by.
+            assert kept.size <= max(
+                0, math.floor(alpha * (k0 + n - 1)) + 1 - retained0)
+
+    @pytest.mark.parametrize("alpha", [0.1, math.inf])
+    def test_fresh_draws_in_blocks(self, cap_walk, monkeypatch, alpha):
+        """Blocks of 7 fresh draws: the walk resumes after each, and what
+        it leaves is the rest of the last block."""
+        monkeypatch.setattr(capwalk, "_DRAW_BLOCK", 7)
+        p = np.random.default_rng(3).random(500) * 0.5
+        left = np.random.default_rng(4).random(5)
+        fresh = np.random.default_rng(5)
+        asked = []
+
+        def more(n):
+            asked.append(n)
+            return fresh.random(n)
+
+        draws = np.concatenate([left, np.random.default_rng(5).random(500)])
+        codes = np.empty(500, np.uint8)
+        retained, used = capwalk.cap_walk(p, draws, alpha, codes)
+        got, kept, capped, window_kept, got_retained, rest = (
+            capwalk.walk_piece(p, [0, 250, 500], alpha, 0, 0, left, more))
+        assert (got.tolist(), got_retained) == (codes.tolist(), retained)
+        assert max(asked) == 7 and sum(asked) == used - 5 + rest.size
+        assert rest.tolist() == draws[used:used + rest.size].tolist()
+        assert window_kept.tolist() == [
+            int(np.count_nonzero(codes[:250] == 0)),
+            int(np.count_nonzero(codes[250:] == 0))]
+
+    def test_pieces_resume_one_another(self, cap_walk):
+        """Pieces of 1, 2, 3 ... events, each given the draws the one
+        before left, decide as one walk over the whole stream."""
+        rng = np.random.default_rng(4)
+        p = rng.random(400) * 0.5
+        want, _ = per_event_walk(p.tolist(),
+                                 np.random.default_rng(5).random(400), 0.2)
+        draw = np.random.default_rng(5).random
+        k, retained, left, codes, size = 0, 0, np.empty(0), [], 0
+        while k < p.size:
+            size += 1
+            piece = p[k:k + size]
+            got, _, _, _, retained, left = capwalk.walk_piece(
+                piece, [0, piece.size], 0.2, k, retained, left, draw)
+            codes += got.tolist()
+            k += piece.size
+        assert codes == want
+
+    def test_rejects_mismatched_arrays(self):
+        p = np.full(4, 0.5)
+        for args, match in (
+                ((p, [0, 2], 0.5, 0, 0), "bounds"),
+                ((p, [0, 2, 2, 4], 0.5, 0, 0), "bounds"),
+                ((p, [1, 4], 0.5, 0, 0), "bounds"),
+                ((p.reshape(2, 2), [0, 2], 0.5, 0, 0), "one-dimensional"),
+                ((p, [0, 4], 0.5, 0, 0, np.zeros(3)), "more"),
+                ((p, [0, 4], 0.5, 0, 0, np.zeros(0), lambda n: np.zeros(0)),
+                 r"more\(4\) must return 4"),
+                ((p, [0, 4], 0.5, 2, 3), "resume")):
+            with pytest.raises(ValueError, match=match):
+                capwalk.walk_piece(*args)
+
+
+def per_window_of(windows, codes):
+    """RunStats.per_window of each event's window and code."""
+    rows = {}
+    for w, c in zip(windows, codes):
+        n, r = rows.get(w, (0, 0))
+        rows[w] = (n + 1, r + (c == 0))
+    return tuple((w, n, r) for w, (n, r) in rows.items())
+
+
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("method", ["deterministic", "uniform", "poisson"])
+@pytest.mark.parametrize("cap", [True, False])
+def test_compiled_piece_walk_runs(monkeypatch, method, cap):
+    """Where the kernels build, a push takes its windows, kept positions
+    and counts from them and joins no draws: a silent fallback to the
+    numpy twins fails here, not only in the benchmark."""
+    stream = random_stream(np.random.default_rng(6), n=3000, span_us=40_000)
+    config = SamplerConfig(alpha=0.2, t_us=1000, seed=7, cap_enabled=cap)
+    codes, probs, windows, retained = reference_run(stream, method, config)
+
+    def refuse(name):
+        def refused(*args, **kwargs):
+            raise AssertionError(f"push ran {name}")
+        return refused
+
+    sampler = Downsampler(stream.geometry, method, config)
+    for module, name in ((np, "flatnonzero"), (np, "count_nonzero"),
+                         (np, "searchsorted"), (np, "concatenate"),
+                         (capwalk, "window_ids"), (capwalk, "window_spans"),
+                         (capwalk, "_walk_python")):
+        monkeypatch.setattr(module, name, refuse(name))
+    out, log = sampler.push(stream)
+    stats = sampler.close()
+    monkeypatch.undo()
+    assert capwalk.implementation() == "compiled"
+    assert log.code.tolist() == codes
+    assert log.window.tolist() == windows
+    assert (log.probability.view(np.int64).tolist()
+            == np.array(probs).view(np.int64).tolist())
+    assert out.source_index.tolist() == [i for i, c in enumerate(codes)
+                                         if c == 0]
+    assert (stats.retained, stats.capped) == (retained, codes.count(2))
+    assert stats.per_window == per_window_of(windows, codes)
+
+
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 def test_compiled_walk_active_when_compiler_present():
     """A silent fallback to the Python loop passes every other test."""
@@ -176,7 +395,8 @@ def test_kernel_table_names_every_exported_function():
     assert sorted(exported) == sorted(capwalk._KERNELS)
     assert sorted(capwalk._KERNELS) == ["cap_walk", "expit", "format_rows",
                                         "pairwise_sum", "parse_events",
-                                        "scan_events", "score_piece"]
+                                        "scan_events", "score_piece",
+                                        "window_pass"]
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")

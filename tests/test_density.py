@@ -333,6 +333,18 @@ class TestSparseScores:
                                    chain_oracle(counts.tolist(), 0.3),
                                    rtol=0, atol=1e-12)
 
+    def test_inactive_pixels_share_moves_the_mean(self):
+        """One active pixel at occupancy -1 on a 4x1 sensor: lo is -1, so
+        the three inactive pixels normalize to 1 and their share, 3, makes
+        the mean 0.75.  (The compiled freeze leaves the share out: its
+        occupancies are never negative, so there the share is always 0.)"""
+        scores = sparse_scores(SensorGeometry(4, 1), np.array([0]),
+                               np.array([-1.0]), 0.5)
+        shift = 0.5 - 0.75
+        assert scores.rest == float(sigmoid(np.float64(1.0 + shift)))
+        assert scores.probabilities.tolist() == [
+            float(sigmoid(np.float64(0.0 + shift)))]
+
     def test_alpha_domain_and_prior_geometry_checked(self):
         with pytest.raises(ValueError, match="alpha"):
             sparse_of(np.ones((2, 2)), 0.0)

@@ -274,6 +274,96 @@ class TestWindowIdLimit:
         assert message in captured.err and "Traceback" not in captured.err
         assert captured.out == ""
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_refused_push_changes_nothing(self, cap_walk, method):
+        """The refusal comes before any counter, draw or window row moves:
+        the run goes on as if the piece was never pushed."""
+        stream = make_stream(GEO, [(t, t % 8, t % 6, 1) for t in range(40)])
+        config = SamplerConfig(alpha=0.3, t_us=1, seed=3)
+        _, want_stats, want_log = run(stream, method, config)
+        sampler = Downsampler(GEO, method, config)
+        _, first = sampler.push(stream[:25])
+
+        def state():
+            tail = sampler._tail
+            return (sampler._seen, sampler._retained, sampler._capped,
+                    sampler._t0, sampler._last_t, list(sampler._per_window),
+                    None if tail is None else tail.tobytes(),
+                    None if sampler._rng is None
+                    else sampler._rng.bit_generator.state)
+
+        before = state()
+        with pytest.raises(ValueError, match=r"limit 2\*\*63 - 1"):
+            sampler.push(make_stream(GEO, [(2**63 - 1, 0, 0, 1)]))
+        assert state() == before
+        _, second = sampler.push(stream[25:])
+        stats = sampler.close()
+        assert stats.per_window == want_stats.per_window
+        assert (stats.retained, stats.capped) == (want_stats.retained,
+                                                  want_stats.capped)
+        assert (np.concatenate([first.code, second.code]).tolist()
+                == want_log.code.tolist())
+
+
+class TestWindowEdges:
+    """Windows where the window pass could go wrong, on both kernel paths:
+    a piece equals one run however it is cut."""
+
+    @pytest.mark.parametrize("t_us, times", [
+        (1, [1, 2, 2, 2**63 - 3, 2**63 - 2, 2**63 - 1, 2**63 - 1]),
+        (2**62, [0, 5, 2**62 - 1, 2**62, 2**62, 2**62 + 1, 2**63 - 2,
+                 2**63 - 1])])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_timestamps_near_the_top(self, cap_walk, t_us, times, method):
+        """With 1 us windows anchored at 1, the last id is 2**63 - 1; with
+        windows of 2**62 us from 0, window 2 ends at 2**63, which int64
+        cannot hold."""
+        stream = make_stream(GEO, [(t, i % 8, i % 6, 1)
+                                   for i, t in enumerate(times)])
+        config = SamplerConfig(alpha=0.5, t_us=t_us, seed=1)
+        _, _, log = run(stream, method, config)
+        assert log.window.tolist() == [(t - times[0]) // t_us + 1
+                                       for t in times]
+        for cuts in ([3], list(range(1, len(times)))):
+            assert_split_invariant(stream, method, config, cuts)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_gaps_of_empty_windows_inside_a_piece(self, cap_walk, method,
+                                                  cap):
+        times = [0, 1, 6, 7, 10**6, 10**6, 10**12 + 3, 10**15, 10**15 + 6,
+                 2**62 + 11, 2**62 + 12]
+        stream = make_stream(GEO, [(t, j % 8, (t + j) % 6, 1)
+                                   for t in times for j in range(5)])
+        config = SamplerConfig(alpha=0.4, t_us=7, seed=8, cap_enabled=cap)
+        _, stats, _ = run(stream, method, config)
+        assert [w for w, _, _ in stats.per_window] == [
+            1, 2, 142858, 142857142858, 142857142857143, 142857142857144,
+            658812288346769703]
+        assert_split_invariant(stream, method, config, [13, 27, 41])
+
+    @pytest.mark.parametrize("method,prior_on", [
+        ("deterministic", False), ("uniform", False), ("poisson", False),
+        ("poisson", True)])
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_window_cut_at_every_event(self, cap_walk, method, prior_on, cap):
+        """Three windows of 60 events, each event its own push: every piece
+        holds one event of a window that started pieces before."""
+        rng = np.random.default_rng(12)
+        stream = make_stream(GEO, [(w * 1000 + i, int(rng.integers(8)),
+                                    int(rng.integers(6)), 1)
+                                   for w in range(3) for i in range(60)])
+        config = SamplerConfig(alpha=0.2, t_us=1000, seed=5, cap_enabled=cap,
+                               prior=gaussian_prior(GEO) if prior_on
+                               else None)
+        kept, _, stats = pushed(stream, method, config,
+                                list(range(1, len(stream))))
+        assert [(w, n) for w, n, _ in stats.per_window] == [
+            (1, 60), (2, 60), (3, 60)]
+        assert sum(r for _, _, r in stats.per_window) == sum(map(len, kept))
+        assert_split_invariant(stream, method, config,
+                               list(range(1, len(stream))))
+
 
 # --- downsample in chunks ----------------------------------------------------
 
