@@ -169,22 +169,37 @@ void expit(const double *x, double *out, int64_t n)
 
 /* The text parsers read the rows write_events emits, and nothing else.
    parse_events reads at most cap rows of buf[0:len], which starts at a
-   line start, into its output columns.  A row ends in LF or CRLF; only
-   the last row of buf may lack one.  It returns the number of rows
-   read and sets *used to the bytes they span, so a later call can resume
-   at buf + *used, or returns -1 - i for the first row i it rejects.  The
-   field helpers below take and return the position in buf, NULL once a
-   field is rejected. */
+   line start, into its output columns.  A row ends in LF, CRLF or a lone
+   CR, as the line loop splits lines; only the last row of buf may lack
+   one, and buf does not end between the CR and LF of a CRLF.  It returns
+   the number of rows read and sets *used to the bytes they span, so a
+   later call can resume at buf + *used, or returns -1 - i for the first
+   row i it rejects.  The field helpers below take and return the
+   position in buf, NULL once a field is rejected. */
 
-/* Decimal digits, at least one, of a value at most max. */
+/* The powers of ten up to 10**19, the largest below 2**64. */
+static const uint64_t tens[20] = {
+    1u, 10u, 100u, 1000u, 10000u, 100000u, 1000000u, 10000000u,
+    100000000u, 1000000000u, 10000000000u, 100000000000u,
+    1000000000000u, 10000000000000u, 100000000000000u,
+    1000000000000000u, 10000000000000000u, 100000000000000000u,
+    1000000000000000000u, 10000000000000000000u};
+
+/* Decimal digits, at least one, of a value at most max.  No value of 18
+   digits passes a max of 10**18 - 1 or more, so then only the 19th digit
+   and those after it are checked. */
 static const char *digits(const char *s, const char *end, uint64_t max,
                           uint64_t *v)
 {
-    const char *start = s;
+    const char *start = s, *unchecked = s;
     uint64_t r = 0;
     if (!s)
         return NULL;
-    for (; s < end && *s >= '0' && *s <= '9'; s++) {
+    if (max >= tens[18] - 1)
+        unchecked = end - s < 18 ? end : s + 18;
+    for (; s < unchecked && (unsigned)(*s - '0') < 10; s++)
+        r = r * 10 + (unsigned)(*s - '0');
+    for (; s < end && (unsigned)(*s - '0') < 10; s++) {
         unsigned d = (unsigned)(*s - '0');
         if (r > max / 10 || (r == max / 10 && d > max % 10))
             return NULL;
@@ -194,44 +209,103 @@ static const char *digits(const char *s, const char *end, uint64_t max,
     return s > start ? s : NULL;
 }
 
+/* The leading digits of the 8 bytes at s, at most 8: returns how many
+   and sets *v to their value.  The bytes are read as one little-endian
+   word w, the first byte lowest, and '0' is taken from each.  A byte is a
+   digit when it is then below 10, so that neither it nor it plus 0x76
+   has bit 7 set.  A borrow or a carry only passes to the bytes above the
+   one it starts in, which lie past the first byte that is no digit.  The
+   digits are moved to the top of the word, zeros below them, and summed
+   in pairs, then in fours, with three multiplies. */
+static int lead8(const char *s, uint64_t *v)
+{
+    const unsigned char *u = (const unsigned char *)s;
+    uint64_t w = (uint64_t)u[0] | (uint64_t)u[1] << 8 | (uint64_t)u[2] << 16
+        | (uint64_t)u[3] << 24 | (uint64_t)u[4] << 32 | (uint64_t)u[5] << 40
+        | (uint64_t)u[6] << 48 | (uint64_t)u[7] << 56, bad;
+    int n;
+    w -= 0x3030303030303030u;
+    bad = (w | (w + 0x7676767676767676u)) & 0x8080808080808080u;
+    n = bad ? __builtin_ctzll(bad) >> 3 : 8;
+    *v = 0;
+    if (!n)
+        return 0;
+    w <<= 8 * (8 - n);
+    w = w * 10 + (w >> 8);
+    *v = ((w & 0x000000FF000000FFu) * (100 + (1000000ull << 32))
+          + ((w >> 16) & 0x000000FF000000FFu) * (1 + (10000ull << 32))) >> 32;
+    return n;
+}
+
+/* A value at most INT64_MAX: up to 15 digits are read 8 bytes at a time
+   where 16 bytes are left, any other by digits. */
+static const char *value(const char *s, const char *end, uint64_t *v)
+{
+    uint64_t hi, lo;
+    int n;
+    if (!s || end - s < 16)
+        return digits(s, end, INT64_MAX, v);
+    n = lead8(s, &hi);
+    if (n < 8) {
+        *v = hi;
+        return n ? s + n : NULL;
+    }
+    n = lead8(s + 8, &lo);
+    if (n == 8)
+        return digits(s, end, INT64_MAX, v);
+    *v = hi * tens[n] + lo;
+    return s + 8 + n;
+}
+
 static const char *comma(const char *s, const char *end)
 {
     return s && s < end && *s == ',' ? s + 1 : NULL;
 }
 
-/* One letter of set; *v is its position there. */
-static const char *letter(const char *s, const char *end, const char *set,
-                          uint8_t *v)
+/* The polarity 0 or 1: one such byte that no digit follows, else the
+   checked digits, which read 00 and 01 as the line loop does. */
+static const char *polarity(const char *s, const char *end, uint64_t *v)
 {
-    for (uint8_t k = 0; s && s < end && set[k]; k++)
-        if (*s == set[k]) {
-            *v = k;
-            return s + 1;
-        }
-    return NULL;
+    if (s && s < end && (unsigned)(*s - '0') < 2
+            && (s + 1 == end || (unsigned)(s[1] - '0') >= 10)) {
+        *v = (uint64_t)(*s - '0');
+        return s + 1;
+    }
+    return digits(s, end, 1, v);
 }
 
-/* Past the line end at s: LF, CRLF, or the end of buf. */
+/* The label letter N or E; *v is 0 or 1, the EventLabel values. */
+static const char *letter(const char *s, const char *end, uint8_t *v)
+{
+    if (!s || s == end || !((*s == 'N') | (*s == 'E')))
+        return NULL;
+    *v = *s == 'E';
+    return s + 1;
+}
+
+/* Past the line end at s: LF, CRLF, a lone CR, or the end of buf. */
 static const char *eol(const char *s, const char *end)
 {
     if (!s || s == end)
         return s;
-    if (*s == '\r')
-        s++;
-    return s < end && *s == '\n' ? s + 1 : NULL;
+    if (*s == '\n')
+        return s + 1;
+    if (*s != '\r')
+        return NULL;
+    return s + 1 < end && s[1] == '\n' ? s + 2 : s + 1;
 }
 
 /* An event row t,x,y,p[,label]: t, x and y at most INT64_MAX, p 0 or 1,
-   the label N or E (written as 0 or 1, the EventLabel values). */
+   the label N or E. */
 static const char *event_row(const char *s, const char *end, int labeled,
-                             uint64_t *v, uint8_t *label)
+                             uint64_t *v, uint8_t *mark)
 {
-    s = digits(s, end, INT64_MAX, &v[0]);
-    s = digits(comma(s, end), end, INT64_MAX, &v[1]);
-    s = digits(comma(s, end), end, INT64_MAX, &v[2]);
-    s = digits(comma(s, end), end, 1, &v[3]);
+    s = value(s, end, &v[0]);
+    s = value(comma(s, end), end, &v[1]);
+    s = value(comma(s, end), end, &v[2]);
+    s = polarity(comma(s, end), end, &v[3]);
     if (labeled)
-        s = letter(comma(s, end), end, "NE", label);
+        s = letter(comma(s, end), end, mark);
     return eol(s, end);
 }
 
@@ -260,26 +334,31 @@ int64_t parse_events(const char *buf, int64_t len, int labeled, int64_t cap,
 
 /* The event rows of buf[0:len], checked as parse_events checks them and
    for timestamp order, but not stored.  top holds the largest x and y so
-   far and the last timestamp, and is updated here, so a later call goes
-   on with the rows that follow.  Returns the number of rows, or -1 - i
+   far and the last timestamp, and receives those of the rows read before
+   any rejected one, so a later call goes on with the rows that follow.  Returns the number of rows, or -1 - i
    for the first row i that is rejected or precedes the row before it. */
 int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
 {
     const char *s = buf, *end = buf + len;
+    uint64_t xmax = top[0], ymax = top[1], last = top[2];
     int64_t i;
+    int ok = 1;
     for (i = 0; s < end; i++) {
         uint64_t v[4];
         uint8_t mark;
         s = event_row(s, end, labeled, v, &mark);
-        if (!s || v[0] < top[2])
-            return -1 - i;
-        if (v[1] > top[0])
-            top[0] = v[1];
-        if (v[2] > top[1])
-            top[1] = v[2];
-        top[2] = v[0];
+        if (!s || v[0] < last) {
+            ok = 0;
+            break;
+        }
+        xmax = v[1] > xmax ? v[1] : xmax;
+        ymax = v[2] > ymax ? v[2] : ymax;
+        last = v[0];
     }
-    return i;
+    top[0] = xmax;
+    top[1] = ymax;
+    top[2] = last;
+    return ok ? i : -1 - i;
 }
 
 /* numpy's float64 sum, np.add.reduce of a contiguous array: fewer than 8
@@ -534,8 +613,11 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
 }
 
 /* The decimal of v at o ('-' first when negative); returns the end.
-   The digits are counted first, then written from the last, two at a
-   time, which halves the chain of divisions. */
+   The digit count t or t + 1 follows from the bit length b of the
+   magnitude m: t = b * 1233 >> 12 is floor(b * log10(2)) for b <= 64,
+   and m has t + 1 digits when it is at least 10**t (m | 1 gives 0 one
+   digit).  The digits are written from the last, two at a time, which
+   halves the chain of divisions. */
 static char *decimal(char *o, int64_t v)
 {
     static const char pairs[] =
@@ -544,14 +626,13 @@ static char *decimal(char *o, int64_t v)
         "4041424344454647484950515253545556575859"
         "6061626364656667686970717273747576777879"
         "8081828384858687888990919293949596979899";
-    uint64_t m = (uint64_t)v, ten = 10;
-    int len = 1;
+    uint64_t m = (uint64_t)v;
     if (v < 0) {
         *o++ = '-';
         m = 0 - m;  /* modulo 2**64, so exact for INT64_MIN */
     }
-    for (; len < 19 && m >= ten; len++)  /* m < 10**19 */
-        ten *= 10;
+    int t = (64 - __builtin_clzll(m | 1)) * 1233 >> 12;
+    int len = t + ((m | 1) >= tens[t]);
     char *s = o + len;
     for (; m >= 100; m /= 100)
         memcpy(s -= 2, pairs + 2 * (m % 100), 2);

@@ -21,10 +21,11 @@ was.  A reader's columns become its stream's without a copy.
 Event CSVs are read by :class:`CsvEvents` alone, in blocks of whole
 lines, twice: a scan that keeps no column, then a parse.  Each block is
 read by the compiled scan and parser of :mod:`evdown.capwalk`, which take
-exactly the rows the writers here emit; a block they reject, or every
-block when the compiled kernels are not available, is read by a line loop
-instead.  The loop accepts the same rows into the same columns, and every
-message about a malformed CSV comes from it.  Decision logs are read by a
+exactly the rows the writers here emit, ended by LF, CRLF or a lone CR as
+the line loop's lines are; a block they reject, or every block when the
+compiled kernels are not available, is read by a line loop instead.  The
+loop accepts the same rows into the same columns, and every message
+about a malformed CSV comes from it.  Decision logs are read by a
 line loop alone, on every host.
 
 The rows of event CSVs and decision logs are written by the compiled row

@@ -259,8 +259,15 @@ class Downsampler:
         # known before the cap walk starts.
         if self.method == "deterministic":
             ta = acceptance_window_us(alpha, cfg.tw_us)
-            p = (((t - t0) % cfg.tw_us) < ta).astype(np.float64)
-            probs = np.full(m, np.nan)
+            # One array of the piece's length holds each event's phase in
+            # the duty cycle, then the indicator, and once the walk has
+            # read that, the log's NaN probabilities.
+            p = np.empty(m)
+            phase = p.view(np.int64)
+            np.subtract(t, t0, out=phase)
+            np.remainder(phase, cfg.tw_us, out=phase)
+            p[...] = phase < ta
+            probs = None
         elif self._scorer is None:
             p = probs = np.full(m, alpha)
         else:
@@ -274,6 +281,9 @@ class Downsampler:
                        None if self._rng is None else self._rng.random))
         self._capped += capped
         self._eval_s += time.perf_counter() - te0
+        if probs is None:  # deterministic: nothing is drawn
+            probs = p
+            probs.fill(np.nan)
 
         self._count_windows(ids, bounds, window_kept)
         kept = chunk.subset(accepted, offset=self._seen)

@@ -400,10 +400,13 @@ def test_kernel_table_names_every_exported_function():
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
-def test_source_compiles_without_warnings():
-    """The kernels stay clean under strict C99 warnings."""
-    subprocess.run(["cc", "-std=c99", "-Wall", "-Wextra", "-pedantic",
-                    "-Werror", "-fsyntax-only", "-x", "c", "-"],
+def test_source_compiles_without_warnings(tmp_path):
+    """The kernels stay clean under strict C99 warnings, built as the
+    loader builds them: some warnings (-Wmaybe-uninitialized) only come
+    from the optimizer."""
+    cc, *flags = capwalk._COMPILE
+    subprocess.run([cc, "-Wall", "-Wextra", "-pedantic", "-Werror", *flags,
+                    "-o", str(tmp_path / "kernels.so")],
                    input=capwalk._SOURCE, text=True, check=True,
                    capture_output=True, timeout=60)
 

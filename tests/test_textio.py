@@ -16,8 +16,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (DecisionLog, EventFileError, SamplerConfig, SensorGeometry,
-                    read_events, read_log, run, write_events, write_log)
+from evdown import (DecisionLog, EventFileError, EventStream, SamplerConfig,
+                    SensorGeometry, read_events, read_log, run, write_events,
+                    write_log)
 from evdown import capwalk, evio
 from evdown.cli import main
 
@@ -170,6 +171,39 @@ class TestCsvFastPath:
         assert compiled_columns(crlf) is not None
         assert_same(read_result(crlf), read_result(lf))
         assert_same(read_result(crlf), loop_result(crlf))
+
+    @pytest.mark.parametrize("block", [8, 64, 1 << 20])
+    def test_lone_cr_takes_fast_path(self, tmp_path, monkeypatch, block):
+        """A lone CR ends a row for the compiled scan and parser, as for the
+        line loop, where it is the last byte of a block and of the file;
+        a file with a bad row gives the loop's message."""
+        monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", block)
+        rows = [[10 * i, i % 7, i % 5, i % 2, "EN"[i % 2]] for i in range(40)]
+        lf, cr = tmp_path / "lf.csv", tmp_path / "cr.csv"
+        lf.write_bytes(valid_csv(rows, True))
+        data = valid_csv(rows, True).replace(b"\n", b"\r")
+        cr.write_bytes(data)
+        spans = evio.CsvEvents(cr)._spans
+        ends = [data[offset + size - 1:offset + size] for offset, size, _ in
+                spans]
+        assert ends == [b"\r"] * len(spans)  # every block, the last included
+        assert (len(spans) > 1) == (block < len(data))
+        assert compiled_columns(cr) is not None
+        assert_same(read_result(cr), read_result(lf))
+        assert_same(read_result(cr), loop_result(cr))
+        mixed = tmp_path / "mixed.csv"
+        ends = itertools.cycle([b"\r", b"\n", b"\r\n"])
+        mixed.write_bytes(b"".join(line + next(ends)
+                                   for line in data.split(b"\r")[:-1]))
+        assert compiled_columns(mixed) is not None
+        assert_same(read_result(mixed), read_result(lf))
+        for bad, line in ((b"250,4,0,2,N\r", 27), (b"250,4,0,1,N\r\r", 28),
+                          (b"250,4,0,1\r", 27)):
+            path = tmp_path / "bad.csv"
+            path.write_bytes(data.replace(b"250,4,0,1,N\r", bad))
+            want = loop_result(path)
+            assert f"{path}:{line}: " in want
+            assert read_result(path) == want
 
     def test_empty_body(self, tmp_path):
         path = tmp_path / "a.csv"
@@ -327,19 +361,127 @@ class TestCompiledCsvParser:
 
     @pytest.mark.parametrize("body,row", [
         (b"1,2,3,1\n4,5,6,2\n", 1),
-        (b"1,2,3,1\r4,5,6,0\n", 0),
+        (b"1,2,3,1\r4,5,6,2\n", 1),             # a lone CR ends row 0
         (b"1,2,3,1\n9223372036854775808,5,6,0\n", 1),
         (b"1,2,3,1\n\n", 1),
-        (b"1,2,3,1\n4,5,6,0\r", 1),
+        (b"1,2,3,1\n4,5,6,0\r\r", 2),           # row 2 is empty
     ])
     def test_reports_first_rejected_row(self, body, row):
         needs_compiled()
-        n = body.count(b"\n") + 1
+        n = body.count(b"\n") + body.count(b"\r") + 1
         cols = [np.zeros(n, np.int64) for _ in range(3)] + [np.zeros(n, np.uint8)]
         got = capwalk._kernel().parse_events(
             capwalk._address(body), len(body), False, n, *[c.ctypes.data for c in cols], None,
             ctypes.byref(ctypes.c_int64()))
         assert got == -1 - row
+
+
+# Fields at the edges of the compiled digit loops: 7 to 17 digits around
+# the 8-byte words, 18, 19 and 20 digits around 2**63 - 1, and runs of 17
+# to 20 zeros before a digit or none.
+EDGE_VALUES = [*(b"1234567890123456789"[:k] for k in (7, 8, 9, 15, 16, 17)),
+               b"999999999999999999", b"1000000000000000000",
+               b"9223372036854775807", b"9223372036854775808",
+               b"99999999999999999999", b"1" + b"0" * 19,
+               *(b"0" * k + b"7" for k in range(17, 21)),
+               *(b"0" * k for k in range(17, 21)),
+               b"0" * 17 + b"9223372036854775807",
+               b"0" * 17 + b"9223372036854775808"]
+EDGE_POLARITIES = [b"0", b"1", b"00", b"01", b"10", b"2"]
+
+
+def edge_body(field, value, last):
+    """Rows with value in one field of the second row, which is the last
+    row or has 16 bytes and more after it, so that the compiled scan and
+    parser read it byte by byte or 8 bytes at a time."""
+    row = [b"5", b"3", b"0", b"1"]
+    row[field] = value
+    body = b"0,0,0,0\n" + b",".join(row) + b"\n"
+    return body if last else body + b"9223372036854775807,1,0,1\n" * 2
+
+
+class TestDigitEdges:
+    """The compiled scan, parser and CLI at the edges of the digit loops,
+    against the line loop."""
+
+    def check(self, tmp_path, body):
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"t,x,y,p\n" + body)
+        want = loop_columns(path)
+        top = np.zeros(3, np.uint64)
+        rows = capwalk.scan_events(body, len(body), False, top)
+        parsed = capwalk.parse_events(body, False, body.count(b"\n"))
+        if isinstance(want, str):
+            assert rows is None and parsed is None
+        else:
+            assert rows == len(want[0])
+            assert_columns_equal(parsed, want)
+            assert top.tolist() == [max(want[1]), max(want[2]), want[0][-1]]
+        assert_same(read_result(path), loop_result(path))
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("field", [0, 1, 2])
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    def test_values_match_loop(self, tmp_path, value, field, last):
+        needs_compiled()
+        self.check(tmp_path, edge_body(field, value, last))
+
+    @pytest.mark.parametrize("last", [False, True])
+    @pytest.mark.parametrize("value", EDGE_POLARITIES)
+    def test_polarities_match_loop(self, tmp_path, value, last):
+        needs_compiled()
+        self.check(tmp_path, edge_body(3, value, last))
+
+    @pytest.mark.parametrize("field,value", [
+        *((0, v) for v in EDGE_VALUES[6:11]),  # 18 to 20 digits
+        (1, b"0" * 20 + b"7"), (1, b"0" * 17 + b"9223372036854775807"),
+        *((3, v) for v in EDGE_POLARITIES)])
+    def test_cli_matches_loop(self, tmp_path, capsys, field, value):
+        """downsample exits 0 on a file the line loop accepts, else 3 with
+        the loop's message."""
+        needs_compiled()
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"t,x,y,p\n" + edge_body(field, value, False))
+        want = loop_result(path)
+        rc = main(["downsample", "-i", str(path), "-o",
+                   str(tmp_path / "out.csv"), "-m", "uniform", "-a", "0.5",
+                   "--log", str(tmp_path / "log.csv")])
+        err = capsys.readouterr().err
+        if isinstance(want, str):
+            assert (rc, err) == (3, f"evdown: {want}\n")
+        else:
+            assert rc == 0
+            assert_same(read_result(tmp_path / "out.csv"),
+                        run(want, "uniform", SamplerConfig(alpha=0.5))[0])
+
+    @pytest.mark.parametrize("labeled", [False, True])
+    @pytest.mark.parametrize("block", [64, 1 << 20])
+    def test_round_trip_of_widest_values(self, tmp_path, monkeypatch,
+                                         labeled, block):
+        """EventWriter's rows of 18- and 19-digit values, t up to 2**63 - 1
+        and x up to 2**63 - 2 on the (2**63 - 1)x1 sensor, read back by the
+        compiled scan and parser alone."""
+        needs_compiled()
+        rng = np.random.default_rng(19)
+        n = 2000
+        t = np.sort(np.concatenate([
+            [0, 10**17, 10**18 - 1, 10**18, 2**63 - 1, 2**63 - 1],
+            rng.integers(10**17, 2**63 - 1, 2 * n, endpoint=True)]))
+        x = np.concatenate([
+            [0, 10**17, 10**18 - 1, 10**18, 2**63 - 2, 2**63 - 3],
+            rng.integers(10**17, 10**18, n), rng.integers(10**18, 2**63 - 1, n)])
+        p = rng.integers(0, 2, t.size).astype(np.uint8)
+        stream = EventStream(SensorGeometry(2**63 - 1, 1), t, x,
+                             np.zeros(t.size, np.int64), p,
+                             labels=p ^ 1 if labeled else None)
+        path = tmp_path / "wide.csv"
+        with open(path, "wb") as fh:
+            writer = evio.EventWriter(fh, "csv", stream.geometry, labeled)
+            writer.write(stream[:n])
+            writer.write(stream[n:])
+        monkeypatch.setattr(evio, "_CSV_BLOCK_BYTES", block)
+        monkeypatch.setattr(evio, "_parse_lines", no_line_loop)
+        assert_same(read_events(path, fmt="csv"), stream)
 
 
 def faulty_csv(faults) -> bytes:
