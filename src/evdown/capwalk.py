@@ -3,15 +3,16 @@ sigmoid, the window scorer, the event parser and scan, and the row
 formatter.
 
 A push of :class:`evdown.pipeline.Downsampler` decides a piece of a
-stream in three calls: :func:`window_pass`, the window scorer
-(``poisson`` only) and :func:`walk_piece`.  The window pass writes each
-event's window id and the piece's nonempty windows, dividing once per
-window rather than once per event.  The cap is a sequential state
-machine.  Event ``k`` (0-based, stream-wide) is dropped before evaluation
-when ``k > 0`` and ``retained > alpha * k``, and a dropped event consumes
-no draw, so which draw an event sees depends on every earlier decision.
-Such a walk cannot be vectorized exactly in numpy.  The piece walk
-applies it and, in the same pass, writes the positions of the accepted
+stream in three kernel calls, those of :func:`window_pass`, the window
+scorer (``poisson`` only) and :func:`walk_piece`, on the wrappers' own
+paths but without their checks of arrays the push built.  The window pass
+writes each event's window id and the piece's nonempty windows, dividing
+once per window rather than once per event.  The cap is a sequential
+state machine.  Event ``k`` (0-based, stream-wide) is dropped before
+evaluation when ``k > 0`` and ``retained > alpha * k``, and a dropped event
+consumes no draw, so which draw an event sees depends on every earlier
+decision.  Such a walk cannot be vectorized exactly in numpy.  The piece
+walk applies it and, in the same pass, writes the positions of the accepted
 events, the capped count and each window's retained count; it reads the
 draws the last piece left unused and then blocks of fresh ones, drawn
 only once those run out, so no array of draws is joined to another.  The
@@ -61,12 +62,14 @@ truncated shared object can kill the process with SIGBUS.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import hashlib
 import math
 import os
 import platform
+import re
 import sys
 from pathlib import Path
 
@@ -392,7 +395,7 @@ double pairwise_sum(const double *a, int64_t n)
 }
 
 /* The window scorer.  A window's map holds the sorted active pixels
-   act[0:m] and their scores prb[0:m]; prb[m] scores every other pixel.
+   map[0:m][0] and their scores prb[0:m]; prb[m] scores every other pixel.
    The chain that freezes one, density.sparse_scores, is: base =
    occupancy (occ[min(count, 37)]) of each active pixel, times its prior
    weight over the peak weight when there is a prior; g = (base - lo) /
@@ -406,6 +409,10 @@ double pairwise_sum(const double *a, int64_t n)
 #define CLASSES 38  /* occupancy classes min(count, 37) */
 #define P_LO 0x1p-1074  /* the clamp bounds: the doubles next to 0 and 1 */
 #define P_HI (1.0 - 0x1p-53)
+
+/* A pixel and its count in a tally or map; a pixel and an event's
+   position in the sort. */
+typedef int64_t pair[2];
 
 struct chain {
     int64_t n_pixels;
@@ -426,20 +433,19 @@ static double sigmoid(const struct chain *c, double g, double shift)
     return s < P_LO ? P_LO : s > P_HI ? P_HI : s;
 }
 
-/* prb[0:k + 1], the map frozen from the tally pix[0:k], cnt[0:k].
-   Without a prior a pixel's score follows from its class alone, so the
-   sigmoid runs once per class; prb holds each pixel's g first, for the
-   sum. */
-static void freeze(const struct chain *c, const int64_t *pix,
-                   const int64_t *cnt, int64_t k, double *prb)
+/* prb[0:k + 1], the map frozen from the tally tal[0:k].  Without a prior
+   a pixel's score follows from its class alone, so the sigmoid runs once
+   per class; prb holds each pixel's g first, for the sum. */
+static void freeze(const struct chain *c, pair *tal, int64_t k,
+                   double *prb)
 {
     int64_t n_rest = c->n_pixels - k;
     double lo = n_rest ? 0.0 : INFINITY, hi = n_rest ? 0.0 : -INFINITY;
     double g[CLASSES], s[CLASSES];
     for (int64_t i = 0; i < k; i++) {
-        double base = c->occ[class_of(cnt[i])];
+        double base = c->occ[class_of(tal[i][1])];
         if (c->weights) {
-            double w = c->weights[pix[i]] / c->peak;
+            double w = c->weights[tal[i][0]] / c->peak;
             base *= w;
             prb[i] = base;
         }
@@ -454,7 +460,7 @@ static void freeze(const struct chain *c, const int64_t *pix,
         for (int j = 0; j < CLASSES; j++)
             g[j] = hi == lo ? 0.0 : (c->occ[j] - lo) / span;
         for (int64_t i = 0; i < k; i++)
-            prb[i] = g[class_of(cnt[i])];
+            prb[i] = g[class_of(tal[i][1])];
     }
     /* sparse_scores adds the inactive pixels' share n_rest * g_rest; here
        it is +0.0, as every base is at least 0, so lo is 0 when any is. */
@@ -467,102 +473,129 @@ static void freeze(const struct chain *c, const int64_t *pix,
         for (int j = 0; j < CLASSES; j++)
             s[j] = sigmoid(c, g[j], shift);
         for (int64_t i = 0; i < k; i++)
-            prb[i] = s[class_of(cnt[i])];
+            prb[i] = s[class_of(tal[i][1])];
     }
     prb[k] = sigmoid(c, g_rest, shift);
 }
 
-/* The union of two tallies of ascending distinct pixels, their counts
-   summed, in pix[0:k] and cnt[0:k]; returns k. */
-static int64_t merge(const int64_t *pa, const int64_t *ca, int64_t ka,
-                     const int64_t *pb, const int64_t *cb, int64_t kb,
-                     int64_t *pix, int64_t *cnt)
+/* The union of the tallies a[0:ka] and b[0:kb], each of ascending
+   distinct pixels, their counts summed, in out[0:k]; returns k. */
+static int64_t merge(pair *a, int64_t ka, pair *b, int64_t kb, pair *out)
 {
     int64_t i = 0, j = 0, k = 0;
-    while (i < ka || j < kb) {
-        if (j == kb || (i < ka && pa[i] < pb[j])) {
-            pix[k] = pa[i];
-            cnt[k++] = ca[i++];
-        } else if (i == ka || pb[j] < pa[i]) {
-            pix[k] = pb[j];
-            cnt[k++] = cb[j++];
-        } else {
-            pix[k] = pa[i];
-            cnt[k++] = ca[i++] + cb[j++];
-        }
+    for (; i < ka && j < kb; k++) {
+        int64_t d = (a[i][0] > b[j][0]) - (a[i][0] < b[j][0]);
+        out[k][0] = d > 0 ? b[j][0] : a[i][0];
+        out[k][1] = (d <= 0 ? a[i++][1] : 0) + (d >= 0 ? b[j++][1] : 0);
     }
-    return k;
+    memcpy(out + k, a + i, (size_t)(ka - i) * sizeof *a);
+    memcpy(out + k + ka - i, b + j, (size_t)(kb - j) * sizeof *b);
+    return k + ka - i + kb - j;
+}
+
+/* The open window's tally: runs of ascending distinct pixels and their
+   counts, run r in tal[ends[r]:ends[r + 1]] (ends[0] is 0), that together
+   count the window's events so far.  tmp has room for all of them. */
+struct tally {
+    pair *tal, *tmp;
+    int64_t *ends, runs;
+};
+
+static void merge_top(struct tally *t)
+{
+    int64_t *e = t->ends + --t->runs - 1;  /* the top two: e[0] .. e[2] */
+    int64_t k = merge(t->tal + e[0], e[1] - e[0], t->tal + e[1], e[2] - e[1],
+                      t->tmp);
+    memcpy(t->tal + e[0], t->tmp, (size_t)k * sizeof *t->tmp);
+    e[1] = e[0] + k;
+}
+
+/* Adds the run of k pairs written after the last, then merges the top two
+   runs while the lower holds at most twice the pairs of the upper.  Each
+   run then holds over twice the pairs of the one above it, so a pair is
+   merged a logarithmic number of times, a piece costs in proportion to
+   its own tally rather than its window's, and at most 63 runs are open. */
+static void add_run(struct tally *t, int64_t k)
+{
+    int64_t *e = t->ends + t->runs++;
+    e[1] = e[0] + k;
+    while (t->runs > 1 && (e = t->ends + t->runs - 2,
+                           e[1] - e[0] <= 2 * (e[2] - e[1])))
+        merge_top(t);
 }
 
 /* score_piece scores the events of one piece of a stream: window w has
    id ids[w] (ascending) and events bounds[w] .. bounds[w + 1] - 1, whose
    flat pixel indices flat holds, each below n_pixels <= 2**bits.
 
-   The window open before the piece is open: its tally from earlier
-   pieces is pix0[0:k0], cnt0[0:k0] and its map act0[0:m0], prb0[0:m0 + 1].
-   Each window that opens in the piece gets a map: alpha for every pixel
-   in window 1; else the map frozen from the tally of the window before
-   it, the open window's earlier tally included, or from no tally after
+   st[0:3] is what the scorer carries from piece to piece, read and
+   updated: the id of the open window (0 before the first piece), the
+   size m of its map, in map and prb, and the number of runs of its
+   tally, in tal and ends (struct tally).  Each window that opens in the
+   piece gets a map: alpha for every pixel in window 1; else the map
+   frozen from the tally of the window before it, or from no tally after
    a gap.  Then its events are sorted with their positions, an LSD radix
    sort in 11-bit digits, one pass per digit that bits needs (at least
-   one), their distinct pixels and counts tallied, and the pixels merge-
-   walked against the map, writing each event's score to p.
+   one), their distinct pixels and counts added to the tally as one run,
+   and the pixels merge-walked against the map, writing each event's
+   score to p.
 
-   scratch holds 4 * longest + PASSES * RADIX + 3 * most + 1 values, for
-   the longest window and the largest tally a map is frozen from (at most
-   k0 plus the longest window but the last).  out[0] receives the size k
-   of the last window's tally in this piece, at scratch[0:k] with its
-   counts at scratch[longest:longest + k], and out[1] the size m of the
-   last map frozen, -1 when none was; that map is act = scratch +
-   4 * longest + PASSES * RADIX and prb = (double *)(act + 2 * most).
-   Returns 0, or -1 for an index that is negative or not below n_pixels,
-   before any score of its window is written. */
+   scratch holds room[0] values and tal, tmp and map room[1] pairs each,
+   prb one double more.  The piece needs 4 * longest + PASSES * RADIX
+   values, for its longest window, and the tally's pairs plus longest
+   pairs; when it needs more than there is, nothing is read or written
+   but st[3] and st[4], which receive the two sizes, and -2 is returned.
+   Otherwise returns 0, or -1 for an index that is negative or not below
+   n_pixels, before any score of its window is written. */
 int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
-                    const int64_t *bounds, int64_t nw, int64_t open,
-                    const int64_t *pix0, const int64_t *cnt0, int64_t k0,
-                    const int64_t *act0, const double *prb0, int64_t m0,
-                    int64_t n_pixels, const double *consts,
-                    const double *occ, const double *weights, double *p,
-                    int64_t *scratch, int64_t longest, int64_t most,
-                    int64_t *out)
+                    const int64_t *bounds, int64_t nw, int64_t n_pixels,
+                    const double *consts, const double *occ,
+                    const double *weights, double *p, int64_t *scratch,
+                    pair *tal, pair *tmp, pair *map, double *prb,
+                    const int64_t *room, int64_t *ends, int64_t *st)
 {
     struct chain c = {n_pixels, consts[0], consts[1], consts[2], consts[3],
                       occ, weights};
+    struct tally t = {tal, tmp, ends, st[2]};
     int passes = bits > DIGIT ? (int)((bits + DIGIT - 1) / DIGIT) : 1;
+    int64_t longest = 0, m = st[1];
+    for (int64_t w = 0; w < nw; w++)
+        if (bounds[w + 1] - bounds[w] > longest)
+            longest = bounds[w + 1] - bounds[w];
+    if (4 * longest + PASSES * RADIX > room[0]
+            || ends[t.runs] + longest > room[1]) {
+        st[3] = 4 * longest + PASSES * RADIX;
+        st[4] = ends[t.runs] + longest;
+        return -2;
+    }
     int64_t (*hist)[RADIX] = (int64_t (*)[RADIX])(scratch + 4 * longest);
     /* The sort moves each event's pixel and position together, so a pass
        writes one place in memory per event, not two. */
-    int64_t (*rec[2])[2] = {(int64_t (*)[2])scratch,
-                            (int64_t (*)[2])(scratch + 2 * longest)};
-    int64_t *pix = scratch, *cnt = scratch + longest;
-    int64_t *act = scratch + 4 * longest + PASSES * RADIX;
-    double *prb = (double *)(act + 2 * most);
-    const int64_t *map_act = act0;
-    const double *map_prb = prb0;
-    int64_t m = m0, id = open, k = 0;
+    pair *rec[2] = {(pair *)scratch, (pair *)(scratch + 2 * longest)};
 
-    out[1] = -1;
     for (int64_t w = 0; w < nw; w++) {
         const int64_t *f = flat + bounds[w];
-        int64_t n = bounds[w + 1] - bounds[w], (*in)[2] = NULL;
+        int64_t n = bounds[w + 1] - bounds[w], k = 0;
+        pair *in = NULL, *mine;
         uint64_t bad = 0;
 
-        if (ids[w] != id) {
-            /* The tally of window id: its earlier pieces' and this one's. */
-            int64_t earlier = id == open ? k0 : 0;
-            if (ids[w] != id + 1)
-                earlier = k = 0;  /* after a gap no pixel is active */
+        if (ids[w] != st[0]) {
             if (ids[w] == 1) {
                 m = 0;
                 prb[0] = c.alpha;
             } else {
-                m = merge(pix0, cnt0, earlier, pix, cnt, k, act, act + most);
-                freeze(&c, act, act + most, m, prb);
+                /* After a gap no pixel is active. */
+                m = 0;
+                if (ids[w] == st[0] + 1 && t.runs) {
+                    while (t.runs > 1)
+                        merge_top(&t);
+                    m = ends[1];
+                    memcpy(map, tal, (size_t)m * sizeof *map);
+                }
+                freeze(&c, map, m, prb);
             }
-            map_act = act;
-            map_prb = prb;
-            out[1] = m;
-            id = ids[w];
+            t.runs = 0;
+            st[0] = ids[w];
         }
         memset(hist, 0, passes * sizeof hist[0]);
         for (int64_t i = 0; i < n; i++) {
@@ -575,7 +608,8 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
             return -1;
         for (int d = 0; d < passes; d++) {
             int shift = DIGIT * d;
-            int64_t *h = hist[d], sum = 0, (*to)[2] = rec[(passes - d) & 1];
+            int64_t *h = hist[d], sum = 0;
+            pair *to = rec[d & 1];
             for (int b = 0; b < RADIX; b++) {
                 int64_t count = h[b];
                 h[b] = sum;
@@ -595,20 +629,21 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
                 }
             in = to;
         }
-        /* The last pass wrote rec[1], so the tally goes to rec[0]. */
-        k = 0;
+        mine = tal + ends[t.runs];
         for (int64_t i = 0, j = 0; i < n; k++) {
             int64_t v = in[i][0], start = i;
-            while (j < m && map_act[j] < v)
+            while (j < m && map[j][0] < v)
                 j++;
-            double score = j < m && map_act[j] == v ? map_prb[j] : map_prb[m];
+            double score = j < m && map[j][0] == v ? prb[j] : prb[m];
             for (; i < n && in[i][0] == v; i++)
                 p[bounds[w] + in[i][1]] = score;
-            pix[k] = v;
-            cnt[k] = i - start;
+            mine[k][0] = v;
+            mine[k][1] = i - start;
         }
+        add_run(&t, k);
     }
-    out[0] = k;
+    st[1] = m;
+    st[2] = t.runs;
     return 0;
 }
 
@@ -616,8 +651,9 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
    The digit count t or t + 1 follows from the bit length b of the
    magnitude m: t = b * 1233 >> 12 is floor(b * log10(2)) for b <= 64,
    and m has t + 1 digits when it is at least 10**t (m | 1 gives 0 one
-   digit).  The digits are written from the last, two at a time, which
-   halves the chain of divisions. */
+   digit).  The digits are written from the last, four at a time, as two
+   pairs of one 32-bit remainder, which halves the chain of 64-bit
+   divisions. */
 static char *decimal(char *o, int64_t v)
 {
     static const char pairs[] =
@@ -634,8 +670,15 @@ static char *decimal(char *o, int64_t v)
     int t = (64 - __builtin_clzll(m | 1)) * 1233 >> 12;
     int len = t + ((m | 1) >= tens[t]);
     char *s = o + len;
-    for (; m >= 100; m /= 100)
+    for (; m >= 10000; m /= 10000) {
+        uint32_t r = (uint32_t)(m % 10000);
+        memcpy(s -= 2, pairs + 2 * (r % 100), 2);
+        memcpy(s -= 2, pairs + 2 * (r / 100), 2);
+    }
+    if (m >= 100) {
         memcpy(s -= 2, pairs + 2 * (m % 100), 2);
+        m /= 100;
+    }
     if (m >= 10)
         memcpy(s - 2, pairs + 2 * m, 2);
     else
@@ -681,13 +724,11 @@ _BLOCK = 1 << 14
 # Fresh variates are drawn this many at a time.  A block stays in cache and
 # is reused from the heap; one array of draws for a whole piece of 1M
 # events is fresh memory that the process faults in on every push.
-_DRAW_BLOCK = 1 << 16
+_DRAW_BLOCK, _DRAW_MIN = 1 << 16, 1 << 12
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
 # A map without active pixels, and the tally of a window without events.
 _NO_PIXELS, _NO_SCORES = np.empty(0, np.int64), np.empty(0, np.float64)
 _IDLE = (_NO_PIXELS, _NO_PIXELS)
-# The window scorer's digit histograms: six 11-bit digits cover 63 bits.
-_HISTOGRAMS = 6 << 11
 # The functions _SOURCE exports, with their (argtypes, restype): a library
 # lacking any of them is rebuilt.  pairwise_sum is the freeze's sum, exported
 # so that a test can hold it to numpy's.
@@ -700,59 +741,8 @@ _KERNELS = {
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
     "format_rows": ((_I64, _I64, _P, _P, _P, _P, _P), _I64),
     "pairwise_sum": ((_P, _I64), ctypes.c_double),
-    "score_piece": ((_P, _I64, _P, _P, _I64, _I64, _P, _P, _I64, _P, _P, _I64,
-                     _I64, _P, _P, _P, _P, _P, _I64, _I64, _P), _I64),
+    "score_piece": ((_P, _I64, _P, _P, _I64, _I64, *[_P] * 12), _I64),
 }
-
-
-def cap_walk(p: np.ndarray, draws: np.ndarray | None, alpha: float,
-             codes: np.ndarray, k0: int = 0,
-             retained0: int = 0) -> tuple[int, int]:
-    """Run the capped decision walk over events ``k0 .. k0 + len(p) - 1``
-    of a stream; return ``(retained, draws_used)``.
-
-    ``p`` holds each event's acceptance probability.  With ``draws`` the
-    walk is stochastic: each event the cap lets through takes the next
-    unused draw and is accepted iff the draw is below its ``p``.  With
-    ``draws=None`` (the deterministic method, where ``p`` is 0 or 1) an
-    event is accepted iff its ``p`` is above 0, and nothing is drawn.
-    ``codes`` (uint8, one per event) receives the DecisionCode values:
-    0 accept, 1 sampler reject, 2 cap.  With ``alpha=math.inf`` the cap
-    never trips (the budget ``alpha * k`` is infinite for every ``k > 0``,
-    and event 0 is never capped), so the walk is the sampler alone: the
-    budget cap turned off.
-
-    The walk resumes one that has passed ``k0`` events and kept
-    ``retained0`` of them; ``retained`` counts from there.  Two walks, the
-    second given the first's ``retained``, its ``k0 + len(p)`` and the
-    draws it left unused, decide exactly as one walk over both parts.
-
-    Raises ValueError when the arrays do not fit each other or the resume
-    point is impossible.
-    """
-    p = np.ascontiguousarray(p, dtype=np.float64)
-    if p.ndim != 1:
-        raise ValueError("p must be one-dimensional")
-    n = p.shape[0]
-    if draws is not None:
-        draws = np.ascontiguousarray(draws, dtype=np.float64)
-        if draws.ndim != 1 or draws.shape[0] < n:
-            raise ValueError(f"need at least {n} draws in one dimension")
-    if (codes.dtype != np.uint8 or codes.shape != (n,)
-            or not codes.flags.c_contiguous or not codes.flags.writeable):
-        raise ValueError(f"codes must be a writable contiguous uint8 array "
-                         f"of length {n}")
-    k0, retained0 = _resume_point(k0, retained0)
-    kernel = _kernel()
-    if kernel is None:
-        return _walk_python(p, draws, alpha, codes, k0, retained0)[:2]
-    bounds = np.array([0, n], np.int64)
-    st = np.array([0, 0, retained0, 0, 0], np.int64)
-    used = kernel.cap_walk(p.ctypes.data, n, bounds.ctypes.data,
-                           None if draws is None else draws.ctypes.data,
-                           0 if draws is None else draws.shape[0], alpha, k0,
-                           codes.ctypes.data, None, None, st.ctypes.data)
-    return int(st[2]), used
 
 
 def window_pass(t: np.ndarray, t0: int, t_us: int):
@@ -777,42 +767,53 @@ def window_pass(t: np.ndarray, t0: int, t_us: int):
                          "positive window length")
     if n == 0:
         return t.copy(), _NO_PIXELS.copy(), np.zeros(1, np.int64)
-    top = int(t[-1])
+    return _window_pass(t, t0, t_us)
+
+
+def _window_pass(t, t0: int, t_us: int):
+    """:func:`window_pass` of a nonempty piece whose timestamps are
+    contiguous int64 from ``t0`` on, without checking them again."""
+    n, top = t.shape[0], int(t[-1])
     _check_window_limit(top, t0, t_us)
     kernel = _kernel()
     if kernel is None:
         windows = window_ids(t, t0, t_us, top)
         return (windows, *window_spans(windows))
     room = max(0, min(n, (top - t0) // t_us - (int(t[0]) - t0) // t_us + 1))
-    windows = np.empty(n, np.int64)
-    ids, bounds = np.empty(room, np.int64), np.empty(room + 1, np.int64)
-    nw = kernel.window_pass(t.ctypes.data, n, t0, t_us, windows.ctypes.data,
-                            ids.ctypes.data, bounds.ctypes.data, room)
+    # One array holds the windows, the ids and the bounds.
+    out = np.empty(n + 2 * room + 1, np.int64)
+    at = _array_address(out)
+    nw = kernel.window_pass(_array_address(t), n, t0, t_us, at, at + 8 * n,
+                            at + 8 * (n + room), room)
     if nw < 0:
         raise ValueError("timestamps must not decrease")
-    return windows, ids[:nw], bounds[:nw + 1]
+    return out[:n], out[n:n + nw], out[n + room:n + room + nw + 1]
 
 
 def walk_piece(p: np.ndarray, bounds: np.ndarray, alpha: float, k0: int,
                retained0: int, draws: np.ndarray | None = None, more=None):
-    """Decide the events of one piece of a stream: the walk of
-    :func:`cap_walk` over its events ``k0 .. k0 + len(p) - 1``, resumed
-    after ``retained0`` of the events before were kept, with its windows
-    ``bounds`` (as :func:`window_pass` gives them) counted.
+    """Decide the events ``k0 .. k0 + len(p) - 1`` of one piece of a
+    stream, resumed after ``retained0`` of the events before were kept,
+    with its windows ``bounds`` (as :func:`window_pass` gives them) counted.
 
-    ``draws`` holds the variates the walk before left unused, or is None
-    for the walk without draws, and ``more(n)`` returns ``n`` fresh ones.
-    Fresh ones are drawn only once ``draws`` runs out, in blocks of at
-    most 65,536 and no more than the events left, so no array of draws is
-    ever joined to another, and each evaluated event still takes the next
-    variate of the stream.
+    ``p`` holds each event's acceptance probability.  Event ``k`` is
+    capped (code 2, taking no draw) when ``k > 0`` and ``retained > alpha
+    * k`` (never with ``alpha = math.inf``); any other takes the next draw
+    and is accepted (code 0) iff it is below its ``p``, else rejected (code
+    1).  ``draws`` holds the variates the walk before left unused, or is
+    None for the walk without draws, which accepts iff ``p`` is above 0,
+    and ``more(n)`` returns ``n`` fresh ones, drawn only once ``draws``
+    runs out, in blocks of the events left, but at least 4,096 and at most
+    65,536.  No array of draws is joined to another, and each evaluated
+    event takes the next variate of the stream, so two resumed walks
+    decide as one walk over both pieces.
 
     Returns ``(codes, kept, capped, window_kept, retained, left)``: the
-    codes, the positions of the accepted events in the piece, how many
-    events were capped, how many were accepted in each window, how many
-    the stream has retained, and the draws left unused (None without
+    codes (uint8), the positions of the accepted events in the piece, how
+    many events were capped, how many were accepted in each window, how
+    many the stream has retained, and the draws left unused (None without
     draws).  The compiled walk writes all of them in its pass; its Python
-    twin is :func:`cap_walk`'s loop, then numpy over the codes.
+    twin is a loop over Python floats, then numpy over the codes.
 
     Raises ValueError when the arrays do not fit each other or the resume
     point is impossible.
@@ -830,6 +831,13 @@ def walk_piece(p: np.ndarray, bounds: np.ndarray, alpha: float, k0: int,
         if draws.ndim != 1 or more is None:
             raise ValueError("need draws in one dimension and more of them")
     k0, retained0 = _resume_point(k0, retained0)
+    return _walk_piece(p, bounds, alpha, k0, retained0, draws, more)
+
+
+def _walk_piece(p, bounds, alpha, k0: int, retained0: int, draws, more):
+    """:func:`walk_piece` of contiguous arrays that fit each other, without
+    checking them again."""
+    n = p.shape[0]
     codes = np.empty(n, np.uint8)
     kernel = _kernel()
     if kernel is None:
@@ -851,22 +859,23 @@ def walk_piece(p: np.ndarray, bounds: np.ndarray, alpha: float, k0: int,
     if 0.0 <= alpha < 1.0:
         room = max(0, min(n, math.floor(alpha * (k0 + n - 1)) + 1
                           - retained0))
-    kept = np.empty(room, np.int64)
-    window_kept = np.zeros(bounds.shape[0] - 1, np.int64)
-    st = np.array([0, 0, retained0, 0, 0], np.int64)
-    # Looked up once: a piece of 1M events takes 16 blocks of draws.
-    piece = (p.ctypes.data, n, bounds.ctypes.data)
-    outputs = tuple(a.ctypes.data for a in (codes, kept, window_kept, st))
+    nw = bounds.shape[0] - 1
+    # One array holds the kept positions, the per-window counts and the
+    # walk's state.
+    out = np.zeros(room + nw + 5, np.int64)
+    out[room + nw + 2] = retained0
+    at = _array_address(out)
+    args = (_array_address(p), n, _array_address(bounds))
+    outputs = (_array_address(codes), at, at + 8 * room, at + 8 * (room + nw))
 
     def walk(u):
-        used = kernel.cap_walk(*piece, None if u is None else u.ctypes.data,
-                               0 if u is None else u.shape[0], alpha, k0,
-                               *outputs)
-        return used, int(st[0])
+        draw = (None, 0) if u is None else (_array_address(u), u.shape[0])
+        used = kernel.cap_walk(*args, *draw, alpha, k0, *outputs)
+        return used, int(out[room + nw])
 
     left = _walk_with_draws(walk, n, draws, more)
-    _, _, retained, nk, capped = st.tolist()
-    return codes, kept[:nk], capped, window_kept, retained, left
+    _, _, retained, nk, capped = out[room + nw:].tolist()
+    return codes, out[:nk], capped, out[room:room + nw], retained, left
 
 
 def expit(x):
@@ -905,9 +914,11 @@ def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
     Window 1 scores every event ``alpha``; every other window that opens
     is scored with the map ``sparse_scores`` freezes from the tally of
     the window before it, or from no tally after a gap.  Writes each
-    event's score to ``p`` and returns the last window's tally in this
-    piece and its map (``frozen`` itself when the piece holds only the
-    open window).
+    event's score to ``p`` and returns the tally and map of the window
+    open after the piece, so that they can be passed with the next piece:
+    the tally of its events in this piece and, when it is ``window``, in
+    the pieces before; the map is ``frozen`` itself when the piece holds
+    only the open window.
 
     The compiled kernel scores the whole piece in one call; it gives
     ``sparse_scores``' bits, with one sigmoid per occupancy class when
@@ -928,9 +939,8 @@ def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
                          "float64 array of their length")
     ids = np.ascontiguousarray(ids, np.int64)
     bounds = np.ascontiguousarray(bounds, np.int64)
-    lengths = np.diff(bounds)
     if (ids.ndim != 1 or bounds.shape != (ids.size + 1,) or bounds[0] != 0
-            or bounds[-1] != n or (lengths <= 0).any()
+            or bounds[-1] != n or (np.diff(bounds) <= 0).any()
             or (ids.size and ids[0] < max(window, 1))
             or (np.diff(ids) <= 0).any()):
         raise ValueError("need nonempty windows that hold the events, with "
@@ -943,44 +953,106 @@ def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
                          "positive counts")
     if prior is not None and prior.geometry != geometry:
         raise ValueError("prior geometry does not match occupancy geometry")
-    kernel = _kernel()
-    if kernel is None:
-        return _score_piece_python(flat, ids, bounds, window,
-                                   (pixels, counts), frozen, chain, p)
-    from .density import _OCCUPANCY, SparseScores
-    if frozen is None:
-        active, scores = _NO_PIXELS, np.array([alpha], np.float64)
-    else:
-        active = np.ascontiguousarray(frozen.active, np.int64)
-        scores = np.append(np.asarray(frozen.probabilities, np.float64),
-                           frozen.rest)
-        if active.ndim != 1 or scores.shape != (active.size + 1,):
-            raise ValueError("need one score per active pixel")
-    # Sized as the kernel lays it out: two buffers of (pixel, position)
-    # records for the longest window, the digit histograms, and a tally
-    # and a map for the largest tally a map is frozen from.
-    longest = int(lengths.max(initial=0))
-    most = pixels.size + int(lengths[:-1].max(initial=0))
-    scratch = np.empty(4 * longest + _HISTOGRAMS + 3 * most + 1, np.int64)
-    consts = np.array([alpha, params.slope, params.midpoint,
-                       1.0 if prior is None else prior.peak], np.float64)
-    weights = None if prior is None else prior.weights.ctypes.data
-    out = np.empty(2, np.int64)
-    if kernel.score_piece(
-            flat.ctypes.data, (n_pixels - 1).bit_length(), ids.ctypes.data,
-            bounds.ctypes.data, ids.size, int(window), pixels.ctypes.data,
-            counts.ctypes.data, pixels.size, active.ctypes.data,
-            scores.ctypes.data, active.size, n_pixels, consts.ctypes.data,
-            _OCCUPANCY.ctypes.data, weights, p.ctypes.data,
-            scratch.ctypes.data, longest, most, out.ctypes.data) < 0:
-        raise ValueError(f"flat pixel indices must be in [0, {n_pixels})")
-    k, m = out.tolist()
-    if m >= 0:
-        maps = scratch[4 * longest + _HISTOGRAMS:]
-        prb = maps[2 * most:2 * most + m + 1].view(np.float64)
-        frozen = SparseScores(geometry, maps[:m].copy(), prb[:m].copy(),
-                              float(prb[m]))
-    return (scratch[:k].copy(), scratch[longest:longest + k].copy()), frozen
+    if frozen is not None and (
+            np.ndim(frozen.active) != 1 or np.shape(frozen.probabilities)
+            != np.shape(frozen.active)):
+        raise ValueError("need one score per active pixel")
+    scorer = _Scorer(chain, int(window), (pixels, counts), frozen)
+    scorer.score(flat, ids, bounds, p)
+    tally, latest = scorer.parts()
+    opened = ids.size > 1 or (ids.size and ids[0] != window)
+    return tally, latest if opened else frozen
+
+
+class _Scorer:
+    """The window scorer of a stream pushed in pieces, holding what crosses
+    a piece boundary: the open window's id, its map and its tally.
+
+    The compiled kernel keeps them, and its scratch, in buffers it reuses,
+    grown to the largest piece and tally so far.  The tally is a stack of
+    runs the kernel merges as they pile up (``struct tally`` in the C
+    source), so a piece costs in proportion to its own tally, not to its
+    window's.  The Python twin keeps the tally as one pair of arrays and
+    the map as a :class:`evdown.density.SparseScores`.
+    """
+
+    def __init__(self, chain, window: int = 0, tally=_IDLE, frozen=None):
+        self.chain, self.kernel = chain, _kernel()
+        self.window, self._tally, self._frozen = window, tally, frozen
+        if self.kernel is None:
+            return
+        from .density import _OCCUPANCY
+        geometry, alpha, params, prior = chain
+        active = _NO_PIXELS if frozen is None else frozen.active
+        k, m = tally[0].size, active.size
+        self.consts = np.array([alpha, params.slope, params.midpoint,
+                                1.0 if prior is None else prior.peak])
+        self.fixed = (geometry.n_pixels, self.consts.ctypes.data,
+                      _OCCUPANCY.ctypes.data,
+                      None if prior is None else prior.weights.ctypes.data)
+        # The open window, the size of its map, the runs of its tally, and
+        # the sizes the kernel asks for when it needs more room.
+        self.state, self.room = np.zeros(5, np.int64), np.zeros(2, np.int64)
+        self.ends = np.zeros(65, np.int64)
+        self.scratch, self.prb = np.empty(0, np.int64), np.empty(1)
+        self.tal = self.map = np.empty((0, 2), np.int64)
+        self._grow(0, max(k, m))
+        self.state[:3], self.ends[1] = (window, m, k > 0), k
+        self.tal[:k, 0], self.tal[:k, 1] = tally
+        self.map[:m, 0] = active
+        self.prb[:m + 1] = ([alpha] if frozen is None else
+                            np.append(frozen.probabilities, frozen.rest))
+
+    def score(self, flat, ids, bounds, p) -> None:
+        """Write the score of each event of the next piece to ``p``, given
+        its flat pixel indices and windows as :func:`window_pass` gives
+        them; no argument is checked."""
+        if self.kernel is None:
+            self._tally, self._frozen = _score_piece_python(
+                flat, ids, bounds, self.window, self._tally, self._frozen,
+                self.chain, p)
+            self.window = int(ids[-1]) if ids.size else self.window
+            return
+        piece = (_array_address(flat), (self.fixed[0] - 1).bit_length(),
+                 _array_address(ids), _array_address(bounds), ids.shape[0],
+                 *self.fixed, _array_address(p))
+        while (done := self.kernel.score_piece(*piece, *self.buffers)) == -2:
+            self._grow(*self.state[3:].tolist())
+        if done < 0:
+            raise ValueError(f"flat pixel indices must be in "
+                             f"[0, {self.fixed[0]})")
+
+    def parts(self):
+        """The open window's tally so far and its map."""
+        if self.kernel is None:
+            return self._tally, self._frozen
+        from .density import SparseScores
+        ends, m = self.ends[:self.state[2] + 1].tolist(), int(self.state[1])
+        return merge_tallies([
+            (self.tal[a:b, 0].copy(), self.tal[a:b, 1].copy())
+            for a, b in zip(ends, ends[1:])]), SparseScores(
+            self.chain[0], self.map[:m, 0].copy(), self.prb[:m].copy(),
+            float(self.prb[m]))
+
+    def _grow(self, values: int, pairs: int) -> None:
+        """Room for ``values`` scratch values and ``pairs`` tally pairs, a
+        quarter more than asked, keeping the open window's tally and map."""
+        if values > self.room[0]:
+            self.scratch = np.empty(values * 5 // 4, np.int64)
+        if pairs > self.room[1] or not self.room[1]:
+            size = pairs * 5 // 4 + 1
+            m, runs = self.state[1:3].tolist()
+            used = self.ends[runs]
+            tal, self.tmp, maps = (np.empty((size, 2), np.int64)
+                                   for _ in range(3))
+            prb = np.empty(size + 1)
+            tal[:used], maps[:m] = self.tal[:used], self.map[:m]
+            prb[:m + 1] = self.prb[:m + 1]
+            self.tal, self.map, self.prb = tal, maps, prb
+        self.room[:] = self.scratch.size, self.tal.shape[0]
+        self.buffers = tuple(a.ctypes.data for a in (
+            self.scratch, self.tal, self.tmp, self.map, self.prb, self.room,
+            self.ends, self.state))
 
 
 def merge_tallies(tallies):
@@ -1068,8 +1140,10 @@ def format_rows(n: int, columns):
     if n == 0:
         return memoryview(b"")
     ncols = len(columns)
-    ints, tables = np.zeros(ncols, np.uintp), np.zeros(ncols, np.uintp)
-    start, width = np.zeros(ncols, np.int64), np.zeros(ncols, np.int64)
+    # Each column's integers' address, table's address, start and width,
+    # the four arrays format_rows reads, in one.
+    meta = np.zeros((4, ncols), np.int64)
+    ints, tables, start, width = meta
     keep = []  # the arrays whose addresses the kernel reads
     for c, col in enumerate(columns):
         if isinstance(col, tuple):
@@ -1080,7 +1154,7 @@ def format_rows(n: int, columns):
                 raise ValueError(f"need a 2-D table and {n} row numbers "
                                  f"within it")
             keep += [table, index]
-            ints[c], tables[c] = index.ctypes.data, table.ctypes.data
+            ints[c], tables[c] = _array_address(index), _array_address(table)
             width[c] = table.shape[1]
             continue
         if isinstance(col, range):
@@ -1095,13 +1169,13 @@ def format_rows(n: int, columns):
                 raise ValueError(f"need {n} integers in one dimension")
             values = np.ascontiguousarray(values, np.int64)
             keep.append(values)
-            ints[c] = values.ctypes.data
+            ints[c] = _array_address(values)
             lo, hi = int(values.min()), int(values.max())
         width[c] = max(len(str(lo)), len(str(hi)))  # the sign included
     out = np.empty(n * int(width.sum() + ncols), np.uint8)
-    used = kernel.format_rows(n, ncols, ints.ctypes.data, start.ctypes.data,
-                              tables.ctypes.data, width.ctypes.data,
-                              out.ctypes.data)
+    at = _array_address(meta)
+    used = kernel.format_rows(n, ncols, at, at + 16 * ncols, at + 8 * ncols,
+                              at + 24 * ncols, _array_address(out))
     return out.data[:used]
 
 
@@ -1123,11 +1197,11 @@ def _resume_point(k0, retained0) -> tuple[int, int]:
 def _walk_with_draws(walk, n, draws, more):
     """Run ``walk(u) -> (used, stop)`` over the leftover draws, then, while
     they run out before event ``n``, over blocks of fresh ones, at most
-    _DRAW_BLOCK and no more than the events left; return the draws left
-    unused."""
+    _DRAW_BLOCK: the events left, but at least _DRAW_MIN, so that small
+    pieces do not draw each time; return the draws left unused."""
     used, stop = walk(draws) if draws is None or draws.size else (0, 0)
     while stop < n:
-        block = min(_DRAW_BLOCK, n - stop)
+        block = min(_DRAW_BLOCK, max(n - stop, _DRAW_MIN))
         draws = np.ascontiguousarray(more(block), np.float64)
         if draws.shape != (block,):
             raise ValueError(f"more({block}) must return {block} draws")
@@ -1173,12 +1247,13 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
 
 
 def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
+    """The twin of the window scorer: returns the tally and map of the
+    window open after the piece."""
     from .density import SparseScores, occupancy_values, sparse_scores
     geometry, alpha, params, prior = chain
     if flat.size and (flat.min() < 0 or flat.max() >= geometry.n_pixels):
         raise ValueError(f"flat pixel indices must be in "
                          f"[0, {geometry.n_pixels})")
-    part = _IDLE
     for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
                            bounds[1:].tolist()):
         if wid != window:
@@ -1195,9 +1270,16 @@ def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
         pixels, inverse, counts = np.unique(flat[i0:i1], return_inverse=True,
                                             return_counts=True)
         p[i0:i1] = alpha if frozen is None else frozen.lookup(pixels)[inverse]
-        part = pixels, counts
-        tally = merge_tallies([tally, part])
-    return part, frozen
+        tally = merge_tallies([tally, (pixels, counts)])
+    return tally, frozen
+
+
+def _array_address(a: np.ndarray) -> int:
+    """The address of a contiguous array's data; for a writable one, by a
+    path several times cheaper than ``a.ctypes.data``."""
+    if a.flags.writeable and a.nbytes:
+        return ctypes.addressof(ctypes.c_char.from_buffer(a))
+    return a.ctypes.data
 
 
 def _address(data: bytes) -> int:
@@ -1225,16 +1307,30 @@ def _kernel():
     """The compiled library, or None when it cannot be built or loaded.
 
     Loaded once per process; a cached file that is missing, damaged or
-    unloadable is rebuilt once.
+    unloadable is rebuilt once.  Its name carries the interpreter's cache
+    tag and the machine, then a digest of the source and the flags.
     """
+    tag = f"{sys.implementation.cache_tag}-{platform.machine()}"
     key = hashlib.sha256("\0".join(
-        (_SOURCE, *_COMPILE, sys.implementation.cache_tag or "",
-         platform.machine())).encode()).hexdigest()[:20]
-    path = _CACHE_DIR / f"capwalk-{key}.so"
+        (_SOURCE, *_COMPILE, tag)).encode()).hexdigest()[:20]
+    path = _CACHE_DIR / f"capwalk-{tag}-{key}.so"
     lib = _load(path)
     if lib is None and _build(path):
         lib = _load(path)
+        _prune(path, tag)
     return lib
+
+
+def _prune(path: Path, tag: str) -> None:
+    """Remove the other libraries built for this cache tag and machine, and
+    those named without them, from before names carried them: each was
+    built from another source, so no process loads it again.  A process
+    that has one loaded keeps its mapping."""
+    stale = re.compile(rf"capwalk-({re.escape(tag)}-)?[0-9a-f]{{20}}\.so")
+    for old in path.parent.glob("capwalk-*.so"):
+        if old != path and stale.fullmatch(old.name):
+            with contextlib.suppress(OSError):
+                old.unlink()
 
 
 def _load(path: Path):

@@ -141,7 +141,7 @@ def _check_window(value: int, flag: str) -> int:
     return value
 
 
-_CHUNK_EVENTS = 1 << 16   # events per chunk; bounds downsample's memory
+_CHUNK_EVENTS = 1 << 14   # events per chunk; bounds downsample's memory
 
 
 def _source(path, fmt: str):

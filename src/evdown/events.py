@@ -89,18 +89,21 @@ class EventStream:
 
     @classmethod
     def _adopt(cls, geometry, t, x, y, p, labels=None) -> "EventStream":
-        """The stream of the given columns, checked as the constructor
-        checks them, that takes columns already of its dtypes as its own
-        instead of copying them: for readers whose columns are fresh and
-        held nowhere else."""
+        """The stream of the given columns, that takes columns already of
+        its dtypes as its own instead of copying them: for readers whose
+        columns are fresh, held nowhere else, nonnegative and with
+        polarities 0 or 1, so that only their order and bounds are
+        checked, as the constructor checks them."""
         stream = object.__new__(cls)
-        stream._build(np.asarray, geometry, t, x, y, p, labels, None, None)
+        stream._build(np.asarray, geometry, t, x, y, p, labels, None, None,
+                      ranged=True)
         return stream
 
     def _build(self, own, geometry, t, x, y, p, labels, edge_ids,
-               source_index) -> None:
+               source_index, ranged=False) -> None:
         """Check the columns and set them, each made the stream's by
-        ``own`` (np.array copies, np.asarray adopts)."""
+        ``own`` (np.array copies, np.asarray adopts); ``ranged`` columns
+        are known to be nonnegative with polarities 0 or 1."""
         t = np.asarray(t, dtype=np.int64)
         x = np.asarray(x, dtype=np.int64)
         y = np.asarray(y, dtype=np.int64)
@@ -108,9 +111,9 @@ class EventStream:
         n = t.shape[0]
         if not (x.shape == y.shape == p.shape == (n,)):
             raise ValueError("event columns must be 1-d arrays of equal length")
-        if n and (t.min() < 0 or x.min() < 0 or y.min() < 0):
+        if n and not ranged and (t.min() < 0 or x.min() < 0 or y.min() < 0):
             raise ValueError("timestamps and coordinates must be nonnegative")
-        if n and p.max() > 1:
+        if n and not ranged and p.max() > 1:
             raise ValueError("polarity values must be 0 or 1")
         # Checked before the copies below, so the check's temporaries and
         # the copies are never held at once.
@@ -132,17 +135,19 @@ class EventStream:
 
     def _fill(self, geometry, *columns) -> "EventStream":
         """Set the geometry and the columns, in slot order, read-only."""
-        self.geometry = geometry
-        for name, col in zip(self.__slots__[1:], columns):
+        for col in columns:
             if col is not None:
-                col.flags.writeable = False
-            setattr(self, name, col)
+                col.setflags(write=False)
+        (self.t, self.x, self.y, self.p, self.labels, self.edge_ids,
+         self.source_index) = columns
+        self.geometry = geometry
         return self
 
-    def _derive(self, pick, source_index) -> "EventStream":
-        """A stream of the same geometry whose columns are ``pick`` of this
-        one's, unchecked: the caller keeps the events in stream order."""
-        columns = [None if col is None else pick(col)
+    def _derive(self, key, source_index) -> "EventStream":
+        """A stream of the same geometry whose columns are ``col[key]`` of
+        this one's, unchecked: the caller keeps the events in stream
+        order."""
+        columns = [None if col is None else col[key]
                    for col in (self.t, self.x, self.y, self.p, self.labels,
                                self.edge_ids)]
         return object.__new__(EventStream)._fill(self.geometry, *columns,
@@ -174,8 +179,8 @@ class EventStream:
         if i.step is not None and i.step < 0:
             raise ValueError(
                 f"a slice with step {i.step} would reverse the stream")
-        return self._derive(lambda col: col[i], None if self.source_index
-                            is None else self.source_index[i])
+        return self._derive(i, None if self.source_index is None
+                            else self.source_index[i])
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EventStream):
@@ -202,11 +207,11 @@ class EventStream:
         events must stay in stream order.
         """
         indices = np.asarray(indices, dtype=np.int64)
-        if indices.size > 1 and np.any(indices[1:] < indices[:-1]):
+        if indices.size > 1 and (indices[1:] < indices[:-1]).any():
             raise ValueError("subset indices must not decrease")
         src = (indices + offset if self.source_index is None
                else self.source_index[indices])
-        return self._derive(lambda col: col[indices], src)
+        return self._derive(indices, src)
 
 
 def first_violations(t, x, y, geometry: SensorGeometry | None = None):
@@ -223,7 +228,10 @@ def first_violations(t, x, y, geometry: SensorGeometry | None = None):
     if ordering is not None:
         ordering += 1
     bounds = None
-    if geometry is not None:
+    # Two maxima find whether any event is outside; the mask, which
+    # finds the first, is made only then.
+    if geometry is not None and x.size and (x.max() >= geometry.width
+                                            or y.max() >= geometry.height):
         bounds = first(~geometry.contains(x, y))
     return ordering, bounds
 

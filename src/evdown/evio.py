@@ -357,18 +357,15 @@ def _reprs(values):
 
 
 def _symbols(mapping: dict, values, what: str):
-    """A (table, index) column writing each value as its letter in mapping;
-    a value mapping lacks raises ValueError."""
+    """A (table, index) column writing each value as its letter in mapping,
+    whose keys are 0 .. len(mapping) - 1; a value mapping lacks raises
+    ValueError."""
     values = np.asarray(values)
-    top = max(mapping)
-    known = np.array([k in mapping for k in range(top + 1)])
-    # min and max first: known[values] must not wrap a negative index.
-    if values.size and not (values.min() >= 0 and values.max() <= top
-                            and known[values].all()):
+    if values.size and (values.max() >= len(mapping) or (
+            values.dtype.kind == "i" and values.min() < 0)):
         unknown = ~np.isin(values, list(mapping))
         raise ValueError(f"{what} {values[unknown][0]} has no letter")
-    table = _strings([mapping.get(k, "") for k in range(top + 1)])
-    return table, values
+    return _strings([mapping[k] for k in range(len(mapping))]), values
 
 
 def _write_rows(fh, n: int, columns) -> None:
@@ -422,8 +419,8 @@ def _unseekable(path) -> EventFileError:
 
 
 def _read_binary(path, geometry) -> EventStream:
-    source = BinaryEvents(path, geometry)
-    return source.read(0, source.count)
+    with contextlib.closing(BinaryEvents(path, geometry)) as source:
+        return source.read(0, source.count)
 
 
 class BinaryEvents:
@@ -467,34 +464,38 @@ class BinaryEvents:
         self.geometry = header_geo
         self.labeled = False  # the format has no field for labels
         self.count = count
+        self._fh = open(path, "rb", buffering=0)  # read block by block
 
     def close(self) -> None:
-        """Nothing to release: each read opens the file anew."""
+        """Close the file; a later read fails."""
+        self._fh.close()
 
     def read(self, start: int, stop: int, before: int | None = None
              ) -> EventStream:
         """Records start .. stop - 1 as a stream, checked as read_events
         checks a whole file; messages give each record's index in the
         file, and ``before`` is the timestamp of record ``start - 1``."""
-        recs = np.fromfile(self.path, REC_DTYPE, count=stop - start,
-                           offset=_HEADER.size + start * REC_DTYPE.itemsize)
-        if recs.size != stop - start:
+        self._fh.seek(_HEADER.size + start * REC_DTYPE.itemsize)
+        recs = np.fromfile(self._fh, REC_DTYPE, count=stop - start)
+        got = recs.size
+        if got != stop - start:
             raise EventFileError(f"{self.path}: truncated at record "
-                                 f"{start + recs.size}")
-        if recs.size and int(recs["t"].max()) > _INT64_MAX:
+                                 f"{start + got}")
+        # A timestamp past int64 becomes negative.
+        t = recs["t"].astype(np.int64)
+        if got and t.min() < 0:
             raise EventFileError(
                 f"{self.path}: timestamp exceeds the signed 64-bit range")
-        bad = np.flatnonzero(recs["p"] > 1)
-        if bad.size:
-            i = int(bad[0])
+        p = recs["p"].copy()
+        if got and p.max() > 1:
+            i = int(np.argmax(p > 1))
             raise EventFileError(
                 f"{self.path}: record {start + i}: polarity must be 0 or 1, "
-                f"got {int(recs['p'][i])}")
-        return _finish_stream(self.path, self.geometry,
-                              recs["t"].astype(np.int64),
+                f"got {int(p[i])}")
+        return _finish_stream(self.path, self.geometry, t,
                               recs["x"].astype(np.int64),
-                              recs["y"].astype(np.int64),
-                              recs["p"].copy(), start=start, before=before)
+                              recs["y"].astype(np.int64), p, start=start,
+                              before=before)
 
     def blocks(self, size: int):
         """The records in order, as checked streams of up to size events."""

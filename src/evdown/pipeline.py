@@ -48,11 +48,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .capwalk import merge_tallies, score_piece, walk_piece, window_pass
+from .capwalk import _Scorer, _walk_piece, _window_pass
 from .events import EventStream, SensorGeometry
 from .samplers import SamplerConfig, acceptance_window_us
 
 METHODS = ("deterministic", "uniform", "poisson")
+_ROW_BLOCK = 1 << 12  # per-window rows per block of run state
 
 # Placeholders: perfbench's tracer patches these two names, and nothing
 # calls them.  ROADMAP item 1 retargets the tracer and removes them.
@@ -130,23 +131,16 @@ class _WindowScorer:
     """Density-adaptive probabilities of a stream scored piece by piece:
     alpha in window 1, else the sparse map frozen from the previous window.
 
-    Each piece goes through one call of :func:`evdown.capwalk.score_piece`,
-    which scores its windows in turn and freezes the map of each window
-    that opens in it.  Between pieces it holds only what crosses a piece
-    boundary: the open window's id, its frozen map, and its tallies of
-    distinct pixels and counts from the pieces so far, the first merged
-    and the rest pending; ``seconds`` is the time spent scoring.  The
-    tallies are merged when the window closes, and before that once the
-    pending ones are as long as the first, so a piece costs in proportion
-    to its own tally, not to its window's.
+    Each piece goes through one call of the window scorer of
+    :mod:`evdown.capwalk`, which scores its windows in turn, freezes the
+    map of each window that opens in it and keeps what crosses a piece
+    boundary: the open window's id, its map and its tally, in buffers
+    reused from piece to piece.  ``seconds`` is the time spent scoring.
     """
 
     def __init__(self, geometry: SensorGeometry, config: SamplerConfig):
-        self.chain = (geometry, config.alpha, config.theta, config.prior)
-        self.window = 0
-        self.frozen = None
-        self.tally = []
-        self.pending = 0  # pixels in the tallies after the first
+        self._scorer = _Scorer((geometry, config.alpha, config.theta,
+                                config.prior))
         self.seconds = 0.0
 
     def score(self, flat: np.ndarray, ids: np.ndarray,
@@ -155,18 +149,8 @@ class _WindowScorer:
         indices and window spans (:func:`evdown.events.window_spans`)."""
         tp0 = time.perf_counter()
         p = np.empty(flat.size)
-        # The open window's tallies are read only when it closes here.
-        closes = ids.size > 1 or ids[0] != self.window
-        earlier = merge_tallies(self.tally if closes else [])
-        tally, self.frozen = score_piece(flat, ids, bounds, self.window,
-                                         earlier, self.frozen, self.chain, p)
-        if closes:
-            self.window, self.tally, self.pending = int(ids[-1]), [tally], 0
-        else:
-            self.tally.append(tally)
-            self.pending += tally[0].size
-            if self.pending >= self.tally[0][0].size:
-                self.tally, self.pending = [merge_tallies(self.tally)], 0
+        self._scorer.score(np.ascontiguousarray(flat, np.int64), ids, bounds,
+                           p)
         self.seconds += time.perf_counter() - tp0
         return p
 
@@ -213,7 +197,10 @@ class Downsampler:
         self._scorer = (_WindowScorer(geometry, config)
                         if method == "poisson" and config.alpha != 1.0
                         else None)
-        self._per_window = []
+        self._draw = None if self._rng is None else self._rng.random
+        # The per-window rows: full blocks of _ROW_BLOCK, then the block
+        # being filled.
+        self._full, self._rows, self._used = [], np.empty((0, 3), np.int64), 0
         self._eval_s = 0.0
         self._stats = None
         self._busy_s = time.perf_counter() - t_start
@@ -253,7 +240,10 @@ class Downsampler:
         cfg = self.config
         alpha = cfg.alpha
         t0 = int(t[0]) if self._t0 is None else self._t0
-        windows, ids, bounds = window_pass(t, t0, cfg.t_us)
+        # The piece is an EventStream, so its timestamps are sorted and
+        # from the anchor on: the kernels get them unchecked.
+        windows, ids, bounds = _window_pass(np.ascontiguousarray(t), t0,
+                                            cfg.t_us)
         # Scoring never depends on decisions (a frozen map counts every event
         # of its window, accepted or not), so every event's probability is
         # known before the cap walk starts.
@@ -276,9 +266,8 @@ class Downsampler:
 
         te0 = time.perf_counter()
         codes, accepted, capped, window_kept, self._retained, self._tail = (
-            walk_piece(p, bounds, alpha if cfg.cap_enabled else math.inf,
-                       self._seen, self._retained, self._tail,
-                       None if self._rng is None else self._rng.random))
+            _walk_piece(p, bounds, alpha if cfg.cap_enabled else math.inf,
+                        self._seen, self._retained, self._tail, self._draw))
         self._capped += capped
         self._eval_s += time.perf_counter() - te0
         if probs is None:  # deterministic: nothing is drawn
@@ -302,21 +291,42 @@ class Downsampler:
                 processed=self._seen, retained=self._retained,
                 capped=self._capped,
                 sampler_rejected=self._seen - self._retained - self._capped,
-                per_window=tuple(self._per_window),
+                per_window=tuple(map(tuple, self._window_rows())),
                 total_s=self._busy_s + time.perf_counter() - t_start,
                 pdf_s=0.0 if self._scorer is None else self._scorer.seconds,
                 eval_s=self._eval_s)
-            self._tail = self._scorer = self._per_window = None
+            self._tail = self._scorer = self._rows = self._full = None
         return self._stats
 
     def _count_windows(self, ids, bounds, window_kept) -> None:
-        rows = list(zip(ids.tolist(), np.diff(bounds).tolist(),
-                        window_kept.tolist()))
-        if self._per_window and self._per_window[-1][0] == rows[0][0]:
-            # The open window goes on from the last piece.
-            wid, n, r = self._per_window.pop()
-            rows[0] = (wid, n + rows[0][1], r + rows[0][2])
-        self._per_window += rows
+        """Add the piece's ``(window_id, processed, retained)`` rows to the
+        run state, the open window's to its row from the last piece."""
+        rows, used, nw = self._rows, self._used, ids.shape[0]
+        first = int(used > 0 and rows[used - 1, 0] == ids[0])
+        if first:
+            rows[used - 1, 1] += bounds[1]  # bounds[0] is 0
+            rows[used - 1, 2] += window_kept[0]
+        # Full blocks are kept as they are, so the rows take 24 bytes per
+        # window and at most one block more.
+        while first < nw:
+            if used == rows.shape[0]:
+                if used:
+                    self._full.append(rows)
+                rows = self._rows = np.empty((_ROW_BLOCK, 3), np.int64)
+                used = 0
+            take = min(nw - first, _ROW_BLOCK - used)
+            block, stop = rows[used:used + take], first + take
+            block[:, 0] = ids[first:stop]
+            np.subtract(bounds[first + 1:stop + 1], bounds[first:stop],
+                        out=block[:, 1])
+            block[:, 2] = window_kept[first:stop]
+            first, used = stop, used + take
+        self._used = used
+
+    def _window_rows(self) -> list:
+        """Every ``[window_id, processed, retained]`` row so far."""
+        return [row for block in (*self._full, self._rows[:self._used])
+                for row in block.tolist()]
 
 
 def run(stream: EventStream, method: str,

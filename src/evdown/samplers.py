@@ -16,7 +16,7 @@ variate, when the events before it have retained > alpha * processed; so
 the first event always reaches its policy, and at alpha = 1 the cap never
 trips.  :func:`evdown.capwalk.walk_piece` applies these rules to each piece
 of a stream, after :func:`evdown.capwalk.window_pass` has found its
-windows, and :func:`evdown.capwalk.cap_walk` to a batch of given draws.
+windows.
 """
 
 from __future__ import annotations

@@ -132,15 +132,17 @@ def per_event_scores(stream: EventStream, config: SamplerConfig) -> np.ndarray:
     return p
 
 
-def per_event_walk(p, draws, alpha, cap=True):
+def per_event_walk(p, draws, alpha, cap=True, k0=0, retained0=0):
     """The cap rule, one event at a time: before each event the budget is
     checked against the counts so far and trips only when retained >
     alpha * processed; a capped event takes no draw.  ``draws`` is an
     iterable of variates, or None for the deterministic mode, which accepts
-    when p > 0.  Returns the decision codes and the number retained."""
+    when p > 0.  The walk resumes one that has passed ``k0`` events and
+    kept ``retained0``.  Returns the decision codes and the number
+    retained."""
     it = None if draws is None else iter(draws)
-    codes, retained = [], 0
-    for processed, pk in enumerate(p):
+    codes, retained = [], retained0
+    for processed, pk in enumerate(p, start=k0):
         if cap and retained > alpha * processed:
             code = DecisionCode.REJECT_CAP
         elif (pk > 0.0) if it is None else (next(it) < pk):

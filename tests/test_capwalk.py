@@ -1,12 +1,13 @@
 """The cap walk: compiled kernel vs Python loop vs the per-event cap rule
-(``conftest.per_event_walk``); the window pass and the piece walk against
-Python integers and ``cap_walk``; the window scorer: compiled kernel vs
+(``conftest.per_event_walk``), through the piece walk; the window pass
+against Python integers; the window scorer: compiled kernel vs
 its numpy twin vs ``np.unique`` and one lookup per event, and its sum vs
 numpy's; the C source under strict warnings; and the loader's
 fallbacks."""
 
 import hashlib
 import math
+import platform
 import re
 import shutil
 import stat
@@ -36,10 +37,21 @@ def python_walk(p, draws, alpha):
     return codes.tolist(), retained
 
 
+def no_more(n):
+    raise AssertionError(f"the walk asked for {n} more draws")
+
+
+def piece_walk(p, draws, alpha, k0=0, retained0=0):
+    """walk_piece over p as one window, given every draw it takes:
+    (codes, retained, draws used)."""
+    got = capwalk.walk_piece(p, [0, p.size] if p.size else [0], alpha, k0,
+                             retained0, draws, no_more)
+    return (got[0].tolist(), got[4],
+            0 if draws is None else draws.size - got[5].size)
+
+
 def walk(p, draws, alpha):
-    codes = np.empty(p.shape[0], np.uint8)
-    retained, _ = capwalk.cap_walk(p, draws, alpha, codes)
-    return codes.tolist(), retained
+    return piece_walk(p, draws, alpha)[:2]
 
 
 def assert_walks_agree(p, draws, alpha):
@@ -108,15 +120,14 @@ class TestWalksAgree:
 
     def test_rejects_mismatched_arrays(self):
         p = np.full(4, 0.5)
-        with pytest.raises(ValueError, match="draws"):
-            capwalk.cap_walk(p, np.zeros(3), 0.5, np.empty(4, np.uint8))
-        with pytest.raises(ValueError, match="codes"):
-            capwalk.cap_walk(p, None, 0.5, np.empty(4, np.int64))
-        with pytest.raises(ValueError, match="codes"):
-            capwalk.cap_walk(p, None, 0.5, np.empty(5, np.uint8))
-        with pytest.raises(ValueError, match="one-dimensional"):
-            capwalk.cap_walk(np.full((2, 2), 0.5), None, 0.5,
-                             np.empty(2, np.uint8))
+        for args, match in (
+                ((p, [0, 4], 0.5, 0, 0, np.zeros((2, 2)), no_more), "draws"),
+                ((p, [0, 4], 0.5, 0, 0, np.zeros(4)), "more"),
+                ((p, [0, 5], 0.5, 0, 0), "bounds"),
+                ((np.full((2, 2), 0.5), [0, 2], 0.5, 0, 0),
+                 "one-dimensional")):
+            with pytest.raises(ValueError, match=match):
+                capwalk.walk_piece(*args)
 
 
 class TestResume:
@@ -141,26 +152,31 @@ class TestResume:
             draws = np.random.default_rng(draw_seed).random(p.size + spare)
         else:
             p = (p > 0.5).astype(np.float64)
-        codes = np.empty(p.size, np.uint8)
-        retained, used = capwalk.cap_walk(p, draws, alpha, codes)
-        assert (codes.tolist(), retained) == per_event_walk(p, draws, alpha)
-        assert used == (0 if draws is None
-                        else int(np.count_nonzero(codes != 2)))
+        codes, retained, used = piece_walk(p, draws, alpha)
+        assert (codes, retained) == per_event_walk(p, draws, alpha)
+        assert used == (0 if draws is None else len(codes) - codes.count(2))
 
-        first, second = (np.empty(split, np.uint8),
-                         np.empty(p.size - split, np.uint8))
         head = None if draws is None else draws[:split + spare]
-        r1, u1 = capwalk.cap_walk(p[:split], head, alpha, first)
-        rest = None if draws is None else draws[u1:]
-        r2, u2 = capwalk.cap_walk(p[split:], rest, alpha, second, split, r1)
-        assert np.concatenate([first, second]).tolist() == codes.tolist()
-        assert (r2, u1 + u2) == (retained, used)
+        first, r1, u1 = piece_walk(p[:split], head, alpha)
+        # The second walk takes the draws the first left, then fresh ones:
+        # the ones that follow from the same generator.
+        rng = np.random.default_rng(draw_seed)
+        rng.random(split + spare)
+        got = capwalk.walk_piece(
+            p[split:], [0, p.size - split] if p.size > split else [0], alpha,
+            split, r1, None if draws is None else head[u1:], rng.random)
+        assert first + got[0].tolist() == codes
+        assert got[4] == retained
+        if draws is not None:
+            following = np.random.default_rng(draw_seed).random(
+                used + got[5].size)
+            assert got[5].tolist() == following[used:].tolist()
 
     def test_bad_resume_point(self):
         p = np.full(3, 0.5)
         for k0, r0 in ((-1, 0), (2, 3), (0, -1)):
             with pytest.raises(ValueError, match="resume"):
-                capwalk.cap_walk(p, None, 0.5, np.empty(3, np.uint8), k0, r0)
+                capwalk.walk_piece(p, [0, 3], 0.5, k0, r0)
 
 
 # --- the window pass and the piece walk --------------------------------------
@@ -237,8 +253,8 @@ class TestWalkPiece:
              alpha=1 / 3, stochastic=False)
     def test_matches_cap_walk(self, cap_walk, p, cuts, spare, k0, share,
                               seed, alpha, stochastic):
-        """The piece walk decides as cap_walk does over the leftover draws
-        followed by fresh ones, and its kept positions, capped count and
+        """The piece walk decides as the per-event cap rule does over the
+        leftover draws followed by fresh ones, and its kept positions, capped count and
         per-window counts are those of the codes.  It draws fresh variates
         only once the leftover runs out; what it leaves is the next part of
         the same sequence."""
@@ -250,13 +266,15 @@ class TestWalkPiece:
         if stochastic:
             left = np.random.default_rng(seed).random(spare)
             more = np.random.default_rng([seed, 1]).random
-            draws = np.concatenate(
-                [left, np.random.default_rng([seed, 1]).random(n)])
+            # A block of fresh draws holds at least _DRAW_MIN.
+            draws = np.concatenate([left, np.random.default_rng(
+                [seed, 1]).random(n + capwalk._DRAW_MIN)])
         else:
             p = (p > 0.5).astype(np.float64)
-        codes = np.empty(n, np.uint8)
-        retained, used = capwalk.cap_walk(p, draws, alpha, codes, k0,
-                                          retained0)
+        codes, retained = per_event_walk(p, draws, alpha, True, k0,
+                                         retained0)
+        codes = np.array(codes, np.uint8)
+        used = int(np.count_nonzero(codes != 2))
         got, kept, capped, window_kept, got_retained, rest = (
             capwalk.walk_piece(p, bounds, alpha, k0, retained0, left, more))
         assert got.tolist() == codes.tolist()
@@ -292,8 +310,9 @@ class TestWalkPiece:
             return fresh.random(n)
 
         draws = np.concatenate([left, np.random.default_rng(5).random(500)])
-        codes = np.empty(500, np.uint8)
-        retained, used = capwalk.cap_walk(p, draws, alpha, codes)
+        codes, retained = per_event_walk(p, draws, alpha)
+        codes = np.array(codes, np.uint8)
+        used = int(np.count_nonzero(codes != 2))
         got, kept, capped, window_kept, got_retained, rest = (
             capwalk.walk_piece(p, [0, 250, 500], alpha, 0, 0, left, more))
         assert (got.tolist(), got_retained) == (codes.tolist(), retained)
@@ -330,7 +349,7 @@ class TestWalkPiece:
                 ((p.reshape(2, 2), [0, 2], 0.5, 0, 0), "one-dimensional"),
                 ((p, [0, 4], 0.5, 0, 0, np.zeros(3)), "more"),
                 ((p, [0, 4], 0.5, 0, 0, np.zeros(0), lambda n: np.zeros(0)),
-                 r"more\(4\) must return 4"),
+                 r"more\(4096\) must return 4096"),
                 ((p, [0, 4], 0.5, 2, 3), "resume")):
             with pytest.raises(ValueError, match=match):
                 capwalk.walk_piece(*args)
@@ -673,6 +692,27 @@ class TestLoaderCache:
         monkeypatch.setattr(subprocess, "run", no_compiler)
         assert capwalk.implementation() == "compiled"
         assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    def test_build_removes_libraries_of_other_sources(self, cache_dir,
+                                                      monkeypatch):
+        """Building from a second source leaves one library for this cache
+        tag and machine: the first source's goes, as does one named as
+        before names carried the tag, but another machine's stays."""
+        assert capwalk.implementation() == "compiled"
+        [first] = kernel_files(cache_dir)
+        tag = f"{sys.implementation.cache_tag}-{platform.machine()}"
+        assert first.name.startswith(f"capwalk-{tag}-")
+        legacy = cache_dir / ("capwalk-" + "0" * 20 + ".so")
+        other = cache_dir / ("capwalk-cpython-311-sparc-" + "0" * 20 + ".so")
+        for path in (legacy, other):
+            path.write_bytes(first.read_bytes())
+        monkeypatch.setattr(capwalk, "_SOURCE",
+                            capwalk._SOURCE + "/* another source */\n")
+        capwalk._kernel.cache_clear()
+        assert capwalk.implementation() == "compiled"
+        [second] = [p for p in kernel_files(cache_dir) if p != other]
+        assert second != first and second.name.startswith(f"capwalk-{tag}-")
+        assert other.exists() and trailer_ok(second)
 
     @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty",
                                         "no trailer", "flipped byte"])

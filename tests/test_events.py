@@ -1,5 +1,6 @@
 """Event model: containers and validation."""
 
+import contextlib
 import tempfile
 from pathlib import Path
 
@@ -239,7 +240,8 @@ class TestValidByConstruction:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.evb"
             write_events(s, path, fmt="binary")
-            blocks = list(BinaryEvents(path).blocks(size))
+            with contextlib.closing(BinaryEvents(path)) as source:
+                blocks = list(source.blocks(size))
         assert [b.t.tolist() for b in blocks] == [
             ts[i:i + size] for i in range(0, n, size)]
 

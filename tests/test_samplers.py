@@ -1,8 +1,8 @@
 """The decision rules: sampler config, duty cycle, draws and the budget cap.
 
 Each rule is checked on the product: the duty cycle and the draws through
-:func:`evdown.run`, the cap through :func:`evdown.capwalk.cap_walk`, resumed
-at a chosen budget state.
+:func:`evdown.run`, the cap through :func:`evdown.capwalk.walk_piece`,
+resumed at a chosen budget state.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from evdown import (DecisionCode, SamplerConfig, SensorGeometry,
                     SigmoidParams, acceptance_window_us, run)
-from evdown.capwalk import cap_walk
+from evdown.capwalk import walk_piece
 
 from conftest import make_stream, random_stream
 
@@ -32,14 +32,19 @@ def duty_cycle_code(t, anchor=0, alpha=0.1):
 
 
 def walk(p, draws, alpha, k0=0, retained0=0):
-    """cap_walk over p, resumed after k0 events with retained0 kept:
-    (codes, retained, draws used)."""
+    """walk_piece over p, one window, resumed after k0 events with
+    retained0 kept, given every draw it takes: (codes, retained, draws
+    used)."""
+    def more(n):
+        raise AssertionError(f"the walk asked for {n} more draws")
+
     p = np.asarray(p, dtype=np.float64)
-    codes = np.empty(p.size, np.uint8)
-    retained, used = cap_walk(
-        p, None if draws is None else np.asarray(draws, dtype=np.float64),
-        alpha, codes, k0, retained0)
-    return codes.tolist(), retained, used
+    if draws is not None:
+        draws = np.asarray(draws, dtype=np.float64)
+    codes, _, _, _, retained, left = walk_piece(p, [0, p.size], alpha, k0,
+                                                retained0, draws, more)
+    return (codes.tolist(), retained,
+            0 if draws is None else draws.size - left.size)
 
 
 def cap_step(k0, retained0, alpha, p=1.0):

@@ -155,6 +155,33 @@ class TestSplitInvariance:
                                [1, 2, 700, 701, 2500, 2500, 5999])
 
 
+    @pytest.mark.parametrize("method,prior_on", [
+        ("deterministic", False), ("uniform", False), ("poisson", False),
+        ("poisson", True)])
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_pieces_that_shrink_and_grow(self, cap_walk, method, prior_on,
+                                         cap):
+        """Pieces of 1 event, then of 1,024, then one larger than any
+        before, holding a window of 2,500 events, then small ones again:
+        the compiled scorer's buffers grow mid-stream and are reused by
+        the pieces after."""
+        geo = SensorGeometry(40, 30)
+        rng = np.random.default_rng(13)
+        t = np.concatenate([np.sort(rng.integers(a, b, n)) for a, b, n in (
+            (0, 20_000, 2000), (20_000, 21_000, 2500), (21_000, 60_000,
+                                                        2000))])
+        stream = EventStream(geo, t, rng.integers(0, 40, t.size),
+                             rng.integers(0, 30, t.size),
+                             np.ones(t.size, np.uint8))
+        sizes = [1] * 10 + [1024] + [3600] + [1] * 10 + [7, 1024]
+        cuts = np.cumsum(sizes).tolist()
+        assert cuts[10] < 2000 and cuts[11] > 4500
+        config = SamplerConfig(alpha=0.2, t_us=1000, seed=3, cap_enabled=cap,
+                               prior=gaussian_prior(geo) if prior_on
+                               else None)
+        assert_split_invariant(stream, method, config, cuts)
+
+
 class TestDownsampler:
     def test_rejected_push_changes_nothing(self):
         """A piece out of order with the last one is refused, with its
@@ -177,6 +204,29 @@ class TestDownsampler:
         assert stats.per_window == want_stats.per_window
         assert (np.concatenate([first.code, second.code]).tolist()
                 == want_log.code.tolist())
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_run_state_bounded(self, method):
+        """A stream of 600,000 windows, pushed in pieces of 65,536 events,
+        holds at most 15 MiB before close(): one row of 24 bytes per
+        window, the draws left unused and the scorer's buffers."""
+        n = 600_000
+        stream = EventStream(GEO, np.arange(n), np.arange(n) % 8,
+                             np.arange(n) % 6, np.ones(n, np.uint8))
+        pieces = [stream[a:a + 65_536] for a in range(0, n, 65_536)]
+        config = SamplerConfig(alpha=0.3, t_us=1, seed=2)
+        tracemalloc.start()
+        try:
+            sampler = Downsampler(GEO, method, config)
+            for piece in pieces:
+                sampler.push(piece)
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held <= 15 * 2**20, held
+        stats = sampler.close()
+        assert len(stats.per_window) == n
+        assert stats.per_window[-1] == (n, 1, stats.per_window[-1][2])
 
     def test_kept_source_index_counts_from_the_first_push(self):
         stream = random_stream(np.random.default_rng(1), GEO, n=300)
@@ -287,7 +337,8 @@ class TestWindowIdLimit:
         def state():
             tail = sampler._tail
             return (sampler._seen, sampler._retained, sampler._capped,
-                    sampler._t0, sampler._last_t, list(sampler._per_window),
+                    sampler._t0, sampler._last_t,
+                    sampler._window_rows(),
                     None if tail is None else tail.tobytes(),
                     None if sampler._rng is None
                     else sampler._rng.bit_generator.state)
@@ -429,6 +480,23 @@ class TestChunkedDownsample:
         src = tmp_path / f"in{suffix}"
         write_events(stream, src, fmt=fmt)
         assert_same_bytes_as_one_run(tmp_path, src, method, cap)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("fmt,suffix", [("binary", ".evb"),
+                                            ("csv", ".csv")])
+    def test_default_chunk_splits_windows(self, tmp_path, method, fmt,
+                                          suffix):
+        """About 50,000 events in chunks of the default size: windows are
+        cut between chunks, and the bytes are those of one run."""
+        rng = np.random.default_rng(17)
+        stream = random_stream(rng, GEO, n=50_000, span_us=400_000)
+        windows = stream.t // 1000
+        edges = range(cli._CHUNK_EVENTS, len(stream), cli._CHUNK_EVENTS)
+        assert len(edges) >= 2
+        assert all(windows[i - 1] == windows[i] for i in edges)
+        src = tmp_path / f"in{suffix}"
+        write_events(stream, src, fmt=fmt)
+        assert_same_bytes_as_one_run(tmp_path, src, method)
 
     def test_empty_binary_input(self, small_chunks, tmp_path):
         src = tmp_path / "empty.evb"
