@@ -3,31 +3,33 @@ sigmoid, the window scorer, the event parser and scan, and the row
 formatter.
 
 A push of :class:`evdown.pipeline.Downsampler` decides a piece of a
-stream in three kernel calls, those of :func:`window_pass`, the window
-scorer (``poisson`` only) and :func:`walk_piece`, on the wrappers' own
-paths but without their checks of arrays the push built.  The window pass
-writes each event's window id and the piece's nonempty windows, dividing
-once per window rather than once per event.  The cap is a sequential
-state machine.  Event ``k`` (0-based, stream-wide) is dropped before
-evaluation when ``k > 0`` and ``retained > alpha * k``, and a dropped event
-consumes no draw, so which draw an event sees depends on every earlier
-decision.  Such a walk cannot be vectorized exactly in numpy.  The piece
-walk applies it and, in the same pass, writes the positions of the accepted
+stream in three kernel calls, each with one entry here: the window pass
+(:func:`_window_pass`), the window scorer (:class:`_Scorer`, ``poisson``
+only) and the piece walk (:func:`_walk_piece`).  The push builds every
+array it hands them, and none of them checks its arguments again; their
+docstrings state what they take.  The window pass writes each event's
+window id and the piece's nonempty windows, dividing once per window
+rather than once per event.  The cap is a sequential state machine.
+Event ``k`` (0-based, stream-wide) is dropped before evaluation when
+``k > 0`` and ``retained > alpha * k``, and a dropped event consumes no
+draw, so which draw an event sees depends on every earlier decision.
+Such a walk cannot be vectorized exactly in numpy.  The piece walk
+applies it and, in the same pass, writes the positions of the accepted
 events, the capped count and each window's retained count; it reads the
 draws the last piece left unused and then blocks of fresh ones, drawn
 only once those run out, so no array of draws is joined to another.  The
 sigmoid ``1 / (1 + exp(-x))`` could be vectorized, but numpy's vector
 ``exp`` does not round as libm's scalar ``exp`` does on every input, so
-scores would depend on the CPU numpy runs on.  The window scorer,
-:func:`score_piece`, does all the work of scoring one piece of a stream
-in one call: for each window, a radix sort of its pixels, their tally, a
-merge walk against the window's map that writes each event's
-probability, and the freeze of the next window's map from the tally.  The
-freeze runs the chain of :func:`evdown.density.sparse_scores` with the
-same bits: the mean is summed in numpy's pairwise order
-(:func:`pairwise_sum` in the C source, held to ``np.add.reduce`` by a
-test), and without a prior the sigmoid runs once per occupancy class
-``min(count, 37)`` rather than once per pixel.
+scores would depend on the CPU numpy runs on.  The window scorer does all
+the work of scoring one piece of a stream in one call: for each window, a
+radix sort of its pixels, their tally, a merge walk against the window's
+map that writes each event's probability, and the freeze of the next
+window's map from the tally.  The freeze runs the chain of
+:func:`evdown.density.sparse_scores` with the same bits: the mean is
+summed in numpy's pairwise order (:func:`pairwise_sum` in the C source,
+held to ``np.add.reduce`` by a test), and without a prior the sigmoid
+runs once per occupancy class ``min(count, 37)`` rather than once per
+pixel.
 
 These four kernels have two implementations with bit-identical results:
 
@@ -125,10 +127,9 @@ int64_t window_pass(const int64_t *t, int64_t n, int64_t t0, int64_t t_us,
    events kept and capped in the piece.  Event k is capped (code 2) when
    k > 0 and retained > alpha * k; any other takes the next draw of
    u[0:nu], or 0.0 without u, and is accepted (code 0) when the draw is
-   below p[i], else rejected (code 1).  With kept set, an accepted event's
-   position goes there and counts in per_window[w].  The walk stops before
-   an event that needs a draw when u has none left; returns the draws
-   used. */
+   below p[i], else rejected (code 1); an accepted event's position goes
+   to kept and counts in per_window[w].  The walk stops before an event
+   that needs a draw when u has none left; returns the draws used. */
 int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
                  const double *u, int64_t nu, double alpha, int64_t k0,
                  uint8_t *codes, int64_t *kept, int64_t *per_window,
@@ -148,11 +149,8 @@ int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
         else if ((u ? u[di++] : 0.0) < p[i]) {
             codes[i] = 0;
             retained++;
-            if (kept) {
-                kept[nk] = i;
-                per_window[w]++;
-            }
-            nk++;
+            kept[nk++] = i;
+            per_window[w]++;
         } else
             codes[i] = 1;
     }
@@ -745,34 +743,18 @@ _KERNELS = {
 }
 
 
-def window_pass(t: np.ndarray, t0: int, t_us: int):
+def _window_pass(t, t0: int, t_us: int):
     """The windows of one piece of a stream: ``(windows, ids, bounds)``,
     each event's window id as :func:`evdown.events.window_ids` gives it and
-    the piece's nonempty windows as :func:`evdown.events.window_spans` does.
-
-    ``t`` holds the piece's timestamps (int64), sorted and at least the
-    anchor ``t0``.  The compiled pass divides once per window, not once
-    per event, and sizes ``ids`` and ``bounds`` by the windows the piece
-    spans; its Python twin is those two functions.
+    the nonempty windows as :func:`evdown.events.window_spans` does (its
+    Python twin), window ``ids[w]`` holding events ``bounds[w] ..
+    bounds[w + 1] - 1``.  ``t``, unchecked, is a nonempty contiguous int64
+    array, sorted and from ``t0`` on; ``t_us`` is positive.
 
     Raises ValueError as :func:`~evdown.events.window_ids` does, before
-    anything is computed, and for a first timestamp below ``t0``; the
-    compiled pass also refuses timestamps that decrease, rather than write
-    past its arrays.
+    anything is computed; the compiled pass, which divides once per window,
+    also refuses timestamps that decrease rather than write past its arrays.
     """
-    t = np.ascontiguousarray(t, np.int64)
-    n, t0, t_us = t.shape[0], int(t0), int(t_us)
-    if t.ndim != 1 or t_us < 1 or (n and int(t[0]) < t0):
-        raise ValueError("need one-dimensional timestamps from t0 on and a "
-                         "positive window length")
-    if n == 0:
-        return t.copy(), _NO_PIXELS.copy(), np.zeros(1, np.int64)
-    return _window_pass(t, t0, t_us)
-
-
-def _window_pass(t, t0: int, t_us: int):
-    """:func:`window_pass` of a nonempty piece whose timestamps are
-    contiguous int64 from ``t0`` on, without checking them again."""
     n, top = t.shape[0], int(t[-1])
     _check_window_limit(top, t0, t_us)
     kernel = _kernel()
@@ -790,53 +772,31 @@ def _window_pass(t, t0: int, t_us: int):
     return out[:n], out[n:n + nw], out[n + room:n + room + nw + 1]
 
 
-def walk_piece(p: np.ndarray, bounds: np.ndarray, alpha: float, k0: int,
-               retained0: int, draws: np.ndarray | None = None, more=None):
+def _walk_piece(p, bounds, alpha, k0: int, retained0: int, draws, more):
     """Decide the events ``k0 .. k0 + len(p) - 1`` of one piece of a
-    stream, resumed after ``retained0`` of the events before were kept,
-    with its windows ``bounds`` (as :func:`window_pass` gives them) counted.
+    stream, resumed after ``retained0`` of the events before were kept.
 
-    ``p`` holds each event's acceptance probability.  Event ``k`` is
-    capped (code 2, taking no draw) when ``k > 0`` and ``retained > alpha
-    * k`` (never with ``alpha = math.inf``); any other takes the next draw
+    Unchecked: ``p`` (contiguous float64) holds each event's acceptance
+    probability, ``bounds`` (contiguous int64) the nonempty windows that
+    hold them, as :func:`_window_pass` gives them, ``0 <= retained0 <=
+    k0``, and ``draws`` is contiguous float64 or None.  Event ``k`` is
+    capped (code 2, taking no draw) when ``k > 0`` and ``retained > alpha *
+    k`` (never with ``alpha = math.inf``); any other takes the next draw
     and is accepted (code 0) iff it is below its ``p``, else rejected (code
     1).  ``draws`` holds the variates the walk before left unused, or is
-    None for the walk without draws, which accepts iff ``p`` is above 0,
-    and ``more(n)`` returns ``n`` fresh ones, drawn only once ``draws``
-    runs out, in blocks of the events left, but at least 4,096 and at most
-    65,536.  No array of draws is joined to another, and each evaluated
-    event takes the next variate of the stream, so two resumed walks
-    decide as one walk over both pieces.
+    None for the walk without draws, which accepts iff ``p`` is above 0;
+    ``more(n)`` returns ``n`` fresh ones, drawn only once ``draws`` runs
+    out, in blocks of the events left, but at least 4,096 and at most
+    65,536.  Each evaluated event takes the next variate of the stream, so
+    two resumed walks decide as one walk over both pieces.
 
     Returns ``(codes, kept, capped, window_kept, retained, left)``: the
     codes (uint8), the positions of the accepted events in the piece, how
     many events were capped, how many were accepted in each window, how
     many the stream has retained, and the draws left unused (None without
-    draws).  The compiled walk writes all of them in its pass; its Python
-    twin is a loop over Python floats, then numpy over the codes.
-
-    Raises ValueError when the arrays do not fit each other or the resume
-    point is impossible.
+    draws).  Raises ValueError when ``more`` returns another number of
+    draws.
     """
-    p = np.ascontiguousarray(p, np.float64)
-    bounds = np.ascontiguousarray(bounds, np.int64)
-    n = p.shape[0]
-    if (p.ndim != 1 or bounds.ndim != 1 or bounds.shape[0] < 1
-            or bounds[0] != 0 or bounds[-1] != n
-            or (np.diff(bounds) <= 0).any()):
-        raise ValueError("need one-dimensional probabilities and the bounds "
-                         "of nonempty windows that hold them")
-    if draws is not None:
-        draws = np.ascontiguousarray(draws, np.float64)
-        if draws.ndim != 1 or more is None:
-            raise ValueError("need draws in one dimension and more of them")
-    k0, retained0 = _resume_point(k0, retained0)
-    return _walk_piece(p, bounds, alpha, k0, retained0, draws, more)
-
-
-def _walk_piece(p, bounds, alpha, k0: int, retained0: int, draws, more):
-    """:func:`walk_piece` of contiguous arrays that fit each other, without
-    checking them again."""
     n = p.shape[0]
     codes = np.empty(n, np.uint8)
     kernel = _kernel()
@@ -896,95 +856,30 @@ def expit(x):
     return out.reshape(x.shape)[()]
 
 
-def score_piece(flat: np.ndarray, ids: np.ndarray, bounds: np.ndarray,
-                window: int, tally, frozen, chain, p: np.ndarray):
-    """Score the events of one piece of a stream, window by window, and
-    freeze the map of each window that opens in it.
-
-    ``flat`` holds the events' flat pixel indices (int64), and ``ids``
-    and ``bounds`` their windows, as :func:`window_pass` gives them.
-    ``chain`` holds the arguments of :func:`evdown.density.sparse_scores`
-    but the tally: ``(geometry, alpha, params, prior)``.  The window open
-    before the piece is ``window`` (0 before the first piece); ``tally``
-    holds its distinct pixels, ascending, and their counts (int64) in the
-    pieces before, and ``frozen`` its map, a
-    :class:`evdown.density.SparseScores`, or None to score every event
-    ``alpha``.
-
-    Window 1 scores every event ``alpha``; every other window that opens
-    is scored with the map ``sparse_scores`` freezes from the tally of
-    the window before it, or from no tally after a gap.  Writes each
-    event's score to ``p`` and returns the tally and map of the window
-    open after the piece, so that they can be passed with the next piece:
-    the tally of its events in this piece and, when it is ``window``, in
-    the pieces before; the map is ``frozen`` itself when the piece holds
-    only the open window.
-
-    The compiled kernel scores the whole piece in one call; it gives
-    ``sparse_scores``' bits, with one sigmoid per occupancy class when
-    there is no prior.  Its Python twin runs ``np.unique``,
-    ``sparse_scores`` and :meth:`~evdown.density.SparseScores.lookup`
-    window by window.
-
-    Raises ValueError when the arrays do not fit each other or the
-    windows, and for an index outside the sensor.
-    """
-    geometry, alpha, params, prior = chain
-    n, n_pixels = flat.size, geometry.n_pixels
-    if (flat.dtype != np.int64 or flat.ndim != 1
-            or not flat.flags.c_contiguous
-            or p.dtype != np.float64 or p.shape != (n,)
-            or not p.flags.c_contiguous or not p.flags.writeable):
-        raise ValueError("need contiguous int64 indices and a writable "
-                         "float64 array of their length")
-    ids = np.ascontiguousarray(ids, np.int64)
-    bounds = np.ascontiguousarray(bounds, np.int64)
-    if (ids.ndim != 1 or bounds.shape != (ids.size + 1,) or bounds[0] != 0
-            or bounds[-1] != n or (np.diff(bounds) <= 0).any()
-            or (ids.size and ids[0] < max(window, 1))
-            or (np.diff(ids) <= 0).any()):
-        raise ValueError("need nonempty windows that hold the events, with "
-                         "ascending ids from the open window's on")
-    pixels, counts = (np.ascontiguousarray(a, np.int64) for a in tally)
-    if (pixels.ndim != 1 or counts.shape != pixels.shape
-            or (pixels.size and (pixels.min() < 0 or pixels.max() >= n_pixels
-                                 or counts.min() < 1))):
-        raise ValueError("need a tally of pixels on the sensor with "
-                         "positive counts")
-    if prior is not None and prior.geometry != geometry:
-        raise ValueError("prior geometry does not match occupancy geometry")
-    if frozen is not None and (
-            np.ndim(frozen.active) != 1 or np.shape(frozen.probabilities)
-            != np.shape(frozen.active)):
-        raise ValueError("need one score per active pixel")
-    scorer = _Scorer(chain, int(window), (pixels, counts), frozen)
-    scorer.score(flat, ids, bounds, p)
-    tally, latest = scorer.parts()
-    opened = ids.size > 1 or (ids.size and ids[0] != window)
-    return tally, latest if opened else frozen
-
-
 class _Scorer:
-    """The window scorer of a stream pushed in pieces, holding what crosses
-    a piece boundary: the open window's id, its map and its tally.
+    """The window scorer of a stream pushed in pieces: alpha in window 1,
+    else the sparse map frozen from the window before, or from no tally
+    after a gap.  ``chain`` holds the arguments of
+    :func:`evdown.density.sparse_scores` but the tally, ``(geometry,
+    alpha, params, prior)``, the prior None or of ``geometry``.
 
-    The compiled kernel keeps them, and its scratch, in buffers it reuses,
-    grown to the largest piece and tally so far.  The tally is a stack of
-    runs the kernel merges as they pile up (``struct tally`` in the C
-    source), so a piece costs in proportion to its own tally, not to its
-    window's.  The Python twin keeps the tally as one pair of arrays and
-    the map as a :class:`evdown.density.SparseScores`.
+    It holds what crosses a piece boundary: the open window's id, its map
+    and its tally.  The compiled kernel keeps them, and its scratch, in
+    buffers it reuses, grown to the largest piece and tally so far; the
+    tally is a stack of runs it merges as they pile up (``struct tally``
+    in the C source), so a piece costs in proportion to its own tally.
+    The Python twin keeps the tally as one pair of arrays and the map as a
+    :class:`evdown.density.SparseScores`, and runs ``np.unique``,
+    ``sparse_scores`` and its lookup window by window.
     """
 
-    def __init__(self, chain, window: int = 0, tally=_IDLE, frozen=None):
+    def __init__(self, chain):
         self.chain, self.kernel = chain, _kernel()
-        self.window, self._tally, self._frozen = window, tally, frozen
+        self.window, self._tally, self._frozen = 0, _IDLE, None
         if self.kernel is None:
             return
         from .density import _OCCUPANCY
         geometry, alpha, params, prior = chain
-        active = _NO_PIXELS if frozen is None else frozen.active
-        k, m = tally[0].size, active.size
         self.consts = np.array([alpha, params.slope, params.midpoint,
                                 1.0 if prior is None else prior.peak])
         self.fixed = (geometry.n_pixels, self.consts.ctypes.data,
@@ -995,18 +890,17 @@ class _Scorer:
         self.state, self.room = np.zeros(5, np.int64), np.zeros(2, np.int64)
         self.ends = np.zeros(65, np.int64)
         self.scratch, self.prb = np.empty(0, np.int64), np.empty(1)
-        self.tal = self.map = np.empty((0, 2), np.int64)
-        self._grow(0, max(k, m))
-        self.state[:3], self.ends[1] = (window, m, k > 0), k
-        self.tal[:k, 0], self.tal[:k, 1] = tally
-        self.map[:m, 0] = active
-        self.prb[:m + 1] = ([alpha] if frozen is None else
-                            np.append(frozen.probabilities, frozen.rest))
+        self.tal = self.tmp = self.map = np.empty((0, 2), np.int64)
+        self._grow(0, 0)
 
     def score(self, flat, ids, bounds, p) -> None:
-        """Write the score of each event of the next piece to ``p``, given
-        its flat pixel indices and windows as :func:`window_pass` gives
-        them; no argument is checked."""
+        """Write the score of each event of the next piece to ``p`` (a
+        contiguous, writable float64 array), given the events' flat pixel
+        indices (contiguous int64) and windows as :func:`_window_pass`
+        gives them, the ids from the open window's on; none is checked.
+        Raises ValueError for an index outside the sensor, before any
+        score of its window is written.
+        """
         if self.kernel is None:
             self._tally, self._frozen = _score_piece_python(
                 flat, ids, bounds, self.window, self._tally, self._frozen,
@@ -1022,24 +916,12 @@ class _Scorer:
             raise ValueError(f"flat pixel indices must be in "
                              f"[0, {self.fixed[0]})")
 
-    def parts(self):
-        """The open window's tally so far and its map."""
-        if self.kernel is None:
-            return self._tally, self._frozen
-        from .density import SparseScores
-        ends, m = self.ends[:self.state[2] + 1].tolist(), int(self.state[1])
-        return merge_tallies([
-            (self.tal[a:b, 0].copy(), self.tal[a:b, 1].copy())
-            for a, b in zip(ends, ends[1:])]), SparseScores(
-            self.chain[0], self.map[:m, 0].copy(), self.prb[:m].copy(),
-            float(self.prb[m]))
-
     def _grow(self, values: int, pairs: int) -> None:
         """Room for ``values`` scratch values and ``pairs`` tally pairs, a
         quarter more than asked, keeping the open window's tally and map."""
         if values > self.room[0]:
             self.scratch = np.empty(values * 5 // 4, np.int64)
-        if pairs > self.room[1] or not self.room[1]:
+        if pairs > self.room[1]:
             size = pairs * 5 // 4 + 1
             m, runs = self.state[1:3].tolist()
             used = self.ends[runs]
@@ -1053,21 +935,6 @@ class _Scorer:
         self.buffers = tuple(a.ctypes.data for a in (
             self.scratch, self.tal, self.tmp, self.map, self.prb, self.room,
             self.ends, self.state))
-
-
-def merge_tallies(tallies):
-    """One tally from several, each of ascending distinct pixels and their
-    counts (int64): the union of their pixels, ascending, with the counts
-    of shared pixels summed."""
-    tallies = [t for t in tallies if t[0].size] or [_IDLE]
-    if len(tallies) == 1:
-        return tallies[0]
-    pixels = np.concatenate([pix for pix, _ in tallies])
-    order = np.argsort(pixels, kind="stable")  # merges the sorted runs
-    pixels = pixels[order]
-    first = np.flatnonzero(np.r_[True, pixels[1:] != pixels[:-1]])
-    counts = np.concatenate([cnt for _, cnt in tallies])[order]
-    return pixels[first], np.add.reduceat(counts, first)
 
 
 def parse_events(data: bytes, labeled: bool, rows: int):
@@ -1186,14 +1053,6 @@ def implementation() -> str:
     return "python" if _kernel() is None else "compiled"
 
 
-def _resume_point(k0, retained0) -> tuple[int, int]:
-    k0, retained0 = int(k0), int(retained0)
-    if not 0 <= retained0 <= k0:
-        raise ValueError(f"cannot resume after {k0} events with {retained0} "
-                         f"retained")
-    return k0, retained0
-
-
 def _walk_with_draws(walk, n, draws, more):
     """Run ``walk(u) -> (used, stop)`` over the leftover draws, then, while
     they run out before event ``n``, over blocks of fresh ones, at most
@@ -1247,8 +1106,9 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
 
 
 def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
-    """The twin of the window scorer: returns the tally and map of the
-    window open after the piece."""
+    """The twin of the window scorer, given the id, tally and map of the
+    window open before the piece: returns the tally and map of the window
+    open after it."""
     from .density import SparseScores, occupancy_values, sparse_scores
     geometry, alpha, params, prior = chain
     if flat.size and (flat.min() < 0 or flat.max() >= geometry.n_pixels):
@@ -1269,9 +1129,22 @@ def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
             window, tally = wid, _IDLE
         pixels, inverse, counts = np.unique(flat[i0:i1], return_inverse=True,
                                             return_counts=True)
-        p[i0:i1] = alpha if frozen is None else frozen.lookup(pixels)[inverse]
-        tally = merge_tallies([tally, (pixels, counts)])
+        p[i0:i1] = frozen.lookup(pixels)[inverse]
+        tally = _merge_tallies(tally, (pixels, counts))
     return tally, frozen
+
+
+def _merge_tallies(a, b):
+    """The union of two tallies, each of ascending distinct pixels and
+    their counts (int64), with the counts of shared pixels summed."""
+    if not a[0].size:
+        return b
+    pixels = np.concatenate([a[0], b[0]])
+    order = np.argsort(pixels, kind="stable")  # merges the sorted runs
+    pixels = pixels[order]
+    first = np.flatnonzero(np.r_[True, pixels[1:] != pixels[:-1]])
+    counts = np.concatenate([a[1], b[1]])[order]
+    return pixels[first], np.add.reduceat(counts, first)
 
 
 def _array_address(a: np.ndarray) -> int:

@@ -17,8 +17,8 @@ map of the whole sensor is ever filled.
 The sigmoid is :func:`evdown.capwalk.expit`, which rounds as libm's scalar
 ``exp`` does (numpy's vector ``exp`` does not on every CPU), so scores are
 the same bits on every host and on either of its paths, compiled or Python.
-The compiled window scorer, :func:`evdown.capwalk.score_piece`, freezes
-each map with this chain in C, step for step, so it gives the same bits.
+The compiled window scorer of :mod:`evdown.capwalk` freezes each map with
+this chain in C, step for step, so it gives the same bits.
 """
 
 from __future__ import annotations

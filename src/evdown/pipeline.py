@@ -28,16 +28,16 @@ dropped unevaluated and takes no variate, any other takes the next one.
 With alpha = 1 every method keeps every event (stochastic methods then
 use acceptance probability 1).
 
-A push decides a piece in three steps.  :func:`evdown.capwalk.window_pass`
-finds each event's window and the piece's nonempty windows; every event's
-acceptance probability is computed next (the window scorer's for
-``poisson``); then one :func:`evdown.capwalk.walk_piece`, resumed where
-the last piece's stopped, applies the cap and the draws and gives the
-kept positions, the capped count and each window's retained count.  The
-walk takes the variates the last piece left unused first and draws fresh
-ones only once those run out, and PCG64 block draws concatenate exactly.
-Where the C kernels cannot be built, their numpy and Python twins give
-the same bits.
+A push decides a piece in three calls of the kernels of
+:mod:`evdown.capwalk`.  The window pass finds each event's window and the
+piece's nonempty windows; every event's acceptance probability is
+computed next (the window scorer's for ``poisson``); then one piece walk,
+resumed where the last piece's stopped, applies the cap and the draws and
+gives the kept positions, the capped count and each window's retained
+count.  The walk takes the variates the last piece left unused first and
+draws fresh ones only once those run out, and PCG64 block draws
+concatenate exactly.  Where the C kernels cannot be built, their numpy
+and Python twins give the same bits.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ class RunStats:
 
     processed = retained + capped + sampler_rejected always holds.
     per_window lists (window_id, n_processed, n_retained) for every window
-    that contained at least one event.  pdf_s is the time spent scoring and
-    eval_s the time of the decision walks, their fresh draws included.
+    that contained at least one event.  pdf_s is the time spent scoring,
+    the pixel indices included, and eval_s the time of the decision walks,
+    their fresh draws included.
     """
 
     method: str
@@ -127,34 +128,6 @@ class RunStats:
         return self._per_kev(self.eval_s)
 
 
-class _WindowScorer:
-    """Density-adaptive probabilities of a stream scored piece by piece:
-    alpha in window 1, else the sparse map frozen from the previous window.
-
-    Each piece goes through one call of the window scorer of
-    :mod:`evdown.capwalk`, which scores its windows in turn, freezes the
-    map of each window that opens in it and keeps what crosses a piece
-    boundary: the open window's id, its map and its tally, in buffers
-    reused from piece to piece.  ``seconds`` is the time spent scoring.
-    """
-
-    def __init__(self, geometry: SensorGeometry, config: SamplerConfig):
-        self._scorer = _Scorer((geometry, config.alpha, config.theta,
-                                config.prior))
-        self.seconds = 0.0
-
-    def score(self, flat: np.ndarray, ids: np.ndarray,
-              bounds: np.ndarray) -> np.ndarray:
-        """The probability of each event of a piece, given its flat pixel
-        indices and window spans (:func:`evdown.events.window_spans`)."""
-        tp0 = time.perf_counter()
-        p = np.empty(flat.size)
-        self._scorer.score(np.ascontiguousarray(flat, np.int64), ids, bounds,
-                           p)
-        self.seconds += time.perf_counter() - tp0
-        return p
-
-
 class Downsampler:
     """Downsample a stream pushed in pieces, in one causal pass.
 
@@ -167,8 +140,8 @@ class Downsampler:
 
     Between pushes it holds the anchor and last timestamps, the counts of
     events seen, kept and capped, the variates drawn but not yet used, the
-    open window's scoring state (see :class:`_WindowScorer`) and one
-    ``(window_id, processed, retained)`` row per window so far.
+    open window's scoring state (an :mod:`evdown.capwalk` window scorer)
+    and one ``(window_id, processed, retained)`` row per window so far.
 
     Raises ValueError for an unknown method or a prior that does not match
     the method or geometry.
@@ -194,14 +167,15 @@ class Downsampler:
         self._rng = None if method == "deterministic" else config.rng()
         # The draws the last push left unused; None for deterministic.
         self._tail = None if self._rng is None else np.empty(0)
-        self._scorer = (_WindowScorer(geometry, config)
+        self._scorer = (_Scorer((geometry, config.alpha, config.theta,
+                                 config.prior))
                         if method == "poisson" and config.alpha != 1.0
                         else None)
         self._draw = None if self._rng is None else self._rng.random
         # The per-window rows: full blocks of _ROW_BLOCK, then the block
         # being filled.
         self._full, self._rows, self._used = [], np.empty((0, 3), np.int64), 0
-        self._eval_s = 0.0
+        self._pdf_s = self._eval_s = 0.0
         self._stats = None
         self._busy_s = time.perf_counter() - t_start
 
@@ -261,8 +235,11 @@ class Downsampler:
         elif self._scorer is None:
             p = probs = np.full(m, alpha)
         else:
-            p = probs = self._scorer.score(
-                chunk.y * self.geometry.width + chunk.x, ids, bounds)
+            tp0 = time.perf_counter()
+            p = probs = np.empty(m)
+            self._scorer.score(chunk.y * self.geometry.width + chunk.x, ids,
+                               bounds, p)
+            self._pdf_s += time.perf_counter() - tp0
 
         te0 = time.perf_counter()
         codes, accepted, capped, window_kept, self._retained, self._tail = (
@@ -293,7 +270,7 @@ class Downsampler:
                 sampler_rejected=self._seen - self._retained - self._capped,
                 per_window=tuple(map(tuple, self._window_rows())),
                 total_s=self._busy_s + time.perf_counter() - t_start,
-                pdf_s=0.0 if self._scorer is None else self._scorer.seconds,
+                pdf_s=self._pdf_s,
                 eval_s=self._eval_s)
             self._tail = self._scorer = self._rows = self._full = None
         return self._stats

@@ -14,9 +14,8 @@ accepts when it is strictly below the acceptance probability.  A hard
 budget cap can wrap any policy: an event is dropped outright, taking no
 variate, when the events before it have retained > alpha * processed; so
 the first event always reaches its policy, and at alpha = 1 the cap never
-trips.  :func:`evdown.capwalk.walk_piece` applies these rules to each piece
-of a stream, after :func:`evdown.capwalk.window_pass` has found its
-windows.
+trips.  The piece walk of :mod:`evdown.capwalk` applies these rules to
+each piece of a stream, after the window pass has found its windows.
 """
 
 from __future__ import annotations

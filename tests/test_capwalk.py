@@ -1,9 +1,11 @@
-"""The cap walk: compiled kernel vs Python loop vs the per-event cap rule
-(``conftest.per_event_walk``), through the piece walk; the window pass
-against Python integers; the window scorer: compiled kernel vs
-its numpy twin vs ``np.unique`` and one lookup per event, and its sum vs
-numpy's; the C source under strict warnings; and the loader's
-fallbacks."""
+"""The kernels of a push, each through its one entry, which checks none of
+its arguments: the cap walk (``_walk_piece``), compiled kernel vs Python
+loop vs the per-event cap rule (``conftest.per_event_walk``); the window
+pass (``_window_pass``) against Python integers; the window scorer
+(``_Scorer``), compiled kernel vs its numpy twin vs ``np.unique`` and a
+lookup per event (``conftest.per_event_scores``), and its sum vs numpy's.
+Then the C source under strict warnings, its prototypes against the
+loader's table, and the loader's fallbacks."""
 
 import hashlib
 import math
@@ -20,12 +22,14 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (Downsampler, SamplerConfig, SensorGeometry,
-                    SigmoidParams, SparseScores, capwalk, read_events,
-                    read_log, run, write_events, write_log)
+from evdown import (Downsampler, EventStream, SamplerConfig, SensorGeometry,
+                    SigmoidParams, capwalk, read_events, read_log, run,
+                    write_events, write_log)
 from evdown.cli import main
+from evdown.events import window_spans
 
-from conftest import SRC_ENV, per_event_walk, random_stream, reference_run
+from conftest import (SRC_ENV, per_event_scores, per_event_walk,
+                      random_stream, reference_run)
 
 ALPHAS = [1.0, 0.1, 0.3, 1 / 3, 0.7, math.nextafter(1.0, 0.0)]
 HAS_CC = shutil.which("cc") is not None
@@ -42,10 +46,10 @@ def no_more(n):
 
 
 def piece_walk(p, draws, alpha, k0=0, retained0=0):
-    """walk_piece over p as one window, given every draw it takes:
+    """The piece walk over p as one window, given every draw it takes:
     (codes, retained, draws used)."""
-    got = capwalk.walk_piece(p, [0, p.size] if p.size else [0], alpha, k0,
-                             retained0, draws, no_more)
+    got = capwalk._walk_piece(p, np.array([0, p.size] if p.size else [0]),
+                              alpha, k0, retained0, draws, no_more)
     return (got[0].tolist(), got[4],
             0 if draws is None else draws.size - got[5].size)
 
@@ -118,18 +122,6 @@ class TestWalksAgree:
         assert walk(p, None, 1.0) == ([0, 1, 0, 0, 1, 0], 4)
         assert walk(p, None, 0.5) == ([0, 2, 0, 2, 1, 0], 3)
 
-    def test_rejects_mismatched_arrays(self):
-        p = np.full(4, 0.5)
-        for args, match in (
-                ((p, [0, 4], 0.5, 0, 0, np.zeros((2, 2)), no_more), "draws"),
-                ((p, [0, 4], 0.5, 0, 0, np.zeros(4)), "more"),
-                ((p, [0, 5], 0.5, 0, 0), "bounds"),
-                ((np.full((2, 2), 0.5), [0, 2], 0.5, 0, 0),
-                 "one-dimensional")):
-            with pytest.raises(ValueError, match=match):
-                capwalk.walk_piece(*args)
-
-
 class TestResume:
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -162,22 +154,16 @@ class TestResume:
         # the ones that follow from the same generator.
         rng = np.random.default_rng(draw_seed)
         rng.random(split + spare)
-        got = capwalk.walk_piece(
-            p[split:], [0, p.size - split] if p.size > split else [0], alpha,
-            split, r1, None if draws is None else head[u1:], rng.random)
+        bounds = np.array([0, p.size - split] if p.size > split else [0])
+        got = capwalk._walk_piece(p[split:], bounds, alpha, split, r1,
+                                  None if draws is None else head[u1:],
+                                  rng.random)
         assert first + got[0].tolist() == codes
         assert got[4] == retained
         if draws is not None:
             following = np.random.default_rng(draw_seed).random(
                 used + got[5].size)
             assert got[5].tolist() == following[used:].tolist()
-
-    def test_bad_resume_point(self):
-        p = np.full(3, 0.5)
-        for k0, r0 in ((-1, 0), (2, 3), (0, -1)):
-            with pytest.raises(ValueError, match="resume"):
-                capwalk.walk_piece(p, [0, 3], 0.5, k0, r0)
-
 
 # --- the window pass and the piece walk --------------------------------------
 
@@ -190,7 +176,7 @@ def spans_of(t, t0, t_us):
 
 
 def assert_window_pass(t, t0, t_us):
-    got = capwalk.window_pass(np.array(t, np.int64), t0, t_us)
+    got = capwalk._window_pass(np.array(t, np.int64), t0, t_us)
     assert all(a.dtype == np.int64 for a in got)
     assert [a.tolist() for a in got] == list(spans_of(t, t0, t_us))
 
@@ -221,21 +207,14 @@ class TestWindowPass:
     def test_refuses_a_wrapping_window_id(self, cap_walk):
         with pytest.raises(ValueError, match=r"t=9223372036854775807 would "
                            r"pass the window id limit 2\*\*63 - 1"):
-            capwalk.window_pass(np.array([0, 2**63 - 1], np.int64), 0, 1)
+            capwalk._window_pass(np.array([0, 2**63 - 1], np.int64), 0, 1)
 
-    def test_rejects_bad_arguments(self, cap_walk):
-        t = np.array([5, 6, 7], np.int64)
-        for args in ((t, 6, 1), (t, 0, 0), (t.reshape(1, 3), 0, 1)):
-            with pytest.raises(ValueError, match="timestamps"):
-                capwalk.window_pass(*args)
-        if cap_walk == "compiled":
-            with pytest.raises(ValueError, match="must not decrease"):
-                capwalk.window_pass(np.array([9, 3, 5, 1], np.int64), 0, 1)
-
-    def test_empty_piece(self, cap_walk):
-        windows, ids, bounds = capwalk.window_pass(np.empty(0, np.int64), 3,
-                                                   10)
-        assert (windows.size, ids.size, bounds.tolist()) == (0, 0, [0])
+    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+    def test_refuses_decreasing_timestamps(self):
+        """The compiled pass sizes its arrays for sorted timestamps: it
+        refuses others rather than write past them."""
+        with pytest.raises(ValueError, match="must not decrease"):
+            capwalk._window_pass(np.array([9, 3, 5, 1], np.int64), 0, 1)
 
 
 class TestWalkPiece:
@@ -276,7 +255,7 @@ class TestWalkPiece:
         codes = np.array(codes, np.uint8)
         used = int(np.count_nonzero(codes != 2))
         got, kept, capped, window_kept, got_retained, rest = (
-            capwalk.walk_piece(p, bounds, alpha, k0, retained0, left, more))
+            capwalk._walk_piece(p, bounds, alpha, k0, retained0, left, more))
         assert got.tolist() == codes.tolist()
         assert got_retained == retained
         assert kept.tolist() == np.flatnonzero(codes == 0).tolist()
@@ -314,7 +293,8 @@ class TestWalkPiece:
         codes = np.array(codes, np.uint8)
         used = int(np.count_nonzero(codes != 2))
         got, kept, capped, window_kept, got_retained, rest = (
-            capwalk.walk_piece(p, [0, 250, 500], alpha, 0, 0, left, more))
+            capwalk._walk_piece(p, np.array([0, 250, 500]), alpha, 0, 0, left,
+                                more))
         assert (got.tolist(), got_retained) == (codes.tolist(), retained)
         assert max(asked) == 7 and sum(asked) == used - 5 + rest.size
         assert rest.tolist() == draws[used:used + rest.size].tolist()
@@ -334,25 +314,18 @@ class TestWalkPiece:
         while k < p.size:
             size += 1
             piece = p[k:k + size]
-            got, _, _, _, retained, left = capwalk.walk_piece(
-                piece, [0, piece.size], 0.2, k, retained, left, draw)
+            got, _, _, _, retained, left = capwalk._walk_piece(
+                piece, np.array([0, piece.size]), 0.2, k, retained, left, draw)
             codes += got.tolist()
             k += piece.size
         assert codes == want
 
     def test_rejects_mismatched_arrays(self):
-        p = np.full(4, 0.5)
-        for args, match in (
-                ((p, [0, 2], 0.5, 0, 0), "bounds"),
-                ((p, [0, 2, 2, 4], 0.5, 0, 0), "bounds"),
-                ((p, [1, 4], 0.5, 0, 0), "bounds"),
-                ((p.reshape(2, 2), [0, 2], 0.5, 0, 0), "one-dimensional"),
-                ((p, [0, 4], 0.5, 0, 0, np.zeros(3)), "more"),
-                ((p, [0, 4], 0.5, 0, 0, np.zeros(0), lambda n: np.zeros(0)),
-                 r"more\(4096\) must return 4096"),
-                ((p, [0, 4], 0.5, 2, 3), "resume")):
-            with pytest.raises(ValueError, match=match):
-                capwalk.walk_piece(*args)
+        """A block of fresh draws of another size is refused, not read
+        past its end."""
+        with pytest.raises(ValueError, match=r"more\(4096\) must return 4096"):
+            capwalk._walk_piece(np.full(4, 0.5), np.array([0, 4]), 0.5, 0, 0,
+                                np.zeros(0), lambda n: np.zeros(0))
 
 
 def per_window_of(windows, codes):
@@ -418,6 +391,16 @@ def test_kernel_table_names_every_exported_function():
                                         "window_pass"]
 
 
+def test_kernel_table_matches_every_prototype():
+    """Each kernel gets as many argtypes as its C prototype has parameters:
+    ctypes passes the arguments it is given, so one more or fewer would
+    shift every argument after it and corrupt memory rather than fail."""
+    prototypes = dict(re.findall(r"^(?!static )\w+[ *]+(\w+)\(([^)]*)\)",
+                                 capwalk._SOURCE, re.M))
+    for name, (argtypes, _) in capwalk._KERNELS.items():
+        assert len(argtypes) == prototypes[name].count(",") + 1, name
+
+
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
 def test_source_compiles_without_warnings(tmp_path):
     """The kernels stay clean under strict C99 warnings, built as the
@@ -444,49 +427,44 @@ def test_pairwise_sum_is_numpys(n):
 
 # --- the window scorer -----------------------------------------------------
 
-NO_TALLY = (np.empty(0, np.int64), np.empty(0, np.int64))
-
-
 def sensor(bits):
     """A one-row sensor whose flat indices need ``bits`` bits: 2**bits
     pixels, or 2**63 - 1 at 63 bits."""
     return SensorGeometry(min(2**bits, 2**63 - 1), 1)
 
 
-def score_window(flat, bits, frozen, alpha=0.25):
-    """(pixels, counts, p) of one window, the open one, scored by
-    capwalk.score_piece with the map ``frozen``."""
-    flat = np.asarray(flat, np.int64)
-    p = np.full(flat.size, -1.0)
-    ids, bounds = np.array([5] if flat.size else []), np.array(
-        [0, flat.size] if flat.size else [0])
-    (pixels, counts), kept = capwalk.score_piece(
-        flat, ids, bounds, 5, NO_TALLY, frozen,
-        (sensor(bits), alpha, SigmoidParams(), None), p)
-    assert kept is frozen
-    return pixels, counts, p
+def scorer(geometry, alpha=0.25):
+    return capwalk._Scorer((geometry, alpha, SigmoidParams(), None))
 
 
-def expected_window(flat, frozen, alpha=0.25):
-    """The same from np.unique and one lookup per event."""
-    flat = np.asarray(flat, np.int64)
-    pixels, counts = np.unique(flat, return_counts=True)
-    p = (np.full(flat.size, alpha) if frozen is None
-         else np.array([frozen.lookup(np.array([v]))[0] for v in flat]))
-    return pixels, counts, p
-
-
-def frozen_map(active, seed):
-    active = np.unique(np.asarray(active, np.int64))
-    probs = np.random.default_rng(seed).random(active.size + 1)
-    return SparseScores(None, active, probs[:-1], float(probs[-1]))
+def assert_scores_windows(windows, bits, cut=0):
+    """Windows 1, 2, ... hold the flat indices ``windows[w]``, the last
+    window the distinct pixels of the one before, so that it is scored
+    with that window's tally.  A _Scorer fed them in two pieces, cut before
+    event ``cut``, gives per_event_scores' bits: np.unique of each window
+    and a lookup in the map sparse_scores freezes from it."""
+    windows = [np.asarray(w, np.int64) for w in windows]
+    windows.append(np.unique(windows[-1])[::-1])
+    flat = np.concatenate(windows)
+    t = np.repeat(np.arange(len(windows)) * 10, [w.size for w in windows])
+    geometry = sensor(bits)
+    stream = EventStream(geometry, t, flat, np.zeros_like(flat),
+                         np.ones_like(flat))
+    want = per_event_scores(stream, SamplerConfig(alpha=0.25, t_us=10))
+    got = np.full(flat.size, -1.0)
+    s = scorer(geometry)
+    for a, b in ((0, cut), (cut, flat.size)):
+        if b > a:
+            s.score(flat[a:b], *window_spans(t[a:b] // 10 + 1), got[a:b])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
 
 
 @st.composite
 def windows(draw):
-    """A window's flat indices and the bits that bound them; a few distinct
-    values make repeated pixels likely, and indices near 2**bits - 1 fill
-    every radix digit (6 passes at 63 bits)."""
+    """A window's flat indices, the bits that bound them and the pixels
+    active in the window before, or None for no window before; a few
+    distinct values make repeated pixels likely, and indices near
+    2**bits - 1 fill every radix digit (6 passes at 63 bits)."""
     bits = draw(st.sampled_from([0, 1, 11, 12, 20, 22, 33, 55, 62, 63])
                 | st.integers(0, 63))
     top = sensor(bits).n_pixels - 1
@@ -496,7 +474,7 @@ def windows(draw):
     flat = draw(st.lists(st.sampled_from(pool) | values, min_size=1,
                          max_size=300))
     active = draw(st.none() | st.lists(
-        st.sampled_from(pool + flat) | values, max_size=40))
+        st.sampled_from(pool + flat) | values, min_size=1, max_size=40))
     return flat, bits, active
 
 
@@ -509,12 +487,11 @@ class TestScoreWindow:
     @example(case=([2**63 - 2, 0, 2**63 - 2, 2**62, 1], 63, [0, 2**63 - 2]),
              seed=1)
     def test_matches_unique_and_lookup(self, cap_walk, case, seed):
+        """``seed`` picks where the two pieces are cut."""
         flat, bits, active = case
-        frozen = None if active is None else frozen_map(active, seed)
-        got = score_window(flat, bits, frozen)
-        want = expected_window(flat, frozen)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        scene = [flat] if active is None else [active, flat]
+        n = sum(map(len, scene)) + len(set(flat))
+        assert_scores_windows(scene, bits, seed % (n + 1))
 
     @pytest.mark.parametrize("bits", [11, 23, 63])
     def test_window_longer_than_a_histogram(self, cap_walk, bits):
@@ -524,15 +501,19 @@ class TestScoreWindow:
         flat = rng.integers(0, sensor(bits).n_pixels, 3 * 2048 + 5,
                             dtype=np.int64)
         flat[::3] = flat[1]  # one pixel repeated a third of the time
-        frozen = frozen_map(flat[::7], bits)
-        got = score_window(flat, bits, frozen)
-        want = expected_window(flat, frozen)
-        for g, w in zip(got, want):
-            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        assert_scores_windows([flat[::7], flat], bits)
 
     def test_empty_window(self, cap_walk):
-        pixels, counts, p = score_window([], 20, frozen_map([3], 0))
-        assert pixels.size == counts.size == p.size == 0
+        """A piece without windows writes nothing and changes no state."""
+        flat = np.array([3, 3, 5, 4, 3], np.int64)
+        ids, bounds = np.array([1, 2]), np.array([0, 3, 5])
+        want = np.empty(5)
+        scorer(sensor(20)).score(flat, ids, bounds, want)
+        s, got = scorer(sensor(20)), np.empty(5)
+        s.score(flat[:3], ids[:1], bounds[:2], got[:3])
+        s.score(flat[:0], ids[:0], bounds[:1], got[:0])
+        s.score(flat[3:], ids[1:], bounds[1:] - 3, got[3:])
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("flat, bits", [([4, -1], 20), ([8, 3], 3),
                                             ([2**20], 20), ([1], 0),
@@ -540,9 +521,9 @@ class TestScoreWindow:
     def test_index_out_of_range(self, cap_walk, flat, bits):
         p = np.full(len(flat), -1.0)
         with pytest.raises(ValueError, match="flat pixel indices"):
-            capwalk.score_piece(np.array(flat, np.int64), [1],
-                                [0, len(flat)], 1, NO_TALLY, None,
-                                (sensor(bits), 0.5, SigmoidParams(), None), p)
+            scorer(sensor(bits)).score(np.array(flat, np.int64),
+                                       np.array([1]), np.array([0, len(flat)]),
+                                       p)
         assert (p == -1.0).all()
 
     @pytest.mark.parametrize("flat", [[6], [0, 5, 7, 2]])
@@ -550,48 +531,10 @@ class TestScoreWindow:
         """Indices of 6 pixels take 3 bits, but 6 and 7 are not pixels."""
         p = np.full(len(flat), -1.0)
         with pytest.raises(ValueError, match=r"in \[0, 6\)"):
-            capwalk.score_piece(np.array(flat, np.int64), [2],
-                                [0, len(flat)], 2, NO_TALLY, None,
-                                (SensorGeometry(3, 2), 0.5, SigmoidParams(),
-                                 None), p)
+            scorer(SensorGeometry(3, 2)).score(
+                np.array(flat, np.int64), np.array([2]),
+                np.array([0, len(flat)]), p)
         assert (p == -1.0).all()
-
-    def test_rejects_mismatched_arrays(self):
-        flat = np.arange(4, dtype=np.int64)
-        p, ids, bounds = np.empty(4), np.array([1, 3]), np.array([0, 1, 4])
-        chain = (SensorGeometry(4, 1), 0.5, SigmoidParams(), None)
-        for args, match in (
-                ((flat.astype(np.int32), ids, bounds, 0, NO_TALLY, None,
-                  chain, p), "contiguous"),
-                ((flat, ids, bounds, 0, NO_TALLY, None, chain, np.empty(3)),
-                 "contiguous"),
-                ((flat[::2], ids, [0, 1, 2], 0, NO_TALLY, None, chain,
-                  p[:2]), "contiguous"),
-                ((flat, ids, [0, 1, 3], 0, NO_TALLY, None, chain, p),
-                 "windows"),
-                ((flat, ids, [0, 0, 4], 0, NO_TALLY, None, chain, p),
-                 "windows"),
-                ((flat, [3, 1], bounds, 0, NO_TALLY, None, chain, p),
-                 "windows"),
-                ((flat, ids, bounds, 2, NO_TALLY, None, chain, p),
-                 "windows"),
-                ((flat, [0, 3], bounds, 0, NO_TALLY, None, chain, p),
-                 "windows"),
-                ((flat, ids, bounds[:2], 0, NO_TALLY, None, chain, p),
-                 "windows"),
-                ((flat, ids, bounds, 0, (flat, flat[:3]), None, chain, p),
-                 "tally"),
-                ((flat, ids, bounds, 0, (flat + 1, np.ones(4, np.int64)),
-                  None, chain, p), "tally"),
-                ((flat, ids, bounds, 0, (flat, np.zeros(4, np.int64)), None,
-                  chain, p), "tally")):
-            with pytest.raises(ValueError, match=match):
-                capwalk.score_piece(*args)
-        if capwalk.implementation() == "compiled":
-            short = SparseScores(None, np.arange(3), np.zeros(2), 0.5)
-            with pytest.raises(ValueError, match="one score per active"):
-                capwalk.score_piece(flat, [1], [0, 4], 1, NO_TALLY, short,
-                                    chain, p)
 
 
 # --- the loader ------------------------------------------------------------

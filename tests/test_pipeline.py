@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from evdown import (DecisionCode, EventStream, PriorMap, SamplerConfig,
-                    SensorGeometry, gaussian_prior, run)
+from evdown import (DecisionCode, Downsampler, EventStream, PriorMap,
+                    SamplerConfig, SensorGeometry, gaussian_prior, run)
 from evdown.density import sigmoid
 
 from conftest import (HUGE, force_python_walk, make_stream, random_stream,
@@ -170,6 +170,23 @@ class TestStatsInvariants:
             stats.pdf_s * 1e6 / len(s))
         assert stats.ms_per_kev_eval == pytest.approx(
             stats.eval_s * 1e6 / len(s))
+
+    @pytest.mark.parametrize("method, alpha", [
+        ("poisson", 0.1), ("poisson", 1.0), ("uniform", 0.1),
+        ("deterministic", 0.1)])
+    def test_pdf_s_is_the_scorers_time(self, method, alpha):
+        """pdf_s (perfbench's ``pipeline.pdf_s``) sums the window scorer's
+        time over the pushes: above 0 for poisson at alpha < 1, and 0.0
+        where nothing is scored."""
+        s = random_stream(np.random.default_rng(3), n=6000)
+        sampler = Downsampler(s.geometry, method, SamplerConfig(alpha=alpha))
+        for a in range(0, len(s), 1000):
+            sampler.push(s[a:a + 1000])
+        stats = sampler.close()
+        if method == "poisson" and alpha < 1.0:
+            assert stats.pdf_s > 0
+        else:
+            assert stats.pdf_s == 0.0
 
     def test_source_index_points_into_input(self):
         s = random_stream(np.random.default_rng(8), n=2000)

@@ -1,8 +1,8 @@
 """The decision rules: sampler config, duty cycle, draws and the budget cap.
 
 Each rule is checked on the product: the duty cycle and the draws through
-:func:`evdown.run`, the cap through :func:`evdown.capwalk.walk_piece`,
-resumed at a chosen budget state.
+:func:`evdown.run`, the cap through the piece walk
+:func:`evdown.capwalk._walk_piece`, resumed at a chosen budget state.
 """
 
 import numpy as np
@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from evdown import (DecisionCode, SamplerConfig, SensorGeometry,
                     SigmoidParams, acceptance_window_us, run)
-from evdown.capwalk import walk_piece
+from evdown.capwalk import _walk_piece
 
 from conftest import make_stream, random_stream
 
@@ -32,7 +32,7 @@ def duty_cycle_code(t, anchor=0, alpha=0.1):
 
 
 def walk(p, draws, alpha, k0=0, retained0=0):
-    """walk_piece over p, one window, resumed after k0 events with
+    """The piece walk over p, one window, resumed after k0 events with
     retained0 kept, given every draw it takes: (codes, retained, draws
     used)."""
     def more(n):
@@ -41,8 +41,8 @@ def walk(p, draws, alpha, k0=0, retained0=0):
     p = np.asarray(p, dtype=np.float64)
     if draws is not None:
         draws = np.asarray(draws, dtype=np.float64)
-    codes, _, _, _, retained, left = walk_piece(p, [0, p.size], alpha, k0,
-                                                retained0, draws, more)
+    codes, _, _, _, retained, left = _walk_piece(
+        p, np.array([0, p.size]), alpha, k0, retained0, draws, more)
     return (codes.tolist(), retained,
             0 if draws is None else draws.size - left.size)
 

@@ -2,10 +2,10 @@
 
 ``conftest.per_event_scores`` freezes each window's map from ``np.unique``
 of the previous window's events with ``sparse_scores`` and then looks up
-every event of the window on its own.  ``pipeline._WindowScorer`` scores
-each piece in one call of the compiled ``capwalk.score_piece``, which
-freezes the maps in C, or of its numpy twin, and merges the pieces'
-tallies; every path must agree bit for bit.
+every event of the window on its own.  The window scorer
+``capwalk._Scorer``, which ``Downsampler`` holds, scores each piece in one
+call of the compiled kernel, which freezes the maps in C, or of its numpy
+twin, and merges the pieces' tallies; every path must agree bit for bit.
 """
 
 import shutil
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from evdown import (EventStream, PriorMap, SamplerConfig, SensorGeometry,
                     SigmoidParams, capwalk, density, pipeline, run)
 from evdown.events import window_spans
-from evdown.pipeline import _WindowScorer
 
 from conftest import HUGE, make_stream, per_event_scores
 
@@ -34,11 +33,13 @@ def scored(stream: EventStream, config: SamplerConfig,
     each event index in ``cuts``."""
     windows = (stream.t - int(stream.t[0])) // config.t_us + 1
     flat = stream.y * stream.geometry.width + stream.x
-    scorer = _WindowScorer(stream.geometry, config)
+    scorer = capwalk._Scorer((stream.geometry, config.alpha, config.theta,
+                              config.prior))
     edges = [0, *sorted(cuts), len(stream)]
-    p = np.concatenate([scorer.score(flat[a:b], *window_spans(windows[a:b]))
-                        for a, b in zip(edges, edges[1:]) if b > a])
-    assert scorer.seconds > 0
+    p = np.full(len(stream), -1.0)
+    for a, b in zip(edges, edges[1:]):
+        if b > a:
+            scorer.score(flat[a:b], *window_spans(windows[a:b]), p[a:b])
     return p
 
 
