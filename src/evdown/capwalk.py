@@ -48,10 +48,13 @@ These four kernels have two implementations with bit-identical results:
 The same library holds the other three: a byte-level parser,
 :func:`parse_events`, for exactly the rows that ``evio`` writes to event
 CSVs, and :func:`scan_events`, which checks those rows as
-:func:`parse_events` does but stores none of them.  Both take one block of
-whole rows.  They have no Python twin here: when they reject a row, or the
-library is not available, they return None and ``evio``'s line loop, the
-only source of its error messages, reads that block instead.
+:func:`parse_events` does but stores none of them.  The scan takes one
+block of whole rows; the parser takes a number of rows from any line start
+in one, into fresh columns or the slices of given ones, and says where it
+stopped, so a block is parsed a chunk at a time.  They have no Python twin
+here: when they reject a row, or the library is not available, they return
+None and ``evio``'s line loop, the only source of its error messages,
+reads that block instead.
 Decision logs have no compiled reader: ``evio.read_log`` is a line loop
 on every host.  :func:`format_rows` writes the comma-separated rows of
 event CSVs and decision logs; without the library it returns None and
@@ -937,36 +940,51 @@ class _Scorer:
             self.ends, self.state))
 
 
-def parse_events(data: bytes, labeled: bool, rows: int):
-    """The columns ``(t, x, y, p, labels)`` of the ``rows`` event rows that
-    ``data`` holds, or None.
+def parse_events(data, labeled: bool, rows: int, start: int = 0,
+                 stop: int | None = None, into=None):
+    """The ``rows`` event rows that ``data[start:stop]`` begins with, as
+    ``(columns, end)``, or None.
 
-    ``t``, ``x`` and ``y`` are int64, ``p`` and ``labels`` uint8 (``labels``
-    is None unless ``labeled``).  Returns None when the compiled parser is
-    not available, rejects a row, or finds another number of rows: then
-    the rows need the line loop.
+    ``data`` is bytes or a bytearray, ``start`` a line start in it and
+    ``stop`` (the end of ``data`` when None) a line end or the end of the
+    file's last row.  ``end`` is the offset in ``data`` just past the rows,
+    where the next call resumes.  The columns ``(t, x, y, p, labels)`` are
+    int64, ``p`` and ``labels`` uint8 (``labels`` is None unless
+    ``labeled``): fresh arrays, or the arrays of ``into``, which the rows
+    are written into.  Returns None when the compiled parser is not
+    available, rejects a row, or finds fewer rows: then the rows need the
+    line loop.  Raises ValueError for offsets outside ``data`` or ``into``
+    arrays that are not ``rows`` contiguous, writable values of those
+    dtypes.
     """
     kernel = _kernel()
     if kernel is None:
         return None
-    address = _address(data)
-    t, x, y = (np.empty(rows, np.int64) for _ in range(3))
-    p = np.empty(rows, np.uint8)
-    labels = np.empty(rows, np.uint8) if labeled else None
+    stop = len(data) if stop is None else stop
+    if not 0 <= start <= stop <= len(data):
+        raise ValueError("need 0 <= start <= stop <= len(data)")
+    dtypes = [np.int64] * 3 + [np.uint8, np.uint8 if labeled else None]
+    if into is None:
+        into = [None if d is None else np.empty(rows, d) for d in dtypes]
+    for c, d in zip(into, dtypes, strict=True):
+        if (c is None) != (d is None) or c is not None and (
+                c.dtype != d or c.shape != (rows,) or not c.flags.writeable
+                or not c.flags.c_contiguous):
+            raise ValueError(f"need columns of {rows} writable contiguous "
+                             f"values: t, x, y int64, p and labels uint8")
     used = ctypes.c_int64()
     got = kernel.parse_events(
-        address, len(data), labeled, rows,
-        t.ctypes.data, x.ctypes.data, y.ctypes.data, p.ctypes.data,
-        None if labels is None else labels.ctypes.data, ctypes.byref(used))
-    if got != rows or used.value != len(data):
-        return None
-    return t, x, y, p, labels
+        _address(data) + start, stop - start, labeled, rows,
+        *(None if c is None else _array_address(c) for c in into),
+        ctypes.byref(used))
+    return (tuple(into), start + used.value) if got == rows else None
 
 
-def scan_events(data: bytes, stop: int, labeled: bool,
+def scan_events(data, stop: int, labeled: bool,
                 top: np.ndarray) -> int | None:
-    """The number of event rows in ``data[:stop]``, which starts at a line
-    start, checked as :func:`parse_events` checks them, or None.
+    """The number of event rows in ``data[:stop]`` (bytes or a bytearray),
+    which starts at a line start, checked as :func:`parse_events` checks
+    them, or None.
 
     Nothing is stored: ``top`` (uint64, three values) holds the largest x,
     the largest y and the last timestamp of the rows scanned before, and
@@ -1155,11 +1173,14 @@ def _array_address(a: np.ndarray) -> int:
     return a.ctypes.data
 
 
-def _address(data: bytes) -> int:
-    """The address of data's bytes, valid while data lives."""
-    if not isinstance(data, bytes):
-        raise ValueError("need bytes")
-    return ctypes.cast(ctypes.c_char_p(data), ctypes.c_void_p).value
+def _address(data) -> int:
+    """The address of the bytes of data, bytes or a bytearray, valid while
+    data lives and, for a bytearray, keeps its size."""
+    if isinstance(data, bytearray) and data:
+        return ctypes.addressof(ctypes.c_char.from_buffer(data))
+    if not isinstance(data, (bytes, bytearray)):
+        raise ValueError("need bytes or a bytearray")
+    return ctypes.cast(ctypes.c_char_p(bytes(data)), ctypes.c_void_p).value
 
 
 def _expit_python(x, out) -> None:

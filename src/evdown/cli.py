@@ -13,11 +13,15 @@ decides each chunk and appends its kept events and log rows to files
 that replace the output paths only once the whole input has been read
 and checked.  A binary input is read record block by record block
 (evio.BinaryEvents).  A CSV input is read twice, a block of bytes at a
-time (evio.CsvEvents): once to check its rows and infer its geometry,
-keeping no column, then again to decide it.  This holds on every host and
-for every input: a block the compiled scan refuses, or any block without
-the compiled kernels, goes through the line loop, and a pipe is first
-copied to a temporary file, which both passes read.
+time, into one buffer per pass (evio.CsvEvents): once to check its rows
+and infer its geometry, keeping no column, then again to decide it, each
+chunk's rows parsed straight into its own columns.  So the command holds
+one block and one chunk: neither the loop nor a reader holds a chunk, its
+kept events or its log rows while the next chunk is read.  This holds on
+every host and for every input: a block the compiled scan refuses, or any
+block without the compiled kernels, goes through the line loop in both
+passes, and a pipe is first copied to a temporary file, which both passes
+read.
 """
 
 from __future__ import annotations
@@ -194,6 +198,9 @@ def cmd_downsample(args) -> int:
             kept.write(out)
             if log is not None:
                 log.write(log_part)
+            # Neither the chunk nor what it kept is held while the next
+            # chunk is read.
+            del chunk, out, log_part
         kept.finish()
     stats = sampler.close()
     if args.stats:

@@ -19,14 +19,15 @@ file made by :func:`replacing`, so a failed write leaves its path as it
 was.  A reader's columns become its stream's without a copy.
 
 Event CSVs are read by :class:`CsvEvents` alone, in blocks of whole
-lines, twice: a scan that keeps no column, then a parse.  Each block is
-read by the compiled scan and parser of :mod:`evdown.capwalk`, which take
-exactly the rows the writers here emit, ended by LF, CRLF or a lone CR as
-the line loop's lines are; a block they reject, or every block when the
-compiled kernels are not available, is read by a line loop instead.  The
-loop accepts the same rows into the same columns, and every message
-about a malformed CSV comes from it.  Decision logs are read by a
-line loop alone, on every host.
+lines, twice: a scan that keeps no column, then a parse, each pass
+reading its blocks into one buffer.  Each block is read by the compiled
+scan and parser of :mod:`evdown.capwalk`, which take exactly the rows the
+writers here emit, ended by LF, CRLF or a lone CR as the line loop's lines
+are; a block the scan rejects, or every block when the compiled kernels
+are not available, is read by a line loop instead, in both passes.  The
+loop accepts the same rows into the same columns, and every message about
+a malformed CSV comes from it.  Decision logs are read by a line loop
+alone, on every host.
 
 The rows of event CSVs and decision logs are written by the compiled row
 formatter of :mod:`evdown.capwalk`, or, where the compiled kernels are not
@@ -43,6 +44,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import stat
 import struct
@@ -244,10 +246,15 @@ def _text_lines(path, data: bytes, start: int = 1):
     return lines if data.isascii() else _ascii_lines(path, lines, start)
 
 
-def _header(path, data: bytes):
-    """(length, labeled) of the event-CSV header line data starts with;
-    raises EventFileError for any other first line."""
-    line = next(_text_lines(path, data), "")
+# The first line of a buffer, its LF, CRLF or lone CR included.
+_FIRST_LINE = re.compile(rb"[^\r\n]*(?:\r\n?|\n)?")
+
+
+def _header(path, data, stop: int):
+    """(length, labeled) of the event-CSV header line that data[:stop]
+    starts with; raises EventFileError for any other first line."""
+    end = _FIRST_LINE.match(data, 0, stop).end()
+    line = next(_text_lines(path, data[:end]), "")
     header = line.rstrip("\r\n")
     if header not in (_CSV_HEADER, _CSV_HEADER_LABELED):
         raise EventFileError(
@@ -504,6 +511,7 @@ class BinaryEvents:
             block = self.read(start, min(start + size, self.count), before)
             before = int(block.t[-1])
             yield block
+            del block  # not held while the next block is read
 
 
 # Bytes per block of a CSV that CsvEvents reads; a block is cut after its
@@ -515,52 +523,78 @@ _CSV_BLOCK_BYTES = 1 << 20
 _CSV_LINE_BYTES = 1 << 20
 
 
-def _line_blocks(fh, offset: int = 0):
-    """(offset, data, cut) for each block of the seekable fh from offset on:
-    data[:cut] holds its whole lines as the line loop splits them, cut
-    after the last LF, or the last CR followed by a byte that is no LF, of
-    _CSV_BLOCK_BYTES; a longer line grows the block, up to _CSV_LINE_BYTES.
-    A line that does not end within that, and not with the file, ends the
-    blocks with a block of cut 0 that starts with it."""
-    size = _CSV_BLOCK_BYTES
-    while True:
-        fh.seek(offset)
-        data = fh.read(size)
-        if not data:
-            return
-        cr = data.rfind(b"\r", 0, len(data) - 1)
-        lone_cr = cr if cr >= 0 and data[cr + 1] != ord("\n") else -1
-        cut = (len(data) if len(data) < size
-               else max(data.rfind(b"\n"), lone_cr) + 1)
-        if cut:
-            yield offset, data, cut
-            offset, size = offset + cut, _CSV_BLOCK_BYTES
-        elif size < _CSV_LINE_BYTES:
-            size = min(2 * size, _CSV_LINE_BYTES)
-        else:
-            yield offset, data, 0 if fh.read(1) else len(data)
-            return
-
-
 def _long_line(path, lineno: int) -> EventFileError:
     return EventFileError(f"{path}:{lineno}: line longer than "
                           f"{_CSV_LINE_BYTES} bytes")
+
+
+def _slices(columns, lo: int, hi: int):
+    """Rows lo .. hi - 1 of columns, a None column left None."""
+    return tuple(None if c is None else c[lo:hi] for c in columns)
+
+
+class _Blocks:
+    """Blocks of a seekable binary file, each read into the start of one
+    buffer, ``data``, of _CSV_BLOCK_BYTES or, once a longer line needed
+    more, of the largest block read."""
+
+    def __init__(self, fh):
+        self.fh, self.data = fh, bytearray()
+
+    def read(self, offset: int, size: int) -> int:
+        """Read up to size bytes from offset on into data; return how many
+        were read."""
+        if len(self.data) < size:
+            self.data = None  # not held while the larger one is made
+            self.data = bytearray(max(size, _CSV_BLOCK_BYTES))
+        self.fh.seek(offset)
+        return self.fh.readinto(memoryview(self.data)[:size])
+
+    def text(self, stop: int) -> bytes:
+        """A copy of data[:stop], for the line loop."""
+        return bytes(memoryview(self.data)[:stop])
+
+    def lines(self, offset: int = 0):
+        """(offset, stop, cut) for each block from offset on, read into
+        data[:stop]: data[:cut] holds its whole lines as the line loop
+        splits them, cut after the last LF, or the last CR followed by a
+        byte that is no LF, of _CSV_BLOCK_BYTES; a longer line grows the
+        block, up to _CSV_LINE_BYTES.  A line that does not end within
+        that, and not with the file, ends the blocks with a block of cut 0
+        that starts with it."""
+        size = _CSV_BLOCK_BYTES
+        while stop := self.read(offset, size):
+            cr = self.data.rfind(b"\r", 0, stop - 1)
+            lone_cr = cr if cr >= 0 and self.data[cr + 1] != ord("\n") else -1
+            cut = (stop if stop < size
+                   else max(self.data.rfind(b"\n", 0, stop), lone_cr) + 1)
+            if cut:
+                yield offset, stop, cut
+                offset, size = offset + cut, _CSV_BLOCK_BYTES
+            elif size < _CSV_LINE_BYTES:
+                size = min(2 * size, _CSV_LINE_BYTES)
+            else:
+                yield offset, stop, 0 if self.fh.read(1) else stop
+                return
 
 
 class CsvEvents:
     """An event CSV whose rows have been checked and whose geometry is
     known; :meth:`blocks` and :meth:`read` parse its blocks again.
 
-    The constructor reads the file once, in blocks of whole lines, keeping
-    no column: the compiled scan checks each, else the line loop.  A
+    Each pass reads the file in blocks of whole lines into one buffer of
+    its own, dropped when the pass ends.  The constructor reads every
+    block once, keeping no column: the compiled scan checks each, else the
+    line loop, which then parses that block in the second pass too.  A
     malformed line, or one longer than _CSV_LINE_BYTES, raises
-    EventFileError at once; after the last block, a
-    value past int64 does, else an event out of order, else the inferred
-    geometry's refusal, as a whole-file read ranks them.  Events outside a
-    given ``geometry`` raise in the second pass.  A pipe is read from a
+    EventFileError at once; after the last block, a value past int64 does,
+    else an event out of order, else the inferred geometry's refusal, as a
+    whole-file read ranks them.  The second pass parses the rows straight
+    into the columns they end up in, a part's own or the whole stream's;
+    events outside a given ``geometry`` raise there.  A pipe is read from a
     copy in a temporary file (refused when it starts with the binary
-    magic), which the second pass or :meth:`close` closes.  Raises
-    OSError when the file cannot be read.
+    magic), which the second pass or :meth:`close` closes.  Raises OSError
+    when the file cannot be read.
     """
 
     def __init__(self, path, geometry: SensorGeometry | None = None):
@@ -581,21 +615,23 @@ class CsvEvents:
     def _scan(self, fh, geometry) -> None:
         top = np.zeros(3, np.uint64)  # the largest x and y, the last t
         spans, rows, overflow, disorder = [], 0, None, None
-        _, first, cut = next(_line_blocks(fh), (0, b"", 0))
-        if self._spool is not None and first.startswith(MAGIC):
+        self._looped = set()  # the blocks the line loop reads
+        blocks = _Blocks(fh)
+        _, stop, cut = next(blocks.lines(), (0, 0, 0))
+        if self._spool is not None and blocks.data.startswith(MAGIC, 0, stop):
             raise _unseekable(self.path)  # detect_format sniffs no pipe
-        if first and not cut:
+        if stop and not cut:
             raise _long_line(self.path, 1)
-        offset, labeled = _header(self.path, first)
-        del first  # one block at a time
-        for offset, data, cut in _line_blocks(fh, offset):
+        offset, self.labeled = _header(self.path, blocks.data, stop)
+        for offset, _, cut in blocks.lines(offset):
             if not cut:
                 raise _long_line(self.path, rows + 2)
             before = int(top[2])
-            n = capwalk.scan_events(data, cut, labeled, top)
+            n = capwalk.scan_events(blocks.data, cut, self.labeled, top)
             if n is None:
-                (t, x, y, _, _), big = _parse_lines(self.path, data[:cut],
-                                                    labeled, rows + 2)
+                self._looped.add(len(spans))
+                (t, x, y, _, _), big = _parse_lines(
+                    self.path, blocks.text(cut), self.labeled, rows + 2)
                 n, overflow = len(t), overflow or big
                 if big is None:
                     disorder = disorder or _out_of_order(
@@ -611,57 +647,72 @@ class CsvEvents:
                 geometry = SensorGeometry(int(top[0]) + 1, int(top[1]) + 1)
             except ValueError as exc:
                 raise EventFileError(f"{self.path}: inferred {exc}") from None
-        self.geometry, self.labeled, self.count = geometry, labeled, rows
-        self._spans = spans
+        self.geometry, self.count, self._spans = geometry, rows, spans
 
-    def _columns(self):
-        """The columns of each block in turn, parsed again.  Raises
-        EventFileError when a block no longer holds the rows the scan
-        counted, because the file changed in between."""
+    def _parts(self, size: int, into=None):
+        """(columns, start) for the events in order, at most size at a
+        time and no part spanning two blocks, parsed again: the columns of
+        events start .. start + len - 1, fresh, or the slices of the whole
+        columns ``into`` that they are written into.  Raises EventFileError
+        when a block no longer holds the rows the scan counted, because the
+        file changed in between."""
+        changed = EventFileError(f"{self.path}: changed while it was read")
         # Unbuffered, so each block is read from the file as it is now.
         with (open(self.path, "rb", buffering=0) if self._spool is None
               else self._spool) as fh:
-            start = 0
-            for offset, size, rows in self._spans:
-                fh.seek(offset)
-                data = fh.read(size)
-                columns = capwalk.parse_events(data, self.labeled, rows)
-                if columns is None:
+            blocks, start = _Blocks(fh), 0
+            for block, (offset, stop, rows) in enumerate(self._spans):
+                if blocks.read(offset, stop) != stop:
+                    raise changed
+                lines, at = None, 0
+                if block in self._looped:
                     with contextlib.suppress(EventFileError):
-                        lines, big = _parse_lines(self.path, data,
+                        lines, big = _parse_lines(self.path, blocks.text(stop),
                                                   self.labeled, start + 2)
-                        columns = lines if big is None else None
-                if columns is None or len(columns[0]) != rows:
-                    raise EventFileError(f"{self.path}: changed while it was "
-                                         f"read")
-                del data  # not held while the block is decided
-                yield columns
+                    if lines is None or big is not None or len(
+                            lines[0]) != rows:
+                        raise changed
+                for lo in range(0, rows, size):
+                    hi = min(lo + size, rows)
+                    out = (None if into is None
+                           else _slices(into, start + lo, start + hi))
+                    if lines is None:
+                        part = capwalk.parse_events(
+                            blocks.data, self.labeled, hi - lo, at, stop, out)
+                        if part is None:
+                            raise changed
+                        part, at = part
+                    else:
+                        part = _slices(lines, lo, hi)
+                        for dest, column in zip(out or (), part):
+                            if dest is not None:
+                                dest[:] = column
+                    yield part, start + lo
+                    del part  # not held while the next part is parsed
+                if lines is None and at != stop:
+                    raise changed
                 start += rows
 
     def blocks(self, size: int):
         """The events in order, as checked streams of up to size events."""
-        start, before = 0, None
-        for columns in self._columns():
-            block = _finish_stream(self.path, self.geometry, *columns,
-                                   start=start, before=before)
-            for i in range(0, len(block), size):
-                yield block[i:i + size]
-            start += len(block)
-            before = int(block.t[-1])
+        before = None
+        for columns, start in self._parts(size):
+            part = _finish_stream(self.path, self.geometry, *columns,
+                                  start=start, before=before)
+            del columns  # the part holds them
+            before = int(part.t[-1])
+            yield part
+            del part  # not held while the next part is parsed
 
     def read(self) -> EventStream:
-        """Every event, as one checked stream."""
+        """Every event, as one checked stream; each block is parsed into
+        its slice of the stream's columns."""
         n = self.count
         whole = [np.empty(n, np.int64) for _ in range(3)] + [
             np.empty(n, np.uint8), np.empty(n, np.uint8) if self.labeled
             else None]
-        start = 0
-        for columns in self._columns():
-            stop = start + len(columns[0])
-            for into, part in zip(whole, columns):
-                if into is not None:
-                    into[start:stop] = part
-            start = stop
+        for _ in self._parts(max(n, 1), whole):
+            pass
         return _finish_stream(self.path, self.geometry, *whole)
 
 

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from evdown import (Downsampler, EventFileError, EventStream, SamplerConfig,
                     retention_ratio, run, write_events, write_log,
                     write_prior)
 from evdown import capwalk, cli, evio
-from evdown.evio import REC_DTYPE, CsvEvents, stats_doc
+from evdown.evio import REC_DTYPE, BinaryEvents, CsvEvents, stats_doc
 from evdown.pipeline import METHODS
 
 from conftest import (SRC_ENV, csv_oracle, force_python_walk, make_stream,
@@ -661,6 +662,78 @@ class TestStreamedCsv:
                 assert rc == 0, err.getvalue()
 
 
+def loop_field(value: int):
+    """value written as int() reads it: plainly, or with a sign, spaces,
+    leading zeros or an underscore between digits, which the compiled scan
+    and parser refuse but for the zeros, leaving the row to the line
+    loop."""
+    text = str(value)
+    return st.sampled_from([text, "+" + text, f" {text} ", "00" + text,
+                            text[0] + "_" + text[1:] if value > 9 else text])
+
+
+@st.composite
+def loop_csv(draw):
+    """A valid event CSV, some of whose fields only the line loop reads
+    (see loop_field), its rows ended by LF, CRLF or a lone CR."""
+    labeled = draw(st.booleans())
+    lines, t = ["t,x,y,p,label\n" if labeled else "t,x,y,p\n"], 0
+    for _ in range(draw(st.integers(0, 12))):
+        t += draw(st.integers(0, 30))
+        fields = [draw(loop_field(v)) for v in (
+            t, draw(st.integers(0, 12)), draw(st.integers(0, 12)),
+            draw(st.integers(0, 1)))]
+        if labeled:
+            fields.append(draw(st.sampled_from("EN")))
+        lines.append(",".join(fields) + draw(st.sampled_from(
+            ["\n", "\r\n", "\r"])))
+    return "".join(lines).encode()
+
+
+class TestChunkedRead:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.one_of(csv_bytes(), loop_csv()),
+           st.one_of(st.integers(8, 64), st.integers(8, 1 << 20)),
+           st.integers(1, 16))
+    def test_parts_match_whole_file_loop(self, cap_walk, tmp_path, data,
+                                         block, chunk):
+        """A CSV cut into blocks of 8 bytes to 1 MiB and read in parts of
+        1 to n rows gives the whole-file line loop's columns, or its
+        message, and downsample its exit code, on both kernel paths; the
+        rows the compiled parser refuses go to the line loop in both
+        passes."""
+        src = tmp_path / "in.csv"
+        src.write_bytes(data)
+        want = csv_oracle(src)
+        err = io.StringIO()
+        with pytest.MonkeyPatch.context() as mp, \
+                contextlib.redirect_stderr(err):
+            mp.setattr(evio, "_CSV_BLOCK_BYTES", block)
+            mp.setattr(cli, "_CHUNK_EVENTS", chunk)
+            try:
+                with contextlib.closing(CsvEvents(src)) as source:
+                    parts = list(source.blocks(chunk))
+                got = None
+            except EventFileError as exc:
+                got = str(exc)
+            rc = downsample(src, tmp_path / "out.csv", "uniform",
+                            log=tmp_path / "log.csv")
+        if isinstance(want, str):
+            assert (got, rc, err.getvalue()) == (want, 3,
+                                                 f"evdown: {want}\n")
+            return
+        assert (got, rc) == (None, 0), err.getvalue()
+        assert all(0 < len(part) <= chunk for part in parts)
+        assert sum(map(len, parts)) == len(want)
+        for name in ("t", "x", "y", "p") + ("labels",) * want.is_labeled:
+            column = np.concatenate(
+                [getattr(want, name)[:0]] + [getattr(part, name)
+                                             for part in parts])
+            assert np.array_equal(column, getattr(want, name)), name
+        assert all(part.geometry == want.geometry for part in parts)
+
+
 class TestOutputsReplaced:
     """Outputs are written beside their paths and moved into place."""
 
@@ -854,6 +927,70 @@ class TestChunkedMemory:
             small = self.peak(tmp_path, n, ".csv", **options)
             large = self.peak(tmp_path, 8 * n, ".csv", **options)
             assert abs(large - small) < 2 * 2**20, (case, small, large)
+
+    # What one chunk may hold at its peak, per event of the chunk, on
+    # either kernel path: its columns, probabilities, window ids, codes
+    # and draws, the rows of its log being formatted, and the Python walk's
+    # floats.  Measured: about 170 bytes compiled, 230 in Python.
+    CHUNK_BYTES_PER_EVENT = 256
+
+    def assert_block_and_chunk(self, tmp_path, suffix, n, blocks):
+        """downsample over n events holds at most ``blocks`` CSV blocks and
+        one chunk: a level that grows with the number of blocks or chunks
+        read, or that keeps a chunk from before, exceeds the limit."""
+        self.peak(tmp_path, 1000, suffix)  # compile and import first
+        peak = self.peak(tmp_path, n, suffix)
+        limit = (blocks * evio._CSV_BLOCK_BYTES
+                 + self.CHUNK_BYTES_PER_EVENT * cli._CHUNK_EVENTS)
+        assert peak < limit, (peak, limit)
+        return tmp_path / f"in{n}{suffix}"
+
+    def test_csv_holds_one_block_and_one_chunk(self, tmp_path):
+        """A CSV of more than 8 blocks: each pass reads its blocks into one
+        buffer, and no block's columns or earlier chunk are held."""
+        if capwalk.implementation() != "compiled":
+            pytest.skip("the compiled parser cannot be built here")
+        src = self.assert_block_and_chunk(tmp_path, ".csv", 600_000, 1)
+        assert src.stat().st_size > 8 * evio._CSV_BLOCK_BYTES
+
+    def test_binary_holds_one_chunk(self, tmp_path, cap_walk):
+        """Binary input holds only the chunk being decided."""
+        self.assert_block_and_chunk(tmp_path, ".evb", 8 * cli._CHUNK_EVENTS,
+                                    0)
+
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("suffix", [".csv", ".evb"])
+    def test_chunk_dropped_before_the_next_is_read(
+            self, small_blocks, tmp_path, monkeypatch, cap_walk, method,
+            suffix):
+        """While the next chunk is read, nothing holds the chunks before,
+        what they kept or their log pieces: not downsample's loop, not the
+        reader, not the sampler."""
+        src = tmp_path / f"in{suffix}"
+        write_events(scene(labeled=suffix == ".csv"), src)
+        earlier = []
+        push = Downsampler.push
+
+        def tracked(sampler, chunk):
+            kept, log = push(sampler, chunk)
+            earlier.extend(weakref.ref(a) for a in (
+                chunk.t, chunk.x, chunk.p, kept.t, log.window, log.code,
+                log.probability))
+            return kept, log
+
+        def checked(read):
+            def reading(*args, **kwargs):
+                assert all(ref() is None for ref in earlier)
+                return read(*args, **kwargs)
+            return reading
+
+        monkeypatch.setattr(Downsampler, "push", tracked)
+        for owner, name in ((BinaryEvents, "read"), (evio._Blocks, "read"),
+                            (capwalk, "parse_events")):
+            monkeypatch.setattr(owner, name, checked(getattr(owner, name)))
+        assert downsample(src, tmp_path / "out.csv", method,
+                          log=tmp_path / "log.csv") == 0
+        assert len(earlier) >= 7 * len(scene(False)) / CHUNK  # every push
 
     def test_csv_peak_flat_in_stream_length(self, tmp_path, monkeypatch):
         """CSV input read in two passes of fixed-size blocks: its geometry

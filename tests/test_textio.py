@@ -344,7 +344,8 @@ class TestCompiledCsvParser:
         if not labeled:
             rows = [r.replace(b",E", b"").replace(b",N", b"") for r in rows]
         data = b"".join(rows)
-        whole = capwalk.parse_events(data, labeled, 3)
+        whole, end = capwalk.parse_events(data, labeled, 3)
+        assert end == len(data)
         address, size = capwalk._address(data), len(data)
         cols = [np.zeros(3, np.int64) for _ in range(3)]
         cols += [np.zeros(3, np.uint8), np.zeros(3, np.uint8)]
@@ -415,7 +416,8 @@ class TestDigitEdges:
             assert rows is None and parsed is None
         else:
             assert rows == len(want[0])
-            assert_columns_equal(parsed, want)
+            assert parsed[1] == len(body)
+            assert_columns_equal(parsed[0], want)
             assert top.tolist() == [max(want[1]), max(want[2]), want[0][-1]]
         assert_same(read_result(path), loop_result(path))
 
