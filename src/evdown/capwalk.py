@@ -1,49 +1,44 @@
-"""The compiled kernels: the window pass, the budget-cap walk, the score
-sigmoid, the window scorer, the event parser and scan, and the row
-formatter.
+"""The compiled kernels: the push, the score sigmoid, the event parser and
+scan, and the row formatter.
 
 A push of :class:`evdown.pipeline.Downsampler` decides a piece of a
-stream in three kernel calls, each with one entry here: the window pass
-(:func:`_window_pass`), the window scorer (:class:`_Scorer`, ``poisson``
-only) and the piece walk (:func:`_walk_piece`).  The push builds every
-array it hands them, and none of them checks its arguments again; their
-docstrings state what they take.  The window pass writes each event's
-window id and the piece's nonempty windows, dividing once per window
-rather than once per event.  The cap is a sequential state machine.
-Event ``k`` (0-based, stream-wide) is dropped before evaluation when
-``k > 0`` and ``retained > alpha * k``, and a dropped event consumes no
-draw, so which draw an event sees depends on every earlier decision.
-Such a walk cannot be vectorized exactly in numpy.  The piece walk
-applies it and, in the same pass, writes the positions of the accepted
-events, the capped count and each window's retained count; it reads the
-draws the last piece left unused and then blocks of fresh ones, drawn
-only once those run out, so no array of draws is joined to another.  The
-sigmoid ``1 / (1 + exp(-x))`` could be vectorized, but numpy's vector
-``exp`` does not round as libm's scalar ``exp`` does on every input, so
-scores would depend on the CPU numpy runs on.  The window scorer does all
-the work of scoring one piece of a stream in one call: for each window, a
-radix sort of its pixels, their tally, a merge walk against the window's
-map that writes each event's probability, and the freeze of the next
-window's map from the tally.  The freeze runs the chain of
-:func:`evdown.density.sparse_scores` with the same bits: the mean is
-summed in numpy's pairwise order (:func:`pairwise_sum` in the C source,
-held to ``np.add.reduce`` by a test), and without a prior the sigmoid
-runs once per occupancy class ``min(count, 37)`` rather than once per
-pixel.
+stream in one call of the compiled push, through :class:`_Decider`, which
+holds the run's state and the buffers every push reuses.  The call finds
+each event's window, dividing once per window rather than once per event;
+each event's probability (the window scorer's for ``poisson``); then the
+cap walk, and the kept positions, codes and window rows.  The cap is a
+sequential state machine.  Event ``k`` (0-based, stream-wide) is dropped
+before evaluation when ``k > 0`` and ``retained > alpha * k``, and a
+dropped event consumes no draw, so which draw an event sees depends on
+every earlier decision.  Such a walk cannot be vectorized exactly in
+numpy.  The walk reads the draws the last piece left unused and then
+blocks of fresh ones, which the caller writes into the same buffer only
+once those run out.  The sigmoid ``1 / (1 + exp(-x))`` could be
+vectorized, but numpy's vector ``exp`` does not round as libm's scalar
+``exp`` does on every input, so scores would depend on the CPU numpy runs
+on.  The window scorer, for each window, radix-sorts its pixels, tallies
+them, merge-walks them against the window's map to write each event's
+probability, and freezes the next window's map from the tally.  The
+freeze runs the chain of :func:`evdown.density.sparse_scores` with the
+same bits: the mean is summed in numpy's pairwise order
+(:func:`pairwise_sum` in the C source, held to ``np.add.reduce`` by a
+test), and without a prior the sigmoid runs once per occupancy class
+``min(count, 37)`` rather than once per pixel.
 
-These four kernels have two implementations with bit-identical results:
+The push and the sigmoid have two implementations with bit-identical
+results:
 
 * C loops, compiled together on first use with the system C compiler
   (``cc``) into this package's ``__pycache__`` and loaded with
   :mod:`ctypes`; no build step is needed, and later processes load the
   cached file;
-* Python twins (the window pass's is :func:`evdown.events.window_ids`
-  and :func:`evdown.events.window_spans`; the walk's is a loop over
-  Python floats, then numpy over the codes; ``math.exp`` is libm's
-  ``exp``; the window scorer's is ``np.unique``, ``sparse_scores`` and
-  :meth:`evdown.density.SparseScores.lookup`), which run whenever the C
-  loops cannot be built or loaded (no compiler, an unwritable cache, a
-  failed compile or load, a library lacking a kernel).
+* Python twins (:func:`evdown.events.window_ids` and
+  :func:`evdown.events.window_spans` for the windows; a loop over Python
+  floats for the walk; ``np.unique``, ``sparse_scores`` and
+  :meth:`evdown.density.SparseScores.lookup` for the scorer; ``math.exp``,
+  libm's ``exp``, for the sigmoid), which run whenever the C loops cannot
+  be built or loaded (no compiler, an unwritable cache, a failed compile
+  or load, a library lacking a kernel).
 
 The same library holds the other three: a byte-level parser,
 :func:`parse_events`, for exactly the rows that ``evio`` writes to event
@@ -76,6 +71,7 @@ import os
 import platform
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -89,29 +85,31 @@ from .events import _check_window_limit, window_ids, window_spans
 # -ffp-contract=off keeps it from fusing a multiply and an add into one
 # rounding, as numpy never does.
 _SOURCE = r"""
+#define _POSIX_C_SOURCE 199309L
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
-/* The windows of the n sorted timestamps t, each at least t0: the window
+/* The windows of the n timestamps t, each at least t0: the window
    (t[i] - t0) / t_us + 1 of each event to windows, and the nonempty
-   windows, window ids[w] holding events bounds[w] .. bounds[w + 1] - 1.
-   One division per window, not per event: an event stays in the window
-   before it while its offset from that window's start is below t_us, a
-   test in unsigned offsets that cannot wrap.  The caller keeps every id
-   at most INT64_MAX.  Returns the number of windows, or -1 when there
-   would be more than room. */
-int64_t window_pass(const int64_t *t, int64_t n, int64_t t0, int64_t t_us,
-                    int64_t *windows, int64_t *ids, int64_t *bounds,
-                    int64_t room)
+   windows, window ids[w] holding events bounds[w] .. bounds[w + 1] - 1;
+   ids and bounds have room for n and n + 1.  One division per window, not
+   per event: an event stays in the window before it while its offset from
+   that window's start is below t_us, a test in unsigned offsets that
+   cannot wrap.  The caller keeps every id at most INT64_MAX.  Returns the
+   number of windows, or -1 for a timestamp below the one before it. */
+static int64_t window_pass(const int64_t *t, int64_t n, int64_t t0,
+                           int64_t t_us, int64_t *windows, int64_t *ids,
+                           int64_t *bounds)
 {
     uint64_t span = (uint64_t)t_us, start = 0;
     int64_t nw = 0, id = 0;
     for (int64_t i = 0; i < n; i++) {
         uint64_t d = (uint64_t)t[i] - (uint64_t)t0;
+        if (i && t[i] < t[i - 1])
+            return -1;
         if (!nw || d - start >= span) {
-            if (nw == room)
-                return -1;
             start = d - d % span;
             id = (int64_t)(d / span) + 1;
             ids[nw] = id;
@@ -127,20 +125,22 @@ int64_t window_pass(const int64_t *t, int64_t n, int64_t t0, int64_t t_us,
    k0 + i of the stream and whose window w holds events bounds[w] ..
    bounds[w + 1] - 1.  st holds the walk's state, read and updated: the
    next event i, its window w, the events retained in the stream, and the
-   events kept and capped in the piece.  Event k is capped (code 2) when
-   k > 0 and retained > alpha * k; any other takes the next draw of
-   u[0:nu], or 0.0 without u, and is accepted (code 0) when the draw is
-   below p[i], else rejected (code 1); an accepted event's position goes
-   to kept and counts in per_window[w].  The walk stops before an event
-   that needs a draw when u has none left; returns the draws used. */
-int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
-                 const double *u, int64_t nu, double alpha, int64_t k0,
-                 uint8_t *codes, int64_t *kept, int64_t *per_window,
-                 int64_t *st)
+   events kept and capped.  Event k is capped (code 2) when k > 0 and
+   retained > alpha * k; any other takes the next draw of u[0:nu], or 0.0
+   without u, and is accepted (code 0) when the draw is below p[i], else
+   rejected (code 1); an accepted event's position base + i goes to kept,
+   which has room for room of them, and counts in per_window[w].  The
+   walk stops before an event that needs a draw when u has none left, and
+   before any event once kept is full; returns the draws used. */
+static int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
+                        const double *u, int64_t nu, double alpha,
+                        int64_t k0, uint8_t *codes, int64_t *kept,
+                        int64_t room, int64_t base, int64_t *per_window,
+                        int64_t *st)
 {
     int64_t i = st[0], w = st[1], retained = st[2], nk = st[3];
     int64_t capped = st[4], di = 0;
-    for (; i < n; i++) {
+    for (; i < n && nk < room; i++) {
         int64_t k = k0 + i;
         if (i == bounds[w + 1])
             w++;
@@ -152,7 +152,7 @@ int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
         else if ((u ? u[di++] : 0.0) < p[i]) {
             codes[i] = 0;
             retained++;
-            kept[nk++] = i;
+            kept[nk++] = base + i;
             per_window[w]++;
         } else
             codes[i] = 1;
@@ -542,18 +542,19 @@ static void add_run(struct tally *t, int64_t k)
    score to p.
 
    scratch holds room[0] values and tal, tmp and map room[1] pairs each,
-   prb one double more.  The piece needs 4 * longest + PASSES * RADIX
+   prb one double more.  The piece needs 4 * longest + passes * RADIX
    values, for its longest window, and the tally's pairs plus longest
    pairs; when it needs more than there is, nothing is read or written
    but st[3] and st[4], which receive the two sizes, and -2 is returned.
    Otherwise returns 0, or -1 for an index that is negative or not below
    n_pixels, before any score of its window is written. */
-int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
-                    const int64_t *bounds, int64_t nw, int64_t n_pixels,
-                    const double *consts, const double *occ,
-                    const double *weights, double *p, int64_t *scratch,
-                    pair *tal, pair *tmp, pair *map, double *prb,
-                    const int64_t *room, int64_t *ends, int64_t *st)
+static int64_t score_piece(const int64_t *flat, int64_t bits,
+                           const int64_t *ids, const int64_t *bounds,
+                           int64_t nw, int64_t n_pixels, const double *consts,
+                           const double *occ, const double *weights,
+                           double *p, int64_t *scratch, pair *tal, pair *tmp,
+                           pair *map, double *prb, const int64_t *room,
+                           int64_t *ends, int64_t *st)
 {
     struct chain c = {n_pixels, consts[0], consts[1], consts[2], consts[3],
                       occ, weights};
@@ -563,9 +564,9 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
     for (int64_t w = 0; w < nw; w++)
         if (bounds[w + 1] - bounds[w] > longest)
             longest = bounds[w + 1] - bounds[w];
-    if (4 * longest + PASSES * RADIX > room[0]
+    if (4 * longest + passes * RADIX > room[0]
             || ends[t.runs] + longest > room[1]) {
-        st[3] = 4 * longest + PASSES * RADIX;
+        st[3] = 4 * longest + passes * RADIX;
         st[4] = ends[t.runs] + longest;
         return -2;
     }
@@ -648,6 +649,184 @@ int64_t score_piece(const int64_t *flat, int64_t bits, const int64_t *ids,
     return 0;
 }
 
+/* The push of one piece of a stream, every step of a decision in one
+   call: each event's window, its probability, the cap walk and the window
+   rows, done conf[C_SPAN] events at a time, so that no buffer but the
+   caller's outputs and kept grows with the piece.
+
+   conf holds the method (M_DUTY, the duty cycle (t - t0) mod tw_us < ta,
+   which draws nothing; M_ALPHA, alpha for every event; M_SCORED, the
+   window scorer's score; M_GIVEN, the p the caller wrote), t_us, tw_us,
+   ta, the sensor's width, its pixel count and the bits its flat indices
+   need, the span, the rows a row block holds, and the largest and the
+   smallest block of fresh draws.  fconf holds alpha, the sigmoid's slope
+   and midpoint and the prior's peak (the scorer's consts), and the cap's
+   alpha (INFINITY without the cap).  buf holds the addresses of the
+   buffers, B_ below; each span-sized one has room for conf[C_SPAN]
+   values (one more for bounds), and kept room for st[S_ROOM] positions;
+   without a draw buffer the walk takes no draws, and accepts iff p > 0.
+   st holds
+   what the stream carries from piece to piece and how far the push has
+   got, S_ below.
+
+   Writes each event's window, code and probability (NaN for the duty
+   cycle) to windows, codes and p, the positions of the kept events in the
+   piece to kept, and a row (id, events, kept) per window to the row
+   block, the first added to the block's last row when it continues that
+   window.  Returns 0 once the piece is done, or the number of fresh draws
+   it needs (the caller writes them to the draw buffer and sets
+   st[S_DRAW] to 0 and st[S_DRAWS] to their number), or a status E_ below:
+   a row block to set up (with st[S_USED] 0), a larger kept (its room in
+   st[S_ROOM]), room for the scorer (the sizes in st[S_NEED],
+   st[S_NEED + 1]), a flat index outside the sensor, a window id past
+   INT64_MAX, a piece that starts before the last timestamp pushed, or a
+   timestamp below the one before it.  After the first four the next call
+   carries on where this one stopped; the next two change nothing. */
+enum { M_DUTY = 0, M_ALPHA = 1, M_SCORED = 2, M_GIVEN = 3 };
+enum { C_METHOD = 0, C_T_US = 1, C_TW_US = 2, C_TA = 3, C_WIDTH = 4,
+       C_PIXELS = 5, C_BITS = 6, C_SPAN = 7, C_ROWS = 8, C_DRAW_MAX = 9,
+       C_DRAW_MIN = 10 };
+enum { F_ALPHA = 0, F_CAP = 4 };
+enum { B_FLAT = 0, B_IDS = 1, B_BOUNDS = 2, B_KEPT_W = 3, B_KEPT = 4,
+       B_DRAWS = 5, B_ROWS = 6, B_OCC = 7, B_WEIGHTS = 8, B_SCRATCH = 9,
+       B_TAL = 10, B_TMP = 11, B_MAP = 12, B_PRB = 13, B_ROOM = 14,
+       B_ENDS = 15 };
+/* S_I .. S_CAPPED are cap_walk's state, S_SCORE .. S_NEED + 1
+   score_piece's; S_RETAINED and S_CAPPED count the whole stream. */
+enum { S_SEEN = 0, S_T0 = 1, S_LAST = 2, S_I = 3, S_W = 4, S_RETAINED = 5,
+       S_NK = 6, S_CAPPED = 7, S_SCORE = 8, S_NEED = 11, S_LO = 13,
+       S_STAGE = 14, S_NW = 15, S_ROW = 16, S_USED = 17, S_DRAW = 18,
+       S_DRAWS = 19, S_PDF_NS = 20, S_EVAL_NS = 21, S_M = 22, S_ROOM = 23,
+       S_SIZE = 24 };
+enum { E_ROWS = -1, E_KEPT = -2, E_ROOM = -3, E_INDEX = -4, E_LIMIT = -5,
+       E_ORDER = -6, E_DECREASE = -7 };
+
+static int64_t now_ns(void)
+{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
+}
+
+/* The rows of a span's nw windows from row st[S_ROW] on; E_ROWS when the
+   next row finds the block full, else 0. */
+static int64_t add_rows(const int64_t *ids, const int64_t *bounds,
+                        const int64_t *kept_w, int64_t nw,
+                        int64_t (*rows)[3], int64_t room, int64_t *st)
+{
+    for (int64_t w = st[S_ROW]; w < nw; w++) {
+        int64_t used = st[S_USED];
+        if (!w && used && rows[used - 1][0] == ids[0]) {
+            rows[used - 1][1] += bounds[1];  /* bounds[0] is 0 */
+            rows[used - 1][2] += kept_w[0];
+            continue;
+        }
+        if (used == room) {
+            st[S_ROW] = w;
+            return E_ROWS;
+        }
+        rows[used][0] = ids[w];
+        rows[used][1] = bounds[w + 1] - bounds[w];
+        rows[used][2] = kept_w[w];
+        st[S_USED] = used + 1;
+    }
+    return 0;
+}
+
+int64_t push_piece(const int64_t *t, const int64_t *x, const int64_t *y,
+                   int64_t n, int64_t *windows, uint8_t *codes, double *p,
+                   const int64_t *conf, const double *fconf, int64_t *st,
+                   void *const *buf)
+{
+    int64_t method = conf[C_METHOD], t0 = st[S_SEEN] ? st[S_T0] : t[0];
+    int64_t *ids = buf[B_IDS], *bounds = buf[B_BOUNDS];
+    int64_t *kept_w = buf[B_KEPT_W];
+    if (!st[S_LO] && !st[S_STAGE]) {
+        if (st[S_SEEN] && t[0] < st[S_LAST])
+            return E_ORDER;
+        if (t[n - 1] < t0)
+            return E_DECREASE;
+        if ((uint64_t)(t[n - 1] - t0) / (uint64_t)conf[C_T_US]
+                >= (uint64_t)INT64_MAX)
+            return E_LIMIT;
+        st[S_T0] = t0;
+        st[S_NK] = 0;
+    }
+    while (st[S_LO] < n) {
+        int64_t lo = st[S_LO], m = st[S_M];
+        if (st[S_STAGE] == 0) {
+            int64_t nw;
+            m = n - lo < conf[C_SPAN] ? n - lo : conf[C_SPAN];
+            nw = window_pass(t + lo, m, t0, conf[C_T_US], windows + lo, ids,
+                             bounds);
+            if (nw < 0 || (lo && t[lo] < t[lo - 1]))
+                return E_DECREASE;
+            /* A span that ends inside a window that goes on ends before it
+               instead, so that no window shorter than a span is split. */
+            if (lo + m < n && nw > 1 && (int64_t)((uint64_t)(t[lo + m] - t0)
+                    / (uint64_t)conf[C_T_US]) + 1 == ids[nw - 1])
+                m = bounds[--nw];
+            st[S_M] = m;
+            if (method == M_DUTY)
+                for (int64_t i = lo; i < lo + m; i++)
+                    p[i] = (t[i] - t0) % conf[C_TW_US] < conf[C_TA];
+            else if (method == M_ALPHA)
+                for (int64_t i = lo; i < lo + m; i++)
+                    p[i] = fconf[F_ALPHA];
+            else if (method == M_SCORED) {
+                int64_t *flat = buf[B_FLAT], start = now_ns(), done;
+                for (int64_t i = 0; i < m; i++)
+                    flat[i] = y[lo + i] * conf[C_WIDTH] + x[lo + i];
+                done = score_piece(flat, conf[C_BITS], ids, bounds, nw,
+                                   conf[C_PIXELS], fconf, buf[B_OCC],
+                                   buf[B_WEIGHTS], p + lo, buf[B_SCRATCH],
+                                   buf[B_TAL], buf[B_TMP], buf[B_MAP],
+                                   buf[B_PRB], buf[B_ROOM], buf[B_ENDS],
+                                   st + S_SCORE);
+                st[S_PDF_NS] += now_ns() - start;
+                if (done == -1)
+                    return E_INDEX;
+                if (done < 0)
+                    return E_ROOM;
+            }
+            memset(kept_w, 0, (size_t)nw * sizeof *kept_w);
+            st[S_NW] = nw;
+            st[S_I] = st[S_W] = st[S_ROW] = 0;
+            st[S_STAGE] = 1;
+        }
+        if (st[S_STAGE] == 1) {
+            int64_t start = now_ns(), left;
+            const double *u = !buf[B_DRAWS] ? NULL
+                : (const double *)buf[B_DRAWS] + st[S_DRAW];
+            st[S_DRAW] += cap_walk(p + lo, m, bounds, u,
+                                   st[S_DRAWS] - st[S_DRAW], fconf[F_CAP],
+                                   st[S_SEEN] + lo, codes + lo, buf[B_KEPT],
+                                   st[S_ROOM], lo, kept_w, st + S_I);
+            st[S_EVAL_NS] += now_ns() - start;
+            if (st[S_I] < m && st[S_NK] == st[S_ROOM])
+                return E_KEPT;
+            if (st[S_I] < m) {
+                left = n - lo - st[S_I];
+                left = left < conf[C_DRAW_MIN] ? conf[C_DRAW_MIN] : left;
+                return left < conf[C_DRAW_MAX] ? left : conf[C_DRAW_MAX];
+            }
+            if (method == M_DUTY)
+                for (int64_t i = lo; i < lo + m; i++)
+                    p[i] = NAN;
+            st[S_STAGE] = 2;
+        }
+        if (add_rows(ids, bounds, kept_w, st[S_NW], buf[B_ROWS], conf[C_ROWS],
+                     st))
+            return E_ROWS;
+        st[S_LO] = lo + m;
+        st[S_STAGE] = 0;
+    }
+    st[S_SEEN] += n;
+    st[S_LAST] = t[n - 1];
+    st[S_LO] = 0;
+    return 0;
+}
+
 /* The decimal of v at o ('-' first when negative); returns the end.
    The digit count t or t + 1 follows from the bit length b of the
    magnitude m: t = b * 1233 >> 12 is floor(b * log10(2)) for b <= 64,
@@ -687,30 +866,45 @@ static char *decimal(char *o, int64_t v)
     return o + len;
 }
 
-/* n rows of ncols comma-separated fields, each row ending in LF, written
-   to out; returns the bytes written.  Field c of row i is row ints[c][i]
-   of the table tables[c], whose rows are width[c] bytes, NUL-padded on the
-   right, when tables[c] is set; else the decimal of ints[c][i] when that
-   is set; else the decimal of start[c] + i.  out must hold every field at
-   its widest plus one separator each. */
-int64_t format_rows(int64_t n, int64_t ncols, const int64_t *const *ints,
-                    const int64_t *start, const char *const *tables,
-                    const int64_t *width, char *out)
+/* Rows *row .. n - 1 of ncols comma-separated fields, each row ending in
+   LF, written to out[0:cap] while the next row fits at its widest; sets
+   *row to the first row not written and returns the bytes written, or -1
+   before a row whose table column holds a row number outside its table.
+   Column c is described by meta[k * ncols + c] for k = 0 .. 5: the
+   address of its values, int64 or, when k = 4 holds 1, uint8; the start
+   of the values start + i when there are none; the address of a table
+   whose rows are k = 3 bytes wide, NUL-padded on the right, and k = 5
+   rows long, to write row values[i] of; else the decimal of the value. */
+int64_t format_rows(int64_t n, int64_t ncols, const int64_t *meta, char *out,
+                    int64_t cap, int64_t *row)
 {
+    const int64_t *start = meta + ncols, *width = meta + 3 * ncols;
+    const int64_t *narrow = meta + 4 * ncols, *rows = meta + 5 * ncols;
     char *o = out;
-    for (int64_t i = 0; i < n; i++) {
+    int64_t widest = ncols, i;
+    for (int64_t c = 0; c < ncols; c++)
+        widest += meta[2 * ncols + c] ? width[c] : 20;
+    for (i = *row; i < n && (o - out) + widest <= cap; i++) {
         for (int64_t c = 0; c < ncols; c++) {
-            if (tables[c]) {
-                const char *r = tables[c] + ints[c][i] * width[c];
+            const void *values = (const void *)(intptr_t)meta[c];
+            const char *table = (const char *)(intptr_t)meta[2 * ncols + c];
+            int64_t v = !values ? start[c] + i
+                : narrow[c] ? ((const uint8_t *)values)[i]
+                : ((const int64_t *)values)[i];
+            if (table) {
+                const char *r = table + v * width[c];
                 int64_t k;
+                if ((uint64_t)v >= (uint64_t)rows[c])
+                    return -1;
                 for (k = 0; k < width[c] && r[k]; k++)
                     o[k] = r[k];
                 o += k;
             } else
-                o = decimal(o, ints[c] ? ints[c][i] : start[c] + i);
+                o = decimal(o, v);
             *o++ = c + 1 < ncols ? ',' : '\n';
         }
     }
+    *row = i;
     return o - out;
 }
 """
@@ -722,11 +916,20 @@ _DIGEST_BYTES = 32
 # The Python loops convert this many values at a time to Python floats,
 # so their memory does not grow with the input.
 _BLOCK = 1 << 14
-# Fresh variates are drawn this many at a time.  A block stays in cache and
-# is reused from the heap; one array of draws for a whole piece of 1M
-# events is fresh memory that the process faults in on every push.
-_DRAW_BLOCK, _DRAW_MIN = 1 << 16, 1 << 12
+# Fresh variates are drawn this many at a time, into a buffer the push
+# keeps: the events left, but at least _DRAW_MIN, so that small pieces do
+# not draw each time, and at most _DRAW_BLOCK, so that the buffer stays in
+# cache.
+_DRAW_BLOCK, _DRAW_MIN = 1 << 14, 1 << 12
+# The compiled push decides a piece at most this many events at a time, so
+# that its buffers hold this many, however long the piece; a span ends
+# before a window that goes on past it, so windows up to this long are
+# scored whole.
+_SPAN = 1 << 14
+# Per-window rows are kept in blocks of this many, 24 bytes each.
+_ROW_BLOCK = 1 << 12
 _P, _I64 = ctypes.c_void_p, ctypes.c_int64
+_UINT8, _INT64 = np.dtype(np.uint8), np.dtype(np.int64)
 # A map without active pixels, and the tally of a window without events.
 _NO_PIXELS, _NO_SCORES = np.empty(0, np.int64), np.empty(0, np.float64)
 _IDLE = (_NO_PIXELS, _NO_PIXELS)
@@ -734,111 +937,22 @@ _IDLE = (_NO_PIXELS, _NO_PIXELS)
 # lacking any of them is rebuilt.  pairwise_sum is the freeze's sum, exported
 # so that a test can hold it to numpy's.
 _KERNELS = {
-    "window_pass": ((_P, _I64, _I64, _I64, _P, _P, _P, _I64), _I64),
-    "cap_walk": ((_P, _I64, _P, _P, _I64, ctypes.c_double, _I64, _P, _P, _P,
-                  _P), _I64),
+    "push_piece": ((*[_P] * 3, _I64, *[_P] * 7), _I64),
     "expit": ((_P, _P, _I64), None),
     "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
-    "format_rows": ((_I64, _I64, _P, _P, _P, _P, _P), _I64),
+    "format_rows": ((_I64, _I64, _P, _P, _I64, _P), _I64),
     "pairwise_sum": ((_P, _I64), ctypes.c_double),
-    "score_piece": ((_P, _I64, _P, _P, _I64, _I64, *[_P] * 12), _I64),
 }
-
-
-def _window_pass(t, t0: int, t_us: int):
-    """The windows of one piece of a stream: ``(windows, ids, bounds)``,
-    each event's window id as :func:`evdown.events.window_ids` gives it and
-    the nonempty windows as :func:`evdown.events.window_spans` does (its
-    Python twin), window ``ids[w]`` holding events ``bounds[w] ..
-    bounds[w + 1] - 1``.  ``t``, unchecked, is a nonempty contiguous int64
-    array, sorted and from ``t0`` on; ``t_us`` is positive.
-
-    Raises ValueError as :func:`~evdown.events.window_ids` does, before
-    anything is computed; the compiled pass, which divides once per window,
-    also refuses timestamps that decrease rather than write past its arrays.
-    """
-    n, top = t.shape[0], int(t[-1])
-    _check_window_limit(top, t0, t_us)
-    kernel = _kernel()
-    if kernel is None:
-        windows = window_ids(t, t0, t_us, top)
-        return (windows, *window_spans(windows))
-    room = max(0, min(n, (top - t0) // t_us - (int(t[0]) - t0) // t_us + 1))
-    # One array holds the windows, the ids and the bounds.
-    out = np.empty(n + 2 * room + 1, np.int64)
-    at = _array_address(out)
-    nw = kernel.window_pass(_array_address(t), n, t0, t_us, at, at + 8 * n,
-                            at + 8 * (n + room), room)
-    if nw < 0:
-        raise ValueError("timestamps must not decrease")
-    return out[:n], out[n:n + nw], out[n + room:n + room + nw + 1]
-
-
-def _walk_piece(p, bounds, alpha, k0: int, retained0: int, draws, more):
-    """Decide the events ``k0 .. k0 + len(p) - 1`` of one piece of a
-    stream, resumed after ``retained0`` of the events before were kept.
-
-    Unchecked: ``p`` (contiguous float64) holds each event's acceptance
-    probability, ``bounds`` (contiguous int64) the nonempty windows that
-    hold them, as :func:`_window_pass` gives them, ``0 <= retained0 <=
-    k0``, and ``draws`` is contiguous float64 or None.  Event ``k`` is
-    capped (code 2, taking no draw) when ``k > 0`` and ``retained > alpha *
-    k`` (never with ``alpha = math.inf``); any other takes the next draw
-    and is accepted (code 0) iff it is below its ``p``, else rejected (code
-    1).  ``draws`` holds the variates the walk before left unused, or is
-    None for the walk without draws, which accepts iff ``p`` is above 0;
-    ``more(n)`` returns ``n`` fresh ones, drawn only once ``draws`` runs
-    out, in blocks of the events left, but at least 4,096 and at most
-    65,536.  Each evaluated event takes the next variate of the stream, so
-    two resumed walks decide as one walk over both pieces.
-
-    Returns ``(codes, kept, capped, window_kept, retained, left)``: the
-    codes (uint8), the positions of the accepted events in the piece, how
-    many events were capped, how many were accepted in each window, how
-    many the stream has retained, and the draws left unused (None without
-    draws).  Raises ValueError when ``more`` returns another number of
-    draws.
-    """
-    n = p.shape[0]
-    codes = np.empty(n, np.uint8)
-    kernel = _kernel()
-    if kernel is None:
-        st = [0, retained0]
-
-        def walk(u):
-            st[1], used, st[0] = _walk_python(p, u, alpha, codes, k0, st[1],
-                                              st[0])
-            return used, st[0]
-
-        left = _walk_with_draws(walk, n, draws, more)
-        kept = np.flatnonzero(codes == 0)
-        return (codes, kept, int(np.count_nonzero(codes == 2)),
-                np.diff(np.searchsorted(kept, bounds)), st[1], left)
-    # The prefix cap bound: an event k > 0 is accepted only when retained
-    # <= alpha * k before it, so by the piece's end the stream has kept at
-    # most floor(alpha * (k0 + n - 1)) + 1 events.
-    room = n
-    if 0.0 <= alpha < 1.0:
-        room = max(0, min(n, math.floor(alpha * (k0 + n - 1)) + 1
-                          - retained0))
-    nw = bounds.shape[0] - 1
-    # One array holds the kept positions, the per-window counts and the
-    # walk's state.
-    out = np.zeros(room + nw + 5, np.int64)
-    out[room + nw + 2] = retained0
-    at = _array_address(out)
-    args = (_array_address(p), n, _array_address(bounds))
-    outputs = (_array_address(codes), at, at + 8 * room, at + 8 * (room + nw))
-
-    def walk(u):
-        draw = (None, 0) if u is None else (_array_address(u), u.shape[0])
-        used = kernel.cap_walk(*args, *draw, alpha, k0, *outputs)
-        return used, int(out[room + nw])
-
-    left = _walk_with_draws(walk, n, draws, more)
-    _, _, retained, nk, capped = out[room + nw:].tolist()
-    return codes, out[:nk], capped, out[room:room + nw], retained, left
+# The enums of push_piece in _SOURCE that Python reads or writes.
+_METHODS = {"deterministic": 0, "uniform": 1, "poisson": 2, "given": 3}
+(_C_PIXELS, _C_SPAN, _B_KEPT, _B_DRAWS, _B_ROWS, _B_SCRATCH) = (5, 7, 4, 5, 6,
+                                                               9)
+(_S_SEEN, _S_T0, _S_LAST, _S_RETAINED, _S_NK, _S_CAPPED, _S_NEED, _S_LO,
+ _S_STAGE, _S_USED, _S_DRAW, _S_DRAWS, _S_PDF_NS, _S_EVAL_NS, _S_ROOM,
+ _S_SIZE) = (0, 1, 2, 5, 6, 7, 11, 13, 14, 17, 18, 19, 20, 21, 23, 24)
+_E_ROWS, _E_KEPT, _E_ROOM, _E_INDEX, _E_LIMIT, _E_ORDER = (-1, -2, -3, -4,
+                                                          -5, -6)
 
 
 def expit(x):
@@ -859,85 +973,264 @@ def expit(x):
     return out.reshape(x.shape)[()]
 
 
-class _Scorer:
-    """The window scorer of a stream pushed in pieces: alpha in window 1,
-    else the sparse map frozen from the window before, or from no tally
-    after a gap.  ``chain`` holds the arguments of
-    :func:`evdown.density.sparse_scores` but the tally, ``(geometry,
-    alpha, params, prior)``, the prior None or of ``geometry``.
+class _Decider:
+    """The decisions of a stream pushed in pieces, and the buffers that
+    every push reuses: the state :class:`evdown.pipeline.Downsampler`
+    keeps.  ``method`` is one of the pipeline's, or "given", the walk alone
+    on the probabilities the caller writes; ``config`` is the run's
+    :class:`evdown.samplers.SamplerConfig`; ``fill(out=array)`` writes
+    fresh variates, or is None for a walk without draws.
 
-    It holds what crosses a piece boundary: the open window's id, its map
-    and its tally.  The compiled kernel keeps them, and its scratch, in
-    buffers it reuses, grown to the largest piece and tally so far; the
-    tally is a stack of runs it merges as they pile up (``struct tally``
-    in the C source), so a piece costs in proportion to its own tally.
-    The Python twin keeps the tally as one pair of arrays and the map as a
-    :class:`evdown.density.SparseScores`, and runs ``np.unique``,
-    ``sparse_scores`` and its lookup window by window.
+    It holds what crosses a piece boundary: the counts of events seen,
+    kept and capped, the anchor and last timestamps, the variates drawn
+    but not yet used, the open window's scoring state (its id, map and
+    tally) and a ``(window_id, processed, retained)`` row per window, in
+    blocks of _ROW_BLOCK.  The compiled push (``push_piece`` in the C
+    source) returns to Python only for fresh draws, a row block, or room
+    for the kept positions or the scorer, whose buffers grow to the
+    largest window and tally so far; the tally is a stack of runs merged as
+    they pile up (``struct tally``), so a piece costs in proportion to its
+    own tally.  The Python twin runs over the whole piece at once.
     """
 
-    def __init__(self, chain):
-        self.chain, self.kernel = chain, _kernel()
-        self.window, self._tally, self._frozen = 0, _IDLE, None
-        if self.kernel is None:
-            return
+    def __init__(self, geometry, method, config, fill):
         from .density import _OCCUPANCY
-        geometry, alpha, params, prior = chain
-        self.consts = np.array([alpha, params.slope, params.midpoint,
-                                1.0 if prior is None else prior.peak])
-        self.fixed = (geometry.n_pixels, self.consts.ctypes.data,
-                      _OCCUPANCY.ctypes.data,
-                      None if prior is None else prior.weights.ctypes.data)
-        # The open window, the size of its map, the runs of its tally, and
-        # the sizes the kernel asks for when it needs more room.
-        self.state, self.room = np.zeros(5, np.int64), np.zeros(2, np.int64)
-        self.ends = np.zeros(65, np.int64)
-        self.scratch, self.prb = np.empty(0, np.int64), np.empty(1)
-        self.tal = self.tmp = self.map = np.empty((0, 2), np.int64)
-        self._grow(0, 0)
-
-    def score(self, flat, ids, bounds, p) -> None:
-        """Write the score of each event of the next piece to ``p`` (a
-        contiguous, writable float64 array), given the events' flat pixel
-        indices (contiguous int64) and windows as :func:`_window_pass`
-        gives them, the ids from the open window's on; none is checked.
-        Raises ValueError for an index outside the sensor, before any
-        score of its window is written.
-        """
+        from .samplers import acceptance_window_us
+        self.kernel, self.fill = _kernel(), fill
+        alpha, params, prior = config.alpha, config.theta, config.prior
+        code = _METHODS[method]
+        self.scored, self.n_pixels = code == 2, geometry.n_pixels
+        self.chain = (geometry, alpha, params, prior)
+        self.conf = np.array([
+            code, config.t_us, config.tw_us,
+            acceptance_window_us(alpha, config.tw_us), geometry.width,
+            geometry.n_pixels, (geometry.n_pixels - 1).bit_length(), 0,
+            _ROW_BLOCK, _DRAW_BLOCK, _DRAW_MIN], np.int64)
+        self.cap = alpha if config.cap_enabled else math.inf
+        self.fconf = np.array([alpha, params.slope, params.midpoint,
+                               1.0 if prior is None else prior.peak, self.cap])
+        self.state = np.zeros(_S_SIZE, np.int64)
+        self.draws, self.kept = np.empty(0), np.empty(0, np.int64)
+        self.full, self.block = [], np.empty((_ROW_BLOCK, 3), np.int64)
+        # The Python twin's scoring state: the open window, its tally and map.
+        self.window, self.tally, self.frozen = 0, _IDLE, None
         if self.kernel is None:
-            self._tally, self._frozen = _score_piece_python(
-                flat, ids, bounds, self.window, self._tally, self._frozen,
-                self.chain, p)
-            self.window = int(ids[-1]) if ids.size else self.window
             return
-        piece = (_array_address(flat), (self.fixed[0] - 1).bit_length(),
-                 _array_address(ids), _array_address(bounds), ids.shape[0],
-                 *self.fixed, _array_address(p))
-        while (done := self.kernel.score_piece(*piece, *self.buffers)) == -2:
-            self._grow(*self.state[3:].tolist())
-        if done < 0:
-            raise ValueError(f"flat pixel indices must be in "
-                             f"[0, {self.fixed[0]})")
+        # The buffers, in the order of the B_ enum: the span's flat indices,
+        # window ids, bounds and kept counts (grown by _spans), then the kept
+        # positions, the draws, the row block, the occupancy table and the
+        # prior's weights.
+        self.buffers = [*[np.empty(0, np.int64)] * 4, self.kept,
+                        None if fill is None else self.draws, self.block,
+                        _OCCUPANCY,
+                        None if prior is None else prior.weights]
+        # The scorer's: scratch, tally, merge room, map and scores, their
+        # sizes and the tally's run ends.
+        self.buffers += [np.empty(0, np.int64), *(
+            np.empty((0, 2), np.int64) for _ in range(3)), np.empty(1),
+            np.zeros(2, np.int64), np.zeros(65, np.int64)]
+        self.addresses = np.zeros(len(self.buffers), np.int64)
+        for b in range(len(self.buffers)):
+            self._set(b, self.buffers[b])
+        self.args = tuple(_array_address(a) for a in (
+            self.conf, self.fconf, self.state, self.addresses))
+
+    def push(self, t, x, y, windows, codes, p):
+        """Decide the next piece of the stream, given its timestamps and
+        pixels (contiguous int64, ``x`` and ``y`` read only for "poisson").
+        Each event's window, code and probability go to ``windows``,
+        ``codes`` and ``p`` (writable contiguous int64, uint8 and float64
+        arrays of the piece's length; with "given", ``p`` holds the
+        probabilities).  Returns the positions of the kept events in the
+        piece, in a buffer that the next push reuses, and the number of
+        events pushed before.
+
+        The piece is nonempty and its timestamps at least the last pushed,
+        unless ValueError says otherwise: for a piece that starts before the
+        last timestamp pushed, naming the index of its first event in the
+        stream, or a window id past 2**63 - 1, before anything changes; for
+        timestamps that decrease within the piece, or a pixel outside the
+        sensor.
+        """
+        st, n = self.state, t.shape[0]
+        k0 = int(st[_S_SEEN])
+        if self.kernel is None:
+            return self._push_python(t, x, y, windows, codes, p), k0
+        if n > self.conf[_C_SPAN] < _SPAN:
+            self._spans(min(n, _SPAN))
+        pixels = ((_array_address(x), _array_address(y)) if self.scored
+                  else (None, None))
+        call = (_array_address(t), *pixels, n, _array_address(windows),
+                _array_address(codes), _array_address(p), *self.args)
+        while done := self.kernel.push_piece(*call):
+            if done > 0:
+                self._draw(done)
+            elif done == _E_ROWS:
+                self._new_rows()
+            elif done == _E_KEPT:
+                self._more_kept(2 * self.kept.shape[0] + 64)
+            elif done == _E_ROOM:
+                self._grow(*st[_S_NEED:_S_NEED + 2].tolist())
+            else:
+                st[_S_LO] = st[_S_STAGE] = 0
+                raise self._refusal(done, t)
+        return self.kept[:st[_S_NK]], k0
+
+    def totals(self):
+        """The events seen, kept and capped so far, and the seconds spent
+        scoring and walking."""
+        seen, retained, capped, pdf_ns, eval_ns = self.state[[
+            _S_SEEN, _S_RETAINED, _S_CAPPED, _S_PDF_NS, _S_EVAL_NS]].tolist()
+        return seen, retained, capped, pdf_ns / 1e9, eval_ns / 1e9
+
+    def rows(self) -> list:
+        """Every ``[window_id, processed, retained]`` row so far."""
+        return [row for block in (*self.full, self.block[:self.state[_S_USED]])
+                for row in block.tolist()]
+
+    def _refusal(self, done: int, t) -> ValueError:
+        st = self.state
+        if done == _E_ORDER:
+            return ValueError(f"events out of order at index {st[_S_SEEN]}: "
+                              f"t={int(t[0])} after t={st[_S_LAST]}")
+        if done == _E_LIMIT:
+            t0 = int(st[_S_T0]) if st[_S_SEEN] else int(t[0])
+            _check_window_limit(int(t[-1]), t0, int(self.conf[1]))
+        if done == _E_INDEX:
+            return ValueError(f"flat pixel indices must be in "
+                              f"[0, {self.n_pixels})")
+        return ValueError("timestamps must not decrease")
+
+    def _spans(self, size: int) -> None:
+        """Decide ``size`` events at a time, with buffers to match."""
+        self.conf[_C_SPAN] = size
+        for b in range(4):
+            self._set(b, np.empty(size + (b == 2) if b or self.scored else 0,
+                                  np.int64))
+
+    def _set(self, b: int, array) -> None:
+        """Make ``array`` buffer ``b`` of the compiled push."""
+        self.buffers[b] = array
+        self.addresses[b] = 0 if array is None else _array_address(array)
+
+    def _draw(self, n: int) -> np.ndarray:
+        """Write ``n`` fresh variates to the start of the draw buffer."""
+        if n > self.draws.shape[0]:
+            self.draws = np.empty(n)
+            if self.kernel is not None:
+                self._set(_B_DRAWS, self.draws)
+        self.fill(out=self.draws[:n])
+        self.state[_S_DRAW], self.state[_S_DRAWS] = 0, n
+        return self.draws[:n]
+
+    def _more_kept(self, size: int) -> None:
+        """Room for ``size`` kept positions, keeping those of the piece."""
+        kept, self.kept = self.kept, np.empty(size, np.int64)
+        self.kept[:kept.shape[0]] = kept
+        self.state[_S_ROOM] = size
+        if self.kernel is not None:
+            self._set(_B_KEPT, self.kept)
+
+    def _new_rows(self) -> None:
+        """Keep the full row block and start another."""
+        self.full.append(self.block)
+        self.block = np.empty((_ROW_BLOCK, 3), np.int64)
+        self.state[_S_USED] = 0
+        if self.kernel is not None:
+            self._set(_B_ROWS, self.block)
 
     def _grow(self, values: int, pairs: int) -> None:
         """Room for ``values`` scratch values and ``pairs`` tally pairs, a
-        quarter more than asked, keeping the open window's tally and map."""
-        if values > self.room[0]:
-            self.scratch = np.empty(values * 5 // 4, np.int64)
-        if pairs > self.room[1]:
-            size = pairs * 5 // 4 + 1
-            m, runs = self.state[1:3].tolist()
-            used = self.ends[runs]
-            tal, self.tmp, maps = (np.empty((size, 2), np.int64)
-                                   for _ in range(3))
-            prb = np.empty(size + 1)
-            tal[:used], maps[:m] = self.tal[:used], self.map[:m]
-            prb[:m + 1] = self.prb[:m + 1]
-            self.tal, self.map, self.prb = tal, maps, prb
-        self.room[:] = self.scratch.size, self.tal.shape[0]
-        self.buffers = tuple(a.ctypes.data for a in (
-            self.scratch, self.tal, self.tmp, self.map, self.prb, self.room,
-            self.ends, self.state))
+        quarter more than asked, keeping the open window's tally and map.
+        The buffers are replaced one at a time, each old one dropped once
+        it is copied, so no two generations are held at once."""
+        room, ends = self.buffers[_B_SCRATCH + 5:]
+        m, runs = self.state[_S_NEED - 2:_S_NEED].tolist()
+        more_values, more_pairs = values > room[0], pairs > room[1]
+        values, pairs = values * 5 // 4, pairs * 5 // 4 + 1
+        # scratch, tal, tmp, map and prb: whether each grows, to what, and
+        # how much of it to keep.
+        for b, grow, size, used in (
+                (0, more_values, values, 0),
+                (1, more_pairs, pairs, ends[runs]), (2, more_pairs, pairs, 0),
+                (3, more_pairs, pairs, m), (4, more_pairs, pairs + 1, m + 1)):
+            if grow:
+                old = self.buffers[_B_SCRATCH + b]
+                self.buffers[_B_SCRATCH + b] = None
+                new = np.empty((size, *old.shape[1:]), old.dtype)
+                new[:used] = old[:used]
+                del old
+                self._set(_B_SCRATCH + b, new)
+        room[:] = (self.buffers[_B_SCRATCH].shape[0],
+                   self.buffers[_B_SCRATCH + 1].shape[0])
+
+    def _push_python(self, t, x, y, windows, codes, p):
+        st = self.state
+        seen, n = int(st[_S_SEEN]), t.shape[0]
+        if seen and t[0] < st[_S_LAST]:
+            raise self._refusal(_E_ORDER, t)
+        t0 = int(st[_S_T0]) if seen else int(t[0])
+        method, t_us, tw_us, ta = self.conf[:4].tolist()
+        windows[:] = window_ids(t, t0, t_us, int(t[-1]))
+        ids, bounds = window_spans(windows)
+        st[_S_T0] = t0
+        start = time.perf_counter_ns()
+        if method == 0:
+            p[:] = (t - t0) % tw_us < ta
+        elif method == 1:
+            p.fill(self.chain[1])
+        elif method == 2:
+            self.tally, self.frozen = _score_piece_python(
+                y * self.chain[0].width + x, ids, bounds, self.window,
+                self.tally, self.frozen, self.chain, p)
+            self.window = int(ids[-1])
+            st[_S_PDF_NS] += time.perf_counter_ns() - start
+        # The walk over the draws left unused, then over blocks of fresh
+        # ones while they run out before the piece's end.
+        start = time.perf_counter_ns()
+        draws = (None if self.fill is None
+                 else self.draws[st[_S_DRAW]:st[_S_DRAWS]])
+        walked = [int(st[_S_RETAINED]), 0, 0]  # retained, used, stop
+        if draws is None or draws.size:
+            walked = _walk_python(p, draws, self.cap, codes, seen, walked[0])
+        while walked[2] < n:
+            draws = self._draw(min(_DRAW_BLOCK,
+                                   max(n - walked[2], _DRAW_MIN)))
+            walked = _walk_python(p, draws, self.cap, codes, seen, walked[0],
+                                  walked[2])
+        st[_S_EVAL_NS] += time.perf_counter_ns() - start
+        if method == 0:
+            p.fill(np.nan)
+        if draws is not None:
+            st[_S_DRAW] = st[_S_DRAWS] - draws.shape[0] + walked[1]
+        kept = np.flatnonzero(codes == 0)
+        window_kept = np.diff(np.searchsorted(kept, bounds))
+        self._count_windows(ids, bounds, window_kept)
+        st[_S_SEEN], st[_S_LAST] = seen + n, t[-1]
+        st[_S_RETAINED] = walked[0]
+        st[_S_CAPPED] += np.count_nonzero(codes == 2)
+        return kept
+
+    def _count_windows(self, ids, bounds, window_kept) -> None:
+        """The twin's rows: the piece's windows added to the row blocks, the
+        open window's to its row from the last piece."""
+        rows, used, nw = self.block, int(self.state[_S_USED]), ids.shape[0]
+        first = int(used > 0 and rows[used - 1, 0] == ids[0])
+        if first:
+            rows[used - 1, 1] += bounds[1]  # bounds[0] is 0
+            rows[used - 1, 2] += window_kept[0]
+        while first < nw:
+            if used == _ROW_BLOCK:
+                self._new_rows()
+                rows, used = self.block, 0
+            take = min(nw - first, _ROW_BLOCK - used)
+            block, stop = rows[used:used + take], first + take
+            block[:, 0] = ids[first:stop]
+            np.subtract(bounds[first + 1:stop + 1], bounds[first:stop],
+                        out=block[:, 1])
+            block[:, 2] = window_kept[first:stop]
+            first, used = stop, used + take
+        self.state[_S_USED] = used
 
 
 def parse_events(data, labeled: bool, rows: int, start: int = 0,
@@ -966,12 +1259,12 @@ def parse_events(data, labeled: bool, rows: int, start: int = 0,
     dtypes = [np.int64] * 3 + [np.uint8, np.uint8 if labeled else None]
     if into is None:
         into = [None if d is None else np.empty(rows, d) for d in dtypes]
-    for c, d in zip(into, dtypes, strict=True):
-        if (c is None) != (d is None) or c is not None and (
-                c.dtype != d or c.shape != (rows,) or not c.flags.writeable
-                or not c.flags.c_contiguous):
-            raise ValueError(f"need columns of {rows} writable contiguous "
-                             f"values: t, x, y int64, p and labels uint8")
+    elif any((c is None) != (d is None) or c is not None and (
+            c.dtype != d or c.shape != (rows,) or not c.flags.writeable
+            or not c.flags.c_contiguous)
+            for c, d in zip(into, dtypes, strict=True)):
+        raise ValueError(f"need columns of {rows} writable contiguous "
+                         f"values: t, x, y int64, p and labels uint8")
     used = ctypes.c_int64()
     got = kernel.parse_events(
         _address(data) + start, stop - start, labeled, rows,
@@ -1004,7 +1297,7 @@ def scan_events(data, stop: int, labeled: bool,
     return None if got < 0 else got
 
 
-def format_rows(n: int, columns):
+def format_rows(n: int, columns, out=None, write=None):
     """The text of ``n`` rows of ``columns``, comma-separated and each
     ending in a newline, as a memoryview of ASCII bytes, or None when the
     compiled kernels are not available.
@@ -1013,55 +1306,71 @@ def format_rows(n: int, columns):
     consecutive integers, each written in decimal, or a pair ``(table,
     index)``: a uint8 matrix whose rows are ASCII text NUL-padded on the
     right, and ``n`` row numbers, row ``i`` written as ``table[index[i]]``
-    without its padding.  The buffer holds every field at its widest in
-    these rows, so its size follows the values, not their dtype.
+    without its padding.  int64 and uint8 values are read where they are;
+    other integers are converted to int64 first.
 
-    Raises ValueError for a column that does not fit that description.
+    Without ``out`` the text goes to a fresh buffer that holds every row at
+    its widest, and, when ``write`` is given, to ``write``.  With ``out``,
+    a writable contiguous uint8 array, the rows are formatted into it as
+    many at a time as fit at their widest, and each part is passed to
+    ``write`` before the next is formatted; the last part is returned.
+
+    Raises ValueError for a column that does not fit that description, or
+    an ``out`` too small for a row; a row number outside its table is found
+    as the rows are formatted, so the parts before it have been written.
     """
     kernel = _kernel()
     if kernel is None:
         return None
-    n = int(n)
-    if n == 0:
-        return memoryview(b"")
-    ncols = len(columns)
-    # Each column's integers' address, table's address, start and width,
-    # the four arrays format_rows reads, in one.
-    meta = np.zeros((4, ncols), np.int64)
-    ints, tables, start, width = meta
+    n, ncols = int(n), len(columns)
+    # For each column, what format_rows reads: the address of its values,
+    # its start, its table's address, width and rows, and whether its
+    # values are uint8; then the next row to format.
+    meta, widest = [0] * (6 * ncols + 1), ncols
     keep = []  # the arrays whose addresses the kernel reads
     for c, col in enumerate(columns):
         if isinstance(col, tuple):
-            table = np.ascontiguousarray(col[0], np.uint8)
-            index = np.ascontiguousarray(col[1], np.int64)
-            if (table.ndim != 2 or index.shape != (n,) or index.min() < 0
-                    or index.max() >= table.shape[0]):
-                raise ValueError(f"need a 2-D table and {n} row numbers "
-                                 f"within it")
-            keep += [table, index]
-            ints[c], tables[c] = _array_address(index), _array_address(table)
-            width[c] = table.shape[1]
-            continue
+            table, col = np.ascontiguousarray(col[0], np.uint8), col[1]
+            if table.ndim != 2:
+                raise ValueError("need a 2-D table")
+            keep.append(table)
+            meta[2 * ncols + c] = _array_address(table)
+            meta[5 * ncols + c], meta[3 * ncols + c] = table.shape
+            widest += table.shape[1]
+        else:
+            widest += 20  # the sign and 19 digits
         if isinstance(col, range):
             lo, hi = col.start, col.stop - 1
             if len(col) != n or col.step != 1 or lo < -2**63 or hi >= 2**63:
                 raise ValueError(f"need a range of {n} consecutive int64 "
                                  f"values")
-            start[c] = lo
-        else:
-            values = np.asarray(col)
-            if values.dtype.kind not in "iub" or values.shape != (n,):
-                raise ValueError(f"need {n} integers in one dimension")
-            values = np.ascontiguousarray(values, np.int64)
-            keep.append(values)
-            ints[c] = _array_address(values)
-            lo, hi = int(values.min()), int(values.max())
-        width[c] = max(len(str(lo)), len(str(hi)))  # the sign included
-    out = np.empty(n * int(width.sum() + ncols), np.uint8)
-    at = _array_address(meta)
-    used = kernel.format_rows(n, ncols, at, at + 16 * ncols, at + 8 * ncols,
-                              at + 24 * ncols, _array_address(out))
-    return out.data[:used]
+            meta[ncols + c] = lo
+            continue
+        values = np.asarray(col)
+        if values.dtype.kind not in "iub" or values.shape != (n,):
+            raise ValueError(f"need {n} integers in one dimension")
+        narrow = values.dtype == _UINT8
+        if not ((narrow or values.dtype == _INT64)
+                and values.flags.c_contiguous):
+            values = np.ascontiguousarray(values, _UINT8 if narrow
+                                          else _INT64)
+        keep.append(values)
+        meta[c], meta[4 * ncols + c] = _array_address(values), narrow
+    meta = np.array(meta, np.int64)
+    if out is None:
+        out = np.empty(n * widest, np.uint8)
+    elif out.shape[0] < widest:
+        raise ValueError(f"need room for a row of {widest} bytes")
+    at, text = _array_address(meta), memoryview(b"")
+    while meta[-1] < n:
+        used = kernel.format_rows(n, ncols, at, _array_address(out),
+                                  out.shape[0], at + 48 * ncols)
+        if used < 0:
+            raise ValueError(f"need {n} row numbers within the table")
+        text = out.data[:used]
+        if write is not None:
+            write(text)
+    return text
 
 
 def implementation() -> str:
@@ -1069,21 +1378,6 @@ def implementation() -> str:
     Python twins, evio's line loop in place of the event parser and scan,
     and its numpy row layout in place of the row formatter)."""
     return "python" if _kernel() is None else "compiled"
-
-
-def _walk_with_draws(walk, n, draws, more):
-    """Run ``walk(u) -> (used, stop)`` over the leftover draws, then, while
-    they run out before event ``n``, over blocks of fresh ones, at most
-    _DRAW_BLOCK: the events left, but at least _DRAW_MIN, so that small
-    pieces do not draw each time; return the draws left unused."""
-    used, stop = walk(draws) if draws is None or draws.size else (0, 0)
-    while stop < n:
-        block = min(_DRAW_BLOCK, max(n - stop, _DRAW_MIN))
-        draws = np.ascontiguousarray(more(block), np.float64)
-        if draws.shape != (block,):
-            raise ValueError(f"more({block}) must return {block} draws")
-        used, stop = walk(draws)
-    return None if draws is None else draws[used:]
 
 
 def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
@@ -1165,12 +1459,29 @@ def _merge_tallies(a, b):
     return pixels[first], np.add.reduceat(counts, first)
 
 
+def _data_offset():
+    """Where an ndarray object holds the address of its data, found on a
+    probe array against ``a.ctypes.data``; None when no place up to 64
+    bytes in holds it."""
+    probe = np.empty(1)
+    for at in range(8, 64, 8):
+        if ctypes.c_void_p.from_address(id(probe) + at).value == (
+                probe.ctypes.data):
+            return at
+    return None
+
+
+_DATA_AT = _data_offset() if sys.implementation.name == "cpython" else None
+
+
 def _array_address(a: np.ndarray) -> int:
-    """The address of a contiguous array's data; for a writable one, by a
-    path several times cheaper than ``a.ctypes.data``."""
-    if a.flags.writeable and a.nbytes:
-        return ctypes.addressof(ctypes.c_char.from_buffer(a))
-    return a.ctypes.data
+    """The address of a contiguous array's data, read from the array
+    object, a path several times cheaper than ``a.ctypes.data``."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"need an array, not {type(a).__name__}")
+    if _DATA_AT is None:
+        return a.ctypes.data
+    return ctypes.c_void_p.from_address(id(a) + _DATA_AT).value
 
 
 def _address(data) -> int:

@@ -9,13 +9,16 @@ failure.  Stochastic seeds come from --seed, falling back to the
 EVDOWN_SEED environment variable, then 0.
 
 downsample streams: it reads its input _CHUNK_EVENTS events at a time,
-decides each chunk and appends its kept events and log rows to files
-that replace the output paths only once the whole input has been read
-and checked.  A binary input is read record block by record block
-(evio.BinaryEvents).  A CSV input is read twice, a block of bytes at a
-time, into one buffer per pass (evio.CsvEvents): once to check its rows
-and infer its geometry, keeping no column, then again to decide it, each
-chunk's rows parsed straight into its own columns.  So the command holds
+about a camera driver's packet, decides each chunk and appends its kept
+events and log rows to files that replace the output paths only once the
+whole input has been read and checked.  A chunk costs one compiled push
+and one formatting pass per output, into buffers that the sampler and
+the writers reuse, so small chunks cost little more than large ones.  A
+binary input is read record block by record block (evio.BinaryEvents).
+A CSV input is read twice, a block of bytes at a time, into one buffer
+per pass (evio.CsvEvents): once to check its rows and infer its
+geometry, keeping no column, then again to decide it, each chunk's rows
+parsed straight into its own columns.  So the command holds
 one block and one chunk: neither the loop nor a reader holds a chunk, its
 kept events or its log rows while the next chunk is read.  This holds on
 every host and for every input: a block the compiled scan refuses, or any
@@ -145,7 +148,7 @@ def _check_window(value: int, flag: str) -> int:
     return value
 
 
-_CHUNK_EVENTS = 1 << 14   # events per chunk; bounds downsample's memory
+_CHUNK_EVENTS = 1 << 12   # events per chunk; bounds downsample's memory
 
 
 def _source(path, fmt: str):

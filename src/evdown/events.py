@@ -221,8 +221,7 @@ def first_violations(t, x, y, geometry: SensorGeometry | None = None):
     always None without a geometry.  Its temporaries take one byte per
     event."""
     def first(mask):
-        i = int(np.argmax(mask)) if mask.size else 0
-        return i if mask.size and mask[i] else None
+        return int(np.argmax(mask)) if mask.any() else None
 
     ordering = first(t[1:] < t[:-1])
     if ordering is not None:

@@ -185,14 +185,11 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
 
     For a block of a longer stream, ``start`` is the index of its first
     event, which messages count from, and ``before`` the timestamp of the
-    event ahead of it.  The columns must be fresh: the stream takes them
-    as its own.  A stream that cannot be built raises EventFileError,
+    event ahead of it.  The columns must be fresh arrays of the stream's
+    dtypes: the stream takes them as its own.  A stream that cannot be built raises EventFileError,
     naming its first event out of order, else its first event outside the
     given geometry, else the inferred geometry's fault.
     """
-    t = np.asarray(t, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    y = np.asarray(y, dtype=np.int64)
     if before is None or not t.size or t[0] >= before:
         try:
             sensor = geometry if geometry is not None else SensorGeometry(
@@ -354,13 +351,14 @@ def _reprs(values):
     sign bit set is written -nan, which float reads back with the sign;
     other NaN payload bits are not kept."""
     bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    if bits.size and bits.min() == bits.max():  # one value: skip the sort
-        bits, which = bits[:1], np.zeros(bits.size, np.intp)
+    one = bits.size and bits.min() == bits.max()  # one value: skip the sort
+    if one:
+        bits, which = bits[:1], np.zeros(bits.size, np.uint8)
     else:
         bits, which = np.unique(bits, return_inverse=True)
-    texts = ["-nan" if v != v and math.copysign(1.0, v) < 0 else repr(v)
-             for v in bits.view(np.float64).tolist()]
-    return _strings(texts), which
+    texts = tuple("-nan" if v != v and math.copysign(1.0, v) < 0 else repr(v)
+                  for v in bits.view(np.float64).tolist())
+    return _letters(texts) if one else _strings(texts), which
 
 
 def _symbols(mapping: dict, values, what: str):
@@ -372,10 +370,20 @@ def _symbols(mapping: dict, values, what: str):
             values.dtype.kind == "i" and values.min() < 0)):
         unknown = ~np.isin(values, list(mapping))
         raise ValueError(f"{what} {values[unknown][0]} has no letter")
-    return _strings([mapping[k] for k in range(len(mapping))]), values
+    return _letters(tuple(mapping[k] for k in range(len(mapping)))), values
 
 
-def _write_rows(fh, n: int, columns) -> None:
+@functools.cache
+def _letters(texts: tuple) -> np.ndarray:
+    """_strings of texts, made once; callers only read it."""
+    return _strings(texts)
+
+
+# Bytes of text a writer formats at a time, in one buffer it keeps.
+_TEXT_BYTES = 1 << 17
+
+
+def _write_rows(fh, n: int, columns, text=None) -> None:
     """Write n rows of columns to the binary file fh as comma-separated
     text, one row per line, _CHUNK_ROWS rows at a time.
 
@@ -383,14 +391,15 @@ def _write_rows(fh, n: int, columns) -> None:
     array, written with repr (see _reprs), or a pair (table, index) writing
     row i as table[index[i]] (see _strings).  Each block's columns become
     integers and (table, index) pairs, which the compiled row formatter
-    (capwalk.format_rows) writes into one buffer; without the compiled
-    kernels, _matrix_rows lays them out.  Either way no Python object is
-    made per row and no temporary spans more than one block.
+    (capwalk.format_rows) writes into ``text``, a uint8 buffer the writer
+    keeps, a part at a time (into a buffer of its own without one); without
+    the compiled kernels, _matrix_rows lays them out.  Either way no Python
+    object is made per row and no temporary spans more than one block.
     """
     def field(col, lo, hi):
         if isinstance(col, tuple):
-            return col[0], col[1][lo:hi]
-        part = col[lo:hi]
+            return col if n <= _CHUNK_ROWS else (col[0], col[1][lo:hi])
+        part = col if n <= _CHUNK_ROWS else col[lo:hi]
         if isinstance(part, np.ndarray) and part.dtype.kind == "f":
             return _reprs(part)
         return part
@@ -398,8 +407,8 @@ def _write_rows(fh, n: int, columns) -> None:
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
         fields = [field(col, lo, hi) for col in columns]
-        text = capwalk.format_rows(hi - lo, fields)
-        fh.write(_matrix_rows(hi - lo, fields) if text is None else text)
+        if capwalk.format_rows(hi - lo, fields, text, fh.write) is None:
+            fh.write(_matrix_rows(hi - lo, fields))
 
 
 def _matrix_rows(n: int, fields) -> bytes:
@@ -472,6 +481,9 @@ class BinaryEvents:
         self.labeled = False  # the format has no field for labels
         self.count = count
         self._fh = open(path, "rb", buffering=0)  # read block by block
+        # The records of a block, read into one array that every block
+        # reuses: its columns are converted into the block's own.
+        self._recs = np.empty(0, REC_DTYPE)
 
     def close(self) -> None:
         """Close the file; a later read fails."""
@@ -482,9 +494,16 @@ class BinaryEvents:
         """Records start .. stop - 1 as a stream, checked as read_events
         checks a whole file; messages give each record's index in the
         file, and ``before`` is the timestamp of record ``start - 1``."""
+        if stop - start > self._recs.shape[0]:
+            self._recs = None  # not held while the larger one is made
+            self._recs = np.empty(stop - start, REC_DTYPE)
+        recs = self._recs[:stop - start]
         self._fh.seek(_HEADER.size + start * REC_DTYPE.itemsize)
-        recs = np.fromfile(self._fh, REC_DTYPE, count=stop - start)
-        got = recs.size
+        got = self._fh.readinto(recs)
+        while got < recs.nbytes and (
+                more := self._fh.readinto(memoryview(recs).cast("B")[got:])):
+            got += more  # a read can return fewer bytes than it was asked
+        got //= REC_DTYPE.itemsize
         if got != stop - start:
             raise EventFileError(f"{self.path}: truncated at record "
                                  f"{start + got}")
@@ -516,7 +535,7 @@ class BinaryEvents:
 
 # Bytes per block of a CSV that CsvEvents reads; a block is cut after its
 # last line end, so it holds whole lines.
-_CSV_BLOCK_BYTES = 1 << 20
+_CSV_BLOCK_BYTES = 1 << 18
 # The longest line of an event CSV, its line end included: a block grows
 # to hold a line up to this, and a longer line is refused, so no line is
 # read whole however long it is.
@@ -742,6 +761,7 @@ class EventWriter:
         self._fmt = fmt
         self._geometry = geometry
         self._labeled = labeled
+        self._text = np.empty(_TEXT_BYTES if fmt == "csv" else 0, np.uint8)
         self.count = 0
 
     @staticmethod
@@ -759,7 +779,7 @@ class EventWriter:
                 if not stream.is_labeled:
                     raise ValueError("an unlabeled stream for a labeled file")
                 columns.append(_symbols(_LABEL_CHAR, stream.labels, "label"))
-            _write_rows(self._fh, n, columns)
+            _write_rows(self._fh, n, columns, self._text)
         else:
             # Every event lies on the stream's geometry, so a geometry that
             # fits the file's is enough.
@@ -909,6 +929,7 @@ class LogWriter:
     def __init__(self, fh):
         fh.write(_LOG_HEADER.encode("ascii") + b"\n")
         self._fh = fh
+        self._text = np.empty(_TEXT_BYTES, np.uint8)
         self.count = 0
 
     def write(self, log: DecisionLog) -> None:
@@ -920,7 +941,7 @@ class LogWriter:
             _write_rows(self._fh, n, [
                 range(self.count, self.count + n),
                 np.asarray(log.t, np.int64), np.asarray(log.window, np.int64),
-                codes, np.asarray(log.probability, np.float64)])
+                codes, np.asarray(log.probability, np.float64)], self._text)
         self.count += n
 
 

@@ -28,32 +28,30 @@ dropped unevaluated and takes no variate, any other takes the next one.
 With alpha = 1 every method keeps every event (stochastic methods then
 use acceptance probability 1).
 
-A push decides a piece in three calls of the kernels of
-:mod:`evdown.capwalk`.  The window pass finds each event's window and the
-piece's nonempty windows; every event's acceptance probability is
-computed next (the window scorer's for ``poisson``); then one piece walk,
-resumed where the last piece's stopped, applies the cap and the draws and
-gives the kept positions, the capped count and each window's retained
-count.  The walk takes the variates the last piece left unused first and
-draws fresh ones only once those run out, and PCG64 block draws
-concatenate exactly.  Where the C kernels cannot be built, their numpy
-and Python twins give the same bits.
+A push decides a piece in one call of the compiled push of
+:mod:`evdown.capwalk`, which finds each event's window, computes every
+event's acceptance probability (the window scorer's for ``poisson``),
+then walks the cap and the draws, resumed where the last piece's walk
+stopped, and writes the decision log's columns and the kept positions;
+the kept events' columns are then gathered from the piece.  The walk
+takes the variates the last piece left unused first and draws fresh ones,
+into a buffer the sampler keeps, only once those run out, and PCG64 block
+draws concatenate exactly.  Where the C kernels cannot be built, their
+numpy and Python twins give the same bits.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .capwalk import _Scorer, _walk_piece, _window_pass
+from .capwalk import _Decider
 from .events import EventStream, SensorGeometry
-from .samplers import SamplerConfig, acceptance_window_us
+from .samplers import SamplerConfig
 
 METHODS = ("deterministic", "uniform", "poisson")
-_ROW_BLOCK = 1 << 12  # per-window rows per block of run state
 
 # Placeholders: perfbench's tracer patches these two names, and nothing
 # calls them.  ROADMAP item 1 retargets the tracer and removes them.
@@ -161,21 +159,11 @@ class Downsampler:
         self.geometry = geometry
         self.method = method
         self.config = config
-        self._t0 = None
-        self._last_t = None
-        self._seen = self._retained = self._capped = 0
         self._rng = None if method == "deterministic" else config.rng()
-        # The draws the last push left unused; None for deterministic.
-        self._tail = None if self._rng is None else np.empty(0)
-        self._scorer = (_Scorer((geometry, config.alpha, config.theta,
-                                 config.prior))
-                        if method == "poisson" and config.alpha != 1.0
-                        else None)
-        self._draw = None if self._rng is None else self._rng.random
-        # The per-window rows: full blocks of _ROW_BLOCK, then the block
-        # being filled.
-        self._full, self._rows, self._used = [], np.empty((0, 3), np.int64), 0
-        self._pdf_s = self._eval_s = 0.0
+        # At alpha = 1 poisson keeps every event, as uniform does.
+        self._decider = _Decider(
+            geometry, "uniform" if method == "poisson" and config.alpha == 1.0
+            else method, config, self._rng and self._rng.random)
         self._stats = None
         self._busy_s = time.perf_counter() - t_start
 
@@ -185,7 +173,8 @@ class Downsampler:
         Returns the kept events, whose ``source_index`` counts from the
         first event pushed (or, when the piece carries a source_index of
         its own, composes through it as :meth:`EventStream.subset` does),
-        and the piece's decision log.
+        and the piece's decision log.  They are new arrays: apart from them
+        a push allocates nothing once the buffers it reuses have grown.
 
         The piece is an EventStream, so its own events are in order and
         on its sensor; only how it joins the pieces before is checked here.
@@ -203,107 +192,35 @@ class Downsampler:
                 f"pushed to a {self.geometry.width}x{self.geometry.height} "
                 f"stream")
         m = len(chunk)
-        t = chunk.t
-        if m and self._last_t is not None and t[0] < self._last_t:
-            raise ValueError(f"events out of order at index {self._seen}: "
-                             f"t={int(t[0])} after t={self._last_t}")
         if m == 0:
-            log = DecisionLog(t, np.empty(0, np.int64), np.empty(0, np.uint8),
-                              np.empty(0, np.float64))
+            log = DecisionLog(chunk.t, np.empty(0, np.int64),
+                              np.empty(0, np.uint8), np.empty(0))
             return chunk.subset(np.empty(0, np.int64)), log
-        cfg = self.config
-        alpha = cfg.alpha
-        t0 = int(t[0]) if self._t0 is None else self._t0
-        # The piece is an EventStream, so its timestamps are sorted and
-        # from the anchor on: the kernels get them unchecked.
-        windows, ids, bounds = _window_pass(np.ascontiguousarray(t), t0,
-                                            cfg.t_us)
-        # Scoring never depends on decisions (a frozen map counts every event
-        # of its window, accepted or not), so every event's probability is
-        # known before the cap walk starts.
-        if self.method == "deterministic":
-            ta = acceptance_window_us(alpha, cfg.tw_us)
-            # One array of the piece's length holds each event's phase in
-            # the duty cycle, then the indicator, and once the walk has
-            # read that, the log's NaN probabilities.
-            p = np.empty(m)
-            phase = p.view(np.int64)
-            np.subtract(t, t0, out=phase)
-            np.remainder(phase, cfg.tw_us, out=phase)
-            p[...] = phase < ta
-            probs = None
-        elif self._scorer is None:
-            p = probs = np.full(m, alpha)
-        else:
-            tp0 = time.perf_counter()
-            p = probs = np.empty(m)
-            self._scorer.score(chunk.y * self.geometry.width + chunk.x, ids,
-                               bounds, p)
-            self._pdf_s += time.perf_counter() - tp0
-
-        te0 = time.perf_counter()
-        codes, accepted, capped, window_kept, self._retained, self._tail = (
-            _walk_piece(p, bounds, alpha if cfg.cap_enabled else math.inf,
-                        self._seen, self._retained, self._tail, self._draw))
-        self._capped += capped
-        self._eval_s += time.perf_counter() - te0
-        if probs is None:  # deterministic: nothing is drawn
-            probs = p
-            probs.fill(np.nan)
-
-        self._count_windows(ids, bounds, window_kept)
-        kept = chunk.subset(accepted, offset=self._seen)
-        self._t0, self._last_t = t0, int(t[-1])
-        self._seen += m
+        log = DecisionLog(chunk.t, np.empty(m, np.int64),
+                          np.empty(m, np.uint8), np.empty(m))
+        kept, seen = self._decider.push(chunk.t, chunk.x, chunk.y,
+                                        log.window, log.code,
+                                        log.probability)
+        out = chunk._derive(kept, kept + seen if chunk.source_index is None
+                            else chunk.source_index[kept])
         self._busy_s += time.perf_counter() - t_start
-        return kept, DecisionLog(t, windows, codes, probs)
+        return out, log
 
     def close(self) -> RunStats:
         """The statistics of every event pushed; later pushes raise."""
         if self._stats is None:
             t_start = time.perf_counter()
-            cfg = self.config
+            cfg, decider = self.config, self._decider
+            seen, retained, capped, pdf_s, eval_s = decider.totals()
             self._stats = RunStats(
                 method=self.method, alpha=cfg.alpha, seed=cfg.seed,
-                processed=self._seen, retained=self._retained,
-                capped=self._capped,
-                sampler_rejected=self._seen - self._retained - self._capped,
-                per_window=tuple(map(tuple, self._window_rows())),
+                processed=seen, retained=retained, capped=capped,
+                sampler_rejected=seen - retained - capped,
+                per_window=tuple(map(tuple, decider.rows())),
                 total_s=self._busy_s + time.perf_counter() - t_start,
-                pdf_s=self._pdf_s,
-                eval_s=self._eval_s)
-            self._tail = self._scorer = self._rows = self._full = None
+                pdf_s=pdf_s, eval_s=eval_s)
+            self._decider = None
         return self._stats
-
-    def _count_windows(self, ids, bounds, window_kept) -> None:
-        """Add the piece's ``(window_id, processed, retained)`` rows to the
-        run state, the open window's to its row from the last piece."""
-        rows, used, nw = self._rows, self._used, ids.shape[0]
-        first = int(used > 0 and rows[used - 1, 0] == ids[0])
-        if first:
-            rows[used - 1, 1] += bounds[1]  # bounds[0] is 0
-            rows[used - 1, 2] += window_kept[0]
-        # Full blocks are kept as they are, so the rows take 24 bytes per
-        # window and at most one block more.
-        while first < nw:
-            if used == rows.shape[0]:
-                if used:
-                    self._full.append(rows)
-                rows = self._rows = np.empty((_ROW_BLOCK, 3), np.int64)
-                used = 0
-            take = min(nw - first, _ROW_BLOCK - used)
-            block, stop = rows[used:used + take], first + take
-            block[:, 0] = ids[first:stop]
-            np.subtract(bounds[first + 1:stop + 1], bounds[first:stop],
-                        out=block[:, 1])
-            block[:, 2] = window_kept[first:stop]
-            first, used = stop, used + take
-        self._used = used
-
-    def _window_rows(self) -> list:
-        """Every ``[window_id, processed, retained]`` row so far."""
-        return [row for block in (*self._full, self._rows[:self._used])
-                for row in block.tolist()]
 
 
 def run(stream: EventStream, method: str,

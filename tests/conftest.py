@@ -295,3 +295,57 @@ def cap_walk(request, monkeypatch):
     elif capwalk.implementation() != "compiled":
         pytest.skip("the compiled cap walk cannot be built here")
     return request.param
+
+
+def pushed_through(decider, t, x=None, y=None, p=None):
+    """One piece pushed through a capwalk._Decider: its windows, codes and
+    probabilities (``p`` given for the "given" method) and the positions
+    of its kept events."""
+    n = len(t)
+    t = np.ascontiguousarray(t, np.int64)
+    x, y = (np.zeros(n, np.int64) if c is None
+            else np.ascontiguousarray(c, np.int64) for c in (x, y))
+    windows, codes = np.empty(n, np.int64), np.empty(n, np.uint8)
+    probs = np.empty(n) if p is None else np.array(p, np.float64)
+    kept, _ = decider.push(t, x, y, windows, codes, probs)
+    return windows, codes, probs, kept.copy()
+
+
+def resumed(decider, k0=1, retained0=0, t0=0, draws=None):
+    """Set a fresh capwalk._Decider's state as if ``k0`` events from ``t0``
+    on had been pushed, ``retained0`` of them kept, leaving ``draws``
+    unused."""
+    st = decider.state
+    st[capwalk._S_SEEN], st[capwalk._S_RETAINED] = k0, retained0
+    st[capwalk._S_T0] = st[capwalk._S_LAST] = t0
+    if draws is not None and draws.size:
+        fill, decider.fill = decider.fill, lambda out: out.__setitem__(
+            ..., draws)
+        decider._draw(draws.size)
+        decider.fill = fill
+
+
+def decider_walk(p, bounds, alpha, k0, retained0, draws, more):
+    """capwalk._walk_piece's arguments and results through the push of a
+    capwalk._Decider on the given probabilities: the compiled push where
+    the kernels build, else its Python twin.  Window ``w`` of ``bounds``
+    is given timestamp ``w``; ``more(n)`` fills the draw buffer."""
+    def fill(out):
+        out[...] = more(out.shape[0])
+
+    n = p.shape[0]
+    if n == 0:
+        return (np.empty(0, np.uint8), np.empty(0, np.int64), 0,
+                np.empty(0, np.int64), retained0, draws)
+    config = SamplerConfig(alpha=min(alpha, 1.0), t_us=1,
+                           cap_enabled=alpha <= 1.0)
+    decider = capwalk._Decider(SensorGeometry(1, 1), "given", config,
+                               None if draws is None else fill)
+    resumed(decider, k0, retained0, 0, draws)
+    t = np.repeat(np.arange(len(bounds) - 1), np.diff(bounds))
+    _, codes, _, kept = pushed_through(decider, t, p=p)
+    _, retained, capped, _, _ = decider.totals()
+    left = None if draws is None else decider.draws[
+        decider.state[capwalk._S_DRAW]:decider.state[capwalk._S_DRAWS]]
+    return (codes, kept, capped, np.array([r[2] for r in decider.rows()]),
+            retained, None if left is None else left.copy())

@@ -1,11 +1,13 @@
-"""The kernels of a push, each through its one entry, which checks none of
-its arguments: the cap walk (``_walk_piece``), compiled kernel vs Python
-loop vs the per-event cap rule (``conftest.per_event_walk``); the window
-pass (``_window_pass``) against Python integers; the window scorer
-(``_Scorer``), compiled kernel vs its numpy twin vs ``np.unique`` and a
-lookup per event (``conftest.per_event_scores``), and its sum vs numpy's.
-Then the C source under strict warnings, its prototypes against the
-loader's table, and the loader's fallbacks."""
+"""The steps of a push, through the entry that runs them: the cap walk,
+compiled push (``capwalk._Decider`` on given probabilities, see
+``conftest.decider_walk``) vs Python loop vs the per-event cap rule
+(``conftest.per_event_walk``); the window pass, through the push's
+windows and rows, against Python integers; the window scorer, through the
+push's probabilities, compiled kernel vs its numpy twin vs ``np.unique``
+and a lookup per event (``conftest.per_event_scores``), and its sum vs
+numpy's.  Then the C source under strict warnings, its prototypes and
+enums against the loader's table and constants, and the loader's
+fallbacks."""
 
 import hashlib
 import math
@@ -23,13 +25,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from evdown import (Downsampler, EventStream, SamplerConfig, SensorGeometry,
-                    SigmoidParams, capwalk, read_events, read_log, run,
-                    write_events, write_log)
+                    capwalk, read_events, read_log, run, write_events,
+                    write_log)
 from evdown.cli import main
 from evdown.events import window_spans
 
-from conftest import (SRC_ENV, per_event_scores, per_event_walk,
-                      random_stream, reference_run)
+from conftest import (SRC_ENV, decider_walk, per_event_scores,
+                      per_event_walk, pushed_through, random_stream,
+                      reference_run, resumed)
 
 ALPHAS = [1.0, 0.1, 0.3, 1 / 3, 0.7, math.nextafter(1.0, 0.0)]
 HAS_CC = shutil.which("cc") is not None
@@ -48,8 +51,8 @@ def no_more(n):
 def piece_walk(p, draws, alpha, k0=0, retained0=0):
     """The piece walk over p as one window, given every draw it takes:
     (codes, retained, draws used)."""
-    got = capwalk._walk_piece(p, np.array([0, p.size] if p.size else [0]),
-                              alpha, k0, retained0, draws, no_more)
+    got = decider_walk(p, np.array([0, p.size] if p.size else [0]), alpha,
+                       k0, retained0, draws, no_more)
     return (got[0].tolist(), got[4],
             0 if draws is None else draws.size - got[5].size)
 
@@ -155,9 +158,8 @@ class TestResume:
         rng = np.random.default_rng(draw_seed)
         rng.random(split + spare)
         bounds = np.array([0, p.size - split] if p.size > split else [0])
-        got = capwalk._walk_piece(p[split:], bounds, alpha, split, r1,
-                                  None if draws is None else head[u1:],
-                                  rng.random)
+        got = decider_walk(p[split:], bounds, alpha, split, r1,
+                           None if draws is None else head[u1:], rng.random)
         assert first + got[0].tolist() == codes
         assert got[4] == retained
         if draws is not None:
@@ -175,8 +177,20 @@ def spans_of(t, t0, t_us):
     return windows, ids, [windows.index(w) for w in ids] + [len(windows)]
 
 
+def window_pass(t, t0, t_us):
+    """Each event's window and the nonempty windows' ids and bounds, from
+    the windows and rows of a push anchored at ``t0``."""
+    decider = capwalk._Decider(SensorGeometry(1, 1), "uniform",
+                               SamplerConfig(alpha=0.5, t_us=t_us),
+                               np.random.default_rng(0).random)
+    resumed(decider, t0=t0)
+    windows = pushed_through(decider, t)[0]
+    rows = np.array(decider.rows(), np.int64).reshape(-1, 3)
+    return windows, rows[:, 0], np.append(0, np.cumsum(rows[:, 1]))
+
+
 def assert_window_pass(t, t0, t_us):
-    got = capwalk._window_pass(np.array(t, np.int64), t0, t_us)
+    got = window_pass(t, t0, t_us)
     assert all(a.dtype == np.int64 for a in got)
     assert [a.tolist() for a in got] == list(spans_of(t, t0, t_us))
 
@@ -207,14 +221,16 @@ class TestWindowPass:
     def test_refuses_a_wrapping_window_id(self, cap_walk):
         with pytest.raises(ValueError, match=r"t=9223372036854775807 would "
                            r"pass the window id limit 2\*\*63 - 1"):
-            capwalk._window_pass(np.array([0, 2**63 - 1], np.int64), 0, 1)
+            window_pass([0, 2**63 - 1], 0, 1)
 
     @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
     def test_refuses_decreasing_timestamps(self):
-        """The compiled pass sizes its arrays for sorted timestamps: it
-        refuses others rather than write past them."""
+        """The compiled push takes sorted timestamps, and refuses others
+        rather than decide them, in the first span or a later one."""
         with pytest.raises(ValueError, match="must not decrease"):
-            capwalk._window_pass(np.array([9, 3, 5, 1], np.int64), 0, 1)
+            window_pass([9, 3, 5, 1], 0, 1)
+        with pytest.raises(ValueError, match="must not decrease"):
+            window_pass([*range(capwalk._SPAN), 0], 0, 1)
 
 
 class TestWalkPiece:
@@ -255,7 +271,7 @@ class TestWalkPiece:
         codes = np.array(codes, np.uint8)
         used = int(np.count_nonzero(codes != 2))
         got, kept, capped, window_kept, got_retained, rest = (
-            capwalk._walk_piece(p, bounds, alpha, k0, retained0, left, more))
+            decider_walk(p, bounds, alpha, k0, retained0, left, more))
         assert got.tolist() == codes.tolist()
         assert got_retained == retained
         assert kept.tolist() == np.flatnonzero(codes == 0).tolist()
@@ -293,8 +309,7 @@ class TestWalkPiece:
         codes = np.array(codes, np.uint8)
         used = int(np.count_nonzero(codes != 2))
         got, kept, capped, window_kept, got_retained, rest = (
-            capwalk._walk_piece(p, np.array([0, 250, 500]), alpha, 0, 0, left,
-                                more))
+            decider_walk(p, np.array([0, 250, 500]), alpha, 0, 0, left, more))
         assert (got.tolist(), got_retained) == (codes.tolist(), retained)
         assert max(asked) == 7 and sum(asked) == used - 5 + rest.size
         assert rest.tolist() == draws[used:used + rest.size].tolist()
@@ -314,18 +329,11 @@ class TestWalkPiece:
         while k < p.size:
             size += 1
             piece = p[k:k + size]
-            got, _, _, _, retained, left = capwalk._walk_piece(
+            got, _, _, _, retained, left = decider_walk(
                 piece, np.array([0, piece.size]), 0.2, k, retained, left, draw)
             codes += got.tolist()
             k += piece.size
         assert codes == want
-
-    def test_rejects_mismatched_arrays(self):
-        """A block of fresh draws of another size is refused, not read
-        past its end."""
-        with pytest.raises(ValueError, match=r"more\(4096\) must return 4096"):
-            capwalk._walk_piece(np.full(4, 0.5), np.array([0, 4]), 0.5, 0, 0,
-                                np.zeros(0), lambda n: np.zeros(0))
 
 
 def per_window_of(windows, codes):
@@ -385,10 +393,9 @@ def test_kernel_table_names_every_exported_function():
     exported = re.findall(r"^(?!static )\w+[ *]+(\w+)\(", capwalk._SOURCE,
                           re.M)
     assert sorted(exported) == sorted(capwalk._KERNELS)
-    assert sorted(capwalk._KERNELS) == ["cap_walk", "expit", "format_rows",
+    assert sorted(capwalk._KERNELS) == ["expit", "format_rows",
                                         "pairwise_sum", "parse_events",
-                                        "scan_events", "score_piece",
-                                        "window_pass"]
+                                        "push_piece", "scan_events"]
 
 
 def test_kernel_table_matches_every_prototype():
@@ -399,6 +406,25 @@ def test_kernel_table_matches_every_prototype():
                                  capwalk._SOURCE, re.M))
     for name, (argtypes, _) in capwalk._KERNELS.items():
         assert len(argtypes) == prototypes[name].count(",") + 1, name
+    assert len(capwalk._KERNELS["push_piece"][0]) == 11
+
+
+def test_push_constants_match_the_c_enums():
+    """The Python side reads and writes the push's state, buffers and
+    statuses by the numbers the C enums give them."""
+    enums = dict(re.findall(r"\b([A-Z]_[A-Z_0-9]+) = (-?\d+)",
+                            capwalk._SOURCE))
+    for name in ("C_PIXELS", "B_KEPT", "B_DRAWS", "B_ROWS", "B_SCRATCH",
+                 "S_SEEN", "S_T0", "S_LAST", "S_RETAINED", "S_NK",
+                 "S_CAPPED", "S_NEED", "S_LO", "S_STAGE", "S_USED", "S_DRAW",
+                 "S_DRAWS", "S_PDF_NS", "S_EVAL_NS", "S_ROOM", "S_SIZE",
+                 "E_ROWS", "E_KEPT", "E_ROOM", "E_INDEX", "E_LIMIT",
+                 "E_ORDER"):
+        assert getattr(capwalk, f"_{name}") == int(enums[name]), name
+    assert capwalk._METHODS == {"deterministic": int(enums["M_DUTY"]),
+                                "uniform": int(enums["M_ALPHA"]),
+                                "poisson": int(enums["M_SCORED"]),
+                                "given": int(enums["M_GIVEN"])}
 
 
 @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
@@ -433,14 +459,27 @@ def sensor(bits):
     return SensorGeometry(min(2**bits, 2**63 - 1), 1)
 
 
-def scorer(geometry, alpha=0.25):
-    return capwalk._Scorer((geometry, alpha, SigmoidParams(), None))
+class scorer:
+    """The window scorer through the push of a capwalk._Decider: each
+    piece's flat indices are its x on a sensor one row high (or of the
+    given geometry), its windows' timestamps ``(id - 1) * 10`` from 0."""
+
+    def __init__(self, geometry, alpha=0.25):
+        self.decider = capwalk._Decider(
+            geometry, "poisson", SamplerConfig(alpha=alpha, t_us=10),
+            np.random.default_rng(0).random)
+        resumed(self.decider)
+
+    def score(self, flat, ids, bounds, p) -> None:
+        if flat.size:
+            t = np.repeat((np.asarray(ids) - 1) * 10, np.diff(bounds))
+            p[:] = pushed_through(self.decider, t, x=flat, p=p)[2]
 
 
 def assert_scores_windows(windows, bits, cut=0):
     """Windows 1, 2, ... hold the flat indices ``windows[w]``, the last
     window the distinct pixels of the one before, so that it is scored
-    with that window's tally.  A _Scorer fed them in two pieces, cut before
+    with that window's tally.  A scorer fed them in two pieces, cut before
     event ``cut``, gives per_event_scores' bits: np.unique of each window
     and a lookup in the map sparse_scores freezes from it."""
     windows = [np.asarray(w, np.int64) for w in windows]

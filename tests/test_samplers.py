@@ -1,8 +1,9 @@
 """The decision rules: sampler config, duty cycle, draws and the budget cap.
 
 Each rule is checked on the product: the duty cycle and the draws through
-:func:`evdown.run`, the cap through the piece walk
-:func:`evdown.capwalk._walk_piece`, resumed at a chosen budget state.
+:func:`evdown.run`, the cap through the push's walk (``capwalk._Decider``
+on given probabilities, ``conftest.decider_walk``), resumed at a chosen
+budget state.
 """
 
 import numpy as np
@@ -12,9 +13,7 @@ from hypothesis import strategies as st
 
 from evdown import (DecisionCode, SamplerConfig, SensorGeometry,
                     SigmoidParams, acceptance_window_us, run)
-from evdown.capwalk import _walk_piece
-
-from conftest import make_stream, random_stream
+from conftest import decider_walk, make_stream, random_stream
 
 GEO = SensorGeometry(16, 12)
 ACCEPT = int(DecisionCode.ACCEPT)
@@ -41,7 +40,7 @@ def walk(p, draws, alpha, k0=0, retained0=0):
     p = np.asarray(p, dtype=np.float64)
     if draws is not None:
         draws = np.asarray(draws, dtype=np.float64)
-    codes, _, _, _, retained, left = _walk_piece(
+    codes, _, _, _, retained, left = decider_walk(
         p, np.array([0, p.size]), alpha, k0, retained0, draws, more)
     return (codes.tolist(), retained,
             0 if draws is None else draws.size - left.size)

@@ -2,9 +2,9 @@
 
 ``conftest.per_event_scores`` freezes each window's map from ``np.unique``
 of the previous window's events with ``sparse_scores`` and then looks up
-every event of the window on its own.  The window scorer
-``capwalk._Scorer``, which ``Downsampler`` holds, scores each piece in one
-call of the compiled kernel, which freezes the maps in C, or of its numpy
+every event of the window on its own.  The window scorer of the push of
+``capwalk._Decider``, which ``Downsampler`` holds, scores each piece in the
+one call of the compiled push, which freezes the maps in C, or in its numpy
 twin, and merges the pieces' tallies; every path must agree bit for bit.
 """
 
@@ -17,9 +17,8 @@ from hypothesis import strategies as st
 
 from evdown import (EventStream, PriorMap, SamplerConfig, SensorGeometry,
                     SigmoidParams, capwalk, density, pipeline, run)
-from evdown.events import window_spans
 
-from conftest import HUGE, make_stream, per_event_scores
+from conftest import HUGE, make_stream, per_event_scores, pushed_through
 
 # Flat indices up to 2**63 - 2 take all six 11-bit radix passes, and the
 # freeze converts pixel counts past 2**53 to floats.
@@ -29,17 +28,16 @@ SIX = SensorGeometry(3, 2)
 
 def scored(stream: EventStream, config: SamplerConfig,
            cuts=()) -> np.ndarray:
-    """The scorer's probabilities, the stream pushed in pieces cut before
-    each event index in ``cuts``."""
-    windows = (stream.t - int(stream.t[0])) // config.t_us + 1
-    flat = stream.y * stream.geometry.width + stream.x
-    scorer = capwalk._Scorer((stream.geometry, config.alpha, config.theta,
-                              config.prior))
+    """The scores of a capwalk._Decider's push, the stream pushed in pieces
+    cut before each event index in ``cuts``."""
+    decider = capwalk._Decider(stream.geometry, "poisson", config,
+                               config.rng().random)
     edges = [0, *sorted(cuts), len(stream)]
     p = np.full(len(stream), -1.0)
     for a, b in zip(edges, edges[1:]):
         if b > a:
-            scorer.score(flat[a:b], *window_spans(windows[a:b]), p[a:b])
+            p[a:b] = pushed_through(decider, stream.t[a:b], stream.x[a:b],
+                                    stream.y[a:b])[2]
     return p
 
 

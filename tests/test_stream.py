@@ -45,8 +45,9 @@ def pushed(stream, method, config, cuts):
     return [k for k, _ in parts], [g for _, g in parts], sampler.close()
 
 
-def assert_split_invariant(stream, method, config, cuts):
-    want_out, want_stats, want_log = run(stream, method, config)
+def assert_split_invariant(stream, method, config, cuts, want=None):
+    """The pieces decide as ``want``, by default one run of the stream."""
+    want_out, want_stats, want_log = want or run(stream, method, config)
     kept, logs, stats = pushed(stream, method, config, cuts)
     for col in ("t", "x", "y", "p", "source_index"):
         got = np.concatenate([getattr(k, col) for k in kept])
@@ -183,7 +184,65 @@ class TestSplitInvariance:
         assert_split_invariant(stream, method, config, cuts)
 
 
+    @pytest.mark.parametrize("size", [1, 7, 1024, 4096])
+    @pytest.mark.parametrize("method,prior_on", [
+        ("deterministic", False), ("uniform", False), ("poisson", False),
+        ("poisson", True)])
+    @pytest.mark.parametrize("cap", [True, False])
+    def test_packets_of_one_size(self, cap_walk, monkeypatch, size, method,
+                                 prior_on, cap):
+        """Pieces of one size, as a camera driver hands them over, decide
+        as one run with the default buffers, while the push decides 5
+        events at a time and keeps rows in blocks of 3: windows, rows and
+        leftover draws cross spans, blocks and pieces."""
+        geo = SensorGeometry(40, 30)
+        stream = random_stream(np.random.default_rng(size), geo, n=5000,
+                               span_us=90_000)
+        config = SamplerConfig(alpha=0.2, t_us=1000, tw_us=7, seed=size,
+                               cap_enabled=cap,
+                               prior=gaussian_prior(geo) if prior_on
+                               else None)
+        want = run(stream, method, config)
+        monkeypatch.setattr(capwalk, "_SPAN", 5)
+        monkeypatch.setattr(capwalk, "_ROW_BLOCK", 3)
+        assert_split_invariant(stream, method, config,
+                               list(range(size, len(stream), size)), want)
+
+
 class TestDownsampler:
+    @pytest.mark.parametrize("method", METHODS)
+    def test_push_allocates_only_what_it_returns(self, method):
+        """Once the first pushes have grown the buffers a push reuses, a
+        push allocates the kept events and the log it returns and nothing
+        else, at its peak too: its windows, scores, walk, draws and rows
+        live in the sampler's buffers."""
+        rng = np.random.default_rng(4)
+        # Window 1 is the densest, so the scorer's buffers reach their size
+        # in the first push.
+        t = np.sort(np.concatenate([rng.integers(0, 1000, 4096),
+                                    rng.integers(1000, 400_000, 6 * 4096)]))
+        stream = EventStream(GEO, t, rng.integers(0, 8, t.size),
+                             rng.integers(0, 6, t.size),
+                             np.ones(t.size, np.uint8))
+        sampler = Downsampler(GEO, method, SamplerConfig(alpha=0.1, seed=2,
+                                                         t_us=1000))
+        pieces = [stream[a:a + 4096] for a in range(0, len(stream), 4096)]
+        for piece in pieces[:2]:
+            sampler.push(piece)
+        for piece in pieces[2:]:
+            tracemalloc.start()
+            try:
+                kept, log = sampler.push(piece)
+                held, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            returned = sum(a.nbytes for a in (
+                kept.t, kept.x, kept.y, kept.p, kept.source_index,
+                log.window, log.code, log.probability))
+            # The Python objects: two streams' worth of array headers.
+            assert returned <= held <= peak < returned + 4096, (returned,
+                                                                 held, peak)
+
     def test_rejected_push_changes_nothing(self):
         """A piece out of order with the last one is refused, with its
         stream-wide index, and the run goes on as if it was never pushed."""
@@ -336,11 +395,9 @@ class TestWindowIdLimit:
         _, first = sampler.push(stream[:25])
 
         def state():
-            tail = sampler._tail
-            return (sampler._seen, sampler._retained, sampler._capped,
-                    sampler._t0, sampler._last_t,
-                    sampler._window_rows(),
-                    None if tail is None else tail.tobytes(),
+            decider = sampler._decider
+            return (decider.state.tobytes(), decider.rows(),
+                    decider.draws.tobytes(),
                     None if sampler._rng is None
                     else sampler._rng.bit_generator.state)
 
@@ -929,18 +986,25 @@ class TestChunkedMemory:
             assert abs(large - small) < 2 * 2**20, (case, small, large)
 
     # What one chunk may hold at its peak, per event of the chunk, on
-    # either kernel path: its columns, probabilities, window ids, codes
-    # and draws, the rows of its log being formatted, and the Python walk's
-    # floats.  Measured: about 170 bytes compiled, 230 in Python.
-    CHUNK_BYTES_PER_EVENT = 256
+    # either kernel path: its columns, probabilities, window ids and codes,
+    # the push's span buffers and draws, the log's text buffer, and the
+    # Python walk's floats.  Measured: about 150 bytes compiled, 32 in
+    # Python, beside the window's state below.
+    CHUNK_BYTES_PER_EVENT = 192
+    # The scorer's buffers hold the open window's tally, merge room and map
+    # (16 bytes per pixel each, a quarter more for growth): they follow a
+    # window's pixels, not the chunk.  About 0.83 MB here, where a 6 ms
+    # window holds about 6,000 events.
+    WINDOW_BYTES = 1 << 20
 
     def assert_block_and_chunk(self, tmp_path, suffix, n, blocks):
-        """downsample over n events holds at most ``blocks`` CSV blocks and
-        one chunk: a level that grows with the number of blocks or chunks
-        read, or that keeps a chunk from before, exceeds the limit."""
+        """downsample over n events holds at most ``blocks`` CSV blocks,
+        one chunk and one window's scoring state: a level that grows with
+        the number of blocks or chunks read, or that keeps a chunk from
+        before, exceeds the limit."""
         self.peak(tmp_path, 1000, suffix)  # compile and import first
         peak = self.peak(tmp_path, n, suffix)
-        limit = (blocks * evio._CSV_BLOCK_BYTES
+        limit = (blocks * evio._CSV_BLOCK_BYTES + self.WINDOW_BYTES
                  + self.CHUNK_BYTES_PER_EVENT * cli._CHUNK_EVENTS)
         assert peak < limit, (peak, limit)
         return tmp_path / f"in{n}{suffix}"
