@@ -767,10 +767,17 @@ int64_t push_piece(const int64_t *t, const int64_t *x, const int64_t *y,
                     / (uint64_t)conf[C_T_US]) + 1 == ids[nw - 1])
                 m = bounds[--nw];
             st[S_M] = m;
-            if (method == M_DUTY)
-                for (int64_t i = lo; i < lo + m; i++)
-                    p[i] = (t[i] - t0) % conf[C_TW_US] < conf[C_TA];
-            else if (method == M_ALPHA)
+            if (method == M_DUTY) {
+                /* (t - t0) mod tw_us, with one division per duty cycle as
+                   the window pass has: the span's offsets are sorted. */
+                uint64_t tw = (uint64_t)conf[C_TW_US], start = 0;
+                for (int64_t i = lo; i < lo + m; i++) {
+                    uint64_t d = (uint64_t)(t[i] - t0);
+                    if (i == lo || d - start >= tw)
+                        start = d - d % tw;
+                    p[i] = (int64_t)(d - start) < conf[C_TA];
+                }
+            } else if (method == M_ALPHA)
                 for (int64_t i = lo; i < lo + m; i++)
                     p[i] = fconf[F_ALPHA];
             else if (method == M_SCORED) {
@@ -1084,9 +1091,10 @@ class _Decider:
         return seen, retained, capped, pdf_ns / 1e9, eval_ns / 1e9
 
     def rows(self) -> list:
-        """Every ``[window_id, processed, retained]`` row so far."""
+        """Every ``(window_id, processed, retained)`` row so far, made
+        from three lists of ints per block rather than a list per row."""
         return [row for block in (*self.full, self.block[:self.state[_S_USED]])
-                for row in block.tolist()]
+                for row in zip(*block.T.tolist())]
 
     def _refusal(self, done: int, t) -> ValueError:
         st = self.state

@@ -186,9 +186,10 @@ def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
     For a block of a longer stream, ``start`` is the index of its first
     event, which messages count from, and ``before`` the timestamp of the
     event ahead of it.  The columns must be fresh arrays of the stream's
-    dtypes: the stream takes them as its own.  A stream that cannot be built raises EventFileError,
-    naming its first event out of order, else its first event outside the
-    given geometry, else the inferred geometry's fault.
+    dtypes: the stream takes them as its own.  A stream that cannot be
+    built raises EventFileError, naming its first event out of order, else
+    its first event outside the given geometry, else the inferred
+    geometry's fault.
     """
     if before is None or not t.size or t[0] >= before:
         try:
@@ -373,10 +374,14 @@ def _symbols(mapping: dict, values, what: str):
     return _letters(tuple(mapping[k] for k in range(len(mapping)))), values
 
 
-@functools.cache
+@functools.lru_cache(maxsize=64)
 def _letters(texts: tuple) -> np.ndarray:
-    """_strings of texts, made once; callers only read it."""
-    return _strings(texts)
+    """_strings of texts, read only and made once while it stays among
+    the last 64 asked for: a run's constant probability columns take one
+    entry each, so the cache must not grow with the windows."""
+    table = _strings(texts)
+    table.setflags(write=False)
+    return table
 
 
 # Bytes of text a writer formats at a time, in one buffer it keeps.

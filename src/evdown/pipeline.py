@@ -216,7 +216,7 @@ class Downsampler:
                 method=self.method, alpha=cfg.alpha, seed=cfg.seed,
                 processed=seen, retained=retained, capped=capped,
                 sampler_rejected=seen - retained - capped,
-                per_window=tuple(map(tuple, decider.rows())),
+                per_window=tuple(decider.rows()),
                 total_s=self._busy_s + time.perf_counter() - t_start,
                 pdf_s=pdf_s, eval_s=eval_s)
             self._decider = None

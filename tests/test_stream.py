@@ -183,7 +183,6 @@ class TestSplitInvariance:
                                else None)
         assert_split_invariant(stream, method, config, cuts)
 
-
     @pytest.mark.parametrize("size", [1, 7, 1024, 4096])
     @pytest.mark.parametrize("method,prior_on", [
         ("deterministic", False), ("uniform", False), ("poisson", False),

@@ -1029,6 +1029,20 @@ class TestLogWriterMemory:
             tracemalloc.stop()
         assert peak / n < 8
 
+    def test_constant_probability_tables_stay_bounded(self):
+        """Pieces whose probabilities are one value each, as a sparse
+        window's pieces can be, share a table per value while it is
+        recent, and never keep more than a bounded number of them."""
+        evio._letters.cache_clear()
+        writer = evio.LogWriter(io.BytesIO())
+        for i in range(500):
+            writer.write(DecisionLog(np.full(3, i, np.int64),
+                                     np.ones(3, np.int64),
+                                     np.zeros(3, np.uint8),
+                                     np.full(3, 1 / (i + 2))))
+        info = evio._letters.cache_info()
+        assert info.currsize <= info.maxsize < 500
+
 
 # ---------------------------------------------------------- decision logs
 
