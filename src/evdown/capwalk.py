@@ -953,8 +953,7 @@ _KERNELS = {
 }
 # The enums of push_piece in _SOURCE that Python reads or writes.
 _METHODS = {"deterministic": 0, "uniform": 1, "poisson": 2, "given": 3}
-(_C_PIXELS, _C_SPAN, _B_KEPT, _B_DRAWS, _B_ROWS, _B_SCRATCH) = (5, 7, 4, 5, 6,
-                                                               9)
+_C_SPAN, (_B_KEPT, _B_DRAWS, _B_ROWS, _B_SCRATCH) = 7, (4, 5, 6, 9)
 (_S_SEEN, _S_T0, _S_LAST, _S_RETAINED, _S_NK, _S_CAPPED, _S_NEED, _S_LO,
  _S_STAGE, _S_USED, _S_DRAW, _S_DRAWS, _S_PDF_NS, _S_EVAL_NS, _S_ROOM,
  _S_SIZE) = (0, 1, 2, 5, 6, 7, 11, 13, 14, 17, 18, 19, 20, 21, 23, 24)

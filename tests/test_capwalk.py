@@ -414,7 +414,7 @@ def test_push_constants_match_the_c_enums():
     statuses by the numbers the C enums give them."""
     enums = dict(re.findall(r"\b([A-Z]_[A-Z_0-9]+) = (-?\d+)",
                             capwalk._SOURCE))
-    for name in ("C_PIXELS", "B_KEPT", "B_DRAWS", "B_ROWS", "B_SCRATCH",
+    for name in ("C_SPAN", "B_KEPT", "B_DRAWS", "B_ROWS", "B_SCRATCH",
                  "S_SEEN", "S_T0", "S_LAST", "S_RETAINED", "S_NK",
                  "S_CAPPED", "S_NEED", "S_LO", "S_STAGE", "S_USED", "S_DRAW",
                  "S_DRAWS", "S_PDF_NS", "S_EVAL_NS", "S_ROOM", "S_SIZE",
