@@ -1038,12 +1038,13 @@ class _Decider:
         self.addresses = np.zeros(len(self.buffers), np.int64)
         for b in range(len(self.buffers)):
             self._set(b, self.buffers[b])
-        self.args = tuple(_array_address(a) for a in (
+        self.args = tuple(a.ctypes.data for a in (
             self.conf, self.fconf, self.state, self.addresses))
 
     def push(self, t, x, y, windows, codes, p):
         """Decide the next piece of the stream, given its timestamps and
-        pixels (contiguous int64, ``x`` and ``y`` read only for "poisson").
+        pixels (integer arrays, strided views too; ``x`` and ``y`` are read
+        only for "poisson").
         Each event's window, code and probability go to ``windows``,
         ``codes`` and ``p`` (writable contiguous int64, uint8 and float64
         arrays of the piece's length; with "given", ``p`` holds the
@@ -1058,16 +1059,18 @@ class _Decider:
         timestamps that decrease within the piece, or a pixel outside the
         sensor.
         """
+        # The compiled push reads the columns' data in place.
+        t, x, y = (np.ascontiguousarray(a, np.int64) for a in (t, x, y))
         st, n = self.state, t.shape[0]
         k0 = int(st[_S_SEEN])
         if self.kernel is None:
             return self._push_python(t, x, y, windows, codes, p), k0
         if n > self.conf[_C_SPAN] < _SPAN:
             self._spans(min(n, _SPAN))
-        pixels = ((_array_address(x), _array_address(y)) if self.scored
+        pixels = ((x.ctypes.data, y.ctypes.data) if self.scored
                   else (None, None))
-        call = (_array_address(t), *pixels, n, _array_address(windows),
-                _array_address(codes), _array_address(p), *self.args)
+        call = (t.ctypes.data, *pixels, n, windows.ctypes.data,
+                codes.ctypes.data, p.ctypes.data, *self.args)
         while done := self.kernel.push_piece(*call):
             if done > 0:
                 self._draw(done)
@@ -1116,16 +1119,17 @@ class _Decider:
                                   np.int64))
 
     def _set(self, b: int, array) -> None:
-        """Make ``array`` buffer ``b`` of the compiled push."""
+        """Make ``array`` buffer ``b`` of the compiled push, if any."""
+        if self.kernel is None:
+            return
         self.buffers[b] = array
-        self.addresses[b] = 0 if array is None else _array_address(array)
+        self.addresses[b] = 0 if array is None else array.ctypes.data
 
     def _draw(self, n: int) -> np.ndarray:
         """Write ``n`` fresh variates to the start of the draw buffer."""
         if n > self.draws.shape[0]:
             self.draws = np.empty(n)
-            if self.kernel is not None:
-                self._set(_B_DRAWS, self.draws)
+            self._set(_B_DRAWS, self.draws)
         self.fill(out=self.draws[:n])
         self.state[_S_DRAW], self.state[_S_DRAWS] = 0, n
         return self.draws[:n]
@@ -1135,16 +1139,14 @@ class _Decider:
         kept, self.kept = self.kept, np.empty(size, np.int64)
         self.kept[:kept.shape[0]] = kept
         self.state[_S_ROOM] = size
-        if self.kernel is not None:
-            self._set(_B_KEPT, self.kept)
+        self._set(_B_KEPT, self.kept)
 
     def _new_rows(self) -> None:
         """Keep the full row block and start another."""
         self.full.append(self.block)
         self.block = np.empty((_ROW_BLOCK, 3), np.int64)
         self.state[_S_USED] = 0
-        if self.kernel is not None:
-            self._set(_B_ROWS, self.block)
+        self._set(_B_ROWS, self.block)
 
     def _grow(self, values: int, pairs: int) -> None:
         """Room for ``values`` scratch values and ``pairs`` tally pairs, a
@@ -1275,7 +1277,7 @@ def parse_events(data, labeled: bool, rows: int, start: int = 0,
     used = ctypes.c_int64()
     got = kernel.parse_events(
         _address(data) + start, stop - start, labeled, rows,
-        *(None if c is None else _array_address(c) for c in into),
+        *(None if c is None else c.ctypes.data for c in into),
         ctypes.byref(used))
     return (tuple(into), start + used.value) if got == rows else None
 
@@ -1341,7 +1343,7 @@ def format_rows(n: int, columns, out=None, write=None):
             if table.ndim != 2:
                 raise ValueError("need a 2-D table")
             keep.append(table)
-            meta[2 * ncols + c] = _array_address(table)
+            meta[2 * ncols + c] = table.ctypes.data
             meta[5 * ncols + c], meta[3 * ncols + c] = table.shape
             widest += table.shape[1]
         else:
@@ -1362,15 +1364,15 @@ def format_rows(n: int, columns, out=None, write=None):
             values = np.ascontiguousarray(values, _UINT8 if narrow
                                           else _INT64)
         keep.append(values)
-        meta[c], meta[4 * ncols + c] = _array_address(values), narrow
+        meta[c], meta[4 * ncols + c] = values.ctypes.data, narrow
     meta = np.array(meta, np.int64)
     if out is None:
         out = np.empty(n * widest, np.uint8)
     elif out.shape[0] < widest:
         raise ValueError(f"need room for a row of {widest} bytes")
-    at, text = _array_address(meta), memoryview(b"")
+    at, text = meta.ctypes.data, memoryview(b"")
     while meta[-1] < n:
-        used = kernel.format_rows(n, ncols, at, _array_address(out),
+        used = kernel.format_rows(n, ncols, at, out.ctypes.data,
                                   out.shape[0], at + 48 * ncols)
         if used < 0:
             raise ValueError(f"need {n} row numbers within the table")
@@ -1464,31 +1466,6 @@ def _merge_tallies(a, b):
     first = np.flatnonzero(np.r_[True, pixels[1:] != pixels[:-1]])
     counts = np.concatenate([a[1], b[1]])[order]
     return pixels[first], np.add.reduceat(counts, first)
-
-
-def _data_offset():
-    """Where an ndarray object holds the address of its data, found on a
-    probe array against ``a.ctypes.data``; None when no place up to 64
-    bytes in holds it."""
-    probe = np.empty(1)
-    for at in range(8, 64, 8):
-        if ctypes.c_void_p.from_address(id(probe) + at).value == (
-                probe.ctypes.data):
-            return at
-    return None
-
-
-_DATA_AT = _data_offset() if sys.implementation.name == "cpython" else None
-
-
-def _array_address(a: np.ndarray) -> int:
-    """The address of a contiguous array's data, read from the array
-    object, a path several times cheaper than ``a.ctypes.data``."""
-    if not isinstance(a, np.ndarray):
-        raise TypeError(f"need an array, not {type(a).__name__}")
-    if _DATA_AT is None:
-        return a.ctypes.data
-    return ctypes.c_void_p.from_address(id(a) + _DATA_AT).value
 
 
 def _address(data) -> int:

@@ -148,7 +148,7 @@ def _check_window(value: int, flag: str) -> int:
     return value
 
 
-_CHUNK_EVENTS = 1 << 12   # events per chunk; bounds downsample's memory
+_CHUNK_EVENTS = 1 << 13   # events per chunk; bounds downsample's memory
 
 
 def _source(path, fmt: str):

@@ -207,6 +207,23 @@ class TestSplitInvariance:
         assert_split_invariant(stream, method, config,
                                list(range(size, len(stream), size)), want)
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_strided_slice_decides_as_its_copy(self, cap_walk, method):
+        """A slice with a step shares its columns as strided views; one
+        push of it, or pieces of it, decide as a run of a copy of its
+        events."""
+        geo = SensorGeometry(40, 30)
+        stream = random_stream(np.random.default_rng(5), geo, n=6000,
+                               span_us=60_000)[::2]
+        assert not stream.t.flags.c_contiguous
+        copy = EventStream(geo, *(np.array(c) for c in (
+            stream.t, stream.x, stream.y, stream.p)), labels=None
+            if stream.labels is None else np.array(stream.labels))
+        config = SamplerConfig(alpha=0.2, t_us=1000, seed=1)
+        want = run(copy, method, config)
+        for cuts in ([], [7, 700, 1500]):
+            assert_split_invariant(stream, method, config, cuts, want)
+
 
 class TestDownsampler:
     @pytest.mark.parametrize("method", METHODS)
@@ -987,7 +1004,7 @@ class TestChunkedMemory:
     # What one chunk may hold at its peak, per event of the chunk, on
     # either kernel path: its columns, probabilities, window ids and codes,
     # the push's span buffers and draws, the log's text buffer, and the
-    # Python walk's floats.  Measured: about 150 bytes compiled, 32 in
+    # Python walk's floats.  Measured: about 170 bytes compiled, 32 in
     # Python, beside the window's state below.
     CHUNK_BYTES_PER_EVENT = 192
     # The scorer's buffers hold the open window's tally, merge room and map
