@@ -1038,7 +1038,7 @@ class _Decider:
         self.addresses = np.zeros(len(self.buffers), np.int64)
         for b in range(len(self.buffers)):
             self._set(b, self.buffers[b])
-        self.args = tuple(a.ctypes.data for a in (
+        self.args = tuple(_array_address(a) for a in (
             self.conf, self.fconf, self.state, self.addresses))
 
     def push(self, t, x, y, windows, codes, p):
@@ -1067,10 +1067,10 @@ class _Decider:
             return self._push_python(t, x, y, windows, codes, p), k0
         if n > self.conf[_C_SPAN] < _SPAN:
             self._spans(min(n, _SPAN))
-        pixels = ((x.ctypes.data, y.ctypes.data) if self.scored
+        pixels = ((_array_address(x), _array_address(y)) if self.scored
                   else (None, None))
-        call = (t.ctypes.data, *pixels, n, windows.ctypes.data,
-                codes.ctypes.data, p.ctypes.data, *self.args)
+        call = (_array_address(t), *pixels, n, _array_address(windows),
+                _array_address(codes), _array_address(p), *self.args)
         while done := self.kernel.push_piece(*call):
             if done > 0:
                 self._draw(done)
@@ -1123,7 +1123,7 @@ class _Decider:
         if self.kernel is None:
             return
         self.buffers[b] = array
-        self.addresses[b] = 0 if array is None else array.ctypes.data
+        self.addresses[b] = 0 if array is None else _array_address(array)
 
     def _draw(self, n: int) -> np.ndarray:
         """Write ``n`` fresh variates to the start of the draw buffer."""
@@ -1277,7 +1277,7 @@ def parse_events(data, labeled: bool, rows: int, start: int = 0,
     used = ctypes.c_int64()
     got = kernel.parse_events(
         _address(data) + start, stop - start, labeled, rows,
-        *(None if c is None else c.ctypes.data for c in into),
+        *(None if c is None else _array_address(c) for c in into),
         ctypes.byref(used))
     return (tuple(into), start + used.value) if got == rows else None
 
@@ -1343,7 +1343,7 @@ def format_rows(n: int, columns, out=None, write=None):
             if table.ndim != 2:
                 raise ValueError("need a 2-D table")
             keep.append(table)
-            meta[2 * ncols + c] = table.ctypes.data
+            meta[2 * ncols + c] = _array_address(table)
             meta[5 * ncols + c], meta[3 * ncols + c] = table.shape
             widest += table.shape[1]
         else:
@@ -1364,15 +1364,15 @@ def format_rows(n: int, columns, out=None, write=None):
             values = np.ascontiguousarray(values, _UINT8 if narrow
                                           else _INT64)
         keep.append(values)
-        meta[c], meta[4 * ncols + c] = values.ctypes.data, narrow
+        meta[c], meta[4 * ncols + c] = _array_address(values), narrow
     meta = np.array(meta, np.int64)
     if out is None:
         out = np.empty(n * widest, np.uint8)
     elif out.shape[0] < widest:
         raise ValueError(f"need room for a row of {widest} bytes")
-    at, text = meta.ctypes.data, memoryview(b"")
+    at, text = _array_address(meta), memoryview(b"")
     while meta[-1] < n:
-        used = kernel.format_rows(n, ncols, at, out.ctypes.data,
+        used = kernel.format_rows(n, ncols, at, _array_address(out),
                                   out.shape[0], at + 48 * ncols)
         if used < 0:
             raise ValueError(f"need {n} row numbers within the table")
@@ -1468,6 +1468,30 @@ def _merge_tallies(a, b):
     return pixels[first], np.add.reduceat(counts, first)
 
 
+def _data_offset():
+    """Where, up to 64 bytes in, an ndarray object holds ``a.ctypes.data``,
+    found on a probe array and a view; None where it is not found, and
+    then no compiled kernel is used."""
+    probes = np.empty(1), np.empty(3)[1:]
+    for at in range(8, 64, 8):
+        if sys.implementation.name == "cpython" and all(
+                ctypes.c_void_p.from_address(id(a) + at).value
+                == a.ctypes.data for a in probes):
+            return at
+    return None
+
+
+_DATA_AT = _data_offset()
+
+
+def _array_address(a: np.ndarray) -> int:
+    """The address of a contiguous array's data, read from the array
+    object, a path several times cheaper than ``a.ctypes.data``."""
+    if not isinstance(a, np.ndarray):
+        raise TypeError(f"need an array, not {type(a).__name__}")
+    return ctypes.c_void_p.from_address(id(a) + _DATA_AT).value
+
+
 def _address(data) -> int:
     """The address of the bytes of data, bytes or a bytearray, valid while
     data lives and, for a bytearray, keeps its size."""
@@ -1493,12 +1517,15 @@ def _expit_python(x, out) -> None:
 
 @functools.cache
 def _kernel():
-    """The compiled library, or None when it cannot be built or loaded.
+    """The compiled library, or None when it cannot be built or loaded,
+    or where :func:`_array_address` cannot read an array's address.
 
     Loaded once per process; a cached file that is missing, damaged or
     unloadable is rebuilt once.  Its name carries the interpreter's cache
     tag and the machine, then a digest of the source and the flags.
     """
+    if _DATA_AT is None:
+        return None
     tag = f"{sys.implementation.cache_tag}-{platform.machine()}"
     key = hashlib.sha256("\0".join(
         (_SOURCE, *_COMPILE, tag)).encode()).hexdigest()[:20]

@@ -387,6 +387,18 @@ def test_compiled_walk_active_when_compiler_present():
     assert capwalk.implementation() == "compiled"
 
 
+@pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
+@pytest.mark.parametrize("array", [
+    np.empty(0), np.arange(5), np.arange(9, dtype=np.uint8)[3:],
+    np.arange(12.0).reshape(3, 4)[1], np.zeros((2, 3), np.int64).T,
+    np.frombuffer(bytearray(16), np.int64)], ids=range(6))
+def test_array_address_is_ctypes_data(array):
+    """The kernels' addresses are read from the array object, at the
+    place found on a probe, for arrays and views of any dtype."""
+    assert capwalk._DATA_AT is not None
+    assert capwalk._array_address(array) == array.ctypes.data
+
+
 def test_kernel_table_names_every_exported_function():
     """_load checks and types exactly the functions _SOURCE exports: a
     kernel added to one and not the other would go unchecked or unbuilt."""
@@ -625,6 +637,13 @@ class TestLoaderFallback:
         # A path below a regular file cannot be created, even by root.
         (tmp_path / "file").write_text("")
         monkeypatch.setattr(capwalk, "_CACHE_DIR", tmp_path / "file" / "c")
+        assert capwalk.implementation() == "python"
+        assert walk(P, DRAWS, 0.1) == EXPECTED
+
+    def test_no_array_address(self, cache_dir, monkeypatch):
+        """Where an array object's data address cannot be found, no
+        kernel is used, rather than one given wrong addresses."""
+        monkeypatch.setattr(capwalk, "_DATA_AT", None)
         assert capwalk.implementation() == "python"
         assert walk(P, DRAWS, 0.1) == EXPECTED
 
