@@ -2,18 +2,20 @@
 scan, and the row formatter.
 
 A push of :class:`evdown.pipeline.Downsampler` decides a piece of a
-stream in one call of the compiled push, through :class:`_Decider`, which
-holds the run's state and the buffers every push reuses.  The call finds
-each event's window, dividing once per window rather than once per event;
-each event's probability (the window scorer's for ``poisson``); then the
-cap walk, and the kept positions, codes and window rows.  The cap is a
-sequential state machine.  Event ``k`` (0-based, stream-wide) is dropped
-before evaluation when ``k > 0`` and ``retained > alpha * k``, and a
-dropped event consumes no draw, so which draw an event sees depends on
-every earlier decision.  Such a walk cannot be vectorized exactly in
-numpy.  The walk reads the draws the last piece left unused and then
-blocks of fresh ones, which the caller writes into the same buffer only
-once those run out.  The sigmoid ``1 / (1 + exp(-x))`` could be
+stream through :class:`_Decider`, which holds the run's state and the
+buffers every push reuses, in one call of the compiled push per span of
+at most _SPAN events; a piece within one span is one call.  The call
+finds each event's window, dividing once per window rather than once per
+event; each event's probability (the window scorer's for ``poisson``);
+then the cap walk, and the kept positions, codes and windows.  The cap
+is a sequential state machine.  Event ``k`` (0-based, stream-wide) is
+dropped before evaluation when ``k > 0`` and ``retained > alpha * k``,
+and a dropped event consumes no draw, so which draw an event sees
+depends on every earlier decision.  Such a walk cannot be vectorized
+exactly in numpy.  Before each span the caller makes room for all that
+it can need, a draw and a kept position per event: the walk reads the
+draws the last span left unused, then fresh ones the caller wrote after
+them into the same buffer.  The sigmoid ``1 / (1 + exp(-x))`` could be
 vectorized, but numpy's vector ``exp`` does not round as libm's scalar
 ``exp`` does on every input, so scores would depend on the CPU numpy runs
 on.  The window scorer, for each window, radix-sorts its pixels, tallies
@@ -32,9 +34,10 @@ results:
   (``cc``) into this package's ``__pycache__`` and loaded with
   :mod:`ctypes`; no build step is needed, and later processes load the
   cached file;
-* Python twins (:func:`evdown.events.window_ids` and
-  :func:`evdown.events.window_spans` for the windows; a loop over Python
-  floats for the walk; ``np.unique``, ``sparse_scores`` and
+* Python twins, one span at a time over the same state and buffers
+  (``(t - t0) // t_us + 1`` and :func:`evdown.events.window_spans` for
+  the windows; a loop over Python floats for the walk; ``np.unique``,
+  ``sparse_scores`` and
   :meth:`evdown.density.SparseScores.lookup` for the scorer; ``math.exp``,
   libm's ``exp``, for the sigmoid), which run whenever the C loops cannot
   be built or loaded (no compiler, an unwritable cache, a failed compile
@@ -76,7 +79,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .events import _check_window_limit, window_ids, window_spans
+from .events import _check_window_limit, window_spans
 
 # No -ffast-math, -Ofast, -fopenmp-simd or -march=native: ``alpha * k``
 # must round exactly as Python's float multiply does, and ``exp`` must stay
@@ -121,35 +124,29 @@ static int64_t window_pass(const int64_t *t, int64_t n, int64_t t0,
     return nw;
 }
 
-/* The cap walk over events i .. n - 1 of a piece whose event i is event
-   k0 + i of the stream and whose window w holds events bounds[w] ..
-   bounds[w + 1] - 1.  st holds the walk's state, read and updated: the
-   next event i, its window w, the events retained in the stream, and the
-   events kept and capped.  Event k is capped (code 2) when k > 0 and
-   retained > alpha * k; any other takes the next draw of u[0:nu], or 0.0
-   without u, and is accepted (code 0) when the draw is below p[i], else
-   rejected (code 1); an accepted event's position base + i goes to kept,
-   which has room for room of them, and counts in per_window[w].  The
-   walk stops before an event that needs a draw when u has none left, and
-   before any event once kept is full; returns the draws used. */
+/* The cap walk over the n events of a span whose event i is event k0 + i
+   of the stream and whose window w holds events bounds[w] ..
+   bounds[w + 1] - 1.  st holds the events retained in the stream, the
+   events capped and the events kept, read and updated.  Event k is capped
+   (code 2) when k > 0 and retained > alpha * k; any other takes the next
+   draw of u, or 0.0 without u, and is accepted (code 0) when the draw is
+   below p[i], else rejected (code 1); an accepted event's position
+   base + i goes to kept and counts in per_window[w].  u holds a draw and
+   kept room for a position per event; returns the draws used. */
 static int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
-                        const double *u, int64_t nu, double alpha,
-                        int64_t k0, uint8_t *codes, int64_t *kept,
-                        int64_t room, int64_t base, int64_t *per_window,
-                        int64_t *st)
+                        const double *u, double alpha, int64_t k0,
+                        uint8_t *codes, int64_t *kept, int64_t base,
+                        int64_t *per_window, int64_t *st)
 {
-    int64_t i = st[0], w = st[1], retained = st[2], nk = st[3];
-    int64_t capped = st[4], di = 0;
-    for (; i < n && nk < room; i++) {
+    int64_t w = 0, retained = st[0], capped = st[1], nk = st[2], di = 0;
+    for (int64_t i = 0; i < n; i++) {
         int64_t k = k0 + i;
         if (i == bounds[w + 1])
             w++;
         if (k && (double)retained > alpha * (double)k) {
             codes[i] = 2;
             capped++;
-        } else if (u && di == nu)
-            break;
-        else if ((u ? u[di++] : 0.0) < p[i]) {
+        } else if ((u ? u[di++] : 0.0) < p[i]) {
             codes[i] = 0;
             retained++;
             kept[nk++] = base + i;
@@ -157,11 +154,9 @@ static int64_t cap_walk(const double *p, int64_t n, const int64_t *bounds,
         } else
             codes[i] = 1;
     }
-    st[0] = i;
-    st[1] = w;
-    st[2] = retained;
-    st[3] = nk;
-    st[4] = capped;
+    st[0] = retained;
+    st[1] = capped;
+    st[2] = nk;
     return di;
 }
 
@@ -649,57 +644,52 @@ static int64_t score_piece(const int64_t *flat, int64_t bits,
     return 0;
 }
 
-/* The push of one piece of a stream, every step of a decision in one
-   call: each event's window, its probability, the cap walk and the window
-   rows, done conf[C_SPAN] events at a time, so that no buffer but the
-   caller's outputs and kept grows with the piece.
+/* The push of the next span of a piece of a stream, every step of a
+   decision in one call: each event's window, its probability and the cap
+   walk.  The piece holds the n events t[0:n] (x and y their pixels); the
+   span starts at event lo and holds at most conf[C_SPAN] of them, ending
+   before a window that goes on past it, so that no window shorter than a
+   span is split.
 
    conf holds the method (M_DUTY, the duty cycle (t - t0) mod tw_us < ta,
    which draws nothing; M_ALPHA, alpha for every event; M_SCORED, the
    window scorer's score; M_GIVEN, the p the caller wrote), t_us, tw_us,
-   ta, the sensor's width, its pixel count and the bits its flat indices
-   need, the span, the rows a row block holds, and the largest and the
-   smallest block of fresh draws.  fconf holds alpha, the sigmoid's slope
-   and midpoint and the prior's peak (the scorer's consts), and the cap's
-   alpha (INFINITY without the cap).  buf holds the addresses of the
-   buffers, B_ below; each span-sized one has room for conf[C_SPAN]
-   values (one more for bounds), and kept room for st[S_ROOM] positions;
-   without a draw buffer the walk takes no draws, and accepts iff p > 0.
-   st holds
-   what the stream carries from piece to piece and how far the push has
-   got, S_ below.
+   ta, the sensor's width, its pixel count, the bits its flat indices need
+   and the span.  fconf holds alpha, the sigmoid's slope and midpoint and
+   the prior's peak (the scorer's consts), and the cap's alpha (INFINITY
+   without the cap).  buf holds the addresses of the buffers, B_ below.
+   The caller makes room before the call, for each event the span can
+   hold: a value in each span-sized buffer (one more in bounds), a draw
+   from st[S_DRAW] on and a kept position from st[S_NK] on.  Without a
+   draw buffer the walk takes no draws, and accepts iff p > 0.  st holds
+   what the stream carries from span to span, S_ below; the caller sets
+   the anchor t0 and the last timestamp pushed.
 
-   Writes each event's window, code and probability (NaN for the duty
-   cycle) to windows, codes and p, the positions of the kept events in the
-   piece to kept, and a row (id, events, kept) per window to the row
-   block, the first added to the block's last row when it continues that
-   window.  Returns 0 once the piece is done, or the number of fresh draws
-   it needs (the caller writes them to the draw buffer and sets
-   st[S_DRAW] to 0 and st[S_DRAWS] to their number), or a status E_ below:
-   a row block to set up (with st[S_USED] 0), a larger kept (its room in
-   st[S_ROOM]), room for the scorer (the sizes in st[S_NEED],
-   st[S_NEED + 1]), a flat index outside the sensor, a window id past
-   INT64_MAX, a piece that starts before the last timestamp pushed, or a
-   timestamp below the one before it.  After the first four the next call
-   carries on where this one stopped; the next two change nothing. */
+   Writes each event's window, code and probability (the duty cycle's
+   indicator, which the caller then sets to NaN) to windows, codes and p,
+   the positions in the piece of the kept events to kept, and the span's
+   nw windows (st[S_NW]) to ids, bounds and kept_w: the id, first event
+   (from lo) and events kept of each.  Returns
+   the number of events decided, or a status E_ below: room for the scorer
+   (the sizes in st[S_NEED], st[S_NEED + 1]), after which the stream's
+   state is as it was and the call can be made again; a flat index
+   outside the sensor; or a timestamp below the one before it.  Before the
+   first span the caller refuses a piece that starts before the last
+   timestamp pushed, ends before t0, or ends past window id INT64_MAX. */
 enum { M_DUTY = 0, M_ALPHA = 1, M_SCORED = 2, M_GIVEN = 3 };
 enum { C_METHOD = 0, C_T_US = 1, C_TW_US = 2, C_TA = 3, C_WIDTH = 4,
-       C_PIXELS = 5, C_BITS = 6, C_SPAN = 7, C_ROWS = 8, C_DRAW_MAX = 9,
-       C_DRAW_MIN = 10 };
+       C_PIXELS = 5, C_BITS = 6, C_SPAN = 7 };
 enum { F_ALPHA = 0, F_CAP = 4 };
 enum { B_FLAT = 0, B_IDS = 1, B_BOUNDS = 2, B_KEPT_W = 3, B_KEPT = 4,
-       B_DRAWS = 5, B_ROWS = 6, B_OCC = 7, B_WEIGHTS = 8, B_SCRATCH = 9,
-       B_TAL = 10, B_TMP = 11, B_MAP = 12, B_PRB = 13, B_ROOM = 14,
-       B_ENDS = 15 };
-/* S_I .. S_CAPPED are cap_walk's state, S_SCORE .. S_NEED + 1
-   score_piece's; S_RETAINED and S_CAPPED count the whole stream. */
-enum { S_SEEN = 0, S_T0 = 1, S_LAST = 2, S_I = 3, S_W = 4, S_RETAINED = 5,
-       S_NK = 6, S_CAPPED = 7, S_SCORE = 8, S_NEED = 11, S_LO = 13,
-       S_STAGE = 14, S_NW = 15, S_ROW = 16, S_USED = 17, S_DRAW = 18,
-       S_DRAWS = 19, S_PDF_NS = 20, S_EVAL_NS = 21, S_M = 22, S_ROOM = 23,
-       S_SIZE = 24 };
-enum { E_ROWS = -1, E_KEPT = -2, E_ROOM = -3, E_INDEX = -4, E_LIMIT = -5,
-       E_ORDER = -6, E_DECREASE = -7 };
+       B_DRAWS = 5, B_OCC = 6, B_WEIGHTS = 7, B_SCRATCH = 8, B_TAL = 9,
+       B_TMP = 10, B_MAP = 11, B_PRB = 12, B_ROOM = 13, B_ENDS = 14 };
+/* S_RETAINED .. S_NK are cap_walk's state, S_SCORE .. S_NEED + 1
+   score_piece's; S_SEEN, S_RETAINED and S_CAPPED count the whole
+   stream, S_NK the piece. */
+enum { S_SEEN = 0, S_T0 = 1, S_LAST = 2, S_RETAINED = 3, S_CAPPED = 4,
+       S_NK = 5, S_SCORE = 6, S_NEED = 9, S_NW = 11, S_DRAW = 12,
+       S_PDF_NS = 13, S_EVAL_NS = 14, S_SIZE = 15 };
+enum { E_ROOM = -1, E_INDEX = -2, E_DECREASE = -3 };
 
 static int64_t now_ns(void)
 {
@@ -708,130 +698,61 @@ static int64_t now_ns(void)
     return (int64_t)ts.tv_sec * 1000000000 + ts.tv_nsec;
 }
 
-/* The rows of a span's nw windows from row st[S_ROW] on; E_ROWS when the
-   next row finds the block full, else 0. */
-static int64_t add_rows(const int64_t *ids, const int64_t *bounds,
-                        const int64_t *kept_w, int64_t nw,
-                        int64_t (*rows)[3], int64_t room, int64_t *st)
+int64_t push_span(const int64_t *t, const int64_t *x, const int64_t *y,
+                  int64_t *windows, uint8_t *codes, double *p, int64_t n,
+                  const int64_t *conf, const double *fconf, int64_t *st,
+                  void *const *buf, int64_t lo)
 {
-    for (int64_t w = st[S_ROW]; w < nw; w++) {
-        int64_t used = st[S_USED];
-        if (!w && used && rows[used - 1][0] == ids[0]) {
-            rows[used - 1][1] += bounds[1];  /* bounds[0] is 0 */
-            rows[used - 1][2] += kept_w[0];
-            continue;
-        }
-        if (used == room) {
-            st[S_ROW] = w;
-            return E_ROWS;
-        }
-        rows[used][0] = ids[w];
-        rows[used][1] = bounds[w + 1] - bounds[w];
-        rows[used][2] = kept_w[w];
-        st[S_USED] = used + 1;
-    }
-    return 0;
-}
-
-int64_t push_piece(const int64_t *t, const int64_t *x, const int64_t *y,
-                   int64_t n, int64_t *windows, uint8_t *codes, double *p,
-                   const int64_t *conf, const double *fconf, int64_t *st,
-                   void *const *buf)
-{
-    int64_t method = conf[C_METHOD], t0 = st[S_SEEN] ? st[S_T0] : t[0];
+    int64_t method = conf[C_METHOD], t0 = st[S_T0], nw, m, start;
     int64_t *ids = buf[B_IDS], *bounds = buf[B_BOUNDS];
     int64_t *kept_w = buf[B_KEPT_W];
-    if (!st[S_LO] && !st[S_STAGE]) {
-        if (st[S_SEEN] && t[0] < st[S_LAST])
-            return E_ORDER;
-        if (t[n - 1] < t0)
-            return E_DECREASE;
-        if ((uint64_t)(t[n - 1] - t0) / (uint64_t)conf[C_T_US]
-                >= (uint64_t)INT64_MAX)
-            return E_LIMIT;
-        st[S_T0] = t0;
-        st[S_NK] = 0;
-    }
-    while (st[S_LO] < n) {
-        int64_t lo = st[S_LO], m = st[S_M];
-        if (st[S_STAGE] == 0) {
-            int64_t nw;
-            m = n - lo < conf[C_SPAN] ? n - lo : conf[C_SPAN];
-            nw = window_pass(t + lo, m, t0, conf[C_T_US], windows + lo, ids,
-                             bounds);
-            if (nw < 0 || (lo && t[lo] < t[lo - 1]))
-                return E_DECREASE;
-            /* A span that ends inside a window that goes on ends before it
-               instead, so that no window shorter than a span is split. */
-            if (lo + m < n && nw > 1 && (int64_t)((uint64_t)(t[lo + m] - t0)
-                    / (uint64_t)conf[C_T_US]) + 1 == ids[nw - 1])
-                m = bounds[--nw];
-            st[S_M] = m;
-            if (method == M_DUTY) {
-                /* (t - t0) mod tw_us, with one division per duty cycle as
-                   the window pass has: the span's offsets are sorted. */
-                uint64_t tw = (uint64_t)conf[C_TW_US], start = 0;
-                for (int64_t i = lo; i < lo + m; i++) {
-                    uint64_t d = (uint64_t)(t[i] - t0);
-                    if (i == lo || d - start >= tw)
-                        start = d - d % tw;
-                    p[i] = (int64_t)(d - start) < conf[C_TA];
-                }
-            } else if (method == M_ALPHA)
-                for (int64_t i = lo; i < lo + m; i++)
-                    p[i] = fconf[F_ALPHA];
-            else if (method == M_SCORED) {
-                int64_t *flat = buf[B_FLAT], start = now_ns(), done;
-                for (int64_t i = 0; i < m; i++)
-                    flat[i] = y[lo + i] * conf[C_WIDTH] + x[lo + i];
-                done = score_piece(flat, conf[C_BITS], ids, bounds, nw,
-                                   conf[C_PIXELS], fconf, buf[B_OCC],
-                                   buf[B_WEIGHTS], p + lo, buf[B_SCRATCH],
-                                   buf[B_TAL], buf[B_TMP], buf[B_MAP],
-                                   buf[B_PRB], buf[B_ROOM], buf[B_ENDS],
-                                   st + S_SCORE);
-                st[S_PDF_NS] += now_ns() - start;
-                if (done == -1)
-                    return E_INDEX;
-                if (done < 0)
-                    return E_ROOM;
-            }
-            memset(kept_w, 0, (size_t)nw * sizeof *kept_w);
-            st[S_NW] = nw;
-            st[S_I] = st[S_W] = st[S_ROW] = 0;
-            st[S_STAGE] = 1;
+    m = n - lo < conf[C_SPAN] ? n - lo : conf[C_SPAN];
+    nw = window_pass(t + lo, m, t0, conf[C_T_US], windows + lo, ids, bounds);
+    if (nw < 0 || (lo && t[lo] < t[lo - 1]))
+        return E_DECREASE;
+    if (lo + m < n && nw > 1 && (int64_t)((uint64_t)(t[lo + m] - t0)
+            / (uint64_t)conf[C_T_US]) + 1 == ids[nw - 1])
+        m = bounds[--nw];
+    if (method == M_DUTY) {
+        /* (t - t0) mod tw_us, with one division per duty cycle as the
+           window pass has: the span's offsets are sorted. */
+        uint64_t tw = (uint64_t)conf[C_TW_US], cycle = 0;
+        for (int64_t i = lo; i < lo + m; i++) {
+            uint64_t d = (uint64_t)(t[i] - t0);
+            if (i == lo || d - cycle >= tw)
+                cycle = d - d % tw;
+            p[i] = (int64_t)(d - cycle) < conf[C_TA];
         }
-        if (st[S_STAGE] == 1) {
-            int64_t start = now_ns(), left;
-            const double *u = !buf[B_DRAWS] ? NULL
-                : (const double *)buf[B_DRAWS] + st[S_DRAW];
-            st[S_DRAW] += cap_walk(p + lo, m, bounds, u,
-                                   st[S_DRAWS] - st[S_DRAW], fconf[F_CAP],
-                                   st[S_SEEN] + lo, codes + lo, buf[B_KEPT],
-                                   st[S_ROOM], lo, kept_w, st + S_I);
-            st[S_EVAL_NS] += now_ns() - start;
-            if (st[S_I] < m && st[S_NK] == st[S_ROOM])
-                return E_KEPT;
-            if (st[S_I] < m) {
-                left = n - lo - st[S_I];
-                left = left < conf[C_DRAW_MIN] ? conf[C_DRAW_MIN] : left;
-                return left < conf[C_DRAW_MAX] ? left : conf[C_DRAW_MAX];
-            }
-            if (method == M_DUTY)
-                for (int64_t i = lo; i < lo + m; i++)
-                    p[i] = NAN;
-            st[S_STAGE] = 2;
-        }
-        if (add_rows(ids, bounds, kept_w, st[S_NW], buf[B_ROWS], conf[C_ROWS],
-                     st))
-            return E_ROWS;
-        st[S_LO] = lo + m;
-        st[S_STAGE] = 0;
+    } else if (method == M_ALPHA)
+        for (int64_t i = lo; i < lo + m; i++)
+            p[i] = fconf[F_ALPHA];
+    else if (method == M_SCORED) {
+        int64_t *flat = buf[B_FLAT], done;
+        start = now_ns();
+        for (int64_t i = 0; i < m; i++)
+            flat[i] = y[lo + i] * conf[C_WIDTH] + x[lo + i];
+        done = score_piece(flat, conf[C_BITS], ids, bounds, nw,
+                           conf[C_PIXELS], fconf, buf[B_OCC], buf[B_WEIGHTS],
+                           p + lo, buf[B_SCRATCH], buf[B_TAL], buf[B_TMP],
+                           buf[B_MAP], buf[B_PRB], buf[B_ROOM], buf[B_ENDS],
+                           st + S_SCORE);
+        st[S_PDF_NS] += now_ns() - start;
+        if (done == -1)
+            return E_INDEX;
+        if (done < 0)
+            return E_ROOM;
     }
-    st[S_SEEN] += n;
-    st[S_LAST] = t[n - 1];
-    st[S_LO] = 0;
-    return 0;
+    start = now_ns();
+    memset(kept_w, 0, (size_t)nw * sizeof *kept_w);
+    st[S_DRAW] += cap_walk(p + lo, m, bounds, !buf[B_DRAWS] ? NULL
+                           : (const double *)buf[B_DRAWS] + st[S_DRAW],
+                           fconf[F_CAP], st[S_SEEN], codes + lo,
+                           (int64_t *)buf[B_KEPT], lo, kept_w,
+                           st + S_RETAINED);
+    st[S_EVAL_NS] += now_ns() - start;
+    st[S_NW] = nw;
+    st[S_SEEN] += m;
+    return m;
 }
 
 /* The decimal of v at o ('-' first when negative); returns the end.
@@ -923,15 +844,12 @@ _DIGEST_BYTES = 32
 # The Python loops convert this many values at a time to Python floats,
 # so their memory does not grow with the input.
 _BLOCK = 1 << 14
-# Fresh variates are drawn this many at a time, into a buffer the push
-# keeps: the events left, but at least _DRAW_MIN, so that small pieces do
-# not draw each time, and at most _DRAW_BLOCK, so that the buffer stays in
-# cache.
-_DRAW_BLOCK, _DRAW_MIN = 1 << 14, 1 << 12
-# The compiled push decides a piece at most this many events at a time, so
-# that its buffers hold this many, however long the piece; a span ends
-# before a window that goes on past it, so windows up to this long are
-# scored whole.
+# Fresh variates are drawn at least this many at a time, into a buffer the
+# push keeps, so that small pieces do not draw each time.
+_DRAW_MIN = 1 << 12
+# A push decides a piece at most this many events at a time, so that its
+# buffers hold this many, however long the piece; a span ends before a
+# window that goes on past it, so windows up to this long are scored whole.
 _SPAN = 1 << 14
 # Per-window rows are kept in blocks of this many, 24 bytes each.
 _ROW_BLOCK = 1 << 12
@@ -944,21 +862,20 @@ _IDLE = (_NO_PIXELS, _NO_PIXELS)
 # lacking any of them is rebuilt.  pairwise_sum is the freeze's sum, exported
 # so that a test can hold it to numpy's.
 _KERNELS = {
-    "push_piece": ((*[_P] * 3, _I64, *[_P] * 7), _I64),
+    "push_span": ((*[_P] * 6, _I64, *[_P] * 4, _I64), _I64),
     "expit": ((_P, _P, _I64), None),
     "parse_events": ((_P, _I64, ctypes.c_int, _I64, *[_P] * 6), _I64),
     "scan_events": ((_P, _I64, ctypes.c_int, _P), _I64),
     "format_rows": ((_I64, _I64, _P, _P, _I64, _P), _I64),
     "pairwise_sum": ((_P, _I64), ctypes.c_double),
 }
-# The enums of push_piece in _SOURCE that Python reads or writes.
+# The enums of push_span in _SOURCE that Python reads or writes.
 _METHODS = {"deterministic": 0, "uniform": 1, "poisson": 2, "given": 3}
-_C_SPAN, (_B_KEPT, _B_DRAWS, _B_ROWS, _B_SCRATCH) = 7, (4, 5, 6, 9)
-(_S_SEEN, _S_T0, _S_LAST, _S_RETAINED, _S_NK, _S_CAPPED, _S_NEED, _S_LO,
- _S_STAGE, _S_USED, _S_DRAW, _S_DRAWS, _S_PDF_NS, _S_EVAL_NS, _S_ROOM,
- _S_SIZE) = (0, 1, 2, 5, 6, 7, 11, 13, 14, 17, 18, 19, 20, 21, 23, 24)
-_E_ROWS, _E_KEPT, _E_ROOM, _E_INDEX, _E_LIMIT, _E_ORDER = (-1, -2, -3, -4,
-                                                          -5, -6)
+_C_SPAN, (_B_KEPT, _B_DRAWS, _B_SCRATCH) = 7, (4, 5, 8)
+(_S_SEEN, _S_T0, _S_LAST, _S_RETAINED, _S_CAPPED, _S_NK, _S_NEED, _S_NW,
+ _S_DRAW, _S_PDF_NS, _S_EVAL_NS, _S_SIZE) = (0, 1, 2, 3, 4, 5, 9, 11, 12, 13,
+                                            14, 15)
+_E_ROOM, _E_INDEX = -1, -2
 
 
 def expit(x):
@@ -991,12 +908,14 @@ class _Decider:
     kept and capped, the anchor and last timestamps, the variates drawn
     but not yet used, the open window's scoring state (its id, map and
     tally) and a ``(window_id, processed, retained)`` row per window, in
-    blocks of _ROW_BLOCK.  The compiled push (``push_piece`` in the C
-    source) returns to Python only for fresh draws, a row block, or room
-    for the kept positions or the scorer, whose buffers grow to the
-    largest window and tally so far; the tally is a stack of runs merged as
-    they pile up (``struct tally``), so a piece costs in proportion to its
-    own tally.  The Python twin runs over the whole piece at once.
+    blocks of _ROW_BLOCK.  A push decides its piece a span at a time, each
+    in one call of the compiled push (``push_span`` in the C source) or of
+    its Python twin, and first makes room for all that the span can need:
+    a draw and a kept position per event.  The scorer's buffers grow to the
+    largest window and tally so far; a span that needs more is refused
+    with nothing changed and decided again once they have grown.  The
+    tally is a stack of runs merged as they pile up (``struct tally``), so
+    a piece costs in proportion to its own tally.
     """
 
     def __init__(self, geometry, method, config, fill):
@@ -1010,25 +929,24 @@ class _Decider:
         self.conf = np.array([
             code, config.t_us, config.tw_us,
             acceptance_window_us(alpha, config.tw_us), geometry.width,
-            geometry.n_pixels, (geometry.n_pixels - 1).bit_length(), 0,
-            _ROW_BLOCK, _DRAW_BLOCK, _DRAW_MIN], np.int64)
+            geometry.n_pixels, (geometry.n_pixels - 1).bit_length(), _SPAN],
+            np.int64)
         self.cap = alpha if config.cap_enabled else math.inf
         self.fconf = np.array([alpha, params.slope, params.midpoint,
                                1.0 if prior is None else prior.peak, self.cap])
         self.state = np.zeros(_S_SIZE, np.int64)
         self.draws, self.kept = np.empty(0), np.empty(0, np.int64)
+        # The draws written to the draw buffer end at drawn; the rows fill
+        # block to used.
+        self.drawn, self.used = 0, 0
         self.full, self.block = [], np.empty((_ROW_BLOCK, 3), np.int64)
         # The Python twin's scoring state: the open window, its tally and map.
         self.window, self.tally, self.frozen = 0, _IDLE, None
-        if self.kernel is None:
-            return
         # The buffers, in the order of the B_ enum: the span's flat indices,
-        # window ids, bounds and kept counts (grown by _spans), then the kept
-        # positions, the draws, the row block, the occupancy table and the
-        # prior's weights.
+        # window ids, bounds and kept counts, then the kept positions, the
+        # draws, the occupancy table and the prior's weights.
         self.buffers = [*[np.empty(0, np.int64)] * 4, self.kept,
-                        None if fill is None else self.draws, self.block,
-                        _OCCUPANCY,
+                        None if fill is None else self.draws, _OCCUPANCY,
                         None if prior is None else prior.weights]
         # The scorer's: scratch, tally, merge room, map and scores, their
         # sizes and the tally's run ends.
@@ -1036,6 +954,8 @@ class _Decider:
             np.empty((0, 2), np.int64) for _ in range(3)), np.empty(1),
             np.zeros(2, np.int64), np.zeros(65, np.int64)]
         self.addresses = np.zeros(len(self.buffers), np.int64)
+        if self.kernel is None:
+            return
         for b in range(len(self.buffers)):
             self._set(b, self.buffers[b])
         self.args = tuple(_array_address(a) for a in (
@@ -1061,28 +981,39 @@ class _Decider:
         """
         # The compiled push reads the columns' data in place.
         t, x, y = (np.ascontiguousarray(a, np.int64) for a in (t, x, y))
-        st, n = self.state, t.shape[0]
+        st, n, top = self.state, t.shape[0], int(t[-1])
         k0 = int(st[_S_SEEN])
+        if k0 and t[0] < st[_S_LAST]:
+            raise ValueError(f"events out of order at index {k0}: "
+                             f"t={int(t[0])} after t={st[_S_LAST]}")
+        t0 = int(st[_S_T0]) if k0 else int(t[0])
+        if top < t0:
+            raise ValueError("timestamps must not decrease")
+        _check_window_limit(top, t0, int(self.conf[1]))
+        st[_S_T0], st[_S_NK] = t0, 0
+        columns = t, x, y, windows, codes, p
         if self.kernel is None:
-            return self._push_python(t, x, y, windows, codes, p), k0
-        if n > self.conf[_C_SPAN] < _SPAN:
-            self._spans(min(n, _SPAN))
-        pixels = ((_array_address(x), _array_address(y)) if self.scored
-                  else (None, None))
-        call = (_array_address(t), *pixels, n, _array_address(windows),
-                _array_address(codes), _array_address(p), *self.args)
-        while done := self.kernel.push_piece(*call):
-            if done > 0:
-                self._draw(done)
-            elif done == _E_ROWS:
-                self._new_rows()
-            elif done == _E_KEPT:
-                self._more_kept(2 * self.kept.shape[0] + 64)
-            elif done == _E_ROOM:
+            span = functools.partial(self._span_python, *columns)
+        else:
+            span = functools.partial(self.kernel.push_span, *map(
+                _array_address, columns), n, *self.args)
+        lo, size = 0, int(self.conf[_C_SPAN])
+        while lo < n:
+            self._room(min(n - lo, size))
+            done = span(lo)
+            if done == _E_ROOM:
                 self._grow(*st[_S_NEED:_S_NEED + 2].tolist())
+            elif done == _E_INDEX:
+                raise ValueError(f"flat pixel indices must be in "
+                                 f"[0, {self.n_pixels})")
+            elif done < 0:
+                raise ValueError("timestamps must not decrease")
             else:
-                st[_S_LO] = st[_S_STAGE] = 0
-                raise self._refusal(done, t)
+                self._add_rows(int(st[_S_NW]))
+                lo += done
+        if self.conf[0] == _METHODS["deterministic"]:
+            p.fill(np.nan)  # the duty cycle draws nothing
+        st[_S_LAST] = top
         return self.kept[:st[_S_NK]], k0
 
     def totals(self):
@@ -1095,58 +1026,63 @@ class _Decider:
     def rows(self) -> list:
         """Every ``(window_id, processed, retained)`` row so far, made
         from three lists of ints per block rather than a list per row."""
-        return [row for block in (*self.full, self.block[:self.state[_S_USED]])
+        return [row for block in (*self.full, self.block[:self.used])
                 for row in zip(*block.T.tolist())]
 
-    def _refusal(self, done: int, t) -> ValueError:
-        st = self.state
-        if done == _E_ORDER:
-            return ValueError(f"events out of order at index {st[_S_SEEN]}: "
-                              f"t={int(t[0])} after t={st[_S_LAST]}")
-        if done == _E_LIMIT:
-            t0 = int(st[_S_T0]) if st[_S_SEEN] else int(t[0])
-            _check_window_limit(int(t[-1]), t0, int(self.conf[1]))
-        if done == _E_INDEX:
-            return ValueError(f"flat pixel indices must be in "
-                              f"[0, {self.n_pixels})")
-        return ValueError("timestamps must not decrease")
-
-    def _spans(self, size: int) -> None:
-        """Decide ``size`` events at a time, with buffers to match."""
-        self.conf[_C_SPAN] = size
-        for b in range(4):
-            self._set(b, np.empty(size + (b == 2) if b or self.scored else 0,
-                                  np.int64))
-
     def _set(self, b: int, array) -> None:
-        """Make ``array`` buffer ``b`` of the compiled push, if any."""
-        if self.kernel is None:
-            return
+        """Make ``array`` buffer ``b`` of the push."""
         self.buffers[b] = array
-        self.addresses[b] = 0 if array is None else _array_address(array)
+        if self.kernel is not None:
+            self.addresses[b] = 0 if array is None else _array_address(array)
 
-    def _draw(self, n: int) -> np.ndarray:
-        """Write ``n`` fresh variates to the start of the draw buffer."""
-        if n > self.draws.shape[0]:
-            self.draws = np.empty(n)
+    def _room(self, m: int) -> None:
+        """Room for a span of up to ``m`` events: span buffers that hold
+        them, room for ``m`` more kept positions, and ``m`` unused draws,
+        those left over first, then at least _DRAW_MIN fresh ones."""
+        if m >= self.buffers[2].shape[0]:
+            for b in range(4):
+                self._set(b, np.empty(m + (b == 2) if b or self.scored
+                                      else 0, np.int64))
+        nk = int(self.state[_S_NK])
+        if nk + m > self.kept.shape[0]:
+            kept, self.kept = self.kept, np.empty(
+                max(2 * self.kept.shape[0], nk + m), np.int64)
+            self.kept[:nk] = kept[:nk]
+            self._set(_B_KEPT, self.kept)
+        first = int(self.state[_S_DRAW])
+        left = self.drawn - first
+        if self.fill is None or left >= m:
+            return
+        draws, fresh = self.draws, max(m - left, _DRAW_MIN)
+        if left + fresh > draws.shape[0]:
+            self.draws = np.empty(m + _DRAW_MIN)
             self._set(_B_DRAWS, self.draws)
-        self.fill(out=self.draws[:n])
-        self.state[_S_DRAW], self.state[_S_DRAWS] = 0, n
-        return self.draws[:n]
+        self.draws[:left] = draws[first:self.drawn]
+        self.fill(out=self.draws[left:left + fresh])
+        self.state[_S_DRAW], self.drawn = 0, left + fresh
 
-    def _more_kept(self, size: int) -> None:
-        """Room for ``size`` kept positions, keeping those of the piece."""
-        kept, self.kept = self.kept, np.empty(size, np.int64)
-        self.kept[:kept.shape[0]] = kept
-        self.state[_S_ROOM] = size
-        self._set(_B_KEPT, self.kept)
-
-    def _new_rows(self) -> None:
-        """Keep the full row block and start another."""
-        self.full.append(self.block)
-        self.block = np.empty((_ROW_BLOCK, 3), np.int64)
-        self.state[_S_USED] = 0
-        self._set(_B_ROWS, self.block)
+    def _add_rows(self, nw: int) -> None:
+        """Add the rows of the span's ``nw`` windows, the first to the last
+        row when it continues that window."""
+        ids, bounds, kept_w = self.buffers[1:4]
+        rows, used = self.block, self.used
+        first = int(used > 0 and rows[used - 1, 0] == ids[0])
+        if first:
+            rows[used - 1, 1] += bounds[1]  # bounds[0] is 0
+            rows[used - 1, 2] += kept_w[0]
+        while first < nw:
+            if used == _ROW_BLOCK:
+                self.full.append(rows)
+                rows, used = np.empty((_ROW_BLOCK, 3), np.int64), 0
+                self.block = rows
+            take = min(nw - first, _ROW_BLOCK - used)
+            block, stop = rows[used:used + take], first + take
+            block[:, 0] = ids[first:stop]
+            np.subtract(bounds[first + 1:stop + 1], bounds[first:stop],
+                        out=block[:, 1])
+            block[:, 2] = kept_w[first:stop]
+            first, used = stop, used + take
+        self.used = used
 
     def _grow(self, values: int, pairs: int) -> None:
         """Room for ``values`` scratch values and ``pairs`` tally pairs, a
@@ -1173,73 +1109,45 @@ class _Decider:
         room[:] = (self.buffers[_B_SCRATCH].shape[0],
                    self.buffers[_B_SCRATCH + 1].shape[0])
 
-    def _push_python(self, t, x, y, windows, codes, p):
-        st = self.state
-        seen, n = int(st[_S_SEEN]), t.shape[0]
-        if seen and t[0] < st[_S_LAST]:
-            raise self._refusal(_E_ORDER, t)
-        t0 = int(st[_S_T0]) if seen else int(t[0])
-        method, t_us, tw_us, ta = self.conf[:4].tolist()
-        windows[:] = window_ids(t, t0, t_us, int(t[-1]))
-        ids, bounds = window_spans(windows)
-        st[_S_T0] = t0
+    def _span_python(self, t, x, y, windows, codes, p, lo):
+        """The twin of ``push_span``, on the same state and buffers."""
+        st, n = self.state, t.shape[0]
+        method, t_us, tw_us, ta, *_, size = self.conf.tolist()
+        t0, seen = int(st[_S_T0]), int(st[_S_SEEN])
+        hi = lo + min(n - lo, size)
+        windows[lo:hi] = (t[lo:hi] - t0) // t_us + 1  # push checked the limit
+        ids, bounds = window_spans(windows[lo:hi])
+        if hi < n and ids.size > 1 and (t[hi] - t0) // t_us + 1 == ids[-1]:
+            ids, bounds = ids[:-1], bounds[:-1]
+            hi = lo + int(bounds[-1])
+        span = slice(lo, hi)
         start = time.perf_counter_ns()
         if method == 0:
-            p[:] = (t - t0) % tw_us < ta
+            p[span] = (t[span] - t0) % tw_us < ta
         elif method == 1:
-            p.fill(self.chain[1])
+            p[span] = self.chain[1]
         elif method == 2:
             self.tally, self.frozen = _score_piece_python(
-                y * self.chain[0].width + x, ids, bounds, self.window,
-                self.tally, self.frozen, self.chain, p)
+                y[span] * self.chain[0].width + x[span], ids, bounds,
+                self.window, self.tally, self.frozen, self.chain, p[span])
             self.window = int(ids[-1])
             st[_S_PDF_NS] += time.perf_counter_ns() - start
-        # The walk over the draws left unused, then over blocks of fresh
-        # ones while they run out before the piece's end.
-        start = time.perf_counter_ns()
-        draws = (None if self.fill is None
-                 else self.draws[st[_S_DRAW]:st[_S_DRAWS]])
-        walked = [int(st[_S_RETAINED]), 0, 0]  # retained, used, stop
-        if draws is None or draws.size:
-            walked = _walk_python(p, draws, self.cap, codes, seen, walked[0])
-        while walked[2] < n:
-            draws = self._draw(min(_DRAW_BLOCK,
-                                   max(n - walked[2], _DRAW_MIN)))
-            walked = _walk_python(p, draws, self.cap, codes, seen, walked[0],
-                                  walked[2])
+        start, draw = time.perf_counter_ns(), int(st[_S_DRAW])
+        retained, used = _walk_python(
+            p[span], None if self.fill is None
+            else self.draws[draw:self.drawn], self.cap, codes[span], seen,
+            int(st[_S_RETAINED]))
         st[_S_EVAL_NS] += time.perf_counter_ns() - start
-        if method == 0:
-            p.fill(np.nan)
-        if draws is not None:
-            st[_S_DRAW] = st[_S_DRAWS] - draws.shape[0] + walked[1]
-        kept = np.flatnonzero(codes == 0)
-        window_kept = np.diff(np.searchsorted(kept, bounds))
-        self._count_windows(ids, bounds, window_kept)
-        st[_S_SEEN], st[_S_LAST] = seen + n, t[-1]
-        st[_S_RETAINED] = walked[0]
-        st[_S_CAPPED] += np.count_nonzero(codes == 2)
-        return kept
-
-    def _count_windows(self, ids, bounds, window_kept) -> None:
-        """The twin's rows: the piece's windows added to the row blocks, the
-        open window's to its row from the last piece."""
-        rows, used, nw = self.block, int(self.state[_S_USED]), ids.shape[0]
-        first = int(used > 0 and rows[used - 1, 0] == ids[0])
-        if first:
-            rows[used - 1, 1] += bounds[1]  # bounds[0] is 0
-            rows[used - 1, 2] += window_kept[0]
-        while first < nw:
-            if used == _ROW_BLOCK:
-                self._new_rows()
-                rows, used = self.block, 0
-            take = min(nw - first, _ROW_BLOCK - used)
-            block, stop = rows[used:used + take], first + take
-            block[:, 0] = ids[first:stop]
-            np.subtract(bounds[first + 1:stop + 1], bounds[first:stop],
-                        out=block[:, 1])
-            block[:, 2] = window_kept[first:stop]
-            first, used = stop, used + take
-        self.state[_S_USED] = used
+        kept, nk = np.flatnonzero(codes[span] == 0), int(st[_S_NK])
+        self.kept[nk:nk + kept.size] = kept + lo
+        for buffer, values in zip(self.buffers[1:4], (
+                ids, bounds, np.diff(np.searchsorted(kept, bounds)))):
+            buffer[:values.size] = values
+        st[_S_RETAINED], st[_S_DRAW], st[_S_NK], st[_S_NW] = (
+            retained, draw + used, nk + kept.size, ids.size)
+        st[_S_CAPPED] += np.count_nonzero(codes[span] == 2)
+        st[_S_SEEN] += hi - lo
+        return hi - lo
 
 
 def parse_events(data, labeled: bool, rows: int, start: int = 0,
@@ -1389,18 +1297,16 @@ def implementation() -> str:
     return "python" if _kernel() is None else "compiled"
 
 
-def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
-    """The walk over events ``start ..`` of p; returns ``(retained, used,
-    stop)``, stop being the event before which the draws ran out, or the
-    length of p."""
+def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
+    """The walk over p, given a draw for each event or None; returns
+    ``(retained, used)``."""
     retained = retained0
     di = 0
-    for i0 in range(start, p.shape[0], _BLOCK):
+    for i0 in range(0, p.shape[0], _BLOCK):
         pv = p[i0:i0 + _BLOCK].tolist()
         # Without draws, a draw of 0.0 accepts exactly the events with p > 0.
         uv = ([0.0] * len(pv) if draws is None
               else draws[di:di + len(pv)].tolist())
-        nu = len(uv)
         j = 0
         k = k0 + i0
         block = []
@@ -1408,8 +1314,6 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
         for pk in pv:
             if k and retained > alpha * k:
                 append(2)
-            elif j == nu:
-                break
             else:
                 u = uv[j]
                 j += 1
@@ -1421,9 +1325,7 @@ def _walk_python(p, draws, alpha, codes, k0=0, retained0=0, start=0):
             k += 1
         codes[i0:i0 + len(block)] = block
         di += j
-        if len(block) < len(pv):
-            return retained, di, i0 + len(block)
-    return retained, 0 if draws is None else di, p.shape[0]
+    return retained, 0 if draws is None else di
 
 
 def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):

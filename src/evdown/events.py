@@ -247,18 +247,16 @@ def window_spans(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return windows[first], np.append(first, windows.size)
 
 
-def window_ids(t: np.ndarray, t0: int, t_us: int,
-               top: int | None = None) -> np.ndarray:
+def window_ids(t: np.ndarray, t0: int, t_us: int) -> np.ndarray:
     """The tumbling window ``(t - t0) // t_us + 1`` of each timestamp, for
     windows of ``t_us`` microseconds anchored at ``t0`` (window 1).
-    ``top`` is the largest timestamp, when the caller knows it.
 
     Raises ValueError naming the limit when an id would pass 2**63 - 1,
     the largest int64, which only a 1 us window over a span of 2**63 - 1
     us reaches.
     """
     if t.size:
-        _check_window_limit(int(t.max()) if top is None else top, t0, t_us)
+        _check_window_limit(int(t.max()), t0, t_us)
     return (t - t0) // t_us + 1
 
 

@@ -145,9 +145,10 @@ def replacing(path):
     The file is made beside path (beside its target, for a symbolic link)
     and moved over it with os.replace, taking path's permission bits, or
     those a newly created file would get; an existing path this process
-    may not write raises PermissionError, as opening it would.  A path
-    that exists but is no regular file (a device, a pipe) is written only
-    once the block ends, from a copy spooled to a temporary file.
+    may not write raises PermissionError, as opening it would, and a file
+    that cannot be made beside path raises the OSError, naming path.  A
+    path that exists but is no regular file (a device, a pipe) is written
+    only once the block ends, from a copy spooled to a temporary file.
     """
     dest = os.path.realpath(path)
     try:
@@ -165,7 +166,10 @@ def replacing(path):
                 shutil.copyfileobj(spool, fh)
         return
     head, tail = os.path.split(dest)
-    fd, tmp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=head, prefix=f".{tail}.", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             yield fh

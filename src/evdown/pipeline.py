@@ -29,15 +29,16 @@ With alpha = 1 every method keeps every event (stochastic methods then
 use acceptance probability 1).
 
 A push decides a piece in one call of the compiled push of
-:mod:`evdown.capwalk`, which finds each event's window, computes every
-event's acceptance probability (the window scorer's for ``poisson``),
-then walks the cap and the draws, resumed where the last piece's walk
-stopped, and writes the decision log's columns and the kept positions;
-the kept events' columns are then gathered from the piece.  The walk
-takes the variates the last piece left unused first and draws fresh ones,
-into a buffer the sampler keeps, only once those run out, and PCG64 block
-draws concatenate exactly.  Where the C kernels cannot be built, their
-numpy and Python twins give the same bits.
+:mod:`evdown.capwalk` per span of at most 16,384 events, so a piece of a
+camera packet's size is one call.  The call finds each event's window,
+computes every event's acceptance probability (the window scorer's for
+``poisson``), then walks the cap and the draws, resumed where the last
+span's walk stopped, and writes the decision log's columns and the kept
+positions; the kept events' columns are then gathered from the piece.
+Before each span the sampler tops its draw buffer up to a draw per event:
+the variates the last span left unused first, then fresh ones, and PCG64
+block draws concatenate exactly.  Where the C kernels cannot be built,
+their numpy and Python twins give the same bits.
 """
 
 from __future__ import annotations
@@ -83,9 +84,10 @@ class RunStats:
 
     processed = retained + capped + sampler_rejected always holds.
     per_window lists (window_id, n_processed, n_retained) for every window
-    that contained at least one event.  pdf_s is the time spent scoring,
-    the pixel indices included, and eval_s the time of the decision walks,
-    their fresh draws included.
+    that contained at least one event.  total_s is the time spent in the
+    run's pushes and close, not in a sampler's set-up (its generator, the
+    kernels' load or build); pdf_s is the time spent scoring, the pixel
+    indices included, and eval_s the time of the decision walks.
     """
 
     method: str
@@ -147,7 +149,6 @@ class Downsampler:
 
     def __init__(self, geometry: SensorGeometry, method: str,
                  config: SamplerConfig):
-        t_start = time.perf_counter()
         if method not in METHODS:
             raise ValueError(
                 f"unknown method {method!r}, expected one of {METHODS}")
@@ -164,8 +165,7 @@ class Downsampler:
         self._decider = _Decider(
             geometry, "uniform" if method == "poisson" and config.alpha == 1.0
             else method, config, self._rng and self._rng.random)
-        self._stats = None
-        self._busy_s = time.perf_counter() - t_start
+        self._stats, self._busy_s = None, 0.0
 
     def push(self, chunk: EventStream) -> tuple[EventStream, DecisionLog]:
         """Decide the events of the next piece of the stream.

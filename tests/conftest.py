@@ -319,17 +319,18 @@ def resumed(decider, k0=1, retained0=0, t0=0, draws=None):
     st[capwalk._S_SEEN], st[capwalk._S_RETAINED] = k0, retained0
     st[capwalk._S_T0] = st[capwalk._S_LAST] = t0
     if draws is not None and draws.size:
-        fill, decider.fill = decider.fill, lambda out: out.__setitem__(
-            ..., draws)
-        decider._draw(draws.size)
-        decider.fill = fill
+        decider.draws, decider.drawn = draws.copy(), draws.size
+        decider._set(capwalk._B_DRAWS, decider.draws)
 
 
 def decider_walk(p, bounds, alpha, k0, retained0, draws, more):
-    """capwalk._walk_piece's arguments and results through the push of a
-    capwalk._Decider on the given probabilities: the compiled push where
-    the kernels build, else its Python twin.  Window ``w`` of ``bounds``
-    is given timestamp ``w``; ``more(n)`` fills the draw buffer."""
+    """The cap walk of one piece through the push of a capwalk._Decider
+    on the given probabilities, resumed after ``k0`` events, ``retained0``
+    kept, with ``draws`` left unused: the compiled push where the kernels
+    build, else its Python twin.  Window ``w`` of ``bounds`` is given
+    timestamp ``w``; ``more(n)`` returns the fresh draws.  Returns the
+    codes, kept positions, capped count, per-window kept counts, retained
+    count and the draws left unused."""
     def fill(out):
         out[...] = more(out.shape[0])
 
@@ -346,6 +347,6 @@ def decider_walk(p, bounds, alpha, k0, retained0, draws, more):
     _, codes, _, kept = pushed_through(decider, t, p=p)
     _, retained, capped, _, _ = decider.totals()
     left = None if draws is None else decider.draws[
-        decider.state[capwalk._S_DRAW]:decider.state[capwalk._S_DRAWS]]
+        decider.state[capwalk._S_DRAW]:decider.drawn]
     return (codes, kept, capped, np.array([r[2] for r in decider.rows()]),
             retained, None if left is None else left.copy())

@@ -11,6 +11,7 @@ fallbacks."""
 
 import hashlib
 import math
+import os
 import platform
 import re
 import shutil
@@ -18,6 +19,7 @@ import stat
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,7 +42,7 @@ HAS_CC = shutil.which("cc") is not None
 
 def python_walk(p, draws, alpha):
     codes = np.empty(p.shape[0], np.uint8)
-    retained, _, _ = capwalk._walk_python(p, draws, alpha, codes)
+    retained, _ = capwalk._walk_python(p, draws, alpha, codes)
     return codes.tolist(), retained
 
 
@@ -251,8 +253,8 @@ class TestWalkPiece:
         """The piece walk decides as the per-event cap rule does over the
         leftover draws followed by fresh ones, and its kept positions, capped count and
         per-window counts are those of the codes.  It draws fresh variates
-        only once the leftover runs out; what it leaves is the next part of
-        the same sequence."""
+        only when fewer draws than events are left; what it leaves is the
+        next part of the same sequence."""
         p = np.asarray(p, dtype=np.float64)
         n = p.size
         bounds = np.array([0, *sorted({c for c in cuts if c < n}), n])
@@ -281,41 +283,51 @@ class TestWalkPiece:
             for a, b in zip(bounds[:-1], bounds[1:])]
         if stochastic:
             assert rest.tolist() == draws[used:used + rest.size].tolist()
-            if used < spare:
+            if spare >= n:
                 assert rest.size == spare - used
         else:
             assert rest is None
         if alpha < 1.0:
-            # The bound the compiled walk sizes its kept positions by.
+            # The cap's bound on the events a piece keeps.
             assert kept.size <= max(
                 0, math.floor(alpha * (k0 + n - 1)) + 1 - retained0)
 
     @pytest.mark.parametrize("alpha", [0.1, math.inf])
-    def test_fresh_draws_in_blocks(self, cap_walk, monkeypatch, alpha):
-        """Blocks of 7 fresh draws: the walk resumes after each, and what
-        it leaves is the rest of the last block."""
-        monkeypatch.setattr(capwalk, "_DRAW_BLOCK", 7)
-        p = np.random.default_rng(3).random(500) * 0.5
-        left = np.random.default_rng(4).random(5)
-        fresh = np.random.default_rng(5)
-        asked = []
+    def test_draws_join_across_spans_and_pushes(self, cap_walk, monkeypatch,
+                                               alpha):
+        """Pieces of 1 to 40 events decided in spans of at most 7, windows
+        of 1 to 12 events: each span takes the draws the one before left,
+        then fresh ones, drawn 5 to 7 at a time only when fewer are left
+        than the span has events.  Together they are one sequence, and what
+        the last span leaves is its next part."""
+        monkeypatch.setattr(capwalk, "_SPAN", 7)
+        monkeypatch.setattr(capwalk, "_DRAW_MIN", 5)
+        rng = np.random.default_rng(3)
+        p = rng.random(500) * 0.5
+        t = np.repeat(np.arange(500), rng.integers(1, 13, 500))[:500]
+        fresh, asked = np.random.default_rng(5), []
 
-        def more(n):
-            asked.append(n)
-            return fresh.random(n)
+        def fill(out):
+            asked.append(out.shape[0])
+            fresh.random(out=out)
 
-        draws = np.concatenate([left, np.random.default_rng(5).random(500)])
-        codes, retained = per_event_walk(p, draws, alpha)
-        codes = np.array(codes, np.uint8)
-        used = int(np.count_nonzero(codes != 2))
-        got, kept, capped, window_kept, got_retained, rest = (
-            decider_walk(p, np.array([0, 250, 500]), alpha, 0, 0, left, more))
-        assert (got.tolist(), got_retained) == (codes.tolist(), retained)
-        assert max(asked) == 7 and sum(asked) == used - 5 + rest.size
+        decider = capwalk._Decider(
+            SensorGeometry(1, 1), "given",
+            SamplerConfig(alpha=min(alpha, 1.0), t_us=1,
+                          cap_enabled=alpha <= 1.0), fill)
+        cuts = np.cumsum(np.resize([1, 2, 3, 10, 40], 60))
+        codes = []
+        for a, b in zip([0, *cuts[cuts < 500]], [*cuts[cuts < 500], 500]):
+            codes += pushed_through(decider, t[a:b], p=p[a:b])[1].tolist()
+        draws = np.random.default_rng(5).random(600)
+        want, retained = per_event_walk(p, draws, alpha)
+        assert codes == want
+        assert decider.totals()[1] == retained
+        used = len(codes) - codes.count(2)
+        rest = decider.draws[decider.state[capwalk._S_DRAW]:decider.drawn]
         assert rest.tolist() == draws[used:used + rest.size].tolist()
-        assert window_kept.tolist() == [
-            int(np.count_nonzero(codes[:250] == 0)),
-            int(np.count_nonzero(codes[250:] == 0))]
+        assert sum(asked) == used + rest.size
+        assert all(5 <= n <= 7 for n in asked)
 
     def test_pieces_resume_one_another(self, cap_walk):
         """Pieces of 1, 2, 3 ... events, each given the draws the one
@@ -364,8 +376,7 @@ def test_compiled_piece_walk_runs(monkeypatch, method, cap):
     sampler = Downsampler(stream.geometry, method, config)
     for module, name in ((np, "flatnonzero"), (np, "count_nonzero"),
                          (np, "searchsorted"), (np, "concatenate"),
-                         (capwalk, "window_ids"), (capwalk, "window_spans"),
-                         (capwalk, "_walk_python")):
+                         (capwalk, "window_spans"), (capwalk, "_walk_python")):
         monkeypatch.setattr(module, name, refuse(name))
     out, log = sampler.push(stream)
     stats = sampler.close()
@@ -407,7 +418,7 @@ def test_kernel_table_names_every_exported_function():
     assert sorted(exported) == sorted(capwalk._KERNELS)
     assert sorted(capwalk._KERNELS) == ["expit", "format_rows",
                                         "pairwise_sum", "parse_events",
-                                        "push_piece", "scan_events"]
+                                        "push_span", "scan_events"]
 
 
 def test_kernel_table_matches_every_prototype():
@@ -418,7 +429,7 @@ def test_kernel_table_matches_every_prototype():
                                  capwalk._SOURCE, re.M))
     for name, (argtypes, _) in capwalk._KERNELS.items():
         assert len(argtypes) == prototypes[name].count(",") + 1, name
-    assert len(capwalk._KERNELS["push_piece"][0]) == 11
+    assert len(capwalk._KERNELS["push_span"][0]) == 12
 
 
 def test_push_constants_match_the_c_enums():
@@ -426,12 +437,10 @@ def test_push_constants_match_the_c_enums():
     statuses by the numbers the C enums give them."""
     enums = dict(re.findall(r"\b([A-Z]_[A-Z_0-9]+) = (-?\d+)",
                             capwalk._SOURCE))
-    for name in ("C_SPAN", "B_KEPT", "B_DRAWS", "B_ROWS", "B_SCRATCH",
-                 "S_SEEN", "S_T0", "S_LAST", "S_RETAINED", "S_NK",
-                 "S_CAPPED", "S_NEED", "S_LO", "S_STAGE", "S_USED", "S_DRAW",
-                 "S_DRAWS", "S_PDF_NS", "S_EVAL_NS", "S_ROOM", "S_SIZE",
-                 "E_ROWS", "E_KEPT", "E_ROOM", "E_INDEX", "E_LIMIT",
-                 "E_ORDER"):
+    for name in ("C_SPAN", "B_KEPT", "B_DRAWS", "B_SCRATCH", "S_SEEN",
+                 "S_T0", "S_LAST", "S_RETAINED", "S_CAPPED", "S_NK",
+                 "S_NEED", "S_NW", "S_DRAW", "S_PDF_NS", "S_EVAL_NS",
+                 "S_SIZE", "E_ROOM", "E_INDEX"):
         assert getattr(capwalk, f"_{name}") == int(enums[name]), name
     assert capwalk._METHODS == {"deterministic": int(enums["M_DUTY"]),
                                 "uniform": int(enums["M_ALPHA"]),
@@ -856,3 +865,80 @@ class TestLoaderCache:
                                        SamplerConfig(alpha=0.1, seed=4))
         assert read_log(str(log)).code.tolist() == codes
 
+
+# --- the kernels under sanitizers ------------------------------------------
+
+def asan_runtime():
+    """gcc's AddressSanitizer runtime, which a Python that is not built
+    with it must preload to load a sanitized library; None where there is
+    none."""
+    if not HAS_CC:
+        return None
+    path = subprocess.run(["cc", "-print-file-name=libasan.so"],
+                          capture_output=True, text=True).stdout.strip()
+    return path if os.path.isfile(path) else None
+
+
+# A process that builds and loads the kernels under ASan and UBSan, into
+# the cache argv[1], then runs the code argv[2]; the compiler it starts
+# runs without the preloaded runtime.
+SANITIZED = """
+import os, sys
+from pathlib import Path
+from evdown import capwalk
+os.environ.pop("LD_PRELOAD")
+capwalk._COMPILE += ("-fsanitize=address,undefined",
+                     "-fno-sanitize-recover=all")
+capwalk._CACHE_DIR = Path(sys.argv[1])
+exec(sys.argv[2])
+"""
+TESTS = Path(__file__).resolve().parent
+
+
+@pytest.fixture(scope="module")
+def sanitized(tmp_path_factory):
+    """Run code in a process whose kernels are sanitized; every call shares
+    one build."""
+    runtime = asan_runtime()
+    if runtime is None:
+        pytest.skip("no AddressSanitizer runtime to preload")
+    cache = tmp_path_factory.mktemp("sanitized")
+    env = dict(SRC_ENV, LD_PRELOAD=runtime, ASAN_OPTIONS="detect_leaks=0")
+
+    def run_code(code, *args):
+        return subprocess.run(
+            [sys.executable, "-c", SANITIZED, str(cache), code, *args],
+            capture_output=True, text=True, env=env, cwd=TESTS.parent,
+            timeout=300)
+    return run_code
+
+
+def test_planted_over_read_is_reported(sanitized):
+    """The negative control: a sum told to read 6 doubles of 4 stops the
+    process with a report, so a clean run below means something."""
+    proc = sanitized("import numpy as np; a = np.ones(4); "
+                     "print(capwalk.implementation(), flush=True); "
+                     "capwalk._kernel().pairwise_sum(a.ctypes.data, 6)")
+    assert proc.stdout == "compiled\n"
+    assert proc.returncode != 0
+    assert "AddressSanitizer: heap-buffer-overflow" in proc.stderr
+
+
+def test_kernel_tests_pass_sanitized(sanitized):
+    """The push, walk and scorer tests, split invariance and the golden
+    corpus on the compiled kernels, under ASan and UBSan: an over-read or
+    overflow that still returns the right answer fails here.  Only
+    sys.stdout and sys.stderr are captured, so a report reaches stderr."""
+    here = "tests/test_capwalk.py::"
+    proc = sanitized(
+        "import pytest; sys.exit(pytest.main(sys.argv[3:]))",
+        "-q", "-p", "no:cacheprovider", "--capture=sys", "-k", "not python",
+        *(here + name for name in (
+            "TestWalksAgree", "TestResume", "TestWindowPass", "TestWalkPiece",
+            "test_compiled_piece_walk_runs", "test_pairwise_sum_is_numpys",
+            "TestScoreWindow")),
+        "tests/test_scoring.py", "tests/test_stream.py::TestSplitInvariance",
+        "tests/test_golden.py")
+    assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
+    assert "Sanitizer" not in proc.stderr
+    assert "runtime error" not in proc.stderr

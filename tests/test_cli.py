@@ -200,6 +200,23 @@ class TestDownsample:
         args = self.base_args(tmp_path / "absent.csv", tmp_path / "o.csv")
         assert main(args) == 4
 
+    @pytest.mark.parametrize("flag", ["--output", "--log", "--stats"])
+    def test_output_in_missing_directory_exit_4(self, scene_csv, tmp_path,
+                                                capsys, flag):
+        """The message names the path given, not the temporary file that
+        would have been made beside it."""
+        missing = str(tmp_path / "missing" / "x.csv")
+        args = self.base_args(scene_csv, tmp_path / "o.csv")
+        if flag == "--output":
+            args[args.index(flag) + 1] = missing
+        else:
+            args += [flag, missing]
+        assert main(args) == 4
+        err = capsys.readouterr().err
+        assert err == (f"evdown: [Errno 2] No such file or directory: "
+                       f"{missing!r}\n")
+        assert ".tmp" not in err
+
     def test_malformed_input_exit_3(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("t,x,y,p\n1,2,zz,1\n")

@@ -2,6 +2,7 @@
 reference."""
 
 import math
+import time
 import tracemalloc
 
 import numpy as np
@@ -10,7 +11,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evdown import (DecisionCode, Downsampler, EventStream, PriorMap,
-                    SamplerConfig, SensorGeometry, gaussian_prior, run)
+                    SamplerConfig, SensorGeometry, capwalk, gaussian_prior,
+                    run)
 from evdown.density import sigmoid
 
 from conftest import (HUGE, force_python_walk, make_stream, random_stream,
@@ -170,6 +172,23 @@ class TestStatsInvariants:
             stats.pdf_s * 1e6 / len(s))
         assert stats.ms_per_kev_eval == pytest.approx(
             stats.eval_s * 1e6 / len(s))
+
+    def test_total_s_leaves_out_set_up(self, monkeypatch):
+        """A kernel load that takes 0.3 s, as a build on a cold cache does,
+        is the sampler's set-up: it does not reach the run's total_s."""
+        load = capwalk._load
+
+        def slow_load(path):
+            time.sleep(0.3)
+            return load(path)
+
+        s = random_stream(np.random.default_rng(3), n=2000)
+        monkeypatch.setattr(capwalk, "_load", slow_load)
+        capwalk._kernel.cache_clear()
+        start = time.perf_counter()
+        _, stats, _ = run(s, "uniform", SamplerConfig(alpha=0.1))
+        assert time.perf_counter() - start >= 0.3
+        assert 0 < stats.total_s < 0.3
 
     @pytest.mark.parametrize("method, alpha", [
         ("poisson", 0.1), ("poisson", 1.0), ("uniform", 0.1),

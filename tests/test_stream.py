@@ -225,6 +225,21 @@ class TestSplitInvariance:
             assert_split_invariant(stream, method, config, cuts, want)
 
 
+def packets(method):
+    """A sampler and the packets of 4,096 events pushed to it; the first
+    two grow every buffer that a push reuses to the size the rest need:
+    window 1 is the densest, so the scorer's buffers reach their size in
+    the first push."""
+    rng = np.random.default_rng(4)
+    t = np.sort(np.concatenate([rng.integers(0, 1000, 4096),
+                                rng.integers(1000, 400_000, 6 * 4096)]))
+    stream = EventStream(GEO, t, rng.integers(0, 8, t.size),
+                         rng.integers(0, 6, t.size), np.ones(t.size, np.uint8))
+    sampler = Downsampler(GEO, method, SamplerConfig(alpha=0.1, seed=2,
+                                                     t_us=1000))
+    return sampler, [stream[a:a + 4096] for a in range(0, len(stream), 4096)]
+
+
 class TestDownsampler:
     @pytest.mark.parametrize("method", METHODS)
     def test_push_allocates_only_what_it_returns(self, method):
@@ -232,17 +247,7 @@ class TestDownsampler:
         push allocates the kept events and the log it returns and nothing
         else, at its peak too: its windows, scores, walk, draws and rows
         live in the sampler's buffers."""
-        rng = np.random.default_rng(4)
-        # Window 1 is the densest, so the scorer's buffers reach their size
-        # in the first push.
-        t = np.sort(np.concatenate([rng.integers(0, 1000, 4096),
-                                    rng.integers(1000, 400_000, 6 * 4096)]))
-        stream = EventStream(GEO, t, rng.integers(0, 8, t.size),
-                             rng.integers(0, 6, t.size),
-                             np.ones(t.size, np.uint8))
-        sampler = Downsampler(GEO, method, SamplerConfig(alpha=0.1, seed=2,
-                                                         t_us=1000))
-        pieces = [stream[a:a + 4096] for a in range(0, len(stream), 4096)]
+        sampler, pieces = packets(method)
         for piece in pieces[:2]:
             sampler.push(piece)
         for piece in pieces[2:]:
@@ -258,6 +263,32 @@ class TestDownsampler:
             # The Python objects: two streams' worth of array headers.
             assert returned <= held <= peak < returned + 4096, (returned,
                                                                  held, peak)
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_one_compiled_call_per_push(self, method):
+        """Once the first pushes have grown the buffers a push reuses, a
+        piece within one span costs one call of the compiled push: it
+        returns for no draws, rows, kept positions or scorer room."""
+        if capwalk.implementation() != "compiled":
+            pytest.skip("the compiled push cannot be built here")
+        sampler, pieces = packets(method)
+        decider, starts = sampler._decider, []
+
+        class Counted:
+            def __init__(self, kernel):
+                self.kernel = kernel
+
+            def push_span(self, *args):
+                starts.append(args[-1])
+                return self.kernel.push_span(*args)
+
+        decider.kernel = Counted(decider.kernel)
+        for piece in pieces[:2]:
+            sampler.push(piece)
+        for piece in pieces[2:]:
+            starts.clear()
+            sampler.push(piece)
+            assert starts == [0]
 
     def test_rejected_push_changes_nothing(self):
         """A piece out of order with the last one is refused, with its
