@@ -34,10 +34,10 @@ results:
   (``cc``) into this package's ``__pycache__`` and loaded with
   :mod:`ctypes`; no build step is needed, and later processes load the
   cached file;
-* Python twins, one span at a time over the same state and buffers
-  (``(t - t0) // t_us + 1`` and :func:`evdown.events.window_spans` for
-  the windows; a loop over Python floats for the walk; ``np.unique``,
-  ``sparse_scores`` and
+* Python twins, one span at a time over the same state and buffers and
+  with the same statuses (``(t - t0) // t_us + 1`` and
+  :func:`evdown.events.window_spans` for the windows; a loop over Python
+  floats for the walk; ``np.unique``, ``sparse_scores`` and
   :meth:`evdown.density.SparseScores.lookup` for the scorer; ``math.exp``,
   libm's ``exp``, for the sigmoid), which run whenever the C loops cannot
   be built or loaded (no compiler, an unwritable cache, a failed compile
@@ -55,8 +55,8 @@ None and ``evio``'s line loop, the only source of its error messages,
 reads that block instead.
 Decision logs have no compiled reader: ``evio.read_log`` is a line loop
 on every host.  :func:`format_rows` writes the comma-separated rows of
-event CSVs and decision logs; without the library it returns None and
-``evio`` lays the same bytes out with numpy.
+event CSVs and decision logs into a buffer the caller passes; without the
+library it returns False and ``evio`` lays the same bytes out with numpy.
 
 The cache file is the shared object followed by the SHA-256 of its bytes.
 A file whose trailer does not match is rebuilt, never loaded: mapping a
@@ -334,8 +334,9 @@ int64_t parse_events(const char *buf, int64_t len, int labeled, int64_t cap,
 /* The event rows of buf[0:len], checked as parse_events checks them and
    for timestamp order, but not stored.  top holds the largest x and y so
    far and the last timestamp, and receives those of the rows read before
-   any rejected one, so a later call goes on with the rows that follow.  Returns the number of rows, or -1 - i
-   for the first row i that is rejected or precedes the row before it. */
+   any rejected one, so a later call goes on with the rows that follow.
+   Returns the number of rows, or -1 - i for the first row i that is
+   rejected or precedes the row before it. */
 int64_t scan_events(const char *buf, int64_t len, int labeled, uint64_t *top)
 {
     const char *s = buf, *end = buf + len;
@@ -522,7 +523,8 @@ static void add_run(struct tally *t, int64_t k)
 
 /* score_piece scores the events of one piece of a stream: window w has
    id ids[w] (ascending) and events bounds[w] .. bounds[w + 1] - 1, whose
-   flat pixel indices flat holds, each below n_pixels <= 2**bits.
+   flat pixel indices flat holds, each below n_pixels <= 2**bits (the
+   push checks them as it computes them).
 
    st[0:3] is what the scorer carries from piece to piece, read and
    updated: the id of the open window (0 before the first piece), the
@@ -540,9 +542,8 @@ static void add_run(struct tally *t, int64_t k)
    prb one double more.  The piece needs 4 * longest + passes * RADIX
    values, for its longest window, and the tally's pairs plus longest
    pairs; when it needs more than there is, nothing is read or written
-   but st[3] and st[4], which receive the two sizes, and -2 is returned.
-   Otherwise returns 0, or -1 for an index that is negative or not below
-   n_pixels, before any score of its window is written. */
+   but st[3] and st[4], which receive the two sizes, and -1 is returned.
+   Otherwise returns 0. */
 static int64_t score_piece(const int64_t *flat, int64_t bits,
                            const int64_t *ids, const int64_t *bounds,
                            int64_t nw, int64_t n_pixels, const double *consts,
@@ -563,7 +564,7 @@ static int64_t score_piece(const int64_t *flat, int64_t bits,
             || ends[t.runs] + longest > room[1]) {
         st[3] = 4 * longest + passes * RADIX;
         st[4] = ends[t.runs] + longest;
-        return -2;
+        return -1;
     }
     int64_t (*hist)[RADIX] = (int64_t (*)[RADIX])(scratch + 4 * longest);
     /* The sort moves each event's pixel and position together, so a pass
@@ -574,7 +575,6 @@ static int64_t score_piece(const int64_t *flat, int64_t bits,
         const int64_t *f = flat + bounds[w];
         int64_t n = bounds[w + 1] - bounds[w], k = 0;
         pair *in = NULL, *mine;
-        uint64_t bad = 0;
 
         if (ids[w] != st[0]) {
             if (ids[w] == 1) {
@@ -595,14 +595,9 @@ static int64_t score_piece(const int64_t *flat, int64_t bits,
             st[0] = ids[w];
         }
         memset(hist, 0, passes * sizeof hist[0]);
-        for (int64_t i = 0; i < n; i++) {
-            uint64_t v = (uint64_t)f[i];
-            bad |= v >= (uint64_t)n_pixels;
+        for (int64_t i = 0; i < n; i++)
             for (int d = 0; d < passes; d++)
-                hist[d][(v >> (DIGIT * d)) & (RADIX - 1)]++;
-        }
-        if (bad)
-            return -1;
+                hist[d][((uint64_t)f[i] >> (DIGIT * d)) & (RADIX - 1)]++;
         for (int d = 0; d < passes; d++) {
             int shift = DIGIT * d;
             int64_t *h = hist[d], sum = 0;
@@ -669,11 +664,11 @@ static int64_t score_piece(const int64_t *flat, int64_t bits,
    indicator, which the caller then sets to NaN) to windows, codes and p,
    the positions in the piece of the kept events to kept, and the span's
    nw windows (st[S_NW]) to ids, bounds and kept_w: the id, first event
-   (from lo) and events kept of each.  Returns
-   the number of events decided, or a status E_ below: room for the scorer
-   (the sizes in st[S_NEED], st[S_NEED + 1]), after which the stream's
-   state is as it was and the call can be made again; a flat index
-   outside the sensor; or a timestamp below the one before it.  Before the
+   (from lo) and events kept of each.  Returns the number of events
+   decided, or, with the stream's state as it was, a status E_ below: room
+   for the scorer (the sizes in st[S_NEED], st[S_NEED + 1]), after which
+   the call can be made again; a timestamp below the one before it; or a
+   flat index outside the sensor, checked as each is computed.  Before the
    first span the caller refuses a piece that starts before the last
    timestamp pushed, ends before t0, or ends past window id INT64_MAX. */
 enum { M_DUTY = 0, M_ALPHA = 1, M_SCORED = 2, M_GIVEN = 3 };
@@ -729,17 +724,20 @@ int64_t push_span(const int64_t *t, const int64_t *x, const int64_t *y,
     else if (method == M_SCORED) {
         int64_t *flat = buf[B_FLAT], done;
         start = now_ns();
-        for (int64_t i = 0; i < m; i++)
-            flat[i] = y[lo + i] * conf[C_WIDTH] + x[lo + i];
+        for (int64_t i = 0; i < m; i++) {
+            uint64_t v = (uint64_t)y[lo + i] * (uint64_t)conf[C_WIDTH]
+                + (uint64_t)x[lo + i];  /* modulo 2**64, so negatives fail */
+            if (v >= (uint64_t)conf[C_PIXELS])
+                return E_INDEX;
+            flat[i] = (int64_t)v;
+        }
         done = score_piece(flat, conf[C_BITS], ids, bounds, nw,
                            conf[C_PIXELS], fconf, buf[B_OCC], buf[B_WEIGHTS],
                            p + lo, buf[B_SCRATCH], buf[B_TAL], buf[B_TMP],
                            buf[B_MAP], buf[B_PRB], buf[B_ROOM], buf[B_ENDS],
                            st + S_SCORE);
         st[S_PDF_NS] += now_ns() - start;
-        if (done == -1)
-            return E_INDEX;
-        if (done < 0)
+        if (done)
             return E_ROOM;
     }
     start = now_ns();
@@ -841,8 +839,8 @@ _COMPILE = ("cc", "-std=c99", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
 _COMPILE_TIMEOUT_S = 60
 _CACHE_DIR = Path(__file__).resolve().parent / "__pycache__"
 _DIGEST_BYTES = 32
-# The Python loops convert this many values at a time to Python floats,
-# so their memory does not grow with the input.
+# The sigmoid's Python loop converts this many values at a time to Python
+# floats, so its memory does not grow with the input.
 _BLOCK = 1 << 14
 # Fresh variates are drawn at least this many at a time, into a buffer the
 # push keeps, so that small pieces do not draw each time.
@@ -875,7 +873,7 @@ _C_SPAN, (_B_KEPT, _B_DRAWS, _B_SCRATCH) = 7, (4, 5, 8)
 (_S_SEEN, _S_T0, _S_LAST, _S_RETAINED, _S_CAPPED, _S_NK, _S_NEED, _S_NW,
  _S_DRAW, _S_PDF_NS, _S_EVAL_NS, _S_SIZE) = (0, 1, 2, 3, 4, 5, 9, 11, 12, 13,
                                             14, 15)
-_E_ROOM, _E_INDEX = -1, -2
+_E_ROOM, _E_INDEX, _E_DECREASE = -1, -2, -3
 
 
 def expit(x):
@@ -911,11 +909,13 @@ class _Decider:
     blocks of _ROW_BLOCK.  A push decides its piece a span at a time, each
     in one call of the compiled push (``push_span`` in the C source) or of
     its Python twin, and first makes room for all that the span can need:
-    a draw and a kept position per event.  The scorer's buffers grow to the
-    largest window and tally so far; a span that needs more is refused
-    with nothing changed and decided again once they have grown.  The
-    tally is a stack of runs merged as they pile up (``struct tally``), so
-    a piece costs in proportion to its own tally.
+    a draw and a kept position per event.  A call that cannot decide its
+    span returns a status before it changes anything: for more room for
+    the scorer, whose buffers the push grows (to the largest window and
+    tally so far) before the call is made again, or for a timestamp below
+    the one before it or a pixel outside the sensor, which the push alone
+    raises.  The tally is a stack of runs merged as they pile up (``struct
+    tally``), so a piece costs in proportion to its own tally.
     """
 
     def __init__(self, geometry, method, config, fill):
@@ -964,20 +964,19 @@ class _Decider:
     def push(self, t, x, y, windows, codes, p):
         """Decide the next piece of the stream, given its timestamps and
         pixels (integer arrays, strided views too; ``x`` and ``y`` are read
-        only for "poisson").
-        Each event's window, code and probability go to ``windows``,
-        ``codes`` and ``p`` (writable contiguous int64, uint8 and float64
-        arrays of the piece's length; with "given", ``p`` holds the
-        probabilities).  Returns the positions of the kept events in the
-        piece, in a buffer that the next push reuses, and the number of
-        events pushed before.
+        only for "poisson").  Each event's window, code and probability go
+        to ``windows``, ``codes`` and ``p`` (writable contiguous int64,
+        uint8 and float64 arrays of the piece's length; with "given", ``p``
+        holds the probabilities).  Returns the positions of the kept events
+        in the piece, in a buffer that the next push reuses, and the number
+        of events pushed before.
 
         The piece is nonempty and its timestamps at least the last pushed,
         unless ValueError says otherwise: for a piece that starts before the
         last timestamp pushed, naming the index of its first event in the
         stream, or a window id past 2**63 - 1, before anything changes; for
         timestamps that decrease within the piece, or a pixel outside the
-        sensor.
+        sensor, before the span that holds them changes anything.
         """
         # The compiled push reads the columns' data in place.
         t, x, y = (np.ascontiguousarray(a, np.int64) for a in (t, x, y))
@@ -990,7 +989,7 @@ class _Decider:
         if top < t0:
             raise ValueError("timestamps must not decrease")
         _check_window_limit(top, t0, int(self.conf[1]))
-        st[_S_T0], st[_S_NK] = t0, 0
+        st[_S_T0] = t0
         columns = t, x, y, windows, codes, p
         if self.kernel is None:
             span = functools.partial(self._span_python, *columns)
@@ -1003,18 +1002,18 @@ class _Decider:
             done = span(lo)
             if done == _E_ROOM:
                 self._grow(*st[_S_NEED:_S_NEED + 2].tolist())
-            elif done == _E_INDEX:
-                raise ValueError(f"flat pixel indices must be in "
-                                 f"[0, {self.n_pixels})")
             elif done < 0:
-                raise ValueError("timestamps must not decrease")
+                st[_S_NK] = 0
+                raise ValueError(f"flat pixel indices must be in "
+                                 f"[0, {self.n_pixels})" if done == _E_INDEX
+                                 else "timestamps must not decrease")
             else:
                 self._add_rows(int(st[_S_NW]))
                 lo += done
         if self.conf[0] == _METHODS["deterministic"]:
             p.fill(np.nan)  # the duty cycle draws nothing
-        st[_S_LAST] = top
-        return self.kept[:st[_S_NK]], k0
+        nk, st[_S_LAST], st[_S_NK] = int(st[_S_NK]), top, 0
+        return self.kept[:nk], k0
 
     def totals(self):
         """The events seen, kept and capped so far, and the seconds spent
@@ -1115,6 +1114,8 @@ class _Decider:
         method, t_us, tw_us, ta, *_, size = self.conf.tolist()
         t0, seen = int(st[_S_T0]), int(st[_S_SEEN])
         hi = lo + min(n - lo, size)
+        if (np.diff(t[max(lo - 1, 0):hi]) < 0).any():
+            return _E_DECREASE
         windows[lo:hi] = (t[lo:hi] - t0) // t_us + 1  # push checked the limit
         ids, bounds = window_spans(windows[lo:hi])
         if hi < n and ids.size > 1 and (t[hi] - t0) // t_us + 1 == ids[-1]:
@@ -1127,9 +1128,12 @@ class _Decider:
         elif method == 1:
             p[span] = self.chain[1]
         elif method == 2:
+            flat = y[span] * self.chain[0].width + x[span]
+            if flat.min() < 0 or flat.max() >= self.n_pixels:
+                return _E_INDEX
             self.tally, self.frozen = _score_piece_python(
-                y[span] * self.chain[0].width + x[span], ids, bounds,
-                self.window, self.tally, self.frozen, self.chain, p[span])
+                flat, ids, bounds, self.window, self.tally, self.frozen,
+                self.chain, p[span])
             self.window = int(ids[-1])
             st[_S_PDF_NS] += time.perf_counter_ns() - start
         start, draw = time.perf_counter_ns(), int(st[_S_DRAW])
@@ -1214,10 +1218,13 @@ def scan_events(data, stop: int, labeled: bool,
     return None if got < 0 else got
 
 
-def format_rows(n: int, columns, out=None, write=None):
-    """The text of ``n`` rows of ``columns``, comma-separated and each
-    ending in a newline, as a memoryview of ASCII bytes, or None when the
-    compiled kernels are not available.
+def format_rows(n: int, columns, out, write) -> bool:
+    """Format ``n`` rows of ``columns``, comma-separated and each ending in
+    a newline, into ``out``, a writable contiguous uint8 array, as many at
+    a time as fit at their widest, and pass each part to ``write``, as a
+    memoryview of ASCII bytes, before the next is formatted.  Returns
+    False, with nothing written, when the compiled kernels are not
+    available.
 
     A column is an integer array of ``n`` values or a range of ``n``
     consecutive integers, each written in decimal, or a pair ``(table,
@@ -1226,19 +1233,13 @@ def format_rows(n: int, columns, out=None, write=None):
     without its padding.  int64 and uint8 values are read where they are;
     other integers are converted to int64 first.
 
-    Without ``out`` the text goes to a fresh buffer that holds every row at
-    its widest, and, when ``write`` is given, to ``write``.  With ``out``,
-    a writable contiguous uint8 array, the rows are formatted into it as
-    many at a time as fit at their widest, and each part is passed to
-    ``write`` before the next is formatted; the last part is returned.
-
     Raises ValueError for a column that does not fit that description, or
     an ``out`` too small for a row; a row number outside its table is found
     as the rows are formatted, so the parts before it have been written.
     """
     kernel = _kernel()
     if kernel is None:
-        return None
+        return False
     n, ncols = int(n), len(columns)
     # For each column, what format_rows reads: the address of its values,
     # its start, its table's address, width and rows, and whether its
@@ -1274,20 +1275,16 @@ def format_rows(n: int, columns, out=None, write=None):
         keep.append(values)
         meta[c], meta[4 * ncols + c] = _array_address(values), narrow
     meta = np.array(meta, np.int64)
-    if out is None:
-        out = np.empty(n * widest, np.uint8)
-    elif out.shape[0] < widest:
+    if out.shape[0] < widest:
         raise ValueError(f"need room for a row of {widest} bytes")
-    at, text = _array_address(meta), memoryview(b"")
+    at = _array_address(meta)
     while meta[-1] < n:
         used = kernel.format_rows(n, ncols, at, _array_address(out),
                                   out.shape[0], at + 48 * ncols)
         if used < 0:
             raise ValueError(f"need {n} row numbers within the table")
-        text = out.data[:used]
-        if write is not None:
-            write(text)
-    return text
+        write(out.data[:used])
+    return True
 
 
 def implementation() -> str:
@@ -1300,32 +1297,23 @@ def implementation() -> str:
 def _walk_python(p, draws, alpha, codes, k0=0, retained0=0):
     """The walk over p, given a draw for each event or None; returns
     ``(retained, used)``."""
-    retained = retained0
-    di = 0
-    for i0 in range(0, p.shape[0], _BLOCK):
-        pv = p[i0:i0 + _BLOCK].tolist()
-        # Without draws, a draw of 0.0 accepts exactly the events with p > 0.
-        uv = ([0.0] * len(pv) if draws is None
-              else draws[di:di + len(pv)].tolist())
-        j = 0
-        k = k0 + i0
-        block = []
-        append = block.append
-        for pk in pv:
-            if k and retained > alpha * k:
-                append(2)
+    retained, used, out = retained0, 0, []
+    append = out.append
+    # Without draws, a draw of 0.0 accepts exactly the events with p > 0.
+    uv = [0.0] * p.shape[0] if draws is None else draws[:p.shape[0]].tolist()
+    for k, pk in enumerate(p.tolist(), k0):
+        if k and retained > alpha * k:
+            append(2)
+        else:
+            u = uv[used]
+            used += 1
+            if u < pk:
+                append(0)
+                retained += 1
             else:
-                u = uv[j]
-                j += 1
-                if u < pk:
-                    append(0)
-                    retained += 1
-                else:
-                    append(1)
-            k += 1
-        codes[i0:i0 + len(block)] = block
-        di += j
-    return retained, 0 if draws is None else di
+                append(1)
+    codes[:] = out
+    return retained, 0 if draws is None else used
 
 
 def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
@@ -1334,9 +1322,6 @@ def _score_piece_python(flat, ids, bounds, window, tally, frozen, chain, p):
     open after it."""
     from .density import SparseScores, occupancy_values, sparse_scores
     geometry, alpha, params, prior = chain
-    if flat.size and (flat.min() < 0 or flat.max() >= geometry.n_pixels):
-        raise ValueError(f"flat pixel indices must be in "
-                         f"[0, {geometry.n_pixels})")
     for wid, i0, i1 in zip(ids.tolist(), bounds[:-1].tolist(),
                            bounds[1:].tolist()):
         if wid != window:

@@ -104,7 +104,8 @@ def read_events(path, fmt: str = "auto",
     if fmt == "csv":
         return CsvEvents(path, geometry).read()
     if fmt == "binary":
-        return _read_binary(path, geometry)
+        with contextlib.closing(BinaryEvents(path, geometry)) as source:
+            return source.read(0, source.count)
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -184,37 +185,28 @@ def replacing(path):
 
 def _finish_stream(path, geometry, t, x, y, p, labels=None, start=0,
                    before=None) -> EventStream:
-    """The stream a reader's columns make, in the given geometry or, without
-    one, the smallest sensor that holds every event.
+    """The stream a reader's columns make in the reader's geometry.
 
     For a block of a longer stream, ``start`` is the index of its first
     event, which messages count from, and ``before`` the timestamp of the
     event ahead of it.  The columns must be fresh arrays of the stream's
     dtypes: the stream takes them as its own.  A stream that cannot be
     built raises EventFileError, naming its first event out of order, else
-    its first event outside the given geometry, else the inferred
-    geometry's fault.
+    its first event outside the geometry.
     """
     if before is None or not t.size or t[0] >= before:
-        try:
-            sensor = geometry if geometry is not None else SensorGeometry(
-                int(x.max()) + 1 if x.size else 1,
-                int(y.max()) + 1 if y.size else 1)
-            return EventStream._adopt(sensor, t, x, y, p, labels=labels)
-        except ValueError as exc:
-            refusal = exc
+        with contextlib.suppress(ValueError):
+            return EventStream._adopt(geometry, t, x, y, p, labels=labels)
     # The stream was refused: find its offence again, in the file's terms.
     disorder = _out_of_order(path, t, x, y, start, before)
     if disorder is not None:
         raise disorder
+    # The columns pass every other check of the stream's, so some event is
+    # outside the geometry.
     j = first_violations(t, x, y, geometry)[1]
-    if j is not None:
-        raise EventFileError(
-            f"{path}: event {start + j} at ({int(x[j])}, {int(y[j])}) "
-            f"outside {geometry.width}x{geometry.height} sensor")
-    # The columns pass every other check of the stream's, so what is left
-    # is the geometry inferred from them.
-    raise EventFileError(f"{path}: inferred {refusal}")
+    raise EventFileError(
+        f"{path}: event {start + j} at ({int(x[j])}, {int(y[j])}) "
+        f"outside {geometry.width}x{geometry.height} sensor")
 
 
 def _out_of_order(path, t, x, y, start=0, before=None):
@@ -392,7 +384,7 @@ def _letters(texts: tuple) -> np.ndarray:
 _TEXT_BYTES = 1 << 17
 
 
-def _write_rows(fh, n: int, columns, text=None) -> None:
+def _write_rows(fh, n: int, columns, text) -> None:
     """Write n rows of columns to the binary file fh as comma-separated
     text, one row per line, _CHUNK_ROWS rows at a time.
 
@@ -401,9 +393,9 @@ def _write_rows(fh, n: int, columns, text=None) -> None:
     row i as table[index[i]] (see _strings).  Each block's columns become
     integers and (table, index) pairs, which the compiled row formatter
     (capwalk.format_rows) writes into ``text``, a uint8 buffer the writer
-    keeps, a part at a time (into a buffer of its own without one); without
-    the compiled kernels, _matrix_rows lays them out.  Either way no Python
-    object is made per row and no temporary spans more than one block.
+    keeps, a part at a time; without the compiled kernels, _matrix_rows
+    lays them out.  Either way no Python object is made per row and no
+    temporary spans more than one block.
     """
     def field(col, lo, hi):
         if isinstance(col, tuple):
@@ -416,7 +408,7 @@ def _write_rows(fh, n: int, columns, text=None) -> None:
     for lo in range(0, n, _CHUNK_ROWS):
         hi = min(lo + _CHUNK_ROWS, n)
         fields = [field(col, lo, hi) for col in columns]
-        if capwalk.format_rows(hi - lo, fields, text, fh.write) is None:
+        if not capwalk.format_rows(hi - lo, fields, text, fh.write):
             fh.write(_matrix_rows(hi - lo, fields))
 
 
@@ -441,11 +433,6 @@ def _unseekable(path) -> EventFileError:
     """The error for binary input that is no regular file."""
     return EventFileError(f"{path}: binary input must be a regular file "
                           f"(its records are read by offset)")
-
-
-def _read_binary(path, geometry) -> EventStream:
-    with contextlib.closing(BinaryEvents(path, geometry)) as source:
-        return source.read(0, source.count)
 
 
 class BinaryEvents:

@@ -225,10 +225,9 @@ class TestWindowPass:
                            r"pass the window id limit 2\*\*63 - 1"):
             window_pass([0, 2**63 - 1], 0, 1)
 
-    @pytest.mark.skipif(not HAS_CC, reason="no C compiler on PATH")
-    def test_refuses_decreasing_timestamps(self):
-        """The compiled push takes sorted timestamps, and refuses others
-        rather than decide them, in the first span or a later one."""
+    def test_refuses_decreasing_timestamps(self, cap_walk):
+        """The push takes sorted timestamps, and refuses others rather
+        than decide them, in the first span or a later one."""
         with pytest.raises(ValueError, match="must not decrease"):
             window_pass([9, 3, 5, 1], 0, 1)
         with pytest.raises(ValueError, match="must not decrease"):
@@ -440,7 +439,7 @@ def test_push_constants_match_the_c_enums():
     for name in ("C_SPAN", "B_KEPT", "B_DRAWS", "B_SCRATCH", "S_SEEN",
                  "S_T0", "S_LAST", "S_RETAINED", "S_CAPPED", "S_NK",
                  "S_NEED", "S_NW", "S_DRAW", "S_PDF_NS", "S_EVAL_NS",
-                 "S_SIZE", "E_ROOM", "E_INDEX"):
+                 "S_SIZE", "E_ROOM", "E_INDEX", "E_DECREASE"):
         assert getattr(capwalk, f"_{name}") == int(enums[name]), name
     assert capwalk._METHODS == {"deterministic": int(enums["M_DUTY"]),
                                 "uniform": int(enums["M_ALPHA"]),
@@ -595,6 +594,40 @@ class TestScoreWindow:
                 np.array(flat, np.int64), np.array([2]),
                 np.array([0, len(flat)]), p)
         assert (p == -1.0).all()
+
+
+@pytest.mark.parametrize("method, t, x, match", [
+    ("uniform", [5, 3, 9], [0, 0, 0], "timestamps must not decrease"),
+    ("poisson", [5, 3, 9], [0, 0, 0], "timestamps must not decrease"),
+    ("poisson", [5, 6, 9], [0, 6, 1], r"indices must be in \[0, 6\)"),
+    ("poisson", [5, 6, 9], [0, -1, 1], r"indices must be in \[0, 6\)")])
+def test_refused_push_changes_nothing(cap_walk, method, t, x, match):
+    """A push refused for a timestamp that decreases, or for a pixel in
+    the second window of its span (events at 5, 6 and 9 are windows 3, 4
+    and 5), leaves the state, rows, draws and kept positions as they
+    were: the next push decides as if it had not been made."""
+    def decider():
+        d = capwalk._Decider(SensorGeometry(6, 1), method,
+                             SamplerConfig(alpha=0.5, t_us=2),
+                             np.random.default_rng(0).random)
+        pushed_through(d, [0, 1, 2, 4], x=[0, 1, 2, 3])
+        return d
+
+    def held(d):  # the buffers' bytes, since unused ones may be NaN
+        return (d.state.tolist(), d.rows(), d.draws.tobytes(),
+                d.kept.tobytes(), d.drawn)
+
+    refused, fresh = decider(), decider()
+    before = held(refused)
+    with pytest.raises(ValueError, match=match):
+        pushed_through(refused, t, x=x)
+    assert held(refused) == before
+    got, want = ([a.tobytes() for a in pushed_through(d, [5, 6, 9],
+                                                      x=[5, 4, 1])]
+                 for d in (refused, fresh))
+    assert got == want and refused.rows() == fresh.rows()
+    timers = capwalk._S_PDF_NS
+    assert refused.state[:timers].tolist() == fresh.state[:timers].tolist()
 
 
 # --- the loader ------------------------------------------------------------
@@ -924,21 +957,37 @@ def test_planted_over_read_is_reported(sanitized):
     assert "AddressSanitizer: heap-buffer-overflow" in proc.stderr
 
 
-def test_kernel_tests_pass_sanitized(sanitized):
-    """The push, walk and scorer tests, split invariance and the golden
-    corpus on the compiled kernels, under ASan and UBSan: an over-read or
-    overflow that still returns the right answer fails here.  Only
-    sys.stdout and sys.stderr are captured, so a report reaches stderr."""
-    here = "tests/test_capwalk.py::"
+def assert_passes_sanitized(sanitized, *tests):
+    """The compiled cases of the tests pass in the sanitized child, with no
+    report.  Only sys.stdout and sys.stderr are captured there, so a
+    report reaches stderr."""
     proc = sanitized(
         "import pytest; sys.exit(pytest.main(sys.argv[3:]))",
         "-q", "-p", "no:cacheprovider", "--capture=sys", "-k", "not python",
-        *(here + name for name in (
-            "TestWalksAgree", "TestResume", "TestWindowPass", "TestWalkPiece",
-            "test_compiled_piece_walk_runs", "test_pairwise_sum_is_numpys",
-            "TestScoreWindow")),
-        "tests/test_scoring.py", "tests/test_stream.py::TestSplitInvariance",
-        "tests/test_golden.py")
+        *tests)
     assert proc.returncode == 0, proc.stdout[-3000:] + proc.stderr[-3000:]
     assert "Sanitizer" not in proc.stderr
     assert "runtime error" not in proc.stderr
+
+
+def test_kernel_tests_pass_sanitized(sanitized):
+    """The push, walk and scorer tests, split invariance and the golden
+    corpus on the compiled kernels, under ASan and UBSan: an over-read or
+    overflow that still returns the right answer fails here."""
+    here = "tests/test_capwalk.py::"
+    assert_passes_sanitized(
+        sanitized, *(here + name for name in (
+            "TestWalksAgree", "TestResume", "TestWindowPass", "TestWalkPiece",
+            "test_compiled_piece_walk_runs", "test_pairwise_sum_is_numpys",
+            "TestScoreWindow", "test_refused_push_changes_nothing")),
+        "tests/test_scoring.py", "tests/test_stream.py::TestSplitInvariance",
+        "tests/test_golden.py")
+
+
+def test_text_kernel_tests_pass_sanitized(sanitized):
+    """The compiled parser, scan and row formatter cases of test_textio,
+    block edges and hostile files among them, under ASan and UBSan."""
+    here = "tests/test_textio.py::"
+    assert_passes_sanitized(sanitized, *(here + name for name in (
+        "TestCompiledCsvParser", "TestDigitEdges", "TestCsvBlocks",
+        "TestHostileFiles", "TestRowFormatter")))

@@ -213,7 +213,7 @@ class TestValidByConstruction:
                        for name, col in zip(("t", "x", "y", "p", "labels"),
                                             given_cols))
         fresh = columns()
-        adopted = evio._finish_stream("a.csv", None, *fresh)
+        adopted = evio._finish_stream("a.csv", SensorGeometry(8, 6), *fresh)
         assert adopted == copied and adopted.geometry == SensorGeometry(8, 6)
         for name, col in zip(("t", "x", "y", "p", "labels"), fresh):
             assert getattr(adopted, name) is col

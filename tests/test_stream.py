@@ -322,6 +322,8 @@ class TestDownsampler:
                              np.arange(n) % 6, np.ones(n, np.uint8))
         pieces = [stream[a:a + 65_536] for a in range(0, n, 65_536)]
         config = SamplerConfig(alpha=0.3, t_us=1, seed=2)
+        # The first generator imports numpy.random, which is no run state.
+        np.random.default_rng(0).random()
         tracemalloc.start()
         try:
             sampler = Downsampler(GEO, method, config)
